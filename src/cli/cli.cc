@@ -496,7 +496,6 @@ Result<int> CmdServeSim(const FlagSet& flags, std::ostream& out) {
 
   serve_options.batch.enabled = base.batch;
   serve_options.batch.size = static_cast<size_t>(base.batch_size);
-  serve_options.batch.backfill = base.batch_backfill;
   if (serve_options.batch.enabled && serve_options.hedge.enabled) {
     return Status::InvalidArgument(
         "--batch does not compose with --hedge-delay (a batched slot "
@@ -519,7 +518,7 @@ Result<int> CmdServeSim(const FlagSet& flags, std::ostream& out) {
           : "off",
       serve_options.batch.enabled
           ? StrFormat("%zu (%s)", serve_options.batch.size,
-                      serve_options.batch.backfill ? "backfill" : "gang")
+                      base.batch_backfill ? "backfill" : "gang")
                 .c_str()
           : "off",
       static_cast<unsigned long long>(base.seed));
@@ -1207,7 +1206,8 @@ std::string UsageText() {
       "            [--quantiles 0.1,0.9] [--seed 42] [--output out.csv]\n"
       "            [--plot] [--threads 4] [--prefix-cache 0|1]\n"
       "            [--prefix-cache-capacity 64] [--batch]\n"
-      "            [--batch-size 8] [--batch-backfill 0|1]\n"
+      "            [--batch-size 8] [--batch-backfill 0|1 (decode\n"
+      "            refill: 1 continuous, 0 gang)]\n"
       "            [--speculative (draft-then-verify decode; implies a\n"
       "            decode scheduler)] [--draft-k 4]\n"
       "            [--paged-memory (block-pooled session state; output\n"
@@ -1236,7 +1236,9 @@ std::string UsageText() {
       "            plus the chaos/resilience flags\n"
       "            above (one cache, one decode scheduler and one block\n"
       "            pool are shared per method, across requests; --batch\n"
-      "            also serves up to batch-size requests concurrently;\n"
+      "            also serves up to batch-size requests concurrently,\n"
+      "            refilling a freed slot from the queue at once, while\n"
+      "            --batch-backfill sets only the decode refill policy;\n"
       "            with --overload-ladder the pool's fullness sheds load\n"
       "            on memory pressure)\n"
       "            overload: [--overload-ladder (brownout ladder + AIMD\n"

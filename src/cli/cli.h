@@ -87,8 +87,9 @@ struct MethodSpec {
   /// Decode slots in the batch (--batch-size); in serve-sim this also
   /// bounds concurrently served requests.
   int batch_size = 8;
-  /// Refill freed slots immediately (--batch-backfill 1, continuous
-  /// batching) or only when the whole batch drains (0, gang batches).
+  /// Decode scheduler refill policy: refill freed decode slots at the
+  /// next step (--batch-backfill 1, continuous batching) or only when
+  /// the whole decode batch drains (0, gang batches).
   bool batch_backfill = true;
   /// Externally shared scheduler (serve-sim wires one across all
   /// requests of a method); when unset and `batch` is true,

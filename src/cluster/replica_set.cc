@@ -66,21 +66,23 @@ std::vector<Replica> MakeUniformReplicas(
 /// `finish`, unless its replica dies first at `interrupt`.
 struct ClusterExecutor::Flight {
   bool active = false;
-  size_t unit = 0;  ///< index into the live-request array
+  uint64_t seq = 0;  ///< dispatch order: breaks event-time ties
+  size_t unit = 0;   ///< index into the live-request array
   int replica = 0;
   bool is_hedge = false;
   double start = 0.0;
   double finish = 0.0;      ///< slow-window-stretched completion time
   double interrupt = kInf;  ///< first replica outage inside (start, finish)
   Result<forecast::ForecastResult> result = Status::Internal("unset");
-  lm::PrefixCacheStats cache_delta;
-  batch::BatchStats batch_delta;
+  /// This flight's contribution to its request's ServeStats: pipelines
+  /// launched, hedge flags, retry stats, ledger, cache and batch deltas.
+  serve::ServeStats delta;
 };
 
 /// One admitted request's lifecycle across dispatches and failovers.
 struct ClusterExecutor::LiveRequest {
   serve::ForecastRequest req;
-  serve::ServeStats st;
+  serve::ServeStats* st = nullptr;  ///< this request's entry in the result
   Deadline deadline = Deadline::Never();
   bool done = false;
   /// Waiting for (re-)dispatch: popped from the queue or failed over,
@@ -169,22 +171,31 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
     return rep.plan.UpAt(at) && !rep.drain.Contains(at);
   };
 
-  std::vector<serve::ServeStats> rejected;  // never-dispatched requests
+  const bool node = node_dispatch_ != nullptr;
+  // The result, one entry per request, in the order fates were decided.
+  // Reserved up front, so the entries admitted units point at stay put.
+  std::vector<serve::ServeStats> stats;
+  stats.reserve(requests.size());
   std::vector<LiveRequest> units;
   units.reserve(requests.size());
+  // Indices of the units not yet done, in admission order, and their
+  // count: the per-event sweeps walk these, so their cost follows the
+  // work in flight and waiting, not every request ever admitted.
+  std::vector<size_t> open;
+  size_t live = 0;
   std::vector<Flight> flights;
   std::vector<size_t> loads(replicas_.size(), 0);
   std::vector<size_t> next_wipe(replicas_.size(), 0);
   uint64_t wait_seq = 0;
+  uint64_t flight_seq = 0;
   const bool cancel_on_drain =
       options_.drain_mode == serve::DrainMode::kCancelQueued &&
       std::isfinite(options_.drain_at_seconds);
   const bool hedging = options_.hedge.enabled;
 
-  auto record_rejection = [&rejected](const serve::ForecastRequest& r,
-                                      serve::RequestOutcome outcome,
-                                      Status status,
-                                      double retry_after = 0.0) {
+  auto record_rejection = [&stats](const serve::ForecastRequest& r,
+                                   serve::RequestOutcome outcome,
+                                   Status status, double retry_after = 0.0) {
     serve::ServeStats st;
     st.id = r.id;
     st.arrival_seconds = r.arrival_seconds;
@@ -192,24 +203,16 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
     st.outcome = outcome;
     st.status = std::move(status);
     st.retry_after_seconds = retry_after;
-    rejected.push_back(std::move(st));
-  };
-
-  // Admitted-but-unfinished requests, the fleet-level in-flight count
-  // the AIMD limiter bounds (queued work is counted separately).
-  auto live_units = [&units]() {
-    size_t n = 0;
-    for (const LiveRequest& u : units) {
-      if (!u.done) ++n;
-    }
-    return n;
+    stats.push_back(std::move(st));
   };
 
   auto admit = [&](const serve::ForecastRequest& r) {
     if (r.arrival_seconds >= options_.drain_at_seconds) queue.Close();
     if (!queue.closed()) {
-      Status shed = overload.Admit(r, r.arrival_seconds, queue.depth(),
-                                   live_units());
+      // The in-flight count the AIMD limiter bounds: admitted requests
+      // not yet finished (queued work is counted separately).
+      Status shed =
+          overload.Admit(r, r.arrival_seconds, queue.depth(), live);
       if (!shed.ok()) {
         record_rejection(r, serve::RequestOutcome::kShedQueueFull,
                          std::move(shed), queue.RetryAfterSeconds());
@@ -269,52 +272,67 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
 
   // Runs the pipeline for `unit_idx` on replica `r` at `now` on a
   // branch clock and schedules the flight: stretched finish,
-  // first-outage interrupt, per-flight cache/scheduler deltas.
+  // first-outage interrupt, per-flight cache/scheduler deltas. A single
+  // node runs its own dispatch body instead (its same-node hedge race).
   auto dispatch = [&](size_t unit_idx, size_t r, double now,
                       bool is_hedge) {
     LiveRequest& unit = units[unit_idx];
     const Replica& rep = replicas_[r];
     Flight f;
     f.active = true;
+    f.seq = flight_seq++;
     f.unit = unit_idx;
     f.replica = static_cast<int>(r);
     f.is_hedge = is_hedge;
     f.start = now;
 
-    VirtualClock clock;
-    clock.AdvanceTo(now);
-    RequestContext ctx;
-    ctx.clock = &clock;
-    ctx.deadline = unit.deadline;
-    if (cancel_on_drain) {
-      ctx.cancel.CancelAtTime(&clock, options_.drain_at_seconds,
-                              "server draining");
-    }
     lm::PrefixCacheStats cache_before;
     if (rep.prefix_cache != nullptr) {
       cache_before = rep.prefix_cache->stats();
     }
     batch::BatchStats batch_before;
     if (rep.scheduler != nullptr) batch_before = rep.scheduler->stats();
-    const ReplicaForecasterFactory& factory = is_hedge ? hedge_ : primary_;
-    f.result = factory(unit.req, rep)
-                   ->Forecast(*unit.req.history, unit.req.horizon, ctx);
+    if (node) {
+      f.result = node_dispatch_(unit.req, now, &f.delta);
+      f.finish = f.delta.finish_seconds;
+    } else {
+      VirtualClock clock;
+      clock.AdvanceTo(now);
+      RequestContext ctx;
+      ctx.clock = &clock;
+      ctx.deadline = unit.deadline;
+      if (cancel_on_drain) {
+        ctx.cancel.CancelAtTime(&clock, options_.drain_at_seconds,
+                                "server draining");
+      }
+      const ReplicaForecasterFactory& factory =
+          is_hedge ? hedge_ : primary_;
+      f.result = factory(unit.req, rep)
+                     ->Forecast(*unit.req.history, unit.req.horizon, ctx);
+      f.finish = rep.plan.StretchedFinish(now, clock.now() - now);
+      f.delta.attempts = 1;
+      if (f.result.ok()) {
+        f.delta.retry = f.result.value().retry_stats;
+        f.delta.ledger = f.result.value().ledger;
+      }
+    }
     if (rep.prefix_cache != nullptr) {
-      f.cache_delta = rep.prefix_cache->stats() - cache_before;
+      f.delta.prefix_cache = rep.prefix_cache->stats() - cache_before;
     }
     if (rep.scheduler != nullptr) {
-      f.batch_delta = rep.scheduler->stats() - batch_before;
+      f.delta.batch = rep.scheduler->stats() - batch_before;
     }
-    f.finish = rep.plan.StretchedFinish(now, clock.now() - now);
     f.interrupt = rep.plan.NextOutageIn(now, f.finish);
 
     if (!unit.ever_started) {
       unit.ever_started = true;
-      unit.st.start_seconds = now;
-      unit.st.queue_wait_seconds = now - unit.req.arrival_seconds;
-      overload.OnQueueWait(now, unit.st.queue_wait_seconds);
+      unit.st->start_seconds = now;
+      unit.st->queue_wait_seconds = now - unit.req.arrival_seconds;
+      overload.OnQueueWait(now, unit.st->queue_wait_seconds);
     }
-    ++unit.st.attempts;
+    unit.st->attempts += f.delta.attempts;
+    if (f.delta.hedge_fired) unit.st->hedge_fired = true;
+    if (f.delta.hedge_won) unit.st->hedge_won = true;
     ++loads[r];
     ++report_.replicas[r].dispatched;
 
@@ -332,7 +350,7 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
     }
     if (is_hedge) {
       unit.hedge_flight = static_cast<int>(slot);
-      unit.st.hedge_fired = true;
+      unit.st->hedge_fired = true;
     } else {
       unit.primary_flight = static_cast<int>(slot);
       if (hedging) unit.hedge_at = now + options_.hedge.delay_seconds;
@@ -371,14 +389,23 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
 
   auto fail_unit = [&](size_t unit_idx, double now, Status status) {
     LiveRequest& unit = units[unit_idx];
-    unit.st.finish_seconds = now;
-    unit.st.status = std::move(status);
-    unit.st.outcome = unit.st.status.code() == StatusCode::kCancelled
+    unit.st->finish_seconds = now;
+    unit.st->status = std::move(status);
+    unit.st->outcome = unit.st->status.code() == StatusCode::kCancelled
                           ? serve::RequestOutcome::kCancelledDrain
                           : serve::RequestOutcome::kFailed;
     unit.done = true;
+    --live;
     unit.waiting = false;
     overload.OnCompletion(now, /*on_deadline=*/false);
+  };
+
+  // Folds a landed flight's work into its request's stats.
+  auto charge = [](LiveRequest& unit, const Flight& f) {
+    unit.st->retry += f.delta.retry;
+    unit.st->ledger += f.delta.ledger;
+    unit.st->prefix_cache += f.delta.prefix_cache;
+    unit.st->batch += f.delta.batch;
   };
 
   // The losing half of a hedge race is cancelled at the winner's
@@ -389,7 +416,7 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
     const size_t r = static_cast<size_t>(f.replica);
     const double burnt = std::max(0.0, now - f.start);
     report_.replicas[r].busy_seconds += burnt;
-    units[f.unit].st.cluster.wasted_seconds += burnt;
+    units[f.unit].st->cluster.wasted_seconds += burnt;
     report_.wasted_seconds += burnt;
     --loads[r];
     f.active = false;
@@ -408,11 +435,11 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
     report_.replicas[r].busy_seconds += burnt;
     ++report_.replicas[r].failovers;
     ++report_.failovers;
-    ++unit.st.cluster.failovers;
-    unit.st.cluster.wasted_seconds += burnt;
+    ++unit.st->cluster.failovers;
+    unit.st->cluster.wasted_seconds += burnt;
     report_.wasted_seconds += burnt;
     if (f.result.ok()) {
-      unit.st.cluster.redispatched_draws +=
+      unit.st->cluster.redispatched_draws +=
           f.result.value().samples_requested;
       report_.redispatched_draws += f.result.value().samples_requested;
     }
@@ -459,27 +486,25 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
         cancel_flight(twin, now);
         unit.primary_flight = unit.hedge_flight = -1;
       }
-      if (f.is_hedge) unit.st.hedge_won = true;
+      if (f.is_hedge) unit.st->hedge_won = true;
       unit.hedge_at = kInf;
-      unit.st.finish_seconds = now;
-      unit.st.latency_seconds = now - unit.req.arrival_seconds;
-      unit.st.retry += f.result.value().retry_stats;
-      unit.st.ledger += f.result.value().ledger;
-      unit.st.prefix_cache += f.cache_delta;
-      unit.st.batch += f.batch_delta;
-      unit.st.cluster.replica = f.replica;
-      unit.st.result = std::make_shared<forecast::ForecastResult>(
+      unit.st->finish_seconds = now;
+      unit.st->latency_seconds = now - unit.req.arrival_seconds;
+      charge(unit, f);
+      unit.st->cluster.replica = f.replica;
+      unit.st->result = std::make_shared<forecast::ForecastResult>(
           std::move(f.result).value());
-      unit.st.degraded = unit.st.result->degraded;
-      unit.st.outcome = unit.st.degraded
+      unit.st->degraded = unit.st->result->degraded;
+      unit.st->outcome = unit.st->degraded
                             ? serve::RequestOutcome::kServedDegraded
                             : serve::RequestOutcome::kServed;
-      unit.st.tier =
-          unit.st.result->tier == forecast::ForecastTier::kClassical
+      unit.st->tier =
+          unit.st->result->tier == forecast::ForecastTier::kClassical
               ? serve::ServiceTier::kClassical
               : unit.req.tier;
-      unit.st.status = Status::OK();
+      unit.st->status = Status::OK();
       unit.done = true;
+      --live;
       overload.OnCompletion(now, /*on_deadline=*/true);
       return;
     }
@@ -490,7 +515,10 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
                   "request %zu finished at %.3fs, past its deadline %.3fs",
                   unit.req.id, now, unit.req.deadline_seconds))
             : f.result.status();
-    unit.st.cluster.wasted_seconds += now - f.start;
+    // A single node charges a failed request the work it did; a fleet
+    // books it as waste.
+    if (node) charge(unit, f);
+    unit.st->cluster.wasted_seconds += now - f.start;
     report_.wasted_seconds += now - f.start;
     if (twin >= 0) {
       // The race is still open: remember this loss, let the twin run.
@@ -498,7 +526,7 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
       unit.spare_failed = true;
       return;
     }
-    if (!f.is_hedge && hedging && !unit.st.hedge_fired &&
+    if (!f.is_hedge && hedging && !unit.st->hedge_fired &&
         unit.hedge_at >= now) {
       // Fail-fast hedging: the primary died before the hedge delay
       // elapsed — launch the backup right now if the fleet can host it.
@@ -518,7 +546,7 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
     // without it, a request that ran here and then failed (or overran
     // its deadline) vanished from every per-replica rollup while still
     // counting in cluster occupancy.
-    unit.st.cluster.replica = f.replica;
+    unit.st->cluster.replica = f.replica;
     fail_unit(f.unit, now, std::move(failure));
   };
 
@@ -527,7 +555,7 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
   auto fire_hedge = [&](size_t unit_idx, double now) {
     LiveRequest& unit = units[unit_idx];
     unit.hedge_at = kInf;
-    if (unit.done || unit.st.hedge_fired) return;
+    if (unit.done || unit.st->hedge_fired) return;
     if (unit.deadline.ExpiredAt(now)) return;
     if (cancel_on_drain && now >= options_.drain_at_seconds) return;
     const int primary_replica =
@@ -553,7 +581,8 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
 
   auto work_pending = [&]() {
     if (!queue.empty()) return true;
-    for (const LiveRequest& u : units) {
+    for (size_t i : open) {
+      const LiveRequest& u = units[i];
       if (!u.done && (u.waiting || u.primary_flight >= 0 ||
                       u.hedge_flight >= 0 || std::isfinite(u.hedge_at))) {
         return true;
@@ -563,6 +592,34 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
   };
 
   while (next < requests.size() || work_pending()) {
+    // -- Flight events at or before `now`, in event-time order, ties in
+    // dispatch order. They come before admission, so an arrival at the
+    // instant a flight lands already sees the slot it freed.
+    for (;;) {
+      double best = kInf;
+      size_t best_idx = flights.size();
+      bool best_is_interrupt = false;
+      for (size_t i = 0; i < flights.size(); ++i) {
+        if (!flights[i].active) continue;
+        const bool interrupted = flights[i].interrupt < flights[i].finish;
+        const double t =
+            interrupted ? flights[i].interrupt : flights[i].finish;
+        if (best_idx == flights.size() || t < best ||
+            (t == best && flights[i].seq < flights[best_idx].seq)) {
+          best = t;
+          best_idx = i;
+          best_is_interrupt = interrupted;
+        }
+      }
+      if (best_idx == flights.size() || best > now) break;
+      if (best_is_interrupt) {
+        fail_over(best_idx, best);
+      } else {
+        land_flight(best_idx, best);
+      }
+    }
+    std::erase_if(open, [&units](size_t i) { return units[i].done; });
+
     // -- Admission: everything that arrived by `now`, in arrival order.
     while (next < requests.size() &&
            requests[next].arrival_seconds <= now) {
@@ -585,7 +642,7 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
                   "%.3fs",
                   r.id, options_.drain_at_seconds)));
         }
-        for (size_t i = 0; i < units.size(); ++i) {
+        for (size_t i : open) {
           if (!units[i].done && units[i].waiting) {
             fail_unit(i, now,
                       Status::Cancelled(StrFormat(
@@ -597,37 +654,13 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
       }
     }
 
-    // -- Flight events at or before `now`, in event-time order.
-    for (;;) {
-      double best = kInf;
-      size_t best_idx = 0;
-      bool best_is_interrupt = false;
-      for (size_t i = 0; i < flights.size(); ++i) {
-        if (!flights[i].active) continue;
-        const bool interrupted = flights[i].interrupt < flights[i].finish;
-        const double t =
-            interrupted ? flights[i].interrupt : flights[i].finish;
-        if (t < best) {
-          best = t;
-          best_idx = i;
-          best_is_interrupt = interrupted;
-        }
-      }
-      if (best > now) break;
-      if (best_is_interrupt) {
-        fail_over(best_idx, best);
-      } else {
-        land_flight(best_idx, best);
-      }
-    }
-
     // -- Hedge timers due.
-    for (size_t i = 0; i < units.size(); ++i) {
+    for (size_t i : open) {
       if (!units[i].done && units[i].hedge_at <= now) fire_hedge(i, now);
     }
 
     // -- Expire waiting work whose deadline passed while parked.
-    for (size_t i = 0; i < units.size(); ++i) {
+    for (size_t i : open) {
       LiveRequest& u = units[i];
       if (!u.done && u.waiting && u.deadline.ExpiredAt(now)) {
         fail_unit(i, now,
@@ -648,7 +681,7 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
       }
     }
     if (fleet_dead) {
-      for (size_t i = 0; i < units.size(); ++i) {
+      for (size_t i : open) {
         if (!units[i].done && units[i].waiting) {
           ++report_.fleet_unavailable;
           fail_unit(i, now,
@@ -672,7 +705,7 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
     // then fresh pops from the admission queue.
     for (;;) {
       size_t pick = units.size();
-      for (size_t i = 0; i < units.size(); ++i) {
+      for (size_t i : open) {
         const LiveRequest& u = units[i];
         if (u.done || !u.waiting || u.ready_at > now) continue;
         if (pick == units.size() || u.wait_seq < units[pick].wait_seq) {
@@ -729,13 +762,16 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
       }
       LiveRequest unit;
       unit.req = job;
-      unit.st.id = job.id;
-      unit.st.arrival_seconds = job.arrival_seconds;
-      unit.st.slo = job.slo;
+      unit.st = &stats.emplace_back();
+      unit.st->id = job.id;
+      unit.st->arrival_seconds = job.arrival_seconds;
+      unit.st->slo = job.slo;
       unit.deadline = RequestDeadline(job);
       unit.waiting = true;
       unit.ready_at = now;
       unit.wait_seq = wait_seq++;
+      open.push_back(units.size());
+      ++live;
       units.push_back(std::move(unit));
       const DispatchOutcome o = try_dispatch(
           units.size() - 1, now, /*exclude=*/-1, /*is_hedge=*/false);
@@ -755,7 +791,8 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
       event = std::min(event, std::min(f.finish, f.interrupt));
     }
     bool waiting_work = !queue.empty();
-    for (const LiveRequest& u : units) {
+    for (size_t i : open) {
+      const LiveRequest& u = units[i];
       if (u.done) continue;
       if (std::isfinite(u.hedge_at)) event = std::min(event, u.hedge_at);
       if (u.waiting) {
@@ -794,7 +831,7 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
     if (event == kInf) {
       // Nothing can ever happen again; sweep whatever is still open as
       // unavailable (defensive — fleet death above normally catches it).
-      for (size_t i = 0; i < units.size(); ++i) {
+      for (size_t i : open) {
         if (!units[i].done) {
           ++report_.fleet_unavailable;
           fail_unit(i, now,
@@ -813,21 +850,23 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
   {
     // Publish this run's queue/overload/failover counters through the
     // unified registry (options_.metrics or a run-private fallback) and
-    // populate the accessor structs from the snapshot delta — the same
-    // views-over-the-registry contract as ServeExecutor.
+    // populate the accessor structs from the snapshot delta: the structs
+    // are views over the registry.
     util::MetricsRegistry own;
     util::MetricsRegistry* reg =
         options_.metrics != nullptr ? options_.metrics : &own;
     const util::MetricsSnapshot metrics_before = reg->Snapshot();
     queue.PublishMetrics(reg);
     overload.PublishMetrics(reg);
-    serve::ClusterStats fleet;
-    fleet.failovers = report_.failovers;
-    fleet.redispatched_draws = report_.redispatched_draws;
-    fleet.wasted_seconds = report_.wasted_seconds;
-    serve::PublishClusterStats(fleet, reg, "cluster.");
-    reg->GetCounter("cluster.fleet_unavailable")
-        ->Add(static_cast<double>(report_.fleet_unavailable));
+    if (!node) {
+      serve::ClusterStats fleet;
+      fleet.failovers = report_.failovers;
+      fleet.redispatched_draws = report_.redispatched_draws;
+      fleet.wasted_seconds = report_.wasted_seconds;
+      serve::PublishClusterStats(fleet, reg, "cluster.");
+      reg->GetCounter("cluster.fleet_unavailable")
+          ->Add(static_cast<double>(report_.fleet_unavailable));
+    }
     const util::MetricsSnapshot metrics_delta =
         reg->Snapshot().Delta(metrics_before);
     queue_stats_ = serve::QueueStatsFromSnapshot(metrics_delta, "queue.");
@@ -841,10 +880,6 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
         span > 0.0 ? report_.replicas[r].busy_seconds / span : 0.0;
   }
 
-  std::vector<serve::ServeStats> stats;
-  stats.reserve(units.size() + rejected.size());
-  for (LiveRequest& u : units) stats.push_back(std::move(u.st));
-  for (serve::ServeStats& st : rejected) stats.push_back(std::move(st));
   std::sort(stats.begin(), stats.end(),
             [](const serve::ServeStats& a, const serve::ServeStats& b) {
               return a.id < b.id;

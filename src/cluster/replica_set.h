@@ -26,7 +26,9 @@
 // failover costs is time (and wasted work), surfaced per request in
 // serve::ClusterStats and fleet-wide in ClusterReport.
 //
-// Like ServeExecutor, everything runs as one deterministic
+// ClusterExecutor::Run is the tree's one serving event loop:
+// serve::ServeExecutor runs a single node through it as a one-replica
+// fleet with an empty fault plan. Everything runs as one deterministic
 // event-driven simulation in virtual time: pipelines execute
 // sequentially on branch clocks; concurrency across replicas is
 // reconciled by virtual event times, so a (trace, seeds, options)
@@ -203,13 +205,25 @@ class ClusterExecutor {
   const Replica& replica(size_t i) const { return replicas_[i]; }
 
  private:
+  friend class serve::ServeExecutor;
   struct Flight;
   struct LiveRequest;
+
+  /// A single node's dispatch body (see serve::ServeExecutor::ServeOne):
+  /// runs the request's pipelines from `start` and returns the forecast
+  /// to serve, or the failure; `*delta` receives the finish time, the
+  /// pipelines launched, the hedge flags and the work charged.
+  using NodeDispatch = std::function<Result<forecast::ForecastResult>(
+      const serve::ForecastRequest&, double start, serve::ServeStats* delta)>;
 
   ReplicaForecasterFactory primary_;
   ReplicaForecasterFactory hedge_;
   std::vector<Replica> replicas_;
   ClusterOptions options_;
+  /// Set by ServeExecutor only: the fleet is then one node, every
+  /// dispatch runs this body instead of the replica factory, a failed
+  /// request is charged its work, and no fleet counters are published.
+  NodeDispatch node_dispatch_;
   serve::QueueStats queue_stats_;
   ClusterReport report_;
   double end_seconds_ = 0.0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "cluster/replica_set.h"
 #include "util/quantile.h"
 #include "util/strings.h"
 #include "util/virtual_time.h"
@@ -393,21 +394,15 @@ ServeExecutor::ServeExecutor(ForecasterFactory primary,
   MC_CHECK(primary_ != nullptr);
 }
 
-ServeStats ServeExecutor::ServeOne(const ForecastRequest& request,
-                                   double start) {
-  ServeStats st;
-  st.id = request.id;
-  st.arrival_seconds = request.arrival_seconds;
-  st.slo = request.slo;
-  st.start_seconds = start;
-  st.queue_wait_seconds = start - request.arrival_seconds;
+Result<forecast::ForecastResult> ServeExecutor::ServeOne(
+    const ForecastRequest& request, double start, ServeStats* delta) {
   const Deadline deadline = RequestDeadline(request);
   const bool cancel_on_drain =
       options_.drain_mode == DrainMode::kCancelQueued &&
       std::isfinite(options_.drain_at_seconds);
 
-  // Primary branch: its clock starts where the worker picked the
-  // request up and is advanced by every cost the pipeline models.
+  // Primary branch: its clock starts where the slot picked the request
+  // up and is advanced by every cost the pipeline models.
   VirtualClock primary_clock;
   primary_clock.AdvanceTo(start);
   RequestContext primary_ctx;
@@ -422,7 +417,7 @@ ServeStats ServeExecutor::ServeOne(const ForecastRequest& request,
       primary_(request)->Forecast(*request.history, request.horizon,
                                   primary_ctx);
   double primary_finish = primary_clock.now();
-  st.attempts = 1;
+  delta->attempts = 1;
 
   // Hedge decision: fire when the primary was still running at
   // start + delay, or failed outright (fail-fast hedging launches the
@@ -445,8 +440,8 @@ ServeStats ServeExecutor::ServeOne(const ForecastRequest& request,
       Status::Unavailable("hedge not fired");
   double hedge_finish = 0.0;
   if (fire) {
-    st.hedge_fired = true;
-    st.attempts = 2;
+    delta->hedge_fired = true;
+    delta->attempts = 2;
     VirtualClock hedge_clock;
     hedge_clock.AdvanceTo(hedge_start);
     RequestContext hedge_ctx;
@@ -476,23 +471,20 @@ ServeStats ServeExecutor::ServeOne(const ForecastRequest& request,
   // Reconcile the race by virtual finish time: earliest success wins.
   const bool primary_ok = primary_result.ok();
   const bool hedge_ok = fire && hedge_result.ok();
-  bool won = false;
   bool winner_is_primary = false;
-  double finish = primary_finish;
+  delta->finish_seconds = primary_finish;
   if (primary_ok && (!hedge_ok || primary_finish <= hedge_finish)) {
-    won = true;
     winner_is_primary = true;
   } else if (hedge_ok) {
-    won = true;
-    finish = hedge_finish;
-    st.hedge_won = true;
+    delta->finish_seconds = hedge_finish;
+    delta->hedge_won = true;
   } else if (fire) {
     // Both failed: the request's fate is only known once the later
     // branch gave up.
-    finish = std::max(primary_finish, hedge_finish);
+    delta->finish_seconds = std::max(primary_finish, hedge_finish);
   }
 
-  if (st.hedge_won && primary_ok) {
+  if (delta->hedge_won && primary_ok) {
     // The primary "succeeded" only because the sequential simulation
     // ran it to completion; in the race it was cancelled the moment the
     // hedge won. Replay it with that cancellation — identical seeds
@@ -512,77 +504,23 @@ ServeStats ServeExecutor::ServeOne(const ForecastRequest& request,
 
   // Charge accounting from whichever branch runs actually "happened".
   if (primary_result.ok()) {
-    st.retry += primary_result.value().retry_stats;
-    st.ledger += primary_result.value().ledger;
+    delta->retry += primary_result.value().retry_stats;
+    delta->ledger += primary_result.value().ledger;
   }
   if (fire && hedge_result.ok()) {
-    st.retry += hedge_result.value().retry_stats;
-    st.ledger += hedge_result.value().ledger;
+    delta->retry += hedge_result.value().retry_stats;
+    delta->ledger += hedge_result.value().ledger;
   }
 
-  st.finish_seconds = finish;
-  if (won && !deadline.ExpiredAt(finish)) {
-    st.result = std::make_shared<forecast::ForecastResult>(
-        winner_is_primary ? std::move(primary_result).value()
-                          : std::move(hedge_result).value());
-    st.degraded = st.result->degraded;
-    st.outcome = st.degraded ? RequestOutcome::kServedDegraded
-                             : RequestOutcome::kServed;
-    // What quality the client actually got: the classical engine tags
-    // its results (also when a fallback chain or hedge demoted to it);
-    // otherwise the rung the ladder dispatched the request at.
-    st.tier = st.result->tier == forecast::ForecastTier::kClassical
-                  ? ServiceTier::kClassical
-                  : request.tier;
-    st.status = Status::OK();
-    st.latency_seconds = finish - request.arrival_seconds;
-    return st;
+  if (winner_is_primary) return primary_result;
+  if (delta->hedge_won) return hedge_result;
+  if (fire) {
+    return Status(primary_result.status().code(),
+                  StrFormat("primary: %s; hedge: %s",
+                            primary_result.status().ToString().c_str(),
+                            hedge_result.status().ToString().c_str()));
   }
-
-  Status failure;
-  if (won) {
-    // A pipeline without virtual-time metering (retries disabled) can
-    // overrun: the answer exists but arrived after the client gave up.
-    failure = Status::DeadlineExceeded(StrFormat(
-        "request %zu finished at %.3fs, past its deadline %.3fs",
-        request.id, finish, request.deadline_seconds));
-  } else if (fire && !primary_result.ok() && !hedge_result.ok()) {
-    failure = Status(primary_result.status().code(),
-                     StrFormat("primary: %s; hedge: %s",
-                               primary_result.status().ToString().c_str(),
-                               hedge_result.status().ToString().c_str()));
-  } else {
-    failure = primary_result.status();
-  }
-  st.status = failure;
-  st.outcome = failure.code() == StatusCode::kCancelled
-                   ? RequestOutcome::kCancelledDrain
-                   : RequestOutcome::kFailed;
-  return st;
-}
-
-ServeStats ServeExecutor::ServeInstrumented(const ForecastRequest& request,
-                                            double start) {
-  // Attribute shared-subsystem activity to this request by snapshotting
-  // counters around its service. Pipelines run one at a time even in
-  // batched mode (the slot lifecycle is simulated in virtual time), so
-  // the deltas are exact.
-  lm::PrefixCacheStats cache_before;
-  if (options_.prefix_cache != nullptr) {
-    cache_before = options_.prefix_cache->stats();
-  }
-  batch::BatchStats batch_before;
-  if (options_.batch.scheduler != nullptr) {
-    batch_before = options_.batch.scheduler->stats();
-  }
-  ServeStats st = ServeOne(request, start);
-  if (options_.prefix_cache != nullptr) {
-    st.prefix_cache = options_.prefix_cache->stats() - cache_before;
-  }
-  if (options_.batch.scheduler != nullptr) {
-    st.batch = options_.batch.scheduler->stats() - batch_before;
-  }
-  return st;
+  return primary_result.status();
 }
 
 Result<std::vector<ServeStats>> ServeExecutor::Run(
@@ -593,313 +531,40 @@ Result<std::vector<ServeStats>> ServeExecutor::Run(
         "second in-flight copy of the request, which the slot "
         "accounting cannot attribute; disable one of them");
   }
-  for (const ForecastRequest& r : requests) {
-    if (r.history == nullptr) {
-      return Status::InvalidArgument(
-          StrFormat("request %zu has no history frame", r.id));
-    }
-    if (r.horizon == 0) {
-      return Status::InvalidArgument(
-          StrFormat("request %zu has horizon 0", r.id));
-    }
-  }
-  std::stable_sort(requests.begin(), requests.end(),
-                   [](const ForecastRequest& a, const ForecastRequest& b) {
-                     return a.arrival_seconds < b.arrival_seconds;
-                   });
-  if (options_.batch.enabled) return RunBatched(std::move(requests));
-
-  AdmissionQueue queue(options_.queue);
-  OverloadController overload(EffectiveOverloadPolicy(),
-                              options_.queue.capacity);
-  std::vector<ServeStats> stats;
-  stats.reserve(requests.size());
-
-  auto record_rejection = [&stats](const ForecastRequest& r,
-                                   RequestOutcome outcome, Status status,
-                                   double retry_after = 0.0) {
-    ServeStats st;
-    st.id = r.id;
-    st.arrival_seconds = r.arrival_seconds;
-    st.slo = r.slo;
-    st.outcome = outcome;
-    st.status = std::move(status);
-    st.retry_after_seconds = retry_after;
-    stats.push_back(std::move(st));
+  // A single node is a one-replica fleet with an empty fault plan (and
+  // so no crash to wipe its cache): the fleet's event loop admits,
+  // drains, expires, degrades and completes; ServeOne is the body of
+  // each dispatch.
+  cluster::Replica node;
+  node.slots = options_.batch.enabled ? options_.batch.size : 1;
+  node.prefix_cache = options_.prefix_cache;
+  node.scheduler = options_.batch.scheduler;
+  node.block_pool = options_.block_pool;
+  cluster::ClusterOptions fleet;
+  fleet.queue = options_.queue;
+  fleet.drain_at_seconds = options_.drain_at_seconds;
+  fleet.drain_mode = options_.drain_mode;
+  fleet.wipe_cache_on_crash = false;
+  fleet.overload = options_.overload;
+  fleet.metrics = options_.metrics;
+  // The replica factory is never called: node_dispatch_ runs instead.
+  cluster::ClusterExecutor core(
+      [this](const ForecastRequest& request, const cluster::Replica&) {
+        return primary_(request);
+      },
+      nullptr, {std::move(node)}, fleet);
+  core.node_dispatch_ = [this](const ForecastRequest& request, double start,
+                               ServeStats* delta) {
+    return ServeOne(request, start, delta);
   };
-
-  auto admit = [&](const ForecastRequest& r) {
-    if (r.arrival_seconds >= options_.drain_at_seconds) queue.Close();
-    if (!queue.closed()) {
-      // Ladder/limiter gate in front of the queue; the worker is idle
-      // at admission time in the sequential loop, so in_flight is 0.
-      Status shed = overload.Admit(r, r.arrival_seconds, queue.depth(),
-                                   /*in_flight=*/0);
-      if (!shed.ok()) {
-        record_rejection(r, RequestOutcome::kShedQueueFull,
-                         std::move(shed), queue.RetryAfterSeconds());
-        return;
-      }
-    }
-    Status s = queue.Offer(r);
-    if (s.ok()) return;
-    if (s.code() == StatusCode::kResourceExhausted) {
-      overload.OnShed(r.arrival_seconds);
-      record_rejection(r, RequestOutcome::kShedQueueFull, std::move(s),
-                       queue.RetryAfterSeconds());
-    } else {
-      record_rejection(r, RequestOutcome::kCancelledDrain, std::move(s));
-    }
-  };
-
-  double now = 0.0;
-  size_t next = 0;
-  while (next < requests.size() || !queue.empty()) {
-    // Admit everything that arrived while the worker was busy, in
-    // arrival order, so queue-full shedding sees the true queue state.
-    while (next < requests.size() &&
-           requests[next].arrival_seconds <= now) {
-      admit(requests[next++]);
-    }
-    if (queue.empty()) {
-      if (next >= requests.size()) break;
-      // Idle until the next arrival.
-      now = std::max(now, requests[next].arrival_seconds);
-      continue;
-    }
-    if (now >= options_.drain_at_seconds) {
-      queue.Close();
-      if (options_.drain_mode == DrainMode::kCancelQueued) {
-        for (const ForecastRequest& r : queue.Flush()) {
-          record_rejection(
-              r, RequestOutcome::kCancelledDrain,
-              Status::Cancelled(StrFormat(
-                  "request %zu cancelled in queue: server drained at "
-                  "%.3fs",
-                  r.id, options_.drain_at_seconds)));
-        }
-        continue;
-      }
-    }
-    std::vector<ForecastRequest> expired;
-    ForecastRequest job;
-    bool popped = queue.Pop(now, &job, &expired);
-    for (const ForecastRequest& r : expired) {
-      overload.OnShed(now);
-      record_rejection(
-          r, RequestOutcome::kShedExpired,
-          Status::DeadlineExceeded(StrFormat(
-              "request %zu expired in queue: deadline %.3fs passed "
-              "after %.3fs waiting",
-              r.id, r.deadline_seconds, now - r.arrival_seconds)));
-    }
-    if (!popped) continue;
-    // Dispatch-time rung: pressure may have moved while the request
-    // waited, so the ladder decides quality at the last moment.
-    job.tier = overload.Rung(job.slo, now, queue.depth());
-    if (job.tier == ServiceTier::kShed) {
-      record_rejection(
-          job, RequestOutcome::kShedQueueFull,
-          Status::ResourceExhausted(StrFormat(
-              "request %zu shed at dispatch: overload ladder escalated "
-              "past class %s while it waited",
-              job.id, SloClassName(job.slo))),
-          queue.RetryAfterSeconds());
-      continue;
-    }
-    overload.OnQueueWait(now, now - job.arrival_seconds);
-    ServeStats st = ServeInstrumented(job, now);
-    overload.OnCompletion(st.finish_seconds,
-                          st.outcome == RequestOutcome::kServed ||
-                              st.outcome == RequestOutcome::kServedDegraded);
-    now = std::max(now, st.finish_seconds);
-    stats.push_back(std::move(st));
-  }
-
-  end_seconds_ = now;
-  PublishRunMetrics(queue, overload);
-  std::sort(stats.begin(), stats.end(),
-            [](const ServeStats& a, const ServeStats& b) {
-              return a.id < b.id;
-            });
+  MC_ASSIGN_OR_RETURN(std::vector<ServeStats> stats,
+                      core.Run(std::move(requests)));
+  // A node has no fleet accounting: no replica attribution, no waste.
+  for (ServeStats& st : stats) st.cluster = ClusterStats{};
+  queue_stats_ = core.queue_stats();
+  overload_stats_ = core.report().overload;
+  end_seconds_ = core.end_seconds();
   return stats;
-}
-
-Result<std::vector<ServeStats>> ServeExecutor::RunBatched(
-    std::vector<ForecastRequest> requests) {
-  // Event-driven N-slot server: up to `size` requests are in service at
-  // once, each started the moment a slot was free (continuous back-fill)
-  // or the moment the whole batch drained (gang mode). Service itself is
-  // simulated sequentially on branch clocks — exactly like hedging — so
-  // the run stays bit-reproducible: each request's forecast is a pure
-  // function of (request, start time), and batching only changes the
-  // start times.
-  AdmissionQueue queue(options_.queue);
-  OverloadController overload(EffectiveOverloadPolicy(),
-                              options_.queue.capacity);
-  std::vector<ServeStats> stats;
-  stats.reserve(requests.size());
-
-  struct InFlight {
-    double finish_seconds;
-    ServeStats st;
-  };
-  std::vector<InFlight> flying;
-  const size_t slots = std::max<size_t>(1, options_.batch.size);
-  const double inf = std::numeric_limits<double>::infinity();
-
-  auto record_rejection = [&stats](const ForecastRequest& r,
-                                   RequestOutcome outcome, Status status,
-                                   double retry_after = 0.0) {
-    ServeStats st;
-    st.id = r.id;
-    st.arrival_seconds = r.arrival_seconds;
-    st.slo = r.slo;
-    st.outcome = outcome;
-    st.status = std::move(status);
-    st.retry_after_seconds = retry_after;
-    stats.push_back(std::move(st));
-  };
-
-  auto admit = [&](const ForecastRequest& r) {
-    if (r.arrival_seconds >= options_.drain_at_seconds) queue.Close();
-    if (!queue.closed()) {
-      Status shed = overload.Admit(r, r.arrival_seconds, queue.depth(),
-                                   flying.size());
-      if (!shed.ok()) {
-        record_rejection(r, RequestOutcome::kShedQueueFull,
-                         std::move(shed), queue.RetryAfterSeconds());
-        return;
-      }
-    }
-    Status s = queue.Offer(r);
-    if (s.ok()) return;
-    if (s.code() == StatusCode::kResourceExhausted) {
-      overload.OnShed(r.arrival_seconds);
-      record_rejection(r, RequestOutcome::kShedQueueFull, std::move(s),
-                       queue.RetryAfterSeconds());
-    } else {
-      record_rejection(r, RequestOutcome::kCancelledDrain, std::move(s));
-    }
-  };
-
-  double now = 0.0;
-  size_t next = 0;
-  while (next < requests.size() || !queue.empty() || !flying.empty()) {
-    while (next < requests.size() &&
-           requests[next].arrival_seconds <= now) {
-      admit(requests[next++]);
-    }
-    if (now >= options_.drain_at_seconds) {
-      queue.Close();
-      if (options_.drain_mode == DrainMode::kCancelQueued) {
-        for (const ForecastRequest& r : queue.Flush()) {
-          record_rejection(
-              r, RequestOutcome::kCancelledDrain,
-              Status::Cancelled(StrFormat(
-                  "request %zu cancelled in queue: server drained at "
-                  "%.3fs",
-                  r.id, options_.drain_at_seconds)));
-        }
-      }
-    }
-    // Fill free slots from the queue at the current instant. Gang mode
-    // only refills once every in-flight request has landed.
-    if (options_.batch.backfill || flying.empty()) {
-      while (flying.size() < slots && !queue.empty()) {
-        std::vector<ForecastRequest> expired;
-        ForecastRequest job;
-        const bool popped = queue.Pop(now, &job, &expired);
-        for (const ForecastRequest& r : expired) {
-          overload.OnShed(now);
-          record_rejection(
-              r, RequestOutcome::kShedExpired,
-              Status::DeadlineExceeded(StrFormat(
-                  "request %zu expired in queue: deadline %.3fs passed "
-                  "after %.3fs waiting",
-                  r.id, r.deadline_seconds, now - r.arrival_seconds)));
-        }
-        if (!popped) break;
-        job.tier = overload.Rung(job.slo, now, queue.depth());
-        if (job.tier == ServiceTier::kShed) {
-          record_rejection(
-              job, RequestOutcome::kShedQueueFull,
-              Status::ResourceExhausted(StrFormat(
-                  "request %zu shed at dispatch: overload ladder "
-                  "escalated past class %s while it waited",
-                  job.id, SloClassName(job.slo))),
-              queue.RetryAfterSeconds());
-          continue;
-        }
-        overload.OnQueueWait(now, now - job.arrival_seconds);
-        ServeStats st = ServeInstrumented(job, now);
-        const double finish = std::max(now, st.finish_seconds);
-        flying.push_back(InFlight{finish, std::move(st)});
-      }
-    }
-    // Advance to the next event: an arrival joining the queue or an
-    // in-flight request landing (freeing its slot for back-fill).
-    double next_arrival =
-        next < requests.size() ? requests[next].arrival_seconds : inf;
-    double next_finish = inf;
-    for (const InFlight& f : flying) {
-      next_finish = std::min(next_finish, f.finish_seconds);
-    }
-    const double event = std::min(next_arrival, next_finish);
-    if (event == inf) break;  // nothing flying, no arrivals left
-    now = std::max(now, event);
-    for (auto it = flying.begin(); it != flying.end();) {
-      if (it->finish_seconds <= now) {
-        overload.OnCompletion(
-            it->finish_seconds,
-            it->st.outcome == RequestOutcome::kServed ||
-                it->st.outcome == RequestOutcome::kServedDegraded);
-        stats.push_back(std::move(it->st));
-        it = flying.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  end_seconds_ = now;
-  PublishRunMetrics(queue, overload);
-  std::sort(stats.begin(), stats.end(),
-            [](const ServeStats& a, const ServeStats& b) {
-              return a.id < b.id;
-            });
-  return stats;
-}
-
-OverloadPolicy ServeExecutor::EffectiveOverloadPolicy() const {
-  OverloadPolicy policy = options_.overload;
-  if (!policy.memory_probe && options_.block_pool != nullptr) {
-    // The probe holds a shared_ptr copy, so a controller outliving the
-    // options (or the pool being swapped) stays safe.
-    std::shared_ptr<lm::BlockPool> pool = options_.block_pool;
-    policy.memory_probe = [pool]() { return pool->Fullness(); };
-  }
-  return policy;
-}
-
-void ServeExecutor::PublishRunMetrics(const AdmissionQueue& queue,
-                                      const OverloadController& overload) {
-  util::MetricsRegistry* reg = options_.metrics;
-  if (reg == nullptr) {
-    if (own_metrics_ == nullptr) {
-      own_metrics_ = std::make_unique<util::MetricsRegistry>();
-    }
-    reg = own_metrics_.get();
-  }
-  const util::MetricsSnapshot before = reg->Snapshot();
-  queue.PublishMetrics(reg);
-  overload.PublishMetrics(reg);
-  // The accessor structs are views over the registry: this run's
-  // contribution is the snapshot delta (exact integers; the gauges keep
-  // their after value, matching the structs' high-water semantics).
-  const util::MetricsSnapshot delta = reg->Snapshot().Delta(before);
-  queue_stats_ = QueueStatsFromSnapshot(delta, "queue.");
-  overload_stats_ = OverloadStatsFromSnapshot(delta, "overload.");
 }
 
 }  // namespace serve

@@ -1,23 +1,32 @@
 // Deterministic virtual-time executor for forecast serving.
 //
-// One simulated worker drains an AdmissionQueue of ForecastRequests:
+// One simulated node drains an AdmissionQueue of ForecastRequests into
+// its slots (one, or batch.size when batched):
 //
-//   arrivals ──▶ AdmissionQueue ──▶ worker ──▶ primary pipeline
-//                 (bounded,           │          │ RequestContext
-//                  shed on full,      │          ▼ {clock, deadline,
-//                  drop expired       │        hedge after delay      cancel}
-//                  at dequeue)        │          (first success
-//                                     │           cancels the loser)
+//   arrivals ──▶ AdmissionQueue ──▶ slot ──▶ primary pipeline
+//                 (bounded,           │        │ RequestContext
+//                  shed on full,      │        ▼ {clock, deadline,
+//                  drop expired       │      hedge after delay      cancel}
+//                  at dequeue)        │        (first success
+//                                     │         cancels the loser)
 //                                     ▼
 //                               per-request ServeStats
+//
+// The node runs on the tree's one serving event loop: Run builds a
+// one-replica fleet with an empty fault plan and hands it to
+// cluster::ClusterExecutor (cluster/replica_set.h), so admission,
+// drain, expiry, the overload ladder and completion are the fleet's
+// code. What a node keeps for itself is the body of one dispatch
+// (ServeOne): the primary/hedge race on the same node.
 //
 // Every request runs under a RequestContext carrying the request's
 // absolute deadline and a CancelToken on a branch VirtualClock, so the
 // pipeline itself stops issuing LLM calls the moment the request dies.
-// Concurrency (the hedge racing the primary) is simulated sequentially
-// on branch clocks and reconciled by virtual finish times, which keeps
-// every run bit-reproducible: the same trace, seeds and options give
-// the same shed counts, latencies and ledgers on every machine.
+// Concurrency (the hedge racing the primary, requests sharing slots) is
+// simulated sequentially on branch clocks and reconciled by virtual
+// finish times, which keeps every run bit-reproducible: the same trace,
+// seeds and options give the same shed counts, latencies and ledgers on
+// every machine.
 
 #ifndef MULTICAST_SERVE_EXECUTOR_H_
 #define MULTICAST_SERVE_EXECUTOR_H_
@@ -56,10 +65,10 @@ struct HedgePolicy {
   double delay_seconds = 0.5;
 };
 
-/// Batched service mode: instead of one simulated worker running each
-/// request to completion before touching the next, up to `size` requests
-/// are in service at once, each on its own branch clock from the moment
-/// a slot frees — the serving-level face of continuous batching. The
+/// Batched service mode: instead of one slot serving each request to
+/// completion before touching the next, up to `size` requests are in
+/// service at once, each on its own branch clock from the moment a slot
+/// frees — the serving-level face of continuous batching. The
 /// caller wires the shared batch::BatchScheduler into its forecaster
 /// factories (as it does the prefix cache), so all in-flight requests'
 /// sample draws decode through one scheduler; the executor simulates the
@@ -70,17 +79,14 @@ struct HedgePolicy {
 struct BatchServePolicy {
   bool enabled = false;
   /// Concurrent in-service requests (also the decode batch bound the
-  /// caller should configure the scheduler with).
+  /// caller should configure the scheduler with). A freed slot is
+  /// refilled from the queue immediately.
   size_t size = 8;
-  /// true: a freed slot is refilled from the queue immediately
-  /// (continuous batching); false: slots refill only when every
-  /// in-flight request finished (gang / run-to-completion batches).
-  bool backfill = true;
   /// The scheduler shared by the served pipelines, when the caller
   /// wired one into its factories. Observed only — stats are
   /// snapshotted around each request, like the prefix cache. May be
   /// null (no batch accounting); may also be set with `enabled` false
-  /// to account per-request decode batching under the sequential loop.
+  /// to account per-request decode batching on a one-slot node.
   std::shared_ptr<batch::BatchScheduler> scheduler;
 };
 
@@ -124,8 +130,8 @@ struct ServeOptions {
   /// Run under the "queue." / "overload." prefixes, and callers
   /// typically hand the same registry to Summarize() for the "serve."
   /// rollup — one registry, one export path (see util/metrics.h). Null
-  /// falls back to an executor-private registry; the accessor views
-  /// below are populated from a snapshot either way.
+  /// falls back to a run-private registry; the accessor views below are
+  /// populated from a snapshot either way.
   util::MetricsRegistry* metrics = nullptr;
 };
 
@@ -142,7 +148,8 @@ const char* OutcomeName(RequestOutcome outcome);
 
 /// Cluster-layer accounting for one request: which replica served it
 /// and what its failovers cost. Filled by cluster::ClusterExecutor;
-/// the single-node ServeExecutor leaves it defaulted (replica -1).
+/// the single-node ServeExecutor leaves it defaulted (replica -1),
+/// although it runs on the same event loop.
 struct ClusterStats {
   /// Replica that produced the final outcome; -1 when the request
   /// never reached one (or the run was not clustered).
@@ -340,8 +347,8 @@ class ServeExecutor {
                 const ServeOptions& options);
 
   /// Replays `requests` (sorted by arrival internally) through
-  /// admission, queueing and service; returns one ServeStats per
-  /// request, in request-id order.
+  /// admission, queueing and service on a one-replica fleet; returns
+  /// one ServeStats per request, in request-id order.
   Result<std::vector<ServeStats>> Run(std::vector<ForecastRequest> requests);
 
   /// Queue counters of the most recent Run().
@@ -353,28 +360,17 @@ class ServeExecutor {
   double end_seconds() const { return end_seconds_; }
 
  private:
-  ServeStats ServeOne(const ForecastRequest& request, double start);
-  /// ServeOne plus prefix-cache / batch-scheduler stat attribution.
-  ServeStats ServeInstrumented(const ForecastRequest& request, double start);
-  /// The batched service loop (options_.batch.enabled); `requests` are
-  /// already validated and sorted by arrival.
-  Result<std::vector<ServeStats>> RunBatched(
-      std::vector<ForecastRequest> requests);
-  /// Publishes one finished run's queue/overload counters into the
-  /// metrics registry (options_.metrics or the private fallback) and
-  /// refreshes the snapshot-backed accessor views.
-  void PublishRunMetrics(const AdmissionQueue& queue,
-                         const OverloadController& overload);
-  /// options_.overload with the memory probe defaulted from
-  /// options_.block_pool when the caller set a pool but no probe.
-  OverloadPolicy EffectiveOverloadPolicy() const;
+  /// The body of one dispatch on this node, starting at `start`: the
+  /// primary pipeline, raced by the hedge pipeline when hedging is on.
+  /// Returns the forecast to serve, or the failure; `*delta` receives
+  /// the finish time, the pipelines launched, the hedge flags and the
+  /// retry stats and ledger of every pipeline run that happened.
+  Result<forecast::ForecastResult> ServeOne(const ForecastRequest& request,
+                                            double start, ServeStats* delta);
 
   ForecasterFactory primary_;
   ForecasterFactory hedge_;
   ServeOptions options_;
-  /// Fallback registry when options_.metrics is null, created lazily so
-  /// the accessor views are always snapshot-backed.
-  std::unique_ptr<util::MetricsRegistry> own_metrics_;
   QueueStats queue_stats_;
   OverloadStats overload_stats_;
   double end_seconds_ = 0.0;

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Pre-merge gate: tier-1 build + tests, then an ASan+UBSan pass over the
-# serving and LLM tiers (the layers doing pointer-heavy virtual-time and
-# cancellation work, where a sanitizer earns its keep), then a TSan pass
-# over the same tiers plus the parallel sampling runtime.
+# whole suite, then a TSan pass over the serving and LLM tiers plus the
+# parallel sampling runtime.
 #
 # Usage: tools/check.sh [--no-asan] [--no-tsan]
 set -euo pipefail
@@ -65,31 +64,10 @@ for arg in "$@"; do
 done
 
 if [[ "${run_asan}" == "1" ]]; then
-  echo "==== sanitizer pass: ASan + UBSan on serve/lm tests ===="
+  echo "==== sanitizer pass: ASan + UBSan on the whole suite ===="
   cmake -B build-asan -S . -DMC_SANITIZE=ON > /dev/null
-  ASAN_TESTS=(
-    metrics_test
-    metrics_registry_test
-    virtual_time_test
-    serve_queue_test
-    serve_executor_test
-    overload_test
-    classical_test
-    resilient_backend_test
-    fault_injection_test
-    backend_contract_test
-    prefix_cache_test
-    paged_store_test
-    batch_scheduler_test
-    speculative_test
-    cluster_test
-    cluster_chaos_test
-  )
-  cmake --build build-asan -j "${JOBS}" --target "${ASAN_TESTS[@]}"
-  for t in "${ASAN_TESTS[@]}"; do
-    echo "---- ${t} (asan) ----"
-    "build-asan/tests/${t}" --gtest_brief=1
-  done
+  cmake --build build-asan -j "${JOBS}"
+  (cd build-asan && ctest --output-on-failure -j "${JOBS}")
 else
   echo "==== skipping ASan pass (--no-asan) ===="
 fi
