@@ -15,6 +15,8 @@
 #include "lm/generator.h"
 #include "lm/mixture_model.h"
 #include "lm/ngram_model.h"
+#include "lm/paged_store.h"
+#include "lm/prefix_cache.h"
 #include "multiplex/multiplexer.h"
 #include "sax/sax.h"
 #include "scale/scaler.h"
@@ -33,6 +35,15 @@ std::string MakeDigitStream(size_t values) {
     out += token::FixedWidthDigits(rng.NextBounded(100), 2).ValueOrDie();
   }
   return out;
+}
+
+// The last benchmark argument picks the context store: 0 = the plain
+// map layers (no pool), 1 = the paged store every pipeline decodes on.
+std::shared_ptr<lm::BlockPool> PoolFor(int64_t paged) {
+  if (paged == 0) return nullptr;
+  lm::PagedMemoryOptions options;
+  options.enabled = true;
+  return std::make_shared<lm::BlockPool>(options);
 }
 
 void BM_TokenizeDigits(benchmark::State& state) {
@@ -111,24 +122,27 @@ BENCHMARK(BM_SaxEncode)->Arg(3)->Arg(9);
 void BM_NGramObserve(benchmark::State& state) {
   lm::NGramOptions opts;
   opts.max_order = static_cast<int>(state.range(0));
+  std::shared_ptr<lm::BlockPool> pool = PoolFor(state.range(1));
   Rng rng(17);
   std::vector<token::TokenId> tokens;
   for (int i = 0; i < 4096; ++i) {
     tokens.push_back(static_cast<token::TokenId>(rng.NextBounded(11)));
   }
   for (auto _ : state) {
-    lm::NGramLanguageModel model(11, opts);
+    lm::NGramLanguageModel model(11, opts, pool);
     model.ObserveAll(tokens);
     benchmark::DoNotOptimize(model.num_entries());
   }
   state.SetItemsProcessed(state.iterations() * 4096);
 }
-BENCHMARK(BM_NGramObserve)->Arg(3)->Arg(10);
+BENCHMARK(BM_NGramObserve)
+    ->ArgNames({"order", "paged"})
+    ->ArgsProduct({{3, 10}, {0, 1}});
 
 void BM_NGramNextDistribution(benchmark::State& state) {
   lm::NGramOptions opts;
   opts.max_order = 10;
-  lm::NGramLanguageModel model(11, opts);
+  lm::NGramLanguageModel model(11, opts, PoolFor(state.range(0)));
   Rng rng(19);
   for (int i = 0; i < 2048; ++i) {
     model.Observe(static_cast<token::TokenId>(rng.NextBounded(11)));
@@ -138,10 +152,12 @@ void BM_NGramNextDistribution(benchmark::State& state) {
     benchmark::DoNotOptimize(probs);
   }
 }
-BENCHMARK(BM_NGramNextDistribution);
+BENCHMARK(BM_NGramNextDistribution)->ArgName("paged")->Arg(0)->Arg(1);
 
 void BM_LlmDecodeTokens(benchmark::State& state) {
-  lm::SimulatedLlm llm(lm::ModelProfile::Llama2_7B(), 11);
+  lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
+  profile.memory_pool = PoolFor(state.range(0));
+  lm::SimulatedLlm llm(profile, 11);
   std::string prompt_text = MakeDigitStream(256) + ",";
   auto prompt =
       token::Encode(prompt_text, token::Vocabulary::Digits()).ValueOrDie();
@@ -153,7 +169,31 @@ void BM_LlmDecodeTokens(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_LlmDecodeTokens);
+BENCHMARK(BM_LlmDecodeTokens)->ArgName("paged")->Arg(0)->Arg(1);
+
+// The pipelines' decode shape: the prompt is a prefix-cache full hit, so
+// each call forks the frozen prompt state and decodes 64 tokens on the
+// fork's overlay (copy-on-first-touch from the shared frozen layers).
+void BM_LlmDecodeForked(benchmark::State& state) {
+  lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
+  profile.memory_pool = PoolFor(state.range(0));
+  lm::SimulatedLlm llm(profile, 11, std::make_shared<lm::PrefixCache>(4));
+  std::string prompt_text = MakeDigitStream(256) + ",";
+  auto prompt =
+      token::Encode(prompt_text, token::Vocabulary::Digits()).ValueOrDie();
+  lm::GrammarMask mask = lm::AllowAll(11);
+  if (!llm.WarmPrefix(prompt).ok()) {
+    state.SkipWithError("warming the prefix cache failed");
+    return;
+  }
+  Rng rng(29);
+  for (auto _ : state) {
+    auto gen = llm.Complete(prompt, 64, mask, &rng);
+    benchmark::DoNotOptimize(gen);
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_LlmDecodeForked)->ArgName("paged")->Arg(0)->Arg(1);
 
 void BM_MultiCastForecast(benchmark::State& state) {
   ts::Frame frame = data::MakeGasRate().ValueOrDie();

@@ -74,7 +74,6 @@ RunResult RunForecast(const ts::Frame& train, size_t horizon, bool paged,
     opts.batch_scheduler = scheduler;
   }
   if (paged) {
-    opts.paged_memory = true;
     opts.block_span = 32;
     opts.pool_blocks = pool_blocks;
   } else {

@@ -1,6 +1,7 @@
 #include "cli/cli.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "baselines/arima.h"
@@ -20,6 +21,7 @@
 #include "forecast/fallback.h"
 #include "forecast/llmtime_forecaster.h"
 #include "forecast/multicast_forecaster.h"
+#include "lm/paged_store.h"
 #include "serve/executor.h"
 #include "serve/trace.h"
 #include "ts/split.h"
@@ -128,14 +130,21 @@ Result<MethodSpec> SpecFromFlags(const FlagSet& flags) {
   }
   spec.draft_k = static_cast<int>(draft_k);
   spec.paged_memory = flags.GetBool("paged-memory");
+  // Both geometry flags are range-checked as int64 before narrowing, so
+  // an out-of-range value is an error rather than a wrapped one.
   MC_ASSIGN_OR_RETURN(int64_t block_span, flags.GetInt("block-span", 32));
-  if (block_span < 1) {
-    return Status::InvalidArgument("--block-span must be >= 1");
+  if (block_span < static_cast<int64_t>(lm::kMinBlockSpan) ||
+      block_span > static_cast<int64_t>(lm::kMaxBlockSpan)) {
+    return Status::InvalidArgument(
+        StrFormat("--block-span must be in [%zu, %zu]", lm::kMinBlockSpan,
+                  lm::kMaxBlockSpan));
   }
   spec.block_span = static_cast<int>(block_span);
   MC_ASSIGN_OR_RETURN(int64_t pool_blocks, flags.GetInt("pool-blocks", 0));
-  if (pool_blocks < 0) {
-    return Status::InvalidArgument("--pool-blocks must be >= 0");
+  if (pool_blocks < 0 || pool_blocks > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        StrFormat("--pool-blocks must be in [0, %d]",
+                  std::numeric_limits<int>::max()));
   }
   spec.pool_blocks = static_cast<int>(pool_blocks);
   return spec;
@@ -581,9 +590,11 @@ Result<int> CmdServeSim(const FlagSet& flags, std::ostream& out) {
       spec.batch_scheduler = method_scheduler;
     }
     serve_options.batch.scheduler = method_scheduler;
-    // One block pool per method, shared the same way: every request's
-    // pipelines (and the shared prefix cache's frozen states) draw
-    // blocks from it, and its fullness feeds the overload ladder.
+    // --paged-memory: one block pool per method, shared the same way:
+    // every request's pipelines (and the shared prefix cache's frozen
+    // states) draw blocks from it, it is reported, and its fullness
+    // feeds the overload ladder. Without it each request's forecaster
+    // pages on a private pool of its own.
     std::shared_ptr<lm::BlockPool> method_pool;
     if (spec.paged_memory) {
       lm::PagedMemoryOptions paged;
@@ -723,7 +734,10 @@ Result<int> CmdServeSim(const FlagSet& flags, std::ostream& out) {
           ms.bytes_per_session(), ms.sharing_ratio(), ms.blocks_recycled,
           ms.exhaustion_events));
     } else {
-      mem_lines.push_back(StrFormat("paged-mem %s: off", name.c_str()));
+      mem_lines.push_back(StrFormat(
+          "paged-mem %s: a private pool per request (--paged-memory "
+          "shares one)",
+          name.c_str()));
     }
     if (serve_options.overload.any_enabled()) {
       overload_lines.push_back(
@@ -1050,12 +1064,12 @@ Result<std::unique_ptr<forecast::Forecaster>> MakeForecaster(
     policy.backfill = spec.batch_backfill;
     scheduler = std::make_shared<batch::BatchScheduler>(policy);
   }
-  // Shared block pool when the caller wired one (serve-sim), else a
-  // private pool per forecaster under --paged-memory. Created here —
-  // not inside the option structs — so a fallback chain's MultiCast
-  // and LLMTime tiers share one pool.
+  // Shared block pool when the caller wired one (serve-sim), else one
+  // pool for this forecaster. Created here — not inside the option
+  // structs — so a fallback chain's MultiCast and LLMTime tiers share
+  // one pool.
   std::shared_ptr<lm::BlockPool> block_pool = spec.block_pool;
-  if (spec.paged_memory && block_pool == nullptr) {
+  if (block_pool == nullptr) {
     lm::PagedMemoryOptions paged;
     paged.enabled = true;
     paged.block_span = static_cast<size_t>(spec.block_span);
@@ -1210,8 +1224,8 @@ std::string UsageText() {
       "            refill: 1 continuous, 0 gang)]\n"
       "            [--speculative (draft-then-verify decode; implies a\n"
       "            decode scheduler)] [--draft-k 4]\n"
-      "            [--paged-memory (block-pooled session state; output\n"
-      "            stays bit-identical)] [--block-span 32]\n"
+      "            [--block-span 32 (4..65536; session state pages in\n"
+      "            pooled blocks, output is bit-identical)]\n"
       "            [--pool-blocks N (0 = unbounded; at the cap entries\n"
       "            spill to plain storage)]\n"
       "            chaos/resilience: [--chaos 0.2] [--chaos-seed N]\n"
@@ -1232,15 +1246,16 @@ std::string UsageText() {
       "            finish|cancel] [--threads 4] [--prefix-cache 0|1]\n"
       "            [--prefix-cache-capacity 64] [--batch] [--batch-size 8]\n"
       "            [--batch-backfill 0|1] [--speculative] [--draft-k 4]\n"
-      "            [--paged-memory] [--block-span 32] [--pool-blocks N]\n"
-      "            plus the chaos/resilience flags\n"
-      "            above (one cache, one decode scheduler and one block\n"
-      "            pool are shared per method, across requests; --batch\n"
+      "            [--paged-memory (one reported block pool per method,\n"
+      "            not one per request)] [--block-span 32]\n"
+      "            [--pool-blocks N] plus the chaos/resilience flags\n"
+      "            above (one cache and one decode scheduler are shared\n"
+      "            per method, across requests; --batch\n"
       "            also serves up to batch-size requests concurrently,\n"
       "            refilling a freed slot from the queue at once, while\n"
       "            --batch-backfill sets only the decode refill policy;\n"
-      "            with --overload-ladder the pool's fullness sheds load\n"
-      "            on memory pressure)\n"
+      "            with --paged-memory --overload-ladder the pool's\n"
+      "            fullness sheds load on memory pressure)\n"
       "            overload: [--overload-ladder (brownout ladder + AIMD\n"
       "            admission)] [--slo-class interactive|standard|batch|\n"
       "            mixed] [--classical-fallback (classical-tier hedge\n"
@@ -1254,7 +1269,8 @@ std::string UsageText() {
       "            replica over the trace)] [--replica-chaos-seed N]\n"
       "            plus every serve-sim trace/queue/drain/hedge/overload/\n"
       "            paged-memory/metrics-json flag; each replica gets its\n"
-      "            own prefix cache, decode scheduler and block pool,\n"
+      "            own prefix cache and decode scheduler (and block pool\n"
+      "            under --paged-memory),\n"
       "            crashes fail running work over to surviving replicas,\n"
       "            and health probes eject/readmit replicas from routing\n"
       "  help\n";

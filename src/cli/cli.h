@@ -102,21 +102,21 @@ struct MethodSpec {
   bool speculative = false;
   /// Maximum draft tokens per step (--draft-k, >= 1).
   int draft_k = 4;
-  /// Paged session memory (--paged-memory): model state lives in
-  /// fixed-span refcounted blocks from a shared pool, so draws and
-  /// cached prompt states share frozen layers at block granularity.
-  /// Forecasts stay bit-identical; only resident bytes change
-  /// (reported under lm.mem.*).
+  /// One shared block pool per method (serve-sim) or per replica
+  /// (cluster-sim) instead of one per forecaster (--paged-memory); the
+  /// shared pool is reported under lm.mem.* and its fullness feeds the
+  /// overload ladder. Model state pages in pooled blocks either way;
+  /// forecasts are bit-identical.
   bool paged_memory = false;
-  /// Payload slots per block (--block-span).
+  /// Payload slots per block (--block-span, in [4, 65536]).
   int block_span = 32;
   /// Pool live-block cap (--pool-blocks); 0 = unbounded. At the cap new
   /// entries spill to plain storage (still bit-identical) and pool
   /// fullness feeds the overload ladder in the sims.
   int pool_blocks = 0;
   /// Externally shared pool (serve-sim wires one across all requests of
-  /// a method); when unset and `paged_memory` is true, MakeForecaster
-  /// creates a private per-forecaster pool.
+  /// a method); when unset, MakeForecaster creates one pool for the
+  /// forecaster and its fallback chain.
   std::shared_ptr<lm::BlockPool> block_pool;
 };
 

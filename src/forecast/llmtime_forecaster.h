@@ -68,15 +68,14 @@ struct LlmTimeOptions {
   bool speculative = false;
   int draft_k = 4;
   forecast::DraftKind draft = forecast::DraftKind::kClassical;
-  /// Paged session memory, forwarded into every per-dimension pipeline
-  /// (same semantics — and the same bit-identity guarantee — as the
-  /// MultiCastOptions fields of the same names). One pool is shared by
-  /// all dimensions, so cross-dimension frozen prompt state shares
-  /// blocks by refcount.
-  bool paged_memory = false;
+  /// Session memory, shared by every per-dimension pipeline (same
+  /// semantics — and the same bit-identity guarantee — as the
+  /// MultiCastOptions fields of the same names): one pool for all
+  /// dimensions, so cross-dimension frozen prompt state shares blocks
+  /// by refcount. Built from `block_span`/`pool_blocks` unless an
+  /// external `block_pool` is given.
   size_t block_span = 32;
   size_t pool_blocks = 0;
-  /// Externally shared pool; overrides `paged_memory` when set.
   std::shared_ptr<lm::BlockPool> block_pool;
 };
 
@@ -107,8 +106,7 @@ class LlmTimeForecaster final : public Forecaster {
     return prefix_cache_;
   }
 
-  /// The pool shared by every per-dimension pipeline; null when paged
-  /// memory is off and no external pool was attached.
+  /// The pool shared by every per-dimension pipeline; never null.
   const std::shared_ptr<lm::BlockPool>& block_pool() const {
     return block_pool_;
   }

@@ -622,7 +622,7 @@ MultiCastForecaster::MultiCastForecaster(const MultiCastOptions& options)
   }
   if (options_.block_pool != nullptr) {
     block_pool_ = options_.block_pool;
-  } else if (options_.paged_memory) {
+  } else {
     lm::PagedMemoryOptions paged;
     paged.enabled = true;
     paged.block_span = options_.block_span;

@@ -149,14 +149,15 @@ struct MultiCastOptions {
   /// n-gram proposer when the classical tier cannot render a template
   /// (drafting is an accelerator, never a correctness dependency).
   DraftKind draft = DraftKind::kClassical;
-  /// Paged session memory (lm/paged_store.h): model layers live in
-  /// fixed-span refcounted blocks from a shared BlockPool instead of
-  /// per-entry map nodes, so concurrent draws share frozen prompt state
-  /// at block granularity. Output is bit-identical paged vs plain at
-  /// any thread count, batch size, draft-k and cache state; only
-  /// resident bytes change (reported as lm.mem.* metrics).
-  bool paged_memory = false;
-  /// Payload slots per block (paged mode).
+  /// Session memory (lm/paged_store.h): model layers live in
+  /// fixed-span refcounted blocks from a BlockPool, so concurrent draws
+  /// share frozen prompt state at block granularity. Without an
+  /// external `block_pool` the forecaster builds its own from the two
+  /// fields below. Output is bit-identical to the plain map layers at
+  /// any thread count, batch size, draft-k and cache state (lm.mem.*
+  /// metrics report the bytes).
+  ///
+  /// Payload slots per block.
   size_t block_span = 32;
   /// Pool-wide live-block cap; 0 = unbounded. When the cap is hit, new
   /// entries spill to plain storage (bit-identical, counted as
@@ -164,8 +165,9 @@ struct MultiCastOptions {
   /// serving layer's overload ladder.
   size_t pool_blocks = 0;
   /// Externally shared pool (one pool across serving requests or
-  /// LLMTime's per-dimension pipelines). When set it is used regardless
-  /// of `paged_memory` and the forecaster creates no pool of its own.
+  /// LLMTime's per-dimension pipelines). When set the forecaster creates
+  /// no pool of its own; an accounting-only pool (enabled = false)
+  /// keeps the plain map layers.
   std::shared_ptr<lm::BlockPool> block_pool;
 };
 
@@ -196,8 +198,7 @@ class MultiCastForecaster final : public Forecaster {
     return prefix_cache_;
   }
 
-  /// The paged-memory pool in use (owned or shared); null when paged
-  /// memory is off and no external pool was attached. Exposed for
+  /// The block pool in use (owned or shared); never null. Exposed for
   /// benches, serving stats and tests.
   const std::shared_ptr<lm::BlockPool>& block_pool() const {
     return block_pool_;

@@ -11,7 +11,6 @@ namespace lm {
 
 namespace {
 constexpr int kBitsPerToken = 5;
-constexpr int kMaxSupportedOrder = 12;
 
 // Paged slot layout (see header): [u32 total][u16 types][u16 flags]
 // [u16 counts[vocab]]. Scalars go through memcpy (aliasing-safe); the
@@ -52,8 +51,7 @@ NGramLanguageModel::NGramLanguageModel(size_t vocab_size,
                                        std::shared_ptr<BlockPool> pool)
     : vocab_size_(vocab_size), options_(options), pool_(std::move(pool)) {
   MC_CHECK(vocab_size_ >= 2 && vocab_size_ <= 31);
-  MC_CHECK(options_.max_order >= 1 &&
-           options_.max_order <= kMaxSupportedOrder);
+  MC_CHECK(options_.max_order >= 1 && options_.max_order <= kMaxOrder);
   MC_CHECK(options_.backoff_boost >= 0.0);
   MC_CHECK(options_.uniform_mix >= 0.0 && options_.uniform_mix < 1.0);
   MC_CHECK(options_.max_base_layers >= 1);
@@ -80,7 +78,8 @@ size_t NGramLanguageModel::SlotBytes() const {
 
 void NGramLanguageModel::Reset() {
   observed_ = 0;
-  recent_.clear();
+  window_ = 0;
+  probes_valid_ = false;
   if (paged_) {
     paged_base_.clear();
     paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
@@ -92,16 +91,44 @@ void NGramLanguageModel::Reset() {
   frozen_ = false;
 }
 
-uint64_t NGramLanguageModel::PackContext(int order) const {
+int NGramLanguageModel::ContextOrders() const {
+  return static_cast<int>(
+      std::min<size_t>(observed_, static_cast<size_t>(options_.max_order)));
+}
+
+uint64_t NGramLanguageModel::ContextKey(int order) const {
   // Layout: [order tag | token_{-order} ... token_{-1}], each 5 bits.
   // Token value 0 is valid, so the order tag disambiguates "empty" keys.
-  uint64_t key = static_cast<uint64_t>(order) + 1;
-  size_t start = recent_.size() - static_cast<size_t>(order);
-  for (size_t i = start; i < recent_.size(); ++i) {
-    key = (key << kBitsPerToken) |
-          static_cast<uint64_t>(recent_[i] & 0x1f);
-  }
-  return key;
+  const int bits = kBitsPerToken * order;
+  const uint64_t context = window_ & ((uint64_t{1} << bits) - 1);
+  return ((static_cast<uint64_t>(order) + 1) << bits) | context;
+}
+
+NGramLanguageModel::CountsRef NGramLanguageModel::WideRef(
+    const ContextCounts& cc) {
+  CountsRef ref;
+  ref.found = true;
+  ref.wide = cc.next.data();
+  ref.total = cc.total;
+  ref.types = cc.types;
+  return ref;
+}
+
+NGramLanguageModel::CountsRef NGramLanguageModel::NarrowRef(
+    const std::byte* slot) {
+  CountsRef ref;
+  ref.found = true;
+  ref.narrow = NarrowCounts(slot);
+  ref.slot = slot;
+  ref.total = LoadU32(slot, kTotalOffset);
+  ref.types = LoadU16(slot, kTypesOffset);
+  return ref;
+}
+
+NGramLanguageModel::CountsRef NGramLanguageModel::View(const Resolved& r) {
+  if (r.slot != nullptr) return NarrowRef(r.slot);
+  if (r.node != nullptr) return WideRef(*r.node);
+  return r.under;
 }
 
 const NGramLanguageModel::ContextCounts* NGramLanguageModel::FindFrozen(
@@ -114,102 +141,85 @@ const NGramLanguageModel::ContextCounts* NGramLanguageModel::FindFrozen(
   return nullptr;
 }
 
-const NGramLanguageModel::ContextCounts* NGramLanguageModel::FindEntry(
-    size_t order, uint64_t key) const {
-  const Table& table = local_.counts[order];
-  auto found = table.find(key);
-  if (found != table.end()) return &found->second;
-  return FindFrozen(order, key);
-}
-
-NGramLanguageModel::ContextCounts& NGramLanguageModel::MutableEntry(
-    size_t order, uint64_t key) {
-  auto [it, inserted] = local_.counts[order].try_emplace(key);
-  if (inserted) {
-    // Copy-on-first-touch: seed the overlay entry with the frozen view
-    // so its counters equal what a monolithic model would hold.
-    if (const ContextCounts* under = FindFrozen(order, key)) {
-      it->second = *under;
-    }
-  }
-  return it->second;
-}
-
 NGramLanguageModel::CountsRef NGramLanguageModel::LookupFrozenPaged(
     uint64_t key) const {
-  CountsRef ref;
   for (auto it = paged_base_.rbegin(); it != paged_base_.rend(); ++it) {
     if (it->store != nullptr) {
       if (const std::byte* p = it->store->Find(key)) {
-        if (LoadU16(p, kFlagsOffset) & kWideFlag) {
-          auto found = it->overflow->find(key);
-          MC_CHECK(found != it->overflow->end());
-          const ContextCounts& cc = found->second;
-          ref.found = true;
-          ref.wide = cc.next.data();
-          ref.total = cc.total;
-          ref.types = cc.types;
-        } else {
-          ref.found = true;
-          ref.narrow = NarrowCounts(p);
-          ref.slot = p;
-          ref.total = LoadU32(p, kTotalOffset);
-          ref.types = LoadU16(p, kTypesOffset);
-        }
-        return ref;
+        if (!(LoadU16(p, kFlagsOffset) & kWideFlag)) return NarrowRef(p);
+        auto found = it->overflow->find(key);
+        MC_CHECK(found != it->overflow->end());
+        return WideRef(found->second);
       }
     }
     if (!it->overflow->empty()) {
       auto found = it->overflow->find(key);
-      if (found != it->overflow->end()) {
-        const ContextCounts& cc = found->second;
-        ref.found = true;
-        ref.wide = cc.next.data();
-        ref.total = cc.total;
-        ref.types = cc.types;
-        return ref;
-      }
+      if (found != it->overflow->end()) return WideRef(found->second);
     }
   }
-  return ref;
+  return CountsRef{};
 }
 
-NGramLanguageModel::CountsRef NGramLanguageModel::LookupPaged(
-    uint64_t key) const {
-  CountsRef ref;
-  if (const std::byte* p = paged_local_->Find(key)) {
-    if (LoadU16(p, kFlagsOffset) & kWideFlag) {
+NGramLanguageModel::Resolved NGramLanguageModel::Resolve(size_t order,
+                                                         uint64_t key) const {
+  // The overlay is this session's private state (const here only
+  // because NextDistribution is), so handing out writable pointers to
+  // it is sound; frozen models have an empty overlay.
+  Resolved r;
+  if (paged_) {
+    if (const std::byte* p = paged_local_->Find(key)) {
+      if (!(LoadU16(p, kFlagsOffset) & kWideFlag)) {
+        r.slot = const_cast<std::byte*>(p);
+        return r;
+      }
       auto found = overflow_local_.find(key);
       MC_CHECK(found != overflow_local_.end());
-      const ContextCounts& cc = found->second;
-      ref.found = true;
-      ref.wide = cc.next.data();
-      ref.total = cc.total;
-      ref.types = cc.types;
-    } else {
-      ref.found = true;
-      ref.narrow = NarrowCounts(p);
-      ref.slot = p;
-      ref.total = LoadU32(p, kTotalOffset);
-      ref.types = LoadU16(p, kTypesOffset);
+      r.node = const_cast<ContextCounts*>(&found->second);
+      return r;
     }
-    return ref;
-  }
-  if (!overflow_local_.empty()) {
-    auto found = overflow_local_.find(key);
-    if (found != overflow_local_.end()) {
-      const ContextCounts& cc = found->second;
-      ref.found = true;
-      ref.wide = cc.next.data();
-      ref.total = cc.total;
-      ref.types = cc.types;
-      return ref;
+    if (!overflow_local_.empty()) {
+      // Pool-spilled entry: in the overflow map with no slot.
+      auto found = overflow_local_.find(key);
+      if (found != overflow_local_.end()) {
+        r.node = const_cast<ContextCounts*>(&found->second);
+        return r;
+      }
     }
+    r.under = LookupFrozenPaged(key);
+    return r;
   }
-  return LookupFrozenPaged(key);
+  const Table& table = local_.counts[order];
+  auto found = table.find(key);
+  if (found != table.end()) {
+    r.node = const_cast<ContextCounts*>(&found->second);
+    return r;
+  }
+  if (const ContextCounts* cc = FindFrozen(order, key)) r.under = WideRef(*cc);
+  return r;
 }
 
-void NGramLanguageModel::ObservePaged(uint64_t key, token::TokenId id) {
+void NGramLanguageModel::BumpPlain(size_t order, uint64_t key,
+                                   const Resolved& r, token::TokenId id) {
+  ContextCounts* entry = r.node;
+  if (entry == nullptr) {
+    // Copy-on-first-touch: seed the overlay entry with the frozen view
+    // so its counters equal what a monolithic model would hold.
+    entry = &local_.counts[order][key];
+    if (r.under.found) {
+      entry->next.assign(r.under.wide, r.under.wide + vocab_size_);
+      entry->total = r.under.total;
+      entry->types = r.under.types;
+    }
+  }
+  const size_t w = static_cast<size_t>(id);
+  if (entry->next.empty()) entry->next.assign(vocab_size_, 0);
+  if (entry->next[w] == 0) ++entry->types;
+  ++entry->next[w];
+  ++entry->total;
+}
+
+void NGramLanguageModel::BumpPaged(uint64_t key, const Resolved& r,
+                                   token::TokenId id) {
   const size_t w = static_cast<size_t>(id);
   // The plain-mode increment, applied to a wide (u32) overflow entry.
   auto bump_wide = [&](ContextCounts& cc) {
@@ -219,15 +229,14 @@ void NGramLanguageModel::ObservePaged(uint64_t key, token::TokenId id) {
     ++cc.total;
   };
 
-  std::byte* p = paged_local_->FindMutable(key);
+  if (r.node != nullptr) {
+    bump_wide(*r.node);
+    return;
+  }
+  std::byte* p = r.slot;
   if (p == nullptr) {
-    auto spilled = overflow_local_.find(key);
-    if (spilled != overflow_local_.end()) {
-      bump_wide(spilled->second);
-      return;
-    }
     // First touch this session: seed from the frozen view, then write.
-    CountsRef under = LookupFrozenPaged(key);
+    const CountsRef& under = r.under;
     if (under.found && under.wide != nullptr) {
       // Frozen entry already wide: the overlay copy is wide too.
       ContextCounts& cc = overflow_local_[key];
@@ -238,7 +247,7 @@ void NGramLanguageModel::ObservePaged(uint64_t key, token::TokenId id) {
         StoreU16(slot, kFlagsOffset, kWideFlag);
       }
       // (On pool exhaustion the entry lives in the overflow map alone —
-      // the spill path LookupPaged/the find above already handle.)
+      // the spill path Resolve() already handles.)
       bump_wide(cc);
       return;
     }
@@ -258,11 +267,6 @@ void NGramLanguageModel::ObservePaged(uint64_t key, token::TokenId id) {
       return;
     }
     if (under.found) std::memcpy(p, under.slot, SlotBytes());
-  } else if (LoadU16(p, kFlagsOffset) & kWideFlag) {
-    auto found = overflow_local_.find(key);
-    MC_CHECK(found != overflow_local_.end());
-    bump_wide(found->second);
-    return;
   }
 
   uint16_t* counts = NarrowCounts(p);
@@ -289,25 +293,24 @@ void NGramLanguageModel::Observe(token::TokenId id) {
   MC_CHECK(!frozen_);  // Fork() a session instead of mutating a frozen base.
   MC_CHECK(id >= 0 && static_cast<size_t>(id) < vocab_size_);
   // Record `id` as the continuation of every context order that is fully
-  // available in the window (order 0 = unigram always is).
-  int max_ctx = static_cast<int>(std::min<size_t>(
-      recent_.size(), static_cast<size_t>(options_.max_order)));
+  // available in the window (order 0 = unigram always is). Keys of
+  // different orders differ, so bumping one order never moves where
+  // another resolved, and the recorded probes stay valid throughout.
+  const int max_ctx = ContextOrders();
   for (int order = 0; order <= max_ctx; ++order) {
+    const size_t o = static_cast<size_t>(order);
+    const uint64_t key = ContextKey(order);
+    const Resolved r = probes_valid_ ? probes_[o] : Resolve(o, key);
     if (paged_) {
-      ObservePaged(PackContext(order), id);
-      continue;
+      BumpPaged(key, r, id);
+    } else {
+      BumpPlain(o, key, r, id);
     }
-    ContextCounts& entry =
-        MutableEntry(static_cast<size_t>(order), PackContext(order));
-    if (entry.next.empty()) entry.next.assign(vocab_size_, 0);
-    if (entry.next[static_cast<size_t>(id)] == 0) ++entry.types;
-    ++entry.next[static_cast<size_t>(id)];
-    ++entry.total;
   }
-  recent_.push_back(id);
-  if (recent_.size() > static_cast<size_t>(options_.max_order)) {
-    recent_.pop_front();
-  }
+  probes_valid_ = false;
+  const int window_bits = kBitsPerToken * options_.max_order;
+  window_ = ((window_ << kBitsPerToken) | static_cast<uint64_t>(id)) &
+            ((uint64_t{1} << window_bits) - 1);
   ++observed_;
 }
 
@@ -320,22 +323,18 @@ void NGramLanguageModel::NextDistribution(std::vector<double>* out) const {
   // for each order k with counts, blend
   //   P_k(w) = (c(h_k, w) + (T(h_k) + boost) * P_{k-1}(w))
   //            / (c(h_k) + T(h_k) + boost).
+  //
+  // A mutable session records where each order resolved, so the
+  // Observe that follows writes through without probing again.
   std::vector<double>& probs = *out;
   probs.assign(vocab_size_, 1.0 / static_cast<double>(vocab_size_));
-  int max_ctx = static_cast<int>(std::min<size_t>(
-      recent_.size(), static_cast<size_t>(options_.max_order)));
+  const bool record = !frozen_;
+  const int max_ctx = ContextOrders();
   for (int order = 0; order <= max_ctx; ++order) {
-    const uint64_t key = PackContext(order);
-    CountsRef ref;
-    if (paged_) {
-      ref = LookupPaged(key);
-    } else if (const ContextCounts* cc =
-                   FindEntry(static_cast<size_t>(order), key)) {
-      ref.found = true;
-      ref.wide = cc->next.data();
-      ref.total = cc->total;
-      ref.types = cc->types;
-    }
+    const size_t o = static_cast<size_t>(order);
+    const Resolved r = Resolve(o, ContextKey(order));
+    if (record) probes_[o] = r;
+    const CountsRef ref = View(r);
     if (!ref.found || ref.total == 0) continue;
     double lambda = static_cast<double>(ref.types) + options_.backoff_boost;
     double denom = static_cast<double>(ref.total) + lambda;
@@ -343,6 +342,7 @@ void NGramLanguageModel::NextDistribution(std::vector<double>* out) const {
       probs[w] = (ref.Count(w) + lambda * probs[w]) / denom;
     }
   }
+  if (record) probes_valid_ = true;
 
   if (options_.uniform_mix > 0.0) {
     double u = options_.uniform_mix / static_cast<double>(vocab_size_);
@@ -410,6 +410,7 @@ void NGramLanguageModel::CompactPagedBase() {
 }
 
 void NGramLanguageModel::Freeze() {
+  probes_valid_ = false;
   if (frozen_) return;
   frozen_ = true;
   if (paged_) {
@@ -461,7 +462,7 @@ std::unique_ptr<LanguageModel> NGramLanguageModel::Fork() const {
   auto fork =
       std::make_unique<NGramLanguageModel>(vocab_size_, options_, pool_);
   fork->observed_ = observed_;
-  fork->recent_ = recent_;
+  fork->window_ = window_;
   fork->base_ = base_;
   // Block-granularity sharing: the fork's refcounts on the frozen
   // stores (and, transitively, their blocks) are the entire copy.

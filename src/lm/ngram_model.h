@@ -29,12 +29,19 @@
 //     u16, and entries the pool had no block for (exhaustion), live in
 //     a plain per-layer overflow map — both still hold exactly the
 //     integers the plain mode holds, so output is bit-identical.
+//
+// One decode step (NextDistribution, sample, Observe) costs one probe
+// per context order in either mode: the conditioning window is one
+// packed 64-bit word, so each order's key is a shift and a mask, and
+// NextDistribution on a mutable session records where every order's
+// key resolved (overlay slot or node, or overlay miss plus the frozen
+// entry) for the Observe that directly follows to write through.
 
 #ifndef MULTICAST_LM_NGRAM_MODEL_H_
 #define MULTICAST_LM_NGRAM_MODEL_H_
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -102,6 +109,10 @@ class NGramLanguageModel final : public LanguageModel {
   /// and capacity diagnostics.
   size_t num_entries() const;
 
+  /// Longest supported context order: 12 tokens of 5 bits plus the
+  /// 4-bit order tag fill a 64-bit key.
+  static constexpr int kMaxOrder = 12;
+
   /// Number of frozen base layers under this session (tests only).
   size_t num_base_layers() const {
     return paged_ ? paged_base_.size() : base_.size();
@@ -152,24 +163,41 @@ class NGramLanguageModel final : public LanguageModel {
     }
   };
 
-  // Packs the last `order` tokens of the recent-context window into a
-  // 64-bit key. Keys of different orders cannot collide because the
-  // order is encoded in the key.
-  uint64_t PackContext(int order) const;
+  // Where one context key resolved: in this session's overlay (a narrow
+  // paged slot, or a node — a plain-table entry or a wide paged
+  // overflow entry), else an overlay miss plus the frozen view (`under`,
+  // not found when no frozen layer holds the key either).
+  struct Resolved {
+    std::byte* slot = nullptr;
+    ContextCounts* node = nullptr;
+    CountsRef under;
+  };
 
-  // Topmost frozen-layer entry for a key, or null.
+  static CountsRef WideRef(const ContextCounts& cc);
+  static CountsRef NarrowRef(const std::byte* slot);
+  static CountsRef View(const Resolved& r);
+
+  // Orders with a full context in the window: 0 .. min(observed,
+  // max_order).
+  int ContextOrders() const;
+  // Key of the order-`order` context: the last `order` tokens of the
+  // window under an order tag, so keys of different orders never
+  // collide.
+  uint64_t ContextKey(int order) const;
+
+  // One overlay-then-frozen lookup of `key`. The overlay belongs to this
+  // mutable session, so the handles it returns are writable.
+  Resolved Resolve(size_t order, uint64_t key) const;
+  // Topmost frozen-layer entry for a key, or null (plain mode).
   const ContextCounts* FindFrozen(size_t order, uint64_t key) const;
-  // Effective entry for a key (overlay first, then frozen), or null.
-  const ContextCounts* FindEntry(size_t order, uint64_t key) const;
-  // Writable overlay entry for a key, copied from the frozen view on
-  // first touch.
-  ContextCounts& MutableEntry(size_t order, uint64_t key);
-
-  // Paged twins.
-  size_t SlotBytes() const;
   CountsRef LookupFrozenPaged(uint64_t key) const;
-  CountsRef LookupPaged(uint64_t key) const;
-  void ObservePaged(uint64_t key, token::TokenId id);
+  // Counts `id` after the context `key`, which resolved to `r`;
+  // an overlay miss is copied from `r.under` first.
+  void BumpPlain(size_t order, uint64_t key, const Resolved& r,
+                 token::TokenId id);
+  void BumpPaged(uint64_t key, const Resolved& r, token::TokenId id);
+
+  size_t SlotBytes() const;
   void CompactPagedBase();
 
   size_t vocab_size_;
@@ -177,8 +205,8 @@ class NGramLanguageModel final : public LanguageModel {
   std::shared_ptr<BlockPool> pool_;
   bool paged_ = false;
   size_t observed_ = 0;
-  // Most recent max_order tokens (the sliding conditioning window).
-  std::deque<token::TokenId> recent_;
+  // The most recent max_order tokens, 5 bits each, newest lowest.
+  uint64_t window_ = 0;
   // Frozen base layers, bottom to top; shared read-only with every fork.
   std::vector<std::shared_ptr<const Layer>> base_;
   // This session's private overlay.
@@ -188,6 +216,12 @@ class NGramLanguageModel final : public LanguageModel {
   std::unique_ptr<PagedContextStore> paged_local_;
   Table overflow_local_;
   bool frozen_ = false;
+  // Where NextDistribution resolved each order's key, for the Observe
+  // that directly follows. Written only by mutable sessions (frozen
+  // models are read by many threads at once); every other mutating
+  // call clears it.
+  mutable std::array<Resolved, kMaxOrder + 1> probes_;
+  mutable bool probes_valid_ = false;
 };
 
 }  // namespace lm

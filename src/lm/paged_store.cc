@@ -9,7 +9,6 @@ namespace multicast {
 namespace lm {
 namespace {
 
-constexpr size_t kMinBlockSpan = 4;
 constexpr size_t kMinIndexCells = 16;
 
 size_t RoundUp8(size_t n) { return (n + 7) & ~static_cast<size_t>(7); }
@@ -143,6 +142,8 @@ PagedContextStore::PagedContextStore(std::shared_ptr<BlockPool> pool,
     : pool_(std::move(pool)), slot_bytes_(RoundUp8(slot_bytes)) {
   MC_CHECK(pool_ != nullptr);
   span_ = std::max(kMinBlockSpan, pool_->options().block_span);
+  MC_CHECK(span_ <= kMaxBlockSpan);
+  while ((size_t{1} << slot_bits_) < span_) ++slot_bits_;
   // Keys first, payload area after — 8 * span keeps the payload area
   // (and with slot_bytes_ a multiple of 8, every slot) 8-aligned for
   // the mixture model's leading double.
@@ -182,8 +183,7 @@ size_t PagedContextStore::Probe(uint64_t key) const {
   while (true) {
     const uint32_t id = index_[cell];
     if (id == 0) return cell;
-    const size_t slot_id = id - 1;
-    if (KeyArray(slot_id / span_)[slot_id % span_] == key) return cell;
+    if (KeyArray(BlockOf(id))[SlotOf(id)] == key) return cell;
     cell = (cell + 1) & mask;
   }
 }
@@ -196,8 +196,7 @@ void PagedContextStore::GrowIndex(size_t min_cells) {
   const size_t mask = cells - 1;
   for (uint32_t id : old) {
     if (id == 0) continue;
-    const size_t slot_id = id - 1;
-    const uint64_t key = KeyArray(slot_id / span_)[slot_id % span_];
+    const uint64_t key = KeyArray(BlockOf(id))[SlotOf(id)];
     size_t cell = static_cast<size_t>(MixKey(key)) & mask;
     while (index_[cell] != 0) cell = (cell + 1) & mask;
     index_[cell] = id;
@@ -212,7 +211,8 @@ void PagedContextStore::IndexSlot(uint64_t key, uint32_t block,
   }
   const size_t cell = Probe(key);
   MC_CHECK(index_[cell] == 0);
-  index_[cell] = 1 + block * static_cast<uint32_t>(span_) + slot;
+  MC_CHECK(block < (uint32_t{0xffffffff} >> slot_bits_));  // id fits 32 bits
+  index_[cell] = 1 + ((block << slot_bits_) | slot);
   ++size_;
 }
 
@@ -220,8 +220,7 @@ const std::byte* PagedContextStore::Find(uint64_t key) const {
   if (index_.empty()) return nullptr;
   const uint32_t id = index_[Probe(key)];
   if (id == 0) return nullptr;
-  const size_t slot_id = id - 1;
-  return Payload(slot_id / span_, slot_id % span_);
+  return Payload(BlockOf(id), SlotOf(id));
 }
 
 std::byte* PagedContextStore::FindMutable(uint64_t key) {
@@ -258,10 +257,7 @@ void PagedContextStore::ForEach(
     const std::function<void(uint64_t, const std::byte*)>& fn) const {
   for (uint32_t id : index_) {
     if (id == 0) continue;
-    const size_t slot_id = id - 1;
-    const size_t block = slot_id / span_;
-    const size_t slot = slot_id % span_;
-    fn(KeyArray(block)[slot], Payload(block, slot));
+    fn(KeyArray(BlockOf(id))[SlotOf(id)], Payload(BlockOf(id), SlotOf(id)));
   }
 }
 
@@ -291,9 +287,8 @@ std::shared_ptr<PagedContextStore> PagedContextStore::MergeCompact(
     const PagedContextStore& layer = *layers[li];
     for (uint32_t id : layer.index_) {
       if (id == 0) continue;
-      const size_t slot_id = id - 1;
-      const uint32_t block = static_cast<uint32_t>(slot_id / layer.span_);
-      const uint32_t slot = static_cast<uint32_t>(slot_id % layer.span_);
+      const uint32_t block = static_cast<uint32_t>(layer.BlockOf(id));
+      const uint32_t slot = static_cast<uint32_t>(layer.SlotOf(id));
       merged[layer.KeyArray(block)[slot]] = Where{li, block, slot};
     }
   }

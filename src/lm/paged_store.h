@@ -69,6 +69,12 @@
 namespace multicast {
 namespace lm {
 
+/// Block spans a PagedContextStore accepts; a span below the minimum is
+/// raised to it. An index cell addresses (block, slot) in 32 bits, so
+/// the widest span still leaves 65,535 blocks per store.
+inline constexpr size_t kMinBlockSpan = 4;
+inline constexpr size_t kMaxBlockSpan = 65536;
+
 /// Paged-memory configuration, carried by lm::ModelProfile into every
 /// decode-model construction site.
 struct PagedMemoryOptions {
@@ -78,7 +84,8 @@ struct PagedMemoryOptions {
   /// stores drawn from the pool.
   bool enabled = false;
   /// Payload slots per block. Larger spans amortize allocation but
-  /// coarsen the freelist granularity. Must be >= 4.
+  /// coarsen the freelist granularity. In [kMinBlockSpan,
+  /// kMaxBlockSpan]; smaller values are raised to kMinBlockSpan.
   size_t block_span = 32;
   /// Pool-wide cap on live blocks; 0 = unbounded. Allocation beyond the
   /// cap fails (an exhaustion event) and callers degrade gracefully.
@@ -281,6 +288,12 @@ class PagedContextStore {
   std::byte* Payload(size_t block, size_t slot);
   const std::byte* Payload(size_t block, size_t slot) const;
 
+  /// Block and slot of a nonzero index cell id.
+  size_t BlockOf(uint32_t id) const { return (id - 1) >> slot_bits_; }
+  size_t SlotOf(uint32_t id) const {
+    return (id - 1) & ((size_t{1} << slot_bits_) - 1);
+  }
+
   /// Index cell holding `key`, or the empty cell where it would go.
   size_t Probe(uint64_t key) const;
   void GrowIndex(size_t min_cells);
@@ -292,6 +305,8 @@ class PagedContextStore {
   std::shared_ptr<BlockPool> pool_;
   size_t slot_bytes_;
   size_t span_;
+  /// Bits of an index cell id that hold the slot: ceil(log2(span_)).
+  int slot_bits_ = 0;
   size_t block_bytes_;
   std::vector<BlockRef> blocks_;
   /// Slots used in the *tail* block (fresh inserts append there);
@@ -299,9 +314,8 @@ class PagedContextStore {
   size_t tail_used_ = 0;
   /// True while blocks_.back() is a fresh (appendable) block.
   bool tail_open_ = false;
-  /// Open-addressed index: cell = 1 + (block << 16 | slot)... packed as
-  /// 1 + block * span + slot; 0 = empty. Sized to a power of two, grown
-  /// at 70% load.
+  /// Open-addressed index: cell = 1 + (block << slot_bits_ | slot);
+  /// 0 = empty. Sized to a power of two, grown at 70% load.
   std::vector<uint32_t> index_;
   size_t size_ = 0;
 };

@@ -25,7 +25,10 @@ Result<token::TokenId> SampleToken(const std::vector<double>& probs,
   MC_RETURN_IF_ERROR(ValidateShapes(probs, allowed));
   if (options.temperature <= 1e-6) return GreedyToken(probs, allowed);
 
-  std::vector<double> weights(probs.size(), 0.0);
+  // One weights buffer per thread, reused across tokens: decode calls
+  // this once per generated token.
+  thread_local std::vector<double> weights;
+  weights.assign(probs.size(), 0.0);
   double inv_t = 1.0 / options.temperature;
   double max_allowed = 0.0;
   for (size_t i = 0; i < probs.size(); ++i) {

@@ -143,6 +143,54 @@ TEST_F(CliTest, ForecastRejectsBadFlags) {
                    .ok());
 }
 
+// The paged-geometry flags are range-checked as int64 before they are
+// narrowed to int, so out-of-range values fail instead of wrapping.
+class CliGeometryFlagTest : public CliTest {
+ protected:
+  void ExpectRejected(const std::string& flag, const std::string& value) {
+    std::string out;
+    Result<int> code =
+        Run({"forecast", "--input", path_, "--horizon", "3", flag, value},
+            &out);
+    ASSERT_FALSE(code.ok()) << flag << " " << value;
+    EXPECT_EQ(code.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(code.status().ToString().find(flag), std::string::npos)
+        << code.status().ToString();
+  }
+};
+
+TEST_F(CliGeometryFlagTest, BlockSpanBeyondIntIsRejected) {
+  // Does not fit an int; narrowed, it would turn negative.
+  ExpectRejected("--block-span", "3000000000");
+}
+
+TEST_F(CliGeometryFlagTest, BlockSpanThatWrapsToValidIsRejected) {
+  // 2^32 + 32: narrowed, it would pass as a span of 32.
+  ExpectRejected("--block-span", "4294967328");
+}
+
+TEST_F(CliGeometryFlagTest, BlockSpanBelowMinimumIsRejected) {
+  // Below kMinBlockSpan, which the store would raise it to unasked.
+  ExpectRejected("--block-span", "2");
+}
+
+TEST_F(CliGeometryFlagTest, PoolBlocksBeyondIntIsRejected) {
+  // 2^32: narrowed, it would be 0, which means an unbounded pool.
+  ExpectRejected("--pool-blocks", "4294967296");
+}
+
+TEST_F(CliGeometryFlagTest, BoundaryValuesAreAccepted) {
+  for (const char* span : {"4", "65536"}) {
+    std::string out;
+    Result<int> code = Run({"forecast", "--input", path_, "--horizon", "3",
+                            "--samples", "1", "--block-span", span,
+                            "--pool-blocks", "2147483647"},
+                           &out);
+    ASSERT_TRUE(code.ok()) << span << ": " << code.status().ToString();
+    EXPECT_EQ(code.value(), 0);
+  }
+}
+
 TEST_F(CliTest, GenerateWritesDataset) {
   std::string out_path = testing::TempDir() + "/mc_cli_gen_" +
                          std::to_string(getpid()) + ".csv";

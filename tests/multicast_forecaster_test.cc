@@ -104,8 +104,11 @@ TEST_P(MuxVariantTest, DeterministicForSameSeed) {
 
 TEST_P(MuxVariantTest, PagedMemoryIsBitIdentical) {
   // The paged block store must never change an output: same forecast,
-  // same bands, same ledger, at serial and parallel thread counts.
+  // same bands, same ledger, at serial and parallel thread counts. The
+  // baseline keeps the plain map layers through an accounting-only pool
+  // (enabled = false); without one the forecaster would page too.
   MultiCastOptions plain;
+  plain.block_pool = std::make_shared<lm::BlockPool>(lm::PagedMemoryOptions{});
   plain.mux = GetParam();
   plain.num_samples = 4;
   plain.seed = 7;
@@ -115,11 +118,11 @@ TEST_P(MuxVariantTest, PagedMemoryIsBitIdentical) {
   ASSERT_TRUE(baseline.ok());
   for (int threads : {1, 2}) {
     MultiCastOptions paged = plain;
-    paged.paged_memory = true;
+    paged.block_pool = nullptr;
     paged.block_span = 16;
     paged.threads = threads;
     MultiCastForecaster f(paged);
-    ASSERT_NE(f.block_pool(), nullptr);
+    ASSERT_TRUE(f.block_pool()->paged());
     auto result = f.Forecast(frame, 8);
     ASSERT_TRUE(result.ok());
     for (size_t d = 0; d < 2; ++d) {

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "lm/paged_store.h"
+#include "util/random.h"
 
 namespace multicast {
 namespace lm {
@@ -188,6 +197,323 @@ TEST(NGramModelTest, MaxBaseLayersCompactsLongForkChains) {
   std::vector<double> pl = loose_model->NextDistribution();
   ASSERT_EQ(pt.size(), pl.size());
   for (size_t i = 0; i < pt.size(); ++i) EXPECT_EQ(pt[i], pl[i]);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test of the decode step against a map-based reference.
+
+// Test-only reference: interpolated Witten–Bell over one std::map keyed
+// by the context's tokens themselves, with the same floating-point
+// steps as NGramLanguageModel::NextDistribution. It has no layers, no
+// paging, no packed window and no probe record, so it checks all four.
+class ReferenceNGram {
+ public:
+  ReferenceNGram(size_t vocab, const NGramOptions& options)
+      : vocab_(vocab), options_(options) {}
+
+  void Observe(token::TokenId id) {
+    for (size_t k = 0; k <= Orders(); ++k) {
+      Counts& c = counts_[Context(k)];
+      if (c.next.empty()) c.next.assign(vocab_, 0);
+      if (c.next[static_cast<size_t>(id)] == 0) ++c.types;
+      ++c.next[static_cast<size_t>(id)];
+      ++c.total;
+    }
+    history_.push_back(id);
+  }
+
+  std::vector<double> NextDistribution() const {
+    std::vector<double> probs(vocab_, 1.0 / static_cast<double>(vocab_));
+    for (size_t k = 0; k <= Orders(); ++k) {
+      auto it = counts_.find(Context(k));
+      if (it == counts_.end() || it->second.total == 0) continue;
+      const Counts& c = it->second;
+      double lambda = static_cast<double>(c.types) + options_.backoff_boost;
+      double denom = static_cast<double>(c.total) + lambda;
+      for (size_t w = 0; w < vocab_; ++w) {
+        probs[w] = (static_cast<double>(c.next[w]) + lambda * probs[w]) / denom;
+      }
+    }
+    if (options_.uniform_mix > 0.0) {
+      double u = options_.uniform_mix / static_cast<double>(vocab_);
+      for (double& p : probs) p = (1.0 - options_.uniform_mix) * p + u;
+    }
+    double sum = 0.0;
+    for (double p : probs) sum += p;
+    for (double& p : probs) p /= sum;
+    return probs;
+  }
+
+  size_t num_entries() const {
+    size_t n = 0;
+    for (const auto& [context, c] : counts_) n += c.types;
+    return n;
+  }
+
+  uint64_t max_count() const {
+    uint64_t m = 0;
+    for (const auto& [context, c] : counts_) {
+      for (uint64_t n : c.next) m = std::max(m, n);
+    }
+    return m;
+  }
+
+  void Reset() {
+    counts_.clear();
+    history_.clear();
+  }
+
+ private:
+  struct Counts {
+    std::vector<uint64_t> next;
+    uint64_t total = 0;
+    uint64_t types = 0;
+  };
+  size_t Orders() const {
+    return std::min(history_.size(), static_cast<size_t>(options_.max_order));
+  }
+  std::vector<token::TokenId> Context(size_t k) const {
+    return std::vector<token::TokenId>(history_.end() - k, history_.end());
+  }
+
+  size_t vocab_;
+  NGramOptions options_;
+  std::vector<token::TokenId> history_;
+  std::map<std::vector<token::TokenId>, Counts> counts_;
+};
+
+struct DecodeStepCase {
+  std::string name;
+  size_t vocab = 11;
+  NGramOptions options;
+  size_t block_span = 16;
+  size_t max_blocks = 0;  // paged pool cap; 0 = unbounded
+  size_t steps = 1500;
+  // Probability that a token is 0 (the rest uniform): near 1, one
+  // context's count outgrows u16 and promotes to a wide entry.
+  double zero_bias = 0.0;
+  // Tokens follow a 13-token motif [lead, 1, ..., 11, tail(lead)] with
+  // lead in {0, 30} (10% noise): the order-12 context of the tail
+  // differs from its twin only in the oldest token, the window's top
+  // five bits.
+  bool motif = false;
+  // Probabilities of the structural steps (the rest decode or observe).
+  double fork_rate = 0.03;
+  double reset_rate = 0.002;
+};
+
+void PrintTo(const DecodeStepCase& c, std::ostream* os) { *os << c.name; }
+
+class DecodeStepTest : public testing::TestWithParam<DecodeStepCase> {};
+
+void ExpectMatchesReference(const NGramLanguageModel& model,
+                            const ReferenceNGram& reference, size_t step) {
+  const std::vector<double> got = model.NextDistribution();
+  const std::vector<double> want = reference.NextDistribution();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t w = 0; w < got.size(); ++w) {
+    ASSERT_EQ(got[w], want[w]) << "step " << step << ", token " << w;
+  }
+}
+
+// Seeded random walk over the model's calls, in both storage modes: each
+// step is a decode step (NextDistribution, whose result is checked, then
+// Observe), a run of 1-3 bare Observes with no read between them,
+// Freeze + Fork (the frozen parent kept alive and checked) or Reset,
+// each of the last two followed directly by a bare run. After every
+// step each model's distribution and num_entries() must equal the
+// reference's exactly. The check itself leaves a probe record, which
+// the next step's first Observe consumes; bare runs' later Observes and
+// every Observe right after a fork or a reset must probe afresh.
+TEST_P(DecodeStepTest, MatchesMapReferenceUnderRandomCalls) {
+  const DecodeStepCase& c = GetParam();
+  for (bool paged : {false, true}) {
+    SCOPED_TRACE(paged ? "paged" : "plain");
+    std::shared_ptr<BlockPool> pool;
+    if (paged) {
+      PagedMemoryOptions popts;
+      popts.enabled = true;
+      popts.block_span = c.block_span;
+      popts.max_blocks = c.max_blocks;
+      pool = std::make_shared<BlockPool>(popts);
+    }
+    auto model = std::make_unique<NGramLanguageModel>(c.vocab, c.options, pool);
+    ReferenceNGram reference(c.vocab, c.options);
+    std::vector<std::unique_ptr<LanguageModel>> frozen;  // kept alive
+    Rng rng(1234 + c.vocab);
+    token::TokenId lead = 0;
+    size_t motif_at = 0;
+    auto next_token = [&]() -> token::TokenId {
+      if (c.motif) {
+        const size_t at = motif_at++ % 13;
+        if (at == 0) lead = rng.NextBounded(2) == 0 ? 0 : 30;
+        if (rng.NextDouble() >= 0.1) {
+          if (at == 0) return lead;
+          if (at == 12) return lead == 0 ? 5 : 25;
+          return static_cast<token::TokenId>(at);
+        }
+      }
+      if (c.zero_bias > 0.0 && rng.NextDouble() < c.zero_bias) return 0;
+      return static_cast<token::TokenId>(
+          rng.NextBounded(static_cast<uint32_t>(c.vocab)));
+    };
+    auto observe_run = [&] {
+      const size_t run = 1 + rng.NextBounded(3);
+      for (size_t i = 0; i < run; ++i) {
+        const token::TokenId id = next_token();
+        model->Observe(id);
+        reference.Observe(id);
+      }
+    };
+    size_t forks = 0;
+    for (size_t step = 0; step < c.steps; ++step) {
+      const double u = rng.NextDouble();
+      if (u < c.reset_rate) {
+        model->Reset();
+        reference.Reset();
+        frozen.clear();
+        observe_run();
+      } else if (u < c.reset_rate + c.fork_rate) {
+        model->Freeze();
+        std::unique_ptr<LanguageModel> fork = model->Fork();
+        ExpectMatchesReference(*model, reference, step);  // frozen read
+        frozen.push_back(std::move(model));
+        if (frozen.size() > 3) frozen.erase(frozen.begin());
+        model.reset(static_cast<NGramLanguageModel*>(fork.release()));
+        observe_run();
+        ++forks;
+      } else if (u < 0.6) {
+        ExpectMatchesReference(*model, reference, step);
+        const token::TokenId id = next_token();
+        model->Observe(id);
+        reference.Observe(id);
+      } else {
+        observe_run();
+      }
+      ExpectMatchesReference(*model, reference, step);
+      ASSERT_EQ(model->num_entries(), reference.num_entries())
+          << "step " << step;
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(forks, 0u);
+    if (c.zero_bias > 0.0) {
+      EXPECT_GT(reference.max_count(), 0xffffu);  // u16 promotion happened
+    }
+    if (paged && c.max_blocks > 0) {
+      EXPECT_GT(pool->stats().exhaustion_events, 0u);
+    }
+    if (c.fork_rate > 0.1) {
+      EXPECT_LE(model->num_base_layers(), c.options.max_base_layers);
+    }
+  }
+}
+
+std::vector<DecodeStepCase> DecodeStepCases() {
+  std::vector<DecodeStepCase> cases;
+  DecodeStepCase base;
+  base.name = "Default";
+  cases.push_back(base);
+
+  DecodeStepCase wide = base;
+  wide.name = "U16Saturation";
+  wide.vocab = 3;
+  wide.options.max_order = 2;
+  wide.steps = 70000;
+  wide.zero_bias = 0.995;
+  wide.fork_rate = 0.0005;
+  wide.reset_rate = 0.0;
+  cases.push_back(wide);
+
+  DecodeStepCase capped = base;
+  capped.name = "CappedPoolSpills";
+  capped.block_span = 4;
+  capped.max_blocks = 6;
+  cases.push_back(capped);
+
+  DecodeStepCase compact = base;
+  compact.name = "CompactionPastMaxBaseLayers";
+  compact.options.max_base_layers = 2;
+  compact.steps = 600;
+  compact.fork_rate = 0.15;
+  compact.reset_rate = 0.0;
+  cases.push_back(compact);
+
+  DecodeStepCase wide_window = base;
+  wide_window.name = "Order12Vocab31";
+  wide_window.vocab = 31;
+  wide_window.options.max_order = 12;
+  wide_window.motif = true;
+  cases.push_back(wide_window);
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeded, DecodeStepTest, testing::ValuesIn(DecodeStepCases()),
+    [](const testing::TestParamInfo<DecodeStepCase>& info) {
+      return info.param.name;
+    });
+
+// A frozen model is shared by every fork and read from many threads at
+// once, so its NextDistribution must not write the probe record. Four
+// threads read one frozen model while two of its forks decode on other
+// threads; every read must see the frozen distribution, and each fork
+// must decode exactly as it does alone.
+TEST(NGramConcurrencyTest, FrozenModelReadsWhileForksDecode) {
+  for (bool paged : {false, true}) {
+    SCOPED_TRACE(paged ? "paged" : "plain");
+    std::shared_ptr<BlockPool> pool;
+    if (paged) {
+      PagedMemoryOptions popts;
+      popts.enabled = true;
+      pool = std::make_shared<BlockPool>(popts);
+    }
+    NGramLanguageModel base(11, NGramOptions{}, pool);
+    Rng rng(77);
+    for (int i = 0; i < 2000; ++i) {
+      base.Observe(static_cast<token::TokenId>(rng.NextBounded(11)));
+    }
+    base.Freeze();
+    const std::vector<double> expected = base.NextDistribution();
+
+    // One fork's decode: NextDistribution then Observe of its argmax,
+    // folded into a checksum of every distribution it saw.
+    auto decode = [&base](int steps) {
+      std::unique_ptr<LanguageModel> fork = base.Fork();
+      double checksum = 0.0;
+      std::vector<double> probs;
+      for (int i = 0; i < steps; ++i) {
+        fork->NextDistribution(&probs);
+        size_t best = 0;
+        for (size_t w = 0; w < probs.size(); ++w) {
+          checksum += probs[w] * static_cast<double>(w + 1);
+          if (probs[w] > probs[best]) best = w;
+        }
+        fork->Observe(static_cast<token::TokenId>((best + i) % probs.size()));
+      }
+      return checksum;
+    };
+    const double alone = decode(300);
+
+    std::vector<int> mismatches(4, 0);
+    std::vector<double> checksums(2, 0.0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<double> probs;
+        for (int i = 0; i < 300; ++i) {
+          base.NextDistribution(&probs);
+          if (probs != expected) ++mismatches[static_cast<size_t>(t)];
+        }
+      });
+    }
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back(
+          [&, t] { checksums[static_cast<size_t>(t)] = decode(300); });
+    }
+    for (std::thread& th : threads) th.join();
+    for (int m : mismatches) EXPECT_EQ(m, 0);
+    for (double sum : checksums) EXPECT_EQ(sum, alone);
+  }
 }
 
 }  // namespace

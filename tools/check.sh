@@ -77,6 +77,7 @@ if [[ "${run_tsan}" == "1" ]]; then
   cmake -B build-tsan -S . -DMC_SANITIZE_THREAD=ON > /dev/null
   TSAN_TESTS=(
     thread_pool_test
+    ngram_model_test
     metrics_test
     metrics_registry_test
     prefix_cache_test
