@@ -37,7 +37,7 @@ std::string MakeDigitStream(size_t values) {
   return out;
 }
 
-// The last benchmark argument picks the context store: 0 = the plain
+// The `paged` benchmark argument picks the context store: 0 = the plain
 // map layers (no pool), 1 = the paged store every pipeline decodes on.
 std::shared_ptr<lm::BlockPool> PoolFor(int64_t paged) {
   if (paged == 0) return nullptr;
@@ -171,17 +171,39 @@ void BM_LlmDecodeTokens(benchmark::State& state) {
 }
 BENCHMARK(BM_LlmDecodeTokens)->ArgName("paged")->Arg(0)->Arg(1);
 
+// MultiCast's grammar for values of b = 2 digits: two digits, then the
+// separator, the one token its position allows.
+lm::GrammarMask SeparatorMask() {
+  const token::TokenId comma =
+      token::Vocabulary::Digits().CommaId().ValueOrDie();
+  std::vector<bool> digits(11, true);
+  digits[static_cast<size_t>(comma)] = false;
+  std::vector<bool> separator(11, false);
+  separator[static_cast<size_t>(comma)] = true;
+  auto digit_pos = std::make_shared<const std::vector<bool>>(digits);
+  auto separator_pos = std::make_shared<const std::vector<bool>>(separator);
+  return lm::GrammarMask(
+      [digit_pos, separator_pos](size_t step) {
+        return step % 3 == 2 ? separator_pos : digit_pos;
+      },
+      /*period=*/3);
+}
+
 // The pipelines' decode shape: the prompt is a prefix-cache full hit, so
 // each call forks the frozen prompt state and decodes 64 tokens on the
 // fork's overlay (copy-on-first-touch from the shared frozen layers).
+// `structured` 0: a 256-value prompt, every token allowed. 1: MultiCast's
+// separator grammar over a 1,365-value (4,095-token) prompt, whose
+// frozen store does not fit in L2.
 void BM_LlmDecodeForked(benchmark::State& state) {
+  const bool structured = state.range(1) != 0;
   lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
   profile.memory_pool = PoolFor(state.range(0));
   lm::SimulatedLlm llm(profile, 11, std::make_shared<lm::PrefixCache>(4));
-  std::string prompt_text = MakeDigitStream(256) + ",";
+  std::string prompt_text = MakeDigitStream(structured ? 1365 : 256) + ",";
   auto prompt =
       token::Encode(prompt_text, token::Vocabulary::Digits()).ValueOrDie();
-  lm::GrammarMask mask = lm::AllowAll(11);
+  lm::GrammarMask mask = structured ? SeparatorMask() : lm::AllowAll(11);
   if (!llm.WarmPrefix(prompt).ok()) {
     state.SkipWithError("warming the prefix cache failed");
     return;
@@ -193,7 +215,9 @@ void BM_LlmDecodeForked(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_LlmDecodeForked)->ArgName("paged")->Arg(0)->Arg(1);
+BENCHMARK(BM_LlmDecodeForked)
+    ->ArgNames({"paged", "structured"})
+    ->ArgsProduct({{0, 1}, {0, 1}});
 
 void BM_MultiCastForecast(benchmark::State& state) {
   ts::Frame frame = data::MakeGasRate().ValueOrDie();

@@ -24,7 +24,10 @@ BatchLlm::BatchLlm(const lm::ModelProfile& profile, size_t vocab_size,
 Result<lm::GenerationResult> BatchLlm::Complete(
     const std::vector<token::TokenId>& prompt, size_t num_tokens,
     const lm::GrammarMask& mask, Rng* rng, const lm::CallOptions& call) {
-  MC_RETURN_IF_ERROR(lm::ValidatePromptTokens(prompt, vocab_size_));
+  MC_ASSIGN_OR_RETURN(lm::DecodeSession session,
+                      lm::OpenDecodeSession(profile_, vocab_size_,
+                                            fingerprint_, cache_.get(), prompt,
+                                            num_tokens, mask));
 
   lm::GenerationResult result;
   // Logical prompt size, cached or not — same ledger contract as
@@ -32,23 +35,10 @@ Result<lm::GenerationResult> BatchLlm::Complete(
   result.ledger.prompt_tokens = prompt.size();
   if (num_tokens == 0) return result;
 
-  MC_ASSIGN_OR_RETURN(std::vector<lm::GrammarMask::Shared> cycle,
-                      lm::HoistGrammarCycle(mask, num_tokens, vocab_size_));
-
-  std::unique_ptr<lm::LanguageModel> session;
-  if (cache_ != nullptr) {
-    session = cache_->AcquireSession(fingerprint_, prompt, [this] {
-      return lm::NewDecoderModel(profile_, vocab_size_);
-    });
-  } else {
-    session = lm::NewDecoderModel(profile_, vocab_size_);
-    for (token::TokenId id : prompt) session->Observe(id);
-  }
-
   DecodeJobSpec spec;
-  spec.session = std::move(session);
+  spec.session = std::move(session.model);
   spec.num_tokens = num_tokens;
-  spec.masks = std::move(cycle);
+  spec.masks = std::move(session.cycle);
   spec.sampler = profile_.sampler;
   spec.rng = rng;
   spec.deadline_seconds = call.context.deadline.at_seconds;

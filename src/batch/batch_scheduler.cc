@@ -4,6 +4,7 @@
 #include <thread>
 #include <utility>
 
+#include "lm/generator.h"
 #include "util/strings.h"
 
 namespace multicast {
@@ -160,6 +161,8 @@ BatchTicket BatchScheduler::Submit(DecodeJobSpec spec) {
       // plain one-token path (same output, no speculation).
       job.rewind = std::make_unique<lm::RewindableSession>(
           std::move(job.spec.session));
+    } else {
+      job.forced = lm::ForcedTokens(job.spec.masks);
     }
     waiting_.push(WaitKey{job.spec.deadline_seconds, id});
   }
@@ -257,12 +260,10 @@ bool BatchScheduler::StepLocked() {
       DecodeSpeculativeLocked(job, slot, step_index);
       continue;
     }
-    job.spec.session->NextDistribution(&probs_);
-    const size_t pos = job.tokens.size();
-    const lm::GrammarMask::Shared& allowed =
-        job.spec.masks[pos % job.spec.masks.size()];
-    Result<token::TokenId> next =
-        lm::SampleToken(probs_, *allowed, job.spec.sampler, job.spec.rng);
+    const size_t pos = job.tokens.size() % job.spec.masks.size();
+    Result<token::TokenId> next = lm::SampleNextToken(
+        *job.spec.session, *job.spec.masks[pos], job.forced[pos],
+        job.spec.sampler, job.spec.rng, &probs_);
     if (!next.ok()) {
       FinishLocked(&job, next.status());
       slot = 0;

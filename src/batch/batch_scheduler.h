@@ -258,6 +258,9 @@ class BatchScheduler {
     /// the job decodes speculatively (set at Submit()).
     std::unique_ptr<lm::RewindableSession> rewind;
     SpecStats spec_stats;
+    /// lm::ForcedTokens(spec.masks), for the plain one-token step (set at
+    /// Submit()).
+    std::vector<token::TokenId> forced;
   };
 
   /// EDF ordering consistent with serve::AdmissionQueue: earliest

@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "lm/sampler.h"
 #include "util/strings.h"
 
 namespace multicast {
@@ -49,6 +50,40 @@ Result<std::vector<GrammarMask::Shared>> HoistGrammarCycle(
   return cycle;
 }
 
+std::vector<token::TokenId> ForcedTokens(
+    const std::vector<GrammarMask::Shared>& cycle) {
+  std::vector<token::TokenId> forced;
+  forced.reserve(cycle.size());
+  for (const GrammarMask::Shared& allowed : cycle) {
+    forced.push_back(ForcedToken(*allowed));
+  }
+  return forced;
+}
+
+Result<DecodeSession> OpenDecodeSession(
+    const ModelProfile& profile, size_t vocab_size, uint64_t fingerprint,
+    PrefixCache* cache, const std::vector<token::TokenId>& prompt,
+    size_t num_tokens, const GrammarMask& mask) {
+  MC_RETURN_IF_ERROR(ValidatePromptTokens(prompt, vocab_size));
+  DecodeSession session;
+  // Hoist the grammar: a periodic mask is evaluated once per cycle
+  // position up front instead of once per generated token; an aperiodic
+  // mask is evaluated for every position it will be consulted at. The
+  // masks are pure, so eager evaluation is observably identical.
+  MC_ASSIGN_OR_RETURN(session.cycle,
+                      HoistGrammarCycle(mask, num_tokens, vocab_size));
+  if (cache != nullptr) {
+    session.model = cache->AcquireSession(fingerprint, prompt, [&] {
+      return NewDecoderModel(profile, vocab_size);
+    });
+  } else {
+    session.model = NewDecoderModel(profile, vocab_size);
+    for (token::TokenId id : prompt) session.model->Observe(id);
+  }
+  session.model->ReserveDecode(num_tokens);
+  return session;
+}
+
 SimulatedLlm::SimulatedLlm(const ModelProfile& profile, size_t vocab_size,
                            std::shared_ptr<PrefixCache> prefix_cache)
     : profile_(profile),
@@ -56,19 +91,11 @@ SimulatedLlm::SimulatedLlm(const ModelProfile& profile, size_t vocab_size,
       cache_(std::move(prefix_cache)),
       fingerprint_(ModelFingerprint(profile_, vocab_size_)) {}
 
-std::unique_ptr<LanguageModel> SimulatedLlm::NewModel() const {
-  return NewDecoderModel(profile_, vocab_size_);
-}
-
-Status SimulatedLlm::ValidatePrompt(
-    const std::vector<token::TokenId>& prompt) const {
-  return ValidatePromptTokens(prompt, vocab_size_);
-}
-
 Status SimulatedLlm::WarmPrefix(const std::vector<token::TokenId>& prompt) {
   if (cache_ == nullptr) return Status::OK();
-  MC_RETURN_IF_ERROR(ValidatePrompt(prompt));
-  cache_->Warm(fingerprint_, prompt, [this] { return NewModel(); });
+  MC_RETURN_IF_ERROR(ValidatePromptTokens(prompt, vocab_size_));
+  cache_->Warm(fingerprint_, prompt,
+               [this] { return NewDecoderModel(profile_, vocab_size_); });
   return Status::OK();
 }
 
@@ -76,16 +103,12 @@ Result<GenerationResult> SimulatedLlm::Complete(
     const std::vector<token::TokenId>& prompt, size_t num_tokens,
     const GrammarMask& mask, Rng* rng, const CallOptions& call) {
   (void)call;  // the clean simulated decoder never misses a deadline
-  MC_RETURN_IF_ERROR(ValidatePrompt(prompt));
-
-  std::unique_ptr<LanguageModel> model;
-  if (cache_ != nullptr) {
-    model = cache_->AcquireSession(fingerprint_, prompt,
-                                   [this] { return NewModel(); });
-  } else {
-    model = NewModel();
-    for (token::TokenId id : prompt) model->Observe(id);
-  }
+  MC_ASSIGN_OR_RETURN(DecodeSession session,
+                      OpenDecodeSession(profile_, vocab_size_, fingerprint_,
+                                        cache_.get(), prompt, num_tokens,
+                                        mask));
+  LanguageModel& model = *session.model;
+  const std::vector<token::TokenId> forced = ForcedTokens(session.cycle);
 
   GenerationResult result;
   // The logical prompt size, cached or not: the ledger counts what the
@@ -94,22 +117,15 @@ Result<GenerationResult> SimulatedLlm::Complete(
   result.ledger.prompt_tokens = prompt.size();
   result.tokens.reserve(num_tokens);
 
-  // Hoist the grammar: a periodic mask is evaluated once per cycle
-  // position up front instead of once per generated token; an aperiodic
-  // mask is evaluated for every position it will be consulted at. The
-  // masks are pure, so eager evaluation is observably identical.
-  MC_ASSIGN_OR_RETURN(std::vector<GrammarMask::Shared> cycle,
-                      HoistGrammarCycle(mask, num_tokens, vocab_size_));
-
   std::vector<double> probs;
   for (size_t step = 0; step < num_tokens; ++step) {
-    const GrammarMask::Shared& allowed = cycle[step % cycle.size()];
-    model->NextDistribution(&probs);
+    const size_t pos = step % session.cycle.size();
     MC_ASSIGN_OR_RETURN(token::TokenId next,
-                        SampleToken(probs, *allowed, profile_.sampler, rng));
+                        SampleNextToken(model, *session.cycle[pos], forced[pos],
+                                        profile_.sampler, rng, &probs));
     result.tokens.push_back(next);
     // Sampled tokens become context, exactly as in KV-cached decoding.
-    model->Observe(next);
+    model.Observe(next);
     ++result.ledger.generated_tokens;
   }
   return result;

@@ -32,6 +32,30 @@ Status ValidatePromptTokens(const std::vector<token::TokenId>& prompt,
 Result<std::vector<GrammarMask::Shared>> HoistGrammarCycle(
     const GrammarMask& mask, size_t num_tokens, size_t vocab_size);
 
+/// ForcedToken (lm/sampler.h) of every position of a hoisted cycle.
+std::vector<token::TokenId> ForcedTokens(
+    const std::vector<GrammarMask::Shared>& cycle);
+
+/// A decode session opened for a generation of known length.
+struct DecodeSession {
+  /// Conditioned on the whole prompt and sized for the generation.
+  std::unique_ptr<LanguageModel> model;
+  /// The hoisted grammar (HoistGrammarCycle).
+  std::vector<GrammarMask::Shared> cycle;
+};
+
+/// Opens the session a `num_tokens`-token generation decodes on, as
+/// every plain decode front-end does: validates the prompt, hoists the
+/// grammar, takes the session from `cache` (a fork of its state for the
+/// prompt) or, when `cache` is null, feeds the prompt to a fresh
+/// `profile` model, and tells the session how many tokens it will
+/// generate (LanguageModel::ReserveDecode). `fingerprint` is
+/// ModelFingerprint(profile, vocab_size).
+Result<DecodeSession> OpenDecodeSession(
+    const ModelProfile& profile, size_t vocab_size, uint64_t fingerprint,
+    PrefixCache* cache, const std::vector<token::TokenId>& prompt,
+    size_t num_tokens, const GrammarMask& mask);
+
 /// One simulated LLM back-end: a profile plus the decoding loop.
 ///
 /// Each Complete() call behaves like one stateless API call to a hosted
@@ -75,10 +99,6 @@ class SimulatedLlm final : public LlmBackend {
   const std::shared_ptr<PrefixCache>& prefix_cache() const { return cache_; }
 
  private:
-  /// Empty decode model for this profile.
-  std::unique_ptr<LanguageModel> NewModel() const;
-  Status ValidatePrompt(const std::vector<token::TokenId>& prompt) const;
-
   ModelProfile profile_;
   size_t vocab_size_;
   std::shared_ptr<PrefixCache> cache_;

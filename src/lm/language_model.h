@@ -71,6 +71,13 @@ class LanguageModel {
     *out = NextDistribution();
   }
 
+  /// Tells a mutable session, once, as it opens for generation, that it
+  /// will sample and observe `num_tokens` more tokens, so that it can
+  /// size its private state for them up front instead of growing it
+  /// step by step. A sizing hint only: output never depends on it, and
+  /// a session that outgrows the hint still grows. Default: no-op.
+  virtual void ReserveDecode(size_t num_tokens) { (void)num_tokens; }
+
   virtual size_t vocab_size() const = 0;
 
   /// Number of tokens observed since the last Reset().

@@ -142,10 +142,11 @@ const NGramLanguageModel::ContextCounts* NGramLanguageModel::FindFrozen(
 }
 
 NGramLanguageModel::CountsRef NGramLanguageModel::LookupFrozenPaged(
-    uint64_t key) const {
+    uint64_t key, uint64_t hash) const {
   for (auto it = paged_base_.rbegin(); it != paged_base_.rend(); ++it) {
     if (it->store != nullptr) {
-      if (const std::byte* p = it->store->Find(key)) {
+      PagedContextStore::Hole unused;
+      if (const std::byte* p = it->store->Find(key, hash, &unused)) {
         if (!(LoadU16(p, kFlagsOffset) & kWideFlag)) return NarrowRef(p);
         auto found = it->overflow->find(key);
         MC_CHECK(found != it->overflow->end());
@@ -160,14 +161,14 @@ NGramLanguageModel::CountsRef NGramLanguageModel::LookupFrozenPaged(
   return CountsRef{};
 }
 
-NGramLanguageModel::Resolved NGramLanguageModel::Resolve(size_t order,
-                                                         uint64_t key) const {
+NGramLanguageModel::Resolved NGramLanguageModel::Resolve(
+    size_t order, uint64_t key, uint64_t hash) const {
   // The overlay is this session's private state (const here only
   // because NextDistribution is), so handing out writable pointers to
   // it is sound; frozen models have an empty overlay.
   Resolved r;
   if (paged_) {
-    if (const std::byte* p = paged_local_->Find(key)) {
+    if (const std::byte* p = paged_local_->Find(key, hash, &r.hole)) {
       if (!(LoadU16(p, kFlagsOffset) & kWideFlag)) {
         r.slot = const_cast<std::byte*>(p);
         return r;
@@ -185,7 +186,7 @@ NGramLanguageModel::Resolved NGramLanguageModel::Resolve(size_t order,
         return r;
       }
     }
-    r.under = LookupFrozenPaged(key);
+    r.under = LookupFrozenPaged(key, hash);
     return r;
   }
   const Table& table = local_.counts[order];
@@ -243,7 +244,7 @@ void NGramLanguageModel::BumpPaged(uint64_t key, const Resolved& r,
       cc.next.assign(under.wide, under.wide + vocab_size_);
       cc.total = under.total;
       cc.types = under.types;
-      if (std::byte* slot = paged_local_->Insert(key)) {
+      if (std::byte* slot = paged_local_->Insert(key, r.hole)) {
         StoreU16(slot, kFlagsOffset, kWideFlag);
       }
       // (On pool exhaustion the entry lives in the overflow map alone —
@@ -251,7 +252,7 @@ void NGramLanguageModel::BumpPaged(uint64_t key, const Resolved& r,
       bump_wide(cc);
       return;
     }
-    p = paged_local_->Insert(key);
+    p = paged_local_->Insert(key, r.hole);
     if (p == nullptr) {
       // Pool exhausted: spill to the plain overflow map. Same integers,
       // same output — the pool has already counted the event and the
@@ -295,16 +296,17 @@ void NGramLanguageModel::Observe(token::TokenId id) {
   // Record `id` as the continuation of every context order that is fully
   // available in the window (order 0 = unigram always is). Keys of
   // different orders differ, so bumping one order never moves where
-  // another resolved, and the recorded probes stay valid throughout.
+  // another resolved, and the recorded probes stay valid throughout
+  // (an insert through a hole steps past cells filled since).
+  if (!probes_valid_) ResolveAll(probes_.data());
   const int max_ctx = ContextOrders();
   for (int order = 0; order <= max_ctx; ++order) {
     const size_t o = static_cast<size_t>(order);
     const uint64_t key = ContextKey(order);
-    const Resolved r = probes_valid_ ? probes_[o] : Resolve(o, key);
     if (paged_) {
-      BumpPaged(key, r, id);
+      BumpPaged(key, probes_[o], id);
     } else {
-      BumpPlain(o, key, r, id);
+      BumpPlain(o, key, probes_[o], id);
     }
   }
   probes_valid_ = false;
@@ -318,23 +320,42 @@ void NGramLanguageModel::ObserveAll(const std::vector<token::TokenId>& ids) {
   for (token::TokenId id : ids) Observe(id);
 }
 
-void NGramLanguageModel::NextDistribution(std::vector<double>* out) const {
+void NGramLanguageModel::ResolveAll(Resolved* resolved) const {
+  const int max_ctx = ContextOrders();
+  std::array<uint64_t, kMaxOrder + 1> keys;
+  std::array<uint64_t, kMaxOrder + 1> hashes{};
+  for (int order = 0; order <= max_ctx; ++order) {
+    keys[static_cast<size_t>(order)] = ContextKey(order);
+  }
+  if (paged_) {
+    // Every order's first cache miss at once: its index cell in the
+    // overlay and in each frozen store.
+    for (int order = 0; order <= max_ctx; ++order) {
+      const size_t o = static_cast<size_t>(order);
+      hashes[o] = PagedContextStore::HashKey(keys[o]);
+      paged_local_->Prefetch(hashes[o]);
+      for (const PagedLayer& layer : paged_base_) {
+        if (layer.store != nullptr) layer.store->Prefetch(hashes[o]);
+      }
+    }
+  }
+  for (int order = 0; order <= max_ctx; ++order) {
+    const size_t o = static_cast<size_t>(order);
+    resolved[o] = Resolve(o, keys[o], hashes[o]);
+  }
+}
+
+void NGramLanguageModel::Blend(const Resolved* resolved,
+                               std::vector<double>* out) const {
   // Interpolated Witten–Bell, built bottom-up: start from uniform, then
   // for each order k with counts, blend
   //   P_k(w) = (c(h_k, w) + (T(h_k) + boost) * P_{k-1}(w))
   //            / (c(h_k) + T(h_k) + boost).
-  //
-  // A mutable session records where each order resolved, so the
-  // Observe that follows writes through without probing again.
   std::vector<double>& probs = *out;
   probs.assign(vocab_size_, 1.0 / static_cast<double>(vocab_size_));
-  const bool record = !frozen_;
   const int max_ctx = ContextOrders();
   for (int order = 0; order <= max_ctx; ++order) {
-    const size_t o = static_cast<size_t>(order);
-    const Resolved r = Resolve(o, ContextKey(order));
-    if (record) probes_[o] = r;
-    const CountsRef ref = View(r);
+    const CountsRef ref = View(resolved[static_cast<size_t>(order)]);
     if (!ref.found || ref.total == 0) continue;
     double lambda = static_cast<double>(ref.types) + options_.backoff_boost;
     double denom = static_cast<double>(ref.total) + lambda;
@@ -342,7 +363,6 @@ void NGramLanguageModel::NextDistribution(std::vector<double>* out) const {
       probs[w] = (ref.Count(w) + lambda * probs[w]) / denom;
     }
   }
-  if (record) probes_valid_ = true;
 
   if (options_.uniform_mix > 0.0) {
     double u = options_.uniform_mix / static_cast<double>(vocab_size_);
@@ -355,6 +375,35 @@ void NGramLanguageModel::NextDistribution(std::vector<double>* out) const {
   double sum = 0.0;
   for (double p : probs) sum += p;
   for (double& p : probs) p /= sum;
+}
+
+void NGramLanguageModel::NextDistribution(std::vector<double>* out) const {
+  if (frozen_) {
+    // Frozen models are read by many threads at once: no probe record.
+    std::array<Resolved, kMaxOrder + 1> resolved;
+    ResolveAll(resolved.data());
+    Blend(resolved.data(), out);
+    return;
+  }
+  // A mutable session records where each order resolved, so the
+  // Observe that follows writes through without probing again.
+  ResolveAll(probes_.data());
+  probes_valid_ = true;
+  Blend(probes_.data(), out);
+}
+
+void NGramLanguageModel::ReserveDecode(size_t num_tokens) {
+  if (!paged_ || frozen_ || num_tokens == 0) return;
+  // The most overlay keys `num_tokens` observes can add: one order-0
+  // key, and per order k >= 1 one key per token, but no more than the
+  // vocab_size^k distinct order-k contexts.
+  size_t new_keys = 1;
+  size_t contexts = 1;
+  for (int order = 1; order <= options_.max_order; ++order) {
+    contexts = std::min(contexts * vocab_size_, num_tokens);
+    new_keys += contexts;
+  }
+  paged_local_->Reserve(paged_local_->size() + new_keys);
 }
 
 std::vector<double> NGramLanguageModel::NextDistribution() const {

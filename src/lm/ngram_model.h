@@ -31,11 +31,15 @@
 //     integers the plain mode holds, so output is bit-identical.
 //
 // One decode step (NextDistribution, sample, Observe) costs one probe
-// per context order in either mode: the conditioning window is one
-// packed 64-bit word, so each order's key is a shift and a mask, and
-// NextDistribution on a mutable session records where every order's
+// per context order and layer in either mode: the conditioning window
+// is one packed 64-bit word, so each order's key is a shift and a mask,
+// and NextDistribution on a mutable session records where every order's
 // key resolved (overlay slot or node, or overlay miss plus the frozen
-// entry) for the Observe that directly follows to write through.
+// entry) for the Observe that directly follows to write through. A
+// paged overlay miss also records the empty index cell it stopped at,
+// so the insert that follows resumes there instead of probing again;
+// ReserveDecode sizes the overlay index for a whole generation when the
+// session opens, so that the index does not grow (and rehash) mid-draw.
 
 #ifndef MULTICAST_LM_NGRAM_MODEL_H_
 #define MULTICAST_LM_NGRAM_MODEL_H_
@@ -86,6 +90,7 @@ class NGramLanguageModel final : public LanguageModel {
   void Observe(token::TokenId id) override;
   std::vector<double> NextDistribution() const override;
   void NextDistribution(std::vector<double>* out) const override;
+  void ReserveDecode(size_t num_tokens) override;
   size_t vocab_size() const override { return vocab_size_; }
   size_t context_length() const override { return observed_; }
 
@@ -166,11 +171,13 @@ class NGramLanguageModel final : public LanguageModel {
   // Where one context key resolved: in this session's overlay (a narrow
   // paged slot, or a node — a plain-table entry or a wide paged
   // overflow entry), else an overlay miss plus the frozen view (`under`,
-  // not found when no frozen layer holds the key either).
+  // not found when no frozen layer holds the key either). A paged
+  // overlay miss also records where the key's insert goes (`hole`).
   struct Resolved {
     std::byte* slot = nullptr;
     ContextCounts* node = nullptr;
     CountsRef under;
+    PagedContextStore::Hole hole;
   };
 
   static CountsRef WideRef(const ContextCounts& cc);
@@ -185,12 +192,18 @@ class NGramLanguageModel final : public LanguageModel {
   // collide.
   uint64_t ContextKey(int order) const;
 
-  // One overlay-then-frozen lookup of `key`. The overlay belongs to this
-  // mutable session, so the handles it returns are writable.
-  Resolved Resolve(size_t order, uint64_t key) const;
+  // One overlay-then-frozen lookup of `key`, whose paged index hash is
+  // `hash`. The overlay belongs to this mutable session, so the handles
+  // it returns are writable.
+  Resolved Resolve(size_t order, uint64_t key, uint64_t hash) const;
+  // Resolves every context order into `resolved[0 .. ContextOrders()]`,
+  // each order's index cells prefetched before any is probed.
+  void ResolveAll(Resolved* resolved) const;
+  // The interpolated distribution over the resolved orders.
+  void Blend(const Resolved* resolved, std::vector<double>* out) const;
   // Topmost frozen-layer entry for a key, or null (plain mode).
   const ContextCounts* FindFrozen(size_t order, uint64_t key) const;
-  CountsRef LookupFrozenPaged(uint64_t key) const;
+  CountsRef LookupFrozenPaged(uint64_t key, uint64_t hash) const;
   // Counts `id` after the context `key`, which resolved to `r`;
   // an overlay miss is copied from `r.under` first.
   void BumpPlain(size_t order, uint64_t key, const Resolved& r,
@@ -216,10 +229,10 @@ class NGramLanguageModel final : public LanguageModel {
   std::unique_ptr<PagedContextStore> paged_local_;
   Table overflow_local_;
   bool frozen_ = false;
-  // Where NextDistribution resolved each order's key, for the Observe
-  // that directly follows. Written only by mutable sessions (frozen
-  // models are read by many threads at once); every other mutating
-  // call clears it.
+  // Where each order's key resolved: recorded by NextDistribution for
+  // the Observe that directly follows (which otherwise resolves into it
+  // itself). Written only by mutable sessions (frozen models are read
+  // by many threads at once); every mutating call clears the record.
   mutable std::array<Resolved, kMaxOrder + 1> probes_;
   mutable bool probes_valid_ = false;
 };

@@ -150,7 +150,7 @@ PagedContextStore::PagedContextStore(std::shared_ptr<BlockPool> pool,
   block_bytes_ = sizeof(uint64_t) * span_ + slot_bytes_ * span_;
 }
 
-uint64_t PagedContextStore::MixKey(uint64_t key) {
+uint64_t PagedContextStore::HashKey(uint64_t key) {
   // splitmix64 finalizer: the packed context keys are highly regular in
   // their low bits, and the index mask needs avalanche.
   uint64_t z = key + 0x9e3779b97f4a7c15ULL;
@@ -177,9 +177,9 @@ const std::byte* PagedContextStore::Payload(size_t block, size_t slot) const {
          slot_bytes_ * slot;
 }
 
-size_t PagedContextStore::Probe(uint64_t key) const {
+size_t PagedContextStore::Probe(uint64_t key, uint64_t hash) const {
   const size_t mask = index_.size() - 1;
-  size_t cell = static_cast<size_t>(MixKey(key)) & mask;
+  size_t cell = static_cast<size_t>(hash) & mask;
   while (true) {
     const uint32_t id = index_[cell];
     if (id == 0) return cell;
@@ -197,19 +197,36 @@ void PagedContextStore::GrowIndex(size_t min_cells) {
   for (uint32_t id : old) {
     if (id == 0) continue;
     const uint64_t key = KeyArray(BlockOf(id))[SlotOf(id)];
-    size_t cell = static_cast<size_t>(MixKey(key)) & mask;
+    size_t cell = static_cast<size_t>(HashKey(key)) & mask;
     while (index_[cell] != 0) cell = (cell + 1) & mask;
     index_[cell] = id;
   }
 }
 
+void PagedContextStore::Reserve(size_t entries) {
+  // The load rule of IndexSlot, applied to the last of `entries` keys.
+  size_t cells = std::max(kMinIndexCells, index_.size());
+  while (entries * 10 >= cells * 7) cells <<= 1;
+  if (cells != index_.size()) GrowIndex(cells);
+}
+
 void PagedContextStore::IndexSlot(uint64_t key, uint32_t block,
-                                  uint32_t slot) {
+                                  uint32_t slot, const Hole& hole) {
   // Keep load below 70%.
   if (index_.empty() || (size_ + 1) * 10 >= index_.size() * 7) {
     GrowIndex(index_.empty() ? kMinIndexCells : index_.size() * 2);
   }
-  const size_t cell = Probe(key);
+  size_t cell;
+  if (hole.cells == index_.size()) {
+    // The cells between the key's home and the hole were all taken when
+    // the hole was recorded, and cells are never emptied, so the first
+    // empty cell from the hole onward is the one Probe would find.
+    const size_t mask = index_.size() - 1;
+    cell = hole.cell;
+    while (index_[cell] != 0) cell = (cell + 1) & mask;
+  } else {
+    cell = Probe(key, HashKey(key));
+  }
   MC_CHECK(index_[cell] == 0);
   MC_CHECK(block < (uint32_t{0xffffffff} >> slot_bits_));  // id fits 32 bits
   index_[cell] = 1 + ((block << slot_bits_) | slot);
@@ -217,10 +234,27 @@ void PagedContextStore::IndexSlot(uint64_t key, uint32_t block,
 }
 
 const std::byte* PagedContextStore::Find(uint64_t key) const {
+  Hole unused;
+  return Find(key, HashKey(key), &unused);
+}
+
+const std::byte* PagedContextStore::Find(uint64_t key, uint64_t hash,
+                                         Hole* hole) const {
+  hole->cells = index_.size();
   if (index_.empty()) return nullptr;
-  const uint32_t id = index_[Probe(key)];
-  if (id == 0) return nullptr;
+  const size_t cell = Probe(key, hash);
+  const uint32_t id = index_[cell];
+  if (id == 0) {
+    hole->cell = cell;
+    return nullptr;
+  }
   return Payload(BlockOf(id), SlotOf(id));
+}
+
+void PagedContextStore::Prefetch(uint64_t hash) const {
+  if (index_.empty()) return;
+  const size_t mask = index_.size() - 1;
+  __builtin_prefetch(&index_[static_cast<size_t>(hash) & mask]);
 }
 
 std::byte* PagedContextStore::FindMutable(uint64_t key) {
@@ -229,6 +263,10 @@ std::byte* PagedContextStore::FindMutable(uint64_t key) {
 }
 
 std::byte* PagedContextStore::Insert(uint64_t key) {
+  return Insert(key, Hole{});
+}
+
+std::byte* PagedContextStore::Insert(uint64_t key, const Hole& hole) {
   if (!tail_open_ || tail_used_ == span_) {
     BlockRef block = pool_->Allocate(block_bytes_);
     if (block == nullptr) return nullptr;  // exhaustion: caller spills
@@ -240,7 +278,7 @@ std::byte* PagedContextStore::Insert(uint64_t key) {
   const uint32_t slot = static_cast<uint32_t>(tail_used_++);
   KeyArray(block)[slot] = key;
   std::memset(Payload(block, slot), 0, slot_bytes_);
-  IndexSlot(key, block, slot);
+  IndexSlot(key, block, slot, hole);
   return Payload(block, slot);
 }
 
@@ -327,7 +365,7 @@ std::shared_ptr<PagedContextStore> PagedContextStore::MergeCompact(
       const uint32_t nb = out->AdoptBlock(layer.blocks_[b]);
       for (uint32_t s : live_slots) {
         const uint64_t key = layer.KeyArray(b)[s];
-        out->IndexSlot(key, nb, s);
+        out->IndexSlot(key, nb, s, Hole{});
         handled[key] = 1;
       }
     }

@@ -242,15 +242,43 @@ class PagedContextStore {
   PagedContextStore(const PagedContextStore&) = delete;
   PagedContextStore& operator=(const PagedContextStore&) = delete;
 
+  /// Where a lookup of an absent key stopped: the empty index cell the
+  /// key would be inserted into, and the index's cell count at that
+  /// moment (an index that has grown since no longer holds the cell).
+  struct Hole {
+    size_t cell = 0;
+    size_t cells = 0;
+  };
+
   /// Payload slot for `key`, or null. The mutable overload is only
   /// valid on a store that is still being built (not frozen/shared).
   const std::byte* Find(uint64_t key) const;
   std::byte* FindMutable(uint64_t key);
+  /// The index hash of `key`. It is the same in every store, so a
+  /// lookup of one key in several stores computes it once.
+  static uint64_t HashKey(uint64_t key);
+  /// Find of a key whose HashKey is `hash`; on a miss it records in
+  /// `*hole` where the key would go.
+  const std::byte* Find(uint64_t key, uint64_t hash, Hole* hole) const;
+
+  /// Issues a prefetch of the index cell of a key whose HashKey is
+  /// `hash`, so that finds of several keys overlap their first misses.
+  void Prefetch(uint64_t hash) const;
 
   /// Appends a zero-initialized slot for `key` (which must be absent)
   /// and returns its payload. Null when the pool refused the block the
   /// slot needs — the exhaustion spill path; nothing was inserted.
   std::byte* Insert(uint64_t key);
+  /// Insert of a key that Find(key, hash, &hole) reported absent, with no
+  /// insert of that key since. The index search resumes at the recorded
+  /// cell, stepping past cells that other inserts filled since, and
+  /// starts over from the key's home cell only if the index has grown.
+  /// The key lands in the same cell Insert(key) would put it in.
+  std::byte* Insert(uint64_t key, const Hole& hole);
+
+  /// Grows the index, once, so that `entries` keys in total fit without
+  /// a further growth. Never shrinks it.
+  void Reserve(size_t entries);
 
   size_t size() const { return size_; }
   size_t slot_bytes() const { return slot_bytes_; }
@@ -281,8 +309,6 @@ class PagedContextStore {
       const std::shared_ptr<BlockPool>& pool);
 
  private:
-  static uint64_t MixKey(uint64_t key);
-
   uint64_t* KeyArray(size_t block);
   const uint64_t* KeyArray(size_t block) const;
   std::byte* Payload(size_t block, size_t slot);
@@ -294,11 +320,14 @@ class PagedContextStore {
     return (id - 1) & ((size_t{1} << slot_bits_) - 1);
   }
 
-  /// Index cell holding `key`, or the empty cell where it would go.
-  size_t Probe(uint64_t key) const;
+  /// Index cell holding `key` (hashing to `hash`), or the empty cell
+  /// where it would go.
+  size_t Probe(uint64_t key, uint64_t hash) const;
   void GrowIndex(size_t min_cells);
   /// Indexes an existing (block, slot) pair; grows the index as needed.
-  void IndexSlot(uint64_t key, uint32_t block, uint32_t slot);
+  /// `hole` is as in Insert(key, hole); a default Hole means "probe".
+  void IndexSlot(uint64_t key, uint32_t block, uint32_t slot,
+                 const Hole& hole);
   /// Adopts `block` (shared, no copy); returns its index in blocks_.
   uint32_t AdoptBlock(BlockRef block);
 

@@ -116,5 +116,30 @@ Result<token::TokenId> GreedyToken(const std::vector<double>& probs,
   return static_cast<token::TokenId>(best);
 }
 
+token::TokenId ForcedToken(const std::vector<bool>& allowed) {
+  token::TokenId forced = kNotForced;
+  for (size_t i = 0; i < allowed.size(); ++i) {
+    if (!allowed[i]) continue;
+    if (forced != kNotForced) return kNotForced;
+    forced = static_cast<token::TokenId>(i);
+  }
+  return forced;
+}
+
+Result<token::TokenId> SampleNextToken(const LanguageModel& model,
+                                       const std::vector<bool>& allowed,
+                                       token::TokenId forced,
+                                       const SamplerOptions& options,
+                                       Rng* rng, std::vector<double>* probs) {
+  if (forced != kNotForced) {
+    // SampleToken's draw over weights with one nonzero entry: a single
+    // NextDouble that always lands on it. (Its greedy test, negated.)
+    if (!(options.temperature <= 1e-6)) rng->NextDouble();
+    return forced;
+  }
+  model.NextDistribution(probs);
+  return SampleToken(*probs, allowed, options, rng);
+}
+
 }  // namespace lm
 }  // namespace multicast

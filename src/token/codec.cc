@@ -13,8 +13,14 @@ Result<std::string> FixedWidthDigits(int64_t v, int digits) {
   if (digits < 1 || digits > 18) {
     return Status::InvalidArgument(StrFormat("bad digit width %d", digits));
   }
-  std::string s = StrFormat("%0*lld", digits, static_cast<long long>(v));
-  if (static_cast<int>(s.size()) != digits) {
+  // Right to left: digits of v, then the zero padding already in place.
+  std::string s(static_cast<size_t>(digits), '0');
+  int64_t rest = v;
+  for (size_t i = s.size(); i > 0 && rest > 0; --i) {
+    s[i - 1] = static_cast<char>('0' + rest % 10);
+    rest /= 10;
+  }
+  if (rest > 0) {
     return Status::OutOfRange(
         StrFormat("value %lld does not fit in %d digits",
                   static_cast<long long>(v), digits));

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "lm/generator.h"
 #include "lm/mixture_model.h"
@@ -21,6 +22,10 @@ struct BackendCase {
   std::function<std::unique_ptr<LanguageModel>(size_t vocab)> make;
   ModelProfile profile;  // for end-to-end generation checks
 };
+
+// gtest would print the case as raw bytes, pointers included, into each
+// test's name; the name alone keeps the test names stable.
+void PrintTo(const BackendCase& c, std::ostream* os) { *os << c.name; }
 
 BackendCase NGramCase() {
   return {"ngram",

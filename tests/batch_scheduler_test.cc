@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "batch/batch_llm.h"
+#include "decode_reference.h"
 #include "batch/batch_scheduler.h"
 #include "forecast/llmtime_forecaster.h"
 #include "forecast/multicast_forecaster.h"
@@ -343,6 +344,57 @@ TEST(BatchSchedulerTest, UnknownTicketIsAnError) {
   EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
 }
 
+// The plain step skips the model at grammar-forced positions, yet such
+// a position still counts as a scheduler step and advances the job's
+// clock. One job per sampler setting decodes in one shared batch; each
+// must give the tokens of the loop that calls NextDistribution and
+// SampleToken at every step, and leave its RNG at the same point.
+TEST(BatchSchedulerTest, ForcedPositionsMatchTheUnskippedLoop) {
+  namespace ref = decode_reference;
+  const std::vector<token::TokenId> prompt = ref::DigitPrompt(60);
+  const size_t num_tokens = 70;
+  const std::vector<ref::NamedSampler> samplers = ref::Samplers();
+  for (const ref::NamedProfile& profile : ref::Profiles()) {
+    for (const ref::NamedMask& mask : ref::ForcedMasks()) {
+      SCOPED_TRACE(profile.name + " " + mask.name);
+      BatchPolicy policy;
+      policy.max_batch = 8;
+      policy.step_seconds = 0.25;
+      BatchScheduler scheduler(policy);
+      std::vector<Rng> rngs;
+      rngs.reserve(samplers.size());
+      std::vector<VirtualClock> clocks(samplers.size());
+      std::vector<BatchTicket> tickets;
+      for (size_t i = 0; i < samplers.size(); ++i) {
+        rngs.emplace_back(kSeed + i);
+        DecodeJobSpec spec;
+        spec.session = lm::NewDecoderModel(profile.profile, ref::kVocab);
+        for (token::TokenId id : prompt) spec.session->Observe(id);
+        spec.num_tokens = num_tokens;
+        spec.masks = lm::HoistGrammarCycle(mask.mask, num_tokens, ref::kVocab)
+                         .ValueOrDie();
+        spec.sampler = samplers[i].options;
+        spec.rng = &rngs[i];
+        spec.clock = &clocks[i];
+        tickets.push_back(scheduler.Submit(std::move(spec)));
+      }
+      for (size_t i = 0; i < samplers.size(); ++i) {
+        SCOPED_TRACE(samplers[i].name);
+        auto out = scheduler.Await(tickets[i]);
+        ASSERT_TRUE(out.ok()) << out.status().ToString();
+        lm::ModelProfile reference = profile.profile;
+        reference.sampler = samplers[i].options;
+        const ref::Decoded want = ref::ReferenceDecode(
+            reference, ref::kVocab, prompt, num_tokens, mask.mask, kSeed + i);
+        EXPECT_EQ(out.value().tokens, want.tokens);
+        EXPECT_EQ(rngs[i].NextUint32(), want.rng_next);
+        EXPECT_EQ(clocks[i].now(), 0.25 * static_cast<double>(num_tokens));
+      }
+      EXPECT_EQ(scheduler.stats().steps, num_tokens);
+    }
+  }
+}
+
 TEST(BatchStatsTest, DeltaAndSumRoundTrip) {
   BatchStats before;
   before.steps = 10;
@@ -647,6 +699,39 @@ TEST(BatchLlmTest, ErrorAndNameParityWithSimulatedLlm) {
   ASSERT_FALSE(bat_bad.ok());
   EXPECT_EQ(bat_bad.status().code(), seq_bad.status().code());
   EXPECT_EQ(bat_bad.status().message(), seq_bad.status().message());
+}
+
+// The batch leaf opens its session like the sequential leaf and decodes
+// through the scheduler's plain step: same tokens, ledger and RNG
+// position as the unskipped reference loop, with and without a cache.
+TEST(BatchLlmTest, ForcedPositionsMatchTheUnskippedLoop) {
+  namespace ref = decode_reference;
+  const std::vector<token::TokenId> prompt = ref::DigitPrompt(60);
+  const size_t num_tokens = 70;
+  for (const ref::NamedProfile& base : ref::Profiles()) {
+    for (const ref::NamedSampler& sampler : ref::Samplers()) {
+      lm::ModelProfile profile = base.profile;
+      profile.sampler = sampler.options;
+      for (const ref::NamedMask& mask : ref::ForcedMasks()) {
+        for (bool cached : {false, true}) {
+          SCOPED_TRACE(base.name + " " + sampler.name + " " + mask.name +
+                       (cached ? " cached" : " uncached"));
+          const ref::Decoded want = ref::ReferenceDecode(
+              profile, ref::kVocab, prompt, num_tokens, mask.mask, kSeed);
+          BatchLlm llm(profile, ref::kVocab, Scheduler(4),
+                       cached ? std::make_shared<lm::PrefixCache>(2)
+                              : nullptr);
+          Rng rng(kSeed);
+          auto got = llm.Complete(prompt, num_tokens, mask.mask, &rng);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(got.value().tokens, want.tokens);
+          EXPECT_EQ(got.value().ledger.prompt_tokens, prompt.size());
+          EXPECT_EQ(got.value().ledger.generated_tokens, num_tokens);
+          EXPECT_EQ(rng.NextUint32(), want.rng_next);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
 namespace multicast {
 namespace token {
 namespace {
@@ -17,6 +22,39 @@ TEST(FixedWidthTest, RejectsOverflowAndNegative) {
   EXPECT_FALSE(FixedWidthDigits(-1, 2).ok());
   EXPECT_FALSE(FixedWidthDigits(5, 0).ok());
   EXPECT_FALSE(FixedWidthDigits(5, 19).ok());
+}
+
+// The digits are rendered without printf; strings and error messages
+// must be those of the "%0*lld" rendering, at every width and around
+// every power of ten, up to the largest int64.
+TEST(FixedWidthTest, MatchesPrintfRendering) {
+  std::vector<int64_t> values = {0, 1, 9, INT64_MAX, INT64_MAX - 1};
+  for (int64_t p = 1; p <= INT64_MAX / 10; p *= 10) {
+    for (int64_t v : {p - 1, p, p + 1, 10 * p - 1}) values.push_back(v);
+  }
+  for (int digits = 1; digits <= 18; ++digits) {
+    for (int64_t v : values) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%0*lld", digits,
+                    static_cast<long long>(v));
+      const std::string want = buf;
+      Result<std::string> got = FixedWidthDigits(v, digits);
+      if (static_cast<int>(want.size()) == digits) {
+        ASSERT_TRUE(got.ok()) << v << " in " << digits;
+        EXPECT_EQ(got.value(), want);
+      } else {
+        ASSERT_FALSE(got.ok()) << v << " in " << digits;
+        EXPECT_EQ(got.status().code(), StatusCode::kOutOfRange);
+        EXPECT_EQ(got.status().message(),
+                  "value " + std::to_string(v) + " does not fit in " +
+                      std::to_string(digits) + " digits");
+      }
+    }
+  }
+  EXPECT_EQ(FixedWidthDigits(-3, 2).status().message(),
+            "negative scaled value -3");
+  EXPECT_EQ(FixedWidthDigits(5, 19).status().message(),
+            "bad digit width 19");
 }
 
 TEST(FixedWidthTest, ParseRoundTrip) {

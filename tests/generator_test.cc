@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "decode_reference.h"
 #include "token/codec.h"
 
 namespace multicast {
@@ -125,6 +128,49 @@ TEST(GeneratorTest, ZeroTokensIsValid) {
   ASSERT_TRUE(gen.ok());
   EXPECT_TRUE(gen.value().tokens.empty());
   EXPECT_EQ(gen.value().ledger.generated_tokens, 0u);
+}
+
+// The decode loop skips the model at grammar-forced positions. Against
+// the loop that calls NextDistribution and SampleToken at every step,
+// with and without a prefix cache, every back-end, grammar and sampler
+// setting must give the same tokens, the same ledger and leave the RNG
+// at the same point.
+TEST(GeneratorTest, ForcedPositionsMatchTheUnskippedLoop) {
+  namespace ref = decode_reference;
+  const std::vector<token::TokenId> prompt = ref::DigitPrompt(60);
+  const size_t num_tokens = 70;
+  for (const ref::NamedProfile& base : ref::Profiles()) {
+    for (const ref::NamedSampler& sampler : ref::Samplers()) {
+      ModelProfile profile = base.profile;
+      profile.sampler = sampler.options;
+      for (const ref::NamedMask& mask : ref::ForcedMasks()) {
+        for (bool cached : {false, true}) {
+          SCOPED_TRACE(base.name + " " + sampler.name + " " + mask.name +
+                       (cached ? " cached" : " uncached"));
+          const uint64_t seed = 7 + sampler.name.size();
+          const ref::Decoded want = ref::ReferenceDecode(
+              profile, ref::kVocab, prompt, num_tokens, mask.mask, seed);
+          SimulatedLlm llm(profile, ref::kVocab,
+                           cached ? std::make_shared<PrefixCache>(2)
+                                  : nullptr);
+          Rng rng(seed);
+          auto got = llm.Complete(prompt, num_tokens, mask.mask, &rng);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(got.value().tokens, want.tokens);
+          EXPECT_EQ(got.value().ledger.prompt_tokens, prompt.size());
+          EXPECT_EQ(got.value().ledger.generated_tokens, num_tokens);
+          EXPECT_EQ(rng.NextUint32(), want.rng_next);
+        }
+      }
+    }
+  }
+}
+
+TEST(GeneratorTest, ForcedTokenFindsTheOnlyAllowedToken) {
+  EXPECT_EQ(ForcedToken({false, false, true, false}), 2);
+  EXPECT_EQ(ForcedToken({true, false, true, false}), kNotForced);
+  EXPECT_EQ(ForcedToken({false, false, false}), kNotForced);
+  EXPECT_EQ(ForcedToken({true}), 0);
 }
 
 TEST(TokenLedgerTest, Accumulates) {

@@ -300,6 +300,10 @@ struct DecodeStepCase {
   // Probabilities of the structural steps (the rest decode or observe).
   double fork_rate = 0.03;
   double reset_rate = 0.002;
+  // ReserveDecode hint given to every session as it opens (first model,
+  // each fork, each reset); 0 = none. Sessions run on for a random
+  // number of steps, so a hint may be far below or above their need.
+  size_t reserve_tokens = 0;
 };
 
 void PrintTo(const DecodeStepCase& c, std::ostream* os) { *os << c.name; }
@@ -338,6 +342,10 @@ TEST_P(DecodeStepTest, MatchesMapReferenceUnderRandomCalls) {
       pool = std::make_shared<BlockPool>(popts);
     }
     auto model = std::make_unique<NGramLanguageModel>(c.vocab, c.options, pool);
+    auto open_session = [&] {
+      if (c.reserve_tokens > 0) model->ReserveDecode(c.reserve_tokens);
+    };
+    open_session();
     ReferenceNGram reference(c.vocab, c.options);
     std::vector<std::unique_ptr<LanguageModel>> frozen;  // kept alive
     Rng rng(1234 + c.vocab);
@@ -372,6 +380,7 @@ TEST_P(DecodeStepTest, MatchesMapReferenceUnderRandomCalls) {
         model->Reset();
         reference.Reset();
         frozen.clear();
+        open_session();
         observe_run();
       } else if (u < c.reset_rate + c.fork_rate) {
         model->Freeze();
@@ -380,6 +389,7 @@ TEST_P(DecodeStepTest, MatchesMapReferenceUnderRandomCalls) {
         frozen.push_back(std::move(model));
         if (frozen.size() > 3) frozen.erase(frozen.begin());
         model.reset(static_cast<NGramLanguageModel*>(fork.release()));
+        open_session();
         observe_run();
         ++forks;
       } else if (u < 0.6) {
@@ -444,6 +454,23 @@ std::vector<DecodeStepCase> DecodeStepCases() {
   wide_window.options.max_order = 12;
   wide_window.motif = true;
   cases.push_back(wide_window);
+
+  // Index grows between NextDistribution and the Observe that inserts
+  // through the holes it recorded.
+  DecodeStepCase hint_low = base;
+  hint_low.name = "HintBelowNeed";
+  hint_low.reserve_tokens = 1;
+  cases.push_back(hint_low);
+
+  DecodeStepCase hint_high = base;
+  hint_high.name = "HintAboveNeed";
+  hint_high.reserve_tokens = 4096;
+  cases.push_back(hint_high);
+
+  DecodeStepCase capped_hint = capped;
+  capped_hint.name = "CappedPoolSpillsWithHint";
+  capped_hint.reserve_tokens = 64;
+  cases.push_back(capped_hint);
   return cases;
 }
 

@@ -171,6 +171,97 @@ TEST(PagedContextStoreTest, InsertFindForEachAndIndexGrowth) {
   EXPECT_GT(store.MemoryBytes(), n * 16);
 }
 
+// The decode step's insert: holes are recorded for a batch of absent
+// keys first (as NextDistribution records them for every order), then
+// the batch is inserted through them, so later keys find their hole
+// taken by an earlier key of the batch, or the index grown under them.
+// Each key must land in the cell a plain Insert puts it in: both stores
+// list their entries in the same index order. A reserved store records
+// holes that stay valid, and ends up with the same index.
+TEST(PagedContextStoreTest, HoleInsertLandsWhereProbeInsertDoes) {
+  for (size_t reserve : {size_t{0}, size_t{3000}}) {
+    SCOPED_TRACE(reserve);
+    auto pool = MakePool(/*block_span=*/8, /*max_blocks=*/0);
+    PagedContextStore probed(pool, /*slot_bytes=*/8);
+    PagedContextStore holed(pool, /*slot_bytes=*/8);
+    probed.Reserve(reserve);
+    holed.Reserve(reserve);
+    uint64_t s = 99;
+    size_t inserted = 0;
+    while (inserted < 3000) {
+      s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+      const size_t batch = 1 + (s >> 59);  // 1..32 keys
+      std::vector<uint64_t> keys;
+      std::vector<PagedContextStore::Hole> holes(batch);
+      for (size_t i = 0; i < batch; ++i) {
+        s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+        // Small key range: later batches also hit present keys.
+        const uint64_t key = (s >> 40) % 6000;
+        bool repeat = false;
+        for (uint64_t k : keys) repeat = repeat || k == key;
+        if (repeat) continue;  // already in this batch
+        if (holed.Find(key, PagedContextStore::HashKey(key),
+                       &holes[keys.size()]) != nullptr) {
+          ASSERT_NE(probed.Find(key), nullptr);
+          continue;
+        }
+        ASSERT_EQ(probed.Find(key), nullptr);
+        keys.push_back(key);
+      }
+      for (size_t i = 0; i < keys.size(); ++i) {
+        std::byte* a = probed.Insert(keys[i]);
+        std::byte* b = holed.Insert(keys[i], holes[i]);
+        ASSERT_NE(a, nullptr);
+        ASSERT_NE(b, nullptr);
+        std::memcpy(a, &keys[i], sizeof(uint64_t));
+        std::memcpy(b, &keys[i], sizeof(uint64_t));
+        ++inserted;
+      }
+    }
+    std::vector<uint64_t> order_probed;
+    std::vector<uint64_t> order_holed;
+    probed.ForEach([&](uint64_t key, const std::byte* p) {
+      uint64_t stored = 0;
+      std::memcpy(&stored, p, sizeof(stored));
+      EXPECT_EQ(stored, key);
+      order_probed.push_back(key);
+    });
+    holed.ForEach([&](uint64_t key, const std::byte* p) {
+      uint64_t stored = 0;
+      std::memcpy(&stored, p, sizeof(stored));
+      EXPECT_EQ(stored, key);
+      order_holed.push_back(key);
+    });
+    EXPECT_EQ(order_holed, order_probed);
+    EXPECT_EQ(holed.size(), inserted);
+    EXPECT_EQ(holed.MemoryBytes(), probed.MemoryBytes());
+  }
+}
+
+// Reserve sizes the index for the given entry count exactly as growth
+// one insert at a time would have, once, and never shrinks it.
+TEST(PagedContextStoreTest, ReserveMatchesGrowthAndNeverShrinks) {
+  auto pool = MakePool(/*block_span=*/8, /*max_blocks=*/0);
+  for (size_t n : {size_t{1}, size_t{11}, size_t{12}, size_t{100},
+                   size_t{716}, size_t{717}}) {
+    SCOPED_TRACE(n);
+    PagedContextStore grown(pool, /*slot_bytes=*/8);
+    PagedContextStore reserved(pool, /*slot_bytes=*/8);
+    reserved.Reserve(n);
+    const size_t reserved_bytes = reserved.MemoryBytes();
+    for (uint64_t k = 1; k <= n; ++k) {
+      ASSERT_NE(grown.Insert(k), nullptr);
+      ASSERT_NE(reserved.Insert(k), nullptr);
+    }
+    EXPECT_EQ(reserved.MemoryBytes(), grown.MemoryBytes());
+    // All n entries fitted: only the blocks were added since Reserve.
+    EXPECT_EQ(reserved.MemoryBytes() - reserved_bytes,
+              reserved.num_blocks() * ApproxChunkBytes(8 * 8 + 8 * 8));
+    reserved.Reserve(1);
+    EXPECT_EQ(reserved.MemoryBytes(), grown.MemoryBytes());
+  }
+}
+
 TEST(PagedContextStoreTest, InsertReturnsNullOnPoolExhaustion) {
   auto pool = MakePool(/*block_span=*/4, /*max_blocks=*/1);
   PagedContextStore store(pool, /*slot_bytes=*/8);

@@ -53,6 +53,30 @@ echo "==== bench smoke: paged session memory identity + bytes gates ===="
 cmake --build build -j "${JOBS}" --target paged_memory
 ./build/bench/paged_memory --smoke
 
+echo "==== perfbench: every workload, 1 s, seed 1, digest gates ===="
+# Exits non-zero when a workload fails to build or run, reports
+# "correct": false, or its output digest differs from the seed-1 digest
+# below: decode-path optimizations must leave every output bit as is.
+declare -A PERFBENCH_DIGESTS=(
+  [tables]=44e2555563b4bf82
+  [many-series]=9d929735f617fe46
+  [serve-burst]=12aa9dba90ead3c4
+  [fleet-failover]=52db687b6ae88dc0
+)
+for workload in tables many-series serve-burst fleet-failover; do
+  out="$(python3 perfbench/run.py --workload "${workload}" --seed 1 \
+         --seconds 1 --trace 0 2> /dev/null)"
+  printf '%s\n' "${out}" | python3 -c '
+import json, sys
+workload, want = sys.argv[1], sys.argv[2]
+objects = [json.loads(line) for line in sys.stdin if line.startswith("{")]
+digest = next(o["header"]["digest"] for o in objects if "header" in o)
+correct = objects[-1]["correct"]
+print(f"{workload}: correct {correct}, digest {digest} (want {want})")
+sys.exit(0 if correct is True and digest == want else 1)
+' "${workload}" "${PERFBENCH_DIGESTS[${workload}]}"
+done
+
 run_asan=1
 run_tsan=1
 for arg in "$@"; do
