@@ -10,13 +10,11 @@ namespace batch {
 
 BatchLlm::BatchLlm(const lm::ModelProfile& profile, size_t vocab_size,
                    std::shared_ptr<BatchScheduler> scheduler,
-                   std::shared_ptr<lm::PrefixCache> prefix_cache,
-                   SpeculativePolicy speculative)
+                   std::shared_ptr<lm::PrefixCache> prefix_cache)
     : profile_(profile),
       vocab_size_(vocab_size),
       scheduler_(std::move(scheduler)),
       cache_(std::move(prefix_cache)),
-      speculative_(std::move(speculative)),
       fingerprint_(lm::ModelFingerprint(profile_, vocab_size_)) {
   MC_CHECK(scheduler_ != nullptr);
 }
@@ -44,10 +42,6 @@ Result<lm::GenerationResult> BatchLlm::Complete(
   spec.deadline_seconds = call.context.deadline.at_seconds;
   spec.clock = call.context.clock;
   spec.cancel = call.context.cancel;
-  if (speculative_.enabled() && spec.session->SupportsFork()) {
-    spec.draft = speculative_.factory(prompt);
-    spec.draft_k = speculative_.draft_k;
-  }
 
   const BatchTicket ticket = scheduler_->Submit(std::move(spec));
   MC_ASSIGN_OR_RETURN(DecodeOutput out, scheduler_->Await(ticket));

@@ -34,20 +34,6 @@
 namespace multicast {
 namespace batch {
 
-/// Draft-then-verify configuration for BatchLlm. When enabled, each
-/// Complete() call builds one draft model from its prompt and submits a
-/// speculative decode job; the scheduler falls back to plain decode for
-/// sessions that cannot fork. Output is bit-identical either way.
-struct SpeculativePolicy {
-  /// Maximum draft tokens proposed per step; 0 disables speculation.
-  size_t draft_k = 0;
-  /// Per-job draft-model builder; null disables speculation. Shared
-  /// across calls and threads — must be thread-safe.
-  lm::DraftFactory factory;
-
-  bool enabled() const { return draft_k > 0 && factory != nullptr; }
-};
-
 class BatchLlm final : public lm::LlmBackend {
  public:
   /// `scheduler` must not be null; `prefix_cache` may be (every call
@@ -55,8 +41,7 @@ class BatchLlm final : public lm::LlmBackend {
   /// any number of BatchLlm instances and threads may use them.
   BatchLlm(const lm::ModelProfile& profile, size_t vocab_size,
            std::shared_ptr<BatchScheduler> scheduler,
-           std::shared_ptr<lm::PrefixCache> prefix_cache = nullptr,
-           SpeculativePolicy speculative = SpeculativePolicy());
+           std::shared_ptr<lm::PrefixCache> prefix_cache = nullptr);
 
   /// The profile name, exactly as SimulatedLlm reports it: the batch
   /// path is an execution strategy, not a different backend.
@@ -75,7 +60,6 @@ class BatchLlm final : public lm::LlmBackend {
   size_t vocab_size_;
   std::shared_ptr<BatchScheduler> scheduler_;
   std::shared_ptr<lm::PrefixCache> cache_;
-  SpeculativePolicy speculative_;
   uint64_t fingerprint_ = 0;
 };
 

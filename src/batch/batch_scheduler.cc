@@ -14,23 +14,6 @@ namespace {
 size_t SaturatingSub(size_t a, size_t b) { return a > b ? a - b : 0; }
 }  // namespace
 
-SpecStats& SpecStats::operator+=(const SpecStats& other) {
-  steps += other.steps;
-  drafted += other.drafted;
-  accepted += other.accepted;
-  emitted += other.emitted;
-  return *this;
-}
-
-SpecStats SpecStats::operator-(const SpecStats& before) const {
-  SpecStats delta;
-  delta.steps = SaturatingSub(steps, before.steps);
-  delta.drafted = SaturatingSub(drafted, before.drafted);
-  delta.accepted = SaturatingSub(accepted, before.accepted);
-  delta.emitted = SaturatingSub(emitted, before.emitted);
-  return delta;
-}
-
 BatchStats& BatchStats::operator+=(const BatchStats& other) {
   steps += other.steps;
   slot_steps += other.slot_steps;
@@ -46,7 +29,6 @@ BatchStats& BatchStats::operator+=(const BatchStats& other) {
   for (size_t k = 0; k < other.occupancy.size(); ++k) {
     occupancy[k] += other.occupancy[k];
   }
-  spec += other.spec;
   return *this;
 }
 
@@ -67,7 +49,6 @@ BatchStats BatchStats::operator-(const BatchStats& before) const {
     const size_t prior = k < before.occupancy.size() ? before.occupancy[k] : 0;
     delta.occupancy[k] = SaturatingSub(occupancy[k], prior);
   }
-  delta.spec = spec - before.spec;
   return delta;
 }
 
@@ -94,14 +75,6 @@ void PublishBatchStats(const BatchStats& stats,
   for (size_t k = 0; k < stats.occupancy.size(); ++k) {
     occupancy->ObserveIndex(k, stats.occupancy[k]);
   }
-  registry->GetCounter(prefix + "spec.steps")
-      ->Add(static_cast<double>(stats.spec.steps));
-  registry->GetCounter(prefix + "spec.drafted")
-      ->Add(static_cast<double>(stats.spec.drafted));
-  registry->GetCounter(prefix + "spec.accepted")
-      ->Add(static_cast<double>(stats.spec.accepted));
-  registry->GetCounter(prefix + "spec.emitted")
-      ->Add(static_cast<double>(stats.spec.emitted));
 }
 
 BatchStats BatchStatsFromSnapshot(const util::MetricsSnapshot& snapshot,
@@ -125,14 +98,6 @@ BatchStats BatchStatsFromSnapshot(const util::MetricsSnapshot& snapshot,
       stats.occupancy.push_back(static_cast<size_t>(bucket));
     }
   }
-  stats.spec.steps =
-      static_cast<size_t>(snapshot.Value(prefix + "spec.steps"));
-  stats.spec.drafted =
-      static_cast<size_t>(snapshot.Value(prefix + "spec.drafted"));
-  stats.spec.accepted =
-      static_cast<size_t>(snapshot.Value(prefix + "spec.accepted"));
-  stats.spec.emitted =
-      static_cast<size_t>(snapshot.Value(prefix + "spec.emitted"));
   return stats;
 }
 
@@ -154,16 +119,7 @@ BatchTicket BatchScheduler::Submit(DecodeJobSpec spec) {
     MC_CHECK(job.spec.session != nullptr);
     MC_CHECK(job.spec.rng != nullptr);
     MC_CHECK(!job.spec.masks.empty());
-    if (job.spec.draft != nullptr && job.spec.draft_k > 0 &&
-        job.spec.session->SupportsFork()) {
-      // Speculative decode: wrap the session so drafts can be verified
-      // on throwaway forks. Sessions without fork support keep the
-      // plain one-token path (same output, no speculation).
-      job.rewind = std::make_unique<lm::RewindableSession>(
-          std::move(job.spec.session));
-    } else {
-      job.forced = lm::ForcedTokens(job.spec.masks);
-    }
+    job.forced = lm::ForcedTokens(job.spec.masks);
     waiting_.push(WaitKey{job.spec.deadline_seconds, id});
   }
   jobs_.emplace(id, std::move(job));
@@ -256,10 +212,6 @@ bool BatchScheduler::StepLocked() {
     if (slot == 0) continue;
     Job& job = jobs_.at(slot);
     if (job.admitted_step == 0) job.admitted_step = step_index;
-    if (job.rewind != nullptr) {
-      DecodeSpeculativeLocked(job, slot, step_index);
-      continue;
-    }
     const size_t pos = job.tokens.size() % job.spec.masks.size();
     Result<token::TokenId> next = lm::SampleNextToken(
         *job.spec.session, *job.spec.masks[pos], job.forced[pos],
@@ -282,82 +234,6 @@ bool BatchScheduler::StepLocked() {
     }
   }
   return true;
-}
-
-void BatchScheduler::DecodeSpeculativeLocked(Job& job, uint64_t& slot,
-                                             size_t step_index) {
-  // Propose: at most k = min(draft_k, remaining - 1) draft tokens, so a
-  // fully-accepted draft plus its bonus token lands exactly on the
-  // job's budget. The draft may return fewer (template exhausted, mask
-  // mismatch) — the step then degrades toward plain one-token decode.
-  const size_t remaining = job.spec.num_tokens - job.tokens.size();
-  const size_t k = std::min(job.spec.draft_k, remaining - 1);
-  draft_buf_.clear();
-  if (k > 0) {
-    job.spec.draft->Propose(job.spec.masks, job.tokens.size(), k,
-                            &draft_buf_);
-    if (draft_buf_.size() > k) draft_buf_.resize(k);
-  }
-
-  // Verify: one batched pass scores the current position and every
-  // draft position — all of them, eagerly, whether or not the sampler
-  // later rejects (the honest cost of speculation; see SpecStats).
-  job.rewind->VerifyTokens(draft_buf_, &spec_dists_);
-
-  SpecStats tick;
-  ++tick.steps;
-  tick.drafted = draft_buf_.size();
-
-  // Accept: walk the verified distributions with the job's own sampler
-  // RNG — each position's distribution and RNG draw are exactly what
-  // the plain loop would have produced (fork identity + one draw per
-  // emitted token), which is the bit-identity argument. The longest
-  // prefix where the sample agrees with the draft is accepted; the
-  // first disagreement emits the corrective token and discards the rest
-  // of the draft; full agreement emits a bonus token from the final
-  // verified distribution.
-  Status error = Status::OK();
-  for (size_t i = 0; i < spec_dists_.size(); ++i) {
-    const size_t pos = job.tokens.size();
-    const lm::GrammarMask::Shared& allowed =
-        job.spec.masks[pos % job.spec.masks.size()];
-    Result<token::TokenId> next = lm::SampleToken(
-        spec_dists_[i], *allowed, job.spec.sampler, job.spec.rng);
-    if (!next.ok()) {
-      error = next.status();
-      break;
-    }
-    const token::TokenId id = next.value();
-    job.tokens.push_back(id);
-    job.rewind->Commit(id);
-    job.spec.draft->Observe(id);
-    ++tick.emitted;
-    if (i == draft_buf_.size()) break;  // bonus token: draft exhausted
-    if (id != draft_buf_[i]) break;     // corrective token: draft dies here
-    ++tick.accepted;
-  }
-
-  stats_.spec += tick;
-  job.spec_stats += tick;
-
-  // The whole draft-and-verify pass is one scheduler step: one
-  // step_seconds charge, exactly like one plain forward pass. This is
-  // where speculation wins wall/virtual time.
-  if (policy_.step_seconds > 0.0 && job.spec.clock != nullptr) {
-    job.spec.clock->Advance(policy_.step_seconds);
-  }
-
-  if (!error.ok()) {
-    FinishLocked(&job, std::move(error));
-    slot = 0;
-    return;
-  }
-  if (job.tokens.size() == job.spec.num_tokens) {
-    ++stats_.retired;
-    job.retired_step = step_index;
-    FinishLocked(&job, Status::OK());
-    slot = 0;
-  }
 }
 
 bool BatchScheduler::Step() {
@@ -395,7 +271,6 @@ Result<DecodeOutput> BatchScheduler::Await(BatchTicket ticket) {
   out.tokens = std::move(job.tokens);
   out.admitted_step = job.admitted_step;
   out.retired_step = job.retired_step;
-  out.spec = job.spec_stats;
   return out;
 }
 

@@ -33,18 +33,6 @@
 // keeps decoding); `backfill = false` is gang scheduling (the batch
 // refills only once every member has retired — the static-batching
 // baseline the throughput bench compares against).
-//
-// Speculative decode: a job submitted with a `draft` model and
-// `draft_k` > 0 (and a forkable session) switches its slot to
-// draft-then-verify steps — the draft proposes up to k tokens, one
-// batched verify pass (lm::RewindableSession::VerifyTokens) scores all
-// of them, and the job's own sampler RNG walks the verified
-// distributions emitting the longest agreeing prefix plus one
-// corrective/bonus token. Up to k+1 tokens per step at one step's
-// cost; output stays bit-identical to plain decode (see lm/draft.h and
-// DESIGN.md §5j). `slot_steps` keeps its slots-engaged-per-step meaning
-// and no longer equals tokens decoded for speculative jobs; token and
-// acceptance accounting lives in SpecStats.
 
 #ifndef MULTICAST_BATCH_BATCH_SCHEDULER_H_
 #define MULTICAST_BATCH_BATCH_SCHEDULER_H_
@@ -60,7 +48,6 @@
 #include <vector>
 
 #include "lm/backend.h"
-#include "lm/draft.h"
 #include "lm/language_model.h"
 #include "lm/sampler.h"
 #include "token/vocabulary.h"
@@ -90,41 +77,6 @@ struct BatchPolicy {
   std::function<void(size_t active)> on_step;
 };
 
-/// Speculative-decode counters. Per step a draft of m <= draft_k tokens
-/// costs m + 1 verified positions (one target evaluation each); the
-/// accepted prefix plus one corrective/bonus token emit. Honest
-/// accounting for rejected drafts: every proposed position was verified
-/// whether or not it survived, so wasted work is `rejected()` out of
-/// `verified()` — it never hides inside the emitted-token count.
-struct SpecStats {
-  size_t steps = 0;     ///< draft+verify decode steps executed
-  size_t drafted = 0;   ///< draft tokens proposed (= verified draft positions)
-  size_t accepted = 0;  ///< draft tokens whose verified sample agreed
-  size_t emitted = 0;   ///< tokens emitted by speculative steps
-
-  /// Draft positions verified and thrown away (draft rejected or job
-  /// retired/errored before reaching them).
-  size_t rejected() const { return drafted > accepted ? drafted - accepted : 0; }
-  /// Target-model positions evaluated: each step verifies its whole
-  /// draft plus the current position.
-  size_t verified() const { return drafted + steps; }
-  double acceptance_rate() const {
-    return drafted > 0
-               ? static_cast<double>(accepted) / static_cast<double>(drafted)
-               : 0.0;
-  }
-  /// Fraction of verified positions whose evaluation went unused.
-  double wasted_verify_fraction() const {
-    const size_t v = verified();
-    return v > 0 ? static_cast<double>(rejected()) / static_cast<double>(v)
-                 : 0.0;
-  }
-
-  SpecStats& operator+=(const SpecStats& other);
-  /// Saturating per-field delta (`after - before`).
-  SpecStats operator-(const SpecStats& before) const;
-};
-
 /// Scheduler counters. Deltas around a request give its share.
 struct BatchStats {
   size_t steps = 0;        ///< decode steps (forward passes) executed
@@ -137,8 +89,6 @@ struct BatchStats {
   size_t peak_batch = 0;   ///< largest batch size observed in one step
   /// occupancy[k] = steps executed with exactly k active sessions.
   std::vector<size_t> occupancy;
-  /// Speculative-decode counters (all zero when no job drafts).
-  SpecStats spec;
 
   /// Mean sessions per step (slot utilization × max_batch).
   double mean_batch() const {
@@ -154,8 +104,7 @@ struct BatchStats {
 
 /// Registry view of BatchStats: counters under `prefix` (for example
 /// "batch.steps"), peak_batch as a max-gauge, occupancy as an indexed
-/// histogram named `prefix` + "occupancy", speculative counters under
-/// `prefix` + "spec." (steps/drafted/accepted/emitted).
+/// histogram named `prefix` + "occupancy".
 void PublishBatchStats(const BatchStats& stats,
                        util::MetricsRegistry* registry,
                        const std::string& prefix);
@@ -186,13 +135,6 @@ struct DecodeJobSpec {
   VirtualClock* clock = nullptr;
   /// Cooperative cancellation; checked before every decode step.
   CancelToken cancel;
-  /// Speculative decode: draft model proposing tokens for this job. The
-  /// job drafts only when `draft` is set, `draft_k` > 0 and the session
-  /// supports Fork(); otherwise it decodes plain one-token steps (the
-  /// graceful fallback — output is bit-identical either way).
-  std::unique_ptr<lm::DraftModel> draft;
-  /// Maximum draft tokens proposed per step.
-  size_t draft_k = 0;
 };
 
 /// Handle for one submitted job.
@@ -208,9 +150,6 @@ struct DecodeOutput {
   size_t admitted_step = 0;
   /// 1-based index of the step this job finished in.
   size_t retired_step = 0;
-  /// This job's share of the speculative counters (all zero for plain
-  /// decode).
-  SpecStats spec;
 };
 
 class BatchScheduler {
@@ -254,11 +193,7 @@ class BatchScheduler {
     size_t retired_step = 0;
     Status status;      // error that retired the job; OK on success
     bool done = false;  // set once; the job stays mapped until Await
-    /// Verify-capable wrapper over spec.session; non-null exactly when
-    /// the job decodes speculatively (set at Submit()).
-    std::unique_ptr<lm::RewindableSession> rewind;
-    SpecStats spec_stats;
-    /// lm::ForcedTokens(spec.masks), for the plain one-token step (set at
+    /// lm::ForcedTokens(spec.masks), for the one-token step (set at
     /// Submit()).
     std::vector<token::TokenId> forced;
   };
@@ -277,10 +212,6 @@ class BatchScheduler {
   };
 
   bool StepLocked();
-  /// One draft-then-verify step for a speculative slot: propose, verify
-  /// in one batched pass, emit the accepted prefix + one token. Clears
-  /// `slot` when the job retires or errors.
-  void DecodeSpeculativeLocked(Job& job, uint64_t& slot, size_t step_index);
   /// OK while the job should keep decoding; kCancelled or
   /// kDeadlineExceeded once its request died.
   Status JobAlive(Job& job) const;
@@ -295,8 +226,6 @@ class BatchScheduler {
       waiting_;                              // guarded by mu_
   BatchStats stats_;                         // guarded by mu_
   std::vector<double> probs_;                // step-shared buffer; guarded by mu_
-  std::vector<token::TokenId> draft_buf_;    // step-shared; guarded by mu_
-  std::vector<std::vector<double>> spec_dists_;  // step-shared; guarded by mu_
 };
 
 }  // namespace batch

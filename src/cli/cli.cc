@@ -44,7 +44,6 @@ const std::set<std::string> kMethodFlags = {
     "chaos",  "chaos-seed",  "retries",  "redraws",  "fallback",
     "threads", "prefix-cache", "prefix-cache-capacity",
     "batch",  "batch-size",  "batch-backfill",
-    "speculative", "draft-k",
     "paged-memory", "block-span", "pool-blocks",
     // serve-sim trace and serving-policy flags.
     "requests",   "arrival-rate", "deadline",  "queue-capacity",
@@ -57,7 +56,7 @@ const std::set<std::string> kMethodFlags = {
     "replica-chaos-seed"};
 const std::set<std::string> kBoolFlags = {
     "plot", "fallback", "batch", "overload-ladder", "classical-fallback",
-    "speculative", "paged-memory"};
+    "paged-memory"};
 
 Result<lm::ModelProfile> ProfileByName(const std::string& name) {
   if (name == "llama2") return lm::ModelProfile::Llama2_7B();
@@ -67,21 +66,50 @@ Result<lm::ModelProfile> ProfileByName(const std::string& name) {
                                  "' (expected llama2, phi2 or ctw)");
 }
 
+// Reads an int-valued flag, range-checked as int64 against [lo, hi]
+// before it is narrowed, so an out-of-range value is an error rather
+// than a wrapped one.
+Result<int> IntFlag(const FlagSet& flags, const std::string& name,
+                    int fallback, int lo,
+                    int hi = std::numeric_limits<int>::max()) {
+  MC_ASSIGN_OR_RETURN(int64_t value, flags.GetInt(name, fallback));
+  if (value < lo || value > hi) {
+    return Status::InvalidArgument(
+        StrFormat("--%s must be in [%d, %d]", name.c_str(), lo, hi));
+  }
+  return static_cast<int>(value);
+}
+
+// The decode scheduler `spec` asks for: one per call under --batch,
+// null otherwise.
+std::shared_ptr<batch::BatchScheduler> MakeScheduler(const MethodSpec& spec) {
+  if (!spec.batch) return nullptr;
+  batch::BatchPolicy policy;
+  policy.max_batch = static_cast<size_t>(spec.batch_size);
+  policy.backfill = spec.batch_backfill;
+  return std::make_shared<batch::BatchScheduler>(policy);
+}
+
+// A block pool with `spec`'s geometry (--block-span, --pool-blocks).
+std::shared_ptr<lm::BlockPool> MakeBlockPool(const MethodSpec& spec) {
+  lm::PagedMemoryOptions paged;
+  paged.enabled = true;
+  paged.block_span = static_cast<size_t>(spec.block_span);
+  paged.max_blocks = static_cast<size_t>(spec.pool_blocks);
+  return std::make_shared<lm::BlockPool>(paged);
+}
+
 Result<MethodSpec> SpecFromFlags(const FlagSet& flags) {
   MethodSpec spec;
   spec.name = flags.GetString("method", "VI");
-  MC_ASSIGN_OR_RETURN(int64_t samples, flags.GetInt("samples", 5));
-  MC_ASSIGN_OR_RETURN(int64_t digits, flags.GetInt("digits", 2));
+  MC_ASSIGN_OR_RETURN(spec.samples, IntFlag(flags, "samples", 5, 1));
+  MC_ASSIGN_OR_RETURN(spec.digits, IntFlag(flags, "digits", 2, 1));
   MC_ASSIGN_OR_RETURN(int64_t seed, flags.GetInt("seed", 42));
-  MC_ASSIGN_OR_RETURN(int64_t sax_segment, flags.GetInt("sax-segment", 6));
-  MC_ASSIGN_OR_RETURN(int64_t sax_alphabet,
-                      flags.GetInt("sax-alphabet", 5));
-  spec.samples = static_cast<int>(samples);
-  spec.digits = static_cast<int>(digits);
   spec.seed = static_cast<uint64_t>(seed);
   spec.sax = flags.GetString("sax", "");
-  spec.sax_segment = static_cast<int>(sax_segment);
-  spec.sax_alphabet = static_cast<int>(sax_alphabet);
+  MC_ASSIGN_OR_RETURN(spec.sax_segment, IntFlag(flags, "sax-segment", 6, 1));
+  MC_ASSIGN_OR_RETURN(spec.sax_alphabet,
+                      IntFlag(flags, "sax-alphabet", 5, 2));
   spec.profile = flags.GetString("profile", "llama2");
   MC_ASSIGN_OR_RETURN(spec.chaos, flags.GetDouble("chaos", 0.0));
   if (spec.chaos < 0.0 || spec.chaos > 1.0) {
@@ -90,63 +118,25 @@ Result<MethodSpec> SpecFromFlags(const FlagSet& flags) {
   MC_ASSIGN_OR_RETURN(int64_t chaos_seed,
                       flags.GetInt("chaos-seed", 0xC0FFEE));
   spec.chaos_seed = static_cast<uint64_t>(chaos_seed);
-  MC_ASSIGN_OR_RETURN(int64_t retries, flags.GetInt("retries", 3));
-  if (retries < 0) {
-    return Status::InvalidArgument("--retries must be >= 0");
-  }
-  spec.retries = static_cast<int>(retries);
-  MC_ASSIGN_OR_RETURN(int64_t redraws, flags.GetInt("redraws", 4));
-  if (redraws < 0) {
-    return Status::InvalidArgument("--redraws must be >= 0");
-  }
-  spec.redraws = static_cast<int>(redraws);
+  MC_ASSIGN_OR_RETURN(spec.retries, IntFlag(flags, "retries", 3, 0));
+  MC_ASSIGN_OR_RETURN(spec.redraws, IntFlag(flags, "redraws", 4, 0));
   spec.fallback = flags.GetBool("fallback");
   spec.classical_fallback = flags.GetBool("classical-fallback");
-  MC_ASSIGN_OR_RETURN(int64_t threads, flags.GetInt("threads", 1));
-  if (threads < 1) {
-    return Status::InvalidArgument("--threads must be >= 1");
-  }
-  spec.threads = static_cast<int>(threads);
+  MC_ASSIGN_OR_RETURN(spec.threads, IntFlag(flags, "threads", 1, 1));
   MC_ASSIGN_OR_RETURN(int64_t prefix_cache, flags.GetInt("prefix-cache", 1));
   spec.prefix_cache = prefix_cache != 0;
-  MC_ASSIGN_OR_RETURN(int64_t cache_capacity,
-                      flags.GetInt("prefix-cache-capacity", 64));
-  if (cache_capacity < 1) {
-    return Status::InvalidArgument("--prefix-cache-capacity must be >= 1");
-  }
-  spec.prefix_cache_capacity = static_cast<int>(cache_capacity);
+  MC_ASSIGN_OR_RETURN(spec.prefix_cache_capacity,
+                      IntFlag(flags, "prefix-cache-capacity", 64, 1));
   spec.batch = flags.GetBool("batch");
-  MC_ASSIGN_OR_RETURN(int64_t batch_size, flags.GetInt("batch-size", 8));
-  if (batch_size < 1) {
-    return Status::InvalidArgument("--batch-size must be >= 1");
-  }
-  spec.batch_size = static_cast<int>(batch_size);
+  MC_ASSIGN_OR_RETURN(spec.batch_size, IntFlag(flags, "batch-size", 8, 1));
   MC_ASSIGN_OR_RETURN(int64_t backfill, flags.GetInt("batch-backfill", 1));
   spec.batch_backfill = backfill != 0;
-  spec.speculative = flags.GetBool("speculative");
-  MC_ASSIGN_OR_RETURN(int64_t draft_k, flags.GetInt("draft-k", 4));
-  if (draft_k < 1) {
-    return Status::InvalidArgument("--draft-k must be >= 1");
-  }
-  spec.draft_k = static_cast<int>(draft_k);
   spec.paged_memory = flags.GetBool("paged-memory");
-  // Both geometry flags are range-checked as int64 before narrowing, so
-  // an out-of-range value is an error rather than a wrapped one.
-  MC_ASSIGN_OR_RETURN(int64_t block_span, flags.GetInt("block-span", 32));
-  if (block_span < static_cast<int64_t>(lm::kMinBlockSpan) ||
-      block_span > static_cast<int64_t>(lm::kMaxBlockSpan)) {
-    return Status::InvalidArgument(
-        StrFormat("--block-span must be in [%zu, %zu]", lm::kMinBlockSpan,
-                  lm::kMaxBlockSpan));
-  }
-  spec.block_span = static_cast<int>(block_span);
-  MC_ASSIGN_OR_RETURN(int64_t pool_blocks, flags.GetInt("pool-blocks", 0));
-  if (pool_blocks < 0 || pool_blocks > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument(
-        StrFormat("--pool-blocks must be in [0, %d]",
-                  std::numeric_limits<int>::max()));
-  }
-  spec.pool_blocks = static_cast<int>(pool_blocks);
+  MC_ASSIGN_OR_RETURN(spec.block_span,
+                      IntFlag(flags, "block-span", 32,
+                              static_cast<int>(lm::kMinBlockSpan),
+                              static_cast<int>(lm::kMaxBlockSpan)));
+  MC_ASSIGN_OR_RETURN(spec.pool_blocks, IntFlag(flags, "pool-blocks", 0, 0));
   return spec;
 }
 
@@ -581,14 +571,9 @@ Result<int> CmdServeSim(const FlagSet& flags, std::ostream& out) {
     serve_options.prefix_cache = method_cache;
     // One decode scheduler per method, shared the same way: every
     // in-flight request's sample draws join one step-level batch.
-    std::shared_ptr<batch::BatchScheduler> method_scheduler;
-    if (spec.batch || spec.speculative) {
-      batch::BatchPolicy policy;
-      policy.max_batch = static_cast<size_t>(spec.batch_size);
-      policy.backfill = spec.batch_backfill;
-      method_scheduler = std::make_shared<batch::BatchScheduler>(policy);
-      spec.batch_scheduler = method_scheduler;
-    }
+    std::shared_ptr<batch::BatchScheduler> method_scheduler =
+        MakeScheduler(spec);
+    spec.batch_scheduler = method_scheduler;
     serve_options.batch.scheduler = method_scheduler;
     // --paged-memory: one block pool per method, shared the same way:
     // every request's pipelines (and the shared prefix cache's frozen
@@ -597,11 +582,7 @@ Result<int> CmdServeSim(const FlagSet& flags, std::ostream& out) {
     // pages on a private pool of its own.
     std::shared_ptr<lm::BlockPool> method_pool;
     if (spec.paged_memory) {
-      lm::PagedMemoryOptions paged;
-      paged.enabled = true;
-      paged.block_span = static_cast<size_t>(spec.block_span);
-      paged.max_blocks = static_cast<size_t>(spec.pool_blocks);
-      method_pool = std::make_shared<lm::BlockPool>(paged);
+      method_pool = MakeBlockPool(spec);
       spec.block_pool = method_pool;
     }
     serve_options.block_pool = method_pool;
@@ -714,14 +695,6 @@ Result<int> CmdServeSim(const FlagSet& flags, std::ostream& out) {
           "(peak %zu), %zu backfills, %zu preemptions",
           name.c_str(), bs.steps, bs.admitted, bs.mean_batch(),
           bs.peak_batch, bs.backfills, bs.preemptions));
-      if (bs.spec.steps > 0) {
-        batch_lines.push_back(StrFormat(
-            "spec %s: %zu draft steps, %zu/%zu drafts accepted (%.0f%%), "
-            "%zu tokens emitted, wasted verify %.0f%%",
-            name.c_str(), bs.spec.steps, bs.spec.accepted, bs.spec.drafted,
-            100.0 * bs.spec.acceptance_rate(), bs.spec.emitted,
-            100.0 * bs.spec.wasted_verify_fraction()));
-      }
     } else {
       batch_lines.push_back(StrFormat("batch %s: off", name.c_str()));
     }
@@ -827,19 +800,8 @@ Result<int> CmdClusterSim(const FlagSet& flags, std::ostream& out) {
       rep.prefix_cache = std::make_shared<lm::PrefixCache>(
           static_cast<size_t>(spec.prefix_cache_capacity));
     }
-    if (spec.batch || spec.speculative) {
-      batch::BatchPolicy policy;
-      policy.max_batch = static_cast<size_t>(spec.batch_size);
-      policy.backfill = spec.batch_backfill;
-      rep.scheduler = std::make_shared<batch::BatchScheduler>(policy);
-    }
-    if (spec.paged_memory) {
-      lm::PagedMemoryOptions paged;
-      paged.enabled = true;
-      paged.block_span = static_cast<size_t>(spec.block_span);
-      paged.max_blocks = static_cast<size_t>(spec.pool_blocks);
-      rep.block_pool = std::make_shared<lm::BlockPool>(paged);
-    }
+    rep.scheduler = MakeScheduler(spec);
+    if (spec.paged_memory) rep.block_pool = MakeBlockPool(spec);
     rep.plan = plans[static_cast<size_t>(r)];
     fleet.push_back(std::move(rep));
   }
@@ -1055,27 +1017,14 @@ Result<std::unique_ptr<forecast::Forecaster>> MakeForecaster(
 
   // Shared scheduler when the caller wired one (serve-sim), else a
   // private scheduler per forecaster when batching was asked for.
-  // --speculative implies a scheduler: the draft/verify step engine
-  // lives inside BatchScheduler.
   std::shared_ptr<batch::BatchScheduler> scheduler = spec.batch_scheduler;
-  if ((spec.batch || spec.speculative) && scheduler == nullptr) {
-    batch::BatchPolicy policy;
-    policy.max_batch = static_cast<size_t>(spec.batch_size);
-    policy.backfill = spec.batch_backfill;
-    scheduler = std::make_shared<batch::BatchScheduler>(policy);
-  }
+  if (scheduler == nullptr) scheduler = MakeScheduler(spec);
   // Shared block pool when the caller wired one (serve-sim), else one
   // pool for this forecaster. Created here — not inside the option
   // structs — so a fallback chain's MultiCast and LLMTime tiers share
   // one pool.
   std::shared_ptr<lm::BlockPool> block_pool = spec.block_pool;
-  if (block_pool == nullptr) {
-    lm::PagedMemoryOptions paged;
-    paged.enabled = true;
-    paged.block_span = static_cast<size_t>(spec.block_span);
-    paged.max_blocks = static_cast<size_t>(spec.pool_blocks);
-    block_pool = std::make_shared<lm::BlockPool>(paged);
-  }
+  if (block_pool == nullptr) block_pool = MakeBlockPool(spec);
 
   auto multicast_with = [&](multiplex::MuxKind mux)
       -> Result<std::unique_ptr<forecast::Forecaster>> {
@@ -1102,8 +1051,6 @@ Result<std::unique_ptr<forecast::Forecaster>> MakeForecaster(
         static_cast<size_t>(spec.prefix_cache_capacity);
     opts.shared_prefix_cache = spec.shared_prefix_cache;
     opts.batch_scheduler = scheduler;
-    opts.speculative = spec.speculative;
-    opts.draft_k = spec.draft_k;
     opts.block_pool = block_pool;
     return {std::make_unique<forecast::MultiCastForecaster>(opts)};
   };
@@ -1121,8 +1068,6 @@ Result<std::unique_ptr<forecast::Forecaster>> MakeForecaster(
         static_cast<size_t>(spec.prefix_cache_capacity);
     opts.shared_prefix_cache = spec.shared_prefix_cache;
     opts.batch_scheduler = scheduler;
-    opts.speculative = spec.speculative;
-    opts.draft_k = spec.draft_k;
     opts.block_pool = block_pool;
     return std::make_unique<forecast::LlmTimeForecaster>(opts);
   };
@@ -1222,8 +1167,6 @@ std::string UsageText() {
       "            [--prefix-cache-capacity 64] [--batch]\n"
       "            [--batch-size 8] [--batch-backfill 0|1 (decode\n"
       "            refill: 1 continuous, 0 gang)]\n"
-      "            [--speculative (draft-then-verify decode; implies a\n"
-      "            decode scheduler)] [--draft-k 4]\n"
       "            [--block-span 32 (4..65536; session state pages in\n"
       "            pooled blocks, output is bit-identical)]\n"
       "            [--pool-blocks N (0 = unbounded; at the cap entries\n"
@@ -1245,7 +1188,7 @@ std::string UsageText() {
       "            [--hedge-delay 0.5] [--drain T] [--drain-mode\n"
       "            finish|cancel] [--threads 4] [--prefix-cache 0|1]\n"
       "            [--prefix-cache-capacity 64] [--batch] [--batch-size 8]\n"
-      "            [--batch-backfill 0|1] [--speculative] [--draft-k 4]\n"
+      "            [--batch-backfill 0|1]\n"
       "            [--paged-memory (one reported block pool per method,\n"
       "            not one per request)] [--block-span 32]\n"
       "            [--pool-blocks N] plus the chaos/resilience flags\n"

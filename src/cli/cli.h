@@ -95,13 +95,6 @@ struct MethodSpec {
   /// requests of a method); when unset and `batch` is true,
   /// MakeForecaster creates a private per-forecaster scheduler.
   std::shared_ptr<batch::BatchScheduler> batch_scheduler;
-  /// Speculative draft-then-verify decoding (--speculative): classical
-  /// drafts proposed k tokens at a time, verified in one batched pass
-  /// per step. Implies a decode scheduler (it hosts the step engine);
-  /// forecasts stay bit-identical at any draft length.
-  bool speculative = false;
-  /// Maximum draft tokens per step (--draft-k, >= 1).
-  int draft_k = 4;
   /// One shared block pool per method (serve-sim) or per replica
   /// (cluster-sim) instead of one per forecaster (--paged-memory); the
   /// shared pool is reported under lm.mem.* and its fullness feeds the

@@ -82,11 +82,6 @@ Result<ForecastResult> LlmTimeForecaster::Forecast(const ts::Frame& history,
   // the scheduler is thread-safe and each decode job is independent, so
   // dimension workers batch their draws without affecting outputs.
   base.batch_scheduler = options_.batch_scheduler;
-  // Speculative decode rides the batch scheduler; each dimension's
-  // pipeline drafts from its own univariate classical forecast.
-  base.speculative = options_.speculative;
-  base.draft_k = options_.draft_k;
-  base.draft = options_.draft;
   // One pool across all dimensions: BlockPool is thread-safe, and the
   // per-dimension pipelines attach it through their profile.
   base.block_pool = block_pool_;

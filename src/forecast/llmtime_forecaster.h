@@ -61,13 +61,6 @@ struct LlmTimeOptions {
   /// other pipelines on the same scheduler — decode one token per step
   /// together. Bit-identical output either way.
   std::shared_ptr<batch::BatchScheduler> batch_scheduler;
-  /// Speculative (draft-then-verify) decoding, forwarded into every
-  /// per-dimension pipeline (same semantics — and the same bit-identity
-  /// guarantee — as the MultiCastOptions fields of the same names).
-  /// Each dimension drafts from its own univariate classical forecast.
-  bool speculative = false;
-  int draft_k = 4;
-  forecast::DraftKind draft = forecast::DraftKind::kClassical;
   /// Session memory, shared by every per-dimension pipeline (same
   /// semantics — and the same bit-identity guarantee — as the
   /// MultiCastOptions fields of the same names): one pool for all

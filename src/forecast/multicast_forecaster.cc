@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "batch/batch_llm.h"
-#include "forecast/classical.h"
-#include "lm/draft.h"
 #include "lm/generator.h"
 #include "lm/resilient_backend.h"
 #include "token/codec.h"
@@ -111,119 +109,6 @@ uint64_t MixSeed(uint64_t seed, uint64_t index) {
   return seed + 0x9e3779b97f4a7c15ULL * (index + 1);
 }
 
-// Renders per-dimension value strings for `timestamps` timestamps
-// through the multiplexer and vocabulary into the exact token stream
-// the decode loop is expected to produce (trailing separator included —
-// the prompt ends on a comma, so generation covers whole cycles).
-// Returns empty on any mismatch: a draft template is an accelerator,
-// never a correctness dependency, so every failure degrades to "no
-// template" instead of an error.
-std::vector<token::TokenId> RenderDraftTemplate(
-    const multiplex::MuxInput& input, const std::vector<int>& widths,
-    const multiplex::Multiplexer& mux, const token::Vocabulary& vocab,
-    size_t timestamps) {
-  Result<std::string> text = mux.Multiplex(input, widths);
-  if (!text.ok()) return {};
-  std::string stream = std::move(text).value();
-  stream.push_back(',');
-  if (stream.size() != timestamps * mux.TokensPerTimestamp(widths)) {
-    return {};
-  }
-  Result<std::vector<token::TokenId>> tokens = token::Encode(stream, vocab);
-  if (!tokens.ok()) return {};
-  return std::move(tokens).value();
-}
-
-// Classical next-value drafting for the raw pipeline: the statistical
-// tier (forecast/classical.h) predicts the whole horizon once, and the
-// prediction is rendered through the same fitted scaler parameters,
-// multiplexer and vocabulary as the prompt. The result is the token
-// stream the target would emit if it agreed with the classical model
-// everywhere; per-step agreement is the speculative acceptance rate.
-std::vector<token::TokenId> ClassicalDraftRaw(
-    const ts::Frame& history, size_t horizon,
-    const std::vector<scale::ScalerParams>& params,
-    const std::vector<int>& widths, const multiplex::Multiplexer& mux,
-    const token::Vocabulary& vocab, int digits) {
-  ClassicalOptions copts;
-  copts.quantiles.clear();  // point forecast only — bands are unused here
-  ClassicalForecaster classical(copts);
-  Result<ForecastResult> r = classical.Forecast(history, horizon);
-  if (!r.ok()) return {};
-  const ts::Frame& fc = r.value().forecast;
-  int64_t limit = 1;
-  for (int i = 0; i < digits; ++i) limit *= 10;
-  multiplex::MuxInput input;
-  input.values.resize(fc.num_dims());
-  for (size_t d = 0; d < fc.num_dims(); ++d) {
-    std::vector<int64_t> scaled =
-        scale::ScaleValues(fc.dim(d).values(), params[d]);
-    input.values[d].reserve(scaled.size());
-    for (int64_t v : scaled) {
-      // The classical prediction may leave the band the scaler fitted on
-      // history; a clamped digit string is still a usable proposal.
-      v = std::clamp<int64_t>(v, 0, limit - 1);
-      Result<std::string> s = token::FixedWidthDigits(v, digits);
-      if (!s.ok()) return {};
-      input.values[d].push_back(std::move(s).value());
-    }
-  }
-  return RenderDraftTemplate(input, widths, mux, vocab, horizon);
-}
-
-// Classical drafting for the SAX pipeline: the classical forecast
-// covers every raw timestamp of the generated segments and is encoded
-// through the per-dimension codecs fitted on history.
-std::vector<token::TokenId> ClassicalDraftSax(
-    const ts::Frame& history, size_t segments_needed, size_t segment_length,
-    const std::vector<sax::SaxCodec>& codecs, const std::vector<int>& widths,
-    const multiplex::Multiplexer& mux, const token::Vocabulary& vocab) {
-  ClassicalOptions copts;
-  copts.quantiles.clear();
-  ClassicalForecaster classical(copts);
-  Result<ForecastResult> r =
-      classical.Forecast(history, segments_needed * segment_length);
-  if (!r.ok()) return {};
-  const ts::Frame& fc = r.value().forecast;
-  multiplex::MuxInput input;
-  input.values.resize(fc.num_dims());
-  for (size_t d = 0; d < fc.num_dims(); ++d) {
-    Result<std::string> word = codecs[d].Encode(fc.dim(d).values());
-    if (!word.ok() || word.value().size() != segments_needed) return {};
-    input.values[d].reserve(segments_needed);
-    for (char c : word.value()) input.values[d].emplace_back(1, c);
-  }
-  return RenderDraftTemplate(input, widths, mux, vocab, segments_needed);
-}
-
-// Resolves the speculative-decode policy for one forecast. Speculation
-// requires the batch scheduler (the step engine lives there) and the
-// internal simulated backend; otherwise the policy stays disabled. The
-// classical template proposer is preferred when it rendered; the n-gram
-// proposer is both the kNGram choice and the classical fallback, so a
-// forecast that asked for speculation always drafts.
-batch::SpeculativePolicy ResolveSpeculative(
-    const MultiCastOptions& options, const token::Vocabulary& vocab,
-    std::vector<token::TokenId> template_tokens) {
-  batch::SpeculativePolicy spec;
-  if (!options.speculative || options.draft_k < 1 ||
-      options.batch_scheduler == nullptr || options.backend != nullptr) {
-    return spec;
-  }
-  spec.draft_k = static_cast<size_t>(options.draft_k);
-  if (options.draft == DraftKind::kClassical && !template_tokens.empty()) {
-    auto shared = std::make_shared<const std::vector<token::TokenId>>(
-        std::move(template_tokens));
-    spec.factory = [shared](const std::vector<token::TokenId>&)
-        -> std::unique_ptr<lm::DraftModel> {
-      return std::make_unique<lm::TemplateDraftModel>(*shared);
-    };
-  } else {
-    spec.factory = lm::MakeNGramDraftFactory(vocab.size());
-  }
-  return spec;
-}
-
 // One draw's private backend stack: simulated decoder (or the shared
 // serialized external backend), optionally behind a fault injector,
 // optionally behind the resilient retry layer. Each draw owns the whole
@@ -240,8 +125,7 @@ struct BackendStack {
 BackendStack BuildDrawStack(const MultiCastOptions& options,
                             size_t vocab_size, VirtualClock* clock,
                             lm::LlmBackend* external, uint64_t draw_index,
-                            const std::shared_ptr<lm::PrefixCache>& cache,
-                            const batch::SpeculativePolicy& speculative) {
+                            const std::shared_ptr<lm::PrefixCache>& cache) {
   BackendStack stack;
   if (external != nullptr) {
     stack.top = external;
@@ -256,8 +140,7 @@ BackendStack BuildDrawStack(const MultiCastOptions& options,
       // scheduler — draws from every pipeline on this scheduler decode
       // one token per step together. Bit-identical output either way.
       stack.base = std::make_unique<batch::BatchLlm>(
-          options.profile, vocab_size, options.batch_scheduler, cache,
-          speculative);
+          options.profile, vocab_size, options.batch_scheduler, cache);
     } else {
       stack.base = std::make_unique<lm::SimulatedLlm>(options.profile,
                                                       vocab_size, cache);
@@ -393,9 +276,6 @@ struct SampleLoopState {
   std::shared_ptr<lm::PrefixCache> cache;
   std::function<Status(const std::string& text, DrawOutcome* out)> parse;
   const char* salvage_noun = "timestamps";
-  /// Draft-then-verify policy for the BatchLlm leaf (disabled unless
-  /// the forecast resolved a draft factory; see ResolveSpeculative).
-  batch::SpeculativePolicy speculative;
 };
 
 // Runs one complete draw — backend stack construction, the LLM call,
@@ -416,8 +296,7 @@ DrawOutcome RunDraw(const SampleLoopState& st, int draw_index, Rng rng,
   // observed at draw granularity by the merge loop instead.
   BackendStack stack =
       BuildDrawStack(*st.options, st.vocab->size(), &branch, st.external,
-                     static_cast<uint64_t>(draw_index), st.cache,
-                     st.speculative);
+                     static_cast<uint64_t>(draw_index), st.cache);
   Result<SampleDraw> draw_or =
       DrawSample(stack.top, *st.prompt, st.tokens_needed, *st.mask, &rng,
                  *st.mux, *st.widths, *st.vocab, draw_ctx, &out.ledger);
@@ -749,16 +628,6 @@ Result<ForecastResult> MultiCastForecaster::ForecastRaw(
     MC_RETURN_IF_ERROR(warmer.WarmPrefix(prompt));
   }
   st.salvage_noun = "timestamps";
-  if (options_.speculative && options_.batch_scheduler != nullptr &&
-      options_.backend == nullptr) {
-    std::vector<token::TokenId> draft_template;
-    if (options_.draft == DraftKind::kClassical) {
-      draft_template = ClassicalDraftRaw(history, horizon, params, widths,
-                                         *mux, vocab, options_.digits);
-    }
-    st.speculative =
-        ResolveSpeculative(options_, vocab, std::move(draft_template));
-  }
   st.parse = [&mux, &widths, &params, dims, horizon](
                  const std::string& text, DrawOutcome* out) -> Status {
     // 5. Demultiplex and descale the salvaged prefix of this sample.
@@ -881,17 +750,6 @@ Result<ForecastResult> MultiCastForecaster::ForecastSax(
     MC_RETURN_IF_ERROR(warmer.WarmPrefix(prompt));
   }
   st.salvage_noun = "segments";
-  if (options_.speculative && options_.batch_scheduler != nullptr &&
-      options_.backend == nullptr) {
-    std::vector<token::TokenId> draft_template;
-    if (options_.draft == DraftKind::kClassical) {
-      draft_template =
-          ClassicalDraftSax(history, segments_needed, segment_length,
-                            codecs, widths, *mux, vocab);
-    }
-    st.speculative =
-        ResolveSpeculative(options_, vocab, std::move(draft_template));
-  }
   st.parse = [&mux, &widths, &codecs, dims, horizon, segments_needed,
               segment_length](const std::string& text,
                               DrawOutcome* out) -> Status {

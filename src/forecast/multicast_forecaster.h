@@ -40,18 +40,6 @@ enum class Quantization {
 
 const char* QuantizationName(Quantization q);
 
-/// Which proposer drafts tokens under speculative decoding.
-enum class DraftKind {
-  /// Classical next-value drafting (forecast/classical.h): the
-  /// statistical tier predicts the whole horizon once and the
-  /// prediction is rendered through the pipeline's own scaler /
-  /// multiplexer / codec into a positional token template.
-  kClassical,
-  /// A low-order n-gram model conditioned on the prompt plus every
-  /// emitted token (lm::NGramDraftModel).
-  kNGram,
-};
-
 struct MultiCastOptions {
   /// Multiplexing scheme (Sec. III-A).
   multiplex::MuxKind mux = multiplex::MuxKind::kDigitInterleave;
@@ -132,30 +120,13 @@ struct MultiCastOptions {
   /// path at any batch size and thread count; only the execution
   /// schedule (and wall-clock against a latency-bound step) changes.
   std::shared_ptr<batch::BatchScheduler> batch_scheduler;
-  /// Speculative (draft-then-verify) decoding on the batch scheduler:
-  /// a cheap proposer drafts up to `draft_k` tokens per decode step,
-  /// the target model verifies them in one batched pass, and the
-  /// accepted prefix plus one token emit together — up to draft_k + 1
-  /// tokens per step at one step's latency-bound cost. Output is
-  /// bit-identical to non-speculative decoding at any draft_k, batch
-  /// size or thread count (same forecasts, bands, ledgers, warnings;
-  /// see lm/draft.h and DESIGN.md §5j). Takes effect only when
-  /// `batch_scheduler` is set and no external `backend` is injected;
-  /// acceptance counters surface as `spec.*` scheduler metrics.
-  bool speculative = false;
-  /// Maximum draft tokens proposed per step (must be >= 1 to draft).
-  int draft_k = 4;
-  /// Which proposer drafts. Classical drafting falls back to the
-  /// n-gram proposer when the classical tier cannot render a template
-  /// (drafting is an accelerator, never a correctness dependency).
-  DraftKind draft = DraftKind::kClassical;
   /// Session memory (lm/paged_store.h): model layers live in
   /// fixed-span refcounted blocks from a BlockPool, so concurrent draws
   /// share frozen prompt state at block granularity. Without an
   /// external `block_pool` the forecaster builds its own from the two
   /// fields below. Output is bit-identical to the plain map layers at
-  /// any thread count, batch size, draft-k and cache state (lm.mem.*
-  /// metrics report the bytes).
+  /// any thread count, batch size and cache state (lm.mem.* metrics
+  /// report the bytes).
   ///
   /// Payload slots per block.
   size_t block_span = 32;

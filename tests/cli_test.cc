@@ -35,6 +35,24 @@ class CliTest : public testing::Test {
     return code;
   }
 
+  // Runs `forecast` with one extra flag (and its value, when non-empty)
+  // and expects InvalidArgument whose message contains `needle`.
+  void ExpectRejected(const std::string& flag, const std::string& value,
+                      const std::string& needle) {
+    std::vector<std::string> args = {"forecast", "--input", path_,
+                                     "--horizon", "3", flag};
+    if (!value.empty()) args.push_back(value);
+    std::string out;
+    Result<int> code = Run(args, &out);
+    ASSERT_FALSE(code.ok()) << flag << " " << value;
+    EXPECT_EQ(code.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(code.status().ToString().find(needle), std::string::npos)
+        << code.status().ToString();
+  }
+  void ExpectRejected(const std::string& flag, const std::string& value) {
+    ExpectRejected(flag, value, flag);
+  }
+
   std::string path_;
 };
 
@@ -143,21 +161,53 @@ TEST_F(CliTest, ForecastRejectsBadFlags) {
                    .ok());
 }
 
-// The paged-geometry flags are range-checked as int64 before they are
-// narrowed to int, so out-of-range values fail instead of wrapping.
-class CliGeometryFlagTest : public CliTest {
- protected:
-  void ExpectRejected(const std::string& flag, const std::string& value) {
-    std::string out;
-    Result<int> code =
-        Run({"forecast", "--input", path_, "--horizon", "3", flag, value},
-            &out);
-    ASSERT_FALSE(code.ok()) << flag << " " << value;
-    EXPECT_EQ(code.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(code.status().ToString().find(flag), std::string::npos)
-        << code.status().ToString();
-  }
+// Retired flags are unknown flags: a script that still passes one fails
+// instead of silently running a different configuration.
+TEST_F(CliTest, RetiredSpeculativeFlagsAreRejected) {
+  ExpectRejected("--speculative", "", "unknown flag --speculative");
+  ExpectRejected("--draft-k", "4", "unknown flag --draft-k");
+}
+
+// Every int-valued flag is range-checked as int64 before it is narrowed
+// to int, so out-of-range values fail instead of wrapping.
+using CliGeometryFlagTest = CliTest;
+
+struct IntFlagCase {
+  const char* flag;
+  const char* value;
 };
+
+// Each value narrows to an in-range int (1; 2 for --sax-alphabet; 0 for
+// --retries 2^32), so it would pass if the flag were narrowed before it
+// was checked.
+const IntFlagCase kWrappingIntFlags[] = {
+    {"--samples", "4294967297"},
+    {"--samples", "-4294967295"},
+    {"--digits", "4294967297"},
+    {"--digits", "-4294967295"},
+    {"--sax-segment", "4294967297"},
+    {"--sax-segment", "-4294967295"},
+    {"--sax-alphabet", "4294967298"},
+    {"--sax-alphabet", "-4294967294"},
+    {"--retries", "4294967296"},
+    {"--retries", "4294967297"},
+    {"--retries", "-4294967295"},
+    {"--redraws", "4294967297"},
+    {"--redraws", "-4294967295"},
+    {"--threads", "4294967297"},
+    {"--threads", "-4294967295"},
+    {"--prefix-cache-capacity", "4294967297"},
+    {"--prefix-cache-capacity", "-4294967295"},
+    {"--batch-size", "4294967297"},
+    {"--batch-size", "-4294967295"},
+};
+
+TEST_F(CliTest, IntFlagsThatWouldWrapAreRejected) {
+  for (const IntFlagCase& c : kWrappingIntFlags) {
+    SCOPED_TRACE(std::string(c.flag) + " " + c.value);
+    ExpectRejected(c.flag, c.value);
+  }
+}
 
 TEST_F(CliGeometryFlagTest, BlockSpanBeyondIntIsRejected) {
   // Does not fit an int; narrowed, it would turn negative.

@@ -38,13 +38,6 @@ echo "==== bench smoke: overload degradation-ladder goodput gates ===="
 cmake --build build -j "${JOBS}" --target ablation_overload
 ./build/bench/ablation_overload --smoke
 
-echo "==== bench smoke: speculative decoding identity + speedup gates ===="
-# Exits non-zero when any speculative forecast diverges from its plain
-# twin (bit-identity at every swept draft length and batch size), or
-# the best-k speedup on the latency-bound backend falls below 1.5x.
-cmake --build build -j "${JOBS}" --target speculative_decode
-./build/bench/speculative_decode --smoke
-
 echo "==== bench smoke: paged session memory identity + bytes gates ===="
 # Exits non-zero when any paged forecast diverges from the unpaged
 # baseline (bit-identity across the threads x batch grid and under pool
@@ -115,7 +108,6 @@ if [[ "${run_tsan}" == "1" ]]; then
     resilient_backend_test
     fault_injection_test
     batch_scheduler_test
-    speculative_test
     cluster_test
     cluster_chaos_test
   )
