@@ -119,25 +119,57 @@ void BM_SaxEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_SaxEncode)->Arg(3)->Arg(9);
 
+// Prompt ingest, one layer: a prompt-shaped stream (2-digit fields and
+// commas, as MultiCast serializes a series) of 1,700 tokens into an
+// order-8 model, the Llama2 profile's order. Arguments: `paged` as in
+// PoolFor; `bulk` 0 = one Observe per token, 1 = ObserveAll (the bulk
+// build on a paged session; the same Observe loop on the plain maps);
+// `base` 0 = a fresh model, 1 = a fork over a frozen base that observed
+// another 1,700-token prompt, as a prefix-cache hit extends. Reports
+// per_token, the time per prompt token; model set-up and teardown are
+// inside the timing.
 void BM_NGramObserve(benchmark::State& state) {
+  constexpr size_t kTokens = 1700;
+  const bool bulk = state.range(1) != 0;
+  const bool over_base = state.range(2) != 0;
   lm::NGramOptions opts;
-  opts.max_order = static_cast<int>(state.range(0));
-  std::shared_ptr<lm::BlockPool> pool = PoolFor(state.range(1));
-  Rng rng(17);
-  std::vector<token::TokenId> tokens;
-  for (int i = 0; i < 4096; ++i) {
-    tokens.push_back(static_cast<token::TokenId>(rng.NextBounded(11)));
-  }
+  opts.max_order = 8;
+  std::shared_ptr<lm::BlockPool> pool = PoolFor(state.range(0));
+  const token::Vocabulary vocab = token::Vocabulary::Digits();
+  auto prompt_tokens = [&](uint64_t seed) {
+    Rng rng(seed);
+    std::string text;
+    while (text.size() < kTokens) {
+      text += token::FixedWidthDigits(rng.NextBounded(100), 2).ValueOrDie();
+      text.push_back(',');
+    }
+    text.resize(kTokens);
+    return token::Encode(text, vocab).ValueOrDie();
+  };
+  const std::vector<token::TokenId> tokens = prompt_tokens(17);
+  lm::NGramLanguageModel base(vocab.size(), opts, pool);
+  base.ObserveAll(prompt_tokens(18));
+  base.Freeze();
   for (auto _ : state) {
-    lm::NGramLanguageModel model(11, opts, pool);
-    model.ObserveAll(tokens);
-    benchmark::DoNotOptimize(model.num_entries());
+    std::unique_ptr<lm::LanguageModel> model =
+        over_base ? base.Fork()
+                  : std::make_unique<lm::NGramLanguageModel>(vocab.size(),
+                                                             opts, pool);
+    if (bulk) {
+      model->ObserveAll(tokens);
+    } else {
+      for (token::TokenId id : tokens) model->Observe(id);
+    }
+    benchmark::DoNotOptimize(model->context_length());
   }
-  state.SetItemsProcessed(state.iterations() * 4096);
+  state.counters["per_token"] = benchmark::Counter(
+      static_cast<double>(kTokens),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_NGramObserve)
-    ->ArgNames({"order", "paged"})
-    ->ArgsProduct({{3, 10}, {0, 1}});
+    ->ArgNames({"paged", "bulk", "base"})
+    ->ArgsProduct({{0, 1}, {0, 1}, {0, 1}});
 
 void BM_NGramNextDistribution(benchmark::State& state) {
   lm::NGramOptions opts;

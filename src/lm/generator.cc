@@ -78,7 +78,7 @@ Result<DecodeSession> OpenDecodeSession(
     });
   } else {
     session.model = NewDecoderModel(profile, vocab_size);
-    for (token::TokenId id : prompt) session.model->Observe(id);
+    session.model->ObserveAll(prompt);
   }
   session.model->ReserveDecode(num_tokens);
   return session;

@@ -3,8 +3,8 @@
 // This is the substrate that stands in for the paper's LLaMA2 / Phi-2
 // back-ends (see DESIGN.md, "Reproduction gates"). The interface mirrors
 // how a decoder-only LLM is actually driven: feed the prompt token ids
-// one by one (Observe), then alternate NextDistribution -> sample ->
-// Observe for each generated token. Implementations are *zero-shot* in
+// (ObserveAll, the prefill), then alternate NextDistribution -> sample
+// -> Observe for each generated token. Implementations are *zero-shot* in
 // the paper's sense: they carry no weights trained on the evaluation
 // horizon; all conditioning comes from the observed context.
 //
@@ -19,6 +19,7 @@
 #define MULTICAST_LM_LANGUAGE_MODEL_H_
 
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -58,6 +59,13 @@ class LanguageModel {
   /// Consumes one token of context (prompt or previously sampled
   /// output). Calling Observe on a frozen model is a programming error.
   virtual void Observe(token::TokenId id) = 0;
+
+  /// Consumes a whole token sequence: the same state, and so the same
+  /// output, as calling Observe on each token in order. Implementations
+  /// may build it in bulk; the default loops Observe.
+  virtual void ObserveAll(std::span<const token::TokenId> ids) {
+    for (token::TokenId id : ids) Observe(id);
+  }
 
   /// Probability of each vocabulary token following the observed context.
   /// The returned vector has vocab_size() entries summing to 1.

@@ -417,11 +417,6 @@ void MixtureLanguageModel::Observe(token::TokenId id) {
   ++observed_;
 }
 
-void MixtureLanguageModel::ObserveAll(
-    const std::vector<token::TokenId>& ids) {
-  for (token::TokenId id : ids) Observe(id);
-}
-
 void MixtureLanguageModel::NextDistribution(std::vector<double>* out) const {
   MixturePath(out, nullptr);
   std::vector<double>& probs = *out;

@@ -22,6 +22,11 @@
 // PagedContextStore per layer (keys encode depth) with u16 counts and a
 // plain overflow map for u16-saturated / pool-spilled nodes. The
 // per-node posterior weight stays a full double inside the slot.
+//
+// Prompt ingest stays one Observe per token (the LanguageModel default
+// ObserveAll): every token updates the posterior weights along its
+// context path, so unlike the n-gram counts the state depends on the
+// order tokens arrive in, and there is no order-free bulk build.
 
 #ifndef MULTICAST_LM_MIXTURE_MODEL_H_
 #define MULTICAST_LM_MIXTURE_MODEL_H_
@@ -83,8 +88,6 @@ class MixtureLanguageModel final : public LanguageModel {
 
   MemoryFootprint ApproxMemoryBytes() const override;
   void TallyMemory(MemoryTally* tally) const override;
-
-  void ObserveAll(const std::vector<token::TokenId>& ids);
 
   /// True when layers live in paged storage (pool attached and enabled).
   bool paged() const { return paged_; }

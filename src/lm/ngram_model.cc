@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
 
 #include "util/status.h"
 
@@ -219,57 +220,37 @@ void NGramLanguageModel::BumpPlain(size_t order, uint64_t key,
   ++entry->total;
 }
 
-void NGramLanguageModel::BumpPaged(uint64_t key, const Resolved& r,
-                                   token::TokenId id) {
-  const size_t w = static_cast<size_t>(id);
-  // The plain-mode increment, applied to a wide (u32) overflow entry.
-  auto bump_wide = [&](ContextCounts& cc) {
-    if (cc.next.empty()) cc.next.assign(vocab_size_, 0);
-    if (cc.next[w] == 0) ++cc.types;
-    ++cc.next[w];
-    ++cc.total;
-  };
-
-  if (r.node != nullptr) {
-    bump_wide(*r.node);
-    return;
+NGramLanguageModel::ContextCounts* NGramLanguageModel::SeedOverlay(
+    uint64_t key, const CountsRef& under, std::byte* claimed) {
+  if (under.found && under.wide != nullptr) {
+    // Frozen entry already wide: the overlay copy is wide too, and its
+    // slot (if the pool gave one) only carries the flag.
+    ContextCounts& cc = overflow_local_[key];
+    cc.next.assign(under.wide, under.wide + vocab_size_);
+    cc.total = under.total;
+    cc.types = under.types;
+    if (claimed != nullptr) StoreU16(claimed, kFlagsOffset, kWideFlag);
+    return &cc;
   }
-  std::byte* p = r.slot;
-  if (p == nullptr) {
-    // First touch this session: seed from the frozen view, then write.
-    const CountsRef& under = r.under;
-    if (under.found && under.wide != nullptr) {
-      // Frozen entry already wide: the overlay copy is wide too.
-      ContextCounts& cc = overflow_local_[key];
-      cc.next.assign(under.wide, under.wide + vocab_size_);
+  if (claimed == nullptr) {
+    // Pool exhausted: spill to the plain overflow map. Same integers,
+    // same output — the pool has already counted the event and the
+    // admission ladder sheds on its fullness.
+    ContextCounts& cc = overflow_local_[key];
+    if (under.found) {
+      cc.next.assign(vocab_size_, 0);
+      for (size_t i = 0; i < vocab_size_; ++i) cc.next[i] = under.narrow[i];
       cc.total = under.total;
       cc.types = under.types;
-      if (std::byte* slot = paged_local_->Insert(key, r.hole)) {
-        StoreU16(slot, kFlagsOffset, kWideFlag);
-      }
-      // (On pool exhaustion the entry lives in the overflow map alone —
-      // the spill path Resolve() already handles.)
-      bump_wide(cc);
-      return;
     }
-    p = paged_local_->Insert(key, r.hole);
-    if (p == nullptr) {
-      // Pool exhausted: spill to the plain overflow map. Same integers,
-      // same output — the pool has already counted the event and the
-      // admission ladder sheds on its fullness.
-      ContextCounts& cc = overflow_local_[key];
-      if (under.found) {
-        cc.next.assign(vocab_size_, 0);
-        for (size_t i = 0; i < vocab_size_; ++i) cc.next[i] = under.narrow[i];
-        cc.total = under.total;
-        cc.types = under.types;
-      }
-      bump_wide(cc);
-      return;
-    }
-    if (under.found) std::memcpy(p, under.slot, SlotBytes());
+    return &cc;
   }
+  if (under.found) std::memcpy(claimed, under.slot, SlotBytes());
+  return nullptr;
+}
 
+NGramLanguageModel::ContextCounts* NGramLanguageModel::BumpNarrow(
+    uint64_t key, std::byte* p, size_t w) {
   uint16_t* counts = NarrowCounts(p);
   if (counts[w] == 0xffff) {
     // u16 saturation: promote the whole entry to a wide overflow entry.
@@ -279,8 +260,8 @@ void NGramLanguageModel::BumpPaged(uint64_t key, const Resolved& r,
     cc.total = LoadU32(p, kTotalOffset);
     cc.types = LoadU16(p, kTypesOffset);
     StoreU16(p, kFlagsOffset, kWideFlag);
-    bump_wide(cc);
-    return;
+    BumpWide(&cc, w);
+    return &cc;
   }
   if (counts[w] == 0) {
     StoreU16(p, kTypesOffset,
@@ -288,6 +269,40 @@ void NGramLanguageModel::BumpPaged(uint64_t key, const Resolved& r,
   }
   ++counts[w];
   StoreU32(p, kTotalOffset, LoadU32(p, kTotalOffset) + 1);
+  return nullptr;
+}
+
+void NGramLanguageModel::BumpWide(ContextCounts* cc, size_t w) const {
+  // The plain-mode increment, applied to a wide (u32) overflow entry.
+  if (cc->next.empty()) cc->next.assign(vocab_size_, 0);
+  if (cc->next[w] == 0) ++cc->types;
+  ++cc->next[w];
+  ++cc->total;
+}
+
+void NGramLanguageModel::BumpPaged(uint64_t key, const Resolved& r,
+                                   token::TokenId id) {
+  const size_t w = static_cast<size_t>(id);
+  std::byte* slot = r.slot;
+  ContextCounts* node = r.node;
+  if (slot == nullptr && node == nullptr) {
+    // First touch this session: claim a slot where the probe stopped,
+    // seeded from the frozen view.
+    slot = paged_local_->Insert(key, r.hole);
+    node = SeedOverlay(key, r.under, slot);
+  }
+  if (node != nullptr) {
+    BumpWide(node, w);
+  } else {
+    BumpNarrow(key, slot, w);
+  }
+}
+
+void NGramLanguageModel::Advance(token::TokenId id) {
+  const int window_bits = kBitsPerToken * options_.max_order;
+  window_ = ((window_ << kBitsPerToken) | static_cast<uint64_t>(id)) &
+            ((uint64_t{1} << window_bits) - 1);
+  ++observed_;
 }
 
 void NGramLanguageModel::Observe(token::TokenId id) {
@@ -310,14 +325,73 @@ void NGramLanguageModel::Observe(token::TokenId id) {
     }
   }
   probes_valid_ = false;
-  const int window_bits = kBitsPerToken * options_.max_order;
-  window_ = ((window_ << kBitsPerToken) | static_cast<uint64_t>(id)) &
-            ((uint64_t{1} << window_bits) - 1);
-  ++observed_;
+  Advance(id);
 }
 
-void NGramLanguageModel::ObserveAll(const std::vector<token::TokenId>& ids) {
+void NGramLanguageModel::ObserveAll(std::span<const token::TokenId> ids) {
+  MC_CHECK(!frozen_);  // Fork() a session instead of mutating a frozen base.
+  if (paged_ && paged_local_->size() == 0 && overflow_local_.empty()) {
+    IngestPaged(ids);
+    return;
+  }
+  // An overlay that already holds entries, and the plain layers (the
+  // reference representation), take one token at a time.
   for (token::TokenId id : ids) Observe(id);
+}
+
+void NGramLanguageModel::IngestPaged(std::span<const token::TokenId> ids) {
+  if (ids.empty()) return;
+  probes_valid_ = false;
+  // Scratch for this call only: one record per distinct key, in first-
+  // touch order, and an open-addressed index over them of 4-byte cells
+  // (1 + record position, 0 = empty), sized for the most keys the
+  // prompt can add at the store's 70% load.
+  struct Record {
+    uint64_t key;
+    std::byte* slot;  // null: the counts live in overflow_local_
+  };
+  const size_t max_keys = MaxNewKeys(ids.size());
+  int bits = 4;
+  while ((size_t{1} << bits) * 7 <= max_keys * 10) ++bits;
+  std::vector<uint32_t> cells(size_t{1} << bits, 0);
+  const size_t mask = cells.size() - 1;
+  std::vector<Record> records;
+  records.reserve(max_keys);
+
+  for (token::TokenId id : ids) {
+    MC_CHECK(id >= 0 && static_cast<size_t>(id) < vocab_size_);
+    const size_t w = static_cast<size_t>(id);
+    const int max_ctx = ContextOrders();
+    for (int order = 0; order <= max_ctx; ++order) {
+      const uint64_t key = ContextKey(order);
+      // Fibonacci hashing: the top bits of key * 2^64 / phi.
+      size_t cell =
+          static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> (64 - bits));
+      while (cells[cell] != 0 && records[cells[cell] - 1].key != key) {
+        cell = (cell + 1) & mask;
+      }
+      if (cells[cell] == 0) {
+        // First touch: the slot is claimed now, so slots follow first-
+        // touch order as they do one Observe at a time.
+        std::byte* slot = paged_local_->Append(key);
+        const CountsRef under =
+            paged_base_.empty()
+                ? CountsRef{}
+                : LookupFrozenPaged(key, PagedContextStore::HashKey(key));
+        if (SeedOverlay(key, under, slot) != nullptr) slot = nullptr;
+        records.push_back(Record{key, slot});
+        cells[cell] = static_cast<uint32_t>(records.size());
+      }
+      Record& record = records[cells[cell] - 1];
+      if (record.slot == nullptr) {
+        BumpWide(&overflow_local_.find(key)->second, w);
+      } else if (BumpNarrow(key, record.slot, w) != nullptr) {
+        record.slot = nullptr;
+      }
+    }
+    Advance(id);
+  }
+  paged_local_->IndexAppended();
 }
 
 void NGramLanguageModel::ResolveAll(Resolved* resolved) const {
@@ -394,16 +468,19 @@ void NGramLanguageModel::NextDistribution(std::vector<double>* out) const {
 
 void NGramLanguageModel::ReserveDecode(size_t num_tokens) {
   if (!paged_ || frozen_ || num_tokens == 0) return;
-  // The most overlay keys `num_tokens` observes can add: one order-0
-  // key, and per order k >= 1 one key per token, but no more than the
-  // vocab_size^k distinct order-k contexts.
+  paged_local_->Reserve(paged_local_->size() + MaxNewKeys(num_tokens));
+}
+
+size_t NGramLanguageModel::MaxNewKeys(size_t num_tokens) const {
+  // One order-0 key, and per order k >= 1 one key per token, but no
+  // more than the vocab_size^k distinct order-k contexts.
   size_t new_keys = 1;
   size_t contexts = 1;
   for (int order = 1; order <= options_.max_order; ++order) {
     contexts = std::min(contexts * vocab_size_, num_tokens);
     new_keys += contexts;
   }
-  paged_local_->Reserve(paged_local_->size() + new_keys);
+  return new_keys;
 }
 
 std::vector<double> NGramLanguageModel::NextDistribution() const {
@@ -561,6 +638,33 @@ size_t NGramLanguageModel::num_entries() const {
     }
   }
   return n;
+}
+
+std::vector<NGramLanguageModel::OverlayEntry>
+NGramLanguageModel::OverlayEntries() const {
+  if (!paged_) return {};
+  std::map<uint64_t, OverlayEntry> entries;
+  paged_local_->ForEach([&](uint64_t key, const std::byte* p) {
+    OverlayEntry& e = entries[key];
+    e.key = key;
+    e.has_slot = true;
+    if (LoadU16(p, kFlagsOffset) & kWideFlag) return;  // filled below
+    e.narrow = true;
+    e.total = LoadU32(p, kTotalOffset);
+    e.types = LoadU16(p, kTypesOffset);
+    e.next.assign(NarrowCounts(p), NarrowCounts(p) + vocab_size_);
+  });
+  for (const auto& [key, cc] : overflow_local_) {
+    OverlayEntry& e = entries[key];
+    e.key = key;
+    e.total = cc.total;
+    e.types = cc.types;
+    e.next = cc.next;
+  }
+  std::vector<OverlayEntry> out;
+  out.reserve(entries.size());
+  for (auto& [key, e] : entries) out.push_back(std::move(e));
+  return out;
 }
 
 MemoryFootprint NGramLanguageModel::ApproxMemoryBytes() const {

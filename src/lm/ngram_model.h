@@ -40,6 +40,14 @@
 // so the insert that follows resumes there instead of probing again;
 // ReserveDecode sizes the overlay index for a whole generation when the
 // session opens, so that the index does not grow (and rehash) mid-draw.
+//
+// Prompt ingest (ObserveAll) into a paged session whose overlay is still
+// empty (a fresh model, or a fork over a frozen base) is one bulk build
+// rather than an Observe per token: the counts after ingest are a
+// multiset of (context, next-token) pairs, so one sweep that dedupes the
+// keys in a scratch index, claims each new key's slot in first-touch
+// order and indexes the overlay once at the end holds the same integers
+// in the same blocks and slots (DESIGN.md §5k, "Bulk prompt ingest").
 
 #ifndef MULTICAST_LM_NGRAM_MODEL_H_
 #define MULTICAST_LM_NGRAM_MODEL_H_
@@ -47,6 +55,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -102,8 +111,9 @@ class NGramLanguageModel final : public LanguageModel {
   MemoryFootprint ApproxMemoryBytes() const override;
   void TallyMemory(MemoryTally* tally) const override;
 
-  /// Convenience: observes a whole token sequence.
-  void ObserveAll(const std::vector<token::TokenId>& ids);
+  /// Bulk build into a paged session with an empty overlay; otherwise
+  /// one Observe per token (see file comment).
+  void ObserveAll(std::span<const token::TokenId> ids) override;
 
   const NGramOptions& options() const { return options_; }
   /// True when layers live in paged storage (pool attached and enabled).
@@ -122,6 +132,23 @@ class NGramLanguageModel final : public LanguageModel {
   size_t num_base_layers() const {
     return paged_ ? paged_base_.size() : base_.size();
   }
+
+  /// One context key of a paged session's private overlay, as held.
+  struct OverlayEntry {
+    uint64_t key = 0;
+    /// Counts live in a u16 slot (else in the wide overflow map).
+    bool narrow = false;
+    /// The key holds an overlay slot (narrow, or flagged wide); a wide
+    /// entry without one was spilled on pool exhaustion.
+    bool has_slot = false;
+    uint32_t total = 0;
+    uint32_t types = 0;
+    std::vector<uint32_t> next;
+  };
+  /// Every overlay entry of a paged session, ordered by key (tests only).
+  std::vector<OverlayEntry> OverlayEntries() const;
+  /// A paged session's overlay store; null in plain mode (tests only).
+  const PagedContextStore* overlay_store() const { return paged_local_.get(); }
 
  private:
   // Per-context counts: next-token counts, their total, and the number of
@@ -209,6 +236,24 @@ class NGramLanguageModel final : public LanguageModel {
   void BumpPlain(size_t order, uint64_t key, const Resolved& r,
                  token::TokenId id);
   void BumpPaged(uint64_t key, const Resolved& r, token::TokenId id);
+  // Seeds the first-touch overlay entry of `key` from `under`, the
+  // frozen view, into `claimed`, the slot the overlay store gave the key
+  // (null: the pool refused one). Returns the overflow entry holding the
+  // counts (a wide frozen entry, its slot flagged; or a spill), or null
+  // when they live in `claimed`.
+  ContextCounts* SeedOverlay(uint64_t key, const CountsRef& under,
+                             std::byte* claimed);
+  // Counts token `w` in the narrow slot `p` of `key`. At u16 saturation
+  // the entry is promoted to a wide overflow entry instead, counted
+  // there and returned; null otherwise.
+  ContextCounts* BumpNarrow(uint64_t key, std::byte* p, size_t w);
+  void BumpWide(ContextCounts* cc, size_t w) const;
+  // Shifts `id` into the window as the newest observed token.
+  void Advance(token::TokenId id);
+  // The ObserveAll bulk build (see file comment).
+  void IngestPaged(std::span<const token::TokenId> ids);
+  // Most context keys `num_tokens` more observed tokens can add.
+  size_t MaxNewKeys(size_t num_tokens) const;
 
   size_t SlotBytes() const;
   void CompactPagedBase();

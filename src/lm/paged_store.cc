@@ -188,18 +188,21 @@ size_t PagedContextStore::Probe(uint64_t key, uint64_t hash) const {
   }
 }
 
+void PagedContextStore::PlaceId(uint32_t id) {
+  const size_t mask = index_.size() - 1;
+  const uint64_t key = KeyArray(BlockOf(id))[SlotOf(id)];
+  size_t cell = static_cast<size_t>(HashKey(key)) & mask;
+  while (index_[cell] != 0) cell = (cell + 1) & mask;
+  index_[cell] = id;
+}
+
 void PagedContextStore::GrowIndex(size_t min_cells) {
   size_t cells = kMinIndexCells;
   while (cells < min_cells) cells <<= 1;
   std::vector<uint32_t> old = std::move(index_);
   index_.assign(cells, 0);
-  const size_t mask = cells - 1;
   for (uint32_t id : old) {
-    if (id == 0) continue;
-    const uint64_t key = KeyArray(BlockOf(id))[SlotOf(id)];
-    size_t cell = static_cast<size_t>(HashKey(key)) & mask;
-    while (index_[cell] != 0) cell = (cell + 1) & mask;
-    index_[cell] = id;
+    if (id != 0) PlaceId(id);
   }
 }
 
@@ -228,7 +231,6 @@ void PagedContextStore::IndexSlot(uint64_t key, uint32_t block,
     cell = Probe(key, HashKey(key));
   }
   MC_CHECK(index_[cell] == 0);
-  MC_CHECK(block < (uint32_t{0xffffffff} >> slot_bits_));  // id fits 32 bits
   index_[cell] = 1 + ((block << slot_bits_) | slot);
   ++size_;
 }
@@ -266,20 +268,64 @@ std::byte* PagedContextStore::Insert(uint64_t key) {
   return Insert(key, Hole{});
 }
 
-std::byte* PagedContextStore::Insert(uint64_t key, const Hole& hole) {
+std::byte* PagedContextStore::ClaimSlot(uint64_t key, uint32_t* block,
+                                        uint32_t* slot) {
   if (!tail_open_ || tail_used_ == span_) {
-    BlockRef block = pool_->Allocate(block_bytes_);
-    if (block == nullptr) return nullptr;  // exhaustion: caller spills
-    blocks_.push_back(std::move(block));
+    BlockRef fresh = pool_->Allocate(block_bytes_);
+    if (fresh == nullptr) return nullptr;  // exhaustion: caller spills
+    blocks_.push_back(std::move(fresh));
     tail_open_ = true;
     tail_used_ = 0;
   }
-  const uint32_t block = static_cast<uint32_t>(blocks_.size() - 1);
-  const uint32_t slot = static_cast<uint32_t>(tail_used_++);
-  KeyArray(block)[slot] = key;
-  std::memset(Payload(block, slot), 0, slot_bytes_);
-  IndexSlot(key, block, slot, hole);
-  return Payload(block, slot);
+  *block = static_cast<uint32_t>(blocks_.size() - 1);
+  *slot = static_cast<uint32_t>(tail_used_++);
+  MC_CHECK(*block < (uint32_t{0xffffffff} >> slot_bits_));  // id fits 32 bits
+  KeyArray(*block)[*slot] = key;
+  std::byte* payload = Payload(*block, *slot);
+  std::memset(payload, 0, slot_bytes_);
+  return payload;
+}
+
+std::byte* PagedContextStore::Insert(uint64_t key, const Hole& hole) {
+  MC_CHECK(pending_ == 0);  // IndexAppended() first
+  uint32_t block = 0;
+  uint32_t slot = 0;
+  std::byte* payload = ClaimSlot(key, &block, &slot);
+  if (payload != nullptr) IndexSlot(key, block, slot, hole);
+  return payload;
+}
+
+std::byte* PagedContextStore::Append(uint64_t key) {
+  uint32_t block = 0;
+  uint32_t slot = 0;
+  std::byte* payload = ClaimSlot(key, &block, &slot);
+  if (payload == nullptr) return nullptr;
+  if (pending_ == 0) {
+    pending_block_ = block;
+    pending_slot_ = slot;
+  }
+  ++pending_;
+  return payload;
+}
+
+void PagedContextStore::IndexAppended() {
+  if (pending_ == 0) return;
+  // Growth one insert at a time ends at the smallest cell count that
+  // holds every key under the load rule, which is what Reserve sizes.
+  Reserve(size_ + pending_);
+  // Pending slots run on from the first through the blocks claimed
+  // after it: each such block was fresh, so full up to the tail.
+  size_t block = pending_block_;
+  size_t slot = pending_slot_;
+  for (size_t i = 0; i < pending_; ++i, ++slot) {
+    if (slot == span_) {
+      ++block;
+      slot = 0;
+    }
+    PlaceId(static_cast<uint32_t>(1 + ((block << slot_bits_) | slot)));
+  }
+  size_ += pending_;
+  pending_ = 0;
 }
 
 size_t PagedContextStore::MemoryBytes() const {
@@ -302,7 +348,9 @@ void PagedContextStore::ForEach(
 uint32_t PagedContextStore::AdoptBlock(BlockRef block) {
   blocks_.push_back(std::move(block));
   tail_open_ = false;  // never append into an adopted block
-  return static_cast<uint32_t>(blocks_.size() - 1);
+  const uint32_t index = static_cast<uint32_t>(blocks_.size() - 1);
+  MC_CHECK(index < (uint32_t{0xffffffff} >> slot_bits_));  // id fits 32 bits
+  return index;
 }
 
 std::shared_ptr<PagedContextStore> PagedContextStore::MergeCompact(

@@ -276,6 +276,17 @@ class PagedContextStore {
   /// The key lands in the same cell Insert(key) would put it in.
   std::byte* Insert(uint64_t key, const Hole& hole);
 
+  /// Append-then-index-once, the bulk build: Append claims a zero-
+  /// initialized slot for `key` exactly as Insert does (the same block,
+  /// the same slot, the same pool call) but leaves the key unindexed, so
+  /// Find does not see it yet. The key must be absent from the store and
+  /// from every pending append. Null on pool exhaustion, as for Insert.
+  /// Insert must not be called while appends are pending.
+  std::byte* Append(uint64_t key);
+  /// Indexes every pending Append, growing the index once to the cell
+  /// count that inserting the same keys one at a time would reach.
+  void IndexAppended();
+
   /// Grows the index, once, so that `entries` keys in total fit without
   /// a further growth. Never shrinks it.
   void Reserve(size_t entries);
@@ -324,6 +335,13 @@ class PagedContextStore {
   /// where it would go.
   size_t Probe(uint64_t key, uint64_t hash) const;
   void GrowIndex(size_t min_cells);
+  /// Puts index cell id `id`, whose key is absent from the index, in the
+  /// first empty cell from its key's home cell on. No growth.
+  void PlaceId(uint32_t id);
+  /// The slot Insert and Append hand out: the tail block's next slot,
+  /// holding `key` and a zeroed payload, after a fresh block if the tail
+  /// is full. Null, with nothing claimed, when the pool refuses.
+  std::byte* ClaimSlot(uint64_t key, uint32_t* block, uint32_t* slot);
   /// Indexes an existing (block, slot) pair; grows the index as needed.
   /// `hole` is as in Insert(key, hole); a default Hole means "probe".
   void IndexSlot(uint64_t key, uint32_t block, uint32_t slot,
@@ -347,6 +365,11 @@ class PagedContextStore {
   /// 0 = empty. Sized to a power of two, grown at 70% load.
   std::vector<uint32_t> index_;
   size_t size_ = 0;
+  /// Appended slots not indexed yet, and where the first of them is;
+  /// the rest follow it slot by slot through the fresh tail blocks.
+  size_t pending_ = 0;
+  uint32_t pending_block_ = 0;
+  uint32_t pending_slot_ = 0;
 };
 
 }  // namespace lm

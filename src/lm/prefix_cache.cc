@@ -1,6 +1,7 @@
 #include "lm/prefix_cache.h"
 
 #include <algorithm>
+#include <span>
 
 #include "lm/paged_store.h"
 #include "util/status.h"
@@ -150,7 +151,7 @@ std::shared_ptr<const LanguageModel> PrefixCache::EnsureLocked(
     std::unique_ptr<LanguageModel> model = fresh();
     MC_CHECK(model != nullptr);
     stats_.prompt_tokens_replayed += prompt.size();
-    for (token::TokenId id : prompt) model->Observe(id);
+    model->ObserveAll(prompt);
     if (uncached != nullptr) *uncached = std::move(model);
     return nullptr;
   }
@@ -178,11 +179,11 @@ std::shared_ptr<const LanguageModel> PrefixCache::EnsureLocked(
     // Not cacheable: hand back an uncached session (counted as a miss
     // with a full replay). Null return signals "use *uncached".
     stats_.prompt_tokens_replayed += prompt.size();
-    for (token::TokenId id : prompt) model->Observe(id);
+    model->ObserveAll(prompt);
     if (uncached != nullptr) *uncached = std::move(model);
     return nullptr;
   }
-  for (size_t i = matched; i < prompt.size(); ++i) model->Observe(prompt[i]);
+  model->ObserveAll(std::span(prompt).subspan(matched));
   stats_.prompt_tokens_replayed += prompt.size() - matched;
   model->Freeze();
   std::shared_ptr<const LanguageModel> shared = std::move(model);

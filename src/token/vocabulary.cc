@@ -40,21 +40,21 @@ Result<Vocabulary> Vocabulary::SaxDigital(int alphabet_size) {
 }
 
 TokenId Vocabulary::Add(char symbol) {
-  auto it = ids_.find(symbol);
-  if (it != ids_.end()) return it->second;
-  TokenId id = static_cast<TokenId>(symbols_.size());
+  const TokenId existing = Find(symbol);
+  if (existing != kAbsent) return existing;
+  const TokenId id = static_cast<TokenId>(symbols_.size());
   symbols_.push_back(symbol);
-  ids_.emplace(symbol, id);
+  ids_[static_cast<unsigned char>(symbol)] = id;
   return id;
 }
 
 Result<TokenId> Vocabulary::IdOf(char symbol) const {
-  auto it = ids_.find(symbol);
-  if (it == ids_.end()) {
+  const TokenId id = Find(symbol);
+  if (id == kAbsent) {
     return Status::NotFound(StrFormat("symbol '%c' not in vocabulary",
                                       symbol));
   }
-  return it->second;
+  return id;
 }
 
 Result<char> Vocabulary::SymbolOf(TokenId id) const {
@@ -65,7 +65,7 @@ Result<char> Vocabulary::SymbolOf(TokenId id) const {
 }
 
 bool Vocabulary::Contains(char symbol) const {
-  return ids_.find(symbol) != ids_.end();
+  return Find(symbol) != kAbsent;
 }
 
 }  // namespace token

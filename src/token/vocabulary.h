@@ -10,9 +10,9 @@
 #ifndef MULTICAST_TOKEN_VOCABULARY_H_
 #define MULTICAST_TOKEN_VOCABULARY_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/status.h"
@@ -58,8 +58,20 @@ class Vocabulary {
   Result<TokenId> CommaId() const { return IdOf(','); }
 
  private:
+  static constexpr TokenId kAbsent = -1;
+
+  /// Id of `symbol`, or kAbsent.
+  TokenId Find(char symbol) const {
+    return ids_[static_cast<unsigned char>(symbol)];
+  }
+
   std::vector<char> symbols_;
-  std::unordered_map<char, TokenId> ids_;
+  /// Id of every char, indexed by its unsigned char value.
+  std::array<TokenId, 256> ids_ = [] {
+    std::array<TokenId, 256> ids;
+    ids.fill(kAbsent);
+    return ids;
+  }();
 };
 
 }  // namespace token

@@ -85,8 +85,7 @@ double Quantile(std::vector<double> values, double q) {
   // Linear interpolation between order statistics — intentionally a
   // different estimator than the serving layer's nearest-rank quantile;
   // both now live in util/quantile.h as the single implementation.
-  std::sort(values.begin(), values.end());
-  return util::InterpolatedQuantileSorted(values, q);
+  return util::InterpolatedQuantile(std::move(values), q);
 }
 
 double Median(std::vector<double> values) {

@@ -36,8 +36,9 @@ double PearsonCorrelation(const std::vector<double>& a,
 /// Lag-k autocorrelation; 0 when k >= size or variance is 0.
 double Autocorrelation(const std::vector<double>& values, size_t lag);
 
-/// `q`-th quantile (0 <= q <= 1) by linear interpolation on the sorted
-/// copy; 0 for empty input.
+/// `q`-th quantile (0 <= q <= 1) by linear interpolation between order
+/// statistics of the copy (selected, not fully sorted); 0 for empty
+/// input.
 double Quantile(std::vector<double> values, double q);
 
 /// Median (quantile 0.5).

@@ -25,15 +25,43 @@ double NearestRankQuantile(std::vector<double> values, double q) {
   return NearestRankQuantileSorted(values, q);
 }
 
+namespace {
+
+// Where the interpolated quantile of n > 0 values falls: between the
+// order statistics `lo` and `hi` (0-based, hi == lo or lo + 1), with
+// weight `frac` on the latter.
+struct Interpolation {
+  size_t lo;
+  size_t hi;
+  double frac;
+};
+
+Interpolation InterpolationAt(size_t n, double q) {
+  const double pos = std::clamp(q, 0.0, 1.0) * static_cast<double>(n - 1);
+  const size_t lo = static_cast<size_t>(std::floor(pos));
+  const size_t hi = static_cast<size_t>(std::ceil(pos));
+  return Interpolation{lo, hi, pos - static_cast<double>(lo)};
+}
+
+}  // namespace
+
 double InterpolatedQuantileSorted(const std::vector<double>& sorted,
                                   double q) {
   if (sorted.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(std::floor(pos));
-  const size_t hi = static_cast<size_t>(std::ceil(pos));
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  const Interpolation at = InterpolationAt(sorted.size(), q);
+  return sorted[at.lo] * (1.0 - at.frac) + sorted[at.hi] * at.frac;
+}
+
+double InterpolatedQuantile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  const Interpolation at = InterpolationAt(values.size(), q);
+  const auto lo = values.begin() + static_cast<std::ptrdiff_t>(at.lo);
+  std::nth_element(values.begin(), lo, values.end());
+  // Everything after the floor statistic is at least it, so the ceil
+  // statistic is the least of them.
+  const double hi =
+      at.hi == at.lo ? *lo : *std::min_element(lo + 1, values.end());
+  return *lo * (1.0 - at.frac) + hi * at.frac;
 }
 
 }  // namespace util

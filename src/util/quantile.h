@@ -42,6 +42,12 @@ double NearestRankQuantile(std::vector<double> values, double q);
 double InterpolatedQuantileSorted(const std::vector<double>& sorted,
                                   double q);
 
+/// InterpolatedQuantileSorted over an unsorted sample, by selection
+/// instead of a full sort: the floor order statistic from nth_element,
+/// the ceil one as the least value above it. Bit-identical to sorting
+/// first, since the two order statistics are the same values.
+double InterpolatedQuantile(std::vector<double> values, double q);
+
 }  // namespace util
 }  // namespace multicast
 

@@ -54,7 +54,7 @@ TEST(MixtureModelTest, DeepContextDisambiguates) {
   opts.max_depth = 5;
   MixtureLanguageModel model(10, opts);
   model.ObserveAll(Repeat(motif, 40));
-  model.ObserveAll({0, 1, 9, 2, 1});
+  model.ObserveAll(std::vector<token::TokenId>{0, 1, 9, 2, 1});
   std::vector<double> p = model.NextDistribution();
   EXPECT_GT(p[7], 0.6);
   EXPECT_GT(p[7], p[9]);
@@ -83,7 +83,7 @@ TEST(MixtureModelTest, AdaptsDepthPerContext) {
   // Rebuild the real context: feed a fresh block prefix.
   MixtureLanguageModel m2(6, opts);
   m2.ObserveAll(seq);
-  m2.ObserveAll({0, 1, 0, 1, 0, 1, 4});
+  m2.ObserveAll(std::vector<token::TokenId>{0, 1, 0, 1, 0, 1, 4});
   std::vector<double> p = m2.NextDistribution();
   EXPECT_GT(p[5], 0.7);
 }

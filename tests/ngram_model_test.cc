@@ -76,7 +76,7 @@ TEST(NGramModelTest, LongerContextDisambiguates) {
   NGramLanguageModel model(10, deep);
   model.ObserveAll(Repeat(motif, 30));
   // Advance into the cycle so the context ends "... 9 2 1".
-  model.ObserveAll({0, 1, 9, 2, 1});
+  model.ObserveAll(std::vector<token::TokenId>{0, 1, 9, 2, 1});
   // Context ends ...2 1 -> expect 7.
   std::vector<double> p = model.NextDistribution();
   EXPECT_GT(p[7], 0.7);
@@ -89,7 +89,7 @@ TEST(NGramModelTest, OrderOneCannotDisambiguate) {
   shallow.max_order = 1;
   NGramLanguageModel model(10, shallow);
   model.ObserveAll(Repeat(motif, 30));
-  model.ObserveAll({0, 1, 9, 2, 1});
+  model.ObserveAll(std::vector<token::TokenId>{0, 1, 9, 2, 1});
   std::vector<double> p = model.NextDistribution();
   // After "1" an order-1 model sees 9 and 7 equally often.
   EXPECT_NEAR(p[7], p[9], 0.05);
@@ -106,7 +106,7 @@ TEST(NGramModelTest, ResetClearsEverything) {
 
 TEST(NGramModelTest, ContextLengthCounts) {
   NGramLanguageModel model(4, NGramOptions{});
-  model.ObserveAll({0, 1, 2});
+  model.ObserveAll(std::vector<token::TokenId>{0, 1, 2});
   EXPECT_EQ(model.context_length(), 3u);
 }
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "lm/mixture_model.h"
@@ -260,6 +263,61 @@ TEST(PagedContextStoreTest, ReserveMatchesGrowthAndNeverShrinks) {
     reserved.Reserve(1);
     EXPECT_EQ(reserved.MemoryBytes(), grown.MemoryBytes());
   }
+}
+
+// The bulk build's store half: keys appended and then indexed at once
+// are all found, with their payloads, and the index ends at the cell
+// count the same keys inserted one by one reach, also when the store
+// held indexed keys before the appends.
+TEST(PagedContextStoreTest, AppendThenIndexMatchesInsertOneByOne) {
+  auto pool = MakePool(/*block_span=*/8, /*max_blocks=*/0);
+  for (size_t n : {size_t{1}, size_t{11}, size_t{12}, size_t{100},
+                   size_t{716}, size_t{717}, size_t{3000}}) {
+    for (size_t before : {size_t{0}, size_t{5}}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " before " << before);
+      PagedContextStore inserted(pool, /*slot_bytes=*/8);
+      PagedContextStore appended(pool, /*slot_bytes=*/8);
+      auto key_of = [](size_t i) { return uint64_t{i} * 7919 + 3; };
+      for (size_t i = 0; i < before + n; ++i) {
+        const uint64_t key = key_of(i);
+        std::byte* a = inserted.Insert(key);
+        std::byte* b = i < before ? appended.Insert(key)
+                                  : appended.Append(key);
+        ASSERT_NE(a, nullptr);
+        ASSERT_NE(b, nullptr);
+        std::memcpy(a, &key, sizeof(key));
+        std::memcpy(b, &key, sizeof(key));
+      }
+      // Appended keys are not indexed yet.
+      EXPECT_EQ(appended.size(), before);
+      EXPECT_EQ(appended.Find(key_of(before)), nullptr);
+      EXPECT_EQ(appended.num_blocks(), inserted.num_blocks());
+      appended.IndexAppended();
+      EXPECT_EQ(appended.size(), inserted.size());
+      EXPECT_EQ(appended.MemoryBytes(), inserted.MemoryBytes());
+      for (size_t i = 0; i < before + n; ++i) {
+        const std::byte* p = appended.Find(key_of(i));
+        ASSERT_NE(p, nullptr) << "key " << i;
+        uint64_t stored = 0;
+        std::memcpy(&stored, p, sizeof(stored));
+        EXPECT_EQ(stored, key_of(i));
+      }
+      EXPECT_EQ(appended.Find(key_of(before + n)), nullptr);
+      // Indexing again with nothing pending changes nothing.
+      appended.IndexAppended();
+      EXPECT_EQ(appended.MemoryBytes(), inserted.MemoryBytes());
+    }
+  }
+  // An Append the pool refuses claims nothing, like a refused Insert.
+  auto capped = MakePool(/*block_span=*/4, /*max_blocks=*/1);
+  PagedContextStore store(capped, /*slot_bytes=*/8);
+  for (uint64_t k = 1; k <= 4; ++k) ASSERT_NE(store.Append(k), nullptr);
+  EXPECT_EQ(store.Append(5), nullptr);
+  EXPECT_EQ(capped->stats().exhaustion_events, 1u);
+  store.IndexAppended();
+  EXPECT_EQ(store.size(), 4u);
+  EXPECT_NE(store.Find(4), nullptr);
+  EXPECT_EQ(store.Find(5), nullptr);
 }
 
 TEST(PagedContextStoreTest, InsertReturnsNullOnPoolExhaustion) {
@@ -559,6 +617,174 @@ TEST(PrefixCacheBytesTest, BytesGaugeTracksResidentState) {
   cache.Clear();
   EXPECT_EQ(cache.bytes(), 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Bulk prompt ingest: ObserveAll on a paged n-gram session must leave
+// exactly the state one Observe per token leaves — the same counts per
+// key (narrow, wide or spilled), the same store shape and bytes, the
+// same pool events — and so the same distributions from then on.
+
+struct IngestCase {
+  const char* name;
+  size_t vocab;
+  int max_order;
+  size_t block_span;
+  size_t max_blocks;   // pool cap; 0 = uncapped
+  size_t base_layers;  // frozen layers under the session; 0 = fresh
+  size_t base_tokens;  // tokens each base layer observes
+  size_t prompt_tokens;
+  bool constant;       // one token repeated: counts pass the u16 ceiling
+  size_t max_base_layers;
+};
+
+void PrintTo(const IngestCase& c, std::ostream* os) { *os << c.name; }
+
+// Prompt-shaped tokens: fields of two symbols, each field closed by the
+// last symbol as its separator. A constant case repeats token 0 and
+// closes with a short field stream, so that new keys follow the
+// saturated ones.
+std::vector<token::TokenId> IngestTokens(const IngestCase& c, size_t n,
+                                         uint64_t seed) {
+  std::vector<token::TokenId> out = TokenStream(n, c.vocab - 1, seed);
+  const token::TokenId separator = static_cast<token::TokenId>(c.vocab - 1);
+  for (size_t i = 2; i < n; i += 3) out[i] = separator;
+  if (c.constant) {
+    const size_t tail = std::min<size_t>(n, 60);
+    std::fill(out.begin(), out.end() - static_cast<std::ptrdiff_t>(tail), 0);
+  }
+  return out;
+}
+
+// The session the case ingests into: a fresh model, or a fork over
+// `base_layers` frozen layers, each observed one token at a time.
+std::unique_ptr<NGramLanguageModel> MakeSession(
+    const IngestCase& c, const std::shared_ptr<BlockPool>& pool) {
+  NGramOptions options;
+  options.max_order = c.max_order;
+  options.max_base_layers = c.max_base_layers;
+  auto model = std::make_unique<NGramLanguageModel>(c.vocab, options, pool);
+  for (size_t layer = 0; layer < c.base_layers; ++layer) {
+    for (token::TokenId id : IngestTokens(c, c.base_tokens, 100 + layer)) {
+      model->Observe(id);
+    }
+    model->Freeze();
+    std::unique_ptr<LanguageModel> fork = model->Fork();
+    model.reset(static_cast<NGramLanguageModel*>(fork.release()));
+  }
+  return model;
+}
+
+void ExpectSameState(const NGramLanguageModel& a,
+                     const NGramLanguageModel& b) {
+  const std::vector<NGramLanguageModel::OverlayEntry> ea = a.OverlayEntries();
+  const std::vector<NGramLanguageModel::OverlayEntry> eb = b.OverlayEntries();
+  ASSERT_EQ(ea.size(), eb.size());
+  for (size_t i = 0; i < ea.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "key " << ea[i].key);
+    ASSERT_EQ(ea[i].key, eb[i].key);
+    EXPECT_EQ(ea[i].narrow, eb[i].narrow);
+    EXPECT_EQ(ea[i].has_slot, eb[i].has_slot);
+    EXPECT_EQ(ea[i].total, eb[i].total);
+    EXPECT_EQ(ea[i].types, eb[i].types);
+    ASSERT_EQ(ea[i].next, eb[i].next);
+  }
+  EXPECT_EQ(a.overlay_store()->size(), b.overlay_store()->size());
+  EXPECT_EQ(a.overlay_store()->num_blocks(), b.overlay_store()->num_blocks());
+  EXPECT_EQ(a.overlay_store()->MemoryBytes(),
+            b.overlay_store()->MemoryBytes());
+  EXPECT_EQ(a.ApproxMemoryBytes().overlay_bytes,
+            b.ApproxMemoryBytes().overlay_bytes);
+  EXPECT_EQ(a.ApproxMemoryBytes().base_bytes,
+            b.ApproxMemoryBytes().base_bytes);
+  EXPECT_EQ(a.num_entries(), b.num_entries());
+  EXPECT_EQ(a.context_length(), b.context_length());
+}
+
+class BulkIngestTest : public testing::TestWithParam<IngestCase> {};
+
+TEST_P(BulkIngestTest, MatchesObservePerToken) {
+  const IngestCase& c = GetParam();
+  auto pool_a = MakePool(c.block_span, c.max_blocks);
+  auto pool_b = MakePool(c.block_span, c.max_blocks);
+  std::unique_ptr<NGramLanguageModel> a = MakeSession(c, pool_a);
+  std::unique_ptr<NGramLanguageModel> b = MakeSession(c, pool_b);
+  ASSERT_EQ(b->overlay_store()->size(), 0u);
+  const size_t events_before = pool_b->stats().exhaustion_events;
+
+  const std::vector<token::TokenId> prompt =
+      IngestTokens(c, c.prompt_tokens, 7);
+  for (token::TokenId id : prompt) a->Observe(id);
+  b->ObserveAll(prompt);
+  ExpectSameState(*a, *b);
+  EXPECT_EQ(pool_a->stats().exhaustion_events,
+            pool_b->stats().exhaustion_events);
+  EXPECT_EQ(pool_a->stats().blocks_live, pool_b->stats().blocks_live);
+
+  // Each case exercises what it is named for.
+  const std::vector<NGramLanguageModel::OverlayEntry> entries =
+      b->OverlayEntries();
+  auto any = [&](auto pred) {
+    return std::any_of(entries.begin(), entries.end(), pred);
+  };
+  if (c.max_blocks > 0) {
+    // The cap hit mid-prompt: slots first, spills after.
+    EXPECT_GT(b->overlay_store()->size(), 0u);
+    EXPECT_GT(pool_b->stats().exhaustion_events, events_before);
+    EXPECT_TRUE(any([](const auto& e) { return !e.has_slot; }));
+  }
+  if (c.constant) {
+    EXPECT_TRUE(any([](const auto& e) { return !e.narrow && e.has_slot; }));
+  }
+  if (c.base_layers > c.max_base_layers) {
+    EXPECT_LE(b->num_base_layers(), c.max_base_layers);
+  }
+
+  // The overlay is no longer empty: a second ObserveAll goes one token
+  // at a time, and still matches.
+  const std::vector<token::TokenId> more = IngestTokens(c, 300, 8);
+  for (token::TokenId id : more) a->Observe(id);
+  b->ObserveAll(more);
+  ExpectSameState(*a, *b);
+
+  // 200 decode steps, bit for bit.
+  std::vector<double> pa;
+  std::vector<double> pb;
+  for (token::TokenId id : TokenStream(200, c.vocab, 9)) {
+    a->NextDistribution(&pa);
+    b->NextDistribution(&pb);
+    ASSERT_EQ(pa.size(), pb.size());
+    for (size_t w = 0; w < pa.size(); ++w) ASSERT_EQ(pa[w], pb[w]);
+    a->Observe(id);
+    b->Observe(id);
+  }
+  ExpectSameState(*a, *b);
+  EXPECT_EQ(pool_a->stats().exhaustion_events,
+            pool_b->stats().exhaustion_events);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, BulkIngestTest,
+    testing::Values(
+        // name, vocab, order, span, cap, layers, base tokens, prompt,
+        // constant, max_base_layers
+        IngestCase{"fresh_v11_o8", 11, 8, 32, 0, 0, 0, 1700, false, 4},
+        IngestCase{"fresh_v27_o12", 27, 12, 32, 0, 0, 0, 1700, false, 4},
+        IngestCase{"fresh_v11_o1", 11, 1, 8, 0, 0, 0, 1700, false, 4},
+        IngestCase{"fork_v11_o8", 11, 8, 32, 0, 1, 1000, 1700, false, 4},
+        IngestCase{"fork_v27_o1", 27, 1, 8, 0, 1, 500, 600, false, 4},
+        IngestCase{"chain_v11_o8", 11, 8, 16, 0, 5, 300, 1700, false, 2},
+        IngestCase{"chain_v27_o12", 27, 12, 8, 0, 4, 200, 900, false, 2},
+        IngestCase{"capped_fresh_v11_o8", 11, 8, 8, 40, 0, 0, 1700, false,
+                   4},
+        IngestCase{"capped_fork_v27_o8", 27, 8, 8, 320, 1, 300, 1200,
+                   false, 4},
+        IngestCase{"saturated_fresh_v11_o12", 11, 12, 32, 0, 0, 0, 70000,
+                   true, 4},
+        IngestCase{"saturated_fork_v27_o8", 27, 8, 32, 0, 1, 66000, 3000,
+                   true, 4}),
+    [](const testing::TestParamInfo<IngestCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // Paged layers should be denser than the plain map representation for
 // the same logical state (that is the point of the subsystem).

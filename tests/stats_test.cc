@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "util/quantile.h"
 #include "util/random.h"
 
 namespace multicast {
@@ -92,6 +95,27 @@ TEST(QuantileTest, ExactPoints) {
 TEST(QuantileTest, Interpolates) {
   std::vector<double> v = {0.0, 10.0};
   EXPECT_DOUBLE_EQ(Quantile(v, 0.3), 3.0);
+}
+
+// Selection, not a full sort: the same order statistics, so the same
+// interpolated bits as sorting first, on samples full of ties.
+TEST(QuantileTest, SelectionMatchesTheSortedQuantile) {
+  Rng rng(41);
+  for (size_t n : {size_t{1}, size_t{2}, size_t{1000}}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> values(n);
+      for (double& v : values) {
+        v = static_cast<double>(rng.NextBounded(7)) * 0.37 - 1.0;
+      }
+      std::vector<double> sorted = values;
+      std::sort(sorted.begin(), sorted.end());
+      for (double q : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+        SCOPED_TRACE(testing::Message() << "n " << n << " q " << q);
+        EXPECT_EQ(Quantile(values, q),
+                  util::InterpolatedQuantileSorted(sorted, q));
+      }
+    }
+  }
 }
 
 TEST(QuantileTest, ClampsAndHandlesEmpty) {

@@ -38,6 +38,28 @@ TEST(VocabularyTest, UnknownSymbolIsNotFound) {
   EXPECT_EQ(v.IdOf('z').status().code(), StatusCode::kNotFound);
 }
 
+// Ids are looked up by the char's unsigned value, so high-bit chars
+// (negative as a signed char) index the table like any other.
+TEST(VocabularyTest, HighBitSymbolsAreNotFoundUntilAdded) {
+  Vocabulary v = Vocabulary::Digits();
+  for (char c : {'\xff', '\x80', '\0'}) {
+    EXPECT_FALSE(v.Contains(c));
+    EXPECT_EQ(v.IdOf(c).status().code(), StatusCode::kNotFound);
+  }
+  const TokenId id = v.Add('\xff');
+  EXPECT_EQ(id, 11);
+  EXPECT_EQ(v.Add('\xff'), id);
+  EXPECT_TRUE(v.Contains('\xff'));
+  ASSERT_TRUE(v.IdOf('\xff').ok());
+  EXPECT_EQ(v.IdOf('\xff').value(), id);
+  ASSERT_TRUE(v.SymbolOf(id).ok());
+  EXPECT_EQ(v.SymbolOf(id).value(), '\xff');
+  // The chars that share its low bits, or its signed value, stay absent.
+  EXPECT_FALSE(v.Contains('\x7f'));
+  EXPECT_FALSE(v.Contains('\x80'));
+  EXPECT_EQ(v.size(), 12u);
+}
+
 TEST(VocabularyTest, BadIdIsOutOfRange) {
   Vocabulary v = Vocabulary::Digits();
   EXPECT_FALSE(v.SymbolOf(-1).ok());

@@ -46,28 +46,35 @@ echo "==== bench smoke: paged session memory identity + bytes gates ===="
 cmake --build build -j "${JOBS}" --target paged_memory
 ./build/bench/paged_memory --smoke
 
-echo "==== perfbench: every workload, 1 s, seed 1, digest gates ===="
+echo "==== perfbench: every workload, 1 s, seeds 1 and 7, digest gates ===="
 # Exits non-zero when a workload fails to build or run, reports
-# "correct": false, or its output digest differs from the seed-1 digest
-# below: decode-path optimizations must leave every output bit as is.
+# "correct": false, or its output digest differs from the digest below
+# for its seed: decode- and ingest-path optimizations must leave every
+# output bit as is.
 declare -A PERFBENCH_DIGESTS=(
-  [tables]=44e2555563b4bf82
-  [many-series]=9d929735f617fe46
-  [serve-burst]=12aa9dba90ead3c4
-  [fleet-failover]=52db687b6ae88dc0
+  [tables:1]=44e2555563b4bf82
+  [many-series:1]=9d929735f617fe46
+  [serve-burst:1]=12aa9dba90ead3c4
+  [fleet-failover:1]=52db687b6ae88dc0
+  [tables:7]=e17a76921f6bc337
+  [many-series:7]=a178b91ffdbce252
+  [serve-burst:7]=567cef10fd771b99
+  [fleet-failover:7]=3ec7e9ac0d57cc0b
 )
-for workload in tables many-series serve-burst fleet-failover; do
-  out="$(python3 perfbench/run.py --workload "${workload}" --seed 1 \
-         --seconds 1 --trace 0 2> /dev/null)"
-  printf '%s\n' "${out}" | python3 -c '
+for seed in 1 7; do
+  for workload in tables many-series serve-burst fleet-failover; do
+    out="$(python3 perfbench/run.py --workload "${workload}" --seed "${seed}" \
+           --seconds 1 --trace 0 2> /dev/null)"
+    printf '%s\n' "${out}" | python3 -c '
 import json, sys
-workload, want = sys.argv[1], sys.argv[2]
+workload, seed, want = sys.argv[1], sys.argv[2], sys.argv[3]
 objects = [json.loads(line) for line in sys.stdin if line.startswith("{")]
 digest = next(o["header"]["digest"] for o in objects if "header" in o)
 correct = objects[-1]["correct"]
-print(f"{workload}: correct {correct}, digest {digest} (want {want})")
+print(f"{workload} seed {seed}: correct {correct}, digest {digest} (want {want})")
 sys.exit(0 if correct is True and digest == want else 1)
-' "${workload}" "${PERFBENCH_DIGESTS[${workload}]}"
+' "${workload}" "${seed}" "${PERFBENCH_DIGESTS[${workload}:${seed}]}"
+  done
 done
 
 run_asan=1
