@@ -37,15 +37,6 @@ std::string MakeDigitStream(size_t values) {
   return out;
 }
 
-// The `paged` benchmark argument picks the context store: 0 = the plain
-// map layers (no pool), 1 = the paged store every pipeline decodes on.
-std::shared_ptr<lm::BlockPool> PoolFor(int64_t paged) {
-  if (paged == 0) return nullptr;
-  lm::PagedMemoryOptions options;
-  options.enabled = true;
-  return std::make_shared<lm::BlockPool>(options);
-}
-
 void BM_TokenizeDigits(benchmark::State& state) {
   token::Vocabulary vocab = token::Vocabulary::Digits();
   std::string text = MakeDigitStream(static_cast<size_t>(state.range(0)));
@@ -121,20 +112,18 @@ BENCHMARK(BM_SaxEncode)->Arg(3)->Arg(9);
 
 // Prompt ingest, one layer: a prompt-shaped stream (2-digit fields and
 // commas, as MultiCast serializes a series) of 1,700 tokens into an
-// order-8 model, the Llama2 profile's order. Arguments: `paged` as in
-// PoolFor; `bulk` 0 = one Observe per token, 1 = ObserveAll (the bulk
-// build on a paged session; the same Observe loop on the plain maps);
-// `base` 0 = a fresh model, 1 = a fork over a frozen base that observed
-// another 1,700-token prompt, as a prefix-cache hit extends. Reports
-// per_token, the time per prompt token; model set-up and teardown are
-// inside the timing.
+// order-8 model, the Llama2 profile's order. Arguments: `bulk` 0 = one
+// Observe per token, 1 = ObserveAll (the bulk build); `base` 0 = a fresh
+// model, 1 = a fork over a frozen base that observed another 1,700-token
+// prompt, as a prefix-cache hit extends. Reports per_token, the time per
+// prompt token; model set-up and teardown are inside the timing.
 void BM_NGramObserve(benchmark::State& state) {
   constexpr size_t kTokens = 1700;
-  const bool bulk = state.range(1) != 0;
-  const bool over_base = state.range(2) != 0;
+  const bool bulk = state.range(0) != 0;
+  const bool over_base = state.range(1) != 0;
   lm::NGramOptions opts;
   opts.max_order = 8;
-  std::shared_ptr<lm::BlockPool> pool = PoolFor(state.range(0));
+  auto pool = std::make_shared<lm::BlockPool>(lm::PagedMemoryOptions{});
   const token::Vocabulary vocab = token::Vocabulary::Digits();
   auto prompt_tokens = [&](uint64_t seed) {
     Rng rng(seed);
@@ -168,13 +157,13 @@ void BM_NGramObserve(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_NGramObserve)
-    ->ArgNames({"paged", "bulk", "base"})
-    ->ArgsProduct({{0, 1}, {0, 1}, {0, 1}});
+    ->ArgNames({"bulk", "base"})
+    ->ArgsProduct({{0, 1}, {0, 1}});
 
 void BM_NGramNextDistribution(benchmark::State& state) {
   lm::NGramOptions opts;
   opts.max_order = 10;
-  lm::NGramLanguageModel model(11, opts, PoolFor(state.range(0)));
+  lm::NGramLanguageModel model(11, opts);
   Rng rng(19);
   for (int i = 0; i < 2048; ++i) {
     model.Observe(static_cast<token::TokenId>(rng.NextBounded(11)));
@@ -184,11 +173,12 @@ void BM_NGramNextDistribution(benchmark::State& state) {
     benchmark::DoNotOptimize(probs);
   }
 }
-BENCHMARK(BM_NGramNextDistribution)->ArgName("paged")->Arg(0)->Arg(1);
+BENCHMARK(BM_NGramNextDistribution);
 
 void BM_LlmDecodeTokens(benchmark::State& state) {
   lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
-  profile.memory_pool = PoolFor(state.range(0));
+  profile.memory_pool =
+      std::make_shared<lm::BlockPool>(lm::PagedMemoryOptions{});
   lm::SimulatedLlm llm(profile, 11);
   std::string prompt_text = MakeDigitStream(256) + ",";
   auto prompt =
@@ -201,7 +191,7 @@ void BM_LlmDecodeTokens(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_LlmDecodeTokens)->ArgName("paged")->Arg(0)->Arg(1);
+BENCHMARK(BM_LlmDecodeTokens);
 
 // MultiCast's grammar for values of b = 2 digits: two digits, then the
 // separator, the one token its position allows.
@@ -228,9 +218,10 @@ lm::GrammarMask SeparatorMask() {
 // separator grammar over a 1,365-value (4,095-token) prompt, whose
 // frozen store does not fit in L2.
 void BM_LlmDecodeForked(benchmark::State& state) {
-  const bool structured = state.range(1) != 0;
+  const bool structured = state.range(0) != 0;
   lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
-  profile.memory_pool = PoolFor(state.range(0));
+  profile.memory_pool =
+      std::make_shared<lm::BlockPool>(lm::PagedMemoryOptions{});
   lm::SimulatedLlm llm(profile, 11, std::make_shared<lm::PrefixCache>(4));
   std::string prompt_text = MakeDigitStream(structured ? 1365 : 256) + ",";
   auto prompt =
@@ -247,9 +238,7 @@ void BM_LlmDecodeForked(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_LlmDecodeForked)
-    ->ArgNames({"paged", "structured"})
-    ->ArgsProduct({{0, 1}, {0, 1}});
+BENCHMARK(BM_LlmDecodeForked)->ArgName("structured")->Arg(0)->Arg(1);
 
 void BM_MultiCastForecast(benchmark::State& state) {
   ts::Frame frame = data::MakeGasRate().ValueOrDie();

@@ -7,17 +7,18 @@
 // bench gates all of them:
 //
 //  1. Bit-identity: the same MultiCast (VI) forecast on GasRate, n = 8
-//     draws, is run paged and unpaged across a threads x batch grid
-//     (the schedules that interleave sessions differently). Forecast
-//     values, quantile bands and token ledgers must agree bitwise in
-//     every cell — and with the sequential unpaged baseline.
-//  2. Memory: both sides attach a BlockPool (the unpaged side a
-//     disabled, accounting-only pool), so bytes/session come off one
-//     measurement path. The paged run must spend at most half the
-//     private overlay bytes per draw session of the plain maps.
+//     draws, is run across a threads x batch grid (the schedules that
+//     interleave sessions differently). Forecast values, quantile bands
+//     and token ledgers must agree bitwise in every cell with the
+//     sequential 1 x 1 run.
+//  2. Memory: the paged run must spend at most half the private overlay
+//     bytes per draw session that the retired map storage would spend
+//     on the same entries. The pool counts each session's distinct
+//     overlay keys; the map column is that count times one map entry's
+//     malloc-model bytes (MapEntryBytes, tests/reference_models.h).
 //  3. Pressure: a pool capped far below the workload's working set must
 //     degrade, never fail — once with a forecaster that spills entries
-//     to plain storage (identical output, exhaustion events counted),
+//     to an overflow map (identical output, exhaustion events counted),
 //     and once through a ServeExecutor whose overload ladder reads the
 //     pool's fullness and demotes/sheds requests while the run still
 //     completes every request.
@@ -41,6 +42,7 @@
 #include "serve/executor.h"
 #include "serve/overload.h"
 #include "serve/request.h"
+#include "tests/reference_models.h"
 
 namespace multicast {
 namespace bench {
@@ -54,12 +56,10 @@ struct RunResult {
   lm::BlockPoolStats pool;
 };
 
-// One forecast under the given schedule. `paged` selects block storage;
-// the unpaged side still attaches a disabled pool so both sides report
-// bytes/session through the same accounting path. `pool_blocks` caps
-// the paged pool (0 = unbounded) for the exhaustion scenario.
-RunResult RunForecast(const ts::Frame& train, size_t horizon, bool paged,
-                      int threads, size_t batch, size_t pool_blocks = 0) {
+// One forecast under the given schedule, on a pool of span 32 that
+// `pool_blocks` caps (0 = unbounded) for the exhaustion scenario.
+RunResult RunForecast(const ts::Frame& train, size_t horizon, int threads,
+                      size_t batch, size_t pool_blocks = 0) {
   forecast::MultiCastOptions opts =
       DefaultMultiCast(multiplex::MuxKind::kValueInterleave);
   opts.num_samples = 8;
@@ -73,15 +73,8 @@ RunResult RunForecast(const ts::Frame& train, size_t horizon, bool paged,
     scheduler = std::make_shared<batch::BatchScheduler>(policy);
     opts.batch_scheduler = scheduler;
   }
-  if (paged) {
-    opts.block_span = 32;
-    opts.pool_blocks = pool_blocks;
-  } else {
-    // Accounting-only pool: enabled = false, so the models keep their
-    // plain maps but still report per-session byte footprints.
-    opts.block_pool =
-        std::make_shared<lm::BlockPool>(lm::PagedMemoryOptions{});
-  }
+  opts.block_span = 32;
+  opts.pool_blocks = pool_blocks;
   forecast::MultiCastForecaster forecaster(opts);
   forecast::ForecastResult result =
       OrDie(forecaster.Forecast(train, horizon), "forecast");
@@ -128,7 +121,6 @@ struct ShedResult {
 ShedResult RunShedScenario(const ts::Frame* history, size_t horizon,
                            size_t requests) {
   lm::PagedMemoryOptions popts;
-  popts.enabled = true;
   popts.block_span = 8;
   popts.max_blocks = 16;
   auto pool = std::make_shared<lm::BlockPool>(popts);
@@ -202,13 +194,15 @@ int Main(bool smoke) {
 
   std::printf(
       "paged session memory: MultiCast (VI) on GasRate, n = 8 draws, "
-      "horizon %zu, block span 32, paged vs plain across threads x "
+      "horizon %zu, block span 32, paged vs map bytes across threads x "
       "batch\n\n",
       kHorizon);
 
-  // The sequential unpaged run anchors every identity check.
-  RunResult baseline = RunForecast(split.train, kHorizon, /*paged=*/false,
-                                   /*threads=*/1, /*batch=*/1);
+  // The sequential run anchors every identity check.
+  RunResult baseline =
+      RunForecast(split.train, kHorizon, /*threads=*/1, /*batch=*/1);
+  const double map_entry_bytes = static_cast<double>(
+      lm::MapEntryBytes(token::Vocabulary::Digits().size()));
 
   struct Cell {
     int threads = 0;
@@ -225,19 +219,19 @@ int Main(bool smoke) {
                    "Reduction", "Sharing", "Identical"});
   for (int threads : thread_counts) {
     for (size_t batch : batch_sizes) {
-      RunResult plain =
-          RunForecast(split.train, kHorizon, /*paged=*/false, threads, batch);
-      RunResult paged =
-          RunForecast(split.train, kHorizon, /*paged=*/true, threads, batch);
+      RunResult paged = RunForecast(split.train, kHorizon, threads, batch);
       Cell cell;
       cell.threads = threads;
       cell.batch = batch;
-      // Both the paged and the plain run must match the sequential
-      // unpaged baseline: paging must not change the output, and
-      // neither may the schedule.
-      cell.identical =
-          Identical(paged, baseline) && Identical(plain, baseline);
-      cell.plain_bytes = plain.pool.bytes_per_session();
+      // The schedule must not change the output.
+      cell.identical = Identical(paged, baseline);
+      // What the retired map storage would hold for the same entries.
+      cell.plain_bytes =
+          paged.pool.sessions == 0
+              ? 0.0
+              : static_cast<double>(paged.pool.session_overlay_entries) *
+                    map_entry_bytes /
+                    static_cast<double>(paged.pool.sessions);
       cell.paged_bytes = paged.pool.bytes_per_session();
       cell.reduction =
           cell.paged_bytes > 0.0 ? cell.plain_bytes / cell.paged_bytes : 0.0;
@@ -256,10 +250,9 @@ int Main(bool smoke) {
   std::printf("%s\n", table.Render().c_str());
 
   // Exhaustion: a pool capped at 8 blocks spills most of the working
-  // set to plain storage — output must not move, events must count.
-  RunResult exhausted = RunForecast(split.train, kHorizon, /*paged=*/true,
-                                    /*threads=*/2, /*batch=*/1,
-                                    /*pool_blocks=*/8);
+  // set to overflow maps — output must not move, events must count.
+  RunResult exhausted = RunForecast(split.train, kHorizon, /*threads=*/2,
+                                    /*batch=*/1, /*pool_blocks=*/8);
   const bool exhausted_identical = Identical(exhausted, baseline);
   std::printf("exhaustion: pool capped at 8 blocks -> %zu events, "
               "identical %s\n",
@@ -343,7 +336,7 @@ int Main(bool smoke) {
     if (!c.identical) {
       std::fprintf(stderr,
                    "FAIL: paged forecast diverged from the sequential "
-                   "unpaged baseline at threads=%d batch=%zu\n",
+                   "1x1 run at threads=%d batch=%zu\n",
                    c.threads, c.batch);
       status = 1;
     }

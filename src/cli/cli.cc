@@ -93,7 +93,6 @@ std::shared_ptr<batch::BatchScheduler> MakeScheduler(const MethodSpec& spec) {
 // A block pool with `spec`'s geometry (--block-span, --pool-blocks).
 std::shared_ptr<lm::BlockPool> MakeBlockPool(const MethodSpec& spec) {
   lm::PagedMemoryOptions paged;
-  paged.enabled = true;
   paged.block_span = static_cast<size_t>(spec.block_span);
   paged.max_blocks = static_cast<size_t>(spec.pool_blocks);
   return std::make_shared<lm::BlockPool>(paged);
@@ -1170,7 +1169,7 @@ std::string UsageText() {
       "            [--block-span 32 (4..65536; session state pages in\n"
       "            pooled blocks, output is bit-identical)]\n"
       "            [--pool-blocks N (0 = unbounded; at the cap entries\n"
-      "            spill to plain storage)]\n"
+      "            spill to an overflow map)]\n"
       "            chaos/resilience: [--chaos 0.2] [--chaos-seed N]\n"
       "            [--retries 3] [--redraws 4] [--fallback]\n"
       "            [--classical-fallback (end the chain on the classical\n"

@@ -104,7 +104,7 @@ struct MethodSpec {
   /// Payload slots per block (--block-span, in [4, 65536]).
   int block_span = 32;
   /// Pool live-block cap (--pool-blocks); 0 = unbounded. At the cap new
-  /// entries spill to plain storage (still bit-identical) and pool
+  /// entries spill to an overflow map (still bit-identical) and pool
   /// fullness feeds the overload ladder in the sims.
   int pool_blocks = 0;
   /// Externally shared pool (serve-sim wires one across all requests of

@@ -49,7 +49,6 @@ std::vector<Replica> MakeUniformReplicas(
     }
     if (options.paged_memory) {
       lm::PagedMemoryOptions paged;
-      paged.enabled = true;
       paged.block_span = options.block_span;
       paged.max_blocks = options.pool_blocks;
       rep.block_pool = std::make_shared<lm::BlockPool>(paged);

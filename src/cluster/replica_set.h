@@ -67,12 +67,12 @@ struct Replica {
   std::shared_ptr<lm::PrefixCache> prefix_cache;
   /// Node-local decode scheduler; may be null (unbatched decode).
   std::shared_ptr<batch::BatchScheduler> scheduler;
-  /// Node-local paged-memory pool (lm/paged_store.h); may be null
-  /// (plain storage). Factories attach it to the pipelines they build
-  /// here, so a node's sessions share frozen prompt state at block
-  /// granularity; a crash that wipes the node's prefix cache releases
-  /// the cache's block references, and the blocks return to this
-  /// pool's freelist once the last live session drops them.
+  /// Node-local paged-memory pool (lm/paged_store.h); may be null (each
+  /// pipeline then builds its own). Factories attach it to the pipelines
+  /// they build here, so a node's sessions share frozen prompt state at
+  /// block granularity; a crash that wipes the node's prefix cache
+  /// releases the cache's block references, and the blocks return to
+  /// this pool's freelist once the last live session drops them.
   std::shared_ptr<lm::BlockPool> block_pool;
   /// Scripted failures (crash / partition / slow); see fault_plan.h.
   ReplicaFaultPlan plan;
@@ -95,7 +95,7 @@ struct UniformReplicaOptions {
   size_t batch_slots = 0;
   bool batch_backfill = true;
   /// Per-replica paged-memory pools: false leaves every
-  /// Replica::block_pool null (plain storage).
+  /// Replica::block_pool null (a pool per pipeline).
   bool paged_memory = false;
   /// Pool geometry when paged_memory is set (same semantics as
   /// forecast::MultiCastOptions::block_span / pool_blocks).

@@ -24,7 +24,6 @@ LlmTimeForecaster::LlmTimeForecaster(const LlmTimeOptions& options)
     block_pool_ = options_.block_pool;
   } else {
     lm::PagedMemoryOptions paged;
-    paged.enabled = true;
     paged.block_span = options_.block_span;
     paged.max_blocks = options_.pool_blocks;
     block_pool_ = std::make_shared<lm::BlockPool>(paged);

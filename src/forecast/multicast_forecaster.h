@@ -124,21 +124,20 @@ struct MultiCastOptions {
   /// fixed-span refcounted blocks from a BlockPool, so concurrent draws
   /// share frozen prompt state at block granularity. Without an
   /// external `block_pool` the forecaster builds its own from the two
-  /// fields below. Output is bit-identical to the plain map layers at
-  /// any thread count, batch size and cache state (lm.mem.* metrics
-  /// report the bytes).
+  /// fields below. Output is bit-identical at any block span, pool cap,
+  /// thread count, batch size and cache state (lm.mem.* metrics report
+  /// the bytes).
   ///
   /// Payload slots per block.
   size_t block_span = 32;
   /// Pool-wide live-block cap; 0 = unbounded. When the cap is hit, new
-  /// entries spill to plain storage (bit-identical, counted as
+  /// entries spill to an overflow map (bit-identical, counted as
   /// lm.mem.exhaustion_events) and the pool's fullness feeds the
   /// serving layer's overload ladder.
   size_t pool_blocks = 0;
   /// Externally shared pool (one pool across serving requests or
   /// LLMTime's per-dimension pipelines). When set the forecaster creates
-  /// no pool of its own; an accounting-only pool (enabled = false)
-  /// keeps the plain map layers.
+  /// no pool of its own.
   std::shared_ptr<lm::BlockPool> block_pool;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <unordered_set>
+#include <utility>
 
 #include "util/status.h"
 
@@ -13,7 +15,7 @@ namespace {
 constexpr int kBitsPerToken = 5;
 constexpr int kMaxSupportedDepth = 12;
 
-// Paged slot layout: [f64 log_self_odds][u32 total][u16 flags]
+// Slot layout: [f64 log_self_odds][u32 total][u16 flags]
 // [u16 counts[vocab]]. The store 8-aligns every slot, so the leading
 // double is aligned; scalars go through memcpy, the count array's
 // offset (14) is even so the u16 cast is aligned.
@@ -67,20 +69,24 @@ MixtureLanguageModel::MixtureLanguageModel(size_t vocab_size,
            options_.prior_self_weight < 1.0);
   MC_CHECK(options_.uniform_mix >= 0.0 && options_.uniform_mix < 1.0);
   MC_CHECK(options_.max_base_layers >= 1);
-  paged_ = pool_ != nullptr && pool_->paged();
-  if (paged_) {
-    paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
-  } else {
-    local_.nodes.resize(static_cast<size_t>(options_.max_depth) + 1);
+  if (pool_ == nullptr) {
+    pool_ = std::make_shared<BlockPool>(PagedMemoryOptions{});
   }
+  paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
   depth_log_odds_.assign(static_cast<size_t>(options_.max_depth) + 1, 0.0);
 }
 
 MixtureLanguageModel::~MixtureLanguageModel() {
   // See ngram_model.cc: mutable at death == a decode session.
-  if (pool_ != nullptr && !frozen_) {
+  if (!frozen_) {
     MemoryFootprint fp = ApproxMemoryBytes();
-    pool_->NoteSessionEnd(fp.overlay_bytes, fp.base_bytes);
+    size_t spilled = 0;
+    for (const auto& [key, node] : overflow_local_) {
+      (void)node;
+      if (paged_local_->Find(key) == nullptr) ++spilled;
+    }
+    pool_->NoteSessionEnd(fp.overlay_bytes, fp.base_bytes,
+                          paged_local_->size() + spilled);
   }
 }
 
@@ -91,14 +97,9 @@ size_t MixtureLanguageModel::SlotBytes() const {
 void MixtureLanguageModel::Reset() {
   observed_ = 0;
   recent_.clear();
-  if (paged_) {
-    paged_base_.clear();
-    paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
-    overflow_local_.clear();
-  } else {
-    base_.clear();
-    for (auto& table : local_.nodes) table.clear();
-  }
+  paged_base_.clear();
+  paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
+  overflow_local_.clear();
   depth_log_odds_.assign(static_cast<size_t>(options_.max_depth) + 1, 0.0);
   frozen_ = false;
 }
@@ -113,56 +114,12 @@ uint64_t MixtureLanguageModel::PackContext(int depth) const {
   return key;
 }
 
-double MixtureLanguageModel::KtProb(const Node& node, size_t symbol) const {
-  double num = static_cast<double>(node.counts.empty()
-                                       ? 0
-                                       : node.counts[symbol]) +
-               options_.kt_alpha;
-  double den = static_cast<double>(node.total) +
-               options_.kt_alpha * static_cast<double>(vocab_size_);
-  return num / den;
-}
-
 double MixtureLanguageModel::KtProbRef(const NodeRef& node,
                                        size_t symbol) const {
   double num = node.Count(symbol) + options_.kt_alpha;
   double den = static_cast<double>(node.total) +
                options_.kt_alpha * static_cast<double>(vocab_size_);
   return num / den;
-}
-
-const MixtureLanguageModel::Node* MixtureLanguageModel::FindFrozen(
-    size_t depth, uint64_t key) const {
-  for (auto it = base_.rbegin(); it != base_.rend(); ++it) {
-    const Table& table = (*it)->nodes[depth];
-    auto found = table.find(key);
-    if (found != table.end()) return &found->second;
-  }
-  return nullptr;
-}
-
-const MixtureLanguageModel::Node* MixtureLanguageModel::FindNode(
-    size_t depth, uint64_t key) const {
-  const Table& table = local_.nodes[depth];
-  auto found = table.find(key);
-  if (found != table.end()) return &found->second;
-  return FindFrozen(depth, key);
-}
-
-std::pair<MixtureLanguageModel::Node*, bool> MixtureLanguageModel::MutableNode(
-    size_t depth, uint64_t key) {
-  auto [it, inserted] = local_.nodes[depth].try_emplace(key);
-  if (inserted) {
-    // Copy-on-first-touch: an existing frozen node is copied into the
-    // overlay, making this an update of an existing node, not a fresh
-    // one — identical to the monolithic model's behaviour.
-    if (const Node* under = FindFrozen(depth, key)) {
-      it->second = *under;
-      return {&it->second, false};
-    }
-    return {&it->second, true};
-  }
-  return {&it->second, false};
 }
 
 MixtureLanguageModel::NodeRef MixtureLanguageModel::LookupFrozenPaged(
@@ -237,23 +194,10 @@ MixtureLanguageModel::NodeRef MixtureLanguageModel::LookupNodePaged(
   return LookupFrozenPaged(key);
 }
 
-MixtureLanguageModel::NodeRef MixtureLanguageModel::LookupNode(
-    size_t depth, uint64_t key) const {
-  if (paged_) return LookupNodePaged(key);
-  NodeRef ref;
-  if (const Node* node = FindNode(depth, key)) {
-    ref.found = true;
-    ref.wide = node->counts.empty() ? nullptr : node->counts.data();
-    ref.total = node->total;
-    ref.log_self_odds = node->log_self_odds;
-  }
-  return ref;
-}
-
 void MixtureLanguageModel::UpdateNodePaged(uint64_t key, size_t symbol,
                                            double llr,
                                            double prior_log_odds) {
-  // The plain-mode phase-2 update, applied to a wide overflow node.
+  // The phase-2 update, applied to a wide overflow node.
   auto bump_wide = [&](Node& node) {
     if (node.counts.empty()) node.counts.assign(vocab_size_, 0);
     node.log_self_odds =
@@ -312,6 +256,7 @@ void MixtureLanguageModel::UpdateNodePaged(uint64_t key, size_t symbol,
     return;
   }
 
+  // Clamp so a long stretch of wins cannot freeze the weight forever.
   const double lso =
       std::clamp(LoadF64(p, kLsoOffset) + llr, -30.0, 30.0);
   uint16_t* counts = NarrowCounts(p);
@@ -341,7 +286,7 @@ void MixtureLanguageModel::MixturePath(std::vector<double>* mix,
   for (int d = 0; d <= max_depth; ++d) {
     uint64_t key = PackContext(d);
     if (keys != nullptr) keys->push_back(key);
-    NodeRef node = LookupNode(static_cast<size_t>(d), key);
+    NodeRef node = LookupNodePaged(key);
     if (!node.found) continue;  // unseen context: defer to shallower
     double odds = std::exp(std::clamp(
         node.log_self_odds + depth_log_odds_[static_cast<size_t>(d)],
@@ -370,7 +315,7 @@ void MixtureLanguageModel::Observe(token::TokenId id) {
                                    (1.0 - options_.prior_self_weight));
   for (int d = 0; d <= max_depth; ++d) {
     keys[d] = PackContext(d);
-    NodeRef node = LookupNode(static_cast<size_t>(d), keys[d]);
+    NodeRef node = LookupNodePaged(keys[d]);
     mix_below[d] = running;  // mixture of depths < d at `symbol`
     if (node.found) {
       own[d] = KtProbRef(node, symbol);
@@ -390,20 +335,7 @@ void MixtureLanguageModel::Observe(token::TokenId id) {
   // then count updates.
   for (int d = 0; d <= max_depth; ++d) {
     double llr = std::log(own[d]) - std::log(mix_below[d]);
-    if (paged_) {
-      UpdateNodePaged(keys[d], symbol, llr, prior_log_odds);
-    } else {
-      auto [node, fresh] = MutableNode(static_cast<size_t>(d), keys[d]);
-      if (fresh) {
-        node->counts.assign(vocab_size_, 0);
-        node->log_self_odds = prior_log_odds;
-      }
-      node->log_self_odds += llr;
-      // Clamp so a long stretch of wins cannot freeze the weight forever.
-      node->log_self_odds = std::clamp(node->log_self_odds, -30.0, 30.0);
-      ++node->counts[symbol];
-      ++node->total;
-    }
+    UpdateNodePaged(keys[d], symbol, llr, prior_log_odds);
     depth_log_odds_[static_cast<size_t>(d)] = std::clamp(
         depth_log_odds_[static_cast<size_t>(d)] +
             options_.depth_learning_rate * llr,
@@ -482,45 +414,14 @@ void MixtureLanguageModel::CompactPagedBase() {
 void MixtureLanguageModel::Freeze() {
   if (frozen_) return;
   frozen_ = true;
-  if (paged_) {
-    if (paged_local_->size() > 0 || !overflow_local_.empty()) {
-      paged_base_.push_back(PagedLayer{
-          std::shared_ptr<const PagedContextStore>(std::move(paged_local_)),
-          std::make_shared<const Table>(std::move(overflow_local_))});
-      paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
-      overflow_local_ = Table{};
-    }
-    if (paged_base_.size() > options_.max_base_layers) CompactPagedBase();
-    return;
+  if (paged_local_->size() > 0 || !overflow_local_.empty()) {
+    paged_base_.push_back(PagedLayer{
+        std::shared_ptr<const PagedContextStore>(std::move(paged_local_)),
+        std::make_shared<const Table>(std::move(overflow_local_))});
+    paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
+    overflow_local_ = Table{};
   }
-  bool local_nonempty = false;
-  for (const Table& table : local_.nodes) {
-    if (!table.empty()) {
-      local_nonempty = true;
-      break;
-    }
-  }
-  if (local_nonempty) {
-    auto frozen = std::make_shared<Layer>(std::move(local_));
-    local_ = Layer{};
-    local_.nodes.resize(static_cast<size_t>(options_.max_depth) + 1);
-    base_.push_back(std::move(frozen));
-  }
-  if (base_.size() > options_.max_base_layers) {
-    // Compact bottom-up so newest entries win; live forks keep their
-    // own shared_ptrs to the old layers.
-    auto merged = std::make_shared<Layer>();
-    merged->nodes.resize(static_cast<size_t>(options_.max_depth) + 1);
-    for (const auto& layer : base_) {
-      for (size_t d = 0; d < layer->nodes.size(); ++d) {
-        for (const auto& [key, node] : layer->nodes[d]) {
-          merged->nodes[d][key] = node;
-        }
-      }
-    }
-    base_.clear();
-    base_.push_back(std::move(merged));
-  }
+  if (paged_base_.size() > options_.max_base_layers) CompactPagedBase();
 }
 
 std::unique_ptr<LanguageModel> MixtureLanguageModel::Fork() const {
@@ -529,116 +430,63 @@ std::unique_ptr<LanguageModel> MixtureLanguageModel::Fork() const {
       std::make_unique<MixtureLanguageModel>(vocab_size_, options_, pool_);
   fork->observed_ = observed_;
   fork->recent_ = recent_;
-  fork->base_ = base_;
   fork->paged_base_ = paged_base_;
   fork->depth_log_odds_ = depth_log_odds_;
   return fork;
 }
 
 size_t MixtureLanguageModel::num_nodes() const {
-  if (paged_) {
-    std::unordered_map<uint64_t, char> effective;
-    auto fold = [&](const PagedContextStore* store, const Table& overflow) {
-      if (store != nullptr) {
-        store->ForEach([&](uint64_t key, const std::byte* p) {
-          (void)p;
-          effective[key] = 1;
-        });
-      }
-      for (const auto& [key, node] : overflow) {
-        (void)node;
-        effective[key] = 1;
-      }
-    };
-    for (const PagedLayer& layer : paged_base_) {
-      fold(layer.store.get(), *layer.overflow);
+  std::unordered_set<uint64_t> effective;
+  auto fold = [&](const PagedContextStore* store, const Table& overflow) {
+    if (store != nullptr) {
+      store->ForEach(
+          [&](uint64_t key, const std::byte*) { effective.insert(key); });
     }
-    fold(paged_local_.get(), overflow_local_);
-    return effective.size();
+    for (const auto& [key, node] : overflow) {
+      (void)node;
+      effective.insert(key);
+    }
+  };
+  for (const PagedLayer& layer : paged_base_) {
+    fold(layer.store.get(), *layer.overflow);
   }
-  size_t n = 0;
-  for (size_t d = 0; d < local_.nodes.size(); ++d) {
-    std::unordered_map<uint64_t, const Node*> effective;
-    for (const auto& layer : base_) {
-      for (const auto& [key, node] : layer->nodes[d]) {
-        effective[key] = &node;
-      }
-    }
-    for (const auto& [key, node] : local_.nodes[d]) {
-      effective[key] = &node;
-    }
-    n += effective.size();
+  fold(paged_local_.get(), overflow_local_);
+  return effective.size();
+}
+
+size_t MixtureLanguageModel::OverflowBytes(const Table& table) {
+  // Malloc model from paged_store.h, as in ngram_model.cc.
+  size_t b = 0;
+  for (const auto& [key, node] : table) {
+    (void)key;
+    b += ApproxMapEntryBytes(
+        sizeof(void*) + sizeof(std::pair<const uint64_t, Node>),
+        node.counts.empty() ? 0 : node.counts.capacity() * sizeof(uint32_t));
   }
-  return n;
+  return b;
 }
 
 MemoryFootprint MixtureLanguageModel::ApproxMemoryBytes() const {
-  // Malloc model from paged_store.h, as in ngram_model.cc.
-  auto table_bytes = [](const Table& table) {
-    size_t b = 0;
-    for (const auto& [key, node] : table) {
-      (void)key;
-      b += ApproxMapEntryBytes(
-          sizeof(void*) + sizeof(std::pair<const uint64_t, Node>),
-          node.counts.empty() ? 0 : node.counts.capacity() * sizeof(uint32_t));
-    }
-    return b;
-  };
   MemoryFootprint fp;
-  if (paged_) {
-    fp.overlay_bytes =
-        paged_local_->MemoryBytes() + table_bytes(overflow_local_);
-    for (const PagedLayer& layer : paged_base_) {
-      if (layer.store != nullptr) fp.base_bytes += layer.store->MemoryBytes();
-      fp.base_bytes += table_bytes(*layer.overflow);
-    }
-    return fp;
-  }
-  for (const Table& table : local_.nodes) {
-    fp.overlay_bytes += table_bytes(table);
-  }
-  for (const auto& layer : base_) {
-    for (const Table& table : layer->nodes) {
-      fp.base_bytes += table_bytes(table);
-    }
+  fp.overlay_bytes =
+      paged_local_->MemoryBytes() + OverflowBytes(overflow_local_);
+  for (const PagedLayer& layer : paged_base_) {
+    if (layer.store != nullptr) fp.base_bytes += layer.store->MemoryBytes();
+    fp.base_bytes += OverflowBytes(*layer.overflow);
   }
   return fp;
 }
 
 void MixtureLanguageModel::TallyMemory(MemoryTally* tally) const {
-  MemoryFootprint own = ApproxMemoryBytes();
-  tally->bytes += own.overlay_bytes;
-  auto layer_once = [&](const void* identity, size_t bytes) {
-    if (identity != nullptr && tally->seen.insert(identity).second) {
-      tally->bytes += bytes;
-    }
-  };
-  auto table_bytes = [](const Table& table) {
-    size_t b = 0;
-    for (const auto& [key, node] : table) {
-      (void)key;
-      b += ApproxMapEntryBytes(
-          sizeof(void*) + sizeof(std::pair<const uint64_t, Node>),
-          node.counts.empty() ? 0 : node.counts.capacity() * sizeof(uint32_t));
-    }
-    return b;
-  };
-  if (paged_) {
-    for (const PagedLayer& layer : paged_base_) {
-      size_t bytes = table_bytes(*layer.overflow);
-      if (layer.store != nullptr) bytes += layer.store->MemoryBytes();
-      const void* identity =
-          layer.store != nullptr
-              ? static_cast<const void*>(layer.store.get())
-              : static_cast<const void*>(layer.overflow.get());
-      layer_once(identity, bytes);
-    }
-    return;
-  }
-  for (const auto& layer : base_) {
-    size_t bytes = 0;
-    for (const Table& table : layer->nodes) bytes += table_bytes(table);
-    layer_once(layer.get(), bytes);
+  tally->bytes += ApproxMemoryBytes().overlay_bytes;
+  // Frozen layers are shared; count each identity once across the tally.
+  for (const PagedLayer& layer : paged_base_) {
+    size_t bytes = OverflowBytes(*layer.overflow);
+    if (layer.store != nullptr) bytes += layer.store->MemoryBytes();
+    const void* identity =
+        layer.store != nullptr ? static_cast<const void*>(layer.store.get())
+                               : static_cast<const void*>(layer.overflow.get());
+    if (tally->seen.insert(identity).second) tally->bytes += bytes;
   }
 }
 

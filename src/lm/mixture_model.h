@@ -12,16 +12,16 @@
 // and adapts the effective context length per position instead of
 // globally.
 //
-// Node tables are layered for Freeze()/Fork() exactly like the n-gram
-// model (see ngram_model.h): frozen layers shared by reference, one
-// private overlay per session, copy-on-first-touch per context key. The
-// shared per-depth log-odds vector is tiny and copied whole on fork.
+// Nodes are layered for Freeze()/Fork() exactly like the n-gram model
+// (see ngram_model.h): frozen layers shared by reference, one private
+// overlay per session, copy-on-first-touch per context key. The shared
+// per-depth log-odds vector is tiny and copied whole on fork.
 //
-// Storage modes mirror ngram_model.h as well: plain per-depth
-// unordered_maps, or — when an enabled BlockPool is attached — one
-// PagedContextStore per layer (keys encode depth) with u16 counts and a
-// plain overflow map for u16-saturated / pool-spilled nodes. The
-// per-node posterior weight stays a full double inside the slot.
+// Storage is the n-gram model's as well: one PagedContextStore per
+// layer (keys encode depth) with u16 counts, and an overflow map of u32
+// counts for u16-saturated and pool-spilled nodes. The per-node
+// posterior weight stays a full double inside the slot. A model given
+// no pool builds itself a private unbounded one, which its forks share.
 //
 // Prompt ingest stays one Observe per token (the LanguageModel default
 // ObserveAll): every token updates the posterior weights along its
@@ -35,7 +35,6 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "lm/language_model.h"
@@ -68,8 +67,8 @@ struct MixtureOptions {
 /// See file comment.
 class MixtureLanguageModel final : public LanguageModel {
  public:
-  /// `pool` as in NGramLanguageModel: accounting sink, and — when
-  /// enabled — the paged-storage source.
+  /// `pool` as in NGramLanguageModel: the layers' block source (null: a
+  /// private unbounded pool) and the session accounting sink.
   MixtureLanguageModel(size_t vocab_size, const MixtureOptions& options,
                        std::shared_ptr<BlockPool> pool = nullptr);
   ~MixtureLanguageModel() override;
@@ -89,17 +88,12 @@ class MixtureLanguageModel final : public LanguageModel {
   MemoryFootprint ApproxMemoryBytes() const override;
   void TallyMemory(MemoryTally* tally) const override;
 
-  /// True when layers live in paged storage (pool attached and enabled).
-  bool paged() const { return paged_; }
-
   /// Number of context nodes materialized so far, in the effective
   /// (layer-merged) view.
   size_t num_nodes() const;
 
   /// Number of frozen base layers under this session (tests only).
-  size_t num_base_layers() const {
-    return paged_ ? paged_base_.size() : base_.size();
-  }
+  size_t num_base_layers() const { return paged_base_.size(); }
 
  private:
   struct Node {
@@ -111,21 +105,14 @@ class MixtureLanguageModel final : public LanguageModel {
   };
   using Table = std::unordered_map<uint64_t, Node>;
 
-  // One copy-on-write level: nodes[d] maps packed depth-d contexts to
-  // their node. Overlay entries shadow frozen ones (copied on first
-  // touch, so always complete).
-  struct Layer {
-    std::vector<Table> nodes;
-  };
-
-  // Paged twin of Layer (see ngram_model.h): one store for all depths
+  // One frozen layer (see ngram_model.h): one store for all depths
   // plus the overflow map; `store` null in an overflow-only layer.
   struct PagedLayer {
     std::shared_ptr<const PagedContextStore> store;
     std::shared_ptr<const Table> overflow;
   };
 
-  // Unified read view over both storage modes (see ngram_model.h).
+  // Read view of one node, narrow or wide (see ngram_model.h).
   struct NodeRef {
     bool found = false;
     const uint32_t* wide = nullptr;
@@ -145,28 +132,20 @@ class MixtureLanguageModel final : public LanguageModel {
   uint64_t PackContext(int depth) const;
 
   // KT predictive probability of `symbol` at `node`.
-  double KtProb(const Node& node, size_t symbol) const;
   double KtProbRef(const NodeRef& node, size_t symbol) const;
 
-  // Topmost frozen-layer node for a key, or null.
-  const Node* FindFrozen(size_t depth, uint64_t key) const;
-  // Effective node (overlay first, then frozen), or null.
-  const Node* FindNode(size_t depth, uint64_t key) const;
-  // Writable overlay node; `second` is true when the node is logically
-  // fresh (absent from overlay *and* every frozen layer).
-  std::pair<Node*, bool> MutableNode(size_t depth, uint64_t key);
-
-  // Paged twins.
   size_t SlotBytes() const;
+  // Topmost frozen-layer node for a key (not found: none).
   NodeRef LookupFrozenPaged(uint64_t key) const;
+  // Effective node: overlay first, then frozen.
   NodeRef LookupNodePaged(uint64_t key) const;
-  // Unified lookup dispatching on the storage mode.
-  NodeRef LookupNode(size_t depth, uint64_t key) const;
   // Phase-2 node update (weight += llr with clamp, count increments),
   // with copy-on-first-touch, u16 promotion and exhaustion spill.
   void UpdateNodePaged(uint64_t key, size_t symbol, double llr,
-                       double prior_log_odds);
+                  double prior_log_odds);
   void CompactPagedBase();
+  // Malloc-model bytes of an overflow map (paged_store.h).
+  static size_t OverflowBytes(const Table& table);
 
   // Walks the context path computing the mixture distribution in-place;
   // also returns the per-depth node keys so Observe can update them.
@@ -175,15 +154,11 @@ class MixtureLanguageModel final : public LanguageModel {
   size_t vocab_size_;
   MixtureOptions options_;
   std::shared_ptr<BlockPool> pool_;
-  bool paged_ = false;
   size_t observed_ = 0;
   std::deque<token::TokenId> recent_;
   // Frozen base layers, bottom to top; shared read-only with every fork.
-  std::vector<std::shared_ptr<const Layer>> base_;
-  // This session's private overlay.
-  Layer local_;
-  // Paged-mode twins of base_ / local_.
   std::vector<PagedLayer> paged_base_;
+  // This session's private overlay: its store and overflow map.
   std::unique_ptr<PagedContextStore> paged_local_;
   Table overflow_local_;
   // Shared log-odds component per depth (see depth_learning_rate).

@@ -13,7 +13,7 @@ namespace lm {
 namespace {
 constexpr int kBitsPerToken = 5;
 
-// Paged slot layout (see header): [u32 total][u16 types][u16 flags]
+// Slot layout (see header): [u32 total][u16 types][u16 flags]
 // [u16 counts[vocab]]. Scalars go through memcpy (aliasing-safe); the
 // u16 count array sits at offset 8 of an 8-aligned slot, so the
 // reinterpret_cast below is aligned.
@@ -56,20 +56,24 @@ NGramLanguageModel::NGramLanguageModel(size_t vocab_size,
   MC_CHECK(options_.backoff_boost >= 0.0);
   MC_CHECK(options_.uniform_mix >= 0.0 && options_.uniform_mix < 1.0);
   MC_CHECK(options_.max_base_layers >= 1);
-  paged_ = pool_ != nullptr && pool_->paged();
-  if (paged_) {
-    paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
-  } else {
-    local_.counts.resize(static_cast<size_t>(options_.max_order) + 1);
+  if (pool_ == nullptr) {
+    pool_ = std::make_shared<BlockPool>(PagedMemoryOptions{});
   }
+  paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
 }
 
 NGramLanguageModel::~NGramLanguageModel() {
   // A model destroyed while still mutable was a decode session; frozen
   // models dying are cache entries / shared bases, not sessions.
-  if (pool_ != nullptr && !frozen_) {
+  if (!frozen_) {
     MemoryFootprint fp = ApproxMemoryBytes();
-    pool_->NoteSessionEnd(fp.overlay_bytes, fp.base_bytes);
+    size_t spilled = 0;
+    for (const auto& [key, cc] : overflow_local_) {
+      (void)cc;
+      if (paged_local_->Find(key) == nullptr) ++spilled;
+    }
+    pool_->NoteSessionEnd(fp.overlay_bytes, fp.base_bytes,
+                          paged_local_->size() + spilled);
   }
 }
 
@@ -81,14 +85,9 @@ void NGramLanguageModel::Reset() {
   observed_ = 0;
   window_ = 0;
   probes_valid_ = false;
-  if (paged_) {
-    paged_base_.clear();
-    paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
-    overflow_local_.clear();
-  } else {
-    base_.clear();
-    for (auto& table : local_.counts) table.clear();
-  }
+  paged_base_.clear();
+  paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
+  overflow_local_.clear();
   frozen_ = false;
 }
 
@@ -132,16 +131,6 @@ NGramLanguageModel::CountsRef NGramLanguageModel::View(const Resolved& r) {
   return r.under;
 }
 
-const NGramLanguageModel::ContextCounts* NGramLanguageModel::FindFrozen(
-    size_t order, uint64_t key) const {
-  for (auto it = base_.rbegin(); it != base_.rend(); ++it) {
-    const Table& table = (*it)->counts[order];
-    auto found = table.find(key);
-    if (found != table.end()) return &found->second;
-  }
-  return nullptr;
-}
-
 NGramLanguageModel::CountsRef NGramLanguageModel::LookupFrozenPaged(
     uint64_t key, uint64_t hash) const {
   for (auto it = paged_base_.rbegin(); it != paged_base_.rend(); ++it) {
@@ -163,61 +152,31 @@ NGramLanguageModel::CountsRef NGramLanguageModel::LookupFrozenPaged(
 }
 
 NGramLanguageModel::Resolved NGramLanguageModel::Resolve(
-    size_t order, uint64_t key, uint64_t hash) const {
+    uint64_t key, uint64_t hash) const {
   // The overlay is this session's private state (const here only
   // because NextDistribution is), so handing out writable pointers to
   // it is sound; frozen models have an empty overlay.
   Resolved r;
-  if (paged_) {
-    if (const std::byte* p = paged_local_->Find(key, hash, &r.hole)) {
-      if (!(LoadU16(p, kFlagsOffset) & kWideFlag)) {
-        r.slot = const_cast<std::byte*>(p);
-        return r;
-      }
-      auto found = overflow_local_.find(key);
-      MC_CHECK(found != overflow_local_.end());
-      r.node = const_cast<ContextCounts*>(&found->second);
+  if (const std::byte* p = paged_local_->Find(key, hash, &r.hole)) {
+    if (!(LoadU16(p, kFlagsOffset) & kWideFlag)) {
+      r.slot = const_cast<std::byte*>(p);
       return r;
     }
-    if (!overflow_local_.empty()) {
-      // Pool-spilled entry: in the overflow map with no slot.
-      auto found = overflow_local_.find(key);
-      if (found != overflow_local_.end()) {
-        r.node = const_cast<ContextCounts*>(&found->second);
-        return r;
-      }
-    }
-    r.under = LookupFrozenPaged(key, hash);
-    return r;
-  }
-  const Table& table = local_.counts[order];
-  auto found = table.find(key);
-  if (found != table.end()) {
+    auto found = overflow_local_.find(key);
+    MC_CHECK(found != overflow_local_.end());
     r.node = const_cast<ContextCounts*>(&found->second);
     return r;
   }
-  if (const ContextCounts* cc = FindFrozen(order, key)) r.under = WideRef(*cc);
-  return r;
-}
-
-void NGramLanguageModel::BumpPlain(size_t order, uint64_t key,
-                                   const Resolved& r, token::TokenId id) {
-  ContextCounts* entry = r.node;
-  if (entry == nullptr) {
-    // Copy-on-first-touch: seed the overlay entry with the frozen view
-    // so its counters equal what a monolithic model would hold.
-    entry = &local_.counts[order][key];
-    if (r.under.found) {
-      entry->next.assign(r.under.wide, r.under.wide + vocab_size_);
-      entry->total = r.under.total;
-      entry->types = r.under.types;
+  if (!overflow_local_.empty()) {
+    // Pool-spilled entry: in the overflow map with no slot.
+    auto found = overflow_local_.find(key);
+    if (found != overflow_local_.end()) {
+      r.node = const_cast<ContextCounts*>(&found->second);
+      return r;
     }
   }
-  const size_t w = static_cast<size_t>(id);
-  if (entry->next.empty()) entry->next.assign(vocab_size_, 0);
-  if (entry->next[w] == 0) ++entry->types;
-  ++entry->next[w];
-  ++entry->total;
+  r.under = LookupFrozenPaged(key, hash);
+  return r;
 }
 
 NGramLanguageModel::ContextCounts* NGramLanguageModel::SeedOverlay(
@@ -233,7 +192,7 @@ NGramLanguageModel::ContextCounts* NGramLanguageModel::SeedOverlay(
     return &cc;
   }
   if (claimed == nullptr) {
-    // Pool exhausted: spill to the plain overflow map. Same integers,
+    // Pool exhausted: spill to the overflow map. Same integers,
     // same output — the pool has already counted the event and the
     // admission ladder sheds on its fullness.
     ContextCounts& cc = overflow_local_[key];
@@ -273,7 +232,6 @@ NGramLanguageModel::ContextCounts* NGramLanguageModel::BumpNarrow(
 }
 
 void NGramLanguageModel::BumpWide(ContextCounts* cc, size_t w) const {
-  // The plain-mode increment, applied to a wide (u32) overflow entry.
   if (cc->next.empty()) cc->next.assign(vocab_size_, 0);
   if (cc->next[w] == 0) ++cc->types;
   ++cc->next[w];
@@ -316,13 +274,7 @@ void NGramLanguageModel::Observe(token::TokenId id) {
   if (!probes_valid_) ResolveAll(probes_.data());
   const int max_ctx = ContextOrders();
   for (int order = 0; order <= max_ctx; ++order) {
-    const size_t o = static_cast<size_t>(order);
-    const uint64_t key = ContextKey(order);
-    if (paged_) {
-      BumpPaged(key, probes_[o], id);
-    } else {
-      BumpPlain(o, key, probes_[o], id);
-    }
+    BumpPaged(ContextKey(order), probes_[static_cast<size_t>(order)], id);
   }
   probes_valid_ = false;
   Advance(id);
@@ -330,12 +282,11 @@ void NGramLanguageModel::Observe(token::TokenId id) {
 
 void NGramLanguageModel::ObserveAll(std::span<const token::TokenId> ids) {
   MC_CHECK(!frozen_);  // Fork() a session instead of mutating a frozen base.
-  if (paged_ && paged_local_->size() == 0 && overflow_local_.empty()) {
+  if (paged_local_->size() == 0 && overflow_local_.empty()) {
     IngestPaged(ids);
     return;
   }
-  // An overlay that already holds entries, and the plain layers (the
-  // reference representation), take one token at a time.
+  // An overlay that already holds entries takes one token at a time.
   for (token::TokenId id : ids) Observe(id);
 }
 
@@ -397,25 +348,21 @@ void NGramLanguageModel::IngestPaged(std::span<const token::TokenId> ids) {
 void NGramLanguageModel::ResolveAll(Resolved* resolved) const {
   const int max_ctx = ContextOrders();
   std::array<uint64_t, kMaxOrder + 1> keys;
-  std::array<uint64_t, kMaxOrder + 1> hashes{};
+  std::array<uint64_t, kMaxOrder + 1> hashes;
+  // Every order's first cache miss at once: its index cell in the
+  // overlay and in each frozen store.
   for (int order = 0; order <= max_ctx; ++order) {
-    keys[static_cast<size_t>(order)] = ContextKey(order);
-  }
-  if (paged_) {
-    // Every order's first cache miss at once: its index cell in the
-    // overlay and in each frozen store.
-    for (int order = 0; order <= max_ctx; ++order) {
-      const size_t o = static_cast<size_t>(order);
-      hashes[o] = PagedContextStore::HashKey(keys[o]);
-      paged_local_->Prefetch(hashes[o]);
-      for (const PagedLayer& layer : paged_base_) {
-        if (layer.store != nullptr) layer.store->Prefetch(hashes[o]);
-      }
+    const size_t o = static_cast<size_t>(order);
+    keys[o] = ContextKey(order);
+    hashes[o] = PagedContextStore::HashKey(keys[o]);
+    paged_local_->Prefetch(hashes[o]);
+    for (const PagedLayer& layer : paged_base_) {
+      if (layer.store != nullptr) layer.store->Prefetch(hashes[o]);
     }
   }
   for (int order = 0; order <= max_ctx; ++order) {
     const size_t o = static_cast<size_t>(order);
-    resolved[o] = Resolve(o, keys[o], hashes[o]);
+    resolved[o] = Resolve(keys[o], hashes[o]);
   }
 }
 
@@ -467,7 +414,7 @@ void NGramLanguageModel::NextDistribution(std::vector<double>* out) const {
 }
 
 void NGramLanguageModel::ReserveDecode(size_t num_tokens) {
-  if (!paged_ || frozen_ || num_tokens == 0) return;
+  if (frozen_ || num_tokens == 0) return;
   paged_local_->Reserve(paged_local_->size() + MaxNewKeys(num_tokens));
 }
 
@@ -495,7 +442,7 @@ void NGramLanguageModel::CompactPagedBase() {
   // refcount and copies only the rest — copy-on-write at block
   // granularity. With overflow entries in play (u16-saturated counts or
   // pool-exhaustion spills — both rare by construction) the merge falls
-  // back to one plain overflow-only layer; correct, just not paged.
+  // back to one overflow-only layer; correct, just not paged.
   bool any_overflow = false;
   for (const PagedLayer& layer : paged_base_) {
     if (!layer.overflow->empty() || layer.store == nullptr) {
@@ -539,48 +486,16 @@ void NGramLanguageModel::Freeze() {
   probes_valid_ = false;
   if (frozen_) return;
   frozen_ = true;
-  if (paged_) {
-    if (paged_local_->size() > 0 || !overflow_local_.empty()) {
-      // Zero-copy transition: the overlay's blocks become the frozen
-      // layer's blocks; no payload moves.
-      paged_base_.push_back(PagedLayer{
-          std::shared_ptr<const PagedContextStore>(std::move(paged_local_)),
-          std::make_shared<const Table>(std::move(overflow_local_))});
-      paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
-      overflow_local_ = Table{};
-    }
-    if (paged_base_.size() > options_.max_base_layers) CompactPagedBase();
-    return;
+  if (paged_local_->size() > 0 || !overflow_local_.empty()) {
+    // Zero-copy transition: the overlay's blocks become the frozen
+    // layer's blocks; no payload moves.
+    paged_base_.push_back(PagedLayer{
+        std::shared_ptr<const PagedContextStore>(std::move(paged_local_)),
+        std::make_shared<const Table>(std::move(overflow_local_))});
+    paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
+    overflow_local_ = Table{};
   }
-  bool local_nonempty = false;
-  for (const Table& table : local_.counts) {
-    if (!table.empty()) {
-      local_nonempty = true;
-      break;
-    }
-  }
-  if (local_nonempty) {
-    auto frozen = std::make_shared<Layer>(std::move(local_));
-    local_ = Layer{};
-    local_.counts.resize(static_cast<size_t>(options_.max_order) + 1);
-    base_.push_back(std::move(frozen));
-  }
-  if (base_.size() > options_.max_base_layers) {
-    // Compact: merge bottom-up so topmost (newest) entries win. Forks
-    // taken before this point keep their own shared_ptrs to the old
-    // layers, so compaction never invalidates live sessions.
-    auto merged = std::make_shared<Layer>();
-    merged->counts.resize(static_cast<size_t>(options_.max_order) + 1);
-    for (const auto& layer : base_) {
-      for (size_t order = 0; order < layer->counts.size(); ++order) {
-        for (const auto& [key, cc] : layer->counts[order]) {
-          merged->counts[order][key] = cc;
-        }
-      }
-    }
-    base_.clear();
-    base_.push_back(std::move(merged));
-  }
+  if (paged_base_.size() > options_.max_base_layers) CompactPagedBase();
 }
 
 std::unique_ptr<LanguageModel> NGramLanguageModel::Fork() const {
@@ -589,7 +504,6 @@ std::unique_ptr<LanguageModel> NGramLanguageModel::Fork() const {
       std::make_unique<NGramLanguageModel>(vocab_size_, options_, pool_);
   fork->observed_ = observed_;
   fork->window_ = window_;
-  fork->base_ = base_;
   // Block-granularity sharing: the fork's refcounts on the frozen
   // stores (and, transitively, their blocks) are the entire copy.
   fork->paged_base_ = paged_base_;
@@ -597,52 +511,31 @@ std::unique_ptr<LanguageModel> NGramLanguageModel::Fork() const {
 }
 
 size_t NGramLanguageModel::num_entries() const {
-  if (paged_) {
-    // Effective view: topmost layer wins per key.
-    std::unordered_map<uint64_t, uint32_t> effective;
-    auto fold = [&](const PagedContextStore* store, const Table& overflow) {
-      if (store != nullptr) {
-        store->ForEach([&](uint64_t key, const std::byte* p) {
-          if (LoadU16(p, kFlagsOffset) & kWideFlag) return;
-          effective[key] = LoadU16(p, kTypesOffset);
-        });
-      }
-      for (const auto& [key, cc] : overflow) effective[key] = cc.types;
-    };
-    for (const PagedLayer& layer : paged_base_) {
-      fold(layer.store.get(), *layer.overflow);
+  // Effective view: topmost layer wins per key.
+  std::unordered_map<uint64_t, uint32_t> effective;
+  auto fold = [&](const PagedContextStore* store, const Table& overflow) {
+    if (store != nullptr) {
+      store->ForEach([&](uint64_t key, const std::byte* p) {
+        if (LoadU16(p, kFlagsOffset) & kWideFlag) return;
+        effective[key] = LoadU16(p, kTypesOffset);
+      });
     }
-    fold(paged_local_.get(), overflow_local_);
-    size_t n = 0;
-    for (const auto& [key, types] : effective) {
-      (void)key;
-      n += types;
-    }
-    return n;
+    for (const auto& [key, cc] : overflow) effective[key] = cc.types;
+  };
+  for (const PagedLayer& layer : paged_base_) {
+    fold(layer.store.get(), *layer.overflow);
   }
+  fold(paged_local_.get(), overflow_local_);
   size_t n = 0;
-  for (size_t order = 0; order < local_.counts.size(); ++order) {
-    // Effective view: topmost layer wins per key.
-    std::unordered_map<uint64_t, const ContextCounts*> effective;
-    for (const auto& layer : base_) {
-      for (const auto& [key, cc] : layer->counts[order]) {
-        effective[key] = &cc;
-      }
-    }
-    for (const auto& [key, cc] : local_.counts[order]) {
-      effective[key] = &cc;
-    }
-    for (const auto& [key, cc] : effective) {
-      (void)key;
-      n += cc->types;
-    }
+  for (const auto& [key, types] : effective) {
+    (void)key;
+    n += types;
   }
   return n;
 }
 
 std::vector<NGramLanguageModel::OverlayEntry>
 NGramLanguageModel::OverlayEntries() const {
-  if (!paged_) return {};
   std::map<uint64_t, OverlayEntry> entries;
   paged_local_->ForEach([&](uint64_t key, const std::byte* p) {
     OverlayEntry& e = entries[key];
@@ -667,76 +560,40 @@ NGramLanguageModel::OverlayEntries() const {
   return out;
 }
 
-MemoryFootprint NGramLanguageModel::ApproxMemoryBytes() const {
+size_t NGramLanguageModel::OverflowBytes(const Table& table) {
   // Malloc model from paged_store.h: node chunk + bucket pointer +
-  // out-of-line count vector per plain-table entry; block + index
-  // chunks for paged stores.
-  auto table_bytes = [](const Table& table) {
-    size_t b = 0;
-    for (const auto& [key, cc] : table) {
-      (void)key;
-      b += ApproxMapEntryBytes(
-          sizeof(void*) + sizeof(std::pair<const uint64_t, ContextCounts>),
-          cc.next.empty() ? 0 : cc.next.capacity() * sizeof(uint32_t));
-    }
-    return b;
-  };
+  // out-of-line count vector per entry.
+  size_t b = 0;
+  for (const auto& [key, cc] : table) {
+    (void)key;
+    b += ApproxMapEntryBytes(
+        sizeof(void*) + sizeof(std::pair<const uint64_t, ContextCounts>),
+        cc.next.empty() ? 0 : cc.next.capacity() * sizeof(uint32_t));
+  }
+  return b;
+}
+
+MemoryFootprint NGramLanguageModel::ApproxMemoryBytes() const {
   MemoryFootprint fp;
-  if (paged_) {
-    fp.overlay_bytes =
-        paged_local_->MemoryBytes() + table_bytes(overflow_local_);
-    for (const PagedLayer& layer : paged_base_) {
-      if (layer.store != nullptr) fp.base_bytes += layer.store->MemoryBytes();
-      fp.base_bytes += table_bytes(*layer.overflow);
-    }
-    return fp;
-  }
-  for (const Table& table : local_.counts) {
-    fp.overlay_bytes += table_bytes(table);
-  }
-  for (const auto& layer : base_) {
-    for (const Table& table : layer->counts) {
-      fp.base_bytes += table_bytes(table);
-    }
+  fp.overlay_bytes =
+      paged_local_->MemoryBytes() + OverflowBytes(overflow_local_);
+  for (const PagedLayer& layer : paged_base_) {
+    if (layer.store != nullptr) fp.base_bytes += layer.store->MemoryBytes();
+    fp.base_bytes += OverflowBytes(*layer.overflow);
   }
   return fp;
 }
 
 void NGramLanguageModel::TallyMemory(MemoryTally* tally) const {
-  MemoryFootprint own = ApproxMemoryBytes();
-  tally->bytes += own.overlay_bytes;
+  tally->bytes += ApproxMemoryBytes().overlay_bytes;
   // Frozen layers are shared; count each identity once across the tally.
-  auto layer_once = [&](const void* identity, size_t bytes) {
-    if (identity != nullptr && tally->seen.insert(identity).second) {
-      tally->bytes += bytes;
-    }
-  };
-  auto table_bytes = [](const Table& table) {
-    size_t b = 0;
-    for (const auto& [key, cc] : table) {
-      (void)key;
-      b += ApproxMapEntryBytes(
-          sizeof(void*) + sizeof(std::pair<const uint64_t, ContextCounts>),
-          cc.next.empty() ? 0 : cc.next.capacity() * sizeof(uint32_t));
-    }
-    return b;
-  };
-  if (paged_) {
-    for (const PagedLayer& layer : paged_base_) {
-      size_t bytes = table_bytes(*layer.overflow);
-      if (layer.store != nullptr) bytes += layer.store->MemoryBytes();
-      const void* identity = layer.store != nullptr
-                                 ? static_cast<const void*>(layer.store.get())
-                                 : static_cast<const void*>(
-                                       layer.overflow.get());
-      layer_once(identity, bytes);
-    }
-    return;
-  }
-  for (const auto& layer : base_) {
-    size_t bytes = 0;
-    for (const Table& table : layer->counts) bytes += table_bytes(table);
-    layer_once(layer.get(), bytes);
+  for (const PagedLayer& layer : paged_base_) {
+    size_t bytes = OverflowBytes(*layer.overflow);
+    if (layer.store != nullptr) bytes += layer.store->MemoryBytes();
+    const void* identity =
+        layer.store != nullptr ? static_cast<const void*>(layer.store.get())
+                               : static_cast<const void*>(layer.overflow.get());
+    if (tally->seen.insert(identity).second) tally->bytes += bytes;
   }
 }
 

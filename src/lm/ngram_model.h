@@ -10,7 +10,7 @@
 // (required for constrained sampling — masking must never zero out the
 // entire support).
 //
-// Count tables are layered to support Freeze()/Fork() (the prefix-cache
+// Counts are layered to support Freeze()/Fork() (the prefix-cache
 // contract in language_model.h): frozen layers are immutable and shared
 // by reference between forks; each live session writes only its own
 // overlay layer. The first write to a context key copies that key's
@@ -19,29 +19,26 @@
 // the overlay copy — byte-for-byte the same integers a monolithic model
 // would hold, so every downstream float op is bit-identical.
 //
-// Layers have two storage modes (chosen by the BlockPool handed to the
-// constructor — see lm/paged_store.h):
-//   * plain: one unordered_map per order, counts in u32 vectors — the
-//     original representation, kept for differential testing.
-//   * paged: one PagedContextStore per layer (context keys already
-//     encode their order), counts packed as u16 in fixed-size slots
-//     drawn from refcounted pool blocks. Entries whose counts outgrow
-//     u16, and entries the pool had no block for (exhaustion), live in
-//     a plain per-layer overflow map — both still hold exactly the
-//     integers the plain mode holds, so output is bit-identical.
+// Every layer is one PagedContextStore (lm/paged_store.h; context keys
+// already encode their order), counts packed as u16 in fixed-size slots
+// drawn from refcounted pool blocks. Entries whose counts outgrow u16,
+// and entries the pool had no block for (exhaustion), live in a per-
+// layer overflow map of u32 counts — the same integers, so output does
+// not depend on where an entry lives. A model given no pool builds
+// itself a private unbounded one, which its forks share.
 //
 // One decode step (NextDistribution, sample, Observe) costs one probe
-// per context order and layer in either mode: the conditioning window
+// per context order and layer: the conditioning window
 // is one packed 64-bit word, so each order's key is a shift and a mask,
 // and NextDistribution on a mutable session records where every order's
 // key resolved (overlay slot or node, or overlay miss plus the frozen
-// entry) for the Observe that directly follows to write through. A
-// paged overlay miss also records the empty index cell it stopped at,
+// entry) for the Observe that directly follows to write through. An
+// overlay miss also records the empty index cell it stopped at,
 // so the insert that follows resumes there instead of probing again;
 // ReserveDecode sizes the overlay index for a whole generation when the
 // session opens, so that the index does not grow (and rehash) mid-draw.
 //
-// Prompt ingest (ObserveAll) into a paged session whose overlay is still
+// Prompt ingest (ObserveAll) into a session whose overlay is still
 // empty (a fresh model, or a fork over a frozen base) is one bulk build
 // rather than an Observe per token: the counts after ingest are a
 // multiset of (context, next-token) pairs, so one sweep that dedupes the
@@ -87,10 +84,9 @@ struct NGramOptions {
 /// See file comment.
 class NGramLanguageModel final : public LanguageModel {
  public:
-  /// `vocab_size` must be <= 31 (tokens pack into 5 bits each).
-  /// `pool`, when set, receives session byte accounting; when it is
-  /// additionally enabled (PagedMemoryOptions::enabled) the layers use
-  /// paged storage drawn from it.
+  /// `vocab_size` must be <= 31 (tokens pack into 5 bits each). The
+  /// layers draw their blocks from `pool` (null: a private unbounded
+  /// pool), which also receives the session's byte accounting.
   NGramLanguageModel(size_t vocab_size, const NGramOptions& options,
                      std::shared_ptr<BlockPool> pool = nullptr);
   ~NGramLanguageModel() override;
@@ -111,13 +107,11 @@ class NGramLanguageModel final : public LanguageModel {
   MemoryFootprint ApproxMemoryBytes() const override;
   void TallyMemory(MemoryTally* tally) const override;
 
-  /// Bulk build into a paged session with an empty overlay; otherwise
-  /// one Observe per token (see file comment).
+  /// Bulk build into a session with an empty overlay; otherwise one
+  /// Observe per token (see file comment).
   void ObserveAll(std::span<const token::TokenId> ids) override;
 
   const NGramOptions& options() const { return options_; }
-  /// True when layers live in paged storage (pool attached and enabled).
-  bool paged() const { return paged_; }
 
   /// Number of distinct (context, next) pairs currently counted, across
   /// all orders, in the effective (layer-merged) view. Exposed for tests
@@ -129,11 +123,9 @@ class NGramLanguageModel final : public LanguageModel {
   static constexpr int kMaxOrder = 12;
 
   /// Number of frozen base layers under this session (tests only).
-  size_t num_base_layers() const {
-    return paged_ ? paged_base_.size() : base_.size();
-  }
+  size_t num_base_layers() const { return paged_base_.size(); }
 
-  /// One context key of a paged session's private overlay, as held.
+  /// One context key of the session's private overlay, as held.
   struct OverlayEntry {
     uint64_t key = 0;
     /// Counts live in a u16 slot (else in the wide overflow map).
@@ -145,9 +137,9 @@ class NGramLanguageModel final : public LanguageModel {
     uint32_t types = 0;
     std::vector<uint32_t> next;
   };
-  /// Every overlay entry of a paged session, ordered by key (tests only).
+  /// Every overlay entry, ordered by key (tests only).
   std::vector<OverlayEntry> OverlayEntries() const;
-  /// A paged session's overlay store; null in plain mode (tests only).
+  /// The session's overlay store (tests only).
   const PagedContextStore* overlay_store() const { return paged_local_.get(); }
 
  private:
@@ -160,28 +152,20 @@ class NGramLanguageModel final : public LanguageModel {
   };
   using Table = std::unordered_map<uint64_t, ContextCounts>;
 
-  // One copy-on-write level: counts[k] holds order-k contexts
-  // (k = 0 .. max_order; order 0 is the unigram table under the single
-  // empty-context key). An entry shadows any entry with the same key in
-  // lower layers — it was copied from the effective view when first
-  // touched, so it is always the complete, current state of its key.
-  struct Layer {
-    std::vector<Table> counts;
-  };
-
-  // Paged twin of Layer: one store for every order (keys encode their
-  // order) plus the overflow map for wide-promoted / pool-spilled
-  // entries. `store` may be null in an overflow-only layer (the
-  // compaction fallback when overflow entries exist).
+  // One frozen layer: its store plus the overflow map of wide-promoted
+  // and pool-spilled entries. `store` is null in an overflow-only layer
+  // (the compaction fallback when overflow entries exist). An entry
+  // shadows any entry with the same key in lower layers — it was copied
+  // from the effective view when first touched, so it is always the
+  // complete, current state of its key.
   struct PagedLayer {
     std::shared_ptr<const PagedContextStore> store;
     std::shared_ptr<const Table> overflow;
   };
 
-  // Unified read view over both storage modes: counts live behind
-  // either a u32 array (plain tables, wide overflow entries) or a u16
-  // slot array (paged). Equal integers cast to equal doubles, so the
-  // blend below is bit-identical across modes.
+  // Read view of one entry: counts live behind either a u32 array (a
+  // wide overflow entry) or a u16 slot array. Equal integers cast to
+  // equal doubles, so the blend below does not depend on which.
   struct CountsRef {
     bool found = false;
     const uint32_t* wide = nullptr;
@@ -196,10 +180,10 @@ class NGramLanguageModel final : public LanguageModel {
   };
 
   // Where one context key resolved: in this session's overlay (a narrow
-  // paged slot, or a node — a plain-table entry or a wide paged
-  // overflow entry), else an overlay miss plus the frozen view (`under`,
-  // not found when no frozen layer holds the key either). A paged
-  // overlay miss also records where the key's insert goes (`hole`).
+  // slot, or a node — an overflow entry), else an overlay miss plus the
+  // frozen view (`under`, not found when no frozen layer holds the key
+  // either). An overlay miss also records where the key's insert goes
+  // (`hole`).
   struct Resolved {
     std::byte* slot = nullptr;
     ContextCounts* node = nullptr;
@@ -219,22 +203,19 @@ class NGramLanguageModel final : public LanguageModel {
   // collide.
   uint64_t ContextKey(int order) const;
 
-  // One overlay-then-frozen lookup of `key`, whose paged index hash is
-  // `hash`. The overlay belongs to this mutable session, so the handles
-  // it returns are writable.
-  Resolved Resolve(size_t order, uint64_t key, uint64_t hash) const;
+  // One overlay-then-frozen lookup of `key`, whose index hash is `hash`.
+  // The overlay belongs to this mutable session, so the handles it
+  // returns are writable.
+  Resolved Resolve(uint64_t key, uint64_t hash) const;
   // Resolves every context order into `resolved[0 .. ContextOrders()]`,
   // each order's index cells prefetched before any is probed.
   void ResolveAll(Resolved* resolved) const;
   // The interpolated distribution over the resolved orders.
   void Blend(const Resolved* resolved, std::vector<double>* out) const;
-  // Topmost frozen-layer entry for a key, or null (plain mode).
-  const ContextCounts* FindFrozen(size_t order, uint64_t key) const;
+  // Topmost frozen-layer entry for a key (not found: none).
   CountsRef LookupFrozenPaged(uint64_t key, uint64_t hash) const;
   // Counts `id` after the context `key`, which resolved to `r`;
   // an overlay miss is copied from `r.under` first.
-  void BumpPlain(size_t order, uint64_t key, const Resolved& r,
-                 token::TokenId id);
   void BumpPaged(uint64_t key, const Resolved& r, token::TokenId id);
   // Seeds the first-touch overlay entry of `key` from `under`, the
   // frozen view, into `claimed`, the slot the overlay store gave the key
@@ -257,20 +238,18 @@ class NGramLanguageModel final : public LanguageModel {
 
   size_t SlotBytes() const;
   void CompactPagedBase();
+  // Malloc-model bytes of an overflow map (paged_store.h).
+  static size_t OverflowBytes(const Table& table);
 
   size_t vocab_size_;
   NGramOptions options_;
   std::shared_ptr<BlockPool> pool_;
-  bool paged_ = false;
   size_t observed_ = 0;
   // The most recent max_order tokens, 5 bits each, newest lowest.
   uint64_t window_ = 0;
   // Frozen base layers, bottom to top; shared read-only with every fork.
-  std::vector<std::shared_ptr<const Layer>> base_;
-  // This session's private overlay.
-  Layer local_;
-  // Paged-mode twins of base_ / local_.
   std::vector<PagedLayer> paged_base_;
+  // This session's private overlay: its store and overflow map.
   std::unique_ptr<PagedContextStore> paged_local_;
   Table overflow_local_;
   bool frozen_ = false;

@@ -64,12 +64,14 @@ BlockRef BlockPool::Allocate(size_t bytes) {
   });
 }
 
-void BlockPool::NoteSessionEnd(size_t overlay_bytes, size_t base_bytes) {
+void BlockPool::NoteSessionEnd(size_t overlay_bytes, size_t base_bytes,
+                               size_t overlay_entries) {
   std::lock_guard<std::mutex> lock(shared_->mu);
   BlockPoolStats& s = shared_->stats;
   ++s.sessions;
   s.session_overlay_bytes += overlay_bytes;
   s.session_base_bytes += base_bytes;
+  s.session_overlay_entries += overlay_entries;
 }
 
 double BlockPool::Fullness() const {
@@ -111,6 +113,8 @@ void PublishBlockPoolStats(const BlockPoolStats& stats,
           static_cast<double>(stats.session_overlay_bytes));
   counter("session_base_bytes",
           static_cast<double>(stats.session_base_bytes));
+  counter("session_overlay_entries",
+          static_cast<double>(stats.session_overlay_entries));
   gauge("bytes_per_session", stats.bytes_per_session());
   gauge("sharing_ratio", stats.sharing_ratio());
 }
@@ -131,6 +135,7 @@ BlockPoolStats BlockPoolStatsFromSnapshot(
   stats.sessions = v("sessions");
   stats.session_overlay_bytes = v("session_overlay_bytes");
   stats.session_base_bytes = v("session_base_bytes");
+  stats.session_overlay_entries = v("session_overlay_entries");
   return stats;
 }
 

@@ -1,16 +1,13 @@
 // Paged session memory: block-allocated, refcounted context storage.
 //
-// Every decode session today layers a private copy-on-write overlay map
-// over shared frozen base layers (language_model.h Freeze()/Fork()).
-// The *sharing* was already right — frozen layers are shared_ptrs — but
-// the *representation* was not: each context entry lived in its own
-// unordered_map node plus a separately heap-allocated count vector,
-// ~3x the bytes the counts themselves need, and compaction of long
-// fork chains deep-copied every surviving entry. At thousands of
-// concurrent draws (the M4-style many-series regime) overlay memory
-// dominates long before the scheduler saturates.
-//
-// This file is the paged-KV analogue for the simulated back-ends:
+// Every decode session layers a private copy-on-write overlay over
+// shared frozen base layers (language_model.h Freeze()/Fork()). Both
+// model families keep every layer in the paged-KV analogue below, the
+// one context storage of the simulated back-ends: per-entry map nodes,
+// each with a separately heap-allocated count vector, would cost ~3x
+// the bytes the counts need, and at thousands of concurrent draws (the
+// M4-style many-series regime) overlay memory dominates long before the
+// scheduler saturates.
 //
 //   BlockPool         — the process-wide (or per-replica) authority for
 //                       fixed-size storage blocks: refcounted handles,
@@ -18,9 +15,7 @@
 //                       live/peak high-water gauge, an optional block
 //                       cap whose refusal is an *exhaustion event* (the
 //                       overload ladder sheds on the pool's fullness),
-//                       and per-session byte accounting that works in
-//                       paged AND plain mode so benches can compare
-//                       bytes/session on one measurement path.
+//                       and per-session byte and entry accounting.
 //
 //   PagedContextStore — one layer's context table: 64-bit context keys
 //                       mapped to fixed-size payload slots packed into
@@ -47,7 +42,7 @@
 //
 // Exhaustion is graceful by construction: a store whose pool refuses a
 // new block reports the failed insert to its caller, and the models
-// spill that entry to a plain map instead — decode never fails mid-
+// spill that entry to an overflow map instead — decode never fails mid-
 // token and output stays bit-identical; the pool counts the event and
 // its fullness feeds the serving layer's admission ladder, which sheds
 // *before* dispatch (serve/overload.h).
@@ -78,11 +73,6 @@ inline constexpr size_t kMaxBlockSpan = 65536;
 /// Paged-memory configuration, carried by lm::ModelProfile into every
 /// decode-model construction site.
 struct PagedMemoryOptions {
-  /// false: models keep their plain unordered_map layers (an attached
-  /// pool then only collects session byte accounting, giving paged and
-  /// plain runs one measurement path). true: layers live in paged
-  /// stores drawn from the pool.
-  bool enabled = false;
   /// Payload slots per block. Larger spans amortize allocation but
   /// coarsen the freelist granularity. In [kMinBlockSpan,
   /// kMaxBlockSpan]; smaller values are raised to kMinBlockSpan.
@@ -125,6 +115,9 @@ struct BlockPoolStats {
   size_t sessions = 0;          ///< decode sessions that ended
   size_t session_overlay_bytes = 0;  ///< summed private overlay bytes
   size_t session_base_bytes = 0;     ///< summed (logical) frozen-base bytes
+  /// Summed distinct context keys of the sessions' private overlays
+  /// (store entries plus spilled keys without a slot).
+  size_t session_overlay_entries = 0;
 
   /// Mean private bytes per ended session (0 before any ended).
   double bytes_per_session() const {
@@ -135,7 +128,7 @@ struct BlockPoolStats {
   /// Logical bytes sessions conditioned on (each counting its full
   /// frozen base) over the peak physical bytes the pool ever held: how
   /// many times over the refcounted blocks were shared. 0 when the pool
-  /// never held a block (plain-mode accounting pools).
+  /// never held a block.
   double sharing_ratio() const {
     return bytes_peak == 0
                ? 0.0
@@ -162,20 +155,18 @@ class BlockPool {
   explicit BlockPool(const PagedMemoryOptions& options);
 
   const PagedMemoryOptions& options() const { return options_; }
-  /// Shorthand for options().enabled — whether attached models should
-  /// build paged layers or only report accounting.
-  bool paged() const { return options_.enabled; }
 
   /// One refcounted block of >= `bytes` bytes (freelist buffers are
   /// size-matched exactly, so in practice == bytes). Null when the
   /// max_blocks cap is reached — an exhaustion event; callers must
-  /// degrade (spill to plain storage), never fail.
+  /// degrade (spill to an overflow map), never fail.
   BlockRef Allocate(size_t bytes);
 
   /// A mutable decode session ended, holding `overlay_bytes` of private
-  /// state over `base_bytes` of (shared) frozen base. Models report
-  /// this from their destructor in paged and plain mode alike.
-  void NoteSessionEnd(size_t overlay_bytes, size_t base_bytes);
+  /// state in `overlay_entries` distinct context keys over `base_bytes`
+  /// of (shared) frozen base. Models report this from their destructor.
+  void NoteSessionEnd(size_t overlay_bytes, size_t base_bytes,
+                      size_t overlay_entries);
 
   /// Live blocks over max_blocks, in [0, 1]; 0 when unbounded. The
   /// overload ladder's memory-pressure observable.
@@ -206,8 +197,8 @@ class BlockPool {
 
 /// malloc-model estimate of one heap chunk serving a `request`-byte
 /// allocation (glibc-style: 8-byte header, 16-byte granule, 32-byte
-/// minimum). The plain-mode layers are unordered_map + vector heaps, so
-/// their resident size is estimated with this model; paged stores are
+/// minimum). Overflow maps are unordered_map + vector heaps, so their
+/// resident size is estimated with this model; paged stores are
 /// measured from their actual block and index allocations through the
 /// same function. The model is documented in DESIGN.md §5k.
 inline size_t ApproxChunkBytes(size_t request) {
@@ -230,8 +221,7 @@ inline size_t ApproxMapEntryBytes(size_t node_bytes,
 /// owning model encodes/decodes. Mutable while building an overlay;
 /// frozen by wrapping in shared_ptr<const> (no further Insert calls).
 /// Not internally synchronized: mutable stores are session-private,
-/// frozen stores are immutable — the same discipline as the layers they
-/// replace.
+/// frozen stores are immutable.
 class PagedContextStore {
  public:
   /// `slot_bytes` is the payload record size; it is rounded up to an

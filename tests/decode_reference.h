@@ -130,12 +130,12 @@ struct NamedProfile {
   lm::ModelProfile profile;
 };
 
-/// Both back-end families; the n-gram one also on paged storage.
+/// Both back-end families; the n-gram one also on a caller's pool
+/// (the others build private pools).
 inline std::vector<NamedProfile> Profiles() {
   lm::ModelProfile paged = lm::ModelProfile::Llama2_7B();
-  lm::PagedMemoryOptions popts;
-  popts.enabled = true;
-  paged.memory_pool = std::make_shared<lm::BlockPool>(popts);
+  paged.memory_pool =
+      std::make_shared<lm::BlockPool>(lm::PagedMemoryOptions{});
   return {{"ngram", lm::ModelProfile::Llama2_7B()},
           {"ngram_paged", paged},
           {"mixture", lm::ModelProfile::CtwMixture()}};

@@ -4,8 +4,12 @@
 
 #include <cmath>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "lm/ngram_model.h"
+#include "lm/paged_store.h"
+#include "util/random.h"
 
 namespace multicast {
 namespace lm {
@@ -184,6 +188,69 @@ TEST(MixtureModelTest, NodesGrowWithNovelContexts) {
   }
   varied_model.ObserveAll(varied);
   EXPECT_GT(varied_model.num_nodes(), repeat_model.num_nodes());
+}
+
+// The n-gram model's concurrency contract, for the mixture: a frozen
+// model is shared by every fork and read from many threads at once.
+// Four threads read one frozen model while two of its forks decode on
+// other threads; every read must see the frozen distribution, and each
+// fork must decode exactly as it does alone.
+TEST(MixtureConcurrencyTest, FrozenModelReadsWhileForksDecode) {
+  for (bool own_pool : {false, true}) {
+    SCOPED_TRACE(own_pool ? "caller's pool" : "private pool");
+    std::shared_ptr<BlockPool> pool;
+    if (own_pool) {
+      PagedMemoryOptions popts;
+      popts.block_span = 8;
+      pool = std::make_shared<BlockPool>(popts);
+    }
+    MixtureLanguageModel base(11, MixtureOptions{}, pool);
+    Rng rng(77);
+    for (int i = 0; i < 2000; ++i) {
+      base.Observe(static_cast<token::TokenId>(rng.NextBounded(11)));
+    }
+    base.Freeze();
+    const std::vector<double> expected = base.NextDistribution();
+
+    // One fork's decode: NextDistribution then Observe of its argmax,
+    // folded into a checksum of every distribution it saw.
+    auto decode = [&base](int steps) {
+      std::unique_ptr<LanguageModel> fork = base.Fork();
+      double checksum = 0.0;
+      std::vector<double> probs;
+      for (int i = 0; i < steps; ++i) {
+        fork->NextDistribution(&probs);
+        size_t best = 0;
+        for (size_t w = 0; w < probs.size(); ++w) {
+          checksum += probs[w] * static_cast<double>(w + 1);
+          if (probs[w] > probs[best]) best = w;
+        }
+        fork->Observe(static_cast<token::TokenId>((best + i) % probs.size()));
+      }
+      return checksum;
+    };
+    const double alone = decode(300);
+
+    std::vector<int> mismatches(4, 0);
+    std::vector<double> checksums(2, 0.0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<double> probs;
+        for (int i = 0; i < 300; ++i) {
+          base.NextDistribution(&probs);
+          if (probs != expected) ++mismatches[static_cast<size_t>(t)];
+        }
+      });
+    }
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back(
+          [&, t] { checksums[static_cast<size_t>(t)] = decode(300); });
+    }
+    for (std::thread& th : threads) th.join();
+    for (int m : mismatches) EXPECT_EQ(m, 0);
+    for (double sum : checksums) EXPECT_EQ(sum, alone);
+  }
 }
 
 }  // namespace

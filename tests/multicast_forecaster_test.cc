@@ -103,26 +103,29 @@ TEST_P(MuxVariantTest, DeterministicForSameSeed) {
 }
 
 TEST_P(MuxVariantTest, PagedMemoryIsBitIdentical) {
-  // The paged block store must never change an output: same forecast,
-  // same bands, same ledger, at serial and parallel thread counts. The
-  // baseline keeps the plain map layers through an accounting-only pool
-  // (enabled = false); without one the forecaster would page too.
-  MultiCastOptions plain;
-  plain.block_pool = std::make_shared<lm::BlockPool>(lm::PagedMemoryOptions{});
-  plain.mux = GetParam();
-  plain.num_samples = 4;
-  plain.seed = 7;
-  plain.quantiles = {0.1, 0.9};
+  // The block geometry and the pool's owner must never change an
+  // output: same forecast, same bands, same ledger, at serial and
+  // parallel thread counts. The baseline runs on a caller's pool of
+  // span 32; the others build their own pool of span 16.
+  MultiCastOptions base;
+  lm::PagedMemoryOptions popts;
+  popts.block_span = 32;
+  base.block_pool = std::make_shared<lm::BlockPool>(popts);
+  base.mux = GetParam();
+  base.num_samples = 4;
+  base.seed = 7;
+  base.quantiles = {0.1, 0.9};
   ts::Frame frame = PeriodicFrame(72);
-  auto baseline = MultiCastForecaster(plain).Forecast(frame, 8);
+  auto baseline = MultiCastForecaster(base).Forecast(frame, 8);
   ASSERT_TRUE(baseline.ok());
+  EXPECT_GT(base.block_pool->stats().blocks_peak, 0u);
   for (int threads : {1, 2}) {
-    MultiCastOptions paged = plain;
+    MultiCastOptions paged = base;
     paged.block_pool = nullptr;
     paged.block_span = 16;
     paged.threads = threads;
     MultiCastForecaster f(paged);
-    ASSERT_TRUE(f.block_pool()->paged());
+    ASSERT_NE(f.block_pool(), base.block_pool);
     auto result = f.Forecast(frame, 8);
     ASSERT_TRUE(result.ok());
     for (size_t d = 0; d < 2; ++d) {

@@ -5,13 +5,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "lm/paged_store.h"
+#include "reference_models.h"
 #include "util/random.h"
 
 namespace multicast {
@@ -200,87 +200,8 @@ TEST(NGramModelTest, MaxBaseLayersCompactsLongForkChains) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential test of the decode step against a map-based reference.
-
-// Test-only reference: interpolated Witten–Bell over one std::map keyed
-// by the context's tokens themselves, with the same floating-point
-// steps as NGramLanguageModel::NextDistribution. It has no layers, no
-// paging, no packed window and no probe record, so it checks all four.
-class ReferenceNGram {
- public:
-  ReferenceNGram(size_t vocab, const NGramOptions& options)
-      : vocab_(vocab), options_(options) {}
-
-  void Observe(token::TokenId id) {
-    for (size_t k = 0; k <= Orders(); ++k) {
-      Counts& c = counts_[Context(k)];
-      if (c.next.empty()) c.next.assign(vocab_, 0);
-      if (c.next[static_cast<size_t>(id)] == 0) ++c.types;
-      ++c.next[static_cast<size_t>(id)];
-      ++c.total;
-    }
-    history_.push_back(id);
-  }
-
-  std::vector<double> NextDistribution() const {
-    std::vector<double> probs(vocab_, 1.0 / static_cast<double>(vocab_));
-    for (size_t k = 0; k <= Orders(); ++k) {
-      auto it = counts_.find(Context(k));
-      if (it == counts_.end() || it->second.total == 0) continue;
-      const Counts& c = it->second;
-      double lambda = static_cast<double>(c.types) + options_.backoff_boost;
-      double denom = static_cast<double>(c.total) + lambda;
-      for (size_t w = 0; w < vocab_; ++w) {
-        probs[w] = (static_cast<double>(c.next[w]) + lambda * probs[w]) / denom;
-      }
-    }
-    if (options_.uniform_mix > 0.0) {
-      double u = options_.uniform_mix / static_cast<double>(vocab_);
-      for (double& p : probs) p = (1.0 - options_.uniform_mix) * p + u;
-    }
-    double sum = 0.0;
-    for (double p : probs) sum += p;
-    for (double& p : probs) p /= sum;
-    return probs;
-  }
-
-  size_t num_entries() const {
-    size_t n = 0;
-    for (const auto& [context, c] : counts_) n += c.types;
-    return n;
-  }
-
-  uint64_t max_count() const {
-    uint64_t m = 0;
-    for (const auto& [context, c] : counts_) {
-      for (uint64_t n : c.next) m = std::max(m, n);
-    }
-    return m;
-  }
-
-  void Reset() {
-    counts_.clear();
-    history_.clear();
-  }
-
- private:
-  struct Counts {
-    std::vector<uint64_t> next;
-    uint64_t total = 0;
-    uint64_t types = 0;
-  };
-  size_t Orders() const {
-    return std::min(history_.size(), static_cast<size_t>(options_.max_order));
-  }
-  std::vector<token::TokenId> Context(size_t k) const {
-    return std::vector<token::TokenId>(history_.end() - k, history_.end());
-  }
-
-  size_t vocab_;
-  NGramOptions options_;
-  std::vector<token::TokenId> history_;
-  std::map<std::vector<token::TokenId>, Counts> counts_;
-};
+// Differential test of the decode step against the map reference
+// (reference_models.h).
 
 struct DecodeStepCase {
   std::string name;
@@ -320,23 +241,23 @@ void ExpectMatchesReference(const NGramLanguageModel& model,
   }
 }
 
-// Seeded random walk over the model's calls, in both storage modes: each
-// step is a decode step (NextDistribution, whose result is checked, then
-// Observe), a run of 1-3 bare Observes with no read between them,
-// Freeze + Fork (the frozen parent kept alive and checked) or Reset,
-// each of the last two followed directly by a bare run. After every
-// step each model's distribution and num_entries() must equal the
-// reference's exactly. The check itself leaves a probe record, which
-// the next step's first Observe consumes; bare runs' later Observes and
-// every Observe right after a fork or a reset must probe afresh.
+// Seeded random walk over the model's calls, on a model with no pool of its own
+// (a private unbounded one) and on one drawing from the case's pool (its span
+// and cap): each step is a decode step (NextDistribution, whose result is
+// checked, then Observe), a run of 1-3 bare Observes with no read between them,
+// Freeze + Fork (the frozen parent kept alive and checked) or Reset, each of
+// the last two followed directly by a bare run. After every step each model's
+// distribution and num_entries() must equal the reference's exactly. The check
+// itself leaves a probe record, which the next step's first Observe consumes;
+// bare runs' later Observes and every Observe right after a fork or a reset
+// must probe afresh.
 TEST_P(DecodeStepTest, MatchesMapReferenceUnderRandomCalls) {
   const DecodeStepCase& c = GetParam();
-  for (bool paged : {false, true}) {
-    SCOPED_TRACE(paged ? "paged" : "plain");
+  for (bool own_pool : {false, true}) {
+    SCOPED_TRACE(own_pool ? "caller's pool" : "private pool");
     std::shared_ptr<BlockPool> pool;
-    if (paged) {
+    if (own_pool) {
       PagedMemoryOptions popts;
-      popts.enabled = true;
       popts.block_span = c.block_span;
       popts.max_blocks = c.max_blocks;
       pool = std::make_shared<BlockPool>(popts);
@@ -409,7 +330,7 @@ TEST_P(DecodeStepTest, MatchesMapReferenceUnderRandomCalls) {
     if (c.zero_bias > 0.0) {
       EXPECT_GT(reference.max_count(), 0xffffu);  // u16 promotion happened
     }
-    if (paged && c.max_blocks > 0) {
+    if (own_pool && c.max_blocks > 0) {
       EXPECT_GT(pool->stats().exhaustion_events, 0u);
     }
     if (c.fork_rate > 0.1) {
@@ -486,12 +407,11 @@ INSTANTIATE_TEST_SUITE_P(
 // threads; every read must see the frozen distribution, and each fork
 // must decode exactly as it does alone.
 TEST(NGramConcurrencyTest, FrozenModelReadsWhileForksDecode) {
-  for (bool paged : {false, true}) {
-    SCOPED_TRACE(paged ? "paged" : "plain");
+  for (bool own_pool : {false, true}) {
+    SCOPED_TRACE(own_pool ? "caller's pool" : "private pool");
     std::shared_ptr<BlockPool> pool;
-    if (paged) {
+    if (own_pool) {
       PagedMemoryOptions popts;
-      popts.enabled = true;
       pool = std::make_shared<BlockPool>(popts);
     }
     NGramLanguageModel base(11, NGramOptions{}, pool);

@@ -12,16 +12,15 @@
 #include "lm/mixture_model.h"
 #include "lm/ngram_model.h"
 #include "lm/prefix_cache.h"
+#include "reference_models.h"
 #include "util/metrics.h"
 
 namespace multicast {
 namespace lm {
 namespace {
 
-std::shared_ptr<BlockPool> MakePool(size_t block_span, size_t max_blocks,
-                                    bool enabled = true) {
+std::shared_ptr<BlockPool> MakePool(size_t block_span, size_t max_blocks) {
   PagedMemoryOptions options;
-  options.enabled = enabled;
   options.block_span = block_span;
   options.max_blocks = max_blocks;
   return std::make_shared<BlockPool>(options);
@@ -113,12 +112,15 @@ TEST(BlockPoolTest, BlockOutlivesPoolObject) {
 TEST(BlockPoolTest, SessionAccountingAndMetricsRoundtrip) {
   auto pool = MakePool(/*block_span=*/8, /*max_blocks=*/0);
   BlockRef a = pool->Allocate(100);
-  pool->NoteSessionEnd(/*overlay_bytes=*/100, /*base_bytes=*/400);
-  pool->NoteSessionEnd(/*overlay_bytes=*/300, /*base_bytes=*/400);
+  pool->NoteSessionEnd(/*overlay_bytes=*/100, /*base_bytes=*/400,
+                       /*overlay_entries=*/3);
+  pool->NoteSessionEnd(/*overlay_bytes=*/300, /*base_bytes=*/400,
+                       /*overlay_entries=*/5);
   BlockPoolStats stats = pool->stats();
   EXPECT_EQ(stats.sessions, 2u);
   EXPECT_EQ(stats.session_overlay_bytes, 400u);
   EXPECT_EQ(stats.session_base_bytes, 800u);
+  EXPECT_EQ(stats.session_overlay_entries, 8u);
   EXPECT_EQ(stats.bytes_per_session(), 200.0);
   EXPECT_EQ(stats.sharing_ratio(), 1200.0 / 100.0);
 
@@ -130,6 +132,9 @@ TEST(BlockPoolTest, SessionAccountingAndMetricsRoundtrip) {
   EXPECT_EQ(back.bytes_peak, stats.bytes_peak);
   EXPECT_EQ(back.sessions, stats.sessions);
   EXPECT_EQ(back.session_overlay_bytes, stats.session_overlay_bytes);
+  EXPECT_EQ(back.session_base_bytes, stats.session_base_bytes);
+  EXPECT_EQ(back.session_overlay_entries, 8u);
+  EXPECT_EQ(snap.Value("lm.mem.session_overlay_entries"), 8.0);
   EXPECT_EQ(snap.Value("lm.mem.pool_fullness"), 0.0);
 }
 
@@ -393,156 +398,186 @@ TEST(PagedContextStoreTest, MergeCompactNewestWinsAndCopiesShadowed) {
   }
 }
 
-// The tentpole invariant: a paged model holds byte-for-byte the same
-// integers a plain model holds, so every distribution is bit-identical
-// — across observation, freeze/fork chains and base-layer compaction.
+// The tentpole invariant: a paged model holds exactly the counts of the
+// map references (reference_models.h), so every distribution is bit-
+// identical to theirs — across observation, freeze/fork chains, base-
+// layer compaction, pool exhaustion and u16 promotion. The exhaustion
+// cases run on a caller's capped pool, the others both on a model given
+// no pool (a private unbounded one) and on one given a caller's pool.
+
+template <typename Reference>
+void ExpectMatchesReference(const LanguageModel& model,
+                            const Reference& reference) {
+  const std::vector<double> got = model.NextDistribution();
+  const std::vector<double> want = reference.NextDistribution();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "token " << i;
+  }
+}
+
+// Observes `rounds` x `per_round` tokens of `stream`, freezing and
+// forking after each round, and checks the model against the reference
+// every `check_every` tokens and at every round's end.
+template <typename Model, typename Reference>
+void RunForkChain(std::unique_ptr<Model>* model, Reference* reference,
+                  const std::vector<token::TokenId>& stream, int rounds,
+                  int per_round, int check_every) {
+  size_t at = 0;
+  for (int round = 0; round < rounds; ++round) {
+    for (int i = 0; i < per_round; ++i, ++at) {
+      (*model)->Observe(stream[at]);
+      reference->Observe(stream[at]);
+      if (i % check_every == 0) ExpectMatchesReference(**model, *reference);
+    }
+    ExpectMatchesReference(**model, *reference);
+    (*model)->Freeze();
+    std::unique_ptr<LanguageModel> fork = (*model)->Fork();
+    model->reset(static_cast<Model*>(fork.release()));
+  }
+  ExpectMatchesReference(**model, *reference);
+}
+
 TEST(PagedModelIdentityTest, NGramMatchesPlainThroughForkChains) {
   const size_t vocab = 13;
-  NGramOptions plain_opts;
-  plain_opts.max_base_layers = 8;  // plain chain left uncompacted longer
-  NGramOptions paged_opts;
-  paged_opts.max_base_layers = 2;  // paged chain compacts aggressively
-  auto pool = MakePool(/*block_span=*/16, /*max_blocks=*/0);
-
-  auto plain = std::make_unique<NGramLanguageModel>(vocab, plain_opts);
-  auto paged =
-      std::make_unique<NGramLanguageModel>(vocab, paged_opts, pool);
-  EXPECT_FALSE(plain->paged());
-  EXPECT_TRUE(paged->paged());
-
-  const std::vector<token::TokenId> stream = TokenStream(2400, vocab, 7);
-  size_t at = 0;
-  for (int round = 0; round < 6; ++round) {
-    for (int i = 0; i < 400; ++i, ++at) {
-      plain->Observe(stream[at]);
-      paged->Observe(stream[at]);
-      if (i % 97 == 0) ExpectSameDistribution(*plain, *paged);
-    }
-    ExpectSameDistribution(*plain, *paged);
-    EXPECT_EQ(plain->num_entries(), paged->num_entries());
-    plain->Freeze();
-    paged->Freeze();
-    auto plain_fork = plain->Fork();
-    auto paged_fork = paged->Fork();
-    plain.reset(
-        static_cast<NGramLanguageModel*>(plain_fork.release()));
-    paged.reset(
-        static_cast<NGramLanguageModel*>(paged_fork.release()));
+  NGramOptions options;
+  options.max_base_layers = 2;  // the chain compacts aggressively
+  for (auto pool : {std::shared_ptr<BlockPool>(), MakePool(16, 0)}) {
+    SCOPED_TRACE(pool == nullptr ? "private pool" : "caller's pool");
+    auto model = std::make_unique<NGramLanguageModel>(vocab, options, pool);
+    ReferenceNGram reference(vocab, options);
+    RunForkChain(&model, &reference, TokenStream(2400, vocab, 7),
+                 /*rounds=*/6, /*per_round=*/400, /*check_every=*/97);
+    EXPECT_EQ(model->num_entries(), reference.num_entries());
+    // Compaction really ran: the chain stays clamped.
+    EXPECT_LE(model->num_base_layers(), 2u);
   }
-  // Aggressive compaction really ran: the paged chain stays clamped.
-  EXPECT_LE(paged->num_base_layers(), 2u);
-  EXPECT_GT(plain->num_base_layers(), 2u);
-  ExpectSameDistribution(*plain, *paged);
 }
 
 TEST(PagedModelIdentityTest, NGramMatchesPlainUnderPoolExhaustion) {
   const size_t vocab = 11;
   // A pool too small for the model: most entries take the spill path.
   auto pool = MakePool(/*block_span=*/4, /*max_blocks=*/2);
-  NGramLanguageModel plain(vocab, NGramOptions{});
-  NGramLanguageModel paged(vocab, NGramOptions{}, pool);
+  NGramLanguageModel model(vocab, NGramOptions{}, pool);
+  ReferenceNGram reference(vocab, NGramOptions{});
   const std::vector<token::TokenId> stream = TokenStream(1500, vocab, 21);
   for (size_t i = 0; i < stream.size(); ++i) {
-    plain.Observe(stream[i]);
-    paged.Observe(stream[i]);
-    if (i % 131 == 0) ExpectSameDistribution(plain, paged);
+    model.Observe(stream[i]);
+    reference.Observe(stream[i]);
+    if (i % 131 == 0) ExpectMatchesReference(model, reference);
   }
-  ExpectSameDistribution(plain, paged);
+  ExpectMatchesReference(model, reference);
   // Exhaustion happened and degraded gracefully (spill, not failure).
   EXPECT_GT(pool->stats().exhaustion_events, 0u);
-  EXPECT_EQ(plain.num_entries(), paged.num_entries());
+  EXPECT_EQ(model.num_entries(), reference.num_entries());
 }
 
 TEST(PagedModelIdentityTest, NGramWideCountPromotionStaysIdentical) {
   const size_t vocab = 3;
-  auto pool = MakePool(/*block_span=*/16, /*max_blocks=*/0);
-  NGramLanguageModel plain(vocab, NGramOptions{});
-  NGramLanguageModel paged(vocab, NGramOptions{}, pool);
-  // One context observed past the u16 ceiling forces the narrow slot to
-  // promote to a wide overflow entry mid-stream.
-  for (int i = 0; i < 70000; ++i) {
-    plain.Observe(0);
-    paged.Observe(0);
+  for (auto pool : {std::shared_ptr<BlockPool>(), MakePool(16, 0)}) {
+    SCOPED_TRACE(pool == nullptr ? "private pool" : "caller's pool");
+    NGramLanguageModel model(vocab, NGramOptions{}, pool);
+    ReferenceNGram reference(vocab, NGramOptions{});
+    // One context observed past the u16 ceiling forces the narrow slot
+    // to promote to a wide overflow entry mid-stream.
+    for (int i = 0; i < 70000; ++i) {
+      model.Observe(0);
+      reference.Observe(0);
+    }
+    EXPECT_GT(reference.max_count(), 0xffffu);
+    ExpectMatchesReference(model, reference);
+    model.Observe(1);
+    reference.Observe(1);
+    ExpectMatchesReference(model, reference);
   }
-  ExpectSameDistribution(plain, paged);
-  plain.Observe(1);
-  paged.Observe(1);
-  ExpectSameDistribution(plain, paged);
 }
 
 TEST(PagedModelIdentityTest, MixtureMatchesPlainThroughForkChains) {
   const size_t vocab = 9;
-  MixtureOptions plain_opts;
-  plain_opts.max_base_layers = 8;
-  MixtureOptions paged_opts;
-  paged_opts.max_base_layers = 2;
-  auto pool = MakePool(/*block_span=*/16, /*max_blocks=*/0);
-
-  auto plain = std::make_unique<MixtureLanguageModel>(vocab, plain_opts);
-  auto paged =
-      std::make_unique<MixtureLanguageModel>(vocab, paged_opts, pool);
-  const std::vector<token::TokenId> stream = TokenStream(1800, vocab, 3);
-  size_t at = 0;
-  for (int round = 0; round < 6; ++round) {
-    for (int i = 0; i < 300; ++i, ++at) {
-      plain->Observe(stream[at]);
-      paged->Observe(stream[at]);
-      if (i % 89 == 0) ExpectSameDistribution(*plain, *paged);
-    }
-    ExpectSameDistribution(*plain, *paged);
-    EXPECT_EQ(plain->num_nodes(), paged->num_nodes());
-    plain->Freeze();
-    paged->Freeze();
-    auto plain_fork = plain->Fork();
-    auto paged_fork = paged->Fork();
-    plain.reset(
-        static_cast<MixtureLanguageModel*>(plain_fork.release()));
-    paged.reset(
-        static_cast<MixtureLanguageModel*>(paged_fork.release()));
+  MixtureOptions options;
+  options.max_base_layers = 2;
+  for (auto pool : {std::shared_ptr<BlockPool>(), MakePool(16, 0)}) {
+    SCOPED_TRACE(pool == nullptr ? "private pool" : "caller's pool");
+    auto model = std::make_unique<MixtureLanguageModel>(vocab, options, pool);
+    ReferenceMixture reference(vocab, options);
+    RunForkChain(&model, &reference, TokenStream(1800, vocab, 3),
+                 /*rounds=*/6, /*per_round=*/300, /*check_every=*/89);
+    EXPECT_EQ(model->num_nodes(), reference.num_nodes());
+    EXPECT_LE(model->num_base_layers(), 2u);
   }
-  EXPECT_LE(paged->num_base_layers(), 2u);
-  ExpectSameDistribution(*plain, *paged);
 }
 
 TEST(PagedModelIdentityTest, MixtureMatchesPlainUnderPoolExhaustion) {
   const size_t vocab = 7;
   auto pool = MakePool(/*block_span=*/4, /*max_blocks=*/2);
-  MixtureLanguageModel plain(vocab, MixtureOptions{});
-  MixtureLanguageModel paged(vocab, MixtureOptions{}, pool);
+  MixtureLanguageModel model(vocab, MixtureOptions{}, pool);
+  ReferenceMixture reference(vocab, MixtureOptions{});
   const std::vector<token::TokenId> stream = TokenStream(1200, vocab, 17);
   for (size_t i = 0; i < stream.size(); ++i) {
-    plain.Observe(stream[i]);
-    paged.Observe(stream[i]);
-    if (i % 113 == 0) ExpectSameDistribution(plain, paged);
+    model.Observe(stream[i]);
+    reference.Observe(stream[i]);
+    if (i % 113 == 0) ExpectMatchesReference(model, reference);
   }
-  ExpectSameDistribution(plain, paged);
+  ExpectMatchesReference(model, reference);
   EXPECT_GT(pool->stats().exhaustion_events, 0u);
+  EXPECT_EQ(model.num_nodes(), reference.num_nodes());
+}
+
+TEST(PagedModelIdentityTest, MixtureWideCountPromotionStaysIdentical) {
+  const size_t vocab = 3;
+  for (auto pool : {std::shared_ptr<BlockPool>(), MakePool(16, 0)}) {
+    SCOPED_TRACE(pool == nullptr ? "private pool" : "caller's pool");
+    MixtureLanguageModel model(vocab, MixtureOptions{}, pool);
+    ReferenceMixture reference(vocab, MixtureOptions{});
+    // 0 1 0 1 ...: the nodes after "0" and after "1" each pass the u16
+    // ceiling and promote to wide overflow nodes, their own estimators
+    // winning until the log-odds weight rides the +30 clamp.
+    for (int i = 0; i < 140000; ++i) {
+      const token::TokenId id = static_cast<token::TokenId>(i % 2);
+      model.Observe(id);
+      reference.Observe(id);
+      if (i % 9973 == 0) ExpectMatchesReference(model, reference);
+    }
+    EXPECT_GT(reference.max_count(), 0xffffu);
+    ExpectMatchesReference(model, reference);
+    // A run of 0s: the wide nodes now lose, and their weights fall off
+    // the clamp.
+    for (int i = 0; i < 200; ++i) {
+      model.Observe(0);
+      reference.Observe(0);
+      ExpectMatchesReference(model, reference);
+    }
+  }
 }
 
 TEST(PagedModelIdentityTest, SessionEndFeedsPoolAccounting) {
   auto pool = MakePool(/*block_span=*/16, /*max_blocks=*/0);
+  size_t entries = 0;
   {
     NGramLanguageModel model(5, NGramOptions{}, pool);
     model.ObserveAll(TokenStream(200, 5, 9));
     MemoryFootprint fp = model.ApproxMemoryBytes();
     EXPECT_GT(fp.overlay_bytes, 0u);
+    entries = model.OverlayEntries().size();
   }
   BlockPoolStats stats = pool->stats();
   EXPECT_EQ(stats.sessions, 1u);
   EXPECT_GT(stats.session_overlay_bytes, 0u);
+  EXPECT_GT(entries, 0u);
+  EXPECT_EQ(stats.session_overlay_entries, entries);
 
-  // Accounting-only pools (enabled = false) measure plain-mode models
-  // on the same path, giving benches one measurement source.
-  auto accounting = MakePool(/*block_span=*/16, /*max_blocks=*/0,
-                             /*enabled=*/false);
+  // Spilled keys count too: on a pool that runs out, the session's
+  // distinct keys are its store entries plus the spills without a slot.
+  auto capped = MakePool(/*block_span=*/4, /*max_blocks=*/2);
+  size_t spilled = 0;
   {
-    NGramLanguageModel model(5, NGramOptions{}, accounting);
-    EXPECT_FALSE(model.paged());
+    NGramLanguageModel model(5, NGramOptions{}, capped);
     model.ObserveAll(TokenStream(200, 5, 9));
+    for (const auto& e : model.OverlayEntries()) spilled += !e.has_slot;
+    EXPECT_EQ(model.OverlayEntries().size(), entries);
   }
-  EXPECT_EQ(accounting->stats().sessions, 1u);
-  EXPECT_GT(accounting->stats().session_overlay_bytes, 0u);
-  EXPECT_EQ(accounting->stats().blocks_live, 0u);  // no paged storage
+  EXPECT_GT(spilled, 0u);
+  EXPECT_EQ(capped->stats().session_overlay_entries, entries);
 }
 
 // Satellite: evicting a cached prefix while live forks still hold its
@@ -786,18 +821,20 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-// Paged layers should be denser than the plain map representation for
-// the same logical state (that is the point of the subsystem).
+// Paged layers should be denser than the retired map representation of
+// the same logical state (that is the point of the subsystem): one map
+// entry per context key, at MapEntryBytes each.
 TEST(PagedModelIdentityTest, PagedFootprintBeatsPlainMaps) {
   const size_t vocab = 13;
   auto pool = MakePool(/*block_span=*/32, /*max_blocks=*/0);
-  NGramLanguageModel plain(vocab, NGramOptions{});
   NGramLanguageModel paged(vocab, NGramOptions{}, pool);
+  ReferenceNGram reference(vocab, NGramOptions{});
   const std::vector<token::TokenId> stream = TokenStream(3000, vocab, 31);
-  plain.ObserveAll(stream);
   paged.ObserveAll(stream);
-  ExpectSameDistribution(plain, paged);
-  const size_t plain_bytes = plain.ApproxMemoryBytes().total();
+  for (token::TokenId id : stream) reference.Observe(id);
+  ExpectMatchesReference(paged, reference);
+  const size_t plain_bytes =
+      paged.OverlayEntries().size() * MapEntryBytes(vocab);
   const size_t paged_bytes = paged.ApproxMemoryBytes().total();
   EXPECT_GT(plain_bytes, 0u);
   EXPECT_GT(paged_bytes, 0u);
