@@ -180,9 +180,7 @@ Cell RunCell(const ts::Frame* history, size_t horizon, size_t requests,
                                 serve::ForecasterFactory(), options);
   std::vector<serve::ServeStats> stats =
       OrDie(executor.Run(std::move(trace)), "overload run");
-  serve::ServeSummary summary = metrics != nullptr
-                                    ? serve::Summarize(stats, metrics)
-                                    : serve::Summarize(stats);
+  serve::ServeSummary summary = serve::Summarize(stats, metrics);
 
   Cell cell;
   cell.load = load;

@@ -149,9 +149,7 @@ void LoadSweepSection(const ts::Split& split, MetricsSections* sections) {
                                   serve::ForecasterFactory(), options);
     std::vector<serve::ServeStats> stats =
         OrDie(executor.Run(BuildRequests(split, trace)), "serve run");
-    serve::ServeSummary summary =
-        sections != nullptr ? serve::Summarize(stats, &registry)
-                            : serve::Summarize(stats);
+    serve::ServeSummary summary = serve::Summarize(stats, options.metrics);
     if (sections != nullptr) {
       sections->emplace_back(StrFormat("load_%.1fx", multiplier),
                              registry.Snapshot());
@@ -204,8 +202,7 @@ void ChaosHedgeSection(const ts::Split& split, MetricsSections* sections) {
       std::vector<serve::ServeStats> stats =
           OrDie(executor.Run(BuildRequests(split, trace)), "serve run");
       serve::ServeSummary summary =
-          sections != nullptr ? serve::Summarize(stats, &registry)
-                              : serve::Summarize(stats);
+          serve::Summarize(stats, options.metrics);
       if (sections != nullptr) {
         sections->emplace_back(
             StrFormat("chaos_%.0fpct_hedge_%s", rate * 100.0,

@@ -77,30 +77,6 @@ void PublishBatchStats(const BatchStats& stats,
   }
 }
 
-BatchStats BatchStatsFromSnapshot(const util::MetricsSnapshot& snapshot,
-                                  const std::string& prefix) {
-  BatchStats stats;
-  stats.steps = static_cast<size_t>(snapshot.Value(prefix + "steps"));
-  stats.slot_steps =
-      static_cast<size_t>(snapshot.Value(prefix + "slot_steps"));
-  stats.submitted = static_cast<size_t>(snapshot.Value(prefix + "submitted"));
-  stats.admitted = static_cast<size_t>(snapshot.Value(prefix + "admitted"));
-  stats.retired = static_cast<size_t>(snapshot.Value(prefix + "retired"));
-  stats.backfills = static_cast<size_t>(snapshot.Value(prefix + "backfills"));
-  stats.preemptions =
-      static_cast<size_t>(snapshot.Value(prefix + "preemptions"));
-  stats.peak_batch =
-      static_cast<size_t>(snapshot.Value(prefix + "peak_batch"));
-  if (const util::MetricPoint* occupancy =
-          snapshot.Find(prefix + "occupancy")) {
-    stats.occupancy.reserve(occupancy->buckets.size());
-    for (uint64_t bucket : occupancy->buckets) {
-      stats.occupancy.push_back(static_cast<size_t>(bucket));
-    }
-  }
-  return stats;
-}
-
 BatchScheduler::BatchScheduler(const BatchPolicy& policy) : policy_(policy) {
   slots_.resize(std::max<size_t>(1, policy_.max_batch), 0);
 }

@@ -102,14 +102,12 @@ struct BatchStats {
   BatchStats operator-(const BatchStats& before) const;
 };
 
-/// Registry view of BatchStats: counters under `prefix` (for example
+/// Registry export of BatchStats: counters under `prefix` (for example
 /// "batch.steps"), peak_batch as a max-gauge, occupancy as an indexed
 /// histogram named `prefix` + "occupancy".
 void PublishBatchStats(const BatchStats& stats,
                        util::MetricsRegistry* registry,
                        const std::string& prefix);
-BatchStats BatchStatsFromSnapshot(const util::MetricsSnapshot& snapshot,
-                                  const std::string& prefix);
 
 /// One unit of decode work: a session primed with its prompt plus
 /// everything the per-step sampler needs. The rng (and clock/cancel, if

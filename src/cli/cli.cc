@@ -445,8 +445,8 @@ std::string FormatRejections(const serve::RejectionBreakdown& r) {
   std::string text =
       StrFormat("%zu/%zu/%zu/%zu", r.queue_full, r.deadline_expired,
                 r.backend_unavailable, r.cancelled + r.other);
-  if (r.mean_retry_after_seconds > 0.0) {
-    text += StrFormat(" ra=%.2fs", r.mean_retry_after_seconds);
+  if (r.mean_retry_after_seconds() > 0.0) {
+    text += StrFormat(" ra=%.2fs", r.mean_retry_after_seconds());
   }
   return text;
 }

@@ -846,15 +846,10 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
 
   end_seconds_ = now;
   report_.health = monitor.stats();
-  {
-    // Publish this run's queue/overload/failover counters through the
-    // unified registry (options_.metrics or a run-private fallback) and
-    // populate the accessor structs from the snapshot delta: the structs
-    // are views over the registry.
-    util::MetricsRegistry own;
-    util::MetricsRegistry* reg =
-        options_.metrics != nullptr ? options_.metrics : &own;
-    const util::MetricsSnapshot metrics_before = reg->Snapshot();
+  queue_stats_ = queue.stats();
+  report_.overload = overload.stats();
+  if (util::MetricsRegistry* reg = options_.metrics) {
+    // Export this run's queue/overload/failover counters.
     queue.PublishMetrics(reg);
     overload.PublishMetrics(reg);
     if (!node) {
@@ -866,11 +861,6 @@ Result<std::vector<serve::ServeStats>> ClusterExecutor::Run(
       reg->GetCounter("cluster.fleet_unavailable")
           ->Add(static_cast<double>(report_.fleet_unavailable));
     }
-    const util::MetricsSnapshot metrics_delta =
-        reg->Snapshot().Delta(metrics_before);
-    queue_stats_ = serve::QueueStatsFromSnapshot(metrics_delta, "queue.");
-    report_.overload =
-        serve::OverloadStatsFromSnapshot(metrics_delta, "overload.");
   }
   for (size_t r = 0; r < replicas_.size(); ++r) {
     const double span =

@@ -150,8 +150,8 @@ struct ClusterOptions {
   /// executor publishes its queue / overload / fleet-failover counters
   /// here after each Run under the "queue." / "overload." / "cluster."
   /// prefixes — the same single export path ServeOptions::metrics feeds
-  /// (see util/metrics.h). The accessor structs are populated from a
-  /// snapshot delta either way.
+  /// (see util/metrics.h). Export only: the accessors return the run's
+  /// own structs whether or not a registry is set.
   util::MetricsRegistry* metrics = nullptr;
 };
 

@@ -119,26 +119,6 @@ void PublishBlockPoolStats(const BlockPoolStats& stats,
   gauge("sharing_ratio", stats.sharing_ratio());
 }
 
-BlockPoolStats BlockPoolStatsFromSnapshot(
-    const util::MetricsSnapshot& snapshot, const std::string& prefix) {
-  auto v = [&](const char* name) {
-    return static_cast<size_t>(snapshot.Value(prefix + name));
-  };
-  BlockPoolStats stats;
-  stats.blocks_live = v("blocks_live");
-  stats.blocks_peak = v("blocks_peak");
-  stats.blocks_free = v("blocks_free");
-  stats.bytes_live = v("bytes_live");
-  stats.bytes_peak = v("bytes_peak");
-  stats.blocks_recycled = v("blocks_recycled");
-  stats.exhaustion_events = v("exhaustion_events");
-  stats.sessions = v("sessions");
-  stats.session_overlay_bytes = v("session_overlay_bytes");
-  stats.session_base_bytes = v("session_base_bytes");
-  stats.session_overlay_entries = v("session_overlay_entries");
-  return stats;
-}
-
 // ---------------------------------------------------------------------------
 // PagedContextStore
 

@@ -138,14 +138,12 @@ struct BlockPoolStats {
   }
 };
 
-/// Registry view: gauges/counters under `prefix` ("lm.mem." by
+/// Registry export: gauges/counters under `prefix` ("lm.mem." by
 /// convention). Publishes cumulative totals — call once per registry,
-/// like the other Publish* views.
+/// like the other Publish* helpers.
 void PublishBlockPoolStats(const BlockPoolStats& stats,
                            util::MetricsRegistry* registry,
                            const std::string& prefix);
-BlockPoolStats BlockPoolStatsFromSnapshot(
-    const util::MetricsSnapshot& snapshot, const std::string& prefix);
 
 /// See file comment. Thread-safe: one mutex guards the freelist and
 /// counters; block payload access is the caller's concern (immutable

@@ -46,26 +46,6 @@ void PublishPrefixCacheStats(const PrefixCacheStats& stats,
       ->Add(static_cast<double>(stats.prompt_tokens_replayed));
 }
 
-PrefixCacheStats PrefixCacheStatsFromSnapshot(
-    const util::MetricsSnapshot& snapshot, const std::string& prefix) {
-  PrefixCacheStats stats;
-  stats.lookups = static_cast<size_t>(snapshot.Value(prefix + "lookups"));
-  stats.full_hits = static_cast<size_t>(snapshot.Value(prefix + "full_hits"));
-  stats.prefix_hits =
-      static_cast<size_t>(snapshot.Value(prefix + "prefix_hits"));
-  stats.misses = static_cast<size_t>(snapshot.Value(prefix + "misses"));
-  stats.insertions =
-      static_cast<size_t>(snapshot.Value(prefix + "insertions"));
-  stats.evictions = static_cast<size_t>(snapshot.Value(prefix + "evictions"));
-  stats.prompt_tokens_seen =
-      static_cast<size_t>(snapshot.Value(prefix + "prompt_tokens_seen"));
-  stats.prompt_tokens_reused =
-      static_cast<size_t>(snapshot.Value(prefix + "prompt_tokens_reused"));
-  stats.prompt_tokens_replayed =
-      static_cast<size_t>(snapshot.Value(prefix + "prompt_tokens_replayed"));
-  return stats;
-}
-
 PrefixCacheStats& PrefixCacheStats::operator+=(const PrefixCacheStats& other) {
   lookups += other.lookups;
   full_hits += other.full_hits;

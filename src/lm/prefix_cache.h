@@ -70,13 +70,11 @@ struct PrefixCacheStats {
   PrefixCacheStats operator-(const PrefixCacheStats& other) const;
 };
 
-/// Registry view of PrefixCacheStats: counters under `prefix` (for
+/// Registry export of PrefixCacheStats: counters under `prefix` (for
 /// example "prefix_cache.lookups").
 void PublishPrefixCacheStats(const PrefixCacheStats& stats,
                              util::MetricsRegistry* registry,
                              const std::string& prefix);
-PrefixCacheStats PrefixCacheStatsFromSnapshot(
-    const util::MetricsSnapshot& snapshot, const std::string& prefix);
 
 /// See file comment.
 class PrefixCache {

@@ -48,31 +48,6 @@ void PublishRetryStats(const RetryStats& stats,
   registry->GetCounter(prefix + "latency_seconds")->Add(stats.latency_seconds);
 }
 
-RetryStats RetryStatsFromSnapshot(const util::MetricsSnapshot& snapshot,
-                                  const std::string& prefix) {
-  RetryStats stats;
-  stats.calls = static_cast<size_t>(snapshot.Value(prefix + "calls"));
-  stats.attempts = static_cast<size_t>(snapshot.Value(prefix + "attempts"));
-  stats.retries = static_cast<size_t>(snapshot.Value(prefix + "retries"));
-  stats.successes = static_cast<size_t>(snapshot.Value(prefix + "successes"));
-  stats.failures = static_cast<size_t>(snapshot.Value(prefix + "failures"));
-  stats.retryable_errors =
-      static_cast<size_t>(snapshot.Value(prefix + "retryable_errors"));
-  stats.terminal_errors =
-      static_cast<size_t>(snapshot.Value(prefix + "terminal_errors"));
-  stats.circuit_rejections =
-      static_cast<size_t>(snapshot.Value(prefix + "circuit_rejections"));
-  stats.budget_exhausted =
-      static_cast<size_t>(snapshot.Value(prefix + "budget_exhausted"));
-  stats.cancelled_calls =
-      static_cast<size_t>(snapshot.Value(prefix + "cancelled_calls"));
-  stats.deadline_preempted =
-      static_cast<size_t>(snapshot.Value(prefix + "deadline_preempted"));
-  stats.backoff_seconds = snapshot.Value(prefix + "backoff_seconds");
-  stats.latency_seconds = snapshot.Value(prefix + "latency_seconds");
-  return stats;
-}
-
 RetryStats& RetryStats::operator+=(const RetryStats& other) {
   calls += other.calls;
   attempts += other.attempts;

@@ -85,14 +85,12 @@ struct RetryStats {
   RetryStats& operator+=(const RetryStats& other);
 };
 
-/// Registry view of RetryStats: counters under `prefix` (for example
+/// Registry export of RetryStats: counters under `prefix` (for example
 /// "retry.attempts"). The two virtual-time fields publish as counters
 /// too — they are monotonic sums.
 void PublishRetryStats(const RetryStats& stats,
                        util::MetricsRegistry* registry,
                        const std::string& prefix);
-RetryStats RetryStatsFromSnapshot(const util::MetricsSnapshot& snapshot,
-                                  const std::string& prefix);
 
 /// Decorator implementing the retry loop. Not thread-safe (breaker and
 /// clock state are per-instance; production sharding would hold one per

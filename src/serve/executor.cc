@@ -20,7 +20,7 @@ Deadline RequestDeadline(const ForecastRequest& request) {
              : Deadline::Never();
 }
 
-// TokenLedger is too small to warrant public view helpers; the serve
+// TokenLedger is too small to warrant a public export helper; the serve
 // rollup is its only registry face.
 void PublishTokenLedger(const lm::TokenLedger& ledger,
                         util::MetricsRegistry* registry,
@@ -31,25 +31,21 @@ void PublishTokenLedger(const lm::TokenLedger& ledger,
       ->Add(static_cast<double>(ledger.generated_tokens));
 }
 
-lm::TokenLedger TokenLedgerFromSnapshot(const util::MetricsSnapshot& snapshot,
-                                        const std::string& prefix) {
-  lm::TokenLedger ledger;
-  ledger.prompt_tokens =
-      static_cast<size_t>(snapshot.Value(prefix + "prompt_tokens"));
-  ledger.generated_tokens =
-      static_cast<size_t>(snapshot.Value(prefix + "generated_tokens"));
-  return ledger;
+/// ++(*counts)[index], growing the vector as needed.
+void CountAt(std::vector<size_t>* counts, int index) {
+  const size_t i = static_cast<size_t>(index);
+  if (counts->size() <= i) counts->resize(i + 1, 0);
+  ++(*counts)[i];
 }
 
-std::vector<size_t> BucketsToCounts(const util::MetricPoint* point) {
-  std::vector<size_t> counts;
-  if (point == nullptr) return counts;
-  counts.reserve(point->buckets.size());
-  for (uint64_t b : point->buckets) counts.push_back(static_cast<size_t>(b));
-  return counts;
+/// Exports a per-replica count vector as an indexed histogram; zero
+/// entries still extend it, so the bucket vector keeps its length.
+void PublishCounts(const std::vector<size_t>& counts,
+                   util::Histogram* histogram) {
+  for (size_t i = 0; i < counts.size(); ++i) {
+    histogram->ObserveIndex(i, counts[i]);
+  }
 }
-
-size_t SaturatingSub(size_t a, size_t b) { return a > b ? a - b : 0; }
 
 }  // namespace
 
@@ -61,54 +57,6 @@ void PublishClusterStats(const ClusterStats& stats,
   registry->GetCounter(prefix + "redispatched_draws")
       ->Add(static_cast<double>(stats.redispatched_draws));
   registry->GetCounter(prefix + "wasted_seconds")->Add(stats.wasted_seconds);
-}
-
-ClusterStats ClusterStatsFromSnapshot(const util::MetricsSnapshot& snapshot,
-                                      const std::string& prefix) {
-  ClusterStats stats;
-  stats.failovers = static_cast<size_t>(snapshot.Value(prefix + "failovers"));
-  stats.redispatched_draws =
-      static_cast<size_t>(snapshot.Value(prefix + "redispatched_draws"));
-  stats.wasted_seconds = snapshot.Value(prefix + "wasted_seconds");
-  return stats;
-}
-
-RejectionBreakdown& RejectionBreakdown::operator+=(
-    const RejectionBreakdown& rhs) {
-  queue_full += rhs.queue_full;
-  deadline_expired += rhs.deadline_expired;
-  backend_unavailable += rhs.backend_unavailable;
-  cancelled += rhs.cancelled;
-  other += rhs.other;
-  retry_after_hint_sum += rhs.retry_after_hint_sum;
-  retry_after_hints += rhs.retry_after_hints;
-  mean_retry_after_seconds =
-      retry_after_hints > 0
-          ? retry_after_hint_sum / static_cast<double>(retry_after_hints)
-          : 0.0;
-  return *this;
-}
-
-RejectionBreakdown RejectionBreakdown::operator-(
-    const RejectionBreakdown& before) const {
-  RejectionBreakdown d;
-  d.queue_full = SaturatingSub(queue_full, before.queue_full);
-  d.deadline_expired = SaturatingSub(deadline_expired, before.deadline_expired);
-  d.backend_unavailable =
-      SaturatingSub(backend_unavailable, before.backend_unavailable);
-  d.cancelled = SaturatingSub(cancelled, before.cancelled);
-  d.other = SaturatingSub(other, before.other);
-  d.retry_after_hint_sum =
-      retry_after_hint_sum > before.retry_after_hint_sum
-          ? retry_after_hint_sum - before.retry_after_hint_sum
-          : 0.0;
-  d.retry_after_hints =
-      SaturatingSub(retry_after_hints, before.retry_after_hints);
-  d.mean_retry_after_seconds =
-      d.retry_after_hints > 0
-          ? d.retry_after_hint_sum / static_cast<double>(d.retry_after_hints)
-          : 0.0;
-  return d;
 }
 
 void PublishRejectionBreakdown(const RejectionBreakdown& breakdown,
@@ -130,26 +78,6 @@ void PublishRejectionBreakdown(const RejectionBreakdown& breakdown,
       ->Add(static_cast<double>(breakdown.retry_after_hints));
 }
 
-RejectionBreakdown RejectionBreakdownFromSnapshot(
-    const util::MetricsSnapshot& snapshot, const std::string& prefix) {
-  RejectionBreakdown b;
-  b.queue_full = static_cast<size_t>(snapshot.Value(prefix + "queue_full"));
-  b.deadline_expired =
-      static_cast<size_t>(snapshot.Value(prefix + "deadline_expired"));
-  b.backend_unavailable =
-      static_cast<size_t>(snapshot.Value(prefix + "backend_unavailable"));
-  b.cancelled = static_cast<size_t>(snapshot.Value(prefix + "cancelled"));
-  b.other = static_cast<size_t>(snapshot.Value(prefix + "other"));
-  b.retry_after_hint_sum = snapshot.Value(prefix + "retry_after_hint_sum");
-  b.retry_after_hints =
-      static_cast<size_t>(snapshot.Value(prefix + "retry_after_hints"));
-  b.mean_retry_after_seconds =
-      b.retry_after_hints > 0
-          ? b.retry_after_hint_sum / static_cast<double>(b.retry_after_hints)
-          : 0.0;
-  return b;
-}
-
 const char* OutcomeName(RequestOutcome outcome) {
   switch (outcome) {
     case RequestOutcome::kServed:
@@ -168,220 +96,160 @@ const char* OutcomeName(RequestOutcome outcome) {
   return "?";
 }
 
-ServeSummary Summarize(const std::vector<ServeStats>& stats) {
-  return Summarize(stats, nullptr);
-}
-
 ServeSummary Summarize(const std::vector<ServeStats>& stats,
                        util::MetricsRegistry* registry) {
-  util::MetricsRegistry own;
-  util::MetricsRegistry* reg = registry != nullptr ? registry : &own;
-  const util::MetricsSnapshot before = reg->Snapshot();
-
-  // Register every rollup metric up front, in one fixed order: which
-  // outcomes occur varies per run but first-touch order is the export
-  // order, so pre-registering keeps --metrics-json column-stable.
-  util::Counter* c_total = reg->GetCounter("serve.total");
-  util::Counter* c_served = reg->GetCounter("serve.served");
-  util::Counter* c_served_degraded = reg->GetCounter("serve.served_degraded");
-  util::Counter* c_shed_queue_full = reg->GetCounter("serve.shed_queue_full");
-  util::Counter* c_shed_expired = reg->GetCounter("serve.shed_expired");
-  util::Counter* c_cancelled_drain = reg->GetCounter("serve.cancelled_drain");
-  util::Counter* c_failed = reg->GetCounter("serve.failed");
-  util::Counter* c_hedges_fired = reg->GetCounter("serve.hedges_fired");
-  util::Counter* c_hedge_wins = reg->GetCounter("serve.hedge_wins");
-  util::Counter* c_tier_full = reg->GetCounter("serve.tier_llm_full");
-  util::Counter* c_tier_reduced = reg->GetCounter("serve.tier_llm_reduced");
-  util::Counter* c_tier_classical = reg->GetCounter("serve.tier_classical");
-  util::Counter* c_tier_shed = reg->GetCounter("serve.tier_shed");
-  util::Counter* c_queue_wait_sum =
-      reg->GetCounter("serve.queue_wait_seconds_sum");
-  util::Counter* c_started = reg->GetCounter("serve.requests_started");
-  PublishRetryStats(lm::RetryStats{}, reg, "serve.retry.");
-  PublishTokenLedger(lm::TokenLedger{}, reg, "serve.ledger.");
-  PublishPrefixCacheStats(lm::PrefixCacheStats{}, reg, "serve.prefix_cache.");
-  PublishBatchStats(batch::BatchStats{}, reg, "serve.batch.");
-  PublishClusterStats(ClusterStats{}, reg, "serve.cluster.");
-  PublishRejectionBreakdown(RejectionBreakdown{}, reg, "serve.rejections.");
-  util::Counter* c_rej_queue_full =
-      reg->GetCounter("serve.rejections.queue_full");
-  util::Counter* c_rej_deadline =
-      reg->GetCounter("serve.rejections.deadline_expired");
-  util::Counter* c_rej_unavailable =
-      reg->GetCounter("serve.rejections.backend_unavailable");
-  util::Counter* c_rej_cancelled =
-      reg->GetCounter("serve.rejections.cancelled");
-  util::Counter* c_rej_other = reg->GetCounter("serve.rejections.other");
-  util::Counter* c_rej_hint_sum =
-      reg->GetCounter("serve.rejections.retry_after_hint_sum");
-  util::Counter* c_rej_hints =
-      reg->GetCounter("serve.rejections.retry_after_hints");
-  util::Histogram* h_served = reg->GetHistogram("serve.served_per_replica");
-  util::Histogram* h_finished =
-      reg->GetHistogram("serve.finished_per_replica");
-
-  c_total->Add(static_cast<double>(stats.size()));
+  ServeSummary s;
+  s.total = stats.size();
   std::vector<double> latencies;
   std::vector<double> queue_waits;
   std::vector<double> service_times;
+  double queue_wait_sum = 0.0;
+  size_t started = 0;
   for (const ServeStats& st : stats) {
     switch (st.outcome) {
       case RequestOutcome::kServed:
-        c_served->Increment();
+        ++s.served;
         break;
       case RequestOutcome::kServedDegraded:
-        c_served_degraded->Increment();
+        ++s.served_degraded;
         break;
       case RequestOutcome::kShedQueueFull:
-        c_shed_queue_full->Increment();
+        ++s.shed_queue_full;
         break;
       case RequestOutcome::kShedExpired:
-        c_shed_expired->Increment();
+        ++s.shed_expired;
         break;
       case RequestOutcome::kCancelledDrain:
-        c_cancelled_drain->Increment();
+        ++s.cancelled_drain;
         break;
       case RequestOutcome::kFailed:
-        c_failed->Increment();
+        ++s.failed;
         break;
     }
-    if (st.hedge_fired) c_hedges_fired->Increment();
-    if (st.hedge_won) c_hedge_wins->Increment();
+    if (st.hedge_fired) ++s.hedges_fired;
+    if (st.hedge_won) ++s.hedge_wins;
     switch (st.tier) {
       case ServiceTier::kLlmFull:
-        c_tier_full->Increment();
+        ++s.tier_llm_full;
         break;
       case ServiceTier::kLlmReduced:
-        c_tier_reduced->Increment();
+        ++s.tier_llm_reduced;
         break;
       case ServiceTier::kClassical:
-        c_tier_classical->Increment();
+        ++s.tier_classical;
         break;
       case ServiceTier::kShed:
-        c_tier_shed->Increment();
+        ++s.tier_shed;
         break;
     }
-    if (st.outcome == RequestOutcome::kServed ||
-        st.outcome == RequestOutcome::kServedDegraded) {
+    const bool served = st.outcome == RequestOutcome::kServed ||
+                        st.outcome == RequestOutcome::kServedDegraded;
+    if (served) {
       latencies.push_back(st.latency_seconds);
       // The end-to-end split: latency = queue wait + service time.
       queue_waits.push_back(st.queue_wait_seconds);
       service_times.push_back(st.finish_seconds - st.start_seconds);
     }
     if (st.attempts > 0) {
-      c_queue_wait_sum->Add(st.queue_wait_seconds);
-      c_started->Increment();
+      queue_wait_sum += st.queue_wait_seconds;
+      ++started;
     }
-    if (st.outcome != RequestOutcome::kServed &&
-        st.outcome != RequestOutcome::kServedDegraded) {
+    if (!served) {
       // Rejection-reason breakdown keyed on the terminal status code.
+      RejectionBreakdown& r = s.rejections;
       switch (st.status.code()) {
         case StatusCode::kResourceExhausted:
-          c_rej_queue_full->Increment();
+          ++r.queue_full;
           if (st.retry_after_seconds > 0.0) {
-            c_rej_hint_sum->Add(st.retry_after_seconds);
-            c_rej_hints->Increment();
+            r.retry_after_hint_sum += st.retry_after_seconds;
+            ++r.retry_after_hints;
           }
           break;
         case StatusCode::kDeadlineExceeded:
-          c_rej_deadline->Increment();
+          ++r.deadline_expired;
           break;
         case StatusCode::kUnavailable:
-          c_rej_unavailable->Increment();
+          ++r.backend_unavailable;
           break;
         case StatusCode::kCancelled:
-          c_rej_cancelled->Increment();
+          ++r.cancelled;
           break;
         default:
-          c_rej_other->Increment();
+          ++r.other;
           break;
       }
     } else if (st.cluster.replica >= 0) {
-      h_served->ObserveIndex(static_cast<size_t>(st.cluster.replica));
+      CountAt(&s.served_per_replica, st.cluster.replica);
     }
     // Any outcome that reached a replica lands here — the consistent
     // per-replica view (see ServeSummary::finished_per_replica).
     if (st.cluster.replica >= 0) {
-      h_finished->ObserveIndex(static_cast<size_t>(st.cluster.replica));
+      CountAt(&s.finished_per_replica, st.cluster.replica);
     }
-    PublishRetryStats(st.retry, reg, "serve.retry.");
-    PublishTokenLedger(st.ledger, reg, "serve.ledger.");
-    PublishPrefixCacheStats(st.prefix_cache, reg, "serve.prefix_cache.");
-    PublishBatchStats(st.batch, reg, "serve.batch.");
-    PublishClusterStats(st.cluster, reg, "serve.cluster.");
+    s.retry += st.retry;
+    s.ledger += st.ledger;
+    s.prefix_cache += st.prefix_cache;
+    s.batch += st.batch;
+    s.cluster += st.cluster;
   }
   std::sort(latencies.begin(), latencies.end());
   std::sort(queue_waits.begin(), queue_waits.end());
   std::sort(service_times.begin(), service_times.end());
-  reg->GetGauge("serve.p50_latency_seconds")
-      ->Set(util::NearestRankQuantileSorted(latencies, 0.50));
-  reg->GetGauge("serve.p99_latency_seconds")
-      ->Set(util::NearestRankQuantileSorted(latencies, 0.99));
-  reg->GetGauge("serve.p50_queue_wait_seconds")
-      ->Set(util::NearestRankQuantileSorted(queue_waits, 0.50));
-  reg->GetGauge("serve.p95_queue_wait_seconds")
-      ->Set(util::NearestRankQuantileSorted(queue_waits, 0.95));
-  reg->GetGauge("serve.p99_queue_wait_seconds")
-      ->Set(util::NearestRankQuantileSorted(queue_waits, 0.99));
-  reg->GetGauge("serve.p50_service_seconds")
-      ->Set(util::NearestRankQuantileSorted(service_times, 0.50));
-  reg->GetGauge("serve.p95_service_seconds")
-      ->Set(util::NearestRankQuantileSorted(service_times, 0.95));
-  reg->GetGauge("serve.p99_service_seconds")
-      ->Set(util::NearestRankQuantileSorted(service_times, 0.99));
-  {
-    // Mean over this call's requests only: subtract what the shared
-    // registry already held (exact when it held nothing).
-    const double started =
-        c_started->value() - before.Value("serve.requests_started");
-    const double wait_sum = c_queue_wait_sum->value() -
-                            before.Value("serve.queue_wait_seconds_sum");
-    reg->GetGauge("serve.mean_queue_wait_seconds")
-        ->Set(started > 0.0 ? wait_sum / started : 0.0);
-  }
+  s.p50_latency_seconds = util::NearestRankQuantileSorted(latencies, 0.50);
+  s.p99_latency_seconds = util::NearestRankQuantileSorted(latencies, 0.99);
+  s.mean_queue_wait_seconds =
+      started > 0 ? queue_wait_sum / static_cast<double>(started) : 0.0;
+  s.p50_queue_wait_seconds = util::NearestRankQuantileSorted(queue_waits, 0.50);
+  s.p95_queue_wait_seconds = util::NearestRankQuantileSorted(queue_waits, 0.95);
+  s.p99_queue_wait_seconds = util::NearestRankQuantileSorted(queue_waits, 0.99);
+  s.p50_service_seconds = util::NearestRankQuantileSorted(service_times, 0.50);
+  s.p95_service_seconds = util::NearestRankQuantileSorted(service_times, 0.95);
+  s.p99_service_seconds = util::NearestRankQuantileSorted(service_times, 0.99);
+  if (registry == nullptr) return s;
 
-  // The summary is a view over what was just published: every field
-  // below reads the snapshot delta, not a side accumulator.
-  const util::MetricsSnapshot delta = reg->Snapshot().Delta(before);
-  ServeSummary s;
-  s.total = static_cast<size_t>(delta.Value("serve.total"));
-  s.served = static_cast<size_t>(delta.Value("serve.served"));
-  s.served_degraded =
-      static_cast<size_t>(delta.Value("serve.served_degraded"));
-  s.shed_queue_full =
-      static_cast<size_t>(delta.Value("serve.shed_queue_full"));
-  s.shed_expired = static_cast<size_t>(delta.Value("serve.shed_expired"));
-  s.cancelled_drain =
-      static_cast<size_t>(delta.Value("serve.cancelled_drain"));
-  s.failed = static_cast<size_t>(delta.Value("serve.failed"));
-  s.hedges_fired = static_cast<size_t>(delta.Value("serve.hedges_fired"));
-  s.hedge_wins = static_cast<size_t>(delta.Value("serve.hedge_wins"));
-  s.tier_llm_full = static_cast<size_t>(delta.Value("serve.tier_llm_full"));
-  s.tier_llm_reduced =
-      static_cast<size_t>(delta.Value("serve.tier_llm_reduced"));
-  s.tier_classical =
-      static_cast<size_t>(delta.Value("serve.tier_classical"));
-  s.tier_shed = static_cast<size_t>(delta.Value("serve.tier_shed"));
-  s.p50_latency_seconds = delta.Value("serve.p50_latency_seconds");
-  s.p99_latency_seconds = delta.Value("serve.p99_latency_seconds");
-  s.mean_queue_wait_seconds = delta.Value("serve.mean_queue_wait_seconds");
-  s.p50_queue_wait_seconds = delta.Value("serve.p50_queue_wait_seconds");
-  s.p95_queue_wait_seconds = delta.Value("serve.p95_queue_wait_seconds");
-  s.p99_queue_wait_seconds = delta.Value("serve.p99_queue_wait_seconds");
-  s.p50_service_seconds = delta.Value("serve.p50_service_seconds");
-  s.p95_service_seconds = delta.Value("serve.p95_service_seconds");
-  s.p99_service_seconds = delta.Value("serve.p99_service_seconds");
-  s.retry = lm::RetryStatsFromSnapshot(delta, "serve.retry.");
-  s.ledger = TokenLedgerFromSnapshot(delta, "serve.ledger.");
-  s.prefix_cache =
-      lm::PrefixCacheStatsFromSnapshot(delta, "serve.prefix_cache.");
-  s.batch = batch::BatchStatsFromSnapshot(delta, "serve.batch.");
-  s.cluster = ClusterStatsFromSnapshot(delta, "serve.cluster.");
-  s.rejections = RejectionBreakdownFromSnapshot(delta, "serve.rejections.");
-  s.served_per_replica =
-      BucketsToCounts(delta.Find("serve.served_per_replica"));
-  s.finished_per_replica =
-      BucketsToCounts(delta.Find("serve.finished_per_replica"));
+  // Export, once. Every name is published whatever the outcomes, in
+  // one fixed order: first-touch order is the export order, so this
+  // keeps --metrics-json column-stable.
+  auto count = [registry](const char* name, double value) {
+    registry->GetCounter(std::string("serve.") + name)->Add(value);
+  };
+  count("total", static_cast<double>(s.total));
+  count("served", static_cast<double>(s.served));
+  count("served_degraded", static_cast<double>(s.served_degraded));
+  count("shed_queue_full", static_cast<double>(s.shed_queue_full));
+  count("shed_expired", static_cast<double>(s.shed_expired));
+  count("cancelled_drain", static_cast<double>(s.cancelled_drain));
+  count("failed", static_cast<double>(s.failed));
+  count("hedges_fired", static_cast<double>(s.hedges_fired));
+  count("hedge_wins", static_cast<double>(s.hedge_wins));
+  count("tier_llm_full", static_cast<double>(s.tier_llm_full));
+  count("tier_llm_reduced", static_cast<double>(s.tier_llm_reduced));
+  count("tier_classical", static_cast<double>(s.tier_classical));
+  count("tier_shed", static_cast<double>(s.tier_shed));
+  count("queue_wait_seconds_sum", queue_wait_sum);
+  count("requests_started", static_cast<double>(started));
+  PublishRetryStats(s.retry, registry, "serve.retry.");
+  PublishTokenLedger(s.ledger, registry, "serve.ledger.");
+  PublishPrefixCacheStats(s.prefix_cache, registry, "serve.prefix_cache.");
+  PublishBatchStats(s.batch, registry, "serve.batch.");
+  PublishClusterStats(s.cluster, registry, "serve.cluster.");
+  PublishRejectionBreakdown(s.rejections, registry, "serve.rejections.");
+  PublishCounts(s.served_per_replica,
+                registry->GetHistogram("serve.served_per_replica"));
+  PublishCounts(s.finished_per_replica,
+                registry->GetHistogram("serve.finished_per_replica"));
+  auto gauge = [registry](const char* name, double value) {
+    registry->GetGauge(std::string("serve.") + name)->Set(value);
+  };
+  gauge("p50_latency_seconds", s.p50_latency_seconds);
+  gauge("p99_latency_seconds", s.p99_latency_seconds);
+  gauge("p50_queue_wait_seconds", s.p50_queue_wait_seconds);
+  gauge("p95_queue_wait_seconds", s.p95_queue_wait_seconds);
+  gauge("p99_queue_wait_seconds", s.p99_queue_wait_seconds);
+  gauge("p50_service_seconds", s.p50_service_seconds);
+  gauge("p95_service_seconds", s.p95_service_seconds);
+  gauge("p99_service_seconds", s.p99_service_seconds);
+  gauge("mean_queue_wait_seconds", s.mean_queue_wait_seconds);
   return s;
 }
 

@@ -130,8 +130,8 @@ struct ServeOptions {
   /// Run under the "queue." / "overload." prefixes, and callers
   /// typically hand the same registry to Summarize() for the "serve."
   /// rollup — one registry, one export path (see util/metrics.h). Null
-  /// falls back to a run-private registry; the accessor views below are
-  /// populated from a snapshot either way.
+  /// publishes nothing. Export only: the accessors below return the
+  /// run's own structs whatever the registry already held.
   util::MetricsRegistry* metrics = nullptr;
 };
 
@@ -174,14 +174,12 @@ struct ClusterStats {
   }
 };
 
-/// Registry view of ClusterStats: counters under `prefix` (for example
+/// Registry export of ClusterStats: counters under `prefix` (for example
 /// "cluster.failovers"). The per-request `replica` field is routing
-/// state, not a counter — views leave it defaulted (-1).
+/// state, not a counter, and is not published.
 void PublishClusterStats(const ClusterStats& stats,
                          util::MetricsRegistry* registry,
                          const std::string& prefix);
-ClusterStats ClusterStatsFromSnapshot(const util::MetricsSnapshot& snapshot,
-                                      const std::string& prefix);
 
 /// Terminal-status breakdown of every request that was not served:
 /// *why* the serving layer said no, not just how often. Keyed on the
@@ -194,14 +192,8 @@ struct RejectionBreakdown {
   size_t backend_unavailable = 0;  ///< kUnavailable (backend / fleet down)
   size_t cancelled = 0;            ///< kCancelled (drain, hedge loser)
   size_t other = 0;                ///< any other terminal status
-  /// Mean retry-after hint attached to the queue_full rejections that
-  /// carried one (0 when none did) — what a well-behaved client was
-  /// told to back off by, on average. Derived: retry_after_hint_sum /
-  /// retry_after_hints, kept recomputed by the merge operators.
-  double mean_retry_after_seconds = 0.0;
-  /// Sum and count of the positive retry-after hints behind the mean —
-  /// stored so two breakdowns merge into the exact combined mean
-  /// instead of a mean-of-means.
+  /// Sum and count of the positive retry-after hints attached to the
+  /// queue_full rejections that carried one.
   double retry_after_hint_sum = 0.0;
   size_t retry_after_hints = 0;
 
@@ -209,21 +201,21 @@ struct RejectionBreakdown {
     return queue_full + deadline_expired + backend_unavailable +
            cancelled + other;
   }
-
-  /// Merge: counters and hint sums add; the mean is recomputed.
-  RejectionBreakdown& operator+=(const RejectionBreakdown& other);
-  /// Saturating per-counter delta (`after - before`); the mean is
-  /// recomputed from the delta's own hint sum/count.
-  RejectionBreakdown operator-(const RejectionBreakdown& before) const;
+  /// Mean retry-after hint over the rejections that carried one (0 when
+  /// none did) — what a well-behaved client was told to back off by, on
+  /// average.
+  double mean_retry_after_seconds() const {
+    return retry_after_hints > 0
+               ? retry_after_hint_sum / static_cast<double>(retry_after_hints)
+               : 0.0;
+  }
 };
 
-/// Registry view of RejectionBreakdown: counters under `prefix` (for
+/// Registry export of RejectionBreakdown: counters under `prefix` (for
 /// example "rejections.queue_full").
 void PublishRejectionBreakdown(const RejectionBreakdown& breakdown,
                                util::MetricsRegistry* registry,
                                const std::string& prefix);
-RejectionBreakdown RejectionBreakdownFromSnapshot(
-    const util::MetricsSnapshot& snapshot, const std::string& prefix);
 
 /// Everything the serving layer knows about one request's fate.
 struct ServeStats {
@@ -325,17 +317,15 @@ struct ServeSummary {
   size_t shed() const { return shed_queue_full + shed_expired; }
 };
 
-ServeSummary Summarize(const std::vector<ServeStats>& stats);
-
-/// Summarize through a caller-owned registry: every rollup counter is
-/// accumulated under the "serve." prefix in `registry` (null falls back
-/// to a Summarize-private registry) and the returned ServeSummary is
-/// populated *from the resulting snapshot* — the summary struct is a
-/// thin view, and --metrics-json exports exactly what it was built
-/// from. Accumulation order is request order, so double-valued sums are
-/// bit-identical to the historical struct-merge loop.
+/// Rolls `stats` up into one ServeSummary, computed from the stats
+/// alone (request order, with the structs' own merge operators). When
+/// `registry` is set, the summary is then published once under the
+/// "serve." prefix — counters add to whatever the registry already
+/// held, and every name is published whatever the outcomes, so
+/// --metrics-json keeps one column set. The registry never feeds back
+/// into the returned summary.
 ServeSummary Summarize(const std::vector<ServeStats>& stats,
-                       util::MetricsRegistry* registry);
+                       util::MetricsRegistry* registry = nullptr);
 
 /// See file comment.
 class ServeExecutor {

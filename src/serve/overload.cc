@@ -9,39 +9,6 @@
 namespace multicast {
 namespace serve {
 
-namespace {
-size_t SaturatingSub(size_t a, size_t b) { return a > b ? a - b : 0; }
-}  // namespace
-
-OverloadStats& OverloadStats::operator+=(const OverloadStats& other) {
-  aimd_rejected += other.aimd_rejected;
-  ladder_rejected += other.ladder_rejected;
-  demoted_reduced += other.demoted_reduced;
-  demoted_classical += other.demoted_classical;
-  escalations += other.escalations;
-  recoveries += other.recoveries;
-  peak_level = std::max(peak_level, other.peak_level);
-  final_limit = std::max(final_limit, other.final_limit);
-  return *this;
-}
-
-OverloadStats OverloadStats::operator-(const OverloadStats& before) const {
-  OverloadStats delta;
-  delta.aimd_rejected = SaturatingSub(aimd_rejected, before.aimd_rejected);
-  delta.ladder_rejected =
-      SaturatingSub(ladder_rejected, before.ladder_rejected);
-  delta.demoted_reduced =
-      SaturatingSub(demoted_reduced, before.demoted_reduced);
-  delta.demoted_classical =
-      SaturatingSub(demoted_classical, before.demoted_classical);
-  delta.escalations = SaturatingSub(escalations, before.escalations);
-  delta.recoveries = SaturatingSub(recoveries, before.recoveries);
-  // High-water marks do not subtract; the delta keeps the after value.
-  delta.peak_level = peak_level;
-  delta.final_limit = final_limit;
-  return delta;
-}
-
 void PublishOverloadStats(const OverloadStats& stats,
                           util::MetricsRegistry* registry,
                           const std::string& prefix) {
@@ -60,26 +27,6 @@ void PublishOverloadStats(const OverloadStats& stats,
   registry->GetGauge(prefix + "peak_level")
       ->SetMax(static_cast<double>(stats.peak_level));
   registry->GetGauge(prefix + "final_limit")->SetMax(stats.final_limit);
-}
-
-OverloadStats OverloadStatsFromSnapshot(const util::MetricsSnapshot& snapshot,
-                                        const std::string& prefix) {
-  OverloadStats stats;
-  stats.aimd_rejected =
-      static_cast<size_t>(snapshot.Value(prefix + "aimd_rejected"));
-  stats.ladder_rejected =
-      static_cast<size_t>(snapshot.Value(prefix + "ladder_rejected"));
-  stats.demoted_reduced =
-      static_cast<size_t>(snapshot.Value(prefix + "demoted_reduced"));
-  stats.demoted_classical =
-      static_cast<size_t>(snapshot.Value(prefix + "demoted_classical"));
-  stats.escalations =
-      static_cast<size_t>(snapshot.Value(prefix + "escalations"));
-  stats.recoveries =
-      static_cast<size_t>(snapshot.Value(prefix + "recoveries"));
-  stats.peak_level = static_cast<int>(snapshot.Value(prefix + "peak_level"));
-  stats.final_limit = snapshot.Value(prefix + "final_limit");
-  return stats;
 }
 
 OverloadController::OverloadController(const OverloadPolicy& policy,

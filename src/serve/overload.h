@@ -121,22 +121,13 @@ struct OverloadStats {
   size_t recoveries = 0;          ///< downward (hysteretic) moves
   int peak_level = 0;             ///< highest pressure level reached
   double final_limit = 0.0;       ///< AIMD limit when the run ended
-
-  /// Merge: counters add; peak_level and final_limit take the max (two
-  /// controllers' high-water marks combine as a fleet high-water mark).
-  OverloadStats& operator+=(const OverloadStats& other);
-  /// Saturating per-counter delta (`after - before`); peak_level and
-  /// final_limit keep the after value (high-water marks do not subtract).
-  OverloadStats operator-(const OverloadStats& before) const;
 };
 
-/// Registry view of OverloadStats: counters under `prefix` (for example
+/// Registry export of OverloadStats: counters under `prefix` (for example
 /// "overload.aimd_rejected"), peak_level / final_limit as max-gauges.
 void PublishOverloadStats(const OverloadStats& stats,
                           util::MetricsRegistry* registry,
                           const std::string& prefix);
-OverloadStats OverloadStatsFromSnapshot(const util::MetricsSnapshot& snapshot,
-                                        const std::string& prefix);
 
 /// See file comment. Single-threaded and deterministic, like the rest
 /// of the serving simulation; one instance per executor run.

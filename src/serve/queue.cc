@@ -28,22 +28,6 @@ void PublishQueueStats(const QueueStats& stats,
       ->SetMax(static_cast<double>(stats.max_depth));
 }
 
-QueueStats QueueStatsFromSnapshot(const util::MetricsSnapshot& snapshot,
-                                  const std::string& prefix) {
-  QueueStats stats;
-  stats.offered = static_cast<size_t>(snapshot.Value(prefix + "offered"));
-  stats.admitted = static_cast<size_t>(snapshot.Value(prefix + "admitted"));
-  stats.rejected_full =
-      static_cast<size_t>(snapshot.Value(prefix + "rejected_full"));
-  stats.rejected_closed =
-      static_cast<size_t>(snapshot.Value(prefix + "rejected_closed"));
-  stats.dropped_expired =
-      static_cast<size_t>(snapshot.Value(prefix + "dropped_expired"));
-  stats.popped = static_cast<size_t>(snapshot.Value(prefix + "popped"));
-  stats.max_depth = static_cast<size_t>(snapshot.Value(prefix + "max_depth"));
-  return stats;
-}
-
 const char* QueueOrderName(QueueOrder order) {
   switch (order) {
     case QueueOrder::kFifo:

@@ -54,13 +54,11 @@ struct QueueStats {
   size_t max_depth = 0;        ///< high-water mark of the buffer
 };
 
-/// Registry view of QueueStats: counters under `prefix` (for example
+/// Registry export of QueueStats: counters under `prefix` (for example
 /// "queue.offered"), max_depth as a max-gauge.
 void PublishQueueStats(const QueueStats& stats,
                        util::MetricsRegistry* registry,
                        const std::string& prefix);
-QueueStats QueueStatsFromSnapshot(const util::MetricsSnapshot& snapshot,
-                                  const std::string& prefix);
 
 /// See file comment. Deterministic and single-threaded, like the rest
 /// of the serving simulation. Pops are O(1) under FIFO (a deque) and

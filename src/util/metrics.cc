@@ -11,10 +11,6 @@ namespace util {
 
 namespace {
 
-uint64_t SaturatingSub(uint64_t a, uint64_t b) { return a > b ? a - b : 0; }
-
-double SaturatingSubD(double a, double b) { return a > b ? a - b : 0.0; }
-
 /// Shortest decimal form that round-trips a double (JSON + tables).
 std::string FormatNumber(double v) {
   std::string text = StrFormat("%.17g", v);
@@ -60,9 +56,9 @@ void Histogram::Observe(double value) {
 void Histogram::ObserveIndex(size_t index, uint64_t count) {
   std::lock_guard<std::mutex> lock(mu_);
   MC_CHECK(bounds_.empty());
-  // A zero count still extends the bucket vector: an occupancy view
-  // that observed "0 steps at occupancy k" keeps its length, exactly
-  // like the struct merge operators it replaces.
+  // A zero count still extends the bucket vector: a published
+  // occupancy vector that holds "0 steps at occupancy k" keeps its
+  // length in the export.
   if (buckets_.size() <= index) buckets_.resize(index + 1, 0);
   if (count == 0) return;
   buckets_[index] += count;
@@ -133,66 +129,6 @@ void MetricsSnapshot::Append(MetricPoint point) {
   MC_CHECK(index_.find(point.name) == index_.end());
   index_.emplace(point.name, points_.size());
   points_.push_back(std::move(point));
-}
-
-MetricsSnapshot& MetricsSnapshot::Merge(const MetricsSnapshot& other) {
-  for (const MetricPoint& theirs : other.points_) {
-    auto it = index_.find(theirs.name);
-    if (it == index_.end()) {
-      Append(theirs);
-      continue;
-    }
-    MetricPoint& ours = points_[it->second];
-    MC_CHECK(ours.kind == theirs.kind);
-    switch (ours.kind) {
-      case MetricKind::kCounter:
-        ours.value += theirs.value;
-        break;
-      case MetricKind::kGauge:
-        ours.value = std::max(ours.value, theirs.value);
-        break;
-      case MetricKind::kHistogram:
-        if (ours.buckets.size() < theirs.buckets.size()) {
-          ours.buckets.resize(theirs.buckets.size(), 0);
-        }
-        for (size_t k = 0; k < theirs.buckets.size(); ++k) {
-          ours.buckets[k] += theirs.buckets[k];
-        }
-        ours.sum += theirs.sum;
-        ours.count += theirs.count;
-        break;
-    }
-  }
-  return *this;
-}
-
-MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& before) const {
-  MetricsSnapshot delta;
-  for (const MetricPoint& after : points_) {
-    const MetricPoint* prior = before.Find(after.name);
-    MetricPoint point = after;
-    if (prior != nullptr) {
-      MC_CHECK(prior->kind == after.kind);
-      switch (after.kind) {
-        case MetricKind::kCounter:
-          point.value = SaturatingSubD(after.value, prior->value);
-          break;
-        case MetricKind::kGauge:
-          break;  // high-water mark: keep the after value
-        case MetricKind::kHistogram:
-          for (size_t k = 0; k < point.buckets.size(); ++k) {
-            const uint64_t b =
-                k < prior->buckets.size() ? prior->buckets[k] : 0;
-            point.buckets[k] = SaturatingSub(point.buckets[k], b);
-          }
-          point.sum = SaturatingSubD(after.sum, prior->sum);
-          point.count = SaturatingSub(after.count, prior->count);
-          break;
-      }
-    }
-    delta.Append(std::move(point));
-  }
-  return delta;
 }
 
 std::string MetricsSnapshot::ToTable() const {

@@ -1,11 +1,11 @@
 // Unified metrics registry: one place every subsystem reports into,
 // one export path out.
 //
-// Before this existed, each serving subsystem grew its own ad hoc stats
-// struct (RetryStats, PrefixCacheStats, BatchStats, QueueStats,
-// OverloadStats, ClusterStats) with hand-rolled merge operators, and
-// every command stitched fleet health together by hand. The registry
-// replaces that stitching with three primitives and two operations:
+// Stats flow one way. Each subsystem keeps its own stats struct
+// (RetryStats, PrefixCacheStats, BatchStats, QueueStats, OverloadStats,
+// ClusterStats, ...) as the only state its callers read; the registry
+// is a write-only export sink those structs are published into. Three
+// primitives:
 //
 //   Counter   — monotonic double (exact for integer counts < 2^53),
 //               lock-free thread-safe Add().
@@ -15,24 +15,18 @@
 //               *indexed* histogram: one bucket per non-negative
 //               integer (the occupancy-vector shape).
 //
-//   Snapshot  — a point-in-time copy of every metric, in registration
-//               order (first-touch order, deterministic for the
-//               single-threaded sims).
-//   Merge / Delta — counters add / saturating-subtract, gauges take
-//               max / keep the after value, histograms combine
-//               bucketwise and tolerate ragged lengths — the same
-//               semantics the per-struct operator+= / operator-
-//               implementations hand-rolled.
+// Snapshot() takes a point-in-time copy of every metric, in
+// registration order (first-touch order, deterministic for the
+// single-threaded sims). Snapshots exist to be exported: ToTable()
+// renders the human-readable dump, MetricsJson() and WriteMetricsJson()
+// the machine artifact. serve-sim, cluster-sim and the benches all emit
+// through these two functions — there is no other serialization path.
 //
-// Export: ToTable() renders the human-readable dump, MetricsJson() and
-// WriteMetricsJson() the machine artifact. serve-sim, cluster-sim and
-// the benches all emit through these two functions — there is no other
-// serialization path.
-//
-// The legacy stats structs survive as *views*: each subsystem offers
-// Publish<Struct>() / <Struct>FromSnapshot() helpers (declared next to
-// the struct) so existing summary fields are populated from registry
-// snapshots while callers keep their field-level API.
+// Nothing is read back into a struct. Each subsystem offers a
+// Publish<Struct>() helper (declared next to the struct) that adds the
+// struct's counters into a registry; summaries such as
+// serve::ServeSummary are computed from the structs themselves, with
+// the structs' own merge operators, and published once.
 
 #ifndef MULTICAST_UTIL_METRICS_H_
 #define MULTICAST_UTIL_METRICS_H_
@@ -128,8 +122,8 @@ struct MetricPoint {
   uint64_t count = 0;
 };
 
-/// Point-in-time copy of a registry, in registration order. Also the
-/// unit of merge/delta arithmetic and of export.
+/// Point-in-time copy of a registry, in registration order: the unit
+/// of export.
 class MetricsSnapshot {
  public:
   const std::vector<MetricPoint>& points() const { return points_; }
@@ -138,7 +132,7 @@ class MetricsSnapshot {
   /// Point by name; null when absent.
   const MetricPoint* Find(const std::string& name) const;
   /// Counter/gauge value by name; 0.0 when absent (absent and
-  /// never-incremented are indistinguishable, as with the old structs).
+  /// never-incremented are indistinguishable).
   double Value(const std::string& name) const;
 
   /// Quantile estimate of a histogram point, `q` in [0, 1] (clamped).
@@ -151,19 +145,7 @@ class MetricsSnapshot {
   /// observations.
   double HistogramQuantile(const std::string& name, double q) const;
 
-  /// Accumulates `other` into this snapshot: counters add, gauges take
-  /// the max, histograms combine bucketwise (ragged lengths tolerated —
-  /// the shorter side is zero-extended). Points unknown to this
-  /// snapshot are appended in `other`'s order.
-  MetricsSnapshot& Merge(const MetricsSnapshot& other);
-
-  /// Saturating difference `*this - before` (this is the *after* side):
-  /// counters and histogram buckets/counts saturate at zero, gauges
-  /// keep the after value (a high-water mark has no meaningful delta).
-  /// Points absent from `before` pass through unchanged.
-  MetricsSnapshot Delta(const MetricsSnapshot& before) const;
-
-  /// Appends a point (building block for tests and view helpers).
+  /// Appends a point (the building block of MetricsRegistry::Snapshot).
   void Append(MetricPoint point);
 
   /// Human-readable table of every point, registration order.

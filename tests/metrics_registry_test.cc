@@ -1,7 +1,8 @@
-// Unified metrics registry: primitives, snapshot arithmetic, the single
-// export path, the one-quantile-implementation regression, and the
-// struct views (Publish / FromSnapshot round-trips plus the merge
-// operators' properties the registry semantics mirror).
+// Unified metrics registry: primitives, snapshot lookups and quantiles,
+// the single export path, the one-quantile-implementation regression,
+// the BatchStats merge operators, and the one-way export of every stats
+// struct (Publish* helpers and Summarize, checked point by point in the
+// snapshot they leave behind).
 
 #include "util/metrics.h"
 
@@ -89,7 +90,7 @@ TEST(MetricsRegistryTest, IndexedHistogramGrowsAndZeroCountExtends) {
 }
 
 // ---------------------------------------------------------------------
-// Snapshot arithmetic: Merge and Delta.
+// Snapshot lookups and histogram quantiles.
 // ---------------------------------------------------------------------
 
 MetricsSnapshot MakeSnapshot(double counter, double gauge,
@@ -176,50 +177,6 @@ TEST(MetricsSnapshotTest, ToTableShowsHistogramQuantiles) {
   // An empty histogram renders without quantile columns.
   MetricsSnapshot empty = MakeSnapshot(1.0, 1.0, {});
   EXPECT_EQ(empty.ToTable().find("p50"), std::string::npos);
-}
-
-TEST(MetricsSnapshotTest, MergeAddsMaxesAndCombinesRaggedHistograms) {
-  MetricsSnapshot a = MakeSnapshot(2.0, 5.0, {1, 2});
-  MetricsSnapshot b = MakeSnapshot(3.0, 4.0, {1, 1, 7});
-  a.Merge(b);
-  EXPECT_DOUBLE_EQ(a.Value("c"), 5.0);  // counters add
-  EXPECT_DOUBLE_EQ(a.Value("g"), 5.0);  // gauges take the max
-  const MetricPoint* h = a.Find("h");
-  ASSERT_NE(h, nullptr);
-  // Ragged bucket vectors: the shorter side is zero-extended.
-  EXPECT_EQ(h->buckets, (std::vector<uint64_t>{2, 3, 7}));
-  EXPECT_EQ(h->count, 12u);  // 3 observations + 9 observations
-}
-
-TEST(MetricsSnapshotTest, MergeAppendsUnknownPointsInOrder) {
-  MetricsSnapshot a = MakeSnapshot(1.0, 1.0, {});
-  MetricsRegistry other;
-  other.GetCounter("z")->Add(9.0);
-  a.Merge(other.Snapshot());
-  ASSERT_EQ(a.points().size(), 4u);
-  EXPECT_EQ(a.points().back().name, "z");
-  EXPECT_DOUBLE_EQ(a.Value("z"), 9.0);
-}
-
-TEST(MetricsSnapshotTest, DeltaSaturatesCountersAndKeepsGaugeAfter) {
-  MetricsSnapshot before = MakeSnapshot(5.0, 9.0, {4, 4});
-  MetricsSnapshot after = MakeSnapshot(7.0, 3.0, {6, 2});
-  MetricsSnapshot delta = after.Delta(before);
-  EXPECT_DOUBLE_EQ(delta.Value("c"), 2.0);
-  // A high-water mark has no meaningful difference: keep the after.
-  EXPECT_DOUBLE_EQ(delta.Value("g"), 3.0);
-  const MetricPoint* h = delta.Find("h");
-  ASSERT_NE(h, nullptr);
-  // Bucket 1 went 4 -> 2: saturates at zero instead of underflowing.
-  EXPECT_EQ(h->buckets, (std::vector<uint64_t>{2, 0}));
-}
-
-TEST(MetricsSnapshotTest, DeltaPassesThroughPointsAbsentFromBefore) {
-  MetricsSnapshot before;
-  MetricsSnapshot after = MakeSnapshot(7.0, 3.0, {1});
-  MetricsSnapshot delta = after.Delta(before);
-  EXPECT_DOUBLE_EQ(delta.Value("c"), 7.0);
-  EXPECT_DOUBLE_EQ(delta.Value("g"), 3.0);
 }
 
 // ---------------------------------------------------------------------
@@ -337,8 +294,8 @@ TEST(QuantileTest, EmptySamplesReturnZero) {
 }
 
 // ---------------------------------------------------------------------
-// Struct merge-operator properties (the semantics the registry's Merge
-// and Delta mirror).
+// BatchStats merge operators (the per-dispatch deltas and the serve
+// rollup use them).
 // ---------------------------------------------------------------------
 
 batch::BatchStats MakeBatchStats(size_t base, std::vector<size_t> occupancy) {
@@ -386,110 +343,33 @@ TEST(StatsMergeTest, BatchStatsEmptyPlusNonemptyIsIdentity) {
   EXPECT_EQ(other.occupancy, x.occupancy);
 }
 
-TEST(StatsMergeTest, OverloadStatsMergeAddsCountersMaxesMarks) {
-  serve::OverloadStats a;
-  a.aimd_rejected = 2;
-  a.escalations = 1;
-  a.peak_level = 2;
-  a.final_limit = 8.0;
-  serve::OverloadStats b;
-  b.aimd_rejected = 3;
-  b.recoveries = 4;
-  b.peak_level = 1;
-  b.final_limit = 16.0;
-  a += b;
-  EXPECT_EQ(a.aimd_rejected, 5u);
-  EXPECT_EQ(a.escalations, 1u);
-  EXPECT_EQ(a.recoveries, 4u);
-  EXPECT_EQ(a.peak_level, 2);
-  EXPECT_DOUBLE_EQ(a.final_limit, 16.0);
-}
-
-TEST(StatsMergeTest, OverloadStatsDeltaSaturatesAndKeepsMarks) {
-  serve::OverloadStats before;
-  before.aimd_rejected = 5;
-  before.peak_level = 3;
-  before.final_limit = 32.0;
-  serve::OverloadStats after;
-  after.aimd_rejected = 3;  // less than before: saturates
-  after.ladder_rejected = 2;
-  after.peak_level = 1;
-  after.final_limit = 4.0;
-  serve::OverloadStats delta = after - before;
-  EXPECT_EQ(delta.aimd_rejected, 0u);
-  EXPECT_EQ(delta.ladder_rejected, 2u);
-  // High-water marks keep the after value, like gauge deltas.
-  EXPECT_EQ(delta.peak_level, 1);
-  EXPECT_DOUBLE_EQ(delta.final_limit, 4.0);
-}
-
-TEST(StatsMergeTest, OverloadStatsEmptyPlusNonemptyIsIdentity) {
-  serve::OverloadStats x;
-  x.demoted_reduced = 3;
-  x.peak_level = 2;
-  x.final_limit = 12.0;
-  serve::OverloadStats merged;
-  merged += x;
-  EXPECT_EQ(merged.demoted_reduced, 3u);
-  EXPECT_EQ(merged.peak_level, 2);
-  EXPECT_DOUBLE_EQ(merged.final_limit, 12.0);
-}
-
-TEST(StatsMergeTest, RejectionBreakdownMergeRecomputesExactMean) {
-  serve::RejectionBreakdown a;
-  a.queue_full = 2;
-  a.retry_after_hint_sum = 3.0;
-  a.retry_after_hints = 2;
-  a.mean_retry_after_seconds = 1.5;
-  serve::RejectionBreakdown b;
-  b.queue_full = 1;
-  b.retry_after_hint_sum = 4.0;
-  b.retry_after_hints = 1;
-  b.mean_retry_after_seconds = 4.0;
-  a += b;
-  EXPECT_EQ(a.queue_full, 3u);
-  // Exact combined mean 7/3, not the mean-of-means 2.75.
-  EXPECT_DOUBLE_EQ(a.mean_retry_after_seconds, 7.0 / 3.0);
-  EXPECT_EQ(a.total(), 3u);
-}
-
-TEST(StatsMergeTest, RejectionBreakdownDeltaSaturatesAndRederivesMean) {
-  serve::RejectionBreakdown before;
-  before.queue_full = 4;
-  before.cancelled = 2;
-  before.retry_after_hint_sum = 4.0;
-  before.retry_after_hints = 4;
-  serve::RejectionBreakdown after = before;
-  after.queue_full = 6;
-  after.cancelled = 1;  // less than before: saturates
-  after.retry_after_hint_sum = 7.0;
-  after.retry_after_hints = 6;
-  serve::RejectionBreakdown delta = after - before;
-  EXPECT_EQ(delta.queue_full, 2u);
-  EXPECT_EQ(delta.cancelled, 0u);
-  EXPECT_DOUBLE_EQ(delta.retry_after_hint_sum, 3.0);
-  EXPECT_EQ(delta.retry_after_hints, 2u);
-  // The delta's mean comes from its own hint sums, not a difference of
-  // means.
-  EXPECT_DOUBLE_EQ(delta.mean_retry_after_seconds, 1.5);
-}
-
-TEST(StatsMergeTest, RejectionBreakdownEmptyPlusNonemptyIsIdentity) {
-  serve::RejectionBreakdown x;
-  x.deadline_expired = 2;
-  x.retry_after_hint_sum = 5.0;
-  x.retry_after_hints = 2;
-  x.mean_retry_after_seconds = 2.5;
-  serve::RejectionBreakdown merged;
-  merged += x;
-  EXPECT_EQ(merged.deadline_expired, 2u);
-  EXPECT_DOUBLE_EQ(merged.mean_retry_after_seconds, 2.5);
-}
-
 // ---------------------------------------------------------------------
-// Views: Publish into a registry, read back from the snapshot, get the
-// original struct — for every ported stats struct.
+// One-way export: Publish a struct into a registry and check the
+// snapshot it leaves behind, point by point, in registration order.
 // ---------------------------------------------------------------------
+
+/// One expected counter or gauge point.
+struct Expected {
+  std::string name;
+  MetricKind kind;
+  double value;
+};
+
+constexpr MetricKind kC = MetricKind::kCounter;
+constexpr MetricKind kG = MetricKind::kGauge;
+
+/// `snapshot` starts with exactly `want`'s points, in order.
+void ExpectPoints(const MetricsSnapshot& snapshot,
+                  const std::vector<Expected>& want) {
+  EXPECT_GE(snapshot.points().size(), want.size());
+  const size_t n = std::min(snapshot.points().size(), want.size());
+  for (size_t i = 0; i < n; ++i) {
+    const MetricPoint& point = snapshot.points()[i];
+    EXPECT_EQ(point.name, want[i].name) << "point " << i;
+    EXPECT_EQ(point.kind, want[i].kind) << point.name;
+    EXPECT_EQ(point.value, want[i].value) << point.name;
+  }
+}
 
 TEST(MetricsViewTest, QueueStatsRoundTrips) {
   serve::QueueStats s;
@@ -502,15 +382,15 @@ TEST(MetricsViewTest, QueueStatsRoundTrips) {
   s.max_depth = 4;
   MetricsRegistry registry;
   serve::PublishQueueStats(s, &registry, "queue.");
-  serve::QueueStats back =
-      serve::QueueStatsFromSnapshot(registry.Snapshot(), "queue.");
-  EXPECT_EQ(back.offered, s.offered);
-  EXPECT_EQ(back.admitted, s.admitted);
-  EXPECT_EQ(back.rejected_full, s.rejected_full);
-  EXPECT_EQ(back.rejected_closed, s.rejected_closed);
-  EXPECT_EQ(back.dropped_expired, s.dropped_expired);
-  EXPECT_EQ(back.popped, s.popped);
-  EXPECT_EQ(back.max_depth, s.max_depth);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.points().size(), 7u);
+  ExpectPoints(snapshot, {{"queue.offered", kC, 10},
+                          {"queue.admitted", kC, 8},
+                          {"queue.rejected_full", kC, 1},
+                          {"queue.rejected_closed", kC, 1},
+                          {"queue.dropped_expired", kC, 2},
+                          {"queue.popped", kC, 6},
+                          {"queue.max_depth", kG, 4}});
 }
 
 TEST(MetricsViewTest, RetryStatsRoundTrips) {
@@ -530,21 +410,21 @@ TEST(MetricsViewTest, RetryStatsRoundTrips) {
   s.latency_seconds = 2.25;
   MetricsRegistry registry;
   lm::PublishRetryStats(s, &registry, "retry.");
-  lm::RetryStats back =
-      lm::RetryStatsFromSnapshot(registry.Snapshot(), "retry.");
-  EXPECT_EQ(back.calls, s.calls);
-  EXPECT_EQ(back.attempts, s.attempts);
-  EXPECT_EQ(back.retries, s.retries);
-  EXPECT_EQ(back.successes, s.successes);
-  EXPECT_EQ(back.failures, s.failures);
-  EXPECT_EQ(back.retryable_errors, s.retryable_errors);
-  EXPECT_EQ(back.terminal_errors, s.terminal_errors);
-  EXPECT_EQ(back.circuit_rejections, s.circuit_rejections);
-  EXPECT_EQ(back.budget_exhausted, s.budget_exhausted);
-  EXPECT_EQ(back.cancelled_calls, s.cancelled_calls);
-  EXPECT_EQ(back.deadline_preempted, s.deadline_preempted);
-  EXPECT_DOUBLE_EQ(back.backoff_seconds, s.backoff_seconds);
-  EXPECT_DOUBLE_EQ(back.latency_seconds, s.latency_seconds);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.points().size(), 13u);
+  ExpectPoints(snapshot, {{"retry.calls", kC, 5},
+                          {"retry.attempts", kC, 9},
+                          {"retry.retries", kC, 4},
+                          {"retry.successes", kC, 4},
+                          {"retry.failures", kC, 1},
+                          {"retry.retryable_errors", kC, 3},
+                          {"retry.terminal_errors", kC, 1},
+                          {"retry.circuit_rejections", kC, 2},
+                          {"retry.budget_exhausted", kC, 1},
+                          {"retry.cancelled_calls", kC, 1},
+                          {"retry.deadline_preempted", kC, 1},
+                          {"retry.backoff_seconds", kC, 0.75},
+                          {"retry.latency_seconds", kC, 2.25}});
 }
 
 TEST(MetricsViewTest, PrefixCacheStatsRoundTrips) {
@@ -560,36 +440,42 @@ TEST(MetricsViewTest, PrefixCacheStatsRoundTrips) {
   s.prompt_tokens_replayed = 200;
   MetricsRegistry registry;
   lm::PublishPrefixCacheStats(s, &registry, "prefix_cache.");
-  lm::PrefixCacheStats back =
-      lm::PrefixCacheStatsFromSnapshot(registry.Snapshot(), "prefix_cache.");
-  EXPECT_EQ(back.lookups, s.lookups);
-  EXPECT_EQ(back.full_hits, s.full_hits);
-  EXPECT_EQ(back.prefix_hits, s.prefix_hits);
-  EXPECT_EQ(back.misses, s.misses);
-  EXPECT_EQ(back.insertions, s.insertions);
-  EXPECT_EQ(back.evictions, s.evictions);
-  EXPECT_EQ(back.prompt_tokens_seen, s.prompt_tokens_seen);
-  EXPECT_EQ(back.prompt_tokens_reused, s.prompt_tokens_reused);
-  EXPECT_EQ(back.prompt_tokens_replayed, s.prompt_tokens_replayed);
-  EXPECT_EQ(back.hits(), s.hits());
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.points().size(), 9u);
+  ExpectPoints(snapshot, {{"prefix_cache.lookups", kC, 12},
+                          {"prefix_cache.full_hits", kC, 5},
+                          {"prefix_cache.prefix_hits", kC, 4},
+                          {"prefix_cache.misses", kC, 3},
+                          {"prefix_cache.insertions", kC, 7},
+                          {"prefix_cache.evictions", kC, 2},
+                          {"prefix_cache.prompt_tokens_seen", kC, 900},
+                          {"prefix_cache.prompt_tokens_reused", kC, 700},
+                          {"prefix_cache.prompt_tokens_replayed", kC, 200}});
 }
 
 TEST(MetricsViewTest, BatchStatsRoundTrips) {
   batch::BatchStats s = MakeBatchStats(20, {0, 3, 0, 7});
   MetricsRegistry registry;
   batch::PublishBatchStats(s, &registry, "batch.");
-  batch::BatchStats back =
-      batch::BatchStatsFromSnapshot(registry.Snapshot(), "batch.");
-  EXPECT_EQ(back.steps, s.steps);
-  EXPECT_EQ(back.slot_steps, s.slot_steps);
-  EXPECT_EQ(back.submitted, s.submitted);
-  EXPECT_EQ(back.admitted, s.admitted);
-  EXPECT_EQ(back.retired, s.retired);
-  EXPECT_EQ(back.backfills, s.backfills);
-  EXPECT_EQ(back.preemptions, s.preemptions);
-  EXPECT_EQ(back.peak_batch, s.peak_batch);
-  EXPECT_EQ(back.occupancy, s.occupancy);
-  EXPECT_DOUBLE_EQ(back.mean_batch(), s.mean_batch());
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  ASSERT_EQ(snapshot.points().size(), 9u);
+  ExpectPoints(snapshot, {{"batch.steps", kC, 20},
+                          {"batch.slot_steps", kC, 40},
+                          {"batch.submitted", kC, 21},
+                          {"batch.admitted", kC, 22},
+                          {"batch.retired", kC, 23},
+                          {"batch.backfills", kC, 24},
+                          {"batch.preemptions", kC, 25},
+                          {"batch.peak_batch", kG, 26}});
+  // Occupancy exports as an indexed histogram, bucket k = steps at
+  // occupancy k, leading and inner zeros kept.
+  const MetricPoint& occupancy = snapshot.points()[8];
+  EXPECT_EQ(occupancy.name, "batch.occupancy");
+  EXPECT_EQ(occupancy.kind, MetricKind::kHistogram);
+  EXPECT_TRUE(occupancy.bounds.empty());
+  EXPECT_EQ(occupancy.buckets, (std::vector<uint64_t>{0, 3, 0, 7}));
+  EXPECT_EQ(occupancy.count, 10u);
+  EXPECT_EQ(occupancy.sum, 1.0 * 3 + 3.0 * 7);
 }
 
 TEST(MetricsViewTest, OverloadStatsRoundTrips) {
@@ -604,16 +490,16 @@ TEST(MetricsViewTest, OverloadStatsRoundTrips) {
   s.final_limit = 24.0;
   MetricsRegistry registry;
   serve::PublishOverloadStats(s, &registry, "overload.");
-  serve::OverloadStats back =
-      serve::OverloadStatsFromSnapshot(registry.Snapshot(), "overload.");
-  EXPECT_EQ(back.aimd_rejected, s.aimd_rejected);
-  EXPECT_EQ(back.ladder_rejected, s.ladder_rejected);
-  EXPECT_EQ(back.demoted_reduced, s.demoted_reduced);
-  EXPECT_EQ(back.demoted_classical, s.demoted_classical);
-  EXPECT_EQ(back.escalations, s.escalations);
-  EXPECT_EQ(back.recoveries, s.recoveries);
-  EXPECT_EQ(back.peak_level, s.peak_level);
-  EXPECT_DOUBLE_EQ(back.final_limit, s.final_limit);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.points().size(), 8u);
+  ExpectPoints(snapshot, {{"overload.aimd_rejected", kC, 3},
+                          {"overload.ladder_rejected", kC, 2},
+                          {"overload.demoted_reduced", kC, 4},
+                          {"overload.demoted_classical", kC, 1},
+                          {"overload.escalations", kC, 5},
+                          {"overload.recoveries", kC, 4},
+                          {"overload.peak_level", kG, 3},
+                          {"overload.final_limit", kG, 24}});
 }
 
 TEST(MetricsViewTest, ClusterStatsRoundTrips) {
@@ -624,12 +510,11 @@ TEST(MetricsViewTest, ClusterStatsRoundTrips) {
   s.wasted_seconds = 1.25;
   MetricsRegistry registry;
   serve::PublishClusterStats(s, &registry, "cluster.");
-  serve::ClusterStats back =
-      serve::ClusterStatsFromSnapshot(registry.Snapshot(), "cluster.");
-  EXPECT_EQ(back.replica, -1);
-  EXPECT_EQ(back.failovers, s.failovers);
-  EXPECT_EQ(back.redispatched_draws, s.redispatched_draws);
-  EXPECT_DOUBLE_EQ(back.wasted_seconds, s.wasted_seconds);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.points().size(), 3u);
+  ExpectPoints(snapshot, {{"cluster.failovers", kC, 2},
+                          {"cluster.redispatched_draws", kC, 6},
+                          {"cluster.wasted_seconds", kC, 1.25}});
 }
 
 TEST(MetricsViewTest, RejectionBreakdownRoundTrips) {
@@ -641,21 +526,21 @@ TEST(MetricsViewTest, RejectionBreakdownRoundTrips) {
   s.other = 1;
   s.retry_after_hint_sum = 4.5;
   s.retry_after_hints = 3;
-  s.mean_retry_after_seconds = 1.5;
   MetricsRegistry registry;
   serve::PublishRejectionBreakdown(s, &registry, "rejections.");
-  serve::RejectionBreakdown back = serve::RejectionBreakdownFromSnapshot(
-      registry.Snapshot(), "rejections.");
-  EXPECT_EQ(back.queue_full, s.queue_full);
-  EXPECT_EQ(back.deadline_expired, s.deadline_expired);
-  EXPECT_EQ(back.backend_unavailable, s.backend_unavailable);
-  EXPECT_EQ(back.cancelled, s.cancelled);
-  EXPECT_EQ(back.other, s.other);
-  EXPECT_DOUBLE_EQ(back.retry_after_hint_sum, s.retry_after_hint_sum);
-  EXPECT_EQ(back.retry_after_hints, s.retry_after_hints);
-  // The mean is derived from the published sums.
-  EXPECT_DOUBLE_EQ(back.mean_retry_after_seconds, 1.5);
-  EXPECT_EQ(back.total(), s.total());
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  // The mean is derived, not published: readers divide the two sums.
+  EXPECT_EQ(snapshot.points().size(), 7u);
+  ExpectPoints(snapshot, {{"rejections.queue_full", kC, 3},
+                          {"rejections.deadline_expired", kC, 2},
+                          {"rejections.backend_unavailable", kC, 1},
+                          {"rejections.cancelled", kC, 4},
+                          {"rejections.other", kC, 1},
+                          {"rejections.retry_after_hint_sum", kC, 4.5},
+                          {"rejections.retry_after_hints", kC, 3}});
+  EXPECT_DOUBLE_EQ(s.mean_retry_after_seconds(), 1.5);
+  EXPECT_EQ(s.total(), 11u);
+  EXPECT_EQ(serve::RejectionBreakdown{}.mean_retry_after_seconds(), 0.0);
 }
 
 TEST(MetricsViewTest, PublishingTwiceAccumulatesLikeMerge) {
@@ -666,10 +551,161 @@ TEST(MetricsViewTest, PublishingTwiceAccumulatesLikeMerge) {
   serve::PublishQueueStats(s, &registry, "queue.");
   s.max_depth = 5;
   serve::PublishQueueStats(s, &registry, "queue.");
-  serve::QueueStats back =
-      serve::QueueStatsFromSnapshot(registry.Snapshot(), "queue.");
-  EXPECT_EQ(back.offered, 6u);   // counters add across publishes
-  EXPECT_EQ(back.max_depth, 5u);  // the gauge keeps the high-water mark
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.Value("queue.offered"), 6.0);    // counters add
+  EXPECT_EQ(snapshot.Value("queue.max_depth"), 5.0);  // high-water mark
+}
+
+// ---------------------------------------------------------------------
+// Summarize: computed from the stats, published once.
+// ---------------------------------------------------------------------
+
+void ExpectSameSummary(const serve::ServeSummary& a,
+                       const serve::ServeSummary& b) {
+  EXPECT_EQ(a.total, b.total);
+  EXPECT_EQ(a.served, b.served);
+  EXPECT_EQ(a.served_degraded, b.served_degraded);
+  EXPECT_EQ(a.shed_queue_full, b.shed_queue_full);
+  EXPECT_EQ(a.shed_expired, b.shed_expired);
+  EXPECT_EQ(a.cancelled_drain, b.cancelled_drain);
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.hedges_fired, b.hedges_fired);
+  EXPECT_EQ(a.hedge_wins, b.hedge_wins);
+  EXPECT_EQ(a.tier_llm_full, b.tier_llm_full);
+  EXPECT_EQ(a.tier_llm_reduced, b.tier_llm_reduced);
+  EXPECT_EQ(a.tier_classical, b.tier_classical);
+  EXPECT_EQ(a.tier_shed, b.tier_shed);
+  EXPECT_EQ(a.p50_latency_seconds, b.p50_latency_seconds);
+  EXPECT_EQ(a.p99_latency_seconds, b.p99_latency_seconds);
+  EXPECT_EQ(a.mean_queue_wait_seconds, b.mean_queue_wait_seconds);
+  EXPECT_EQ(a.p50_queue_wait_seconds, b.p50_queue_wait_seconds);
+  EXPECT_EQ(a.p95_queue_wait_seconds, b.p95_queue_wait_seconds);
+  EXPECT_EQ(a.p99_queue_wait_seconds, b.p99_queue_wait_seconds);
+  EXPECT_EQ(a.p50_service_seconds, b.p50_service_seconds);
+  EXPECT_EQ(a.p95_service_seconds, b.p95_service_seconds);
+  EXPECT_EQ(a.p99_service_seconds, b.p99_service_seconds);
+  EXPECT_EQ(a.retry.calls, b.retry.calls);
+  EXPECT_EQ(a.retry.attempts, b.retry.attempts);
+  EXPECT_EQ(a.retry.backoff_seconds, b.retry.backoff_seconds);
+  EXPECT_EQ(a.retry.latency_seconds, b.retry.latency_seconds);
+  EXPECT_EQ(a.ledger.prompt_tokens, b.ledger.prompt_tokens);
+  EXPECT_EQ(a.ledger.generated_tokens, b.ledger.generated_tokens);
+  EXPECT_EQ(a.prefix_cache.lookups, b.prefix_cache.lookups);
+  EXPECT_EQ(a.prefix_cache.full_hits, b.prefix_cache.full_hits);
+  EXPECT_EQ(a.batch.steps, b.batch.steps);
+  EXPECT_EQ(a.batch.peak_batch, b.batch.peak_batch);
+  EXPECT_EQ(a.batch.occupancy, b.batch.occupancy);
+  EXPECT_EQ(a.rejections.queue_full, b.rejections.queue_full);
+  EXPECT_EQ(a.rejections.retry_after_hint_sum,
+            b.rejections.retry_after_hint_sum);
+  EXPECT_EQ(a.rejections.retry_after_hints, b.rejections.retry_after_hints);
+  EXPECT_EQ(a.rejections.total(), b.rejections.total());
+  EXPECT_EQ(a.cluster.failovers, b.cluster.failovers);
+  EXPECT_EQ(a.cluster.wasted_seconds, b.cluster.wasted_seconds);
+  EXPECT_EQ(a.served_per_replica, b.served_per_replica);
+  EXPECT_EQ(a.finished_per_replica, b.finished_per_replica);
+}
+
+serve::ServeStats ServedStats(size_t id, double backoff, size_t peak_batch) {
+  serve::ServeStats st;
+  st.id = id;
+  st.outcome = serve::RequestOutcome::kServed;
+  st.tier = serve::ServiceTier::kLlmFull;
+  st.attempts = 1;
+  st.arrival_seconds = 0.1 * static_cast<double>(id);
+  st.start_seconds = st.arrival_seconds + 0.2;
+  st.finish_seconds = st.start_seconds + 1.0;
+  st.queue_wait_seconds = 0.2;
+  st.latency_seconds = 1.2;
+  st.retry.calls = 1;
+  st.retry.attempts = 2;
+  st.retry.backoff_seconds = backoff;
+  st.ledger.prompt_tokens = 100;
+  st.ledger.generated_tokens = 12;
+  st.batch.steps = 4;
+  st.batch.slot_steps = 4 * peak_batch;
+  st.batch.peak_batch = peak_batch;
+  st.batch.occupancy.assign(peak_batch + 1, 0);
+  st.batch.occupancy[peak_batch] = 4;
+  return st;
+}
+
+TEST(MetricsViewTest, SummarizeIntoAUsedRegistryMatchesAFreshOne) {
+  const std::vector<serve::ServeStats> first = {ServedStats(0, 0.1, 8)};
+  const std::vector<serve::ServeStats> second = {ServedStats(1, 0.3, 2)};
+  MetricsRegistry registry;
+  serve::Summarize(first, &registry);
+  const serve::ServeSummary shared = serve::Summarize(second, &registry);
+  const serve::ServeSummary fresh = serve::Summarize(second);
+  // The second summary is the second batch's own: a high-water mark or
+  // a floating-point sum the registry already held must not leak in.
+  EXPECT_EQ(shared.batch.peak_batch, 2u);
+  EXPECT_EQ(shared.retry.backoff_seconds, 0.3);
+  ExpectSameSummary(shared, fresh);
+  // The registry itself stays cumulative across both calls.
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.Value("serve.total"), 2.0);
+  EXPECT_EQ(snapshot.Value("serve.served"), 2.0);
+  EXPECT_EQ(snapshot.Value("serve.retry.backoff_seconds"), 0.1 + 0.3);
+  EXPECT_EQ(snapshot.Value("serve.ledger.prompt_tokens"), 200.0);
+  EXPECT_EQ(snapshot.Value("serve.batch.peak_batch"), 8.0);
+}
+
+TEST(MetricsViewTest, SummarizeExportsOneColumnSetWhateverTheOutcomes) {
+  // Every outcome, every tier, every rejection status, three replicas,
+  // hedges and nonzero sub-struct counters.
+  std::vector<serve::ServeStats> mix;
+  const serve::RequestOutcome outcomes[] = {
+      serve::RequestOutcome::kServed,
+      serve::RequestOutcome::kServedDegraded,
+      serve::RequestOutcome::kShedQueueFull,
+      serve::RequestOutcome::kShedExpired,
+      serve::RequestOutcome::kCancelledDrain,
+      serve::RequestOutcome::kFailed,
+      serve::RequestOutcome::kFailed,
+      serve::RequestOutcome::kFailed};
+  const Status statuses[] = {Status::OK(),
+                             Status::OK(),
+                             Status::ResourceExhausted("full"),
+                             Status::DeadlineExceeded("late"),
+                             Status::Cancelled("drain"),
+                             Status::Unavailable("down"),
+                             Status::Internal("bug"),
+                             Status::DeadlineExceeded("late")};
+  const serve::ServiceTier tiers[] = {
+      serve::ServiceTier::kLlmFull,   serve::ServiceTier::kLlmReduced,
+      serve::ServiceTier::kShed,      serve::ServiceTier::kShed,
+      serve::ServiceTier::kShed,      serve::ServiceTier::kShed,
+      serve::ServiceTier::kShed,      serve::ServiceTier::kClassical};
+  for (size_t i = 0; i < 8; ++i) {
+    serve::ServeStats st = ServedStats(i, 0.05, 1 + i % 3);
+    st.outcome = outcomes[i];
+    st.status = statuses[i];
+    st.tier = tiers[i];
+    st.retry_after_seconds = i == 2 ? 0.5 : 0.0;
+    st.hedge_fired = i < 2;
+    st.hedge_won = i == 1;
+    st.cluster.replica = static_cast<int>(i % 3);
+    st.cluster.failovers = i % 2;
+    st.prefix_cache.lookups = 1;
+    mix.push_back(st);
+  }
+  MetricsRegistry empty_registry;
+  MetricsRegistry mix_registry;
+  serve::Summarize({}, &empty_registry);
+  const serve::ServeSummary summary = serve::Summarize(mix, &mix_registry);
+  ASSERT_EQ(summary.rejections.total(), 6u);
+  ASSERT_EQ(summary.finished_per_replica.size(), 3u);
+
+  const MetricsSnapshot empty = empty_registry.Snapshot();
+  const MetricsSnapshot full = mix_registry.Snapshot();
+  ASSERT_EQ(empty.points().size(), full.points().size());
+  for (size_t i = 0; i < full.points().size(); ++i) {
+    EXPECT_EQ(empty.points()[i].name, full.points()[i].name) << i;
+    EXPECT_EQ(empty.points()[i].kind, full.points()[i].kind) << i;
+  }
+  EXPECT_EQ(full.points().front().name, "serve.total");
+  EXPECT_EQ(full.points().back().name, "serve.mean_queue_wait_seconds");
 }
 
 }  // namespace

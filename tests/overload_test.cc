@@ -440,7 +440,7 @@ TEST(OverloadIntegrationTest, RetryAfterSurfacesOnQueueFullRejections) {
     }
   }
   EXPECT_EQ(with_hint, summary.shed_queue_full);
-  EXPECT_GT(summary.rejections.mean_retry_after_seconds, 0.0);
+  EXPECT_GT(summary.rejections.mean_retry_after_seconds(), 0.0);
 }
 
 }  // namespace

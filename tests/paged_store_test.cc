@@ -127,15 +127,22 @@ TEST(BlockPoolTest, SessionAccountingAndMetricsRoundtrip) {
   util::MetricsRegistry registry;
   pool->PublishMetrics(&registry);
   const util::MetricsSnapshot snap = registry.Snapshot();
-  BlockPoolStats back = BlockPoolStatsFromSnapshot(snap, "lm.mem.");
-  EXPECT_EQ(back.blocks_live, stats.blocks_live);
-  EXPECT_EQ(back.bytes_peak, stats.bytes_peak);
-  EXPECT_EQ(back.sessions, stats.sessions);
-  EXPECT_EQ(back.session_overlay_bytes, stats.session_overlay_bytes);
-  EXPECT_EQ(back.session_base_bytes, stats.session_base_bytes);
-  EXPECT_EQ(back.session_overlay_entries, 8u);
-  EXPECT_EQ(snap.Value("lm.mem.session_overlay_entries"), 8.0);
-  EXPECT_EQ(snap.Value("lm.mem.pool_fullness"), 0.0);
+  auto value = [&](const char* name) {
+    return snap.Value(std::string("lm.mem.") + name);
+  };
+  EXPECT_EQ(value("blocks_live"), static_cast<double>(stats.blocks_live));
+  EXPECT_EQ(value("bytes_peak"), static_cast<double>(stats.bytes_peak));
+  EXPECT_EQ(value("sessions"), 2.0);
+  EXPECT_EQ(value("session_overlay_bytes"), 400.0);
+  EXPECT_EQ(value("session_base_bytes"), 800.0);
+  EXPECT_EQ(value("session_overlay_entries"), 8.0);
+  EXPECT_EQ(value("bytes_per_session"), 200.0);
+  EXPECT_EQ(value("sharing_ratio"), 1200.0 / 100.0);
+  EXPECT_EQ(value("pool_fullness"), 0.0);
+  ASSERT_NE(snap.Find("lm.mem.sessions"), nullptr);
+  EXPECT_EQ(snap.Find("lm.mem.sessions")->kind, util::MetricKind::kCounter);
+  ASSERT_NE(snap.Find("lm.mem.blocks_live"), nullptr);
+  EXPECT_EQ(snap.Find("lm.mem.blocks_live")->kind, util::MetricKind::kGauge);
 }
 
 TEST(PagedContextStoreTest, InsertFindForEachAndIndexGrowth) {

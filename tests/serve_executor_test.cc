@@ -412,6 +412,65 @@ TEST(ServeExecutorTest, DrainCancelQueuedCancelsQueueAndInFlight) {
 }
 
 // ---------------------------------------------------------------------
+// Accessors report the most recent Run(), even through a shared
+// registry.
+// ---------------------------------------------------------------------
+
+TEST(ServeExecutorTest, SecondRunReportsItsOwnCounters) {
+  ts::Frame history = History(24);
+  FakeSpec spec;
+  spec.calls = 1;
+  spec.call_seconds = 1.0;
+  FakeFactory primary(spec);
+  util::MetricsRegistry registry;
+  ServeOptions options;
+  options.queue.capacity = 16;
+  options.overload.ladder.enabled = true;
+  options.overload.aimd.enabled = true;
+  options.metrics = &registry;
+
+  // A burst that builds a deep queue and escalates the ladder...
+  std::vector<ForecastRequest> burst;
+  for (size_t i = 0; i < 10; ++i) {
+    burst.push_back(Req(i, 0.0, 100.0, &history));
+  }
+  // ...then a trickle that never queues behind anything.
+  std::vector<ForecastRequest> trickle;
+  for (size_t i = 0; i < 3; ++i) {
+    trickle.push_back(Req(i, 5.0 * static_cast<double>(i), 100.0, &history));
+  }
+
+  ServeExecutor shared(primary.factory(), nullptr, options);
+  ASSERT_TRUE(shared.Run(burst).ok());
+  const QueueStats burst_queue = shared.queue_stats();
+  const OverloadStats burst_overload = shared.overload_stats();
+  ASSERT_TRUE(shared.Run(trickle).ok());
+
+  ServeOptions unshared = options;
+  unshared.metrics = nullptr;
+  ServeExecutor fresh(primary.factory(), nullptr, unshared);
+  ASSERT_TRUE(fresh.Run(trickle).ok());
+
+  EXPECT_GT(burst_queue.max_depth, 1u);
+  EXPECT_EQ(fresh.queue_stats().max_depth, 1u);
+  EXPECT_EQ(shared.queue_stats().max_depth, fresh.queue_stats().max_depth);
+  EXPECT_EQ(shared.queue_stats().offered, 3u);
+  EXPECT_GT(burst_overload.peak_level, fresh.overload_stats().peak_level);
+  EXPECT_EQ(shared.overload_stats().peak_level,
+            fresh.overload_stats().peak_level);
+  EXPECT_NE(burst_overload.final_limit, fresh.overload_stats().final_limit);
+  EXPECT_EQ(shared.overload_stats().final_limit,
+            fresh.overload_stats().final_limit);
+  // The registry itself holds both runs: counters add, gauges keep the
+  // high-water mark.
+  const util::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.Value("queue.offered"),
+            static_cast<double>(burst_queue.offered + 3));
+  EXPECT_EQ(snapshot.Value("queue.max_depth"),
+            static_cast<double>(burst_queue.max_depth));
+}
+
+// ---------------------------------------------------------------------
 // Trace generation.
 // ---------------------------------------------------------------------
 

@@ -30,6 +30,10 @@ echo "==== bench smoke: cluster failover goodput + identity gates ===="
 # forecast deviates from the fault-free reference.
 cmake --build build -j "${JOBS}" --target cluster_failover
 ./build/bench/cluster_failover --smoke
+# Both files it rewrites are goldens: they hold virtual-time results
+# only, so a regenerated file that differs from the committed one is a
+# change in behaviour or in the metrics export that must be committed.
+git diff --exit-code -- BENCH_cluster.json BENCH_cluster_metrics.json
 
 echo "==== bench smoke: overload degradation-ladder goodput gates ===="
 # Exits non-zero when the ladder fails to hold >= 90% goodput at 8x
