@@ -10,6 +10,8 @@
 #include "baselines/ets.h"
 #include "baselines/lstm.h"
 #include "baselines/sarima.h"
+#include "batch/batch_llm.h"
+#include "batch/batch_scheduler.h"
 #include "data/datasets.h"
 #include "forecast/multicast_forecaster.h"
 #include "lm/generator.h"
@@ -239,6 +241,34 @@ void BM_LlmDecodeForked(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_LlmDecodeForked)->ArgName("structured")->Arg(0)->Arg(1);
+
+// BM_LlmDecodeForked/structured:1 decoded through batch::BatchLlm on a
+// scheduler that only ever holds this one job: the difference between
+// the two is the scheduler's cost per decoded token.
+void BM_LlmDecodeBatched(benchmark::State& state) {
+  lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
+  profile.memory_pool =
+      std::make_shared<lm::BlockPool>(lm::PagedMemoryOptions{});
+  auto cache = std::make_shared<lm::PrefixCache>(4);
+  lm::SimulatedLlm warmer(profile, 11, cache);
+  batch::BatchLlm llm(profile, 11, std::make_shared<batch::BatchScheduler>(),
+                      cache);
+  std::string prompt_text = MakeDigitStream(1365) + ",";
+  auto prompt =
+      token::Encode(prompt_text, token::Vocabulary::Digits()).ValueOrDie();
+  lm::GrammarMask mask = SeparatorMask();
+  if (!warmer.WarmPrefix(prompt).ok()) {
+    state.SkipWithError("warming the prefix cache failed");
+    return;
+  }
+  Rng rng(29);
+  for (auto _ : state) {
+    auto gen = llm.Complete(prompt, 64, mask, &rng);
+    benchmark::DoNotOptimize(gen);
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_LlmDecodeBatched);
 
 void BM_MultiCastForecast(benchmark::State& state) {
   ts::Frame frame = data::MakeGasRate().ValueOrDie();

@@ -1,5 +1,6 @@
 #include "baselines/ets.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -10,6 +11,64 @@
 namespace multicast {
 namespace baselines {
 
+namespace {
+
+/// Smooth's initial states: level from the first observation (or the
+/// first-season mean), seasonal offsets from the first season (empty
+/// when m is 0). Returns the first time step the recursion forecasts.
+size_t InitialStates(const std::vector<double>& series, size_t m,
+                     double* level, std::vector<double>* season) {
+  if (m == 0) {
+    *level = series[0];
+    season->clear();
+    return 1;
+  }
+  double mean = 0.0;
+  for (size_t i = 0; i < m; ++i) mean += series[i];
+  mean /= static_cast<double>(m);
+  *level = mean;
+  season->resize(m);
+  for (size_t i = 0; i < m; ++i) (*season)[i] = series[i] - mean;
+  return m;
+}
+
+/// Smoothing candidates scored per pass over the series.
+constexpr size_t kLanes = 8;
+
+/// Runs EtsModel::Smooth's recursion for kLanes candidates at once,
+/// from the shared initial states already in `level`, `trend` and
+/// `season` (laid out season[phase * kLanes + lane]), and leaves each
+/// lane's one-step SSE in `sse`. Per lane, the expressions and their
+/// order are Smooth's, so the sums are bit-identical to it.
+template <bool kSeasonal>
+void SmoothLanes(const std::vector<double>& series, size_t start, size_t m,
+                 double phi, const double* alpha, const double* beta,
+                 const double* gamma, double* level, double* trend,
+                 double* season, double* sse) {
+  size_t phase = kSeasonal ? start % m : 0;
+  for (size_t t = start; t < series.size(); ++t) {
+    const double x = series[t];
+    double* s = kSeasonal ? season + phase * kLanes : nullptr;
+    for (size_t k = 0; k < kLanes; ++k) {
+      const double seasonal = kSeasonal ? s[k] : 0.0;
+      const double forecast = level[k] + phi * trend[k] + seasonal;
+      const double error = x - forecast;
+      sse[k] += error * error;
+      const double l_prev = level[k];
+      level[k] = alpha[k] * (x - seasonal) +
+                 (1.0 - alpha[k]) * (level[k] + phi * trend[k]);
+      trend[k] =
+          beta[k] * (level[k] - l_prev) + (1.0 - beta[k]) * phi * trend[k];
+      if constexpr (kSeasonal) {
+        s[k] = gamma[k] * (x - level[k]) + (1.0 - gamma[k]) * s[k];
+      }
+    }
+    if (kSeasonal && ++phase == m) phase = 0;
+  }
+}
+
+}  // namespace
+
 double EtsModel::Smooth(const std::vector<double>& series,
                         const EtsOptions& options, double alpha, double beta,
                         double gamma, double* level, double* trend,
@@ -18,23 +77,10 @@ double EtsModel::Smooth(const std::vector<double>& series,
   const size_t m = options.season_length;
   const double phi = options.damping;
 
-  // Initial states: level from the first observation (or first-season
-  // mean), zero trend, seasonal offsets from the first season.
+  // Initial states (zero trend), then the one-step recursion.
   double l, b = 0.0;
   std::vector<double> s;
-  size_t start;
-  if (m > 0) {
-    double mean = 0.0;
-    for (size_t i = 0; i < m; ++i) mean += series[i];
-    mean /= static_cast<double>(m);
-    l = mean;
-    s.resize(m);
-    for (size_t i = 0; i < m; ++i) s[i] = series[i] - mean;
-    start = m;
-  } else {
-    l = series[0];
-    start = 1;
-  }
+  const size_t start = InitialStates(series, m, &l, &s);
 
   double sse = 0.0;
   size_t count = 0;
@@ -78,48 +124,104 @@ Result<EtsModel> EtsModel::Fit(const std::vector<double>& series,
     return Status::InvalidArgument("grid_steps must be >= 2");
   }
 
-  EtsModel best;
-  best.options_ = options;
-  best.train_length_ = series.size();
-  best.mse_ = std::numeric_limits<double>::infinity();
+  // The candidates in grid order: alpha outermost, gamma innermost.
+  struct Candidate {
+    double alpha, beta, gamma;
+  };
+  std::vector<Candidate> grid;
   const int g = options.grid_steps;
+  const int gamma_steps = options.season_length > 0 ? g : 0;
   for (int ai = 1; ai <= g; ++ai) {
     double alpha = static_cast<double>(ai) / (g + 1);
     for (int bi = 0; bi <= g; ++bi) {
       double beta = static_cast<double>(bi) / (g + 1);
-      int gamma_steps = options.season_length > 0 ? g : 0;
       for (int gi = 0; gi <= gamma_steps; ++gi) {
         double gamma = static_cast<double>(gi) / (g + 1);
-        double level, trend;
-        std::vector<double> season;
-        double mse = Smooth(series, options, alpha, beta, gamma, &level,
-                            &trend, &season);
-        if (mse < best.mse_) {
-          best.alpha_ = alpha;
-          best.beta_ = beta;
-          best.gamma_ = gamma;
-          best.level_ = level;
-          best.trend_ = trend;
-          best.season_ = std::move(season);
-          best.mse_ = mse;
-        }
+        grid.push_back(Candidate{alpha, beta, gamma});
       }
     }
   }
-  // One more pass with the winning parameters to collect the one-step
-  // residuals the classical tier needs for empirical bands.
-  double level, trend;
-  std::vector<double> season;
-  Smooth(series, options, best.alpha_, best.beta_, best.gamma_, &level,
-         &trend, &season, &best.residuals_);
+
+  // Smooth's initial states, shared by every candidate. The validation
+  // above leaves at least one step to forecast.
+  const size_t m = options.season_length;
+  double initial_level;
+  std::vector<double> initial_season;
+  const size_t start =
+      InitialStates(series, m, &initial_level, &initial_season);
+  const double count = static_cast<double>(series.size() - start);
+
+  double best_mse = std::numeric_limits<double>::infinity();
+  size_t winner = grid.size();  // none yet
+  std::vector<double> season(m * kLanes);
+  for (size_t first = 0; first < grid.size(); first += kLanes) {
+    // A short last pass repeats its final candidate in the spare lanes,
+    // which are then ignored.
+    const size_t lanes = std::min(kLanes, grid.size() - first);
+    double alpha[kLanes], beta[kLanes], gamma[kLanes];
+    double level[kLanes], trend[kLanes], sse[kLanes];
+    for (size_t k = 0; k < kLanes; ++k) {
+      const Candidate& c = grid[first + std::min(k, lanes - 1)];
+      alpha[k] = c.alpha;
+      beta[k] = c.beta;
+      gamma[k] = c.gamma;
+      level[k] = initial_level;
+      trend[k] = 0.0;
+      sse[k] = 0.0;
+    }
+    for (size_t i = 0; i < m; ++i) {
+      std::fill_n(season.begin() + i * kLanes, kLanes, initial_season[i]);
+    }
+    if (m > 0) {
+      SmoothLanes<true>(series, start, m, options.damping, alpha, beta,
+                        gamma, level, trend, season.data(), sse);
+    } else {
+      SmoothLanes<false>(series, start, m, options.damping, alpha, beta,
+                         gamma, level, trend, season.data(), sse);
+    }
+    for (size_t k = 0; k < lanes; ++k) {
+      const double mse = sse[k] / count;
+      if (mse < best_mse) {
+        best_mse = mse;
+        winner = first + k;
+      }
+    }
+  }
+
+  EtsModel best;
+  best.options_ = options;
+  best.train_length_ = series.size();
+  best.mse_ = best_mse;
+  if (winner < grid.size()) {
+    best.alpha_ = grid[winner].alpha;
+    best.beta_ = grid[winner].beta;
+    best.gamma_ = grid[winner].gamma;
+  }
+  // One more pass with the chosen (or, with no winner, the default)
+  // parameters gives the states and the one-step residuals the
+  // classical tier builds its bands from.
+  Smooth(series, options, best.alpha_, best.beta_, best.gamma_, &best.level_,
+         &best.trend_, &best.season_, &best.residuals_);
+  if (winner == grid.size()) {
+    // No winner keeps no state: zero level and trend, no season.
+    best.level_ = 0.0;
+    best.trend_ = 0.0;
+    best.season_.clear();
+  }
   return best;
 }
 
 Result<std::vector<double>> EtsModel::Forecast(size_t horizon) const {
   if (horizon == 0) return Status::InvalidArgument("horizon must be >= 1");
+  const size_t m = options_.season_length;
+  if (season_.size() != m) {
+    // No grid candidate had a finite MSE (a NaN in the series), so the
+    // fit kept no seasonal state to forecast from.
+    return Status::FailedPrecondition(
+        "no seasonal state: the fit found no candidate with a finite MSE");
+  }
   std::vector<double> out;
   out.reserve(horizon);
-  const size_t m = options_.season_length;
   const double phi = options_.damping;
   // Damped-trend multiplier: phi + phi^2 + ... + phi^h.
   double damp_sum = 0.0;

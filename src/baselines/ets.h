@@ -37,15 +37,33 @@ class EtsModel {
  public:
   /// Fits level/trend/season states with grid-searched smoothing
   /// parameters. Needs at least 2 full seasons when seasonal.
+  ///
+  /// The grid's (alpha, beta, gamma) candidates are scored 8 at a time,
+  /// in lanes that share one pass over the series; each lane runs
+  /// Smooth's expression sequence, so every candidate's MSE is the one
+  /// a serial Smooth would return. The first candidate in grid order
+  /// with the strictly lowest MSE wins, and one Smooth with its
+  /// parameters yields the states and residuals. When no candidate
+  /// wins (an MSE that is NaN everywhere, as on a series holding NaN),
+  /// the model keeps the default parameters, zero level and trend, an
+  /// empty season and an infinite MSE, with the residuals of a Smooth
+  /// at the default parameters.
   static Result<EtsModel> Fit(const std::vector<double>& series,
                               const EtsOptions& options);
 
-  /// Forecasts `horizon` steps ahead.
+  /// Forecasts `horizon` steps ahead. kFailedPrecondition for a
+  /// seasonal model whose fit found no winning candidate (its season is
+  /// empty).
   Result<std::vector<double>> Forecast(size_t horizon) const;
 
   double alpha() const { return alpha_; }
   double beta() const { return beta_; }
   double gamma() const { return gamma_; }
+  /// Final smoothing states of the chosen fit; the season is indexed
+  /// by absolute time modulo the season length.
+  double level() const { return level_; }
+  double trend() const { return trend_; }
+  const std::vector<double>& season() const { return season_; }
   /// In-sample one-step-ahead mean squared error of the chosen fit.
   double mse() const { return mse_; }
   /// In-sample one-step-ahead residuals (actual - forecast) of the

@@ -78,10 +78,11 @@ void PublishBatchStats(const BatchStats& stats,
 }
 
 BatchScheduler::BatchScheduler(const BatchPolicy& policy) : policy_(policy) {
-  slots_.resize(std::max<size_t>(1, policy_.max_batch), 0);
+  slots_.resize(std::max<size_t>(1, policy_.max_batch), nullptr);
 }
 
 BatchTicket BatchScheduler::Submit(DecodeJobSpec spec) {
+  CallerScope caller(&callers_);
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t id = next_ticket_++;
   Job job;
@@ -96,9 +97,11 @@ BatchTicket BatchScheduler::Submit(DecodeJobSpec spec) {
     MC_CHECK(job.spec.rng != nullptr);
     MC_CHECK(!job.spec.masks.empty());
     job.forced = lm::ForcedTokens(job.spec.masks);
-    waiting_.push(WaitKey{job.spec.deadline_seconds, id});
   }
-  jobs_.emplace(id, std::move(job));
+  Job& stored = jobs_.emplace(id, std::move(job)).first->second;
+  if (!stored.done) {
+    waiting_.push(WaitKey{stored.spec.deadline_seconds, id, &stored});
+  }
   return BatchTicket{id};
 }
 
@@ -128,14 +131,13 @@ bool BatchScheduler::StepLocked() {
   // Phase 1 — preemption: a session whose request died is evicted before
   // it can consume another decode step.
   size_t active_before = 0;
-  for (uint64_t& slot : slots_) {
-    if (slot == 0) continue;
-    Job& job = jobs_.at(slot);
-    Status alive = JobAlive(job);
+  for (Job*& slot : slots_) {
+    if (slot == nullptr) continue;
+    Status alive = JobAlive(*slot);
     if (!alive.ok()) {
       ++stats_.preemptions;
-      FinishLocked(&job, std::move(alive));
-      slot = 0;
+      FinishLocked(slot, std::move(alive));
+      slot = nullptr;
       work = true;
       continue;
     }
@@ -147,20 +149,19 @@ bool BatchScheduler::StepLocked() {
   // only refills once the batch has fully drained. Jobs already dead at
   // admission are preempted without ever occupying a slot.
   if (active_before == 0 || policy_.backfill) {
-    for (uint64_t& slot : slots_) {
-      if (slot != 0 || waiting_.empty()) continue;
+    for (Job*& slot : slots_) {
+      if (slot != nullptr || waiting_.empty()) continue;
       while (!waiting_.empty()) {
         const WaitKey key = waiting_.top();
         waiting_.pop();
         work = true;
-        Job& job = jobs_.at(key.ticket);
-        Status alive = JobAlive(job);
+        Status alive = JobAlive(*key.job);
         if (!alive.ok()) {
           ++stats_.preemptions;
-          FinishLocked(&job, std::move(alive));
+          FinishLocked(key.job, std::move(alive));
           continue;
         }
-        slot = key.ticket;
+        slot = key.job;
         ++stats_.admitted;
         if (active_before > 0) ++stats_.backfills;
         break;
@@ -171,8 +172,8 @@ bool BatchScheduler::StepLocked() {
   // Phase 3 — decode: one token for every active session, the step-level
   // forward pass continuous batching amortizes.
   size_t active = 0;
-  for (uint64_t slot : slots_) {
-    if (slot != 0) ++active;
+  for (const Job* slot : slots_) {
+    if (slot != nullptr) ++active;
   }
   if (active == 0) return work;
 
@@ -184,9 +185,9 @@ bool BatchScheduler::StepLocked() {
   ++stats_.occupancy[active];
   if (policy_.on_step) policy_.on_step(active);
 
-  for (uint64_t& slot : slots_) {
-    if (slot == 0) continue;
-    Job& job = jobs_.at(slot);
+  for (Job*& slot : slots_) {
+    if (slot == nullptr) continue;
+    Job& job = *slot;
     if (job.admitted_step == 0) job.admitted_step = step_index;
     const size_t pos = job.tokens.size() % job.spec.masks.size();
     Result<token::TokenId> next = lm::SampleNextToken(
@@ -194,7 +195,7 @@ bool BatchScheduler::StepLocked() {
         job.spec.sampler, job.spec.rng, &probs_);
     if (!next.ok()) {
       FinishLocked(&job, next.status());
-      slot = 0;
+      slot = nullptr;
       continue;
     }
     job.tokens.push_back(next.value());
@@ -206,18 +207,20 @@ bool BatchScheduler::StepLocked() {
       ++stats_.retired;
       job.retired_step = step_index;
       FinishLocked(&job, Status::OK());
-      slot = 0;
+      slot = nullptr;
     }
   }
   return true;
 }
 
 bool BatchScheduler::Step() {
+  CallerScope caller(&callers_);
   std::lock_guard<std::mutex> lock(mu_);
   return StepLocked();
 }
 
 Result<DecodeOutput> BatchScheduler::Await(BatchTicket ticket) {
+  CallerScope caller(&callers_);
   std::unique_lock<std::mutex> lock(mu_);
   auto it = jobs_.find(ticket.id);
   if (it == jobs_.end()) {
@@ -225,32 +228,36 @@ Result<DecodeOutput> BatchScheduler::Await(BatchTicket ticket) {
         StrFormat("unknown batch ticket %llu",
                   static_cast<unsigned long long>(ticket.id)));
   }
-  while (!it->second.done) {
+  // The node stays put while other jobs are inserted or erased; only
+  // this Await erases it.
+  Job& job = it->second;
+  while (!job.done) {
     // Cooperative driving: whoever is blocked makes the batch progress.
     // A pending job is always either active (it decodes) or waiting (it
     // is admittable once the policy allows), so every step makes
     // progress toward it.
     MC_CHECK(StepLocked());
-    if (it->second.done) break;
-    // Yield the lock so concurrent submitters can join the batch and
-    // other awaiters can take a driving turn.
+    // Hand the lock off only when another caller is inside, so
+    // concurrent submitters can join the batch and other awaiters can
+    // take a driving turn. Alone, keep stepping: a yield per token is a
+    // syscall per token.
+    if (job.done || callers_.load() <= 1) continue;
     lock.unlock();
     std::this_thread::yield();
     lock.lock();
-    it = jobs_.find(ticket.id);
-    MC_CHECK(it != jobs_.end());
   }
-  Job job = std::move(it->second);
-  jobs_.erase(it);
-  if (!job.status.ok()) return job.status;
+  Job finished = std::move(job);
+  jobs_.erase(ticket.id);
+  if (!finished.status.ok()) return finished.status;
   DecodeOutput out;
-  out.tokens = std::move(job.tokens);
-  out.admitted_step = job.admitted_step;
-  out.retired_step = job.retired_step;
+  out.tokens = std::move(finished.tokens);
+  out.admitted_step = finished.admitted_step;
+  out.retired_step = finished.retired_step;
   return out;
 }
 
 BatchStats BatchScheduler::stats() const {
+  CallerScope caller(&callers_);
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
 }

@@ -17,9 +17,14 @@
 //              sessions whose request died (cancelled or past deadline),
 //              then decode one token for every active session via the
 //              in-place NextDistribution(out) path.
-//   Await    — block until a job finishes. Await is cooperative: any
-//              waiting caller drives Step() when nobody else is, so the
-//              scheduler needs no dedicated driver thread.
+//   Await    — block until a job finishes. Await is cooperative: the
+//              waiting caller drives Step() itself, so the scheduler
+//              needs no dedicated driver thread. A caller alone in the
+//              scheduler steps back to back under one lock hold; it
+//              hands the lock off (unlock, yield, relock) after a step
+//              only while another caller is inside Submit/Await/Step/
+//              stats, so late submitters join the batch and other
+//              awaiters take driving turns.
 //
 // Determinism: a job's token sequence depends only on its own session,
 // RNG and grammar cycle — never on batch composition — so outputs are
@@ -37,6 +42,7 @@
 #ifndef MULTICAST_BATCH_BATCH_SCHEDULER_H_
 #define MULTICAST_BATCH_BATCH_SCHEDULER_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -201,6 +207,7 @@ class BatchScheduler {
   struct WaitKey {
     double deadline_seconds;
     uint64_t ticket;
+    Job* job;  // jobs_' node for `ticket`: unordered_map nodes are stable
     bool operator>(const WaitKey& other) const {
       if (deadline_seconds != other.deadline_seconds) {
         return deadline_seconds > other.deadline_seconds;
@@ -215,11 +222,28 @@ class BatchScheduler {
   Status JobAlive(Job& job) const;
   void FinishLocked(Job* job, Status status);
 
+  /// Counts a public call for its lifetime, so that Await knows whether
+  /// anyone else is waiting for the lock.
+  class CallerScope {
+   public:
+    explicit CallerScope(std::atomic<int>* callers) : callers_(callers) {
+      callers_->fetch_add(1);
+    }
+    ~CallerScope() { callers_->fetch_sub(1); }
+    CallerScope(const CallerScope&) = delete;
+    CallerScope& operator=(const CallerScope&) = delete;
+
+   private:
+    std::atomic<int>* callers_;
+  };
+
   const BatchPolicy policy_;
+  /// Threads inside Submit/Await/Step/stats, lock held or not.
+  mutable std::atomic<int> callers_{0};
   mutable std::mutex mu_;
   uint64_t next_ticket_ = 1;                 // guarded by mu_
   std::unordered_map<uint64_t, Job> jobs_;   // guarded by mu_
-  std::vector<uint64_t> slots_;              // active ticket ids; guarded by mu_
+  std::vector<Job*> slots_;                  // active jobs; guarded by mu_
   std::priority_queue<WaitKey, std::vector<WaitKey>, std::greater<WaitKey>>
       waiting_;                              // guarded by mu_
   BatchStats stats_;                         // guarded by mu_

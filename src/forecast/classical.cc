@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "util/quantile.h"
 #include "util/strings.h"
 #include "util/timer.h"
 
@@ -26,17 +27,6 @@ double MeanSquare(const std::vector<double>& xs) {
   double sum = 0.0;
   for (double x : xs) sum += x * x;
   return sum / static_cast<double>(xs.size());
-}
-
-/// Linear-interpolated empirical quantile; `q` in (0, 1).
-double Quantile(std::vector<double> xs, double q) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  double pos = q * static_cast<double>(xs.size() - 1);
-  size_t lo = static_cast<size_t>(std::floor(pos));
-  size_t hi = std::min(lo + 1, xs.size() - 1);
-  double frac = pos - static_cast<double>(lo);
-  return xs[lo] + frac * (xs[hi] - xs[lo]);
 }
 
 EngineFit FitNaive(const std::vector<double>& x, size_t horizon) {
@@ -217,7 +207,7 @@ Result<ForecastResult> ClassicalForecaster::Forecast(
     // Bands: point path shifted by the residual quantile, widened with
     // the random-walk sqrt(h) growth so multi-step uncertainty fans out.
     for (size_t qi = 0; qi < levels.size(); ++qi) {
-      const double offset = Quantile(fit.residuals, levels[qi]);
+      const double offset = util::LerpQuantile(fit.residuals, levels[qi]);
       std::vector<double> band;
       band.reserve(horizon);
       for (size_t h = 0; h < horizon; ++h) {

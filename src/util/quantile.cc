@@ -64,5 +64,19 @@ double InterpolatedQuantile(std::vector<double> values, double q) {
   return *lo * (1.0 - at.frac) + hi * at.frac;
 }
 
+double LerpQuantile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  const double pos =
+      std::clamp(q, 0.0, 1.0) * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(std::floor(pos));
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  const auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), lo_it, values.end());
+  const double hi_value =
+      hi == lo ? *lo_it : *std::min_element(lo_it + 1, values.end());
+  return *lo_it + frac * (hi_value - *lo_it);
+}
+
 }  // namespace util
 }  // namespace multicast

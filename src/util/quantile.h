@@ -16,6 +16,8 @@
 //   * InterpolatedQuantile — linear interpolation between order
 //     statistics at position q*(n-1) (the ts:: estimator, used by
 //     forecast bands and scalers; intentionally different semantics).
+//   * LerpQuantile — the same position, interpolated as
+//     lo + frac * (hi - lo) (the classical tier's residual bands).
 
 #ifndef MULTICAST_UTIL_QUANTILE_H_
 #define MULTICAST_UTIL_QUANTILE_H_
@@ -47,6 +49,17 @@ double InterpolatedQuantileSorted(const std::vector<double>& sorted,
 /// the ceil one as the least value above it. Bit-identical to sorting
 /// first, since the two order statistics are the same values.
 double InterpolatedQuantile(std::vector<double> values, double q);
+
+/// The classical tier's band estimator (forecast/classical.cc): the
+/// order statistics `lo` = floor(q * (n - 1)) and `hi` = min(lo + 1,
+/// n - 1), combined as lo + frac * (hi - lo). That is the same point as
+/// InterpolatedQuantile in exact arithmetic, but it rounds differently
+/// (and gives NaN, not lo, when frac is 0 and hi - lo is not finite),
+/// so the two are kept apart: switching the bands to the other form
+/// would move their last bits. Selects with nth_element like
+/// InterpolatedQuantile. Returns 0.0 on an empty sample; q is clamped
+/// to [0, 1].
+double LerpQuantile(std::vector<double> values, double q);
 
 }  // namespace util
 }  // namespace multicast

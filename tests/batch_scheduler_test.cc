@@ -18,6 +18,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "batch/batch_llm.h"
@@ -342,6 +343,44 @@ TEST(BatchSchedulerTest, UnknownTicketIsAnError) {
   auto out = scheduler.Await(BatchTicket{42});
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A lone awaiter steps back to back without releasing the lock. A
+// caller that arrives while it drives must still get in: its job joins
+// the running batch, retires long before the lone driver's does, and
+// both decode exactly what they decode alone.
+TEST(BatchSchedulerTest, LateSubmitterJoinsALoneDriversBatch) {
+  constexpr size_t kLongTokens = 20000;
+  constexpr size_t kShortTokens = 16;
+  auto decode_alone = [](size_t num_tokens, uint64_t stream) {
+    BatchScheduler scheduler;
+    Rng rng(kSeed, stream);
+    return scheduler.Await(scheduler.Submit(MakeJob(num_tokens, &rng)))
+        .ValueOrDie();
+  };
+  const DecodeOutput long_alone = decode_alone(kLongTokens, 1);
+  const DecodeOutput short_alone = decode_alone(kShortTokens, 2);
+
+  BatchScheduler scheduler;
+  Rng long_rng(kSeed, 1);
+  Rng short_rng(kSeed, 2);
+  Result<DecodeOutput> long_out = Status::Internal("never awaited");
+  std::thread driver([&] {
+    const BatchTicket ticket =
+        scheduler.Submit(MakeJob(kLongTokens, &long_rng));
+    long_out = scheduler.Await(ticket);
+  });
+  while (scheduler.stats().steps == 0) std::this_thread::yield();
+  const BatchTicket short_ticket =
+      scheduler.Submit(MakeJob(kShortTokens, &short_rng));
+  Result<DecodeOutput> short_out = scheduler.Await(short_ticket);
+  driver.join();
+
+  ASSERT_TRUE(long_out.ok()) << long_out.status().ToString();
+  ASSERT_TRUE(short_out.ok()) << short_out.status().ToString();
+  EXPECT_LT(short_out.value().admitted_step, long_out.value().retired_step);
+  EXPECT_EQ(long_out.value().tokens, long_alone.tokens);
+  EXPECT_EQ(short_out.value().tokens, short_alone.tokens);
 }
 
 // The plain step skips the model at grammar-forced positions, yet such

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "metrics/metrics.h"
 #include "ts/split.h"
@@ -199,6 +204,254 @@ TEST(EtsForecasterTest, CompetitiveOnNoisySine) {
                               run.forecast.dim(0).values())
                     .ValueOrDie();
   EXPECT_LT(rmse, 1.2);
+}
+
+// ---------------------------------------------------------------------
+// The lane-scored grid against the serial grid it replaced: the serial
+// search below is EtsModel::Fit as it read before candidates were
+// scored in lanes (one Smooth per candidate, strict < in grid order,
+// then one Smooth of the winner for the residuals), kept here as the
+// reference. Every field must match bit for bit.
+// ---------------------------------------------------------------------
+
+struct ReferenceFit {
+  double alpha = 0.5, beta = 0.1, gamma = 0.1;
+  double level = 0.0, trend = 0.0;
+  std::vector<double> season;
+  double mse = std::numeric_limits<double>::infinity();
+  std::vector<double> residuals;
+};
+
+double ReferenceSmooth(const std::vector<double>& series,
+                       const EtsOptions& options, double alpha, double beta,
+                       double gamma, double* level, double* trend,
+                       std::vector<double>* season,
+                       std::vector<double>* residuals = nullptr) {
+  const size_t m = options.season_length;
+  const double phi = options.damping;
+  double l, b = 0.0;
+  std::vector<double> s;
+  size_t start;
+  if (m > 0) {
+    double mean = 0.0;
+    for (size_t i = 0; i < m; ++i) mean += series[i];
+    mean /= static_cast<double>(m);
+    l = mean;
+    s.resize(m);
+    for (size_t i = 0; i < m; ++i) s[i] = series[i] - mean;
+    start = m;
+  } else {
+    l = series[0];
+    start = 1;
+  }
+  double sse = 0.0;
+  size_t count = 0;
+  for (size_t t = start; t < series.size(); ++t) {
+    double seasonal = m > 0 ? s[t % m] : 0.0;
+    double forecast = l + phi * b + seasonal;
+    double error = series[t] - forecast;
+    sse += error * error;
+    ++count;
+    if (residuals != nullptr) residuals->push_back(error);
+    double l_prev = l;
+    l = alpha * (series[t] - seasonal) + (1.0 - alpha) * (l + phi * b);
+    b = beta * (l - l_prev) + (1.0 - beta) * phi * b;
+    if (m > 0) {
+      s[t % m] = gamma * (series[t] - l) + (1.0 - gamma) * s[t % m];
+    }
+  }
+  *level = l;
+  *trend = b;
+  *season = std::move(s);
+  return count > 0 ? sse / static_cast<double>(count)
+                   : std::numeric_limits<double>::infinity();
+}
+
+ReferenceFit ReferenceSerialGrid(const std::vector<double>& series,
+                                 const EtsOptions& options) {
+  ReferenceFit best;
+  const int g = options.grid_steps;
+  for (int ai = 1; ai <= g; ++ai) {
+    double alpha = static_cast<double>(ai) / (g + 1);
+    for (int bi = 0; bi <= g; ++bi) {
+      double beta = static_cast<double>(bi) / (g + 1);
+      int gamma_steps = options.season_length > 0 ? g : 0;
+      for (int gi = 0; gi <= gamma_steps; ++gi) {
+        double gamma = static_cast<double>(gi) / (g + 1);
+        double level, trend;
+        std::vector<double> season;
+        double mse = ReferenceSmooth(series, options, alpha, beta, gamma,
+                                     &level, &trend, &season);
+        if (mse < best.mse) {
+          best.alpha = alpha;
+          best.beta = beta;
+          best.gamma = gamma;
+          best.level = level;
+          best.trend = trend;
+          best.season = std::move(season);
+          best.mse = mse;
+        }
+      }
+    }
+  }
+  double level, trend;
+  std::vector<double> season;
+  ReferenceSmooth(series, options, best.alpha, best.beta, best.gamma, &level,
+                  &trend, &season, &best.residuals);
+  return best;
+}
+
+std::vector<double> ReferenceForecast(const ReferenceFit& fit,
+                                      const EtsOptions& options,
+                                      size_t train_length, size_t horizon) {
+  std::vector<double> out;
+  const size_t m = options.season_length;
+  double damp_sum = 0.0;
+  double damp_pow = 1.0;
+  for (size_t h = 1; h <= horizon; ++h) {
+    damp_pow *= options.damping;
+    damp_sum += damp_pow;
+    double seasonal = m > 0 ? fit.season[(train_length + h - 1) % m] : 0.0;
+    out.push_back(fit.level + damp_sum * fit.trend + seasonal);
+  }
+  return out;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+void ExpectSameBits(const std::vector<double>& got,
+                    const std::vector<double>& want, const std::string& what,
+                    const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << what << " " << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(Bits(got[i]), Bits(want[i]))
+        << what << "[" << i << "] " << got[i] << " vs " << want[i] << " "
+        << label;
+  }
+}
+
+// Fits `series` both ways and compares every output. A seasonal fit
+// with no season to forecast from must refuse to forecast.
+void ExpectMatchesSerialGrid(const std::vector<double>& series,
+                             const EtsOptions& options,
+                             const std::string& label) {
+  const ReferenceFit want = ReferenceSerialGrid(series, options);
+  Result<EtsModel> fit = EtsModel::Fit(series, options);
+  ASSERT_TRUE(fit.ok()) << fit.status().ToString() << " " << label;
+  const EtsModel& got = fit.value();
+  EXPECT_EQ(Bits(got.alpha()), Bits(want.alpha)) << "alpha " << label;
+  EXPECT_EQ(Bits(got.beta()), Bits(want.beta)) << "beta " << label;
+  EXPECT_EQ(Bits(got.gamma()), Bits(want.gamma)) << "gamma " << label;
+  EXPECT_EQ(Bits(got.mse()), Bits(want.mse)) << "mse " << label;
+  EXPECT_EQ(Bits(got.level()), Bits(want.level)) << "level " << label;
+  EXPECT_EQ(Bits(got.trend()), Bits(want.trend)) << "trend " << label;
+  ExpectSameBits(got.season(), want.season, "season", label);
+  ExpectSameBits(got.residuals(), want.residuals, "residuals", label);
+  if (options.season_length > 0 && want.season.empty()) {
+    // The serial grid's Forecast would read past the empty season.
+    EXPECT_EQ(got.Forecast(3).status().code(),
+              StatusCode::kFailedPrecondition)
+        << label;
+    return;
+  }
+  const size_t horizon = options.season_length + 5;
+  ExpectSameBits(got.Forecast(horizon).ValueOrDie(),
+                 ReferenceForecast(want, options, series.size(), horizon),
+                 "forecast", label);
+}
+
+// Season + noise over a random-walk level. Odd seeds also walk the
+// slope, so that candidates with beta > 0 win and the trend path of
+// the recursion decides the winner's MSE.
+std::vector<double> MakeSeries(size_t n, size_t period, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v;
+  double level = 50.0;
+  double slope = 0.2;
+  for (size_t t = 0; t < n; ++t) {
+    if (seed % 2 == 1) slope += rng.NextGaussian(0.0, 0.3);
+    level += slope + rng.NextGaussian(0.0, seed % 2 == 1 ? 0.1 : 1.0);
+    const double season =
+        period > 0 ? 4.0 * std::sin(2.0 * M_PI * static_cast<double>(t) /
+                                    static_cast<double>(period))
+                   : 0.0;
+    v.push_back(level + season + rng.NextGaussian(0.0, 0.5));
+  }
+  return v;
+}
+
+TEST(EtsLaneGridTest, MatchesTheSerialGridBitForBit) {
+  // Candidate counts g(g+1) and g(g+1)^2: 6/18, 12/48, 72/648 and
+  // 90/900, so passes end both on and off a multiple of 8 lanes.
+  uint64_t seed = 1;
+  for (size_t m : {0, 4, 7, 12}) {
+    for (int g : {2, 3, 8, 9}) {
+      for (size_t n : {4, 5, 7, 8, 9, 14, 15, 24, 25, 37, 64, 150, 300}) {
+        if (n < 2 * m) continue;
+        EtsOptions options;
+        options.season_length = m;
+        options.grid_steps = g;
+        options.damping = seed % 3 == 0 ? 1.0 : 0.98;
+        ExpectMatchesSerialGrid(
+            MakeSeries(n, m > 0 ? m : 9, seed), options,
+            "m=" + std::to_string(m) + " g=" + std::to_string(g) +
+                " n=" + std::to_string(n));
+        ++seed;
+      }
+    }
+  }
+}
+
+TEST(EtsLaneGridTest, ConstantSeriesKeepsTheFirstCandidate) {
+  // Every candidate fits a zero series exactly, so all MSEs tie at 0
+  // and the first in grid order must win: alpha = 1/(g+1), beta =
+  // gamma = 0. A nonzero constant rounds differently per alpha, so its
+  // MSEs only nearly tie; that must match the serial grid too.
+  for (size_t m : {0, 4, 7}) {
+    for (int g : {2, 8, 9}) {
+      EtsOptions options;
+      options.season_length = m;
+      options.grid_steps = g;
+      const std::string label =
+          "m=" + std::to_string(m) + " g=" + std::to_string(g);
+      ExpectMatchesSerialGrid(std::vector<double>(40, 3.25), options, label);
+      const std::vector<double> flat(40, 0.0);
+      ExpectMatchesSerialGrid(flat, options, label);
+      const EtsModel model = EtsModel::Fit(flat, options).ValueOrDie();
+      EXPECT_EQ(model.mse(), 0.0) << label;
+      EXPECT_EQ(model.alpha(), 1.0 / (g + 1)) << label;
+      EXPECT_EQ(model.beta(), 0.0) << label;
+      EXPECT_EQ(model.gamma(), 0.0) << label;
+    }
+  }
+}
+
+TEST(EtsLaneGridTest, NanSeriesKeepsTheDefaults) {
+  // A NaN makes every candidate's MSE NaN, so none wins: the defaults
+  // stand with zero states, an empty season and an infinite MSE, and
+  // the residuals come from smoothing at the default parameters.
+  for (size_t m : {0, 4, 12}) {
+    for (int g : {3, 8}) {
+      std::vector<double> series = MakeSeries(60, m > 0 ? m : 9, 77);
+      series[30] = std::nan("");
+      EtsOptions options;
+      options.season_length = m;
+      options.grid_steps = g;
+      const std::string label =
+          "m=" + std::to_string(m) + " g=" + std::to_string(g);
+      ExpectMatchesSerialGrid(series, options, label);
+      const EtsModel model = EtsModel::Fit(series, options).ValueOrDie();
+      EXPECT_EQ(model.alpha(), 0.5) << label;
+      EXPECT_EQ(model.beta(), 0.1) << label;
+      EXPECT_EQ(model.gamma(), 0.1) << label;
+      EXPECT_EQ(model.level(), 0.0) << label;
+      EXPECT_EQ(model.trend(), 0.0) << label;
+      EXPECT_TRUE(model.season().empty()) << label;
+      EXPECT_TRUE(std::isinf(model.mse())) << label;
+      EXPECT_EQ(model.residuals().size(), series.size() - (m > 0 ? m : 1))
+          << label;
+    }
+  }
 }
 
 }  // namespace

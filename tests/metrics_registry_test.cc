@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "serve/queue.h"
 #include "ts/stats.h"
 #include "util/quantile.h"
+#include "util/random.h"
 
 namespace multicast {
 namespace util {
@@ -285,6 +287,34 @@ TEST(QuantileTest, InterpolatedMatchesTsQuantile) {
                      ts::Quantile(values, q))
         << "q=" << q;
   }
+}
+
+TEST(QuantileTest, LerpMatchesTheSortedFormBitForBit) {
+  // The classical bands' estimator as it read before it moved here:
+  // sort a copy, then lo + frac * (hi - lo) at q * (n - 1).
+  auto sorted_form = [](std::vector<double> xs, double q) {
+    std::sort(xs.begin(), xs.end());
+    const double pos = q * static_cast<double>(xs.size() - 1);
+    const size_t lo = static_cast<size_t>(std::floor(pos));
+    const size_t hi = std::min(lo + 1, xs.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return xs[lo] + frac * (xs[hi] - xs[lo]);
+  };
+  Rng rng(41);
+  for (size_t n = 1; n <= 40; ++n) {
+    std::vector<double> values;
+    for (size_t i = 0; i < n; ++i) {
+      // Rounded draws, so some samples hold ties.
+      values.push_back(std::round(rng.NextGaussian(0.0, 3.0) * 4.0) / 4.0);
+    }
+    for (double q : {0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95}) {
+      const double got = LerpQuantile(values, q);
+      const double want = sorted_form(values, q);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << "n=" << n << " q=" << q << ": " << got << " vs " << want;
+    }
+  }
+  EXPECT_DOUBLE_EQ(LerpQuantile({}, 0.5), 0.0);
 }
 
 TEST(QuantileTest, EmptySamplesReturnZero) {
