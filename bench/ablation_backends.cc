@@ -2,10 +2,9 @@
 //
 // The paper argues that swapping in stronger models "will further
 // improve MultiCast's performance". With simulated back-ends the model
-// axis becomes explicit: the weak order-1 profile (Phi-2 stand-in), the
-// Witten–Bell backoff n-gram (LLaMA2-7B stand-in), and an
-// architecturally different CTW-style context-depth mixture. This bench
-// runs MultiCast (VI) with each on all three datasets and reports who
+// axis becomes explicit: the weak order-1 profile (Phi-2 stand-in) and
+// the Witten–Bell backoff n-gram (LLaMA2-7B stand-in). This bench runs
+// MultiCast (VI) with each on all three datasets and reports who
 // actually wins — the pipeline is back-end agnostic, the accuracy is
 // not.
 
@@ -19,7 +18,6 @@ void Run() {
   const lm::ModelProfile profiles[] = {
       lm::ModelProfile::Phi2(),
       lm::ModelProfile::Llama2_7B(),
-      lm::ModelProfile::CtwMixture(),
   };
 
   for (const auto& spec : data::BuiltinDatasets()) {
@@ -42,17 +40,16 @@ void Run() {
         stdout);
     PrintCosts(runs);
 
-    double means[3] = {0.0, 0.0, 0.0};
-    for (size_t m = 0; m < 3; ++m) {
+    double means[2] = {0.0, 0.0};
+    for (size_t m = 0; m < 2; ++m) {
       for (double v : runs[m].rmse_per_dim) means[m] += v;
       means[m] /= static_cast<double>(runs[m].rmse_per_dim.size());
     }
     std::printf(
-        "\nMean RMSE: phi2-sim %.3f, llama2-sim %.3f, ctw-mixture %.3f. "
-        "Back-end quality moves accuracy substantially with the pipeline "
-        "held fixed — the paper's point; at these context lengths the "
-        "Witten-Bell n-gram is the strongest simulated pattern model.\n",
-        means[0], means[1], means[2]);
+        "\nMean RMSE: phi2-sim %.3f, llama2-sim %.3f. Back-end quality "
+        "moves accuracy substantially with the pipeline held fixed — the "
+        "paper's point.\n",
+        means[0], means[1]);
   }
 }
 

@@ -15,7 +15,6 @@
 #include "data/datasets.h"
 #include "forecast/multicast_forecaster.h"
 #include "lm/generator.h"
-#include "lm/mixture_model.h"
 #include "lm/ngram_model.h"
 #include "lm/paged_store.h"
 #include "lm/prefix_cache.h"
@@ -142,7 +141,7 @@ void BM_NGramObserve(benchmark::State& state) {
   base.ObserveAll(prompt_tokens(18));
   base.Freeze();
   for (auto _ : state) {
-    std::unique_ptr<lm::LanguageModel> model =
+    std::unique_ptr<lm::NGramLanguageModel> model =
         over_base ? base.Fork()
                   : std::make_unique<lm::NGramLanguageModel>(vocab.size(),
                                                              opts, pool);
@@ -341,23 +340,6 @@ void BM_EtsFit(benchmark::State& state) {
   state.SetLabel(state.range(0) == 0 ? "non-seasonal" : "seasonal");
 }
 BENCHMARK(BM_EtsFit)->Arg(0)->Arg(12);
-
-void BM_MixtureObserve(benchmark::State& state) {
-  lm::MixtureOptions opts;
-  opts.max_depth = static_cast<int>(state.range(0));
-  Rng rng(37);
-  std::vector<token::TokenId> tokens;
-  for (int i = 0; i < 4096; ++i) {
-    tokens.push_back(static_cast<token::TokenId>(rng.NextBounded(11)));
-  }
-  for (auto _ : state) {
-    lm::MixtureLanguageModel model(11, opts);
-    model.ObserveAll(tokens);
-    benchmark::DoNotOptimize(model.num_nodes());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_MixtureObserve)->Arg(4)->Arg(10);
 
 void BM_SeasonalityDetect(benchmark::State& state) {
   ts::Frame frame = data::MakeWeather().ValueOrDie();

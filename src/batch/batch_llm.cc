@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "lm/generator.h"
-#include "lm/language_model.h"
 
 namespace multicast {
 namespace batch {

@@ -54,7 +54,7 @@
 #include <vector>
 
 #include "lm/backend.h"
-#include "lm/language_model.h"
+#include "lm/ngram_model.h"
 #include "lm/sampler.h"
 #include "token/vocabulary.h"
 #include "util/metrics.h"
@@ -122,7 +122,7 @@ void PublishBatchStats(const BatchStats& stats,
 /// exclusive use of them while the job is live.
 struct DecodeJobSpec {
   /// Decode session, prompt already observed (fresh or PrefixCache fork).
-  std::unique_ptr<lm::LanguageModel> session;
+  std::unique_ptr<lm::NGramLanguageModel> session;
   /// Tokens to generate. 0 completes immediately with no output.
   size_t num_tokens = 0;
   /// Hoisted grammar cycle (lm::HoistGrammarCycle); consulted as

@@ -61,9 +61,8 @@ const std::set<std::string> kBoolFlags = {
 Result<lm::ModelProfile> ProfileByName(const std::string& name) {
   if (name == "llama2") return lm::ModelProfile::Llama2_7B();
   if (name == "phi2") return lm::ModelProfile::Phi2();
-  if (name == "ctw") return lm::ModelProfile::CtwMixture();
   return Status::InvalidArgument("unknown profile '" + name +
-                                 "' (expected llama2, phi2 or ctw)");
+                                 "' (expected llama2 or phi2)");
 }
 
 // Reads an int-valued flag, range-checked as int64 against [lo, hi]
@@ -1160,7 +1159,7 @@ std::string UsageText() {
       "commands:\n"
       "  forecast  --input feed.csv --horizon 12 [--method VI] [--samples 5]\n"
       "            [--digits 2] [--sax alpha|digit] [--sax-segment 6]\n"
-      "            [--sax-alphabet 5] [--profile llama2|phi2|ctw]\n"
+      "            [--sax-alphabet 5] [--profile llama2|phi2]\n"
       "            [--quantiles 0.1,0.9] [--seed 42] [--output out.csv]\n"
       "            [--plot] [--threads 4] [--prefix-cache 0|1]\n"
       "            [--prefix-cache-capacity 64] [--batch]\n"

@@ -46,7 +46,7 @@ struct MethodSpec {
   std::string sax;          // "", "alpha" or "digit"
   int sax_segment = 6;
   int sax_alphabet = 5;
-  std::string profile = "llama2";  // llama2 | phi2 | ctw
+  std::string profile = "llama2";  // llama2 | phi2
   /// Injected backend fault rate in [0, 1]: every failure mode
   /// (outage, latency spike, rate limit, truncation, corruption) fires
   /// at this per-call probability. 0 = clean backend.

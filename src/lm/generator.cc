@@ -107,7 +107,7 @@ Result<GenerationResult> SimulatedLlm::Complete(
                       OpenDecodeSession(profile_, vocab_size_, fingerprint_,
                                         cache_.get(), prompt, num_tokens,
                                         mask));
-  LanguageModel& model = *session.model;
+  NGramLanguageModel& model = *session.model;
   const std::vector<token::TokenId> forced = ForcedTokens(session.cycle);
 
   GenerationResult result;

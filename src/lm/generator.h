@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "lm/backend.h"
-#include "lm/language_model.h"
 #include "lm/prefix_cache.h"
 #include "lm/profiles.h"
 #include "util/random.h"
@@ -39,7 +38,7 @@ std::vector<token::TokenId> ForcedTokens(
 /// A decode session opened for a generation of known length.
 struct DecodeSession {
   /// Conditioned on the whole prompt and sized for the generation.
-  std::unique_ptr<LanguageModel> model;
+  std::unique_ptr<NGramLanguageModel> model;
   /// The hoisted grammar (HoistGrammarCycle).
   std::vector<GrammarMask::Shared> cycle;
 };
@@ -49,7 +48,7 @@ struct DecodeSession {
 /// grammar, takes the session from `cache` (a fork of its state for the
 /// prompt) or, when `cache` is null, feeds the prompt to a fresh
 /// `profile` model, and tells the session how many tokens it will
-/// generate (LanguageModel::ReserveDecode). `fingerprint` is
+/// generate (NGramLanguageModel::ReserveDecode). `fingerprint` is
 /// ModelFingerprint(profile, vocab_size).
 Result<DecodeSession> OpenDecodeSession(
     const ModelProfile& profile, size_t vocab_size, uint64_t fingerprint,

@@ -498,7 +498,7 @@ void NGramLanguageModel::Freeze() {
   if (paged_base_.size() > options_.max_base_layers) CompactPagedBase();
 }
 
-std::unique_ptr<LanguageModel> NGramLanguageModel::Fork() const {
+std::unique_ptr<NGramLanguageModel> NGramLanguageModel::Fork() const {
   MC_CHECK(frozen_);  // Freeze() before forking decode sessions.
   auto fork =
       std::make_unique<NGramLanguageModel>(vocab_size_, options_, pool_);

@@ -1,6 +1,10 @@
-// Interpolated Witten–Bell backoff n-gram language model.
+// Interpolated Witten–Bell backoff n-gram language model: the decoder
+// behind the simulated LLM back-ends.
 //
-// The conditional next-token model behind the simulated LLM back-ends.
+// It stands in for the paper's LLaMA2 / Phi-2 back-ends (see DESIGN.md,
+// "Reproduction gates") and is driven the way a decoder-only LLM is:
+// feed the prompt token ids (ObserveAll, the prefill), then alternate
+// NextDistribution -> sample -> Observe for each generated token.
 // Counts of all n-grams up to `max_order` are maintained *online* over
 // the observed context, so the model is zero-shot: its only knowledge is
 // the serialized history it was prompted with, exactly the information a
@@ -10,14 +14,21 @@
 // (required for constrained sampling — masking must never zero out the
 // entire support).
 //
-// Counts are layered to support Freeze()/Fork() (the prefix-cache
-// contract in language_model.h): frozen layers are immutable and shared
-// by reference between forks; each live session writes only its own
-// overlay layer. The first write to a context key copies that key's
-// full entry from the frozen view into the overlay (vocab <= 31, so a
-// copy is at most 31 counters), after which reads and increments hit
-// the overlay copy — byte-for-byte the same integers a monolithic model
-// would hold, so every downstream float op is bit-identical.
+// Freeze()/Fork() are the simulated analogue of KV/prefix caching: a
+// model that has observed a prompt is frozen into an immutable,
+// shareable base, and each decode session forks a cheap copy-on-write
+// overlay on top of it. A fork fed the same tokens as a fresh model
+// produces bit-identical distributions, so caching removes redundant
+// prompt replay and never changes output (see lm/prefix_cache.h).
+//
+// Counts are layered to support Freeze()/Fork(): frozen layers are
+// immutable and shared by reference between forks; each live session
+// writes only its own overlay layer. The first write to a context key
+// copies that key's full entry from the frozen view into the overlay
+// (vocab <= 31, so a copy is at most 31 counters), after which reads
+// and increments hit the overlay copy — byte-for-byte the same integers
+// a monolithic model would hold, so every downstream float op is
+// bit-identical.
 //
 // Every layer is one PagedContextStore (lm/paged_store.h; context keys
 // already encode their order), counts packed as u16 in fixed-size slots
@@ -54,10 +65,11 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
-#include "lm/language_model.h"
 #include "lm/paged_store.h"
+#include "token/vocabulary.h"
 
 namespace multicast {
 namespace lm {
@@ -81,35 +93,88 @@ struct NGramOptions {
   size_t max_base_layers = 4;
 };
 
+/// Estimated resident bytes of one model, split the way the paged
+/// memory accounting needs it: `overlay_bytes` is state private to this
+/// session; `base_bytes` is the frozen base it conditions on, which may
+/// be shared with any number of other sessions by refcount.
+struct MemoryFootprint {
+  size_t overlay_bytes = 0;
+  size_t base_bytes = 0;
+  size_t total() const { return overlay_bytes + base_bytes; }
+};
+
+/// Deduplicating byte tally: shared frozen layers are counted once no
+/// matter how many models (e.g. PrefixCache entries and their forks)
+/// reference them. `seen` holds the identity of each shared object
+/// already counted.
+struct MemoryTally {
+  size_t bytes = 0;
+  std::unordered_set<const void*> seen;
+};
+
 /// See file comment.
-class NGramLanguageModel final : public LanguageModel {
+class NGramLanguageModel {
  public:
   /// `vocab_size` must be <= 31 (tokens pack into 5 bits each). The
   /// layers draw their blocks from `pool` (null: a private unbounded
   /// pool), which also receives the session's byte accounting.
   NGramLanguageModel(size_t vocab_size, const NGramOptions& options,
                      std::shared_ptr<BlockPool> pool = nullptr);
-  ~NGramLanguageModel() override;
+  ~NGramLanguageModel();
 
-  void Reset() override;
-  void Observe(token::TokenId id) override;
-  std::vector<double> NextDistribution() const override;
-  void NextDistribution(std::vector<double>* out) const override;
-  void ReserveDecode(size_t num_tokens) override;
-  size_t vocab_size() const override { return vocab_size_; }
-  size_t context_length() const override { return observed_; }
+  /// Clears all context (start of a fresh prompt). On a frozen model
+  /// this also drops the frozen base: the model becomes empty & mutable.
+  void Reset();
 
-  bool SupportsFork() const override { return true; }
-  void Freeze() override;
-  bool frozen() const override { return frozen_; }
-  std::unique_ptr<LanguageModel> Fork() const override;
+  /// Consumes one token of context (prompt or previously sampled
+  /// output). Calling Observe on a frozen model is a checked error.
+  void Observe(token::TokenId id);
 
-  MemoryFootprint ApproxMemoryBytes() const override;
-  void TallyMemory(MemoryTally* tally) const override;
+  /// Consumes a whole token sequence: the same state, and so the same
+  /// output, as calling Observe on each token in order. A bulk build
+  /// into a session with an empty overlay; otherwise one Observe per
+  /// token (see file comment).
+  void ObserveAll(std::span<const token::TokenId> ids);
 
-  /// Bulk build into a session with an empty overlay; otherwise one
-  /// Observe per token (see file comment).
-  void ObserveAll(std::span<const token::TokenId> ids) override;
+  /// Probability of each vocabulary token following the observed
+  /// context: vocab_size() entries summing to 1.
+  std::vector<double> NextDistribution() const;
+
+  /// The same distribution written into `*out` (resized to
+  /// vocab_size()), so that decode loops reuse one buffer across steps.
+  void NextDistribution(std::vector<double>* out) const;
+
+  /// Tells a mutable session, once, as it opens for generation, that it
+  /// will sample and observe `num_tokens` more tokens, so that it sizes
+  /// its overlay index for them up front. A sizing hint only: output
+  /// never depends on it, and a session that outgrows it still grows.
+  void ReserveDecode(size_t num_tokens);
+
+  size_t vocab_size() const { return vocab_size_; }
+
+  /// Number of tokens observed since the last Reset().
+  size_t context_length() const { return observed_; }
+
+  /// Makes the current state immutable and shareable: all accumulated
+  /// context becomes a frozen base that any number of Fork() sessions
+  /// (and threads) may read concurrently. Idempotent. Reset()
+  /// un-freezes into an empty model.
+  void Freeze();
+
+  bool frozen() const { return frozen_; }
+
+  /// A new mutable decode session layered copy-on-write over this
+  /// model's frozen state: it starts with exactly this model's context
+  /// and records only what it observes itself. Requires Freeze() first.
+  std::unique_ptr<NGramLanguageModel> Fork() const;
+
+  /// Estimated resident bytes (see MemoryFootprint).
+  MemoryFootprint ApproxMemoryBytes() const;
+
+  /// Adds this model's resident bytes into `tally`, counting shared
+  /// frozen layers only once across all models tallied into the same
+  /// MemoryTally (the PrefixCache's true-resident-bytes accounting).
+  void TallyMemory(MemoryTally* tally) const;
 
   const NGramOptions& options() const { return options_; }
 
@@ -260,6 +325,9 @@ class NGramLanguageModel final : public LanguageModel {
   mutable std::array<Resolved, kMaxOrder + 1> probes_;
   mutable bool probes_valid_ = false;
 };
+
+// An alias only because perfbench/probes.cc spells this name.
+using LanguageModel = NGramLanguageModel;
 
 }  // namespace lm
 }  // namespace multicast

@@ -130,8 +130,7 @@ PagedContextStore::PagedContextStore(std::shared_ptr<BlockPool> pool,
   MC_CHECK(span_ <= kMaxBlockSpan);
   while ((size_t{1} << slot_bits_) < span_) ++slot_bits_;
   // Keys first, payload area after — 8 * span keeps the payload area
-  // (and with slot_bytes_ a multiple of 8, every slot) 8-aligned for
-  // the mixture model's leading double.
+  // (and with slot_bytes_ a multiple of 8, every slot) 8-aligned.
   block_bytes_ = sizeof(uint64_t) * span_ + slot_bytes_ * span_;
 }
 
@@ -242,11 +241,6 @@ void PagedContextStore::Prefetch(uint64_t hash) const {
   if (index_.empty()) return;
   const size_t mask = index_.size() - 1;
   __builtin_prefetch(&index_[static_cast<size_t>(hash) & mask]);
-}
-
-std::byte* PagedContextStore::FindMutable(uint64_t key) {
-  return const_cast<std::byte*>(
-      static_cast<const PagedContextStore*>(this)->Find(key));
 }
 
 std::byte* PagedContextStore::Insert(uint64_t key) {

@@ -1,12 +1,12 @@
 // Paged session memory: block-allocated, refcounted context storage.
 //
 // Every decode session layers a private copy-on-write overlay over
-// shared frozen base layers (language_model.h Freeze()/Fork()). Both
-// model families keep every layer in the paged-KV analogue below, the
-// one context storage of the simulated back-ends: per-entry map nodes,
-// each with a separately heap-allocated count vector, would cost ~3x
-// the bytes the counts need, and at thousands of concurrent draws (the
-// M4-style many-series regime) overlay memory dominates long before the
+// shared frozen base layers (ngram_model.h Freeze()/Fork()). The model
+// keeps every layer in the paged-KV analogue below, the one context
+// storage of the simulated back-ends: per-entry map nodes, each with a
+// separately heap-allocated count vector, would cost ~3x the bytes the
+// counts need, and at thousands of concurrent draws (the M4-style
+// many-series regime) overlay memory dominates long before the
 // scheduler saturates.
 //
 //   BlockPool         — the process-wide (or per-replica) authority for
@@ -179,8 +179,8 @@ class BlockPool {
  private:
   struct Shared {
     mutable std::mutex mu;
-    // Freelist keyed by exact buffer size (one model family & vocab
-    // yields one or two sizes in practice).
+    // Freelist keyed by exact buffer size (one vocab yields one or two
+    // sizes in practice).
     std::unordered_map<size_t, std::vector<std::unique_ptr<std::byte[]>>>
         freelist;
     BlockPoolStats stats;
@@ -223,8 +223,9 @@ inline size_t ApproxMapEntryBytes(size_t node_bytes,
 class PagedContextStore {
  public:
   /// `slot_bytes` is the payload record size; it is rounded up to an
-  /// 8-byte multiple so 8-aligned fields (doubles) stay aligned in
-  /// every slot. `pool` must be non-null.
+  /// 8-byte multiple, so every slot is 8-aligned. The n-gram's fields
+  /// need only 2; the rounding is kept because the per-session byte
+  /// accounting is measured with it. `pool` must be non-null.
   PagedContextStore(std::shared_ptr<BlockPool> pool, size_t slot_bytes);
 
   PagedContextStore(const PagedContextStore&) = delete;
@@ -238,10 +239,8 @@ class PagedContextStore {
     size_t cells = 0;
   };
 
-  /// Payload slot for `key`, or null. The mutable overload is only
-  /// valid on a store that is still being built (not frozen/shared).
+  /// Payload slot for `key`, or null.
   const std::byte* Find(uint64_t key) const;
-  std::byte* FindMutable(uint64_t key);
   /// The index hash of `key`. It is the same in every store, so a
   /// lookup of one key in several stores computes it once.
   static uint64_t HashKey(uint64_t key);

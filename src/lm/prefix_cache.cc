@@ -119,22 +119,22 @@ PrefixCache::Entry* PrefixCache::LookupLocked(
   return nullptr;
 }
 
-std::shared_ptr<const LanguageModel> PrefixCache::EnsureLocked(
-    uint64_t fingerprint, const std::vector<token::TokenId>& prompt,
-    const ModelFactory& fresh, std::unique_ptr<LanguageModel>* uncached) {
+std::unique_ptr<NGramLanguageModel> PrefixCache::ReplayLocked(
+    const std::vector<token::TokenId>& prompt, const ModelFactory& fresh) {
   ++stats_.lookups;
   stats_.prompt_tokens_seen += prompt.size();
-  if (capacity_ == 0) {
-    // Disabled cache: every session is a miss served fresh with a full
-    // prompt replay; nothing is stored, nothing is evicted.
-    ++stats_.misses;
-    std::unique_ptr<LanguageModel> model = fresh();
-    MC_CHECK(model != nullptr);
-    stats_.prompt_tokens_replayed += prompt.size();
-    model->ObserveAll(prompt);
-    if (uncached != nullptr) *uncached = std::move(model);
-    return nullptr;
-  }
+  ++stats_.misses;
+  stats_.prompt_tokens_replayed += prompt.size();
+  std::unique_ptr<NGramLanguageModel> model = fresh();
+  model->ObserveAll(prompt);
+  return model;
+}
+
+std::shared_ptr<const NGramLanguageModel> PrefixCache::EnsureLocked(
+    uint64_t fingerprint, const std::vector<token::TokenId>& prompt,
+    const ModelFactory& fresh) {
+  ++stats_.lookups;
+  stats_.prompt_tokens_seen += prompt.size();
   std::vector<uint64_t> hashes = PrefixHashes(prompt);
   Entry* match = LookupLocked(fingerprint, prompt, hashes);
   if (match != nullptr && match->prompt.size() == prompt.size()) {
@@ -143,7 +143,7 @@ std::shared_ptr<const LanguageModel> PrefixCache::EnsureLocked(
     return match->model;
   }
 
-  std::unique_ptr<LanguageModel> model;
+  std::unique_ptr<NGramLanguageModel> model;
   size_t matched = 0;
   if (match != nullptr) {
     ++stats_.prefix_hits;
@@ -154,45 +154,36 @@ std::shared_ptr<const LanguageModel> PrefixCache::EnsureLocked(
     ++stats_.misses;
     model = fresh();
   }
-  MC_CHECK(model != nullptr);
-  if (!model->SupportsFork()) {
-    // Not cacheable: hand back an uncached session (counted as a miss
-    // with a full replay). Null return signals "use *uncached".
-    stats_.prompt_tokens_replayed += prompt.size();
-    model->ObserveAll(prompt);
-    if (uncached != nullptr) *uncached = std::move(model);
-    return nullptr;
-  }
   model->ObserveAll(std::span(prompt).subspan(matched));
   stats_.prompt_tokens_replayed += prompt.size() - matched;
   model->Freeze();
-  std::shared_ptr<const LanguageModel> shared = std::move(model);
+  std::shared_ptr<const NGramLanguageModel> shared = std::move(model);
   InsertLocked(fingerprint, prompt, hashes[prompt.size()], shared);
   return shared;
 }
 
-std::unique_ptr<LanguageModel> PrefixCache::AcquireSession(
+std::unique_ptr<NGramLanguageModel> PrefixCache::AcquireSession(
     uint64_t fingerprint, const std::vector<token::TokenId>& prompt,
     const ModelFactory& fresh) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::unique_ptr<LanguageModel> uncached;
-  std::shared_ptr<const LanguageModel> base =
-      EnsureLocked(fingerprint, prompt, fresh, &uncached);
-  if (base == nullptr) return uncached;
-  return base->Fork();
+  if (capacity_ == 0) return ReplayLocked(prompt, fresh);
+  return EnsureLocked(fingerprint, prompt, fresh)->Fork();
 }
 
 void PrefixCache::Warm(uint64_t fingerprint,
                        const std::vector<token::TokenId>& prompt,
                        const ModelFactory& fresh) {
   std::lock_guard<std::mutex> lock(mu_);
-  EnsureLocked(fingerprint, prompt, fresh, nullptr);
+  if (capacity_ == 0) {
+    ReplayLocked(prompt, fresh);
+  } else {
+    EnsureLocked(fingerprint, prompt, fresh);
+  }
 }
 
-void PrefixCache::InsertLocked(uint64_t fingerprint,
-                               const std::vector<token::TokenId>& prompt,
-                               uint64_t full_hash,
-                               std::shared_ptr<const LanguageModel> model) {
+void PrefixCache::InsertLocked(
+    uint64_t fingerprint, const std::vector<token::TokenId>& prompt,
+    uint64_t full_hash, std::shared_ptr<const NGramLanguageModel> model) {
   Key key{fingerprint, full_hash, prompt.size()};
   auto [it, inserted] = entries_.try_emplace(key);
   if (!inserted) {
@@ -256,7 +247,7 @@ size_t PrefixCache::bytes() const {
     (void)key;
     tally.bytes +=
         ApproxChunkBytes(entry.prompt.capacity() * sizeof(token::TokenId));
-    if (entry.model != nullptr) entry.model->TallyMemory(&tally);
+    entry.model->TallyMemory(&tally);
   }
   return tally.bytes;
 }

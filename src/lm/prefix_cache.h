@@ -3,10 +3,10 @@
 // MultiCast draws n samples per forecast (Sec. III-B) and rolling-origin
 // evaluation re-feeds near-identical prompts window after window, so the
 // naive pipeline ingests each prompt O(n × windows) times. This cache
-// stores *frozen* LanguageModel states keyed by (model fingerprint,
-// prompt tokens): the prompt is observed once into an immutable base,
-// and every subsequent draw forks a cheap copy-on-write session off it
-// (see language_model.h). A lookup that finds only a shorter cached
+// stores *frozen* model states keyed by (model fingerprint, prompt
+// tokens): the prompt is observed once into an immutable base, and
+// every subsequent draw forks a cheap copy-on-write session off it
+// (see lm/ngram_model.h). A lookup that finds only a shorter cached
 // prefix forks that entry, replays just the suffix, and caches the
 // extended state — longest-prefix reuse, exactly how paged KV caches
 // share common prompt prefixes.
@@ -34,7 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "lm/language_model.h"
+#include "lm/ngram_model.h"
 #include "token/vocabulary.h"
 #include "util/metrics.h"
 
@@ -79,7 +79,7 @@ void PublishPrefixCacheStats(const PrefixCacheStats& stats,
 /// See file comment.
 class PrefixCache {
  public:
-  using ModelFactory = std::function<std::unique_ptr<LanguageModel>()>;
+  using ModelFactory = std::function<std::unique_ptr<NGramLanguageModel>()>;
 
   /// `capacity` is the maximum number of cached frozen states (LRU
   /// beyond that). 0 disables the cache entirely: every AcquireSession
@@ -92,9 +92,8 @@ class PrefixCache {
   /// from `fresh` fed all of `prompt`. Reuses the longest cached prefix
   /// (full hit: fork only; partial: fork + suffix replay; miss: build
   /// from scratch), caching the full-prompt state on the way. `fresh`
-  /// must produce an empty model matching `fingerprint`; if the model
-  /// does not support forking the session is built uncached.
-  std::unique_ptr<LanguageModel> AcquireSession(
+  /// must produce an empty model matching `fingerprint`.
+  std::unique_ptr<NGramLanguageModel> AcquireSession(
       uint64_t fingerprint, const std::vector<token::TokenId>& prompt,
       const ModelFactory& fresh);
 
@@ -111,7 +110,7 @@ class PrefixCache {
   /// True resident bytes of the cache: stored prompt token vectors PLUS
   /// every cached model state, with frozen layers shared between
   /// entries (longest-prefix extension chains, paged block sharing)
-  /// counted once via LanguageModel::TallyMemory. Thread-safe.
+  /// counted once via NGramLanguageModel::TallyMemory. Thread-safe.
   size_t bytes() const;
 
   /// Publishes the counters into `registry` under `prefix` (the unified
@@ -141,7 +140,7 @@ class PrefixCache {
   };
   struct Entry {
     std::vector<token::TokenId> prompt;
-    std::shared_ptr<const LanguageModel> model;
+    std::shared_ptr<const NGramLanguageModel> model;
     std::list<Key>::iterator lru;
   };
 
@@ -153,17 +152,19 @@ class PrefixCache {
   Entry* LookupLocked(uint64_t fingerprint,
                       const std::vector<token::TokenId>& prompt,
                       const std::vector<uint64_t>& hashes);
+  // The disabled cache's lookup: a counted miss served by a fresh
+  // session fed the whole prompt.
+  std::unique_ptr<NGramLanguageModel> ReplayLocked(
+      const std::vector<token::TokenId>& prompt, const ModelFactory& fresh);
   // Shared frozen state for the full prompt; the AcquireSession / Warm
-  // bodies minus the final fork. Null only when the factory's model
-  // cannot fork — the ready uncached session is then moved into
-  // `*uncached` (when non-null).
-  std::shared_ptr<const LanguageModel> EnsureLocked(
+  // bodies of an enabled cache minus the final fork.
+  std::shared_ptr<const NGramLanguageModel> EnsureLocked(
       uint64_t fingerprint, const std::vector<token::TokenId>& prompt,
-      const ModelFactory& fresh, std::unique_ptr<LanguageModel>* uncached);
+      const ModelFactory& fresh);
   void InsertLocked(uint64_t fingerprint,
                     const std::vector<token::TokenId>& prompt,
                     uint64_t full_hash,
-                    std::shared_ptr<const LanguageModel> model);
+                    std::shared_ptr<const NGramLanguageModel> model);
   void EvictLocked();
   void TouchLocked(Entry* entry);
   void EraseIndexLocked(const Key& key);

@@ -21,38 +21,18 @@ uint64_t FoldDouble(uint64_t hash, double value) {
 }
 }  // namespace
 
-std::unique_ptr<LanguageModel> NewDecoderModel(const ModelProfile& profile,
-                                               size_t vocab_size) {
-  switch (profile.backend) {
-    case BackendKind::kNGram:
-      return std::make_unique<NGramLanguageModel>(vocab_size, profile.ngram,
-                                                  profile.memory_pool);
-    case BackendKind::kMixture:
-      return std::make_unique<MixtureLanguageModel>(vocab_size,
-                                                    profile.mixture,
-                                                    profile.memory_pool);
-  }
-  return nullptr;
+std::unique_ptr<NGramLanguageModel> NewDecoderModel(
+    const ModelProfile& profile, size_t vocab_size) {
+  return std::make_unique<NGramLanguageModel>(vocab_size, profile.ngram,
+                                              profile.memory_pool);
 }
 
 uint64_t ModelFingerprint(const ModelProfile& profile, size_t vocab_size) {
   uint64_t h = 14695981039346656037ULL;
-  h = Fold(h, static_cast<uint64_t>(profile.backend));
   h = Fold(h, static_cast<uint64_t>(vocab_size));
-  switch (profile.backend) {
-    case BackendKind::kNGram:
-      h = Fold(h, static_cast<uint64_t>(profile.ngram.max_order));
-      h = FoldDouble(h, profile.ngram.backoff_boost);
-      h = FoldDouble(h, profile.ngram.uniform_mix);
-      break;
-    case BackendKind::kMixture:
-      h = Fold(h, static_cast<uint64_t>(profile.mixture.max_depth));
-      h = FoldDouble(h, profile.mixture.kt_alpha);
-      h = FoldDouble(h, profile.mixture.prior_self_weight);
-      h = FoldDouble(h, profile.mixture.depth_learning_rate);
-      h = FoldDouble(h, profile.mixture.uniform_mix);
-      break;
-  }
+  h = Fold(h, static_cast<uint64_t>(profile.ngram.max_order));
+  h = FoldDouble(h, profile.ngram.backoff_boost);
+  h = FoldDouble(h, profile.ngram.uniform_mix);
   return h;
 }
 
@@ -85,20 +65,6 @@ ModelProfile ModelProfile::Phi2() {
   p.sampler.temperature = 1.1;
   p.sampler.top_k = 0;
   p.sampler.logit_bias_slope = 0.8;
-  return p;
-}
-
-ModelProfile ModelProfile::CtwMixture() {
-  ModelProfile p;
-  p.name = "ctw-mixture-sim";
-  p.backend = BackendKind::kMixture;
-  p.mixture.max_depth = 10;
-  p.mixture.kt_alpha = 0.25;
-  p.mixture.prior_self_weight = 0.5;
-  p.mixture.depth_learning_rate = 0.05;
-  p.mixture.uniform_mix = 1e-4;
-  p.sampler.temperature = 0.35;
-  p.sampler.top_k = 0;
   return p;
 }
 

@@ -13,8 +13,6 @@
 #include <memory>
 #include <string>
 
-#include "lm/language_model.h"
-#include "lm/mixture_model.h"
 #include "lm/ngram_model.h"
 #include "lm/paged_store.h"
 #include "lm/sampler.h"
@@ -22,24 +20,17 @@
 namespace multicast {
 namespace lm {
 
-/// Which conditional model architecture a profile decodes with.
-enum class BackendKind {
-  kNGram,    ///< Witten–Bell backoff n-gram (lm/ngram_model.h)
-  kMixture,  ///< CTW-style context-depth mixture (lm/mixture_model.h)
-};
-
 /// Everything needed to instantiate one simulated LLM back-end.
 struct ModelProfile {
   std::string name;
-  BackendKind backend = BackendKind::kNGram;
-  NGramOptions ngram;       // used when backend == kNGram
-  MixtureOptions mixture;   // used when backend == kMixture
+  NGramOptions ngram;
   SamplerOptions sampler;
 
-  /// Optional paged-memory pool handed to every model this profile
-  /// constructs (see lm/paged_store.h): session byte accounting always,
-  /// paged layer storage when the pool is enabled. Storage-only — model
-  /// output is bit-identical with or without it, so it is excluded from
+  /// Optional block pool shared by every model this profile constructs
+  /// (see lm/paged_store.h): their layers draw blocks from it and their
+  /// sessions' bytes are accounted in it. Null gives each model a
+  /// private unbounded pool. Storage-only — model output is
+  /// bit-identical with or without it, so it is excluded from
   /// ModelFingerprint (like the sampler).
   std::shared_ptr<BlockPool> memory_pool;
 
@@ -50,15 +41,6 @@ struct ModelProfile {
   /// Stand-in for Phi-2 (2.7B): short order, flattened backoff, higher
   /// noise and temperature — reproduces the ~2x RMSE gap of Table III.
   static ModelProfile Phi2();
-
-  /// An architecturally different back-end: the CTW-style context-depth
-  /// mixture with deep context and sharp decoding. Used by the back-end
-  /// ablation bench to probe the paper's conclusion that a different
-  /// (larger) model family changes MultiCast's accuracy — measured
-  /// here, the Witten–Bell n-gram remains the stronger pattern model at
-  /// these context lengths, an honest negative result recorded in
-  /// EXPERIMENTS.md.
-  static ModelProfile CtwMixture();
 };
 
 /// Stable 64-bit fingerprint of the *decode-state semantics* of a
@@ -67,15 +49,14 @@ struct ModelProfile {
 /// Sampler settings are deliberately excluded — they shape token
 /// *selection*, not the conditioning state a PrefixCache shares. Used as
 /// the cache-key namespace so caches shared across forecasters (serving,
-/// LLMTime dimensions) never mix states from different model families.
+/// LLMTime dimensions) never mix states from different profiles.
 uint64_t ModelFingerprint(const ModelProfile& profile, size_t vocab_size);
 
 /// Fresh empty decode session for `profile` over a `vocab_size`
 /// vocabulary. The single construction point every decode front-end
-/// (SimulatedLlm, the batch scheduler's session intake) goes through, so
-/// a profile maps to exactly one model family everywhere.
-std::unique_ptr<LanguageModel> NewDecoderModel(const ModelProfile& profile,
-                                               size_t vocab_size);
+/// (SimulatedLlm, the batch scheduler's session intake) goes through.
+std::unique_ptr<NGramLanguageModel> NewDecoderModel(
+    const ModelProfile& profile, size_t vocab_size);
 
 }  // namespace lm
 }  // namespace multicast

@@ -126,7 +126,7 @@ token::TokenId ForcedToken(const std::vector<bool>& allowed) {
   return forced;
 }
 
-Result<token::TokenId> SampleNextToken(const LanguageModel& model,
+Result<token::TokenId> SampleNextToken(const NGramLanguageModel& model,
                                        const std::vector<bool>& allowed,
                                        token::TokenId forced,
                                        const SamplerOptions& options,

@@ -5,7 +5,7 @@
 
 #include <vector>
 
-#include "lm/language_model.h"
+#include "lm/ngram_model.h"
 #include "token/vocabulary.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -62,7 +62,7 @@ token::TokenId ForcedToken(const std::vector<bool>& allowed);
 /// backend's distribution is strictly positive): one NextDouble above
 /// temperature 1e-6, none when greedy. So the token, and every later
 /// draw, are those of the unskipped loop.
-Result<token::TokenId> SampleNextToken(const LanguageModel& model,
+Result<token::TokenId> SampleNextToken(const NGramLanguageModel& model,
                                        const std::vector<bool>& allowed,
                                        token::TokenId forced,
                                        const SamplerOptions& options,

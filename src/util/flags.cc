@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/strings.h"
@@ -62,10 +64,17 @@ Result<int64_t> FlagSet::GetInt(const std::string& name,
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   long long v = std::strtoll(it->second.c_str(), &end, 10);
   if (end != it->second.c_str() + it->second.size() || it->second.empty()) {
     return Status::InvalidArgument("flag --" + name +
                                    " expects an integer, got '" +
+                                   it->second + "'");
+  }
+  // strtoll clamps an out-of-range value to the nearest bound.
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("flag --" + name +
+                                   " is outside the int64 range, got '" +
                                    it->second + "'");
   }
   return static_cast<int64_t>(v);
@@ -80,6 +89,12 @@ Result<double> FlagSet::GetDouble(const std::string& name,
   if (end != it->second.c_str() + it->second.size() || it->second.empty()) {
     return Status::InvalidArgument("flag --" + name +
                                    " expects a number, got '" +
+                                   it->second + "'");
+  }
+  // Spelled "nan"/"inf", or overflowed to inf: no flag takes either.
+  if (!std::isfinite(v)) {
+    return Status::InvalidArgument("flag --" + name +
+                                   " expects a finite number, got '" +
                                    it->second + "'");
   }
   return v;

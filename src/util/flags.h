@@ -34,10 +34,12 @@ class FlagSet {
   std::string GetString(const std::string& name,
                         const std::string& fallback) const;
 
-  /// Integer flag with default; errors on non-numeric values.
+  /// Integer flag with default; errors on non-numeric values and on
+  /// values outside int64.
   Result<int64_t> GetInt(const std::string& name, int64_t fallback) const;
 
-  /// Double flag with default; errors on non-numeric values.
+  /// Double flag with default; errors on non-numeric values and on NaN
+  /// or ±inf, spelled out or reached by overflow.
   Result<double> GetDouble(const std::string& name, double fallback) const;
 
   /// True when the boolean flag was passed.

@@ -1,5 +1,5 @@
-// Contract tests every LanguageModel backend must satisfy, run against
-// all implementations via a parameterized factory.
+// Contract tests the language model must satisfy, on its own and end to
+// end through SimulatedLlm, run through a parameterized factory.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <ostream>
 
 #include "lm/generator.h"
-#include "lm/mixture_model.h"
 #include "lm/ngram_model.h"
 #include "token/codec.h"
 
@@ -19,7 +18,7 @@ namespace {
 
 struct BackendCase {
   const char* name;
-  std::function<std::unique_ptr<LanguageModel>(size_t vocab)> make;
+  std::function<std::unique_ptr<NGramLanguageModel>(size_t vocab)> make;
   ModelProfile profile;  // for end-to-end generation checks
 };
 
@@ -34,15 +33,6 @@ BackendCase NGramCase() {
                                                         NGramOptions{});
           },
           ModelProfile::Llama2_7B()};
-}
-
-BackendCase MixtureCase() {
-  return {"mixture",
-          [](size_t vocab) {
-            return std::make_unique<MixtureLanguageModel>(vocab,
-                                                          MixtureOptions{});
-          },
-          ModelProfile::CtwMixture()};
 }
 
 class BackendContractTest : public testing::TestWithParam<BackendCase> {};
@@ -129,7 +119,7 @@ TEST_P(BackendContractTest, GeneratorDeterministicPerSeed) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendContractTest,
-                         testing::Values(NGramCase(), MixtureCase()),
+                         testing::Values(NGramCase()),
                          [](const testing::TestParamInfo<BackendCase>& info) {
                            return info.param.name;
                          });

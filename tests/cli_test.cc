@@ -159,6 +159,16 @@ TEST_F(CliTest, ForecastRejectsBadFlags) {
   EXPECT_FALSE(Run({"forecast", "--input", path_, "--profile", "gpt9"},
                    &out)
                    .ok());
+  // The retired CTW mixture back-end.
+  EXPECT_FALSE(Run({"forecast", "--input", path_, "--profile", "ctw"},
+                   &out)
+                   .ok());
+  EXPECT_FALSE(Run({"forecast", "--input", path_, "--chaos", "nan"}, &out)
+                   .ok());
+  EXPECT_FALSE(Run({"forecast", "--input", path_, "--seed",
+                    "99999999999999999999"},
+                   &out)
+                   .ok());
 }
 
 // Retired flags are unknown flags: a script that still passes one fails

@@ -32,7 +32,7 @@ inline Decoded ReferenceDecode(const lm::ModelProfile& profile, size_t vocab,
                                const std::vector<token::TokenId>& prompt,
                                size_t num_tokens, const lm::GrammarMask& mask,
                                uint64_t seed) {
-  std::unique_ptr<lm::LanguageModel> model =
+  std::unique_ptr<lm::NGramLanguageModel> model =
       lm::NewDecoderModel(profile, vocab);
   for (token::TokenId id : prompt) model->Observe(id);
   Rng rng(seed);
@@ -130,15 +130,12 @@ struct NamedProfile {
   lm::ModelProfile profile;
 };
 
-/// Both back-end families; the n-gram one also on a caller's pool
-/// (the others build private pools).
+/// The n-gram back-end on a private pool and on a caller's pool.
 inline std::vector<NamedProfile> Profiles() {
   lm::ModelProfile paged = lm::ModelProfile::Llama2_7B();
   paged.memory_pool =
       std::make_shared<lm::BlockPool>(lm::PagedMemoryOptions{});
-  return {{"ngram", lm::ModelProfile::Llama2_7B()},
-          {"ngram_paged", paged},
-          {"mixture", lm::ModelProfile::CtwMixture()}};
+  return {{"ngram", lm::ModelProfile::Llama2_7B()}, {"ngram_paged", paged}};
 }
 
 /// A serialized-digit prompt: `values` comma-terminated three-digit

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace multicast {
 namespace {
 
@@ -70,6 +72,28 @@ TEST(FlagsTest, BadNumericValuesRejected) {
   EXPECT_FALSE(f.GetInt("horizon", 0).ok());
   auto g = FlagSet::Parse({"--rate", "1.5x"}, kKnown).ValueOrDie();
   EXPECT_FALSE(g.GetDouble("rate", 0.0).ok());
+  // Outside int64: strtoll would clamp these to a bound.
+  for (const char* v : {"99999999999999999999", "-99999999999999999999",
+                        "9223372036854775808"}) {
+    auto h = FlagSet::Parse({"--horizon", v}, kKnown).ValueOrDie();
+    EXPECT_FALSE(h.GetInt("horizon", 0).ok()) << v;
+  }
+  // Not finite, spelled out or by overflow.
+  for (const char* v : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                        "1e999", "-1e999"}) {
+    auto r = FlagSet::Parse({"--rate", v}, kKnown).ValueOrDie();
+    EXPECT_FALSE(r.GetDouble("rate", 0.0).ok()) << v;
+  }
+  // The int64 bounds themselves, and a double that underflows toward
+  // zero, are still values.
+  auto lo = FlagSet::Parse({"--horizon", "-9223372036854775808"}, kKnown)
+                .ValueOrDie();
+  EXPECT_EQ(lo.GetInt("horizon", 0).ValueOrDie(), INT64_MIN);
+  auto hi = FlagSet::Parse({"--horizon", "9223372036854775807"}, kKnown)
+                .ValueOrDie();
+  EXPECT_EQ(hi.GetInt("horizon", 0).ValueOrDie(), INT64_MAX);
+  auto tiny = FlagSet::Parse({"--rate", "1e-999"}, kKnown).ValueOrDie();
+  EXPECT_TRUE(tiny.GetDouble("rate", 1.0).ok());
 }
 
 TEST(FlagsTest, NegativeAndFloatValues) {

@@ -185,10 +185,8 @@ TEST(NGramModelTest, MaxBaseLayersCompactsLongForkChains) {
     loose_model->ObserveAll(chunk);
     tight_model->Freeze();
     loose_model->Freeze();
-    auto tf = tight_model->Fork();
-    auto lf = loose_model->Fork();
-    tight_model.reset(static_cast<NGramLanguageModel*>(tf.release()));
-    loose_model.reset(static_cast<NGramLanguageModel*>(lf.release()));
+    tight_model = tight_model->Fork();
+    loose_model = loose_model->Fork();
   }
   EXPECT_LE(tight_model->num_base_layers(), 1u);
   EXPECT_EQ(loose_model->num_base_layers(), 5u);
@@ -268,7 +266,7 @@ TEST_P(DecodeStepTest, MatchesMapReferenceUnderRandomCalls) {
     };
     open_session();
     ReferenceNGram reference(c.vocab, c.options);
-    std::vector<std::unique_ptr<LanguageModel>> frozen;  // kept alive
+    std::vector<std::unique_ptr<NGramLanguageModel>> frozen;  // kept alive
     Rng rng(1234 + c.vocab);
     token::TokenId lead = 0;
     size_t motif_at = 0;
@@ -305,11 +303,11 @@ TEST_P(DecodeStepTest, MatchesMapReferenceUnderRandomCalls) {
         observe_run();
       } else if (u < c.reset_rate + c.fork_rate) {
         model->Freeze();
-        std::unique_ptr<LanguageModel> fork = model->Fork();
+        std::unique_ptr<NGramLanguageModel> fork = model->Fork();
         ExpectMatchesReference(*model, reference, step);  // frozen read
         frozen.push_back(std::move(model));
         if (frozen.size() > 3) frozen.erase(frozen.begin());
-        model.reset(static_cast<NGramLanguageModel*>(fork.release()));
+        model = std::move(fork);
         open_session();
         observe_run();
         ++forks;
@@ -425,7 +423,7 @@ TEST(NGramConcurrencyTest, FrozenModelReadsWhileForksDecode) {
     // One fork's decode: NextDistribution then Observe of its argmax,
     // folded into a checksum of every distribution it saw.
     auto decode = [&base](int steps) {
-      std::unique_ptr<LanguageModel> fork = base.Fork();
+      std::unique_ptr<NGramLanguageModel> fork = base.Fork();
       double checksum = 0.0;
       std::vector<double> probs;
       for (int i = 0; i < steps; ++i) {

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "lm/mixture_model.h"
 #include "lm/ngram_model.h"
 #include "lm/prefix_cache.h"
 #include "reference_models.h"
@@ -40,7 +39,8 @@ std::vector<token::TokenId> TokenStream(size_t n, size_t vocab,
 }
 
 // Bit-identity: every probability must be the exact same double.
-void ExpectSameDistribution(const LanguageModel& a, const LanguageModel& b) {
+void ExpectSameDistribution(const NGramLanguageModel& a,
+                            const NGramLanguageModel& b) {
   const std::vector<double> pa = a.NextDistribution();
   const std::vector<double> pb = b.NextDistribution();
   ASSERT_EQ(pa.size(), pb.size());
@@ -166,14 +166,6 @@ TEST(PagedContextStoreTest, InsertFindForEachAndIndexGrowth) {
     EXPECT_EQ(tag, k * 3);
   }
   EXPECT_EQ(store.Find(n + 1), nullptr);
-  // FindMutable hits the same slot.
-  std::byte* mut = store.FindMutable(7);
-  ASSERT_NE(mut, nullptr);
-  uint64_t updated = 99;
-  std::memcpy(mut, &updated, sizeof(updated));
-  uint64_t back = 0;
-  std::memcpy(&back, store.Find(7), sizeof(back));
-  EXPECT_EQ(back, 99u);
   // ForEach visits every live entry exactly once.
   size_t visited = 0;
   uint64_t key_sum = 0;
@@ -406,15 +398,14 @@ TEST(PagedContextStoreTest, MergeCompactNewestWinsAndCopiesShadowed) {
 }
 
 // The tentpole invariant: a paged model holds exactly the counts of the
-// map references (reference_models.h), so every distribution is bit-
-// identical to theirs — across observation, freeze/fork chains, base-
+// map reference (reference_models.h), so every distribution is bit-
+// identical to its own — across observation, freeze/fork chains, base-
 // layer compaction, pool exhaustion and u16 promotion. The exhaustion
 // cases run on a caller's capped pool, the others both on a model given
 // no pool (a private unbounded one) and on one given a caller's pool.
 
-template <typename Reference>
-void ExpectMatchesReference(const LanguageModel& model,
-                            const Reference& reference) {
+void ExpectMatchesReference(const NGramLanguageModel& model,
+                            const ReferenceNGram& reference) {
   const std::vector<double> got = model.NextDistribution();
   const std::vector<double> want = reference.NextDistribution();
   ASSERT_EQ(got.size(), want.size());
@@ -426,8 +417,8 @@ void ExpectMatchesReference(const LanguageModel& model,
 // Observes `rounds` x `per_round` tokens of `stream`, freezing and
 // forking after each round, and checks the model against the reference
 // every `check_every` tokens and at every round's end.
-template <typename Model, typename Reference>
-void RunForkChain(std::unique_ptr<Model>* model, Reference* reference,
+void RunForkChain(std::unique_ptr<NGramLanguageModel>* model,
+                  ReferenceNGram* reference,
                   const std::vector<token::TokenId>& stream, int rounds,
                   int per_round, int check_every) {
   size_t at = 0;
@@ -439,8 +430,7 @@ void RunForkChain(std::unique_ptr<Model>* model, Reference* reference,
     }
     ExpectMatchesReference(**model, *reference);
     (*model)->Freeze();
-    std::unique_ptr<LanguageModel> fork = (*model)->Fork();
-    model->reset(static_cast<Model*>(fork.release()));
+    *model = (*model)->Fork();
   }
   ExpectMatchesReference(**model, *reference);
 }
@@ -499,64 +489,6 @@ TEST(PagedModelIdentityTest, NGramWideCountPromotionStaysIdentical) {
   }
 }
 
-TEST(PagedModelIdentityTest, MixtureMatchesPlainThroughForkChains) {
-  const size_t vocab = 9;
-  MixtureOptions options;
-  options.max_base_layers = 2;
-  for (auto pool : {std::shared_ptr<BlockPool>(), MakePool(16, 0)}) {
-    SCOPED_TRACE(pool == nullptr ? "private pool" : "caller's pool");
-    auto model = std::make_unique<MixtureLanguageModel>(vocab, options, pool);
-    ReferenceMixture reference(vocab, options);
-    RunForkChain(&model, &reference, TokenStream(1800, vocab, 3),
-                 /*rounds=*/6, /*per_round=*/300, /*check_every=*/89);
-    EXPECT_EQ(model->num_nodes(), reference.num_nodes());
-    EXPECT_LE(model->num_base_layers(), 2u);
-  }
-}
-
-TEST(PagedModelIdentityTest, MixtureMatchesPlainUnderPoolExhaustion) {
-  const size_t vocab = 7;
-  auto pool = MakePool(/*block_span=*/4, /*max_blocks=*/2);
-  MixtureLanguageModel model(vocab, MixtureOptions{}, pool);
-  ReferenceMixture reference(vocab, MixtureOptions{});
-  const std::vector<token::TokenId> stream = TokenStream(1200, vocab, 17);
-  for (size_t i = 0; i < stream.size(); ++i) {
-    model.Observe(stream[i]);
-    reference.Observe(stream[i]);
-    if (i % 113 == 0) ExpectMatchesReference(model, reference);
-  }
-  ExpectMatchesReference(model, reference);
-  EXPECT_GT(pool->stats().exhaustion_events, 0u);
-  EXPECT_EQ(model.num_nodes(), reference.num_nodes());
-}
-
-TEST(PagedModelIdentityTest, MixtureWideCountPromotionStaysIdentical) {
-  const size_t vocab = 3;
-  for (auto pool : {std::shared_ptr<BlockPool>(), MakePool(16, 0)}) {
-    SCOPED_TRACE(pool == nullptr ? "private pool" : "caller's pool");
-    MixtureLanguageModel model(vocab, MixtureOptions{}, pool);
-    ReferenceMixture reference(vocab, MixtureOptions{});
-    // 0 1 0 1 ...: the nodes after "0" and after "1" each pass the u16
-    // ceiling and promote to wide overflow nodes, their own estimators
-    // winning until the log-odds weight rides the +30 clamp.
-    for (int i = 0; i < 140000; ++i) {
-      const token::TokenId id = static_cast<token::TokenId>(i % 2);
-      model.Observe(id);
-      reference.Observe(id);
-      if (i % 9973 == 0) ExpectMatchesReference(model, reference);
-    }
-    EXPECT_GT(reference.max_count(), 0xffffu);
-    ExpectMatchesReference(model, reference);
-    // A run of 0s: the wide nodes now lose, and their weights fall off
-    // the clamp.
-    for (int i = 0; i < 200; ++i) {
-      model.Observe(0);
-      reference.Observe(0);
-      ExpectMatchesReference(model, reference);
-    }
-  }
-}
-
 TEST(PagedModelIdentityTest, SessionEndFeedsPoolAccounting) {
   auto pool = MakePool(/*block_span=*/16, /*max_blocks=*/0);
   size_t entries = 0;
@@ -595,7 +527,7 @@ TEST(PagedEvictionLivenessTest, EvictedPrefixBlocksSurviveLiveForks) {
   auto pool = MakePool(/*block_span=*/8, /*max_blocks=*/0);
   PrefixCache cache(/*capacity=*/1);
   const uint64_t fingerprint = 0xFEEDu;
-  auto fresh = [&]() -> std::unique_ptr<LanguageModel> {
+  auto fresh = [&]() -> std::unique_ptr<NGramLanguageModel> {
     return std::make_unique<NGramLanguageModel>(vocab, NGramOptions{},
                                                 pool);
   };
@@ -603,7 +535,7 @@ TEST(PagedEvictionLivenessTest, EvictedPrefixBlocksSurviveLiveForks) {
   const std::vector<token::TokenId> prompt2 = TokenStream(300, vocab, 5);
 
   // N live forks off the cached prompt1 state.
-  std::vector<std::unique_ptr<LanguageModel>> forks;
+  std::vector<std::unique_ptr<NGramLanguageModel>> forks;
   for (int i = 0; i < 3; ++i) {
     forks.push_back(cache.AcquireSession(fingerprint, prompt1, fresh));
   }
@@ -639,7 +571,7 @@ TEST(PrefixCacheBytesTest, BytesGaugeTracksResidentState) {
   const size_t vocab = 13;
   auto pool = MakePool(/*block_span=*/8, /*max_blocks=*/0);
   PrefixCache cache(/*capacity=*/4);
-  auto fresh = [&]() -> std::unique_ptr<LanguageModel> {
+  auto fresh = [&]() -> std::unique_ptr<NGramLanguageModel> {
     return std::make_unique<NGramLanguageModel>(vocab, NGramOptions{},
                                                 pool);
   };
@@ -710,8 +642,7 @@ std::unique_ptr<NGramLanguageModel> MakeSession(
       model->Observe(id);
     }
     model->Freeze();
-    std::unique_ptr<LanguageModel> fork = model->Fork();
-    model.reset(static_cast<NGramLanguageModel*>(fork.release()));
+    model = model->Fork();
   }
   return model;
 }

@@ -1,8 +1,9 @@
-// Tests of the prefix-cache subsystem: the Freeze()/Fork() contract on
-// both model families (a fork fed the same tokens as a fresh model is
-// bit-identical), the cache's LRU/longest-prefix index mechanics, and
-// stats reconciliation against the token ledger. A multi-threaded
-// hammer at the end exercises the shared-cache locking for TSan.
+// Tests of the prefix-cache subsystem: the Freeze()/Fork() contract (a
+// fork fed the same tokens as a fresh model is bit-identical), the
+// cache's LRU/longest-prefix index mechanics, the model fingerprint that
+// namespaces it, and stats reconciliation against the token ledger. A
+// multi-threaded hammer at the end exercises the shared-cache locking
+// for TSan.
 
 #include "lm/prefix_cache.h"
 
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "lm/generator.h"
-#include "lm/mixture_model.h"
 #include "lm/ngram_model.h"
 #include "lm/profiles.h"
 #include "token/codec.h"
@@ -48,7 +48,7 @@ std::vector<token::TokenId> EncodeDigits(const std::string& text) {
 // Drives `fresh` and `forked` through the same continuation and asserts
 // the distributions match exactly at every step — including via the
 // in-place NextDistribution overload.
-void ExpectLockstep(LanguageModel* fresh, LanguageModel* forked,
+void ExpectLockstep(NGramLanguageModel* fresh, NGramLanguageModel* forked,
                     const std::vector<token::TokenId>& continuation) {
   std::vector<double> buf_fresh, buf_forked;
   for (size_t i = 0; i <= continuation.size(); ++i) {
@@ -69,7 +69,7 @@ void ExpectLockstep(LanguageModel* fresh, LanguageModel* forked,
 }
 
 // ---------------------------------------------------------------------
-// Fork equivalence: both model families, swept over options and splits.
+// Fork equivalence, swept over options and splits.
 // ---------------------------------------------------------------------
 
 struct NGramParam {
@@ -98,7 +98,7 @@ TEST_P(NGramForkTest, ForkMatchesFreshAtEverySplit) {
     for (size_t i = 0; i < split; ++i) base.Observe(prompt[i]);
     base.Freeze();
     EXPECT_TRUE(base.frozen());
-    std::unique_ptr<LanguageModel> fork = base.Fork();
+    std::unique_ptr<NGramLanguageModel> fork = base.Fork();
     ASSERT_NE(fork, nullptr);
     EXPECT_FALSE(fork->frozen());
     for (size_t i = split; i < prompt.size(); ++i) fork->Observe(prompt[i]);
@@ -117,105 +117,46 @@ INSTANTIATE_TEST_SUITE_P(
              "Mix" + std::to_string(info.param.uniform_mix > 0.0);
     });
 
-struct MixtureParam {
-  int max_depth;
-  double kt_alpha;
-  double depth_learning_rate;
-  double uniform_mix;
-};
-
-class MixtureForkTest : public testing::TestWithParam<MixtureParam> {};
-
-TEST_P(MixtureForkTest, ForkMatchesFreshAtEverySplit) {
-  MixtureOptions opts;
-  opts.max_depth = GetParam().max_depth;
-  opts.kt_alpha = GetParam().kt_alpha;
-  opts.depth_learning_rate = GetParam().depth_learning_rate;
-  opts.uniform_mix = GetParam().uniform_mix;
-  const std::vector<token::TokenId> prompt = TokenSeq(48, 3);
-  const std::vector<token::TokenId> continuation = TokenSeq(16, 19);
-  const size_t splits[] = {0, 1, prompt.size() / 2, prompt.size() - 1,
-                           prompt.size()};
-  for (size_t split : splits) {
-    SCOPED_TRACE("split=" + std::to_string(split));
-    MixtureLanguageModel fresh(kVocab, opts);
-    for (token::TokenId id : prompt) fresh.Observe(id);
-
-    MixtureLanguageModel base(kVocab, opts);
-    for (size_t i = 0; i < split; ++i) base.Observe(prompt[i]);
-    base.Freeze();
-    std::unique_ptr<LanguageModel> fork = base.Fork();
-    ASSERT_NE(fork, nullptr);
-    for (size_t i = split; i < prompt.size(); ++i) fork->Observe(prompt[i]);
-
-    ExpectLockstep(&fresh, fork.get(), continuation);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Options, MixtureForkTest,
-    testing::Values(MixtureParam{1, 0.5, 0.05, 1e-4},
-                    MixtureParam{3, 1.0, 0.0, 0.0},
-                    MixtureParam{8, 0.5, 0.05, 0.0}),
-    [](const testing::TestParamInfo<MixtureParam>& info) {
-      return "Depth" + std::to_string(info.param.max_depth) + "Alpha" +
-             std::to_string(static_cast<int>(info.param.kt_alpha * 10)) +
-             "Mix" + std::to_string(info.param.uniform_mix > 0.0);
-    });
-
 // Chained freeze -> fork -> extend -> freeze -> fork, deep enough to
 // cross the layer-compaction threshold: the final fork must still match
 // a monolithic model fed the concatenated stream, and earlier forks
 // keep working after compaction rewrites the layer stack.
 TEST(ForkChainTest, RepeatedFreezeForkStaysExactThroughCompaction) {
-  for (int family = 0; family < 2; ++family) {
-    SCOPED_TRACE(family == 0 ? "ngram" : "mixture");
-    std::unique_ptr<LanguageModel> chain;
-    std::unique_ptr<LanguageModel> mono;
-    if (family == 0) {
-      chain = std::make_unique<NGramLanguageModel>(kVocab, NGramOptions{});
-      mono = std::make_unique<NGramLanguageModel>(kVocab, NGramOptions{});
-    } else {
-      chain = std::make_unique<MixtureLanguageModel>(kVocab, MixtureOptions{});
-      mono = std::make_unique<MixtureLanguageModel>(kVocab, MixtureOptions{});
+  auto chain = std::make_unique<NGramLanguageModel>(kVocab, NGramOptions{});
+  NGramLanguageModel mono(kVocab, NGramOptions{});
+  // Frozen ancestors stay alive alongside their forks, as the cache
+  // holds them; compaction must not disturb them.
+  std::vector<std::unique_ptr<NGramLanguageModel>> ancestors;
+  const int kGenerations = 7;  // > kMaxBaseLayers, forces compaction
+  for (int g = 0; g < kGenerations; ++g) {
+    std::vector<token::TokenId> chunk = TokenSeq(9, 100 + g);
+    for (token::TokenId id : chunk) {
+      chain->Observe(id);
+      mono.Observe(id);
     }
-    // Frozen ancestors stay alive alongside their forks, as the cache
-    // holds them; compaction must not disturb them.
-    std::vector<std::unique_ptr<LanguageModel>> ancestors;
-    const int kGenerations = 7;  // > kMaxBaseLayers, forces compaction
-    for (int g = 0; g < kGenerations; ++g) {
-      std::vector<token::TokenId> chunk = TokenSeq(9, 100 + g);
-      for (token::TokenId id : chunk) {
-        chain->Observe(id);
-        mono->Observe(id);
-      }
-      EXPECT_EQ(chain->NextDistribution(), mono->NextDistribution())
-          << "generation " << g;
-      chain->Freeze();
-      std::unique_ptr<LanguageModel> next = chain->Fork();
-      ASSERT_NE(next, nullptr);
-      ancestors.push_back(std::move(chain));
-      chain = std::move(next);
-    }
-    EXPECT_EQ(chain->NextDistribution(), mono->NextDistribution());
+    EXPECT_EQ(chain->NextDistribution(), mono.NextDistribution())
+        << "generation " << g;
+    chain->Freeze();
+    std::unique_ptr<NGramLanguageModel> next = chain->Fork();
+    ancestors.push_back(std::move(chain));
+    chain = std::move(next);
   }
+  EXPECT_EQ(chain->NextDistribution(), mono.NextDistribution());
   // The layer stack is bounded: repeated freeze/fork compacts instead of
   // growing one layer per generation.
   NGramLanguageModel root(kVocab, NGramOptions{});
   for (token::TokenId id : TokenSeq(6, 0)) root.Observe(id);
   root.Freeze();
-  std::unique_ptr<LanguageModel> session = root.Fork();
-  std::vector<std::unique_ptr<LanguageModel>> keep;
+  std::unique_ptr<NGramLanguageModel> session = root.Fork();
+  std::vector<std::unique_ptr<NGramLanguageModel>> keep;
   for (int g = 1; g < 12; ++g) {
     for (token::TokenId id : TokenSeq(6, g)) session->Observe(id);
     session->Freeze();
-    std::unique_ptr<LanguageModel> fork = session->Fork();
+    std::unique_ptr<NGramLanguageModel> fork = session->Fork();
     keep.push_back(std::move(session));
     session = std::move(fork);
   }
-  auto* typed = dynamic_cast<NGramLanguageModel*>(session.get());
-  ASSERT_NE(typed, nullptr);
-  EXPECT_LE(typed->num_base_layers(), 5u);
+  EXPECT_LE(session->num_base_layers(), 5u);
 }
 
 // Two forks of one base diverge independently: tokens observed by one
@@ -225,19 +166,17 @@ TEST(ForkIsolationTest, SiblingForksDoNotLeakState)
   NGramLanguageModel base(kVocab, NGramOptions{});
   for (token::TokenId id : TokenSeq(30, 1)) base.Observe(id);
   base.Freeze();
-  std::unique_ptr<LanguageModel> a = base.Fork();
-  std::unique_ptr<LanguageModel> b = base.Fork();
+  std::unique_ptr<NGramLanguageModel> a = base.Fork();
+  std::unique_ptr<NGramLanguageModel> b = base.Fork();
   std::vector<double> before = b->NextDistribution();
   for (token::TokenId id : TokenSeq(20, 2)) a->Observe(id);
   // b and the base are untouched by a's writes.
   EXPECT_EQ(b->NextDistribution(), before);
-  std::unique_ptr<LanguageModel> c = base.Fork();
+  std::unique_ptr<NGramLanguageModel> c = base.Fork();
   EXPECT_EQ(c->NextDistribution(), before);
 }
 
-// Reset on a frozen model drops the base and un-freezes; Fork before
-// Freeze is rejected by returning null on a fresh model only after
-// Reset (the contract: Fork requires frozen()).
+// Reset on a frozen model drops the base and un-freezes.
 TEST(ForkContractTest, ResetUnfreezesToEmpty) {
   NGramLanguageModel model(kVocab, NGramOptions{});
   for (token::TokenId id : TokenSeq(10, 5)) model.Observe(id);
@@ -253,6 +192,50 @@ TEST(ForkContractTest, ResetUnfreezesToEmpty) {
 }
 
 // ---------------------------------------------------------------------
+// ModelFingerprint: the cache-key namespace. Two profiles may share
+// cached states only if every field that shapes a model's state is
+// equal; fields that shape only token selection or storage must not
+// split the cache.
+// ---------------------------------------------------------------------
+
+TEST(ModelFingerprintTest, BackEndProfilesDiffer) {
+  EXPECT_NE(ModelFingerprint(ModelProfile::Llama2_7B(), kVocab),
+            ModelFingerprint(ModelProfile::Phi2(), kVocab));
+}
+
+TEST(ModelFingerprintTest, VocabAndEveryFoldedOptionChangeIt) {
+  const ModelProfile base = ModelProfile::Llama2_7B();
+  const uint64_t fp = ModelFingerprint(base, kVocab);
+  EXPECT_EQ(ModelFingerprint(base, kVocab), fp);  // stable
+  EXPECT_NE(ModelFingerprint(base, kVocab + 1), fp);
+  ModelProfile order = base;
+  order.ngram.max_order = base.ngram.max_order - 1;
+  EXPECT_NE(ModelFingerprint(order, kVocab), fp);
+  ModelProfile boost = base;
+  boost.ngram.backoff_boost = base.ngram.backoff_boost + 0.5;
+  EXPECT_NE(ModelFingerprint(boost, kVocab), fp);
+  ModelProfile mix = base;
+  mix.ngram.uniform_mix = base.ngram.uniform_mix * 2.0;
+  EXPECT_NE(ModelFingerprint(mix, kVocab), fp);
+}
+
+TEST(ModelFingerprintTest, SamplerPoolAndStorageOptionsDoNot) {
+  const ModelProfile base = ModelProfile::Llama2_7B();
+  const uint64_t fp = ModelFingerprint(base, kVocab);
+  ModelProfile sampler = base;
+  sampler.sampler = ModelProfile::Phi2().sampler;
+  sampler.sampler.top_k = 3;
+  sampler.sampler.top_p = 0.8;
+  EXPECT_EQ(ModelFingerprint(sampler, kVocab), fp);
+  ModelProfile pooled = base;
+  pooled.memory_pool = std::make_shared<BlockPool>(PagedMemoryOptions{});
+  EXPECT_EQ(ModelFingerprint(pooled, kVocab), fp);
+  ModelProfile layers = base;
+  layers.ngram.max_base_layers = base.ngram.max_base_layers + 3;
+  EXPECT_EQ(ModelFingerprint(layers, kVocab), fp);
+}
+
+// ---------------------------------------------------------------------
 // PrefixCache index mechanics.
 // ---------------------------------------------------------------------
 
@@ -265,11 +248,11 @@ PrefixCache::ModelFactory NGramFactory() {
 TEST(PrefixCacheTest, MissThenFullHit) {
   PrefixCache cache(4);
   const std::vector<token::TokenId> prompt = TokenSeq(32, 1);
-  std::unique_ptr<LanguageModel> first =
+  std::unique_ptr<NGramLanguageModel> first =
       cache.AcquireSession(1, prompt, NGramFactory());
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->context_length(), prompt.size());
-  std::unique_ptr<LanguageModel> second =
+  std::unique_ptr<NGramLanguageModel> second =
       cache.AcquireSession(1, prompt, NGramFactory());
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(second->NextDistribution(), first->NextDistribution());
@@ -297,7 +280,7 @@ TEST(PrefixCacheTest, LongestPrefixIsExtendedBySuffixReplay) {
   ASSERT_EQ(cache.size(), 2u);
 
   // The full prompt extends the *longest* cached prefix (30 tokens).
-  std::unique_ptr<LanguageModel> session =
+  std::unique_ptr<NGramLanguageModel> session =
       cache.AcquireSession(1, prompt, NGramFactory());
   ASSERT_NE(session, nullptr);
   PrefixCacheStats s = cache.stats();
@@ -319,7 +302,7 @@ TEST(PrefixCacheTest, MatchingIsByteExactNotJustLength) {
   std::vector<token::TokenId> b = TokenSeq(24, 2);  // same length, differs
   ASSERT_NE(a, b);
   cache.Warm(1, a, NGramFactory());
-  std::unique_ptr<LanguageModel> session =
+  std::unique_ptr<NGramLanguageModel> session =
       cache.AcquireSession(1, b, NGramFactory());
   ASSERT_NE(session, nullptr);
   EXPECT_EQ(cache.stats().full_hits, 0u);
@@ -372,7 +355,7 @@ TEST(PrefixCacheTest, CapacityZeroDisablesTheCacheEntirely) {
   // Every acquisition is a miss served by a fresh full-replay session —
   // bit-identical to the cached path, just without the reuse.
   for (int round = 0; round < 3; ++round) {
-    std::unique_ptr<LanguageModel> session =
+    std::unique_ptr<NGramLanguageModel> session =
         cache.AcquireSession(1, prompt, NGramFactory());
     ASSERT_NE(session, nullptr);
     EXPECT_EQ(session->context_length(), prompt.size());
@@ -399,7 +382,7 @@ TEST(PrefixCacheTest, EvictedBaseStaysValidForLiveForkedSessions) {
   std::vector<token::TokenId> p2 = TokenSeq(24, 2);
   // The session forked off p1's frozen base keeps the base alive via
   // shared ownership even after the LRU slot is stolen.
-  std::unique_ptr<LanguageModel> session =
+  std::unique_ptr<NGramLanguageModel> session =
       cache.AcquireSession(1, p1, NGramFactory());
   ASSERT_NE(session, nullptr);
   cache.Warm(1, p2, NGramFactory());  // capacity 1: evicts p1's entry
@@ -517,8 +500,7 @@ TEST(PrefixCacheLedgerTest, LedgerStaysLogicalWhileStatsCountReplay) {
 TEST(PrefixCacheLedgerTest, CachedAndUncachedCompletionsAreIdentical) {
   const std::vector<token::TokenId> prompt = EncodeDigits("17,23,17,23,");
   for (const ModelProfile& profile :
-       {ModelProfile::Llama2_7B(), ModelProfile::Phi2(),
-        ModelProfile::CtwMixture()}) {
+       {ModelProfile::Llama2_7B(), ModelProfile::Phi2()}) {
     SCOPED_TRACE(profile.name);
     SimulatedLlm uncached(profile, kVocab);
     SimulatedLlm cached(profile, kVocab, std::make_shared<PrefixCache>(8));
