@@ -282,6 +282,39 @@ void BM_MultiCastForecast(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiCastForecast);
 
+// Table VII's sweep: one MultiCast (DI) forecast of Gas Rate with n =
+// 5, 10 and 20 samples on a warm prefix cache. Items are draws. The
+// draws of a forecast share the distributions of the prefixes they
+// agree on (DESIGN.md §5m), so the time per draw falls as n grows;
+// BM_MultiCastDrawsUnshared decodes the same draws through an external
+// backend, which has no draw trie, and so costs about the same per draw
+// at every n.
+void MultiCastDraws(benchmark::State& state, bool shared) {
+  ts::Frame history = data::MakeGasRate().ValueOrDie().Head(236);
+  forecast::MultiCastOptions opts;
+  opts.num_samples = static_cast<int>(state.range(0));
+  opts.block_pool = std::make_shared<lm::BlockPool>(lm::PagedMemoryOptions{});
+  lm::ModelProfile profile = opts.profile;
+  profile.memory_pool = opts.block_pool;
+  lm::SimulatedLlm external(profile, token::Vocabulary::Digits().size(),
+                            std::make_shared<lm::PrefixCache>(4));
+  if (!shared) opts.backend = &external;
+  forecast::MultiCastForecaster forecaster(opts);
+  for (auto _ : state) {
+    auto result = forecaster.Forecast(history, 24);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+void BM_MultiCastDraws(benchmark::State& state) {
+  MultiCastDraws(state, /*shared=*/true);
+}
+void BM_MultiCastDrawsUnshared(benchmark::State& state) {
+  MultiCastDraws(state, /*shared=*/false);
+}
+BENCHMARK(BM_MultiCastDraws)->Arg(5)->Arg(10)->Arg(20);
+BENCHMARK(BM_MultiCastDrawsUnshared)->Arg(5)->Arg(10)->Arg(20);
+
 void BM_ArimaFit(benchmark::State& state) {
   ts::Frame frame = data::MakeGasRate().ValueOrDie();
   const std::vector<double>& v = frame.dim(1).values();

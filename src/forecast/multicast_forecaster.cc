@@ -125,7 +125,8 @@ struct BackendStack {
 BackendStack BuildDrawStack(const MultiCastOptions& options,
                             size_t vocab_size, VirtualClock* clock,
                             lm::LlmBackend* external, uint64_t draw_index,
-                            const std::shared_ptr<lm::PrefixCache>& cache) {
+                            const std::shared_ptr<lm::PrefixCache>& cache,
+                            lm::DrawTrie::Log* draws) {
   BackendStack stack;
   if (external != nullptr) {
     stack.top = external;
@@ -142,8 +143,10 @@ BackendStack BuildDrawStack(const MultiCastOptions& options,
       stack.base = std::make_unique<batch::BatchLlm>(
           options.profile, vocab_size, options.batch_scheduler, cache);
     } else {
-      stack.base = std::make_unique<lm::SimulatedLlm>(options.profile,
-                                                      vocab_size, cache);
+      // The forecast's draw trie is the other: read-only while draws
+      // run, and each draw writes only its own Log (see lm::DrawTrie).
+      stack.base = std::make_unique<lm::SimulatedLlm>(
+          options.profile, vocab_size, cache, draws);
     }
     stack.top = stack.base.get();
   }
@@ -253,6 +256,8 @@ struct DrawOutcome {
   std::vector<std::vector<double>> values;  // [dim][t]
   size_t salvaged = 0;       // timestamps (raw) / segments (SAX) kept
   size_t salvage_total = 0;  // what a full draw would have covered
+  /// The draw-trie nodes this draw decoded, published after its wave.
+  lm::DrawTrie::Log draws;
 };
 
 // Everything a draw worker needs that is shared — read-only — across
@@ -274,6 +279,9 @@ struct SampleLoopState {
   /// with this forecast's prompt; null when caching is off or an
   /// external backend is in play.
   std::shared_ptr<lm::PrefixCache> cache;
+  /// What earlier waves' draws decoded (lm::DrawTrie); null when the
+  /// draws decode through a batch scheduler or an external backend.
+  const lm::DrawTrie* trie = nullptr;
   std::function<Status(const std::string& text, DrawOutcome* out)> parse;
   const char* salvage_noun = "timestamps";
 };
@@ -294,9 +302,10 @@ DrawOutcome RunDraw(const SampleLoopState& st, int draw_index, Rng rng,
   // draw_ctx.cancel is a fresh token: the shared token is not
   // thread-safe (reads mutate auto-cancel state), so cancellation is
   // observed at draw granularity by the merge loop instead.
-  BackendStack stack =
-      BuildDrawStack(*st.options, st.vocab->size(), &branch, st.external,
-                     static_cast<uint64_t>(draw_index), st.cache);
+  out.draws = lm::DrawTrie::Log(st.trie);
+  BackendStack stack = BuildDrawStack(
+      *st.options, st.vocab->size(), &branch, st.external,
+      static_cast<uint64_t>(draw_index), st.cache, &out.draws);
   Result<SampleDraw> draw_or =
       DrawSample(stack.top, *st.prompt, st.tokens_needed, *st.mask, &rng,
                  *st.mux, *st.widths, *st.vocab, draw_ctx, &out.ledger);
@@ -369,9 +378,12 @@ Status FinishSampling(const MultiCastOptions& options, int survivors,
 // bit-identical for every thread count; threads only change wall-clock.
 // Draws dispatched speculatively past a stop (target reached, context
 // dead, terminal error) are discarded unmerged, exactly as if a serial
-// loop had never issued them.
+// loop had never issued them. Draws on the simulated decoder share one
+// draw trie: each wave reads what earlier waves published, and the
+// wave's Logs are published in draw-index order after it (at threads =
+// 1 every wave is one draw, so every later draw sees every earlier one).
 Status RunSampleLoop(const MultiCastOptions& options,
-                     const SampleLoopState& st, const RequestContext& ctx,
+                     SampleLoopState st, const RequestContext& ctx,
                      VirtualClock* clock, uint64_t rng_stream,
                      ThreadPool* pool, size_t dims,
                      std::vector<std::vector<std::vector<double>>>*
@@ -388,6 +400,13 @@ Status RunSampleLoop(const MultiCastOptions& options,
   std::vector<Rng> draw_rngs;
   draw_rngs.reserve(static_cast<size_t>(max_draws));
   for (int s = 0; s < max_draws; ++s) draw_rngs.push_back(rng.Fork());
+  std::optional<lm::DrawTrie> trie;
+  if (max_draws > 1 && st.external == nullptr &&
+      options.batch_scheduler == nullptr) {
+    trie.emplace(options.profile, st.vocab->size(), *st.prompt,
+                 st.tokens_needed, *st.mask);
+    st.trie = &*trie;
+  }
 
   const int threads = pool != nullptr ? pool->size() : 1;
   const double t0 = clock->now();
@@ -412,6 +431,7 @@ Status RunSampleLoop(const MultiCastOptions& options,
     const int wave = std::min(std::min(threads, max_draws - s),
                               target - survivors);
     std::vector<std::future<DrawOutcome>> inflight;
+    std::vector<lm::DrawTrie::Log> wave_draws;
     if (pool != nullptr && wave > 1) {
       inflight.reserve(static_cast<size_t>(wave));
       for (int k = 0; k < wave; ++k) {
@@ -430,6 +450,7 @@ Status RunSampleLoop(const MultiCastOptions& options,
               ? RunDraw(st, idx, draw_rngs[static_cast<size_t>(idx)], t0,
                         deadline)
               : inflight[static_cast<size_t>(k)].get();
+      if (trie.has_value()) wave_draws.push_back(std::move(out.draws));
       if (stopped || !terminal.ok() || survivors >= target) continue;
       if (k > 0) {
         // Merging earlier draws advanced the shared clock; re-check the
@@ -470,6 +491,8 @@ Status RunSampleLoop(const MultiCastOptions& options,
       }
       ++survivors;
     }
+    // Every draw of the wave is done: none reads the trie now.
+    for (lm::DrawTrie::Log& draws : wave_draws) trie->Publish(&draws);
     s += wave;
   }
   MC_RETURN_IF_ERROR(terminal);

@@ -10,6 +10,7 @@
 #include "lm/backend.h"
 #include "lm/prefix_cache.h"
 #include "lm/profiles.h"
+#include "lm/sampler.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -55,6 +56,103 @@ Result<DecodeSession> OpenDecodeSession(
     PrefixCache* cache, const std::vector<token::TokenId>& prompt,
     size_t num_tokens, const GrammarMask& mask);
 
+/// What the draws of one forecast decoded, keyed by generated prefix
+/// (DESIGN.md §5m, "Shared-prefix draw decoding").
+///
+/// A draw's model state is a function of the prompt and of the tokens
+/// it has generated, so two draws that have generated the same prefix
+/// compute bit-identical NextDistributions and sampler weights. A node
+/// is one model step (a position the grammar does not force) reached by
+/// one prefix, and holds that step's final sampler weights (after
+/// temperature, logit bias, top-k and top-p), or its token when the
+/// sampler is greedy; its children are keyed by the token drawn there.
+/// Forced positions need no node: the grammar fixes their tokens, so the
+/// tokens drawn at model steps spell the whole prefix.
+///
+/// A SimulatedLlm handed a Log of the trie walks it: while its prefix
+/// is one an earlier draw published, a model step costs only its own RNG
+/// draw and CDF walk over the node's weights (no NextDistribution, no
+/// pow, no Observe), and the tokens walked are kept back. At its first
+/// unseen node the draw ingests them with one ObserveAll, then decodes
+/// as usual, recording the nodes it adds in its Log.
+///
+/// No locks: while a wave of draws runs the trie is only read, each draw
+/// writes only its own Log, and the owner publishes the Logs, in draw-
+/// index order, once the wave is done. A Complete call whose profile,
+/// vocabulary, prompt or grammar differ from the trie's decodes without
+/// it.
+class DrawTrie {
+ public:
+  /// A trie for `num_tokens`-token generations of `profile` over a
+  /// `vocab_size` vocabulary after `prompt`, constrained by `mask`.
+  DrawTrie(const ModelProfile& profile, size_t vocab_size,
+           std::vector<token::TokenId> prompt, size_t num_tokens,
+           const GrammarMask& mask);
+
+  /// The nodes one draw added past the published trie, in the order it
+  /// decoded them. Publish hands them to the trie.
+  class Log {
+   public:
+    /// A Log of `trie`; null makes a Log that decodes without one.
+    explicit Log(const DrawTrie* trie = nullptr) : trie_(trie) {}
+    /// Nodes logged: model steps this Log's draws computed afresh.
+    size_t size() const { return entries_.size(); }
+
+   private:
+    friend class DrawTrie;
+    struct Entry {
+      /// A published node, kNone for the root, or Logged(j) for this
+      /// Log's entry j.
+      int32_t parent;
+      /// The token drawn at `parent` that leads here.
+      token::TokenId edge;
+      token::TokenId greedy;
+    };
+    const DrawTrie* trie_;
+    std::vector<Entry> entries_;
+    /// vocab_size weights per entry.
+    std::vector<double> weights_;
+  };
+
+  /// Adds what `log` recorded and the trie does not hold yet, and empties
+  /// it. Call while no draw walks the trie, once per draw, in draw-index
+  /// order.
+  void Publish(Log* log);
+
+  /// Published nodes: model steps whose weights the next draw can reuse.
+  size_t size() const { return greedy_.size(); }
+
+ private:
+  friend class SimulatedLlm;
+  class Walk;
+
+  static constexpr int32_t kNone = -1;
+  static int32_t Logged(size_t entry) {
+    return -2 - static_cast<int32_t>(entry);
+  }
+
+  /// Whether a Complete over `prompt` with session grammar `cycle` on a
+  /// back-end of `fingerprint` and `sampler` may use this trie.
+  bool Matches(uint64_t fingerprint, const SamplerOptions& sampler,
+               const std::vector<token::TokenId>& prompt,
+               const std::vector<GrammarMask::Shared>& cycle) const;
+
+  uint64_t fingerprint_;
+  SamplerOptions sampler_;
+  size_t vocab_;
+  std::vector<token::TokenId> prompt_;
+  /// The hoisted grammar; empty when the mask did not hoist (the trie is
+  /// then never used).
+  std::vector<GrammarMask::Shared> cycle_;
+  /// Node i (node 0 is the root, the first model step) draws from
+  /// weights_[i * vocab_, (i + 1) * vocab_), or is greedy_[i] when that
+  /// is not kNotForced. children_[i * vocab_ + t] is the node reached by
+  /// drawing t at node i, kNone until published.
+  std::vector<double> weights_;
+  std::vector<int32_t> children_;
+  std::vector<token::TokenId> greedy_;
+};
+
 /// One simulated LLM back-end: a profile plus the decoding loop.
 ///
 /// Each Complete() call behaves like one stateless API call to a hosted
@@ -69,13 +167,21 @@ Result<DecodeSession> OpenDecodeSession(
 /// preserved: forks never see each other's tokens), minus the redundant
 /// ingestion work. The cache may be shared across SimulatedLlm instances
 /// and threads.
+///
+/// With a DrawTrie Log attached, the model steps that an earlier draw
+/// of the trie already decoded are drawn from the published weights
+/// instead of recomputed; the tokens, ledger and RNG state are those of
+/// the plain loop.
 class SimulatedLlm final : public LlmBackend {
  public:
   /// `vocab_size` must match the vocabulary the prompt was encoded with.
   /// `prefix_cache` may be null (every call then replays its prompt) and
   /// is not owned exclusively: any number of backends can share one.
+  /// `draws` (may be null) is this back-end's Log of the DrawTrie its
+  /// calls share; it must outlive the back-end.
   SimulatedLlm(const ModelProfile& profile, size_t vocab_size,
-               std::shared_ptr<PrefixCache> prefix_cache = nullptr);
+               std::shared_ptr<PrefixCache> prefix_cache = nullptr,
+               DrawTrie::Log* draws = nullptr);
 
   std::string name() const override { return profile_.name; }
   size_t vocab_size() const override { return vocab_size_; }
@@ -101,6 +207,7 @@ class SimulatedLlm final : public LlmBackend {
   ModelProfile profile_;
   size_t vocab_size_;
   std::shared_ptr<PrefixCache> cache_;
+  DrawTrie::Log* draws_ = nullptr;
   /// Cache-key namespace; see ModelFingerprint in lm/profiles.h.
   uint64_t fingerprint_ = 0;
 };

@@ -173,12 +173,10 @@ std::unique_ptr<NGramLanguageModel> PrefixCache::AcquireSession(
 void PrefixCache::Warm(uint64_t fingerprint,
                        const std::vector<token::TokenId>& prompt,
                        const ModelFactory& fresh) {
+  // A disabled cache stores nothing, so there is nothing to warm.
+  if (capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_ == 0) {
-    ReplayLocked(prompt, fresh);
-  } else {
-    EnsureLocked(fingerprint, prompt, fresh);
-  }
+  EnsureLocked(fingerprint, prompt, fresh);
 }
 
 void PrefixCache::InsertLocked(

@@ -19,15 +19,12 @@ Status ValidateShapes(const std::vector<double>& probs,
 
 }  // namespace
 
-Result<token::TokenId> SampleToken(const std::vector<double>& probs,
-                                   const std::vector<bool>& allowed,
-                                   const SamplerOptions& options, Rng* rng) {
+Status SamplerWeights(const std::vector<double>& probs,
+                      const std::vector<bool>& allowed,
+                      const SamplerOptions& options,
+                      std::vector<double>* out) {
   MC_RETURN_IF_ERROR(ValidateShapes(probs, allowed));
-  if (options.temperature <= 1e-6) return GreedyToken(probs, allowed);
-
-  // One weights buffer per thread, reused across tokens: decode calls
-  // this once per generated token.
-  thread_local std::vector<double> weights;
+  std::vector<double>& weights = *out;
   weights.assign(probs.size(), 0.0);
   double inv_t = 1.0 / options.temperature;
   double max_allowed = 0.0;
@@ -94,7 +91,17 @@ Result<token::TokenId> SampleToken(const std::vector<double>& probs,
       weights[order[j]] = 0.0;
     }
   }
+  return Status::OK();
+}
 
+Result<token::TokenId> SampleToken(const std::vector<double>& probs,
+                                   const std::vector<bool>& allowed,
+                                   const SamplerOptions& options, Rng* rng) {
+  if (IsGreedy(options)) return GreedyToken(probs, allowed);
+  // One weights buffer per thread, reused across tokens: decode calls
+  // this once per generated token.
+  thread_local std::vector<double> weights;
+  MC_RETURN_IF_ERROR(SamplerWeights(probs, allowed, options, &weights));
   return static_cast<token::TokenId>(rng->SampleDiscrete(weights));
 }
 
@@ -134,7 +141,7 @@ Result<token::TokenId> SampleNextToken(const NGramLanguageModel& model,
   if (forced != kNotForced) {
     // SampleToken's draw over weights with one nonzero entry: a single
     // NextDouble that always lands on it. (Its greedy test, negated.)
-    if (!(options.temperature <= 1e-6)) rng->NextDouble();
+    if (!IsGreedy(options)) rng->NextDouble();
     return forced;
   }
   model.NextDistribution(probs);

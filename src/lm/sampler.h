@@ -30,11 +30,30 @@ struct SamplerOptions {
   /// the paper observed in the weaker Phi-2 back-end (Fig. 2b) — which,
   /// unlike sampling noise, the median aggregation cannot remove.
   double logit_bias_slope = 0.0;
+
+  bool operator==(const SamplerOptions&) const = default;
 };
 
+/// Temperatures at or below 1e-6 decode greedily: GreedyToken, no RNG
+/// draw.
+inline bool IsGreedy(const SamplerOptions& options) {
+  return options.temperature <= 1e-6;
+}
+
+/// The final weights SampleToken draws from above the greedy
+/// temperature: `probs` restricted to `allowed`, tempered, logit-biased
+/// and cut to top-k then top-p, written into `*weights` (resized to
+/// probs.size()). Errors when no allowed token has positive probability.
+Status SamplerWeights(const std::vector<double>& probs,
+                      const std::vector<bool>& allowed,
+                      const SamplerOptions& options,
+                      std::vector<double>* weights);
+
 /// Samples a token id from `probs` restricted to `allowed` (LLMTime's
-/// "[0-9,]" output constraint generalized to a position grammar).
-/// Errors when no allowed token has positive probability.
+/// "[0-9,]" output constraint generalized to a position grammar):
+/// GreedyToken when IsGreedy, else Rng::SampleDiscrete over
+/// SamplerWeights. Errors when no allowed token has positive
+/// probability.
 Result<token::TokenId> SampleToken(const std::vector<double>& probs,
                                    const std::vector<bool>& allowed,
                                    const SamplerOptions& options, Rng* rng);

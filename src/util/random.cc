@@ -68,7 +68,7 @@ double Rng::NextGaussian(double mean, double stddev) {
   return mean + stddev * NextGaussian();
 }
 
-int Rng::SampleDiscrete(const std::vector<double>& weights) {
+int Rng::SampleDiscrete(std::span<const double> weights) {
   MC_CHECK(!weights.empty());
   double total = 0.0;
   for (double w : weights) {

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -41,10 +42,13 @@ class Rng {
   /// Normal with given mean and standard deviation.
   double NextGaussian(double mean, double stddev);
 
-  /// Samples an index from an (unnormalized, non-negative) weight vector.
-  /// Returns weights.size()-1 on accumulated floating-point shortfall.
-  /// At least one weight must be positive.
-  int SampleDiscrete(const std::vector<double>& weights);
+  /// Samples an index from (unnormalized, non-negative) weights, read in
+  /// place. Returns weights.size()-1 on accumulated floating-point
+  /// shortfall. At least one weight must be positive.
+  int SampleDiscrete(std::span<const double> weights);
+  int SampleDiscrete(const std::vector<double>& weights) {
+    return SampleDiscrete(std::span<const double>(weights));
+  }
 
   /// Fisher–Yates shuffles `v` in place.
   template <typename T>

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "decode_reference.h"
 #include "token/codec.h"
@@ -163,6 +166,211 @@ TEST(GeneratorTest, ForcedPositionsMatchTheUnskippedLoop) {
         }
       }
     }
+  }
+}
+
+// Draws over one DrawTrie, one wave per draw as at threads = 1: the
+// k-th draw walks what the k - 1 before it published. Every draw must
+// give the tokens, ledger and RNG state of the plain loop with its own
+// seed, for every back-end, grammar and sampler, with and without a
+// prefix cache.
+TEST(DrawTrieTest, SequentialDrawsMatchTheReferenceLoop) {
+  namespace ref = decode_reference;
+  const std::vector<token::TokenId> prompt = ref::DigitPrompt(60);
+  const size_t num_tokens = 42;
+  const int draws = 6;
+  for (const ref::NamedProfile& base : ref::Profiles()) {
+    for (const ref::NamedSampler& sampler : ref::Samplers()) {
+      ModelProfile profile = base.profile;
+      profile.sampler = sampler.options;
+      for (const ref::NamedMask& mask : ref::ForcedMasks()) {
+        for (bool cached : {false, true}) {
+          SCOPED_TRACE(base.name + " " + sampler.name + " " + mask.name +
+                       (cached ? " cached" : " uncached"));
+          auto cache = cached ? std::make_shared<PrefixCache>(2) : nullptr;
+          DrawTrie trie(profile, ref::kVocab, prompt, num_tokens, mask.mask);
+          size_t logged = 0;
+          for (int k = 0; k < draws; ++k) {
+            const uint64_t seed = 100 + static_cast<uint64_t>(k);
+            const ref::Decoded want = ref::ReferenceDecode(
+                profile, ref::kVocab, prompt, num_tokens, mask.mask, seed);
+            DrawTrie::Log log(&trie);
+            SimulatedLlm llm(profile, ref::kVocab, cache, &log);
+            Rng rng(seed);
+            auto got = llm.Complete(prompt, num_tokens, mask.mask, &rng);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            EXPECT_EQ(got.value().tokens, want.tokens) << "draw " << k;
+            EXPECT_EQ(got.value().ledger.prompt_tokens, prompt.size());
+            EXPECT_EQ(got.value().ledger.generated_tokens, num_tokens);
+            EXPECT_EQ(rng.NextUint32(), want.rng_next) << "draw " << k;
+            logged += log.size();
+            trie.Publish(&log);
+            EXPECT_EQ(log.size(), 0u);
+          }
+          // Sequential draws never log a node twice.
+          EXPECT_EQ(trie.size(), logged);
+          EXPECT_GT(trie.size(), 0u);
+        }
+      }
+    }
+  }
+}
+
+// Draws of one wave run concurrently: each reads only what earlier waves
+// published and logs privately; the wave's Logs are published in draw
+// order after it. Two draws of a wave that decode the same new prefix
+// both log it, and Publish keeps one node. (Run under TSan in CI.)
+TEST(DrawTrieTest, ConcurrentWavesMatchTheReferenceLoop) {
+  namespace ref = decode_reference;
+  const std::vector<token::TokenId> prompt = ref::DigitPrompt(60);
+  const size_t num_tokens = 42;
+  const int waves = 3;
+  const int width = 4;
+  for (const ref::NamedMask& mask : ref::ForcedMasks()) {
+    for (bool cached : {false, true}) {
+      SCOPED_TRACE(mask.name + (cached ? " cached" : " uncached"));
+      const ModelProfile profile = ModelProfile::Llama2_7B();
+      auto cache = cached ? std::make_shared<PrefixCache>(2) : nullptr;
+      DrawTrie trie(profile, ref::kVocab, prompt, num_tokens, mask.mask);
+      for (int w = 0; w < waves; ++w) {
+        std::vector<DrawTrie::Log> logs;
+        for (int k = 0; k < width; ++k) logs.emplace_back(&trie);
+        std::vector<Result<GenerationResult>> got(
+            width, Status::Internal("not run"));
+        std::vector<uint32_t> rng_next(width);
+        std::vector<std::thread> threads;
+        for (int k = 0; k < width; ++k) {
+          threads.emplace_back([&, k] {
+            SimulatedLlm llm(profile, ref::kVocab, cache, &logs[k]);
+            Rng rng(500 + static_cast<uint64_t>(w * width + k));
+            got[k] = llm.Complete(prompt, num_tokens, mask.mask, &rng);
+            rng_next[k] = rng.NextUint32();
+          });
+        }
+        for (std::thread& t : threads) t.join();
+        const size_t before = trie.size();
+        size_t logged = 0;
+        for (int k = 0; k < width; ++k) {
+          const ref::Decoded want = ref::ReferenceDecode(
+              profile, ref::kVocab, prompt, num_tokens, mask.mask,
+              500 + static_cast<uint64_t>(w * width + k));
+          ASSERT_TRUE(got[k].ok()) << got[k].status().ToString();
+          EXPECT_EQ(got[k].value().tokens, want.tokens) << w << "/" << k;
+          EXPECT_EQ(rng_next[k], want.rng_next) << w << "/" << k;
+          logged += logs[k].size();
+          trie.Publish(&logs[k]);
+        }
+        EXPECT_LE(trie.size(), before + logged);
+        // Every wave's first model step is the root, which the first
+        // wave's four draws all logged and Publish kept once.
+        if (w == 0) EXPECT_LT(trie.size(), logged);
+      }
+    }
+  }
+}
+
+TEST(DrawTrieTest, RepeatedDrawComputesNoNewDistribution) {
+  namespace ref = decode_reference;
+  const std::vector<token::TokenId> prompt = ref::DigitPrompt(40);
+  const lm::GrammarMask mask = ref::ForcedMasks()[0].mask;
+  const ModelProfile profile = ModelProfile::Llama2_7B();
+  for (bool cached : {false, true}) {
+    auto cache = cached ? std::make_shared<PrefixCache>(2) : nullptr;
+    DrawTrie trie(profile, ref::kVocab, prompt, 35, mask);
+    std::vector<token::TokenId> first;
+    for (int k = 0; k < 2; ++k) {
+      DrawTrie::Log log(&trie);
+      SimulatedLlm llm(profile, ref::kVocab, cache, &log);
+      Rng rng(9);
+      auto got = llm.Complete(prompt, 35, mask, &rng);
+      ASSERT_TRUE(got.ok());
+      if (k == 0) {
+        // 35 tokens of a 7-token cycle whose last position is forced.
+        EXPECT_EQ(log.size(), 30u);
+        first = got.value().tokens;
+      } else {
+        EXPECT_EQ(log.size(), 0u);
+        EXPECT_EQ(got.value().tokens, first);
+      }
+      trie.Publish(&log);
+    }
+    EXPECT_EQ(trie.size(), 30u);
+  }
+}
+
+TEST(DrawTrieTest, SamplerErrorPropagatesAndLogsNoPartialNode) {
+  namespace ref = decode_reference;
+  const std::vector<token::TokenId> prompt = ref::DigitPrompt(40);
+  // Step 2 allows no token: ForcedToken finds none, so it is a model
+  // step whose SamplerWeights (or GreedyToken) fails.
+  auto digits = std::make_shared<const std::vector<bool>>(
+      std::vector<bool>(ref::kVocab, true));
+  auto none = std::make_shared<const std::vector<bool>>(
+      std::vector<bool>(ref::kVocab, false));
+  const GrammarMask mask(
+      [=](size_t step) { return step == 2 ? none : digits; });
+  for (const ref::NamedSampler& sampler : ref::Samplers()) {
+    SCOPED_TRACE(sampler.name);
+    ModelProfile profile = ModelProfile::Llama2_7B();
+    profile.sampler = sampler.options;
+    SimulatedLlm plain(profile, ref::kVocab);
+    Rng plain_rng(4);
+    const Status want = plain.Complete(prompt, 6, mask, &plain_rng).status();
+    ASSERT_FALSE(want.ok());
+    DrawTrie trie(profile, ref::kVocab, prompt, 6, mask);
+    for (int k = 0; k < 2; ++k) {
+      DrawTrie::Log log(&trie);
+      SimulatedLlm llm(profile, ref::kVocab, nullptr, &log);
+      Rng rng(4);
+      const Status got = llm.Complete(prompt, 6, mask, &rng).status();
+      EXPECT_EQ(got.code(), want.code());
+      EXPECT_EQ(got.message(), want.message());
+      // The two complete model steps before the failing one; the second
+      // draw walks them and fails at the same step.
+      EXPECT_EQ(log.size(), k == 0 ? 2u : 0u);
+      trie.Publish(&log);
+      EXPECT_EQ(trie.size(), 2u);
+    }
+  }
+}
+
+TEST(DrawTrieTest, CallsTheTrieWasNotMadeForDecodeWithoutIt) {
+  namespace ref = decode_reference;
+  const std::vector<token::TokenId> prompt = ref::DigitPrompt(40);
+  const std::vector<token::TokenId> other = ref::DigitPrompt(41);
+  const std::vector<ref::NamedMask> masks = ref::ForcedMasks();
+  ModelProfile profile = ModelProfile::Llama2_7B();
+  ModelProfile hotter = profile;
+  hotter.sampler.temperature = 1.1;
+  DrawTrie trie(profile, ref::kVocab, prompt, 28, masks[0].mask);
+  DrawTrie::Log seed_log(&trie);
+  SimulatedLlm seeder(profile, ref::kVocab, nullptr, &seed_log);
+  Rng seed_rng(1);
+  ASSERT_TRUE(seeder.Complete(prompt, 28, masks[0].mask, &seed_rng).ok());
+  trie.Publish(&seed_log);
+  struct Case {
+    std::string name;
+    ModelProfile profile;
+    std::vector<token::TokenId> prompt;
+    GrammarMask mask;
+  };
+  const std::vector<Case> cases = {
+      {"prompt", profile, other, masks[0].mask},
+      {"sampler", hotter, prompt, masks[0].mask},
+      {"grammar", profile, prompt, masks[1].mask},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ref::Decoded want =
+        ref::ReferenceDecode(c.profile, ref::kVocab, c.prompt, 28, c.mask, 1);
+    DrawTrie::Log log(&trie);
+    SimulatedLlm llm(c.profile, ref::kVocab, nullptr, &log);
+    Rng rng(1);
+    auto got = llm.Complete(c.prompt, 28, c.mask, &rng);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value().tokens, want.tokens);
+    EXPECT_EQ(rng.NextUint32(), want.rng_next);
+    EXPECT_EQ(log.size(), 0u);
   }
 }
 

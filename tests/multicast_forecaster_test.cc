@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "forecast/llmtime_forecaster.h"
+#include "lm/generator.h"
 #include "metrics/metrics.h"
+#include "token/vocabulary.h"
+#include "util/random.h"
 #include "ts/split.h"
 
 namespace multicast {
@@ -188,6 +194,158 @@ TEST(MultiCastForecasterTest, TokenCostScalesWithSamples) {
   size_t t5 = total_for(5);
   size_t t10 = total_for(10);
   EXPECT_EQ(t10, 2 * t5);  // Table VII: time doubles with samples
+}
+
+// PeriodicFrame plus seeded noise: draws agree on some prefixes and
+// part ways after others.
+ts::Frame NoisyFrame(size_t n) {
+  Rng rng(23);
+  std::vector<double> a(n), b(n);
+  for (size_t i = 0; i < n; ++i) {
+    double phase = 2.0 * M_PI * static_cast<double>(i) / 12.0;
+    a[i] = 10.0 + 5.0 * std::sin(phase) + rng.NextGaussian(0.0, 1.5);
+    b[i] = 50.0 - 20.0 * std::sin(phase) + rng.NextGaussian(0.0, 4.0);
+  }
+  return ts::Frame::FromSeries({ts::Series(a, "a"), ts::Series(b, "b")},
+                               "noisy")
+      .ValueOrDie();
+}
+
+// Everything a forecast reports that its draws decide.
+void ExpectSameForecast(const Result<ForecastResult>& want,
+                        const Result<ForecastResult>& got) {
+  ASSERT_EQ(want.ok(), got.ok()) << want.status().ToString() << " vs "
+                                 << got.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(want.status().ToString(), got.status().ToString());
+    return;
+  }
+  const ForecastResult& a = want.value();
+  const ForecastResult& b = got.value();
+  ASSERT_EQ(a.forecast.num_dims(), b.forecast.num_dims());
+  for (size_t d = 0; d < a.forecast.num_dims(); ++d) {
+    EXPECT_EQ(a.forecast.dim(d).values(), b.forecast.dim(d).values());
+  }
+  ASSERT_EQ(a.quantile_bands.size(), b.quantile_bands.size());
+  for (size_t q = 0; q < a.quantile_bands.size(); ++q) {
+    EXPECT_EQ(a.quantile_bands[q].first, b.quantile_bands[q].first);
+    for (size_t d = 0; d < a.forecast.num_dims(); ++d) {
+      EXPECT_EQ(a.quantile_bands[q].second.dim(d).values(),
+                b.quantile_bands[q].second.dim(d).values());
+    }
+  }
+  EXPECT_EQ(a.warnings, b.warnings);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.ledger.prompt_tokens, b.ledger.prompt_tokens);
+  EXPECT_EQ(a.ledger.generated_tokens, b.ledger.generated_tokens);
+  EXPECT_EQ(a.samples_requested, b.samples_requested);
+  EXPECT_EQ(a.samples_used, b.samples_used);
+  EXPECT_EQ(a.virtual_seconds, b.virtual_seconds);
+}
+
+// Draws on the internal simulated decoder share one draw trie per
+// forecast (lm::DrawTrie); an external SimulatedLlm decodes every draw
+// in full. The two must agree on every pipeline, sample count, thread
+// count and cache setting, clean and under chaos with retries and
+// redraws.
+TEST(MultiCastForecasterTest, SharedPrefixDrawsMatchUnsharedDecode) {
+  const ts::Frame frame = NoisyFrame(60);
+  const size_t horizon = 7;
+  struct Pipeline {
+    std::string name;
+    Quantization quantization;
+    multiplex::MuxKind mux;
+    size_t vocab;
+  };
+  const std::vector<Pipeline> pipelines = {
+      {"DI", Quantization::kNone, multiplex::MuxKind::kDigitInterleave, 11},
+      {"VI", Quantization::kNone, multiplex::MuxKind::kValueInterleave, 11},
+      {"VC", Quantization::kNone, multiplex::MuxKind::kValueConcat, 11},
+      {"SAX-alpha", Quantization::kSaxAlphabetic,
+       multiplex::MuxKind::kValueInterleave,
+       token::Vocabulary::SaxAlphabetic(5).ValueOrDie().size()},
+      {"SAX-digit", Quantization::kSaxDigital,
+       multiplex::MuxKind::kDigitInterleave,
+       token::Vocabulary::SaxDigital(5).ValueOrDie().size()},
+      {"LLMTime", Quantization::kNone, multiplex::MuxKind::kValueConcat, 11},
+  };
+  enum class Cache { kOn, kOff, kCapacityZero };
+  for (const Pipeline& pipeline : pipelines) {
+    for (int samples : {1, 5, 20}) {
+      for (int threads : {1, 4}) {
+        for (Cache cache : {Cache::kOn, Cache::kOff, Cache::kCapacityZero}) {
+          for (bool chaos : {false, true}) {
+            SCOPED_TRACE(pipeline.name + " n=" + std::to_string(samples) +
+                         " threads=" + std::to_string(threads) + " cache=" +
+                         std::to_string(static_cast<int>(cache)) +
+                         (chaos ? " chaos" : ""));
+            const lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
+            lm::SimulatedLlm unshared(profile, pipeline.vocab);
+            ResilienceConfig resilience;
+            lm::FaultProfile faults;
+            if (chaos) {
+              faults = lm::FaultProfile::Chaos(0.2, 99);
+              resilience.retries_enabled = true;
+              resilience.retry.max_attempts = 3;
+              resilience.max_redraws = 4;
+            }
+            Result<ForecastResult> want = Status::Internal("unset");
+            Result<ForecastResult> got = Status::Internal("unset");
+            if (pipeline.name == "LLMTime") {
+              LlmTimeOptions opts;
+              opts.num_samples = samples;
+              opts.threads = threads;
+              opts.faults = faults;
+              opts.resilience = resilience;
+              opts.prefix_cache = cache != Cache::kOff;
+              opts.prefix_cache_capacity = cache == Cache::kOn ? 64 : 0;
+              got = LlmTimeForecaster(opts).Forecast(frame, horizon);
+              opts.backend = &unshared;
+              want = LlmTimeForecaster(opts).Forecast(frame, horizon);
+            } else {
+              MultiCastOptions opts;
+              opts.quantization = pipeline.quantization;
+              opts.mux = pipeline.mux;
+              opts.num_samples = samples;
+              opts.threads = threads;
+              opts.quantiles = {0.1, 0.9};
+              opts.faults = faults;
+              opts.resilience = resilience;
+              opts.prefix_cache = cache != Cache::kOff;
+              opts.prefix_cache_capacity = cache == Cache::kOn ? 64 : 0;
+              got = MultiCastForecaster(opts).Forecast(frame, horizon);
+              opts.backend = &unshared;
+              want = MultiCastForecaster(opts).Forecast(frame, horizon);
+            }
+            ExpectSameForecast(want, got);
+          }
+        }
+      }
+    }
+  }
+}
+
+// A capacity-0 cache is off: the forecast is the uncached one, and the
+// cache replays the prompt once per draw, with no warm-up replay before
+// the draws fan out.
+TEST(MultiCastForecasterTest, CapacityZeroCacheReplaysOncePerDraw) {
+  const ts::Frame frame = PeriodicFrame(60);
+  MultiCastOptions opts;
+  opts.num_samples = 5;
+  opts.prefix_cache = false;
+  auto uncached = MultiCastForecaster(opts).Forecast(frame, 8);
+  opts.prefix_cache = true;
+  opts.prefix_cache_capacity = 0;
+  MultiCastForecaster disabled(opts);
+  auto result = disabled.Forecast(frame, 8);
+  ExpectSameForecast(uncached, result);
+  ASSERT_TRUE(result.ok());
+  const size_t prompt = result.value().ledger.prompt_tokens / 5;
+  const lm::PrefixCacheStats stats = disabled.prefix_cache()->stats();
+  EXPECT_EQ(stats.lookups, 5u);
+  EXPECT_EQ(stats.misses, 5u);
+  EXPECT_EQ(stats.prompt_tokens_replayed, 5 * prompt);
+  EXPECT_EQ(disabled.prefix_cache()->size(), 0u);
 }
 
 TEST(MultiCastForecasterTest, SaxUsesFarFewerTokens) {

@@ -347,9 +347,10 @@ TEST(PrefixCacheTest, CapacityZeroDisablesTheCacheEntirely) {
   PrefixCache cache(0);
   EXPECT_EQ(cache.capacity(), 0u);
   std::vector<token::TokenId> prompt = TokenSeq(16, 1);
-  // Warm is a counted no-op: nothing is ever stored.
+  // Warm is a no-op: nothing is built, counted or stored.
   cache.Warm(1, prompt, NGramFactory());
   EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().lookups, 0u);
   EXPECT_EQ(cache.stats().insertions, 0u);
 
   // Every acquisition is a miss served by a fresh full-replay session —
@@ -364,11 +365,11 @@ TEST(PrefixCacheTest, CapacityZeroDisablesTheCacheEntirely) {
     EXPECT_EQ(session->NextDistribution(), fresh.NextDistribution());
   }
   PrefixCacheStats s = cache.stats();
-  EXPECT_EQ(s.lookups, 4u);  // warm + 3 acquires
-  EXPECT_EQ(s.misses, 4u);
+  EXPECT_EQ(s.lookups, 3u);  // the 3 acquires
+  EXPECT_EQ(s.misses, 3u);
   EXPECT_EQ(s.hits(), 0u);
   EXPECT_EQ(s.evictions, 0u);
-  EXPECT_EQ(s.prompt_tokens_replayed, 4 * prompt.size());
+  EXPECT_EQ(s.prompt_tokens_replayed, 3 * prompt.size());
   EXPECT_EQ(s.prompt_tokens_reused, 0u);
   EXPECT_EQ(cache.size(), 0u);
   // Clear on a disabled cache is harmless too.

@@ -107,6 +107,7 @@ if [[ "${run_tsan}" == "1" ]]; then
   TSAN_TESTS=(
     thread_pool_test
     ngram_model_test
+    generator_test
     metrics_test
     metrics_registry_test
     prefix_cache_test
