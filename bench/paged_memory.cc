@@ -16,19 +16,20 @@
 //     on the same entries. The pool counts each session's distinct
 //     overlay keys; the map column is that count times one map entry's
 //     malloc-model bytes (MapEntryBytes, tests/reference_models.h).
-//  3. Pressure: a pool capped far below the workload's working set must
-//     degrade, never fail — once with a forecaster that spills entries
-//     to an overflow map (identical output, exhaustion events counted),
-//     and once through a ServeExecutor whose overload ladder reads the
-//     pool's fullness and demotes/sheds requests while the run still
-//     completes every request.
+//  3. Pressure: a pool whose block budget is far below the workload's
+//     working set must degrade, never fail — once with a forecaster
+//     that allocates past the budget (identical output, every block
+//     over it counted as an exhaustion event), and once through a
+//     ServeExecutor whose overload ladder reads the pool's fullness and
+//     demotes/sheds requests while the run still completes every
+//     request.
 //
 // Run from the repo root: ./build/bench/paged_memory [--smoke]
 // Writes BENCH_paged.json plus BENCH_paged_metrics.json (the headline
 // paged pool's lm.mem.* counters through the util::WriteMetricsJson
 // path the sims share). Exits non-zero when any cell diverges, the
-// bytes/session reduction is below 2x, the exhaustion run diverges or
-// sees no exhaustion, or the pressure scenario fails to demote.
+// bytes/session reduction is below 2x, the over-budget run diverges or
+// never goes over its budget, or the pressure scenario fails to demote.
 
 #include <cstring>
 #include <memory>
@@ -56,8 +57,9 @@ struct RunResult {
   lm::BlockPoolStats pool;
 };
 
-// One forecast under the given schedule, on a pool of span 32 that
-// `pool_blocks` caps (0 = unbounded) for the exhaustion scenario.
+// One forecast under the given schedule, on a pool of span 32 whose
+// block budget is `pool_blocks` (0 = unbounded) for the exhaustion
+// scenario.
 RunResult RunForecast(const ts::Frame& train, size_t horizon, int threads,
                       size_t batch, size_t pool_blocks = 0) {
   forecast::MultiCastOptions opts =
@@ -249,12 +251,12 @@ int Main(bool smoke) {
   }
   std::printf("%s\n", table.Render().c_str());
 
-  // Exhaustion: a pool capped at 8 blocks spills most of the working
-  // set to overflow maps — output must not move, events must count.
+  // Exhaustion: a pool budgeted at 8 blocks holds most of the working
+  // set over budget — output must not move, events must count.
   RunResult exhausted = RunForecast(split.train, kHorizon, /*threads=*/2,
                                     /*batch=*/1, /*pool_blocks=*/8);
   const bool exhausted_identical = Identical(exhausted, baseline);
-  std::printf("exhaustion: pool capped at 8 blocks -> %zu events, "
+  std::printf("exhaustion: pool budget of 8 blocks -> %zu events, "
               "identical %s\n",
               exhausted.pool.exhaustion_events,
               exhausted_identical ? "yes" : "NO");
@@ -350,14 +352,14 @@ int Main(bool smoke) {
   }
   if (!exhausted_identical) {
     std::fprintf(stderr,
-                 "FAIL: pool exhaustion changed the forecast — the spill "
-                 "path must be bit-identical\n");
+                 "FAIL: going over the pool budget changed the forecast "
+                 "— it must be bit-identical\n");
     status = 1;
   }
   if (exhausted.pool.exhaustion_events == 0) {
     std::fprintf(stderr,
                  "FAIL: the 8-block pool saw no exhaustion events — the "
-                 "scenario never hit the cap\n");
+                 "scenario never went over its budget\n");
     status = 1;
   }
   if (shed.completed != shed.requests) {

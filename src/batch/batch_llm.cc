@@ -25,6 +25,7 @@ Result<lm::GenerationResult> BatchLlm::Complete(
                       lm::OpenDecodeSession(profile_, vocab_size_,
                                             fingerprint_, cache_.get(), prompt,
                                             num_tokens, mask));
+  session.model->ReserveDecode(num_tokens);
 
   lm::GenerationResult result;
   // Logical prompt size, cached or not — same ledger contract as

@@ -2,11 +2,11 @@
 //
 // A drop-in replacement for lm::SimulatedLlm at the bottom of the
 // per-draw backend stack: the session is opened (prompt validated,
-// grammar cycle hoisted, PrefixCache fork or fresh replay, sized for the
-// generation) by lm::OpenDecodeSession, as the sequential decoder opens
-// it — but instead of running its own token loop, Complete() submits the
-// primed session to the scheduler and blocks in Await(), where it
-// cooperatively drives the shared batch.
+// grammar cycle hoisted, PrefixCache fork or fresh replay) by
+// lm::OpenDecodeSession and sized for the generation at once, as the
+// sequential decoder opens it — but instead of running its own token
+// loop, Complete() submits the primed session to the scheduler and
+// blocks in Await(), where it cooperatively drives the shared batch.
 // Draws submitted concurrently (sample-loop threads, LLMTime dimensions,
 // other in-flight requests sharing the scheduler) decode together, one
 // token per session per step.

@@ -1167,8 +1167,8 @@ std::string UsageText() {
       "            refill: 1 continuous, 0 gang)]\n"
       "            [--block-span 32 (4..65536; session state pages in\n"
       "            pooled blocks, output is bit-identical)]\n"
-      "            [--pool-blocks N (0 = unbounded; at the cap entries\n"
-      "            spill to an overflow map)]\n"
+      "            [--pool-blocks N (0 = unbounded; a block budget:\n"
+      "            blocks past it are still served and counted)]\n"
       "            chaos/resilience: [--chaos 0.2] [--chaos-seed N]\n"
       "            [--retries 3] [--redraws 4] [--fallback]\n"
       "            [--classical-fallback (end the chain on the classical\n"

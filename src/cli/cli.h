@@ -103,9 +103,9 @@ struct MethodSpec {
   bool paged_memory = false;
   /// Payload slots per block (--block-span, in [4, 65536]).
   int block_span = 32;
-  /// Pool live-block cap (--pool-blocks); 0 = unbounded. At the cap new
-  /// entries spill to an overflow map (still bit-identical) and pool
-  /// fullness feeds the overload ladder in the sims.
+  /// Pool live-block budget (--pool-blocks); 0 = unbounded. Blocks past
+  /// it are still served (bit-identical) and counted as exhaustion
+  /// events, and pool fullness feeds the overload ladder in the sims.
   int pool_blocks = 0;
   /// Externally shared pool (serve-sim wires one across all requests of
   /// a method); when unset, MakeForecaster creates one pool for the

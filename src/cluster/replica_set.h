@@ -98,7 +98,8 @@ struct UniformReplicaOptions {
   /// Replica::block_pool null (a pool per pipeline).
   bool paged_memory = false;
   /// Pool geometry when paged_memory is set (same semantics as
-  /// forecast::MultiCastOptions::block_span / pool_blocks).
+  /// forecast::MultiCastOptions::block_span / pool_blocks: the cap is a
+  /// block budget whose fullness the ladder reads).
   size_t block_span = 32;
   size_t pool_blocks = 0;
 };

@@ -65,8 +65,8 @@ struct LlmTimeOptions {
   /// semantics — and the same bit-identity guarantee — as the
   /// MultiCastOptions fields of the same names): one pool for all
   /// dimensions, so cross-dimension frozen prompt state shares blocks
-  /// by refcount. Built from `block_span`/`pool_blocks` unless an
-  /// external `block_pool` is given.
+  /// by refcount. Built from `block_span`/`pool_blocks` (a block
+  /// budget, not a hard cap) unless an external `block_pool` is given.
   size_t block_span = 32;
   size_t pool_blocks = 0;
   std::shared_ptr<lm::BlockPool> block_pool;

@@ -499,6 +499,64 @@ Status RunSampleLoop(const MultiCastOptions& options,
   return FinishSampling(options, survivors, last_failure, result);
 }
 
+// The half of a forecast the raw and SAX pipelines share once they have
+// serialized the history: `st` holds the prompt, the tokens to draw, the
+// mux layout, the vocabulary and the parse. Checks an external backend
+// against the vocabulary and serializes it unless it is thread-safe,
+// pre-warms the prefix cache, draws the samples on the request's clock
+// and aggregates the survivors.
+Result<ForecastResult> SampleAndAggregate(
+    const MultiCastOptions& options,
+    const std::shared_ptr<lm::PrefixCache>& prefix_cache, ThreadPool* pool,
+    SampleLoopState st, uint64_t rng_stream, const ts::Frame& history,
+    size_t horizon, const RequestContext& ctx, const Timer& timer) {
+  if (options.backend != nullptr &&
+      options.backend->vocab_size() != st.vocab->size()) {
+    return Status::InvalidArgument(StrFormat(
+        "external backend vocabulary size %zu does not match the "
+        "pipeline's %zu",
+        options.backend->vocab_size(), st.vocab->size()));
+  }
+  const lm::GrammarMask mask =
+      StructuredMask(*st.mux, *st.widths, *st.vocab);
+  VirtualClock local_clock;
+  VirtualClock* clock = ctx.clock != nullptr ? ctx.clock : &local_clock;
+  const double virtual_start = clock->now();
+  std::optional<lm::SerializedBackend> serialized;
+  st.options = &options;
+  st.mask = &mask;
+  st.external = options.backend;
+  if (st.external != nullptr && !options.backend_thread_safe) {
+    serialized.emplace(st.external);
+    st.external = &*serialized;
+  }
+  // Pre-warm the prompt's frozen state once before any draws fan out:
+  // every draw — serial or parallel — then forks the same full cache
+  // hit instead of racing to build it. External backends own their own
+  // state and are never cached here.
+  if (options.backend == nullptr && prefix_cache != nullptr) {
+    st.cache = prefix_cache;
+    lm::SimulatedLlm warmer(options.profile, st.vocab->size(), st.cache);
+    MC_RETURN_IF_ERROR(warmer.WarmPrefix(*st.prompt));
+  }
+
+  // samples_per_dim[d][s] is sample s of dimension d (possibly a
+  // salvaged prefix shorter than the draw asked for).
+  const size_t dims = history.num_dims();
+  std::vector<std::vector<std::vector<double>>> samples_per_dim(dims);
+  ForecastResult result;
+  MC_RETURN_IF_ERROR(RunSampleLoop(options, std::move(st), ctx, clock,
+                                   rng_stream, pool, dims, &samples_per_dim,
+                                   &result));
+  // The median across surviving samples (+ quantile bands), per
+  // dimension and timestamp.
+  MC_RETURN_IF_ERROR(FillAggregates(samples_per_dim, history,
+                                    options.quantiles, horizon, &result));
+  result.seconds = timer.Seconds();
+  result.virtual_seconds = clock->now() - virtual_start;
+  return result;
+}
+
 }  // namespace
 
 const char* QuantizationName(Quantization q) {
@@ -607,48 +665,14 @@ Result<ForecastResult> MultiCastForecaster::ForecastRaw(
                       token::Encode(stream, vocab));
 
   // 4. Draw constrained continuations through per-draw backend stacks,
-  // redrawing failed samples up to the resilience cap.
-  size_t tokens_needed = horizon * mux->TokensPerTimestamp(widths);
-  lm::GrammarMask mask = StructuredMask(*mux, widths, vocab);
-  if (options_.backend != nullptr &&
-      options_.backend->vocab_size() != vocab.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "external backend vocabulary size %zu does not match the "
-        "pipeline's %zu",
-        options_.backend->vocab_size(), vocab.size()));
-  }
-  VirtualClock local_clock;
-  VirtualClock* clock = ctx.clock != nullptr ? ctx.clock : &local_clock;
-  const double virtual_start = clock->now();
-  std::optional<lm::SerializedBackend> serialized;
-  lm::LlmBackend* external = options_.backend;
-  if (external != nullptr && !options_.backend_thread_safe) {
-    serialized.emplace(external);
-    external = &*serialized;
-  }
-
-  // samples_per_dim[d][s] is sample s of dimension d (possibly a
-  // salvaged prefix shorter than `horizon`).
-  std::vector<std::vector<std::vector<double>>> samples_per_dim(dims);
-  ForecastResult result;
+  // redrawing failed samples up to the resilience cap, then (6.) take
+  // the median of the survivors.
   SampleLoopState st;
-  st.options = &options_;
   st.prompt = &prompt;
-  st.tokens_needed = tokens_needed;
-  st.mask = &mask;
+  st.tokens_needed = horizon * mux->TokensPerTimestamp(widths);
   st.mux = mux.get();
   st.widths = &widths;
   st.vocab = &vocab;
-  st.external = external;
-  // Pre-warm the prompt's frozen state once before any draws fan out:
-  // every draw — serial or parallel — then forks the same full cache
-  // hit instead of racing to build it. External backends own their own
-  // state and are never cached here.
-  if (options_.backend == nullptr && prefix_cache_ != nullptr) {
-    st.cache = prefix_cache_;
-    lm::SimulatedLlm warmer(options_.profile, vocab.size(), st.cache);
-    MC_RETURN_IF_ERROR(warmer.WarmPrefix(prompt));
-  }
   st.salvage_noun = "timestamps";
   st.parse = [&mux, &widths, &params, dims, horizon](
                  const std::string& text, DrawOutcome* out) -> Status {
@@ -673,17 +697,8 @@ Result<ForecastResult> MultiCastForecaster::ForecastRaw(
     }
     return Status::OK();
   };
-  MC_RETURN_IF_ERROR(RunSampleLoop(options_, st, ctx, clock,
-                                   /*rng_stream=*/7, Pool(), dims,
-                                   &samples_per_dim, &result));
-
-  // 6. Median across surviving samples (+ quantile bands), per dimension
-  // and timestamp.
-  MC_RETURN_IF_ERROR(FillAggregates(samples_per_dim, history,
-                                    options_.quantiles, horizon, &result));
-  result.seconds = timer.Seconds();
-  result.virtual_seconds = clock->now() - virtual_start;
-  return result;
+  return SampleAndAggregate(options_, prefix_cache_, Pool(), std::move(st),
+                            /*rng_stream=*/7, history, horizon, ctx, timer);
 }
 
 Result<ForecastResult> MultiCastForecaster::ForecastSax(
@@ -733,44 +748,14 @@ Result<ForecastResult> MultiCastForecaster::ForecastSax(
   size_t segments_needed =
       (horizon + static_cast<size_t>(options_.sax_segment_length) - 1) /
       static_cast<size_t>(options_.sax_segment_length);
-  size_t tokens_needed = segments_needed * mux->TokensPerTimestamp(widths);
-  lm::GrammarMask mask = StructuredMask(*mux, widths, vocab);
-  if (options_.backend != nullptr &&
-      options_.backend->vocab_size() != vocab.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "external backend vocabulary size %zu does not match the "
-        "pipeline's %zu",
-        options_.backend->vocab_size(), vocab.size()));
-  }
-  VirtualClock local_clock;
-  VirtualClock* clock = ctx.clock != nullptr ? ctx.clock : &local_clock;
-  const double virtual_start = clock->now();
-  std::optional<lm::SerializedBackend> serialized;
-  lm::LlmBackend* external = options_.backend;
-  if (external != nullptr && !options_.backend_thread_safe) {
-    serialized.emplace(external);
-    external = &*serialized;
-  }
-
   const size_t segment_length =
       static_cast<size_t>(options_.sax_segment_length);
-  std::vector<std::vector<std::vector<double>>> samples_per_dim(dims);
-  ForecastResult result;
   SampleLoopState st;
-  st.options = &options_;
   st.prompt = &prompt;
-  st.tokens_needed = tokens_needed;
-  st.mask = &mask;
+  st.tokens_needed = segments_needed * mux->TokensPerTimestamp(widths);
   st.mux = mux.get();
   st.widths = &widths;
   st.vocab = &vocab;
-  st.external = external;
-  // Same pre-warm as the raw pipeline (see ForecastRaw).
-  if (options_.backend == nullptr && prefix_cache_ != nullptr) {
-    st.cache = prefix_cache_;
-    lm::SimulatedLlm warmer(options_.profile, vocab.size(), st.cache);
-    MC_RETURN_IF_ERROR(warmer.WarmPrefix(prompt));
-  }
   st.salvage_noun = "segments";
   st.parse = [&mux, &widths, &codecs, dims, horizon, segments_needed,
               segment_length](const std::string& text,
@@ -798,15 +783,8 @@ Result<ForecastResult> MultiCastForecaster::ForecastSax(
     }
     return Status::OK();
   };
-  MC_RETURN_IF_ERROR(RunSampleLoop(options_, st, ctx, clock,
-                                   /*rng_stream=*/11, Pool(), dims,
-                                   &samples_per_dim, &result));
-
-  MC_RETURN_IF_ERROR(FillAggregates(samples_per_dim, history,
-                                    options_.quantiles, horizon, &result));
-  result.seconds = timer.Seconds();
-  result.virtual_seconds = clock->now() - virtual_start;
-  return result;
+  return SampleAndAggregate(options_, prefix_cache_, Pool(), std::move(st),
+                            /*rng_stream=*/11, history, horizon, ctx, timer);
 }
 
 Result<std::vector<double>> MedianAggregate(

@@ -130,9 +130,9 @@ struct MultiCastOptions {
   ///
   /// Payload slots per block.
   size_t block_span = 32;
-  /// Pool-wide live-block cap; 0 = unbounded. When the cap is hit, new
-  /// entries spill to an overflow map (bit-identical, counted as
-  /// lm.mem.exhaustion_events) and the pool's fullness feeds the
+  /// Pool-wide live-block budget; 0 = unbounded. A block allocated at
+  /// or past it is still served (bit-identical) and counted as one
+  /// lm.mem.exhaustion_events, and the pool's fullness feeds the
   /// serving layer's overload ladder.
   size_t pool_blocks = 0;
   /// Externally shared pool (one pool across serving requests or

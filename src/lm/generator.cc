@@ -81,7 +81,6 @@ Result<DecodeSession> OpenDecodeSession(
     session.model = NewDecoderModel(profile, vocab_size);
     session.model->ObserveAll(prompt);
   }
-  session.model->ReserveDecode(num_tokens);
   return session;
 }
 
@@ -142,14 +141,19 @@ void DrawTrie::Publish(Log* log) {
 // One Complete call's way through a DrawTrie (see the class comment).
 // Given no Log, or the Log of a trie made for another call, it is inert:
 // every model step is fresh and every token is observed at once, which
-// is the plain decode loop.
+// is the plain decode loop. The session learns the generation's length
+// (ReserveDecode) at its first fresh model step, so a draw that stays on
+// the trie never sizes an overlay it does not write.
 class DrawTrie::Walk {
  public:
   Walk(Log* log, uint64_t fingerprint, const SamplerOptions& sampler,
        const std::vector<token::TokenId>& prompt,
-       const std::vector<GrammarMask::Shared>& cycle) {
+       const std::vector<GrammarMask::Shared>& cycle,
+       NGramLanguageModel* model, size_t num_tokens)
+      : num_tokens_(num_tokens) {
     if (log == nullptr || log->trie_ == nullptr ||
         !log->trie_->Matches(fingerprint, sampler, prompt, cycle)) {
+      model->ReserveDecode(num_tokens);
       return;
     }
     log_ = log;
@@ -213,11 +217,13 @@ class DrawTrie::Walk {
     }
   }
 
-  /// Ingests the tokens kept back, once, before the first fresh model
-  /// step: into a prefix-cache fork this is the bulk build, the same
-  /// counts as an Observe per token.
+  /// Sizes the session for the generation and ingests the tokens kept
+  /// back, once, before the first fresh model step: into a prefix-cache
+  /// fork this is the bulk build, the same counts as an Observe per
+  /// token.
   void Resume(NGramLanguageModel* model) {
     if (!deferring_) return;
+    model->ReserveDecode(num_tokens_);
     model->ObserveAll(deferred_);
     deferring_ = false;
   }
@@ -231,6 +237,7 @@ class DrawTrie::Walk {
   /// drawn there.
   int32_t parent_ = kNone;
   token::TokenId edge_ = 0;
+  size_t num_tokens_ = 0;
   bool deferring_ = false;
   std::vector<token::TokenId> deferred_;
   std::vector<double> weights_;
@@ -275,7 +282,7 @@ Result<GenerationResult> SimulatedLlm::Complete(
   // one draw from the node's weights; without a trie, every step
   // decodes.
   DrawTrie::Walk walk(draws_, fingerprint_, profile_.sampler, prompt,
-                      session.cycle);
+                      session.cycle, &model, num_tokens);
   std::vector<double> probs;
   for (size_t step = 0; step < num_tokens; ++step) {
     const size_t pos = step % session.cycle.size();

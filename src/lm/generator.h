@@ -38,7 +38,7 @@ std::vector<token::TokenId> ForcedTokens(
 
 /// A decode session opened for a generation of known length.
 struct DecodeSession {
-  /// Conditioned on the whole prompt and sized for the generation.
+  /// Conditioned on the whole prompt.
   std::unique_ptr<NGramLanguageModel> model;
   /// The hoisted grammar (HoistGrammarCycle).
   std::vector<GrammarMask::Shared> cycle;
@@ -48,9 +48,9 @@ struct DecodeSession {
 /// every plain decode front-end does: validates the prompt, hoists the
 /// grammar, takes the session from `cache` (a fork of its state for the
 /// prompt) or, when `cache` is null, feeds the prompt to a fresh
-/// `profile` model, and tells the session how many tokens it will
-/// generate (NGramLanguageModel::ReserveDecode). `fingerprint` is
-/// ModelFingerprint(profile, vocab_size).
+/// `profile` model. The caller tells the session how many tokens it will
+/// generate (NGramLanguageModel::ReserveDecode) before it decodes into
+/// it. `fingerprint` is ModelFingerprint(profile, vocab_size).
 Result<DecodeSession> OpenDecodeSession(
     const ModelProfile& profile, size_t vocab_size, uint64_t fingerprint,
     PrefixCache* cache, const std::vector<token::TokenId>& prompt,

@@ -67,13 +67,8 @@ NGramLanguageModel::~NGramLanguageModel() {
   // models dying are cache entries / shared bases, not sessions.
   if (!frozen_) {
     MemoryFootprint fp = ApproxMemoryBytes();
-    size_t spilled = 0;
-    for (const auto& [key, cc] : overflow_local_) {
-      (void)cc;
-      if (paged_local_->Find(key) == nullptr) ++spilled;
-    }
     pool_->NoteSessionEnd(fp.overlay_bytes, fp.base_bytes,
-                          paged_local_->size() + spilled);
+                          paged_local_->size());
   }
 }
 
@@ -134,18 +129,12 @@ NGramLanguageModel::CountsRef NGramLanguageModel::View(const Resolved& r) {
 NGramLanguageModel::CountsRef NGramLanguageModel::LookupFrozenPaged(
     uint64_t key, uint64_t hash) const {
   for (auto it = paged_base_.rbegin(); it != paged_base_.rend(); ++it) {
-    if (it->store != nullptr) {
-      PagedContextStore::Hole unused;
-      if (const std::byte* p = it->store->Find(key, hash, &unused)) {
-        if (!(LoadU16(p, kFlagsOffset) & kWideFlag)) return NarrowRef(p);
-        auto found = it->overflow->find(key);
-        MC_CHECK(found != it->overflow->end());
-        return WideRef(found->second);
-      }
-    }
-    if (!it->overflow->empty()) {
+    PagedContextStore::Hole unused;
+    if (const std::byte* p = it->store->Find(key, hash, &unused)) {
+      if (!(LoadU16(p, kFlagsOffset) & kWideFlag)) return NarrowRef(p);
       auto found = it->overflow->find(key);
-      if (found != it->overflow->end()) return WideRef(found->second);
+      MC_CHECK(found != it->overflow->end());
+      return WideRef(found->second);
     }
   }
   return CountsRef{};
@@ -167,14 +156,6 @@ NGramLanguageModel::Resolved NGramLanguageModel::Resolve(
     r.node = const_cast<ContextCounts*>(&found->second);
     return r;
   }
-  if (!overflow_local_.empty()) {
-    // Pool-spilled entry: in the overflow map with no slot.
-    auto found = overflow_local_.find(key);
-    if (found != overflow_local_.end()) {
-      r.node = const_cast<ContextCounts*>(&found->second);
-      return r;
-    }
-  }
   r.under = LookupFrozenPaged(key, hash);
   return r;
 }
@@ -183,25 +164,12 @@ NGramLanguageModel::ContextCounts* NGramLanguageModel::SeedOverlay(
     uint64_t key, const CountsRef& under, std::byte* claimed) {
   if (under.found && under.wide != nullptr) {
     // Frozen entry already wide: the overlay copy is wide too, and its
-    // slot (if the pool gave one) only carries the flag.
+    // slot only carries the flag.
     ContextCounts& cc = overflow_local_[key];
     cc.next.assign(under.wide, under.wide + vocab_size_);
     cc.total = under.total;
     cc.types = under.types;
-    if (claimed != nullptr) StoreU16(claimed, kFlagsOffset, kWideFlag);
-    return &cc;
-  }
-  if (claimed == nullptr) {
-    // Pool exhausted: spill to the overflow map. Same integers,
-    // same output — the pool has already counted the event and the
-    // admission ladder sheds on its fullness.
-    ContextCounts& cc = overflow_local_[key];
-    if (under.found) {
-      cc.next.assign(vocab_size_, 0);
-      for (size_t i = 0; i < vocab_size_; ++i) cc.next[i] = under.narrow[i];
-      cc.total = under.total;
-      cc.types = under.types;
-    }
+    StoreU16(claimed, kFlagsOffset, kWideFlag);
     return &cc;
   }
   if (under.found) std::memcpy(claimed, under.slot, SlotBytes());
@@ -282,7 +250,7 @@ void NGramLanguageModel::Observe(token::TokenId id) {
 
 void NGramLanguageModel::ObserveAll(std::span<const token::TokenId> ids) {
   MC_CHECK(!frozen_);  // Fork() a session instead of mutating a frozen base.
-  if (paged_local_->size() == 0 && overflow_local_.empty()) {
+  if (paged_local_->size() == 0) {
     IngestPaged(ids);
     return;
   }
@@ -357,7 +325,7 @@ void NGramLanguageModel::ResolveAll(Resolved* resolved) const {
     hashes[o] = PagedContextStore::HashKey(keys[o]);
     paged_local_->Prefetch(hashes[o]);
     for (const PagedLayer& layer : paged_base_) {
-      if (layer.store != nullptr) layer.store->Prefetch(hashes[o]);
+      layer.store->Prefetch(hashes[o]);
     }
   }
   for (int order = 0; order <= max_ctx; ++order) {
@@ -437,56 +405,27 @@ std::vector<double> NGramLanguageModel::NextDistribution() const {
 }
 
 void NGramLanguageModel::CompactPagedBase() {
-  // Compact the frozen chain: when no layer has overflow entries, the
-  // store-level MergeCompact shares (adopts) mostly-live blocks by
-  // refcount and copies only the rest — copy-on-write at block
-  // granularity. With overflow entries in play (u16-saturated counts or
-  // pool-exhaustion spills — both rare by construction) the merge falls
-  // back to one overflow-only layer; correct, just not paged.
-  bool any_overflow = false;
+  // Compact the frozen chain: the store-level MergeCompact shares
+  // (adopts) mostly-live blocks by refcount and copies only the rest —
+  // copy-on-write at block granularity. A wide entry's flagged slot
+  // shadows lower layers like any other, and an entry never narrows
+  // again, so the newest overflow entry of each key is the one the
+  // merged store's flag points at.
+  std::vector<std::shared_ptr<const PagedContextStore>> stores;
+  auto overflow = std::make_shared<Table>();
   for (const PagedLayer& layer : paged_base_) {
-    if (!layer.overflow->empty() || layer.store == nullptr) {
-      any_overflow = true;
-      break;
-    }
+    stores.push_back(layer.store);
+    for (const auto& [key, cc] : *layer.overflow) (*overflow)[key] = cc;
   }
-  if (!any_overflow) {
-    std::vector<std::shared_ptr<const PagedContextStore>> stores;
-    stores.reserve(paged_base_.size());
-    for (const PagedLayer& layer : paged_base_) stores.push_back(layer.store);
-    auto merged = PagedContextStore::MergeCompact(stores, pool_);
-    if (merged == nullptr) return;  // pool exhausted: keep the chain
-    paged_base_.clear();
-    paged_base_.push_back(
-        PagedLayer{std::move(merged), std::make_shared<const Table>()});
-    return;
-  }
-  auto merged_overflow = std::make_shared<Table>();
-  for (const PagedLayer& layer : paged_base_) {
-    if (layer.store != nullptr) {
-      layer.store->ForEach([&](uint64_t key, const std::byte* p) {
-        if (LoadU16(p, kFlagsOffset) & kWideFlag) return;  // overflow wins
-        ContextCounts& cc = (*merged_overflow)[key];
-        cc.next.assign(vocab_size_, 0);
-        const uint16_t* counts = NarrowCounts(p);
-        for (size_t i = 0; i < vocab_size_; ++i) cc.next[i] = counts[i];
-        cc.total = LoadU32(p, kTotalOffset);
-        cc.types = LoadU16(p, kTypesOffset);
-      });
-    }
-    for (const auto& [key, cc] : *layer.overflow) {
-      (*merged_overflow)[key] = cc;
-    }
-  }
-  paged_base_.clear();
-  paged_base_.push_back(PagedLayer{nullptr, std::move(merged_overflow)});
+  auto merged = PagedContextStore::MergeCompact(stores, pool_);
+  paged_base_.assign(1, PagedLayer{std::move(merged), std::move(overflow)});
 }
 
 void NGramLanguageModel::Freeze() {
   probes_valid_ = false;
   if (frozen_) return;
   frozen_ = true;
-  if (paged_local_->size() > 0 || !overflow_local_.empty()) {
+  if (paged_local_->size() > 0) {
     // Zero-copy transition: the overlay's blocks become the frozen
     // layer's blocks; no payload moves.
     paged_base_.push_back(PagedLayer{
@@ -514,12 +453,10 @@ size_t NGramLanguageModel::num_entries() const {
   // Effective view: topmost layer wins per key.
   std::unordered_map<uint64_t, uint32_t> effective;
   auto fold = [&](const PagedContextStore* store, const Table& overflow) {
-    if (store != nullptr) {
-      store->ForEach([&](uint64_t key, const std::byte* p) {
-        if (LoadU16(p, kFlagsOffset) & kWideFlag) return;
-        effective[key] = LoadU16(p, kTypesOffset);
-      });
-    }
+    store->ForEach([&](uint64_t key, const std::byte* p) {
+      if (LoadU16(p, kFlagsOffset) & kWideFlag) return;
+      effective[key] = LoadU16(p, kTypesOffset);
+    });
     for (const auto& [key, cc] : overflow) effective[key] = cc.types;
   };
   for (const PagedLayer& layer : paged_base_) {
@@ -540,7 +477,6 @@ NGramLanguageModel::OverlayEntries() const {
   paged_local_->ForEach([&](uint64_t key, const std::byte* p) {
     OverlayEntry& e = entries[key];
     e.key = key;
-    e.has_slot = true;
     if (LoadU16(p, kFlagsOffset) & kWideFlag) return;  // filled below
     e.narrow = true;
     e.total = LoadU32(p, kTotalOffset);
@@ -578,7 +514,7 @@ MemoryFootprint NGramLanguageModel::ApproxMemoryBytes() const {
   fp.overlay_bytes =
       paged_local_->MemoryBytes() + OverflowBytes(overflow_local_);
   for (const PagedLayer& layer : paged_base_) {
-    if (layer.store != nullptr) fp.base_bytes += layer.store->MemoryBytes();
+    fp.base_bytes += layer.store->MemoryBytes();
     fp.base_bytes += OverflowBytes(*layer.overflow);
   }
   return fp;
@@ -588,12 +524,10 @@ void NGramLanguageModel::TallyMemory(MemoryTally* tally) const {
   tally->bytes += ApproxMemoryBytes().overlay_bytes;
   // Frozen layers are shared; count each identity once across the tally.
   for (const PagedLayer& layer : paged_base_) {
-    size_t bytes = OverflowBytes(*layer.overflow);
-    if (layer.store != nullptr) bytes += layer.store->MemoryBytes();
-    const void* identity =
-        layer.store != nullptr ? static_cast<const void*>(layer.store.get())
-                               : static_cast<const void*>(layer.overflow.get());
-    if (tally->seen.insert(identity).second) tally->bytes += bytes;
+    if (tally->seen.insert(layer.store.get()).second) {
+      tally->bytes +=
+          layer.store->MemoryBytes() + OverflowBytes(*layer.overflow);
+    }
   }
 }
 

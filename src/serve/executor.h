@@ -120,8 +120,8 @@ struct ServeOptions {
   /// caller wired one into its forecaster factories (see
   /// lm/paged_store.h). When set and `overload.memory_probe` is unset,
   /// the executor probes the pool's fullness as the ladder's memory
-  /// observable — a pool nearing its block cap degrades service before
-  /// allocation spills. The executor never publishes the pool's
+  /// observable — a pool nearing its block budget degrades service
+  /// before allocation goes over it. The executor never publishes the pool's
   /// lm.mem.* metrics itself (the pool outlives individual runs; the
   /// caller publishes once per registry).
   std::shared_ptr<lm::BlockPool> block_pool;

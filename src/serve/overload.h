@@ -73,10 +73,11 @@ struct LadderPolicy {
   double hysteresis_gap = 0.15;
   /// ...and the level has held for this long (one step per dwell).
   double recovery_seconds = 2.0;
-  /// Paged-memory pool fullness (live blocks / cap, in [0, 1]) mapping
-  /// to pressure score 1.0, when OverloadPolicy::memory_probe is set.
-  /// At the default 0.9 a pool at 90% of its block cap saturates the
-  /// score, so the ladder degrades *before* allocation starts spilling.
+  /// Paged-memory pool fullness (live blocks / budget, clamped to
+  /// [0, 1]) mapping to pressure score 1.0, when
+  /// OverloadPolicy::memory_probe is set. At the default 0.9 a pool at
+  /// 90% of its block budget saturates the score, so the ladder
+  /// degrades *before* allocation goes over the budget.
   /// <= 0 disables the memory observable.
   double memory_budget = 0.9;
 };

@@ -273,15 +273,22 @@ TEST(DrawTrieTest, RepeatedDrawComputesNoNewDistribution) {
   namespace ref = decode_reference;
   const std::vector<token::TokenId> prompt = ref::DigitPrompt(40);
   const lm::GrammarMask mask = ref::ForcedMasks()[0].mask;
-  const ModelProfile profile = ModelProfile::Llama2_7B();
+  ModelProfile profile = ModelProfile::Llama2_7B();
   for (bool cached : {false, true}) {
     auto cache = cached ? std::make_shared<PrefixCache>(2) : nullptr;
+    auto pool = std::make_shared<BlockPool>(PagedMemoryOptions{});
+    profile.memory_pool = pool;
+    // What a session holds with the prompt taken and nothing else: an
+    // empty overlay over a cached fork, the prompt's keys uncached.
+    NGramLanguageModel opened(ref::kVocab, profile.ngram);
+    if (!cached) opened.ObserveAll(prompt);
     DrawTrie trie(profile, ref::kVocab, prompt, 35, mask);
     std::vector<token::TokenId> first;
     for (int k = 0; k < 2; ++k) {
       DrawTrie::Log log(&trie);
       SimulatedLlm llm(profile, ref::kVocab, cache, &log);
       Rng rng(9);
+      const size_t bytes_before = pool->stats().session_overlay_bytes;
       auto got = llm.Complete(prompt, 35, mask, &rng);
       ASSERT_TRUE(got.ok());
       if (k == 0) {
@@ -291,6 +298,10 @@ TEST(DrawTrieTest, RepeatedDrawComputesNoNewDistribution) {
       } else {
         EXPECT_EQ(log.size(), 0u);
         EXPECT_EQ(got.value().tokens, first);
+        // The draw never took a fresh model step, so it never sized its
+        // session for the generation.
+        EXPECT_EQ(pool->stats().session_overlay_bytes - bytes_before,
+                  opened.ApproxMemoryBytes().overlay_bytes);
       }
       trie.Publish(&log);
     }

@@ -354,7 +354,7 @@ std::vector<DecodeStepCase> DecodeStepCases() {
   cases.push_back(wide);
 
   DecodeStepCase capped = base;
-  capped.name = "CappedPoolSpills";
+  capped.name = "CappedPoolOverBudget";
   capped.block_span = 4;
   capped.max_blocks = 6;
   cases.push_back(capped);
@@ -387,7 +387,7 @@ std::vector<DecodeStepCase> DecodeStepCases() {
   cases.push_back(hint_high);
 
   DecodeStepCase capped_hint = capped;
-  capped_hint.name = "CappedPoolSpillsWithHint";
+  capped_hint.name = "CappedPoolOverBudgetAndHint";
   capped_hint.reserve_tokens = 64;
   cases.push_back(capped_hint);
   return cases;

@@ -79,21 +79,33 @@ TEST(BlockPoolTest, AllocatesRecyclesAndTracksHighWater) {
   EXPECT_EQ(stats.blocks_free, 0u);
 }
 
-TEST(BlockPoolTest, CapRefusesWithExhaustionEventAndFullness) {
+// The cap is a budget: an allocation at or past it is still served and
+// counts one exhaustion event, and fullness reads 1 until enough blocks
+// return.
+TEST(BlockPoolTest, CapIsABudgetCountedInEventsAndFullness) {
   auto pool = MakePool(/*block_span=*/8, /*max_blocks=*/2);
   BlockRef a = pool->Allocate(64);
   BlockRef b = pool->Allocate(64);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
+  EXPECT_EQ(pool->stats().exhaustion_events, 0u);
   EXPECT_EQ(pool->Fullness(), 1.0);
   BlockRef c = pool->Allocate(64);
-  EXPECT_EQ(c, nullptr);
+  ASSERT_NE(c, nullptr);
   EXPECT_EQ(pool->stats().exhaustion_events, 1u);
-  // Releasing a block makes room again.
+  BlockRef d = pool->Allocate(64);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(pool->stats().exhaustion_events, 2u);
+  EXPECT_EQ(pool->stats().blocks_live, 4u);
+  EXPECT_EQ(pool->Fullness(), 1.0);  // clamped while over budget
+  c.reset();
+  d.reset();
+  EXPECT_EQ(pool->Fullness(), 1.0);  // back at the cap
   a.reset();
   EXPECT_EQ(pool->Fullness(), 0.5);
-  BlockRef d = pool->Allocate(64);
-  EXPECT_NE(d, nullptr);
+  BlockRef e = pool->Allocate(64);  // under budget: no event
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(pool->stats().exhaustion_events, 2u);
 }
 
 TEST(BlockPoolTest, BlockOutlivesPoolObject) {
@@ -287,8 +299,6 @@ TEST(PagedContextStoreTest, AppendThenIndexMatchesInsertOneByOne) {
         std::byte* a = inserted.Insert(key);
         std::byte* b = i < before ? appended.Insert(key)
                                   : appended.Append(key);
-        ASSERT_NE(a, nullptr);
-        ASSERT_NE(b, nullptr);
         std::memcpy(a, &key, sizeof(key));
         std::memcpy(b, &key, sizeof(key));
       }
@@ -312,30 +322,16 @@ TEST(PagedContextStoreTest, AppendThenIndexMatchesInsertOneByOne) {
       EXPECT_EQ(appended.MemoryBytes(), inserted.MemoryBytes());
     }
   }
-  // An Append the pool refuses claims nothing, like a refused Insert.
+  // Appends past the pool's budget still claim their slots; the block
+  // that goes over it counts one exhaustion event.
   auto capped = MakePool(/*block_span=*/4, /*max_blocks=*/1);
   PagedContextStore store(capped, /*slot_bytes=*/8);
-  for (uint64_t k = 1; k <= 4; ++k) ASSERT_NE(store.Append(k), nullptr);
-  EXPECT_EQ(store.Append(5), nullptr);
+  for (uint64_t k = 1; k <= 5; ++k) store.Append(k);
   EXPECT_EQ(capped->stats().exhaustion_events, 1u);
   store.IndexAppended();
-  EXPECT_EQ(store.size(), 4u);
-  EXPECT_NE(store.Find(4), nullptr);
-  EXPECT_EQ(store.Find(5), nullptr);
-}
-
-TEST(PagedContextStoreTest, InsertReturnsNullOnPoolExhaustion) {
-  auto pool = MakePool(/*block_span=*/4, /*max_blocks=*/1);
-  PagedContextStore store(pool, /*slot_bytes=*/8);
-  for (uint64_t k = 1; k <= 4; ++k) {
-    ASSERT_NE(store.Insert(k), nullptr);
-  }
-  EXPECT_EQ(store.Insert(5), nullptr);  // cap hit: graceful refusal
-  EXPECT_EQ(store.size(), 4u);
-  EXPECT_EQ(pool->stats().exhaustion_events, 1u);
-  // The refused insert left the store consistent.
-  EXPECT_NE(store.Find(4), nullptr);
-  EXPECT_EQ(store.Find(5), nullptr);
+  EXPECT_EQ(store.size(), 5u);
+  EXPECT_EQ(store.num_blocks(), 2u);
+  EXPECT_NE(store.Find(5), nullptr);
 }
 
 TEST(PagedContextStoreTest, MergeCompactAdoptsFullBlocksWithoutCopy) {
@@ -400,9 +396,10 @@ TEST(PagedContextStoreTest, MergeCompactNewestWinsAndCopiesShadowed) {
 // The tentpole invariant: a paged model holds exactly the counts of the
 // map reference (reference_models.h), so every distribution is bit-
 // identical to its own — across observation, freeze/fork chains, base-
-// layer compaction, pool exhaustion and u16 promotion. The exhaustion
-// cases run on a caller's capped pool, the others both on a model given
-// no pool (a private unbounded one) and on one given a caller's pool.
+// layer compaction, an exhausted pool budget and u16 promotion. The
+// exhaustion cases run on a caller's capped pool, the others both on a
+// model given no pool (a private unbounded one) and on one given a
+// caller's pool.
 
 void ExpectMatchesReference(const NGramLanguageModel& model,
                             const ReferenceNGram& reference) {
@@ -436,24 +433,48 @@ void RunForkChain(std::unique_ptr<NGramLanguageModel>* model,
 }
 
 TEST(PagedModelIdentityTest, NGramMatchesPlainThroughForkChains) {
-  const size_t vocab = 13;
   NGramOptions options;
   options.max_base_layers = 2;  // the chain compacts aggressively
-  for (auto pool : {std::shared_ptr<BlockPool>(), MakePool(16, 0)}) {
-    SCOPED_TRACE(pool == nullptr ? "private pool" : "caller's pool");
-    auto model = std::make_unique<NGramLanguageModel>(vocab, options, pool);
-    ReferenceNGram reference(vocab, options);
-    RunForkChain(&model, &reference, TokenStream(2400, vocab, 7),
-                 /*rounds=*/6, /*per_round=*/400, /*check_every=*/97);
-    EXPECT_EQ(model->num_entries(), reference.num_entries());
-    // Compaction really ran: the chain stays clamped.
-    EXPECT_LE(model->num_base_layers(), 2u);
+  // A random stream, and one that passes the u16 ceiling early enough
+  // that several layers hold the same wide key when the chain compacts:
+  // their flagged slots and overflow maps go through the merge, and
+  // later rounds seed their overlays from the compacted wide entries.
+  struct Input {
+    size_t vocab;
+    std::vector<token::TokenId> stream;
+    int rounds;
+    int per_round;
+    int check_every;
+  };
+  std::vector<token::TokenId> wide = TokenStream(100000, 3, 5);
+  for (size_t i = 0; i < wide.size(); ++i) {
+    if (i % 100 != 0) wide[i] = 0;
+  }
+  const Input inputs[] = {{13, TokenStream(2400, 13, 7), 6, 400, 97},
+                          {3, wide, 10, 10000, 997}};
+  for (const Input& in : inputs) {
+    for (auto pool : {std::shared_ptr<BlockPool>(), MakePool(16, 0)}) {
+      SCOPED_TRACE(testing::Message()
+                   << "vocab " << in.vocab << ", "
+                   << (pool == nullptr ? "private pool" : "caller's pool"));
+      auto model =
+          std::make_unique<NGramLanguageModel>(in.vocab, options, pool);
+      ReferenceNGram reference(in.vocab, options);
+      RunForkChain(&model, &reference, in.stream, in.rounds, in.per_round,
+                   in.check_every);
+      EXPECT_EQ(model->num_entries(), reference.num_entries());
+      // Compaction really ran: the chain stays clamped.
+      EXPECT_LE(model->num_base_layers(), 2u);
+      if (in.vocab == 3) {
+        EXPECT_GT(reference.max_count(), 0xffffu);
+      }
+    }
   }
 }
 
 TEST(PagedModelIdentityTest, NGramMatchesPlainUnderPoolExhaustion) {
   const size_t vocab = 11;
-  // A pool too small for the model: most entries take the spill path.
+  // A pool budget far below the model's need: most blocks go over it.
   auto pool = MakePool(/*block_span=*/4, /*max_blocks=*/2);
   NGramLanguageModel model(vocab, NGramOptions{}, pool);
   ReferenceNGram reference(vocab, NGramOptions{});
@@ -464,7 +485,7 @@ TEST(PagedModelIdentityTest, NGramMatchesPlainUnderPoolExhaustion) {
     if (i % 131 == 0) ExpectMatchesReference(model, reference);
   }
   ExpectMatchesReference(model, reference);
-  // Exhaustion happened and degraded gracefully (spill, not failure).
+  // The budget ran out, and decode neither failed nor changed.
   EXPECT_GT(pool->stats().exhaustion_events, 0u);
   EXPECT_EQ(model.num_entries(), reference.num_entries());
 }
@@ -505,17 +526,14 @@ TEST(PagedModelIdentityTest, SessionEndFeedsPoolAccounting) {
   EXPECT_GT(entries, 0u);
   EXPECT_EQ(stats.session_overlay_entries, entries);
 
-  // Spilled keys count too: on a pool that runs out, the session's
-  // distinct keys are its store entries plus the spills without a slot.
+  // A session over its pool's budget counts the same keys.
   auto capped = MakePool(/*block_span=*/4, /*max_blocks=*/2);
-  size_t spilled = 0;
   {
     NGramLanguageModel model(5, NGramOptions{}, capped);
     model.ObserveAll(TokenStream(200, 5, 9));
-    for (const auto& e : model.OverlayEntries()) spilled += !e.has_slot;
     EXPECT_EQ(model.OverlayEntries().size(), entries);
   }
-  EXPECT_GT(spilled, 0u);
+  EXPECT_GT(capped->stats().exhaustion_events, 0u);
   EXPECT_EQ(capped->stats().session_overlay_entries, entries);
 }
 
@@ -595,7 +613,7 @@ TEST(PrefixCacheBytesTest, BytesGaugeTracksResidentState) {
 // ---------------------------------------------------------------------------
 // Bulk prompt ingest: ObserveAll on a paged n-gram session must leave
 // exactly the state one Observe per token leaves — the same counts per
-// key (narrow, wide or spilled), the same store shape and bytes, the
+// key (narrow or wide), the same store shape and bytes, the
 // same pool events — and so the same distributions from then on.
 
 struct IngestCase {
@@ -656,7 +674,6 @@ void ExpectSameState(const NGramLanguageModel& a,
     SCOPED_TRACE(testing::Message() << "key " << ea[i].key);
     ASSERT_EQ(ea[i].key, eb[i].key);
     EXPECT_EQ(ea[i].narrow, eb[i].narrow);
-    EXPECT_EQ(ea[i].has_slot, eb[i].has_slot);
     EXPECT_EQ(ea[i].total, eb[i].total);
     EXPECT_EQ(ea[i].types, eb[i].types);
     ASSERT_EQ(ea[i].next, eb[i].next);
@@ -699,14 +716,14 @@ TEST_P(BulkIngestTest, MatchesObservePerToken) {
   auto any = [&](auto pred) {
     return std::any_of(entries.begin(), entries.end(), pred);
   };
+  // Every key holds a slot, narrow or flagged wide.
+  EXPECT_EQ(b->overlay_store()->size(), entries.size());
   if (c.max_blocks > 0) {
-    // The cap hit mid-prompt: slots first, spills after.
-    EXPECT_GT(b->overlay_store()->size(), 0u);
+    // The budget ran out mid-prompt.
     EXPECT_GT(pool_b->stats().exhaustion_events, events_before);
-    EXPECT_TRUE(any([](const auto& e) { return !e.has_slot; }));
   }
   if (c.constant) {
-    EXPECT_TRUE(any([](const auto& e) { return !e.narrow && e.has_slot; }));
+    EXPECT_TRUE(any([](const auto& e) { return !e.narrow; }));
   }
   if (c.base_layers > c.max_base_layers) {
     EXPECT_LE(b->num_base_layers(), c.max_base_layers);

@@ -44,10 +44,10 @@ cmake --build build -j "${JOBS}" --target ablation_overload
 
 echo "==== bench smoke: paged session memory identity + bytes gates ===="
 # Exits non-zero when any forecast diverges from the sequential 1x1 run
-# (bit-identity across the threads x batch grid and under pool
-# exhaustion), the bytes/session reduction against the retired map
-# storage's bytes for the same entries falls below 2x, or a full pool
-# fails to demote/shed through the overload ladder.
+# (bit-identity across the threads x batch grid and on a pool run past
+# its block budget), the bytes/session reduction against the retired map
+# storage's bytes for the same entries falls below 2x, or a pool at its
+# block budget fails to demote/shed through the overload ladder.
 cmake --build build -j "${JOBS}" --target paged_memory
 ./build/bench/paged_memory --smoke
 
