@@ -286,10 +286,13 @@ BENCHMARK(BM_MultiCastForecast);
 // 5, 10 and 20 samples on a warm prefix cache. Items are draws. The
 // draws of a forecast share the distributions of the prefixes they
 // agree on (DESIGN.md §5m), so the time per draw falls as n grows;
-// BM_MultiCastDrawsUnshared decodes the same draws through an external
-// backend, which has no draw trie, and so costs about the same per draw
-// at every n.
-void MultiCastDraws(benchmark::State& state, bool shared) {
+// BM_MultiCastDrawsBatched runs the same draws as lanes of a
+// BatchScheduler, which walk the same trie inside the scheduler's step;
+// BM_MultiCastDrawsUnshared decodes them through an external backend,
+// which has no draw trie, and so costs about the same per draw at every
+// n.
+enum class DrawPath { kShared, kBatched, kUnshared };
+void MultiCastDraws(benchmark::State& state, DrawPath path) {
   ts::Frame history = data::MakeGasRate().ValueOrDie().Head(236);
   forecast::MultiCastOptions opts;
   opts.num_samples = static_cast<int>(state.range(0));
@@ -298,7 +301,10 @@ void MultiCastDraws(benchmark::State& state, bool shared) {
   profile.memory_pool = opts.block_pool;
   lm::SimulatedLlm external(profile, token::Vocabulary::Digits().size(),
                             std::make_shared<lm::PrefixCache>(4));
-  if (!shared) opts.backend = &external;
+  if (path == DrawPath::kBatched) {
+    opts.batch_scheduler = std::make_shared<batch::BatchScheduler>();
+  }
+  if (path == DrawPath::kUnshared) opts.backend = &external;
   forecast::MultiCastForecaster forecaster(opts);
   for (auto _ : state) {
     auto result = forecaster.Forecast(history, 24);
@@ -307,12 +313,16 @@ void MultiCastDraws(benchmark::State& state, bool shared) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 void BM_MultiCastDraws(benchmark::State& state) {
-  MultiCastDraws(state, /*shared=*/true);
+  MultiCastDraws(state, DrawPath::kShared);
+}
+void BM_MultiCastDrawsBatched(benchmark::State& state) {
+  MultiCastDraws(state, DrawPath::kBatched);
 }
 void BM_MultiCastDrawsUnshared(benchmark::State& state) {
-  MultiCastDraws(state, /*shared=*/false);
+  MultiCastDraws(state, DrawPath::kUnshared);
 }
 BENCHMARK(BM_MultiCastDraws)->Arg(5)->Arg(10)->Arg(20);
+BENCHMARK(BM_MultiCastDrawsBatched)->Arg(5)->Arg(10)->Arg(20);
 BENCHMARK(BM_MultiCastDrawsUnshared)->Arg(5)->Arg(10)->Arg(20);
 
 void BM_ArimaFit(benchmark::State& state) {

@@ -9,11 +9,13 @@ namespace batch {
 
 BatchLlm::BatchLlm(const lm::ModelProfile& profile, size_t vocab_size,
                    std::shared_ptr<BatchScheduler> scheduler,
-                   std::shared_ptr<lm::PrefixCache> prefix_cache)
+                   std::shared_ptr<lm::PrefixCache> prefix_cache,
+                   lm::DrawTrie::Log* draws)
     : profile_(profile),
       vocab_size_(vocab_size),
       scheduler_(std::move(scheduler)),
       cache_(std::move(prefix_cache)),
+      draws_(draws),
       fingerprint_(lm::ModelFingerprint(profile_, vocab_size_)) {
   MC_CHECK(scheduler_ != nullptr);
 }
@@ -21,12 +23,10 @@ BatchLlm::BatchLlm(const lm::ModelProfile& profile, size_t vocab_size,
 Result<lm::GenerationResult> BatchLlm::Complete(
     const std::vector<token::TokenId>& prompt, size_t num_tokens,
     const lm::GrammarMask& mask, Rng* rng, const lm::CallOptions& call) {
-  MC_ASSIGN_OR_RETURN(lm::DecodeSession session,
-                      lm::OpenDecodeSession(profile_, vocab_size_,
-                                            fingerprint_, cache_.get(), prompt,
-                                            num_tokens, mask));
-  session.model->ReserveDecode(num_tokens);
-
+  MC_ASSIGN_OR_RETURN(lm::DecodeLane lane,
+                      lm::OpenDecodeLane(profile_, vocab_size_, fingerprint_,
+                                         cache_.get(), prompt, num_tokens,
+                                         mask, draws_));
   lm::GenerationResult result;
   // Logical prompt size, cached or not — same ledger contract as
   // SimulatedLlm (see lm/generator.cc).
@@ -34,10 +34,7 @@ Result<lm::GenerationResult> BatchLlm::Complete(
   if (num_tokens == 0) return result;
 
   DecodeJobSpec spec;
-  spec.session = std::move(session.model);
-  spec.num_tokens = num_tokens;
-  spec.masks = std::move(session.cycle);
-  spec.sampler = profile_.sampler;
+  spec.lane = std::move(lane);
   spec.rng = rng;
   spec.deadline_seconds = call.context.deadline.at_seconds;
   spec.clock = call.context.clock;

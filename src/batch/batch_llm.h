@@ -1,15 +1,17 @@
 // Backend-stack leaf that decodes through a shared BatchScheduler.
 //
 // A drop-in replacement for lm::SimulatedLlm at the bottom of the
-// per-draw backend stack: the session is opened (prompt validated,
-// grammar cycle hoisted, PrefixCache fork or fresh replay) by
-// lm::OpenDecodeSession and sized for the generation at once, as the
-// sequential decoder opens it — but instead of running its own token
-// loop, Complete() submits the primed session to the scheduler and
-// blocks in Await(), where it cooperatively drives the shared batch.
-// Draws submitted concurrently (sample-loop threads, LLMTime dimensions,
-// other in-flight requests sharing the scheduler) decode together, one
-// token per session per step.
+// per-draw backend stack: the lane is opened (prompt validated, grammar
+// cycle hoisted, PrefixCache fork or fresh replay, the forecast's draw
+// trie attached) by lm::OpenDecodeLane, as the sequential decoder opens
+// it — but instead of calling the lane's Next in a loop itself,
+// Complete() submits the lane to the scheduler and blocks in Await(),
+// where it cooperatively drives the shared batch. Draws submitted
+// concurrently (sample-loop threads, LLMTime dimensions, other in-flight
+// requests sharing the scheduler) decode together, one token per
+// session per step. A draw whose prefix an earlier draw of its forecast
+// published walks the trie inside the scheduler's step exactly as it
+// would inside SimulatedLlm (lm::DrawTrie, DESIGN.md §5m).
 //
 // Transparency contract: name, error strings, token ledger and reported
 // latency (0 — the latency model lives in the decorators above) are
@@ -26,6 +28,7 @@
 
 #include "batch/batch_scheduler.h"
 #include "lm/backend.h"
+#include "lm/generator.h"
 #include "lm/prefix_cache.h"
 #include "lm/profiles.h"
 #include "util/random.h"
@@ -39,9 +42,12 @@ class BatchLlm final : public lm::LlmBackend {
   /// `scheduler` must not be null; `prefix_cache` may be (every call
   /// then replays its prompt into a fresh session). Both are shared —
   /// any number of BatchLlm instances and threads may use them.
+  /// `draws` (may be null) is this back-end's Log of the DrawTrie its
+  /// calls share, as for SimulatedLlm; it must outlive the back-end.
   BatchLlm(const lm::ModelProfile& profile, size_t vocab_size,
            std::shared_ptr<BatchScheduler> scheduler,
-           std::shared_ptr<lm::PrefixCache> prefix_cache = nullptr);
+           std::shared_ptr<lm::PrefixCache> prefix_cache = nullptr,
+           lm::DrawTrie::Log* draws = nullptr);
 
   /// The profile name, exactly as SimulatedLlm reports it: the batch
   /// path is an execution strategy, not a different backend.
@@ -60,6 +66,7 @@ class BatchLlm final : public lm::LlmBackend {
   size_t vocab_size_;
   std::shared_ptr<BatchScheduler> scheduler_;
   std::shared_ptr<lm::PrefixCache> cache_;
+  lm::DrawTrie::Log* draws_ = nullptr;
   uint64_t fingerprint_ = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "lm/generator.h"
 #include "util/strings.h"
 
 namespace multicast {
@@ -88,15 +87,12 @@ BatchTicket BatchScheduler::Submit(DecodeJobSpec spec) {
   Job job;
   job.spec = std::move(spec);
   ++stats_.submitted;
-  if (job.spec.num_tokens == 0) {
+  if (job.spec.lane.num_tokens() == 0) {
     // Nothing to decode: complete immediately without touching a slot,
     // mirroring the sequential decode loop's empty-generation case.
     job.done = true;
   } else {
-    MC_CHECK(job.spec.session != nullptr);
     MC_CHECK(job.spec.rng != nullptr);
-    MC_CHECK(!job.spec.masks.empty());
-    job.forced = lm::ForcedTokens(job.spec.masks);
   }
   Job& stored = jobs_.emplace(id, std::move(job)).first->second;
   if (!stored.done) {
@@ -170,7 +166,8 @@ bool BatchScheduler::StepLocked() {
   }
 
   // Phase 3 — decode: one token for every active session, the step-level
-  // forward pass continuous batching amortizes.
+  // forward pass continuous batching amortizes. A lane on its forecast's
+  // draw trie takes the step without model work; it is still a step.
   size_t active = 0;
   for (const Job* slot : slots_) {
     if (slot != nullptr) ++active;
@@ -189,21 +186,17 @@ bool BatchScheduler::StepLocked() {
     if (slot == nullptr) continue;
     Job& job = *slot;
     if (job.admitted_step == 0) job.admitted_step = step_index;
-    const size_t pos = job.tokens.size() % job.spec.masks.size();
-    Result<token::TokenId> next = lm::SampleNextToken(
-        *job.spec.session, *job.spec.masks[pos], job.forced[pos],
-        job.spec.sampler, job.spec.rng, &probs_);
+    Result<token::TokenId> next = job.spec.lane.Next(job.spec.rng, &probs_);
     if (!next.ok()) {
       FinishLocked(&job, next.status());
       slot = nullptr;
       continue;
     }
     job.tokens.push_back(next.value());
-    job.spec.session->Observe(next.value());
     if (policy_.step_seconds > 0.0 && job.spec.clock != nullptr) {
       job.spec.clock->Advance(policy_.step_seconds);
     }
-    if (job.tokens.size() == job.spec.num_tokens) {
+    if (job.tokens.size() == job.spec.lane.num_tokens()) {
       ++stats_.retired;
       job.retired_step = step_index;
       FinishLocked(&job, Status::OK());

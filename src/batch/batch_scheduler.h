@@ -9,14 +9,15 @@
 //
 // `BatchScheduler` owns the step loop:
 //
-//   Submit   — enqueue a primed decode session (prompt already observed,
-//              grammar cycle hoisted) as a waiting job.
+//   Submit   — enqueue a decode lane (lm::DecodeLane: a session with
+//              its prompt already observed, grammar cycle hoisted, and
+//              the draw trie of its forecast, if any) as a waiting job.
 //   Step     — admit waiting jobs into free slots in EDF order (earliest
 //              deadline first, submission order as the tie-break — the
 //              same ordering contract as serve::AdmissionQueue), preempt
 //              sessions whose request died (cancelled or past deadline),
-//              then decode one token for every active session via the
-//              in-place NextDistribution(out) path.
+//              then decode one token for every active session through
+//              its lane's Next, the decode step SimulatedLlm runs too.
 //   Await    — block until a job finishes. Await is cooperative: the
 //              waiting caller drives Step() itself, so the scheduler
 //              needs no dedicated driver thread. A caller alone in the
@@ -27,11 +28,15 @@
 //              awaiters take driving turns.
 //
 // Determinism: a job's token sequence depends only on its own session,
-// RNG and grammar cycle — never on batch composition — so outputs are
-// bit-identical to the run-to-completion path at any batch size and
-// thread count. Scheduling *statistics* (occupancy, back-fills) are
-// deterministic whenever submission order is (single-threaded drivers,
-// the serve executor); concurrent submitters may permute them.
+// RNG and grammar cycle — never on batch composition, nor on whether its
+// lane draws a step from its forecast's draw trie or computes it — so
+// outputs are bit-identical to the run-to-completion path at any batch
+// size and thread count. A step a lane takes on the trie is still a
+// scheduler step: it counts in BatchStats and charges step_seconds to
+// the job's clock like any other, so only its model work disappears.
+// Scheduling *statistics* (occupancy, back-fills) are deterministic
+// whenever submission order is (single-threaded drivers, the serve
+// executor); concurrent submitters may permute them.
 //
 // Back-fill policy: `backfill = true` is continuous batching (a freed
 // slot is refilled at the next step boundary while the rest of the batch
@@ -53,9 +58,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "lm/backend.h"
-#include "lm/ngram_model.h"
-#include "lm/sampler.h"
+#include "lm/generator.h"
 #include "token/vocabulary.h"
 #include "util/metrics.h"
 #include "util/random.h"
@@ -115,20 +118,20 @@ void PublishBatchStats(const BatchStats& stats,
                        util::MetricsRegistry* registry,
                        const std::string& prefix);
 
-/// One unit of decode work: a session primed with its prompt plus
-/// everything the per-step sampler needs. The rng (and clock/cancel, if
-/// set) stay owned by the submitter but must not be touched between
-/// Submit() and the matching Await() return — the scheduler has
-/// exclusive use of them while the job is live.
+/// One unit of decode work: a lane primed with its prompt plus what the
+/// scheduler needs to run it. The rng (and clock/cancel, if set) stay
+/// owned by the submitter but must not be touched between Submit() and
+/// the matching Await() return — the scheduler has exclusive use of them
+/// while the job is live. So has it of the lane's DrawTrie Log, and the
+/// trie itself must not be published to while the job is live (a
+/// forecast publishes its Logs only after every draw of the wave has
+/// returned from Await).
 struct DecodeJobSpec {
-  /// Decode session, prompt already observed (fresh or PrefixCache fork).
-  std::unique_ptr<lm::NGramLanguageModel> session;
-  /// Tokens to generate. 0 completes immediately with no output.
-  size_t num_tokens = 0;
-  /// Hoisted grammar cycle (lm::HoistGrammarCycle); consulted as
-  /// masks[step % masks.size()]. Must be non-empty when num_tokens > 0.
-  std::vector<lm::GrammarMask::Shared> masks;
-  lm::SamplerOptions sampler;
+  /// The generation: session (prompt already observed, fresh or
+  /// PrefixCache fork), hoisted grammar, sampler and, for a forecast's
+  /// draw, the Log of the forecast's draw trie (lm::OpenDecodeLane). A
+  /// lane of 0 tokens completes immediately with no output.
+  lm::DecodeLane lane;
   /// Randomness for token selection; exclusive to this job while live.
   Rng* rng = nullptr;
   /// Absolute deadline on `clock`; +inf = none. A job past its deadline
@@ -197,9 +200,6 @@ class BatchScheduler {
     size_t retired_step = 0;
     Status status;      // error that retired the job; OK on success
     bool done = false;  // set once; the job stays mapped until Await
-    /// lm::ForcedTokens(spec.masks), for the one-token step (set at
-    /// Submit()).
-    std::vector<token::TokenId> forced;
   };
 
   /// EDF ordering consistent with serve::AdmissionQueue: earliest

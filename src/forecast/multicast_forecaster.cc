@@ -131,20 +131,21 @@ BackendStack BuildDrawStack(const MultiCastOptions& options,
   if (external != nullptr) {
     stack.top = external;
   } else {
-    // The shared prefix cache is the one deliberate exception to
-    // "nothing shared across draws": it is internally synchronized and
-    // only ever hands out forks of immutable state, so draws stay
-    // isolated and bit-identical (see lm/prefix_cache.h).
+    // The shared prefix cache is one deliberate exception to "nothing
+    // shared across draws": it is internally synchronized and only ever
+    // hands out forks of immutable state, so draws stay isolated and
+    // bit-identical (see lm/prefix_cache.h). The forecast's draw trie is
+    // the other: read-only while draws run, and each draw writes only
+    // its own Log (see lm::DrawTrie).
     if (options.batch_scheduler != nullptr) {
-      // Same validation/session/grammar front-end as SimulatedLlm, but
-      // the token loop runs inside the shared continuous-batching
-      // scheduler — draws from every pipeline on this scheduler decode
-      // one token per step together. Bit-identical output either way.
+      // Same lane as SimulatedLlm, but its steps run inside the shared
+      // continuous-batching scheduler — draws from every pipeline on
+      // this scheduler decode one token per step together. Bit-identical
+      // output either way.
       stack.base = std::make_unique<batch::BatchLlm>(
-          options.profile, vocab_size, options.batch_scheduler, cache);
+          options.profile, vocab_size, options.batch_scheduler, cache,
+          draws);
     } else {
-      // The forecast's draw trie is the other: read-only while draws
-      // run, and each draw writes only its own Log (see lm::DrawTrie).
       stack.base = std::make_unique<lm::SimulatedLlm>(
           options.profile, vocab_size, cache, draws);
     }
@@ -279,8 +280,9 @@ struct SampleLoopState {
   /// with this forecast's prompt; null when caching is off or an
   /// external backend is in play.
   std::shared_ptr<lm::PrefixCache> cache;
-  /// What earlier waves' draws decoded (lm::DrawTrie); null when the
-  /// draws decode through a batch scheduler or an external backend.
+  /// What earlier waves' draws decoded (lm::DrawTrie), walked by each
+  /// draw's SimulatedLlm or BatchLlm lane; null when the draws decode
+  /// through an external backend or only one draw can run.
   const lm::DrawTrie* trie = nullptr;
   std::function<Status(const std::string& text, DrawOutcome* out)> parse;
   const char* salvage_noun = "timestamps";
@@ -378,10 +380,11 @@ Status FinishSampling(const MultiCastOptions& options, int survivors,
 // bit-identical for every thread count; threads only change wall-clock.
 // Draws dispatched speculatively past a stop (target reached, context
 // dead, terminal error) are discarded unmerged, exactly as if a serial
-// loop had never issued them. Draws on the simulated decoder share one
-// draw trie: each wave reads what earlier waves published, and the
-// wave's Logs are published in draw-index order after it (at threads =
-// 1 every wave is one draw, so every later draw sees every earlier one).
+// loop had never issued them. Draws on the simulated decoder, run to
+// completion or in a batch scheduler, share one draw trie: each wave
+// reads what earlier waves published, and the wave's Logs are published
+// in draw-index order after it (at threads = 1 every wave is one draw,
+// so every later draw sees every earlier one).
 Status RunSampleLoop(const MultiCastOptions& options,
                      SampleLoopState st, const RequestContext& ctx,
                      VirtualClock* clock, uint64_t rng_stream,
@@ -401,8 +404,7 @@ Status RunSampleLoop(const MultiCastOptions& options,
   draw_rngs.reserve(static_cast<size_t>(max_draws));
   for (int s = 0; s < max_draws; ++s) draw_rngs.push_back(rng.Fork());
   std::optional<lm::DrawTrie> trie;
-  if (max_draws > 1 && st.external == nullptr &&
-      options.batch_scheduler == nullptr) {
+  if (max_draws > 1 && st.external == nullptr) {
     trie.emplace(options.profile, st.vocab->size(), *st.prompt,
                  st.tokens_needed, *st.mask);
     st.trie = &*trie;

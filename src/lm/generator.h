@@ -32,10 +32,6 @@ Status ValidatePromptTokens(const std::vector<token::TokenId>& prompt,
 Result<std::vector<GrammarMask::Shared>> HoistGrammarCycle(
     const GrammarMask& mask, size_t num_tokens, size_t vocab_size);
 
-/// ForcedToken (lm/sampler.h) of every position of a hoisted cycle.
-std::vector<token::TokenId> ForcedTokens(
-    const std::vector<GrammarMask::Shared>& cycle);
-
 /// A decode session opened for a generation of known length.
 struct DecodeSession {
   /// Conditioned on the whole prompt.
@@ -43,18 +39,6 @@ struct DecodeSession {
   /// The hoisted grammar (HoistGrammarCycle).
   std::vector<GrammarMask::Shared> cycle;
 };
-
-/// Opens the session a `num_tokens`-token generation decodes on, as
-/// every plain decode front-end does: validates the prompt, hoists the
-/// grammar, takes the session from `cache` (a fork of its state for the
-/// prompt) or, when `cache` is null, feeds the prompt to a fresh
-/// `profile` model. The caller tells the session how many tokens it will
-/// generate (NGramLanguageModel::ReserveDecode) before it decodes into
-/// it. `fingerprint` is ModelFingerprint(profile, vocab_size).
-Result<DecodeSession> OpenDecodeSession(
-    const ModelProfile& profile, size_t vocab_size, uint64_t fingerprint,
-    PrefixCache* cache, const std::vector<token::TokenId>& prompt,
-    size_t num_tokens, const GrammarMask& mask);
 
 /// What the draws of one forecast decoded, keyed by generated prefix
 /// (DESIGN.md §5m, "Shared-prefix draw decoding").
@@ -69,18 +53,19 @@ Result<DecodeSession> OpenDecodeSession(
 /// Forced positions need no node: the grammar fixes their tokens, so the
 /// tokens drawn at model steps spell the whole prefix.
 ///
-/// A SimulatedLlm handed a Log of the trie walks it: while its prefix
-/// is one an earlier draw published, a model step costs only its own RNG
+/// A DecodeLane handed a Log of the trie walks it: while its prefix is
+/// one an earlier draw published, a model step costs only its own RNG
 /// draw and CDF walk over the node's weights (no NextDistribution, no
 /// pow, no Observe), and the tokens walked are kept back. At its first
-/// unseen node the draw ingests them with one ObserveAll, then decodes
-/// as usual, recording the nodes it adds in its Log.
+/// unseen node the lane ingests them with one ObserveAll, then decodes
+/// as usual, recording the nodes it adds in its Log. The lane is the
+/// decode step of both drivers, SimulatedLlm and the batch scheduler,
+/// so the draws of a forecast share the trie on either.
 ///
 /// No locks: while a wave of draws runs the trie is only read, each draw
 /// writes only its own Log, and the owner publishes the Logs, in draw-
-/// index order, once the wave is done. A Complete call whose profile,
-/// vocabulary, prompt or grammar differ from the trie's decodes without
-/// it.
+/// index order, once the wave is done. A lane whose profile, vocabulary,
+/// sampler, prompt or grammar differ from the trie's decodes without it.
 class DrawTrie {
  public:
   /// A trie for `num_tokens`-token generations of `profile` over a
@@ -100,6 +85,7 @@ class DrawTrie {
 
    private:
     friend class DrawTrie;
+    friend class DecodeLane;
     struct Entry {
       /// A published node, kNone for the root, or Logged(j) for this
       /// Log's entry j.
@@ -123,15 +109,14 @@ class DrawTrie {
   size_t size() const { return greedy_.size(); }
 
  private:
-  friend class SimulatedLlm;
-  class Walk;
+  friend class DecodeLane;
 
   static constexpr int32_t kNone = -1;
   static int32_t Logged(size_t entry) {
     return -2 - static_cast<int32_t>(entry);
   }
 
-  /// Whether a Complete over `prompt` with session grammar `cycle` on a
+  /// Whether a lane over `prompt` with session grammar `cycle` on a
   /// back-end of `fingerprint` and `sampler` may use this trie.
   bool Matches(uint64_t fingerprint, const SamplerOptions& sampler,
                const std::vector<token::TokenId>& prompt,
@@ -153,6 +138,99 @@ class DrawTrie {
   std::vector<token::TokenId> greedy_;
 };
 
+/// The per-token body of one generation, the decode step every driver
+/// shares: SimulatedLlm::Complete calls Next `num_tokens` times in a
+/// row, and batch::BatchScheduler calls it once per scheduler step for
+/// each lane in the batch.
+///
+/// A lane owns its session (the model conditioned on the prompt and the
+/// hoisted grammar) and, when it was given the Log of a DrawTrie made
+/// for its call, its walk of that trie (see DrawTrie): a model step an
+/// earlier draw published is drawn from the node's weights and its
+/// token kept back; at the first unseen node the lane sizes its session
+/// for the generation (NGramLanguageModel::ReserveDecode), ingests the
+/// tokens kept back with one ObserveAll, and from there decodes as
+/// usual and logs what it adds. Without a matching trie it sizes the
+/// session at once and every model step decodes: the plain loop.
+///
+/// At a grammar-forced position (the hoisted mask admits one token) the
+/// model is not consulted. The RNG still advances exactly as
+/// SampleToken would over any strictly positive distribution (and every
+/// back-end's distribution is strictly positive): one NextDouble above
+/// temperature 1e-6, none when greedy. So the tokens, and every later
+/// draw, are those of a loop that calls NextDistribution and SampleToken
+/// at every step.
+class DecodeLane {
+ public:
+  /// A lane of zero tokens.
+  DecodeLane() = default;
+
+  /// A lane that generates `num_tokens` tokens over `session` with
+  /// `sampler`, walking the trie of `draws` when that trie was made for
+  /// this call: a back-end of `fingerprint` whose session is conditioned
+  /// on `prompt`, and the session's grammar and `sampler`. `draws` may
+  /// be null and must outlive the lane.
+  DecodeLane(DecodeSession session, size_t num_tokens,
+             const SamplerOptions& sampler, DrawTrie::Log* draws = nullptr,
+             uint64_t fingerprint = 0,
+             const std::vector<token::TokenId>& prompt = {});
+
+  size_t num_tokens() const { return num_tokens_; }
+
+  /// Generates the next token and makes it context. `probs` is scratch
+  /// for the model's distribution; drivers reuse one across steps and
+  /// lanes. An error (no allowed token has positive probability) logs no
+  /// partial node. Call at most num_tokens() times.
+  Result<token::TokenId> Next(Rng* rng, std::vector<double>* probs);
+
+ private:
+  /// Draws the next model step from its published node and moves to the
+  /// node after the drawn token, off the trie when none is published.
+  token::TokenId DrawShared(Rng* rng);
+  /// Samples a model step the trie does not hold from the model's
+  /// distribution `probs`, as SampleToken does, logging the node. An
+  /// error logs nothing.
+  Result<token::TokenId> DrawFresh(const std::vector<double>& probs,
+                                   const std::vector<bool>& allowed,
+                                   Rng* rng);
+
+  std::unique_ptr<NGramLanguageModel> model_;
+  std::vector<GrammarMask::Shared> cycle_;
+  /// ForcedToken of every cycle position.
+  std::vector<token::TokenId> forced_;
+  SamplerOptions sampler_;
+  size_t num_tokens_ = 0;
+  size_t step_ = 0;
+  /// The trie walk: the Log and its trie, or null off any trie.
+  DrawTrie::Log* log_ = nullptr;
+  const DrawTrie* trie_ = nullptr;
+  /// The published node of the next model step, or kNone.
+  int32_t node_ = DrawTrie::kNone;
+  /// Where the next logged node attaches: its parent and the token
+  /// drawn there.
+  int32_t parent_ = DrawTrie::kNone;
+  token::TokenId edge_ = 0;
+  /// Tokens walked on the trie and not yet observed; the session takes
+  /// them, and is sized, at the first fresh model step.
+  bool deferring_ = false;
+  std::vector<token::TokenId> deferred_;
+  std::vector<double> weights_;
+};
+
+/// Opens the lane a `num_tokens`-token generation decodes on, as every
+/// decode front-end does: validates the prompt, hoists the grammar,
+/// takes the session from `cache` (a fork of its state for the prompt)
+/// or, when `cache` is null, feeds the prompt to a fresh `profile`
+/// model, and decodes with `profile.sampler`, walking the trie of
+/// `draws` (may be null) when it matches. `fingerprint` is
+/// ModelFingerprint(profile, vocab_size).
+Result<DecodeLane> OpenDecodeLane(const ModelProfile& profile,
+                                  size_t vocab_size, uint64_t fingerprint,
+                                  PrefixCache* cache,
+                                  const std::vector<token::TokenId>& prompt,
+                                  size_t num_tokens, const GrammarMask& mask,
+                                  DrawTrie::Log* draws);
+
 /// One simulated LLM back-end: a profile plus the decoding loop.
 ///
 /// Each Complete() call behaves like one stateless API call to a hosted
@@ -170,8 +248,8 @@ class DrawTrie {
 ///
 /// With a DrawTrie Log attached, the model steps that an earlier draw
 /// of the trie already decoded are drawn from the published weights
-/// instead of recomputed; the tokens, ledger and RNG state are those of
-/// the plain loop.
+/// instead of recomputed (DecodeLane); the tokens, ledger and RNG state
+/// are those of the plain loop.
 class SimulatedLlm final : public LlmBackend {
  public:
   /// `vocab_size` must match the vocabulary the prompt was encoded with.

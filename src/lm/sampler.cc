@@ -133,20 +133,5 @@ token::TokenId ForcedToken(const std::vector<bool>& allowed) {
   return forced;
 }
 
-Result<token::TokenId> SampleNextToken(const NGramLanguageModel& model,
-                                       const std::vector<bool>& allowed,
-                                       token::TokenId forced,
-                                       const SamplerOptions& options,
-                                       Rng* rng, std::vector<double>* probs) {
-  if (forced != kNotForced) {
-    // SampleToken's draw over weights with one nonzero entry: a single
-    // NextDouble that always lands on it. (Its greedy test, negated.)
-    if (!IsGreedy(options)) rng->NextDouble();
-    return forced;
-  }
-  model.NextDistribution(probs);
-  return SampleToken(*probs, allowed, options, rng);
-}
-
 }  // namespace lm
 }  // namespace multicast

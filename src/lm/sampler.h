@@ -5,7 +5,6 @@
 
 #include <vector>
 
-#include "lm/ngram_model.h"
 #include "token/vocabulary.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -69,23 +68,6 @@ inline constexpr token::TokenId kNotForced = -1;
 /// The one token `allowed` admits, or kNotForced when it admits none or
 /// several.
 token::TokenId ForcedToken(const std::vector<bool>& allowed);
-
-/// One step of a plain constrained decode loop: SampleToken over
-/// `model`'s NextDistribution (written into `*probs`, a buffer the loop
-/// reuses) restricted to `allowed`. The caller observes the result.
-///
-/// At a grammar-forced position — `forced`, which must equal
-/// ForcedToken(allowed), is not kNotForced — the model is not consulted
-/// and the result is `forced`. `rng` then advances exactly as
-/// SampleToken would over any strictly positive distribution (and every
-/// backend's distribution is strictly positive): one NextDouble above
-/// temperature 1e-6, none when greedy. So the token, and every later
-/// draw, are those of the unskipped loop.
-Result<token::TokenId> SampleNextToken(const NGramLanguageModel& model,
-                                       const std::vector<bool>& allowed,
-                                       token::TokenId forced,
-                                       const SamplerOptions& options,
-                                       Rng* rng, std::vector<double>* probs);
 
 }  // namespace lm
 }  // namespace multicast

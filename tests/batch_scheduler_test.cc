@@ -19,6 +19,8 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "batch/batch_llm.h"
@@ -46,13 +48,15 @@ constexpr uint64_t kSeed = 0x5eed;
 // prompt, allow-all grammar. `rng` must outlive the job's Await.
 DecodeJobSpec MakeJob(size_t num_tokens, Rng* rng) {
   const size_t vocab = token::Vocabulary::Digits().size();
-  DecodeJobSpec spec;
-  spec.session = lm::NewDecoderModel(lm::ModelProfile::Llama2_7B(), vocab);
-  for (token::TokenId t : {1, 2, 3}) spec.session->Observe(t);
-  spec.num_tokens = num_tokens;
-  spec.masks =
+  const lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
+  lm::DecodeSession session;
+  session.model = lm::NewDecoderModel(profile, vocab);
+  for (token::TokenId t : {1, 2, 3}) session.model->Observe(t);
+  session.cycle =
       lm::HoistGrammarCycle(lm::AllowAll(vocab), num_tokens, vocab)
           .ValueOrDie();
+  DecodeJobSpec spec;
+  spec.lane = lm::DecodeLane(std::move(session), num_tokens, profile.sampler);
   spec.rng = rng;
   return spec;
 }
@@ -269,7 +273,9 @@ TEST(BatchSchedulerTest, CostHooksFireOncePerStepUnderDeadlinePreemption) {
   bool shrunk = false;
   for (size_t active : hook_calls) {
     if (active == 1) shrunk = true;
-    if (shrunk) EXPECT_EQ(active, 1u);
+    if (shrunk) {
+      EXPECT_EQ(active, 1u);
+    }
   }
   EXPECT_TRUE(shrunk);
 }
@@ -329,7 +335,7 @@ TEST(BatchSchedulerTest, DeadOnArrivalJobNeverTakesASlot) {
 
 TEST(BatchSchedulerTest, ZeroTokenJobCompletesWithoutDecoding) {
   BatchScheduler scheduler;
-  DecodeJobSpec spec;  // no session/rng needed for an empty generation
+  DecodeJobSpec spec;  // a lane of 0 tokens needs no session or rng
   BatchTicket ticket = scheduler.Submit(std::move(spec));
   auto out = scheduler.Await(ticket);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -406,13 +412,15 @@ TEST(BatchSchedulerTest, ForcedPositionsMatchTheUnskippedLoop) {
       std::vector<BatchTicket> tickets;
       for (size_t i = 0; i < samplers.size(); ++i) {
         rngs.emplace_back(kSeed + i);
+        lm::DecodeSession session;
+        session.model = lm::NewDecoderModel(profile.profile, ref::kVocab);
+        for (token::TokenId id : prompt) session.model->Observe(id);
+        session.cycle =
+            lm::HoistGrammarCycle(mask.mask, num_tokens, ref::kVocab)
+                .ValueOrDie();
         DecodeJobSpec spec;
-        spec.session = lm::NewDecoderModel(profile.profile, ref::kVocab);
-        for (token::TokenId id : prompt) spec.session->Observe(id);
-        spec.num_tokens = num_tokens;
-        spec.masks = lm::HoistGrammarCycle(mask.mask, num_tokens, ref::kVocab)
-                         .ValueOrDie();
-        spec.sampler = samplers[i].options;
+        spec.lane = lm::DecodeLane(std::move(session), num_tokens,
+                                   samplers[i].options);
         spec.rng = &rngs[i];
         spec.clock = &clocks[i];
         tickets.push_back(scheduler.Submit(std::move(spec)));
@@ -431,6 +439,274 @@ TEST(BatchSchedulerTest, ForcedPositionsMatchTheUnskippedLoop) {
       }
       EXPECT_EQ(scheduler.stats().steps, num_tokens);
     }
+  }
+}
+
+// A lane over the n-gram back-end for `num_tokens` tokens after
+// `prompt`, walking the trie of `draws` when it matches (null: none).
+lm::DecodeLane OpenLane(const std::vector<token::TokenId>& prompt,
+                        size_t num_tokens, const lm::GrammarMask& mask,
+                        lm::DrawTrie::Log* draws,
+                        lm::PrefixCache* cache = nullptr) {
+  const lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
+  return lm::OpenDecodeLane(profile, decode_reference::kVocab,
+                            lm::ModelFingerprint(profile,
+                                                 decode_reference::kVocab),
+                            cache, prompt, num_tokens, mask, draws)
+      .ValueOrDie();
+}
+
+void ExpectSameStats(const BatchStats& want, const BatchStats& got) {
+  EXPECT_EQ(want.steps, got.steps);
+  EXPECT_EQ(want.slot_steps, got.slot_steps);
+  EXPECT_EQ(want.submitted, got.submitted);
+  EXPECT_EQ(want.admitted, got.admitted);
+  EXPECT_EQ(want.retired, got.retired);
+  EXPECT_EQ(want.backfills, got.backfills);
+  EXPECT_EQ(want.preemptions, got.preemptions);
+  EXPECT_EQ(want.peak_batch, got.peak_batch);
+  EXPECT_EQ(want.occupancy, got.occupancy);
+}
+
+// One batch mixes lanes of two forecasts, each on its own draw trie
+// (different prompts and grammars), with a lane on no trie. Rounds of
+// submissions run one after another, each round's Logs published in
+// submission order after it, so later rounds walk what earlier ones
+// decoded. Every lane must give the tokens and next RNG output of the
+// plain loop with its own seed, and the scheduler must count the same
+// steps, occupancy and virtual time as for the same lanes on no trie.
+TEST(BatchSchedulerTest, LanesOfTwoTriesAndNoneShareABatch) {
+  namespace ref = decode_reference;
+  const lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
+  struct Forecast {
+    std::vector<token::TokenId> prompt;
+    lm::GrammarMask mask;
+    size_t num_tokens;
+  };
+  const std::vector<ref::NamedMask> masks = ref::ForcedMasks();
+  const std::vector<Forecast> forecasts = {
+      {ref::DigitPrompt(60), masks[0].mask, 42},
+      {ref::DigitPrompt(45), masks[1].mask, 30},
+      {ref::DigitPrompt(50), masks[2].mask, 36},  // the no-trie lane
+  };
+  // Lanes per round: forecast 0, 0, 1, 1, 2.
+  const std::vector<size_t> lane_forecast = {0, 0, 1, 1, 2};
+  const int rounds = 4;
+  for (bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "cached" : "uncached");
+    auto run = [&](bool tries, std::vector<size_t>* logged) {
+      auto cache = cached ? std::make_shared<lm::PrefixCache>(4) : nullptr;
+      std::vector<lm::DrawTrie> trie;
+      for (size_t f = 0; f < 2; ++f) {
+        trie.emplace_back(profile, ref::kVocab, forecasts[f].prompt,
+                          forecasts[f].num_tokens, forecasts[f].mask);
+      }
+      BatchPolicy policy;
+      policy.max_batch = 8;
+      policy.step_seconds = 0.5;
+      BatchScheduler scheduler(policy);
+      std::vector<VirtualClock> clocks(lane_forecast.size() * rounds);
+      for (int r = 0; r < rounds; ++r) {
+        std::vector<lm::DrawTrie::Log> logs;
+        for (size_t f : lane_forecast) {
+          logs.emplace_back(tries && f < 2 ? &trie[f] : nullptr);
+        }
+        std::vector<Rng> rngs;
+        std::vector<BatchTicket> tickets;
+        for (size_t k = 0; k < lane_forecast.size(); ++k) {
+          rngs.emplace_back(700 + r * 10 + k);
+        }
+        for (size_t k = 0; k < lane_forecast.size(); ++k) {
+          const Forecast& fc = forecasts[lane_forecast[k]];
+          DecodeJobSpec spec;
+          spec.lane = OpenLane(fc.prompt, fc.num_tokens, fc.mask, &logs[k],
+                               cache.get());
+          spec.rng = &rngs[k];
+          spec.clock = &clocks[r * lane_forecast.size() + k];
+          tickets.push_back(scheduler.Submit(std::move(spec)));
+        }
+        for (size_t k = 0; k < lane_forecast.size(); ++k) {
+          SCOPED_TRACE("round " + std::to_string(r) + " lane " +
+                       std::to_string(k));
+          const Forecast& fc = forecasts[lane_forecast[k]];
+          auto out = scheduler.Await(tickets[k]);
+          EXPECT_TRUE(out.ok()) << out.status().ToString();
+          if (!out.ok()) continue;
+          const ref::Decoded want =
+              ref::ReferenceDecode(profile, ref::kVocab, fc.prompt,
+                                   fc.num_tokens, fc.mask, 700 + r * 10 + k);
+          EXPECT_EQ(out.value().tokens, want.tokens);
+          EXPECT_EQ(rngs[k].NextUint32(), want.rng_next);
+        }
+        for (size_t k = 0; k < lane_forecast.size(); ++k) {
+          if (lane_forecast[k] < 2 && tries) {
+            (*logged)[r * lane_forecast.size() + k] = logs[k].size();
+            trie[lane_forecast[k]].Publish(&logs[k]);
+          } else {
+            EXPECT_EQ(logs[k].size(), 0u);
+          }
+        }
+      }
+      std::vector<double> times;
+      for (const VirtualClock& clock : clocks) times.push_back(clock.now());
+      return std::make_pair(scheduler.stats(), times);
+    };
+    std::vector<size_t> logged(lane_forecast.size() * rounds, 0);
+    const auto plain = run(/*tries=*/false, &logged);
+    const auto shared = run(/*tries=*/true, &logged);
+    ExpectSameStats(plain.first, shared.first);
+    EXPECT_EQ(plain.second, shared.second);
+    // The later rounds walked the tries: the four trie lanes of the last
+    // round log fewer nodes than those of the first round.
+    size_t first_round = 0, last_round = 0;
+    for (size_t k = 0; k < 4; ++k) {
+      first_round += logged[k];
+      last_round += logged[(rounds - 1) * lane_forecast.size() + k];
+    }
+    EXPECT_LT(last_round, first_round);
+  }
+}
+
+// A lane preempted while it still walks its forecast's trie (past its
+// deadline, or cancelled) never ingests the tokens it kept back and logs
+// no node, so publishing its Log leaves the trie as it was: later lanes
+// over the trie still decode the plain loop's tokens. The scheduler
+// counts the same steps, preemptions and occupancy, and charges the same
+// virtual time, as for the same submissions on no trie.
+TEST(BatchSchedulerTest, LanePreemptedOnTheTrieLeavesItConsistent) {
+  namespace ref = decode_reference;
+  const lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
+  const std::vector<token::TokenId> prompt = ref::DigitPrompt(60);
+  const lm::GrammarMask mask = ref::ForcedMasks()[0].mask;
+  const size_t num_tokens = 42;
+  for (bool cancel : {false, true}) {
+    SCOPED_TRACE(cancel ? "cancelled" : "past deadline");
+    auto run = [&](bool tries) {
+      lm::DrawTrie trie(profile, ref::kVocab, prompt, num_tokens, mask);
+      // Publish one full draw of seed 900: a lane of the same seed then
+      // walks the trie from its first step to its last.
+      lm::DrawTrie::Log seed_log(&trie);
+      lm::SimulatedLlm seeder(profile, ref::kVocab, nullptr, &seed_log);
+      Rng seed_rng(900);
+      EXPECT_TRUE(seeder.Complete(prompt, num_tokens, mask, &seed_rng).ok());
+      trie.Publish(&seed_log);
+      const size_t published = trie.size();
+
+      BatchPolicy policy;
+      policy.max_batch = 2;
+      policy.step_seconds = 0.1;
+      BatchScheduler scheduler(policy);
+      VirtualClock doomed_clock, healthy_clock;
+      lm::DrawTrie::Log doomed_log(tries ? &trie : nullptr);
+      lm::DrawTrie::Log healthy_log(tries ? &trie : nullptr);
+      Rng doomed_rng(900), healthy_rng(901);
+      DecodeJobSpec doomed;
+      doomed.lane = OpenLane(prompt, num_tokens, mask, &doomed_log);
+      doomed.rng = &doomed_rng;
+      doomed.clock = &doomed_clock;
+      if (cancel) {
+        doomed.cancel.CancelAtTime(&doomed_clock, 2.05, "drain");
+      } else {
+        doomed.deadline_seconds = 2.05;
+      }
+      DecodeJobSpec healthy;
+      healthy.lane = OpenLane(prompt, num_tokens, mask, &healthy_log);
+      healthy.rng = &healthy_rng;
+      healthy.clock = &healthy_clock;
+      const BatchTicket td = scheduler.Submit(std::move(doomed));
+      const BatchTicket th = scheduler.Submit(std::move(healthy));
+      auto dead = scheduler.Await(td);
+      EXPECT_FALSE(dead.ok());
+      EXPECT_EQ(dead.status().code(), cancel ? StatusCode::kCancelled
+                                             : StatusCode::kDeadlineExceeded);
+      auto out = scheduler.Await(th);
+      EXPECT_TRUE(out.ok()) << out.status().ToString();
+      if (out.ok()) {
+        const ref::Decoded want = ref::ReferenceDecode(
+            profile, ref::kVocab, prompt, num_tokens, mask, 901);
+        EXPECT_EQ(out.value().tokens, want.tokens);
+        EXPECT_EQ(healthy_rng.NextUint32(), want.rng_next);
+      }
+      if (tries) {
+        EXPECT_EQ(doomed_log.size(), 0u);
+        trie.Publish(&doomed_log);
+        EXPECT_EQ(trie.size(), published);
+        trie.Publish(&healthy_log);
+      }
+      // Later lanes, the doomed seed's among them, walk the trie as it
+      // stands and still decode the plain loop.
+      for (uint64_t seed : {900, 901, 902}) {
+        lm::DrawTrie::Log log(tries ? &trie : nullptr);
+        Rng rng(seed);
+        DecodeJobSpec spec;
+        spec.lane = OpenLane(prompt, num_tokens, mask, &log);
+        spec.rng = &rng;
+        auto again = scheduler.Await(scheduler.Submit(std::move(spec)));
+        EXPECT_TRUE(again.ok());
+        if (!again.ok()) continue;
+        const ref::Decoded want = ref::ReferenceDecode(
+            profile, ref::kVocab, prompt, num_tokens, mask, seed);
+        EXPECT_EQ(again.value().tokens, want.tokens) << seed;
+        EXPECT_EQ(rng.NextUint32(), want.rng_next) << seed;
+        if (tries) trie.Publish(&log);
+      }
+      return std::make_tuple(scheduler.stats(), doomed_clock.now(),
+                             healthy_clock.now());
+    };
+    const auto plain = run(/*tries=*/false);
+    const auto shared = run(/*tries=*/true);
+    ExpectSameStats(std::get<0>(plain), std::get<0>(shared));
+    EXPECT_EQ(std::get<0>(plain).preemptions, 1u);
+    EXPECT_EQ(std::get<1>(plain), std::get<1>(shared));
+    EXPECT_EQ(std::get<2>(plain), std::get<2>(shared));
+  }
+}
+
+// Four threads run a wave of draws through BatchLlm over one trie at a
+// time, in one max_batch 8 scheduler, each with its own Log; the wave's
+// Logs are published in draw order after it. Every draw must decode the
+// plain loop. (Run under TSan in CI.)
+TEST(BatchSchedulerTest, ConcurrentTrieWavesMatchTheReferenceLoop) {
+  namespace ref = decode_reference;
+  const lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
+  const std::vector<token::TokenId> prompt = ref::DigitPrompt(60);
+  const size_t num_tokens = 42;
+  const int waves = 3;
+  const int width = 4;
+  for (const ref::NamedMask& mask : ref::ForcedMasks()) {
+    SCOPED_TRACE(mask.name);
+    BatchPolicy policy;
+    policy.max_batch = 8;
+    auto scheduler = std::make_shared<BatchScheduler>(policy);
+    auto cache = std::make_shared<lm::PrefixCache>(2);
+    lm::DrawTrie trie(profile, ref::kVocab, prompt, num_tokens, mask.mask);
+    for (int w = 0; w < waves; ++w) {
+      std::vector<lm::DrawTrie::Log> logs;
+      for (int k = 0; k < width; ++k) logs.emplace_back(&trie);
+      std::vector<Result<lm::GenerationResult>> got(
+          width, Status::Internal("not run"));
+      std::vector<uint32_t> rng_next(width);
+      std::vector<std::thread> threads;
+      for (int k = 0; k < width; ++k) {
+        threads.emplace_back([&, k] {
+          BatchLlm llm(profile, ref::kVocab, scheduler, cache, &logs[k]);
+          Rng rng(500 + static_cast<uint64_t>(w * width + k));
+          got[k] = llm.Complete(prompt, num_tokens, mask.mask, &rng);
+          rng_next[k] = rng.NextUint32();
+        });
+      }
+      for (std::thread& t : threads) t.join();
+      for (int k = 0; k < width; ++k) {
+        const ref::Decoded want = ref::ReferenceDecode(
+            profile, ref::kVocab, prompt, num_tokens, mask.mask,
+            500 + static_cast<uint64_t>(w * width + k));
+        ASSERT_TRUE(got[k].ok()) << got[k].status().ToString();
+        EXPECT_EQ(got[k].value().tokens, want.tokens) << w << "/" << k;
+        EXPECT_EQ(rng_next[k], want.rng_next) << w << "/" << k;
+        trie.Publish(&logs[k]);
+      }
+    }
+    EXPECT_GT(trie.size(), 0u);
   }
 }
 

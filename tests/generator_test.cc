@@ -263,7 +263,9 @@ TEST(DrawTrieTest, ConcurrentWavesMatchTheReferenceLoop) {
         EXPECT_LE(trie.size(), before + logged);
         // Every wave's first model step is the root, which the first
         // wave's four draws all logged and Publish kept once.
-        if (w == 0) EXPECT_LT(trie.size(), logged);
+        if (w == 0) {
+          EXPECT_LT(trie.size(), logged);
+        }
       }
     }
   }

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "batch/batch_scheduler.h"
 #include "forecast/llmtime_forecaster.h"
 #include "lm/generator.h"
 #include "metrics/metrics.h"
@@ -244,10 +246,11 @@ void ExpectSameForecast(const Result<ForecastResult>& want,
 }
 
 // Draws on the internal simulated decoder share one draw trie per
-// forecast (lm::DrawTrie); an external SimulatedLlm decodes every draw
-// in full. The two must agree on every pipeline, sample count, thread
-// count and cache setting, clean and under chaos with retries and
-// redraws.
+// forecast (lm::DrawTrie), run to completion or as lanes of a batch
+// scheduler; an external SimulatedLlm decodes every draw in full. The
+// two must agree on every pipeline, sample count, thread count, cache
+// setting and batch size (no scheduler, one slot, eight), clean and
+// under chaos with retries and redraws.
 TEST(MultiCastForecasterTest, SharedPrefixDrawsMatchUnsharedDecode) {
   const ts::Frame frame = NoisyFrame(60);
   const size_t horizon = 7;
@@ -289,20 +292,27 @@ TEST(MultiCastForecasterTest, SharedPrefixDrawsMatchUnsharedDecode) {
               resilience.retry.max_attempts = 3;
               resilience.max_redraws = 4;
             }
-            Result<ForecastResult> want = Status::Internal("unset");
-            Result<ForecastResult> got = Status::Internal("unset");
-            if (pipeline.name == "LLMTime") {
-              LlmTimeOptions opts;
-              opts.num_samples = samples;
-              opts.threads = threads;
-              opts.faults = faults;
-              opts.resilience = resilience;
-              opts.prefix_cache = cache != Cache::kOff;
-              opts.prefix_cache_capacity = cache == Cache::kOn ? 64 : 0;
-              got = LlmTimeForecaster(opts).Forecast(frame, horizon);
-              opts.backend = &unshared;
-              want = LlmTimeForecaster(opts).Forecast(frame, horizon);
-            } else {
+            // One forecast per batch setting (0: no scheduler); `backend`
+            // set decodes through it instead.
+            auto forecast = [&](size_t max_batch, lm::LlmBackend* backend) {
+              std::shared_ptr<batch::BatchScheduler> scheduler;
+              if (max_batch > 0) {
+                batch::BatchPolicy policy;
+                policy.max_batch = max_batch;
+                scheduler = std::make_shared<batch::BatchScheduler>(policy);
+              }
+              if (pipeline.name == "LLMTime") {
+                LlmTimeOptions opts;
+                opts.num_samples = samples;
+                opts.threads = threads;
+                opts.faults = faults;
+                opts.resilience = resilience;
+                opts.prefix_cache = cache != Cache::kOff;
+                opts.prefix_cache_capacity = cache == Cache::kOn ? 64 : 0;
+                opts.batch_scheduler = scheduler;
+                opts.backend = backend;
+                return LlmTimeForecaster(opts).Forecast(frame, horizon);
+              }
               MultiCastOptions opts;
               opts.quantization = pipeline.quantization;
               opts.mux = pipeline.mux;
@@ -313,11 +323,15 @@ TEST(MultiCastForecasterTest, SharedPrefixDrawsMatchUnsharedDecode) {
               opts.resilience = resilience;
               opts.prefix_cache = cache != Cache::kOff;
               opts.prefix_cache_capacity = cache == Cache::kOn ? 64 : 0;
-              got = MultiCastForecaster(opts).Forecast(frame, horizon);
-              opts.backend = &unshared;
-              want = MultiCastForecaster(opts).Forecast(frame, horizon);
+              opts.batch_scheduler = scheduler;
+              opts.backend = backend;
+              return MultiCastForecaster(opts).Forecast(frame, horizon);
+            };
+            const Result<ForecastResult> want = forecast(0, &unshared);
+            for (size_t max_batch : {0, 1, 8}) {
+              SCOPED_TRACE("max_batch=" + std::to_string(max_batch));
+              ExpectSameForecast(want, forecast(max_batch, nullptr));
             }
-            ExpectSameForecast(want, got);
           }
         }
       }
