@@ -1,7 +1,6 @@
 #include "extensions/anomaly.h"
 
 #include <cmath>
-#include <memory>
 
 #include "lm/ngram_model.h"
 #include "scale/scaler.h"
@@ -16,13 +15,11 @@ namespace {
 
 struct SerializedStream {
   std::vector<token::TokenId> ids;
-  size_t cycle = 0;
-  std::unique_ptr<multiplex::Multiplexer> mux;
-  std::vector<int> widths;
+  multiplex::CycleLayout layout;
 };
 
 // Serializes the frame exactly as the forecaster does and returns the
-// token ids plus the cycle geometry needed to attribute tokens back to
+// token ids plus the cycle layout that attributes tokens back to
 // dimensions.
 Result<SerializedStream> SerializeFrame(const ts::Frame& frame,
                                         const AnomalyOptions& options) {
@@ -43,16 +40,13 @@ Result<SerializedStream> SerializeFrame(const ts::Frame& frame,
       input.values[d].push_back(std::move(s));
     }
   }
-  std::unique_ptr<multiplex::Multiplexer> mux =
-      multiplex::CreateMultiplexer(options.mux);
-  MC_ASSIGN_OR_RETURN(std::string stream, mux->Multiplex(input, widths));
+  const multiplex::Multiplexer mux(options.mux);
+  MC_ASSIGN_OR_RETURN(std::string stream, mux.Multiplex(input, widths));
   stream.push_back(',');  // terminate the last timestamp's cycle
   token::Vocabulary vocab = token::Vocabulary::Digits();
   SerializedStream out;
   MC_ASSIGN_OR_RETURN(out.ids, token::Encode(stream, vocab));
-  out.cycle = mux->TokensPerTimestamp(widths);
-  out.mux = std::move(mux);
-  out.widths = std::move(widths);
+  out.layout = mux.Layout(widths);
   return out;
 }
 
@@ -81,7 +75,8 @@ Result<AnomalyReport> DetectAnomalies(const ts::Frame& frame,
   MC_ASSIGN_OR_RETURN(SerializedStream serialized,
                       SerializeFrame(frame, options));
   const std::vector<token::TokenId>& ids = serialized.ids;
-  const size_t cycle = serialized.cycle;
+  const multiplex::CycleLayout& layout = serialized.layout;
+  const size_t cycle = layout.size();
 
   // Prequential scoring: surprisal of each token before observing it,
   // attributed both to its timestamp and, via the cycle geometry, to
@@ -92,13 +87,10 @@ Result<AnomalyReport> DetectAnomalies(const ts::Frame& frame,
   report.scores.assign(frame.length(), 0.0);
   report.per_dim_scores.assign(frame.num_dims(),
                                std::vector<double>(frame.length(), 0.0));
-  std::vector<int> dim_at_pos(cycle);
   std::vector<double> tokens_per_dim(frame.num_dims(), 0.0);
-  for (size_t pos = 0; pos < cycle; ++pos) {
-    dim_at_pos[pos] =
-        serialized.mux->DimensionAtPosition(pos, serialized.widths);
-    if (dim_at_pos[pos] >= 0) {
-      tokens_per_dim[static_cast<size_t>(dim_at_pos[pos])] += 1.0;
+  for (const multiplex::CycleSlot& slot : layout) {
+    if (!slot.is_separator()) {
+      tokens_per_dim[static_cast<size_t>(slot.dim)] += 1.0;
     }
   }
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -108,7 +100,7 @@ Result<AnomalyReport> DetectAnomalies(const ts::Frame& frame,
     size_t t = i / cycle;  // timestamp this token belongs to
     if (t < report.scores.size()) {
       report.scores[t] += surprisal / static_cast<double>(cycle);
-      int d = dim_at_pos[i % cycle];
+      int d = layout[i % cycle].dim;
       if (d >= 0) {
         report.per_dim_scores[static_cast<size_t>(d)][t] +=
             surprisal / tokens_per_dim[static_cast<size_t>(d)];

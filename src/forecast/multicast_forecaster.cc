@@ -23,17 +23,16 @@ namespace {
 // Builds the per-step grammar mask for a multiplexed digit stream: comma
 // at separator positions of the timestamp cycle, any non-comma symbol
 // elsewhere.
-lm::GrammarMask StructuredMask(const multiplex::Multiplexer& mux,
-                               const std::vector<int>& widths,
+lm::GrammarMask StructuredMask(const multiplex::CycleLayout& layout,
                                const token::Vocabulary& vocab) {
-  size_t cycle = mux.TokensPerTimestamp(widths);
+  const size_t cycle = layout.size();
   token::TokenId comma = vocab.CommaId().ValueOrDie();
   size_t vocab_size = vocab.size();
   // One shared immutable mask per cycle position, built once; declaring
   // the period lets the decode loop stop calling the functor entirely.
   std::vector<lm::GrammarMask::Shared> positions(cycle);
   for (size_t p = 0; p < cycle; ++p) {
-    bool want_comma = mux.IsSeparatorPosition(p, widths);
+    bool want_comma = layout[p].is_separator();
     std::vector<bool> allowed(vocab_size, !want_comma);
     allowed[static_cast<size_t>(comma)] = want_comma;
     positions[p] =
@@ -171,18 +170,16 @@ BackendStack BuildDrawStack(const MultiCastOptions& options,
   return stack;
 }
 
-// Longest prefix of `text` that obeys the multiplexer's position
-// grammar, measured in *complete* timestamps. Corrupted generations put
-// commas at digit positions (or vice versa); everything before the first
+// Longest prefix of `text` that obeys the multiplexer's cycle layout,
+// measured in *complete* timestamps. Corrupted generations put commas at
+// digit positions (or vice versa); everything before the first
 // violation, rounded down to a whole timestamp cycle, is salvageable.
 size_t GrammarValidTimestamps(const std::string& text,
-                              const multiplex::Multiplexer& mux,
-                              const std::vector<int>& widths) {
-  const size_t cycle = mux.TokensPerTimestamp(widths);
+                              const multiplex::CycleLayout& layout) {
+  const size_t cycle = layout.size();
   size_t complete = 0;
   for (size_t i = 0; i < text.size(); ++i) {
-    const bool want_comma = mux.IsSeparatorPosition(i % cycle, widths);
-    if ((text[i] == ',') != want_comma) break;
+    if ((text[i] == ',') != layout[i % cycle].is_separator()) break;
     if (i % cycle + 1 == cycle) ++complete;
   }
   return complete;
@@ -207,8 +204,7 @@ Result<SampleDraw> DrawSample(lm::LlmBackend* backend,
                               const std::vector<token::TokenId>& prompt,
                               size_t tokens_needed,
                               const lm::GrammarMask& mask, Rng* sample_rng,
-                              const multiplex::Multiplexer& mux,
-                              const std::vector<int>& widths,
+                              const multiplex::CycleLayout& layout,
                               const token::Vocabulary& vocab,
                               const RequestContext& ctx,
                               lm::TokenLedger* ledger) {
@@ -230,13 +226,13 @@ Result<SampleDraw> DrawSample(lm::LlmBackend* backend,
   *ledger += gen.ledger;
   draw.latency_seconds = gen.latency_seconds;
   MC_ASSIGN_OR_RETURN(std::string text, token::Decode(gen.tokens, vocab));
-  draw.timestamps = GrammarValidTimestamps(text, mux, widths);
+  draw.timestamps = GrammarValidTimestamps(text, layout);
   if (draw.timestamps == 0) {
     draw.failure = Status::Unavailable(
         "generation corrupted before the first complete timestamp");
     return draw;
   }
-  text.resize(draw.timestamps * mux.TokensPerTimestamp(widths));
+  text.resize(draw.timestamps * layout.size());
   draw.text = std::move(text);
   draw.usable = true;
   return draw;
@@ -270,8 +266,7 @@ struct SampleLoopState {
   const std::vector<token::TokenId>* prompt = nullptr;
   size_t tokens_needed = 0;
   const lm::GrammarMask* mask = nullptr;
-  const multiplex::Multiplexer* mux = nullptr;
-  const std::vector<int>* widths = nullptr;
+  const multiplex::CycleLayout* layout = nullptr;
   const token::Vocabulary* vocab = nullptr;
   /// Shared serialized wrapper over an injected external backend; null
   /// when the forecast builds its own simulated base per draw.
@@ -310,7 +305,7 @@ DrawOutcome RunDraw(const SampleLoopState& st, int draw_index, Rng rng,
       static_cast<uint64_t>(draw_index), st.cache, &out.draws);
   Result<SampleDraw> draw_or =
       DrawSample(stack.top, *st.prompt, st.tokens_needed, *st.mask, &rng,
-                 *st.mux, *st.widths, *st.vocab, draw_ctx, &out.ledger);
+                 *st.layout, *st.vocab, draw_ctx, &out.ledger);
   if (stack.resilient != nullptr) {
     out.retry_stats = stack.resilient->stats();
   }
@@ -519,8 +514,7 @@ Result<ForecastResult> SampleAndAggregate(
         "pipeline's %zu",
         options.backend->vocab_size(), st.vocab->size()));
   }
-  const lm::GrammarMask mask =
-      StructuredMask(*st.mux, *st.widths, *st.vocab);
+  const lm::GrammarMask mask = StructuredMask(*st.layout, *st.vocab);
   VirtualClock local_clock;
   VirtualClock* clock = ctx.clock != nullptr ? ctx.clock : &local_clock;
   const double virtual_start = clock->now();
@@ -656,10 +650,10 @@ Result<ForecastResult> MultiCastForecaster::ForecastRaw(
 
   // 2. Multiplex to one stream; the trailing comma opens a new timestamp
   // so generation starts at the first digit position of the cycle.
-  std::unique_ptr<multiplex::Multiplexer> mux =
-      multiplex::CreateMultiplexer(options_.mux);
-  MC_ASSIGN_OR_RETURN(std::string stream, mux->Multiplex(input, widths));
+  const multiplex::Multiplexer mux(options_.mux);
+  MC_ASSIGN_OR_RETURN(std::string stream, mux.Multiplex(input, widths));
   stream.push_back(',');
+  const multiplex::CycleLayout layout = mux.Layout(widths);
 
   // 3. Tokenize.
   token::Vocabulary vocab = token::Vocabulary::Digits();
@@ -671,9 +665,8 @@ Result<ForecastResult> MultiCastForecaster::ForecastRaw(
   // the median of the survivors.
   SampleLoopState st;
   st.prompt = &prompt;
-  st.tokens_needed = horizon * mux->TokensPerTimestamp(widths);
-  st.mux = mux.get();
-  st.widths = &widths;
+  st.tokens_needed = horizon * layout.size();
+  st.layout = &layout;
   st.vocab = &vocab;
   st.salvage_noun = "timestamps";
   st.parse = [&mux, &widths, &params, dims, horizon](
@@ -681,7 +674,7 @@ Result<ForecastResult> MultiCastForecaster::ForecastRaw(
     // 5. Demultiplex and descale the salvaged prefix of this sample.
     MC_ASSIGN_OR_RETURN(
         multiplex::MuxInput demuxed,
-        mux->Demultiplex(text, widths, /*allow_partial=*/true));
+        mux.Demultiplex(text, widths, /*allow_partial=*/true));
     const size_t usable =
         std::min<size_t>(horizon, demuxed.num_timestamps());
     out->salvaged = usable;
@@ -731,10 +724,10 @@ Result<ForecastResult> MultiCastForecaster::ForecastSax(
   }
 
   // 2. Multiplex the symbol streams (each "timestamp" is one PAA segment).
-  std::unique_ptr<multiplex::Multiplexer> mux =
-      multiplex::CreateMultiplexer(options_.mux);
-  MC_ASSIGN_OR_RETURN(std::string stream, mux->Multiplex(input, widths));
+  const multiplex::Multiplexer mux(options_.mux);
+  MC_ASSIGN_OR_RETURN(std::string stream, mux.Multiplex(input, widths));
   stream.push_back(',');
+  const multiplex::CycleLayout layout = mux.Layout(widths);
 
   // 3. Tokenize over the SAX vocabulary (the generation constraint set
   // becomes the active alphabet plus comma instead of [0-9,]).
@@ -754,9 +747,8 @@ Result<ForecastResult> MultiCastForecaster::ForecastSax(
       static_cast<size_t>(options_.sax_segment_length);
   SampleLoopState st;
   st.prompt = &prompt;
-  st.tokens_needed = segments_needed * mux->TokensPerTimestamp(widths);
-  st.mux = mux.get();
-  st.widths = &widths;
+  st.tokens_needed = segments_needed * layout.size();
+  st.layout = &layout;
   st.vocab = &vocab;
   st.salvage_noun = "segments";
   st.parse = [&mux, &widths, &codecs, dims, horizon, segments_needed,
@@ -766,7 +758,7 @@ Result<ForecastResult> MultiCastForecaster::ForecastSax(
     // SAX words (one symbol per surviving segment).
     MC_ASSIGN_OR_RETURN(
         multiplex::MuxInput demuxed,
-        mux->Demultiplex(text, widths, /*allow_partial=*/true));
+        mux.Demultiplex(text, widths, /*allow_partial=*/true));
     const size_t usable_segments =
         std::min(segments_needed, demuxed.num_timestamps());
     const size_t usable_steps =

@@ -8,17 +8,21 @@
 //   VI (value-interleaving)  d1=17 d2=23 -> "1723"   (values abutted)
 //   VC (value-concatenation) d1=17 d2=23 -> "17,23"  (values as fields)
 //
-// Timestamps are separated by commas in every scheme. Each multiplexer
-// also exposes the *position grammar* of its stream — which positions in
-// a timestamp cycle must hold digits vs. the comma — which the forecaster
-// uses to constrain LLM decoding exactly as LLMTime restricts output to
-// [0-9,]. Demultiplexing is exact: Demultiplex(Multiplex(x)) == x.
+// Timestamps are separated by commas in every scheme. The schemes differ
+// only in where each dimension's digits and the commas sit within one
+// timestamp cycle, so that placement — the cycle layout — is the one
+// per-scheme decision. Multiplex and Demultiplex walk it, and so do the
+// forecaster's decoding grammar (which positions must hold the comma, as
+// LLMTime restricts output to [0-9,]) and the anomaly extension's
+// per-token attribution to dimensions. Demultiplexing is exact:
+// Demultiplex(Multiplex(x)) == x.
 
 #ifndef MULTICAST_MULTIPLEX_MULTIPLEXER_H_
 #define MULTICAST_MULTIPLEX_MULTIPLEXER_H_
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -50,49 +54,72 @@ struct MuxInput {
   }
 };
 
-/// Flattens/unflattens multivariate digit strings to/from one token
-/// stream. Implementations are stateless and thread-safe.
+/// One position of a timestamp cycle: symbol `digit` of dimension `dim`,
+/// or the comma separator when `dim` is -1.
+struct CycleSlot {
+  int dim = -1;
+  int digit = 0;
+
+  bool is_separator() const { return dim < 0; }
+};
+
+/// Every position of one timestamp in stream order, ending with the
+/// comma that closes the timestamp. Its size is the timestamp's token
+/// cost; the commas inside it split a timestamp into fields.
+using CycleLayout = std::vector<CycleSlot>;
+
+/// Flattens/unflattens multivariate symbol strings to/from one token
+/// stream by walking the cycle layout of its kind. Stateless beyond the
+/// kind, and thread-safe.
 class Multiplexer {
  public:
-  virtual ~Multiplexer() = default;
+  explicit Multiplexer(MuxKind kind) : kind_(kind) {}
 
-  virtual MuxKind kind() const = 0;
-  std::string name() const { return MuxKindName(kind()); }
+  MuxKind kind() const { return kind_; }
+  std::string name() const { return MuxKindName(kind_); }
+
+  /// The cycle layout of this kind for per-dimension `widths`:
+  ///   DI  digit j of every dimension before digit j+1 of any ("1273,")
+  ///   VI  each dimension's whole value in turn               ("1723,")
+  ///   VC  each value followed by its own comma               ("17,23,")
+  /// DI is defined for uniform widths only (Multiplex and Demultiplex
+  /// reject others); for mixed widths its layout skips a dimension once
+  /// that dimension's digits run out. A width below 1 adds no slot.
+  CycleLayout Layout(const std::vector<int>& widths) const;
 
   /// Serializes `input` to the 1-D text stream. `widths[d]` must match
   /// every values[d][t].size(). The stream has NO trailing comma.
-  virtual Result<std::string> Multiplex(const MuxInput& input,
-                                        const std::vector<int>& widths)
-      const = 0;
+  Result<std::string> Multiplex(const MuxInput& input,
+                                const std::vector<int>& widths) const;
 
-  /// Exact inverse of Multiplex. When `allow_partial` is true, a
-  /// truncated final timestamp (as produced by a token-budgeted LLM) is
-  /// dropped instead of being an error.
-  virtual Result<MuxInput> Demultiplex(const std::string& text,
-                                       const std::vector<int>& widths,
-                                       bool allow_partial) const = 0;
+  /// Exact inverse of Multiplex, by one rule for every kind: a timestamp
+  /// is the k comma-separated fields its layout holds (k = 1 for DI and
+  /// VI, k = d for VC), and each whole group of k fields is validated
+  /// before any of it is committed. When `allow_partial` is true (as
+  /// for a token-budgeted LLM's output), a trailing partial group is
+  /// dropped, and so is a malformed last whole group when no field
+  /// follows it; any other malformed group is an error.
+  Result<MuxInput> Demultiplex(const std::string& text,
+                               const std::vector<int>& widths,
+                               bool allow_partial) const;
 
   /// Tokens one timestamp occupies in the stream, including the
   /// separator comma(s) that follow its digits. Drives the token ledger
   /// and the generation budget for an h-step forecast.
-  virtual size_t TokensPerTimestamp(const std::vector<int>& widths) const = 0;
+  size_t TokensPerTimestamp(const std::vector<int>& widths) const {
+    return Layout(widths).size();
+  }
 
   /// True when position `pos` (0-based, within one timestamp cycle) must
-  /// hold the comma separator rather than a digit. Defines the decoding
-  /// grammar used to mask LLM sampling.
-  virtual bool IsSeparatorPosition(size_t pos,
-                                   const std::vector<int>& widths) const = 0;
+  /// hold the comma separator rather than a digit.
+  bool IsSeparatorPosition(size_t pos, const std::vector<int>& widths) const;
 
   /// Which dimension the symbol at cycle position `pos` serializes, or
-  /// -1 at separator positions. Used by the anomaly extension to
-  /// attribute per-token surprisal to dimensions.
-  virtual int DimensionAtPosition(size_t pos,
-                                  const std::vector<int>& widths) const = 0;
+  /// -1 at separator positions (and past the cycle).
+  int DimensionAtPosition(size_t pos, const std::vector<int>& widths) const;
 
- protected:
-  /// Shared validation: consistent dimensions, lengths and widths.
-  static Status ValidateInput(const MuxInput& input,
-                              const std::vector<int>& widths);
+ private:
+  MuxKind kind_;
 };
 
 /// True when `s` is a valid multiplexed value string: non-empty and all

@@ -64,9 +64,5 @@ Result<std::string> Decode(const std::vector<TokenId>& ids,
   return text;
 }
 
-std::vector<std::string> SplitFields(const std::string& text) {
-  return Split(text, ',');
-}
-
 }  // namespace token
 }  // namespace multicast

@@ -32,10 +32,6 @@ Result<std::vector<TokenId>> Encode(const std::string& text,
 Result<std::string> Decode(const std::vector<TokenId>& ids,
                            const Vocabulary& vocab);
 
-/// Splits comma-separated serialized text into fields
-/// ("17,23" -> {"17","23"}). Empty fields are preserved.
-std::vector<std::string> SplitFields(const std::string& text);
-
 }  // namespace token
 }  // namespace multicast
 

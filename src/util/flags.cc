@@ -32,6 +32,13 @@ Result<FlagSet> FlagSet::Parse(const std::vector<std::string>& args,
     bool is_bool = bool_flags.find(name) != bool_flags.end();
     if (has_inline_value) {
       value = body.substr(eq + 1);
+      // GetBool reads only "true"; any other spelling would silently
+      // turn the flag off.
+      if (is_bool && value != "true" && value != "false") {
+        return Status::InvalidArgument("flag --" + name +
+                                       " takes true or false, got '" +
+                                       value + "'");
+      }
     } else if (is_bool) {
       value = "true";
     } else {

@@ -21,7 +21,8 @@ class FlagSet {
  public:
   /// Parses `args` (excluding argv[0]). `known_flags` lists every
   /// accepted flag name (without the leading dashes); `bool_flags` is
-  /// the subset that takes no value.
+  /// the subset that takes no value, or an inline `=true`/`=false`
+  /// (any other inline value is an error).
   static Result<FlagSet> Parse(const std::vector<std::string>& args,
                                const std::set<std::string>& known_flags,
                                const std::set<std::string>& bool_flags = {});
@@ -42,7 +43,7 @@ class FlagSet {
   /// or ±inf, spelled out or reached by overflow.
   Result<double> GetDouble(const std::string& name, double fallback) const;
 
-  /// True when the boolean flag was passed.
+  /// True when the boolean flag was passed bare or as `=true`.
   bool GetBool(const std::string& name) const;
 
  private:

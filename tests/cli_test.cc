@@ -404,6 +404,25 @@ TEST_F(CliTest, ClusterSimRejectsBadFleetFlags) {
                    .ok());
 }
 
+TEST_F(CliTest, InlineBoolFlagValueMustBeTrueOrFalse) {
+  // `--batch=1` once parsed and ran with batching silently off; an
+  // error here is exit 2 from the binary (the CliExit ctest case).
+  for (const char* v : {"--batch=1", "--batch=yes"}) {
+    std::string out;
+    Result<int> code = Run({"serve-sim", "--input", path_, v}, &out);
+    ASSERT_FALSE(code.ok()) << v;
+    EXPECT_EQ(code.status().code(), StatusCode::kInvalidArgument) << v;
+    EXPECT_NE(code.status().ToString().find("--batch"), std::string::npos)
+        << code.status().ToString();
+  }
+  std::string out;
+  ASSERT_TRUE(Run({"serve-sim", "--input", path_, "--horizon", "4",
+                   "--requests", "4", "--batch=false"},
+                  &out)
+                  .ok());
+  EXPECT_NE(out.find("batch off"), std::string::npos) << out;
+}
+
 TEST_F(CliTest, ServeSimRejectsBadPolicyFlags) {
   std::string out;
   EXPECT_FALSE(Run({"serve-sim", "--input", path_, "--queue-order",

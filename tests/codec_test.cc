@@ -111,13 +111,6 @@ TEST(EncodeTest, SaxVocabularyWorks) {
   EXPECT_EQ(Decode(ids.value(), v.value()).ValueOrDie(), "ab,cd");
 }
 
-TEST(SplitFieldsTest, Behaviour) {
-  EXPECT_EQ(SplitFields("17,23"), (std::vector<std::string>{"17", "23"}));
-  EXPECT_EQ(SplitFields("17,23,"),
-            (std::vector<std::string>{"17", "23", ""}));
-  EXPECT_EQ(SplitFields("17"), (std::vector<std::string>{"17"}));
-}
-
 }  // namespace
 }  // namespace token
 }  // namespace multicast

@@ -33,6 +33,23 @@ TEST(FlagsTest, BooleanFlag) {
   EXPECT_FALSE(g.value().GetBool("plot"));
 }
 
+TEST(FlagsTest, InlineBoolValueMustBeTrueOrFalse) {
+  auto t = FlagSet::Parse({"--plot=true"}, kKnown, kBools);
+  ASSERT_TRUE(t.ok());
+  EXPECT_TRUE(t.value().GetBool("plot"));
+  auto f = FlagSet::Parse({"--plot=false"}, kKnown, kBools);
+  ASSERT_TRUE(f.ok());
+  EXPECT_FALSE(f.value().GetBool("plot"));
+  // Any other inline value used to parse and read as off.
+  for (const char* v : {"1", "0", "yes", "on", "True", "TRUE", ""}) {
+    auto r = FlagSet::Parse({std::string("--plot=") + v}, kKnown, kBools);
+    ASSERT_FALSE(r.ok()) << v;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << v;
+    EXPECT_NE(r.status().message().find("--plot"), std::string::npos)
+        << r.status().ToString();
+  }
+}
+
 TEST(FlagsTest, PositionalsPreserveOrder) {
   auto f = FlagSet::Parse({"first", "--plot", "second"}, kKnown, kBools);
   ASSERT_TRUE(f.ok());

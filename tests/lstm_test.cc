@@ -6,6 +6,7 @@
 
 #include "metrics/metrics.h"
 #include "ts/split.h"
+#include "util/strings.h"
 
 namespace multicast {
 namespace baselines {
@@ -33,7 +34,7 @@ ts::Frame SineFrame(size_t n, size_t dims) {
                  (d + 1.0) +
              5.0 * static_cast<double>(d);
     }
-    series.emplace_back(std::move(v), "d" + std::to_string(d));
+    series.emplace_back(std::move(v), StrFormat("d%zu", d));
   }
   return ts::Frame::FromSeries(std::move(series), "sine").ValueOrDie();
 }

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "multiplex/digit_interleave.h"
-#include "multiplex/value_concat.h"
-#include "multiplex/value_interleave.h"
-
 namespace multicast {
 namespace multiplex {
 namespace {
@@ -37,21 +33,21 @@ TEST(CreateMultiplexerTest, FactoryMatchesKind) {
 }
 
 TEST(DigitInterleaveTest, MatchesPaperFigure1a) {
-  DigitInterleaveMultiplexer mux;
+  Multiplexer mux(MuxKind::kDigitInterleave);
   auto out = mux.Multiplex(PaperExample(), {2, 2});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.value(), "1273,2361");
 }
 
 TEST(ValueInterleaveTest, MatchesPaperFigure1b) {
-  ValueInterleaveMultiplexer mux;
+  Multiplexer mux(MuxKind::kValueInterleave);
   auto out = mux.Multiplex(PaperExample(), {2, 2});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.value(), "1723,2631");
 }
 
 TEST(ValueConcatTest, MatchesPaperFigure1c) {
-  ValueConcatMultiplexer mux;
+  Multiplexer mux(MuxKind::kValueConcat);
   auto out = mux.Multiplex(PaperExample(), {2, 2});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.value(), "17,23,26,31");
@@ -165,7 +161,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, AllMuxTest,
                          });
 
 TEST(DigitInterleaveTest, RequiresUniformWidths) {
-  DigitInterleaveMultiplexer mux;
+  Multiplexer mux(MuxKind::kDigitInterleave);
   MuxInput input;
   input.values = {{"17"}, {"023"}};
   EXPECT_FALSE(mux.Multiplex(input, {2, 3}).ok());
@@ -173,7 +169,7 @@ TEST(DigitInterleaveTest, RequiresUniformWidths) {
 }
 
 TEST(ValueInterleaveTest, MixedWidthsSupported) {
-  ValueInterleaveMultiplexer mux;
+  Multiplexer mux(MuxKind::kValueInterleave);
   MuxInput input;
   input.values = {{"17", "26"}, {"023", "931"}};
   auto text = mux.Multiplex(input, {2, 3});
@@ -185,7 +181,7 @@ TEST(ValueInterleaveTest, MixedWidthsSupported) {
 }
 
 TEST(ValueConcatTest, MixedWidthsSupported) {
-  ValueConcatMultiplexer mux;
+  Multiplexer mux(MuxKind::kValueConcat);
   MuxInput input;
   input.values = {{"17"}, {"023"}};
   auto text = mux.Multiplex(input, {2, 3});
@@ -196,15 +192,17 @@ TEST(ValueConcatTest, MixedWidthsSupported) {
 TEST(TokensPerTimestampTest, CountsMatchPaperCosts) {
   // DI/VI: sum(widths) digits + 1 comma. VC: + one comma per value.
   std::vector<int> widths = {2, 2, 2};
-  EXPECT_EQ(DigitInterleaveMultiplexer().TokensPerTimestamp(widths), 7u);
-  EXPECT_EQ(ValueInterleaveMultiplexer().TokensPerTimestamp(widths), 7u);
-  EXPECT_EQ(ValueConcatMultiplexer().TokensPerTimestamp(widths), 9u);
+  EXPECT_EQ(Multiplexer(MuxKind::kDigitInterleave).TokensPerTimestamp(widths),
+            7u);
+  EXPECT_EQ(Multiplexer(MuxKind::kValueInterleave).TokensPerTimestamp(widths),
+            7u);
+  EXPECT_EQ(Multiplexer(MuxKind::kValueConcat).TokensPerTimestamp(widths), 9u);
 }
 
 TEST(DigitInterleaveTest, LeadingDigitsComeFirst) {
   // The DI property the paper argues for: all most-significant digits
   // precede all least-significant digits within a timestamp.
-  DigitInterleaveMultiplexer mux;
+  Multiplexer mux(MuxKind::kDigitInterleave);
   MuxInput input;
   input.values = {{"19"}, {"28"}, {"37"}};
   auto text = mux.Multiplex(input, {2, 2, 2});
@@ -238,20 +236,20 @@ TEST_P(AllMuxTest, DimensionAtPositionConsistentWithGrammar) {
 TEST(DimensionAtPositionTest, MatchesPaperExampleLayouts) {
   std::vector<int> widths = {2, 2};
   // DI "1273": positions 0..3 belong to dims 0,1,0,1.
-  DigitInterleaveMultiplexer di;
+  Multiplexer di(MuxKind::kDigitInterleave);
   EXPECT_EQ(di.DimensionAtPosition(0, widths), 0);
   EXPECT_EQ(di.DimensionAtPosition(1, widths), 1);
   EXPECT_EQ(di.DimensionAtPosition(2, widths), 0);
   EXPECT_EQ(di.DimensionAtPosition(3, widths), 1);
   EXPECT_EQ(di.DimensionAtPosition(4, widths), -1);  // comma
   // VI "1723": 0,0,1,1.
-  ValueInterleaveMultiplexer vi;
+  Multiplexer vi(MuxKind::kValueInterleave);
   EXPECT_EQ(vi.DimensionAtPosition(0, widths), 0);
   EXPECT_EQ(vi.DimensionAtPosition(1, widths), 0);
   EXPECT_EQ(vi.DimensionAtPosition(2, widths), 1);
   EXPECT_EQ(vi.DimensionAtPosition(3, widths), 1);
   // VC "17,23,": 0,0,comma,1,1,comma.
-  ValueConcatMultiplexer vc;
+  Multiplexer vc(MuxKind::kValueConcat);
   EXPECT_EQ(vc.DimensionAtPosition(0, widths), 0);
   EXPECT_EQ(vc.DimensionAtPosition(1, widths), 0);
   EXPECT_EQ(vc.DimensionAtPosition(2, widths), -1);

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "forecast/multicast_forecaster.h"
 #include "multiplex/multiplexer.h"
@@ -13,6 +16,8 @@
 #include "token/codec.h"
 #include "ts/stats.h"
 #include "ts/transforms.h"
+#include "util/csv.h"
+#include "util/flags.h"
 #include "util/random.h"
 
 namespace multicast {
@@ -237,6 +242,141 @@ TEST_P(SeededProperty, DemuxSurvivesGarbage) {
           }
         }
       }
+    }
+  }
+}
+
+// ---- Flag fuzzing: arbitrary argument lists never crash; Parse     ----
+// ---- either errors cleanly or yields flags every getter reads, and ----
+// ---- a bool flag's inline value is only ever true or false.        ----
+
+TEST_P(SeededProperty, FlagsSurviveGarbage) {
+  Rng rng = MakeRng();
+  const std::set<std::string> known = {"input", "horizon", "rate", "plot",
+                                       "batch"};
+  const std::set<std::string> bools = {"plot", "batch"};
+  const std::vector<std::string> names = {"input", "horizon", "rate", "plot",
+                                          "batch", "bogus", ""};
+  const std::vector<std::string> values = {
+      "true", "false", "yes", "1",    "-3", "2.5", "1e999", "nan",
+      "0x1f", " 4",    "abc", "--",   "=",  "",    "9223372036854775808"};
+  auto any = [&rng](const std::vector<std::string>& from) {
+    return from[rng.NextBounded(static_cast<uint32_t>(from.size()))];
+  };
+  for (int trial = 0; trial < 60; ++trial) {
+    // Positionals, bare flags and inline-valued flags, mixed.
+    std::vector<std::string> args(rng.NextBounded(6));
+    for (std::string& arg : args) {
+      const uint32_t shape = rng.NextBounded(3);
+      if (shape == 0) {
+        arg = any(values);
+        continue;
+      }
+      arg = "--";
+      arg += any(names);
+      if (shape == 2) {
+        arg += "=";
+        arg += any(values);
+      }
+    }
+    // Scan as Parse does (a value flag without '=' consumes the next
+    // argument) for a bool flag given an inline value it must refuse.
+    bool bad_inline_bool = false;
+    for (size_t i = 0; i < args.size(); ++i) {
+      if (args[i].rfind("--", 0) != 0) continue;
+      const size_t eq = args[i].find('=');
+      if (eq == std::string::npos) {
+        const std::string name = args[i].substr(2);
+        if (known.count(name) != 0 && bools.count(name) == 0) ++i;
+        continue;
+      }
+      const std::string value = args[i].substr(eq + 1);
+      if (bools.count(args[i].substr(2, eq - 2)) != 0 && value != "true" &&
+          value != "false") {
+        bad_inline_bool = true;
+      }
+    }
+    Result<FlagSet> parsed = FlagSet::Parse(args, known, bools);
+    if (bad_inline_bool) {
+      EXPECT_FALSE(parsed.ok()) << "trial " << trial;
+    }
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    const FlagSet& flags = parsed.value();
+    for (const std::string& name : known) {
+      if (bools.count(name) != 0) {
+        const std::string v = flags.GetString(name, "false");
+        EXPECT_TRUE(v == "true" || v == "false") << name << "=" << v;
+        EXPECT_EQ(flags.GetBool(name), v == "true") << name;
+        continue;
+      }
+      Result<int64_t> i = flags.GetInt(name, 7);
+      if (!flags.Has(name)) {
+        EXPECT_EQ(i.ValueOrDie(), 7);
+      } else if (!i.ok()) {
+        EXPECT_NE(i.status().message().find("--" + name), std::string::npos);
+      }
+      Result<double> d = flags.GetDouble(name, 0.5);
+      if (d.ok()) {
+        EXPECT_TRUE(std::isfinite(d.value())) << name;
+      } else {
+        EXPECT_NE(d.status().message().find("--" + name), std::string::npos);
+      }
+    }
+  }
+}
+
+// ---- CSV fuzzing: garbage and corrupted tables never crash, and   ----
+// ---- ParseCsv either errors cleanly or returns a rectangular,     ----
+// ---- named, finite table.                                         ----
+
+TEST_P(SeededProperty, CsvSurvivesGarbage) {
+  Rng rng = MakeRng();
+  const char kAlphabet[] = "0123456789,.-+eE \n\r\tabnaif";
+  auto pick = [&rng, &kAlphabet] {
+    return kAlphabet[rng.NextBounded(sizeof(kAlphabet) - 1)];
+  };
+  for (int trial = 0; trial < 40; ++trial) {
+    std::string text;
+    if (trial % 2 == 0) {
+      const size_t len = rng.NextBounded(80);
+      for (size_t i = 0; i < len; ++i) text.push_back(pick());
+    } else {
+      // A well-formed table, then one to three character edits.
+      const size_t cols = 1 + rng.NextBounded(3);
+      const size_t rows = 1 + rng.NextBounded(4);
+      if (rng.NextBounded(2) == 0) {
+        for (size_t c = 0; c < cols; ++c) text += c > 0 ? ",x" : "x";
+        text += "\n";
+      }
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t c = 0; c < cols; ++c) {
+          if (c > 0) text += ",";
+          text += std::to_string(rng.NextGaussian(0.0, 100.0));
+        }
+        text += "\n";
+      }
+      const size_t edits = 1 + rng.NextBounded(3);
+      for (size_t e = 0; e < edits; ++e) {
+        const size_t at =
+            rng.NextBounded(static_cast<uint32_t>(text.size()));
+        text[at] = pick();
+      }
+    }
+    Result<CsvTable> parsed = ParseCsv(text);
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    const CsvTable& table = parsed.value();
+    ASSERT_GE(table.num_cols(), 1u);
+    ASSERT_GE(table.num_rows(), 1u);
+    EXPECT_EQ(table.column_names.size(), table.num_cols());
+    for (const std::vector<double>& column : table.columns) {
+      ASSERT_EQ(column.size(), table.num_rows());
+      for (double v : column) EXPECT_TRUE(std::isfinite(v)) << text;
     }
   }
 }

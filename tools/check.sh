@@ -10,7 +10,9 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 echo "==== tier-1: configure + build + ctest ===="
-cmake -B build -S . > /dev/null
+# Warnings fail the tier-1 build, so a clean build of the tree stays
+# warning-free.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON > /dev/null
 cmake --build build -j "${JOBS}"
 (cd build && ctest --output-on-failure -j "${JOBS}")
 
