@@ -122,10 +122,9 @@ void PublishBatchStats(const BatchStats& stats,
 /// scheduler needs to run it. The rng (and clock/cancel, if set) stay
 /// owned by the submitter but must not be touched between Submit() and
 /// the matching Await() return — the scheduler has exclusive use of them
-/// while the job is live. So has it of the lane's DrawTrie Log, and the
-/// trie itself must not be published to while the job is live (a
-/// forecast publishes its Logs only after every draw of the wave has
-/// returned from Await).
+/// while the job is live. So has it of the lane's DrawTrie Log; the
+/// trie itself may take other Logs meanwhile (lm::DrawTrie::Publish is
+/// safe under walking lanes).
 struct DecodeJobSpec {
   /// The generation: session (prompt already observed, fresh or
   /// PrefixCache fork), hoisted grammar, sampler and, for a forecast's

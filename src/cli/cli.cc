@@ -678,11 +678,15 @@ Result<int> CmdServeSim(const FlagSet& flags, std::ostream& out) {
          StrFormat("%zu", summary.retry.deadline_preempted)});
     if (method_cache != nullptr) {
       const lm::PrefixCacheStats& pc = summary.prefix_cache;
+      const lm::PrefixCache::DrawTrieTotals tries =
+          method_cache->draw_tries();
       cache_lines.push_back(StrFormat(
           "prefix-cache %s: %zu/%zu hits (%zu full), "
-          "%zu/%zu prompt tokens reused, %zu evictions",
+          "%zu/%zu prompt tokens reused, %zu evictions, "
+          "draw tries %zu nodes / %zu model steps reused",
           name.c_str(), pc.hits(), pc.lookups, pc.full_hits,
-          pc.prompt_tokens_reused, pc.prompt_tokens_seen, pc.evictions));
+          pc.prompt_tokens_reused, pc.prompt_tokens_seen, pc.evictions,
+          tries.nodes, tries.steps));
     } else {
       cache_lines.push_back(StrFormat("prefix-cache %s: off", name.c_str()));
     }

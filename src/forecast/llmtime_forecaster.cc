@@ -77,6 +77,8 @@ Result<ForecastResult> LlmTimeForecaster::Forecast(const ts::Frame& history,
   // concurrent dimension workers share it directly.
   base.prefix_cache = false;
   base.shared_prefix_cache = prefix_cache_;
+  // Cross-request draw tries only on a cache the caller shares.
+  base.cache_draw_tries = options_.shared_prefix_cache != nullptr;
   // One scheduler across all dimensions (and whoever else shares it):
   // the scheduler is thread-safe and each decode job is independent, so
   // dimension workers batch their draws without affecting outputs.

@@ -133,9 +133,9 @@ BackendStack BuildDrawStack(const MultiCastOptions& options,
     // The shared prefix cache is one deliberate exception to "nothing
     // shared across draws": it is internally synchronized and only ever
     // hands out forks of immutable state, so draws stay isolated and
-    // bit-identical (see lm/prefix_cache.h). The forecast's draw trie is
-    // the other: read-only while draws run, and each draw writes only
-    // its own Log (see lm::DrawTrie).
+    // bit-identical (see lm/prefix_cache.h). The draw trie is the
+    // other: lanes only read it, each draw writes only its own Log, and
+    // Publish takes the trie's lock (see lm::DrawTrie).
     if (options.batch_scheduler != nullptr) {
       // Same lane as SimulatedLlm, but its steps run inside the shared
       // continuous-batching scheduler — draws from every pipeline on
@@ -275,9 +275,10 @@ struct SampleLoopState {
   /// with this forecast's prompt; null when caching is off or an
   /// external backend is in play.
   std::shared_ptr<lm::PrefixCache> cache;
-  /// What earlier waves' draws decoded (lm::DrawTrie), walked by each
-  /// draw's SimulatedLlm or BatchLlm lane; null when the draws decode
-  /// through an external backend or only one draw can run.
+  /// What earlier draws decoded (lm::DrawTrie), walked by each draw's
+  /// SimulatedLlm or BatchLlm lane; null when the draws decode through
+  /// an external backend, or only one draw can run and no shared cache
+  /// keeps a trie for the prompt.
   const lm::DrawTrie* trie = nullptr;
   std::function<Status(const std::string& text, DrawOutcome* out)> parse;
   const char* salvage_noun = "timestamps";
@@ -379,7 +380,9 @@ Status FinishSampling(const MultiCastOptions& options, int survivors,
 // completion or in a batch scheduler, share one draw trie: each wave
 // reads what earlier waves published, and the wave's Logs are published
 // in draw-index order after it (at threads = 1 every wave is one draw,
-// so every later draw sees every earlier one).
+// so every later draw sees every earlier one). On a caller's prefix
+// cache the trie is the prompt's entry's, so the draws also read what
+// earlier requests published.
 Status RunSampleLoop(const MultiCastOptions& options,
                      SampleLoopState st, const RequestContext& ctx,
                      VirtualClock* clock, uint64_t rng_stream,
@@ -398,12 +401,29 @@ Status RunSampleLoop(const MultiCastOptions& options,
   std::vector<Rng> draw_rngs;
   draw_rngs.reserve(static_cast<size_t>(max_draws));
   for (int s = 0; s < max_draws; ++s) draw_rngs.push_back(rng.Fork());
-  std::optional<lm::DrawTrie> trie;
-  if (max_draws > 1 && st.external == nullptr) {
-    trie.emplace(options.profile, st.vocab->size(), *st.prompt,
-                 st.tokens_needed, *st.mask);
-    st.trie = &*trie;
+  // The trie the draws walk: their prompt's entry's in a caller's
+  // prefix cache, shared with every request on it, or one of the
+  // forecast's own. Held here, so an entry evicted mid-forecast leaves
+  // it alive until the draws are done. A lane whose sampler or grammar
+  // the entry's trie was not made for decodes without it.
+  std::shared_ptr<lm::DrawTrie> trie;
+  if (st.cache != nullptr && options.shared_prefix_cache != nullptr &&
+      options.cache_draw_tries) {
+    const size_t vocab = st.vocab->size();
+    trie = st.cache->DrawTrieFor(
+        lm::ModelFingerprint(options.profile, vocab), *st.prompt,
+        [&](std::shared_ptr<const std::vector<token::TokenId>> prompt) {
+          return std::make_shared<lm::DrawTrie>(
+              options.profile, vocab, std::move(prompt), st.tokens_needed,
+              *st.mask, lm::kCacheDrawTrieBytes);
+        });
   }
+  if (trie == nullptr && max_draws > 1 && st.external == nullptr) {
+    trie = std::make_shared<lm::DrawTrie>(options.profile, st.vocab->size(),
+                                          *st.prompt, st.tokens_needed,
+                                          *st.mask);
+  }
+  st.trie = trie.get();
 
   const int threads = pool != nullptr ? pool->size() : 1;
   const double t0 = clock->now();
@@ -447,7 +467,7 @@ Status RunSampleLoop(const MultiCastOptions& options,
               ? RunDraw(st, idx, draw_rngs[static_cast<size_t>(idx)], t0,
                         deadline)
               : inflight[static_cast<size_t>(k)].get();
-      if (trie.has_value()) wave_draws.push_back(std::move(out.draws));
+      if (trie != nullptr) wave_draws.push_back(std::move(out.draws));
       if (stopped || !terminal.ok() || survivors >= target) continue;
       if (k > 0) {
         // Merging earlier draws advanced the shared clock; re-check the
@@ -488,7 +508,8 @@ Status RunSampleLoop(const MultiCastOptions& options,
       }
       ++survivors;
     }
-    // Every draw of the wave is done: none reads the trie now.
+    // Every draw of the wave is done. (Other forecasts on the same cache
+    // may be walking the trie meanwhile; Publish is safe under them.)
     for (lm::DrawTrie::Log& draws : wave_draws) trie->Publish(&draws);
     s += wave;
   }

@@ -110,6 +110,14 @@ struct MultiCastOptions {
   /// LLMTime's per-dimension pipelines). When set it is used regardless
   /// of `prefix_cache` and the forecaster owns no cache of its own.
   std::shared_ptr<lm::PrefixCache> shared_prefix_cache;
+  /// With `shared_prefix_cache` set, the draws walk the draw trie its
+  /// entry for the prompt keeps (lm::PrefixCache::DrawTrieFor), so every
+  /// request on the cache reuses what earlier ones decoded, instead of a
+  /// trie of the forecast's own. Output is bit-identical either way.
+  /// LlmTimeForecaster clears it when the cache it hands down is its
+  /// own: a trie that outlives a forecast on a cache the pipeline keeps
+  /// would only replay its earlier forecasts.
+  bool cache_draw_tries = true;
   /// Continuous-batching decode scheduler (batch/batch_scheduler.h).
   /// When set (and no external `backend` is injected), every draw's
   /// backend stack bottoms out in a batch::BatchLlm that submits its

@@ -3,7 +3,12 @@
 #ifndef MULTICAST_LM_GENERATOR_H_
 #define MULTICAST_LM_GENERATOR_H_
 
+#include <array>
+#include <atomic>
+#include <cstdint>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,39 +45,58 @@ struct DecodeSession {
   std::vector<GrammarMask::Shared> cycle;
 };
 
-/// What the draws of one forecast decoded, keyed by generated prefix
+/// Byte budget of the draw trie a prefix-cache entry keeps for its
+/// prompt (DESIGN.md §5m, "Cross-request draw tries"): 213 nodes of a
+/// VI forecast, whose model steps each admit the ten digits.
+inline constexpr size_t kCacheDrawTrieBytes = 20 * 1024;
+
+/// What the draws over one prompt decoded, keyed by generated prefix
 /// (DESIGN.md §5m, "Shared-prefix draw decoding").
 ///
 /// A draw's model state is a function of the prompt and of the tokens
 /// it has generated, so two draws that have generated the same prefix
 /// compute bit-identical NextDistributions and sampler weights. A node
 /// is one model step (a position the grammar does not force) reached by
-/// one prefix, and holds that step's final sampler weights (after
-/// temperature, logit bias, top-k and top-p), or its token when the
-/// sampler is greedy; its children are keyed by the token drawn there.
+/// one prefix. It holds the running sums Rng::SampleDiscrete forms over
+/// that step's final sampler weights (after temperature, logit bias,
+/// top-k and top-p), kept only at the tokens the step's grammar position
+/// admits, or its token when the sampler is greedy; its children, keyed
+/// by the token drawn there, hang off first-child/next-sibling links.
 /// Forced positions need no node: the grammar fixes their tokens, so the
 /// tokens drawn at model steps spell the whole prefix.
 ///
 /// A DecodeLane handed a Log of the trie walks it: while its prefix is
 /// one an earlier draw published, a model step costs only its own RNG
-/// draw and CDF walk over the node's weights (no NextDistribution, no
-/// pow, no Observe), and the tokens walked are kept back. At its first
-/// unseen node the lane ingests them with one ObserveAll, then decodes
-/// as usual, recording the nodes it adds in its Log. The lane is the
-/// decode step of both drivers, SimulatedLlm and the batch scheduler,
-/// so the draws of a forecast share the trie on either.
+/// draw and a walk of the node's sums (Rng::SampleCdf: no
+/// NextDistribution, no pow, no Observe), and the tokens walked are kept
+/// back. At its first unseen node the lane ingests them with one
+/// ObserveAll, then decodes as usual, recording the nodes it adds in its
+/// Log. The lane is the decode step of both drivers, SimulatedLlm and
+/// the batch scheduler, so the draws share the trie on either.
 ///
-/// No locks: while a wave of draws runs the trie is only read, each draw
-/// writes only its own Log, and the owner publishes the Logs, in draw-
-/// index order, once the wave is done. A lane whose profile, vocabulary,
+/// A forecast owns a trie of its own, or walks the one its prompt's
+/// entry in a caller's prefix cache keeps (PrefixCache::DrawTrieFor), so
+/// that every request for the prompt shares it. Publish adds a Log under
+/// a lock, and readers walk the trie without one: node storage is
+/// allocated in segments that never move, a node's sums, edge and token
+/// are written before the release store of the link (or, for the root,
+/// of the node count) that makes it reachable, and links only ever go
+/// from kNone to a node or from one child list head to a longer list.
+/// Past its byte budget the trie stops growing; lanes that leave it then
+/// decode fresh and log nothing. A lane whose profile, vocabulary,
 /// sampler, prompt or grammar differ from the trie's decodes without it.
 class DrawTrie {
  public:
-  /// A trie for `num_tokens`-token generations of `profile` over a
-  /// `vocab_size` vocabulary after `prompt`, constrained by `mask`.
+  /// A trie for generations of `profile` over a `vocab_size` vocabulary
+  /// after `prompt`, constrained by `mask` over their first `num_tokens`
+  /// tokens. `budget_bytes` caps its node storage (0: unbounded).
+  DrawTrie(const ModelProfile& profile, size_t vocab_size,
+           std::shared_ptr<const std::vector<token::TokenId>> prompt,
+           size_t num_tokens, const GrammarMask& mask,
+           size_t budget_bytes = 0);
   DrawTrie(const ModelProfile& profile, size_t vocab_size,
            std::vector<token::TokenId> prompt, size_t num_tokens,
-           const GrammarMask& mask);
+           const GrammarMask& mask, size_t budget_bytes = 0);
 
   /// The nodes one draw added past the published trie, in the order it
   /// decoded them. Publish hands them to the trie.
@@ -93,20 +117,36 @@ class DrawTrie {
       /// The token drawn at `parent` that leads here.
       token::TokenId edge;
       token::TokenId greedy;
+      /// Where the node's running sums start in `sums_`.
+      uint32_t sums;
+      /// How many: the tokens its grammar position admits (0 greedy).
+      uint32_t count;
     };
     const DrawTrie* trie_;
     std::vector<Entry> entries_;
-    /// vocab_size weights per entry.
-    std::vector<double> weights_;
+    std::vector<double> sums_;
+    /// Model steps drawn from published nodes.
+    size_t shared_steps_ = 0;
   };
 
-  /// Adds what `log` recorded and the trie does not hold yet, and empties
-  /// it. Call while no draw walks the trie, once per draw, in draw-index
-  /// order.
+  /// Adds what `log` recorded and the trie does not hold yet, up to the
+  /// budget, and empties it. Safe while lanes walk the trie and while
+  /// other threads publish.
   void Publish(Log* log);
 
   /// Published nodes: model steps whose weights the next draw can reuse.
-  size_t size() const { return greedy_.size(); }
+  size_t size() const {
+    return static_cast<size_t>(size_.load(std::memory_order_acquire));
+  }
+  /// Model steps published Logs drew from the trie's nodes.
+  size_t shared_steps() const {
+    return shared_steps_.load(std::memory_order_relaxed);
+  }
+  /// Whether the budget holds no further node.
+  bool full() const { return size() >= max_nodes_; }
+  /// Bytes the trie holds: node segments plus its own tables. Takes the
+  /// trie's lock, so it is safe while other threads publish.
+  size_t bytes() const;
 
  private:
   friend class DecodeLane;
@@ -115,6 +155,25 @@ class DrawTrie {
   static int32_t Logged(size_t entry) {
     return -2 - static_cast<int32_t>(entry);
   }
+  /// Nodes in the first storage segment; segment s holds twice as many
+  /// as segment s - 1, and the last one only what the budget leaves.
+  static constexpr size_t kFirstSegment = 32;
+  static constexpr size_t kSegments = 26;
+
+  struct Node {
+    std::atomic<int32_t> first_child{kNone};
+    std::atomic<int32_t> next_sibling{kNone};
+    /// The token drawn at the parent that leads here.
+    token::TokenId edge = 0;
+    /// The greedy sampler's token, kNotForced when sampling.
+    token::TokenId greedy = kNotForced;
+  };
+  struct Segment {
+    std::unique_ptr<Node[]> nodes;
+    /// sums_per_node_ running sums per node.
+    std::unique_ptr<double[]> sums;
+    size_t capacity = 0;
+  };
 
   /// Whether a lane over `prompt` with session grammar `cycle` on a
   /// back-end of `fingerprint` and `sampler` may use this trie.
@@ -122,20 +181,49 @@ class DrawTrie {
                const std::vector<token::TokenId>& prompt,
                const std::vector<GrammarMask::Shared>& cycle) const;
 
+  /// The tokens cycle position `pos` admits, in id order; empty where
+  /// the grammar forces a token.
+  std::span<const token::TokenId> Admitted(size_t pos) const {
+    return std::span(admitted_).subspan(
+        admitted_begin_[pos], admitted_begin_[pos + 1] - admitted_begin_[pos]);
+  }
+  struct Slot {
+    size_t segment;
+    size_t offset;
+  };
+  Slot Locate(size_t id) const;
+  /// Node `id`'s storage and its running sums: lanes read them, and
+  /// AddLocked writes a node's before publishing it.
+  Node& At(int32_t id) const;
+  double* SumsOf(int32_t id) const;
+  /// The child of published node `id` reached by drawing `token`, or
+  /// kNone.
+  int32_t Child(int32_t id, token::TokenId token) const;
+  /// Appends a node under `parent` (kNone: the root) holding `entry`'s
+  /// token and `sums`; kNone when the budget is spent. Holds mu_.
+  int32_t AddLocked(int32_t parent, const Log::Entry& entry,
+                    const double* sums);
+
   uint64_t fingerprint_;
   SamplerOptions sampler_;
   size_t vocab_;
-  std::vector<token::TokenId> prompt_;
+  std::shared_ptr<const std::vector<token::TokenId>> prompt_;
   /// The hoisted grammar; empty when the mask did not hoist (the trie is
   /// then never used).
   std::vector<GrammarMask::Shared> cycle_;
-  /// Node i (node 0 is the root, the first model step) draws from
-  /// weights_[i * vocab_, (i + 1) * vocab_), or is greedy_[i] when that
-  /// is not kNotForced. children_[i * vocab_ + t] is the node reached by
-  /// drawing t at node i, kNone until published.
-  std::vector<double> weights_;
-  std::vector<int32_t> children_;
-  std::vector<token::TokenId> greedy_;
+  /// Admitted(pos) is admitted_[admitted_begin_[pos],
+  /// admitted_begin_[pos + 1]).
+  std::vector<token::TokenId> admitted_;
+  std::vector<uint32_t> admitted_begin_;
+  /// Running sums each node has room for: the most tokens a model step
+  /// admits, 0 for a greedy sampler.
+  size_t sums_per_node_ = 0;
+  size_t max_nodes_;
+  std::array<Segment, kSegments> segments_;
+  std::atomic<int32_t> size_{0};
+  std::atomic<size_t> shared_steps_{0};
+  /// Serializes Publish, and bytes() against it.
+  mutable std::mutex mu_;
 };
 
 /// The per-token body of one generation, the decode step every driver
@@ -146,7 +234,7 @@ class DrawTrie {
 /// A lane owns its session (the model conditioned on the prompt and the
 /// hoisted grammar) and, when it was given the Log of a DrawTrie made
 /// for its call, its walk of that trie (see DrawTrie): a model step an
-/// earlier draw published is drawn from the node's weights and its
+/// earlier draw published is drawn from the node's running sums and its
 /// token kept back; at the first unseen node the lane sizes its session
 /// for the generation (NGramLanguageModel::ReserveDecode), ingests the
 /// tokens kept back with one ObserveAll, and from there decodes as
@@ -184,15 +272,16 @@ class DecodeLane {
   Result<token::TokenId> Next(Rng* rng, std::vector<double>* probs);
 
  private:
-  /// Draws the next model step from its published node and moves to the
-  /// node after the drawn token, off the trie when none is published.
-  token::TokenId DrawShared(Rng* rng);
-  /// Samples a model step the trie does not hold from the model's
-  /// distribution `probs`, as SampleToken does, logging the node. An
-  /// error logs nothing.
+  /// Draws the model step at cycle position `pos` from its published
+  /// node and moves to the node after the drawn token, off the trie when
+  /// none is published.
+  token::TokenId DrawShared(size_t pos, Rng* rng);
+  /// Samples the model step at cycle position `pos`, which the trie does
+  /// not hold, from the model's distribution `probs` as SampleToken
+  /// does, logging the node while the trie has room. An error logs
+  /// nothing.
   Result<token::TokenId> DrawFresh(const std::vector<double>& probs,
-                                   const std::vector<bool>& allowed,
-                                   Rng* rng);
+                                   size_t pos, Rng* rng);
 
   std::unique_ptr<NGramLanguageModel> model_;
   std::vector<GrammarMask::Shared> cycle_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 
+#include "lm/generator.h"
 #include "lm/paged_store.h"
 #include "util/status.h"
 
@@ -111,7 +112,7 @@ PrefixCache::Entry* PrefixCache::LookupLocked(
     auto found = entries_.find(key);
     if (found == entries_.end()) continue;
     // Byte-exact verification: 64-bit hashes index, tokens decide.
-    const std::vector<token::TokenId>& stored = found->second.prompt;
+    const std::vector<token::TokenId>& stored = *found->second.prompt;
     if (!std::equal(stored.begin(), stored.end(), prompt.begin())) continue;
     TouchLocked(&found->second);
     return &found->second;
@@ -137,7 +138,7 @@ std::shared_ptr<const NGramLanguageModel> PrefixCache::EnsureLocked(
   stats_.prompt_tokens_seen += prompt.size();
   std::vector<uint64_t> hashes = PrefixHashes(prompt);
   Entry* match = LookupLocked(fingerprint, prompt, hashes);
-  if (match != nullptr && match->prompt.size() == prompt.size()) {
+  if (match != nullptr && match->prompt->size() == prompt.size()) {
     ++stats_.full_hits;
     stats_.prompt_tokens_reused += prompt.size();
     return match->model;
@@ -147,7 +148,7 @@ std::shared_ptr<const NGramLanguageModel> PrefixCache::EnsureLocked(
   size_t matched = 0;
   if (match != nullptr) {
     ++stats_.prefix_hits;
-    matched = match->prompt.size();
+    matched = match->prompt->size();
     stats_.prompt_tokens_reused += matched;
     model = match->model->Fork();
   } else {
@@ -189,13 +190,17 @@ void PrefixCache::InsertLocked(
     // different prompts of equal length. Astronomically unlikely;
     // newest wins (byte-exact verify keeps reads correct either way).
     ++stats_.evictions;
-    it->second.prompt = prompt;
+    RetireTrieLocked(it->second);
+    it->second.prompt =
+        std::make_shared<const std::vector<token::TokenId>>(prompt);
     it->second.model = std::move(model);
+    it->second.trie = nullptr;
     TouchLocked(&it->second);
     return;
   }
   lru_.push_front(key);
-  it->second.prompt = prompt;
+  it->second.prompt =
+      std::make_shared<const std::vector<token::TokenId>>(prompt);
   it->second.model = std::move(model);
   it->second.lru = lru_.begin();
   ++lengths_[fingerprint][prompt.size()];
@@ -207,9 +212,27 @@ void PrefixCache::EvictLocked() {
   MC_CHECK(!lru_.empty());
   Key victim = lru_.back();
   lru_.pop_back();
-  entries_.erase(victim);
+  auto it = entries_.find(victim);
+  RetireTrieLocked(it->second);
+  entries_.erase(it);
   EraseIndexLocked(victim);
   ++stats_.evictions;
+}
+
+void PrefixCache::RetireTrieLocked(const Entry& entry) {
+  if (entry.trie != nullptr) retired_trie_steps_ += entry.trie->shared_steps();
+}
+
+std::shared_ptr<DrawTrie> PrefixCache::DrawTrieFor(
+    uint64_t fingerprint, const std::vector<token::TokenId>& prompt,
+    const DrawTrieFactory& make) {
+  uint64_t hash = kFnvOffset;
+  for (token::TokenId id : prompt) hash = FoldToken(hash, id);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(Key{fingerprint, hash, prompt.size()});
+  if (it == entries_.end() || *it->second.prompt != prompt) return nullptr;
+  if (it->second.trie == nullptr) it->second.trie = make(it->second.prompt);
+  return it->second.trie;
 }
 
 void PrefixCache::TouchLocked(Entry* entry) {
@@ -244,14 +267,43 @@ size_t PrefixCache::bytes() const {
   for (const auto& [key, entry] : entries_) {
     (void)key;
     tally.bytes +=
-        ApproxChunkBytes(entry.prompt.capacity() * sizeof(token::TokenId));
+        ApproxChunkBytes(entry.prompt->capacity() * sizeof(token::TokenId));
+    if (entry.trie != nullptr) tally.bytes += entry.trie->bytes();
     entry.model->TallyMemory(&tally);
   }
   return tally.bytes;
 }
 
+PrefixCache::DrawTrieTotals PrefixCache::draw_tries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  DrawTrieTotals totals;
+  totals.steps = retired_trie_steps_;
+  for (const auto& [key, entry] : entries_) {
+    (void)key;
+    if (entry.trie == nullptr) continue;
+    totals.nodes += entry.trie->size();
+    totals.steps += entry.trie->shared_steps();
+  }
+  return totals;
+}
+
+void PrefixCache::PublishMetrics(util::MetricsRegistry* registry,
+                                 const std::string& prefix) const {
+  PublishPrefixCacheStats(stats(), registry, prefix);
+  registry->GetGauge(prefix + "bytes")->Set(static_cast<double>(bytes()));
+  const DrawTrieTotals tries = draw_tries();
+  registry->GetGauge(prefix + "trie_nodes")
+      ->Set(static_cast<double>(tries.nodes));
+  registry->GetGauge(prefix + "trie_steps")
+      ->Set(static_cast<double>(tries.steps));
+}
+
 void PrefixCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [key, entry] : entries_) {
+    (void)key;
+    RetireTrieLocked(entry);
+  }
   entries_.clear();
   lru_.clear();
   lengths_.clear();

@@ -41,6 +41,8 @@
 namespace multicast {
 namespace lm {
 
+class DrawTrie;
+
 /// Cache effectiveness counters, in the spirit of TokenLedger/RetryStats.
 /// Note: TokenLedger::prompt_tokens stays the *logical* prompt size on
 /// every call, cached or not (so ledgers are bit-identical either way);
@@ -103,26 +105,50 @@ class PrefixCache {
   void Warm(uint64_t fingerprint, const std::vector<token::TokenId>& prompt,
             const ModelFactory& fresh);
 
+  /// Makes the draw trie of an entry from the entry's own prompt.
+  using DrawTrieFactory = std::function<std::shared_ptr<DrawTrie>(
+      std::shared_ptr<const std::vector<token::TokenId>> prompt)>;
+
+  /// The draw trie the entry for exactly `prompt` keeps (lm::DrawTrie,
+  /// DESIGN.md §5m), made by `make` on first use; null when no entry
+  /// holds `prompt`. The trie lives and dies with the entry: eviction and
+  /// Clear drop it, and a caller still walking it keeps it alive through
+  /// the pointer. Neither a lookup nor an LRU touch, so the counters and
+  /// the eviction order are those of a cache without tries.
+  std::shared_ptr<DrawTrie> DrawTrieFor(
+      uint64_t fingerprint, const std::vector<token::TokenId>& prompt,
+      const DrawTrieFactory& make);
+
   size_t capacity() const { return capacity_; }
   size_t size() const;
   PrefixCacheStats stats() const;
 
-  /// True resident bytes of the cache: stored prompt token vectors PLUS
-  /// every cached model state, with frozen layers shared between
-  /// entries (longest-prefix extension chains, paged block sharing)
-  /// counted once via NGramLanguageModel::TallyMemory. Thread-safe.
+  /// True resident bytes of the cache: stored prompt token vectors,
+  /// the entries' draw tries, PLUS every cached model state, with frozen
+  /// layers shared between entries (longest-prefix extension chains,
+  /// paged block sharing) counted once via
+  /// NGramLanguageModel::TallyMemory. Thread-safe.
   size_t bytes() const;
 
-  /// Publishes the counters into `registry` under `prefix` (the unified
-  /// metrics export path; see util/metrics.h), plus a `<prefix>bytes`
-  /// gauge of true resident bytes. Thread-safe.
-  void PublishMetrics(util::MetricsRegistry* registry,
-                      const std::string& prefix = "prefix_cache.") const {
-    PublishPrefixCacheStats(stats(), registry, prefix);
-    registry->GetGauge(prefix + "bytes")->Set(static_cast<double>(bytes()));
-  }
+  /// What the entries' draw tries hold and saved. Kept out of
+  /// PrefixCacheStats, whose per-request deltas the serving layer sums.
+  struct DrawTrieTotals {
+    /// Nodes the live entries' tries hold.
+    size_t nodes = 0;
+    /// Model steps drawn from an entry's trie instead of computed;
+    /// a dropped entry's count as of its drop.
+    size_t steps = 0;
+  };
+  DrawTrieTotals draw_tries() const;
 
-  /// Drops all cached states (counters are kept).
+  /// Publishes the counters into `registry` under `prefix` (the unified
+  /// metrics export path; see util/metrics.h), plus gauges of true
+  /// resident bytes (`<prefix>bytes`) and of the entries' draw tries
+  /// (`<prefix>trie_nodes`, `<prefix>trie_steps`). Thread-safe.
+  void PublishMetrics(util::MetricsRegistry* registry,
+                      const std::string& prefix = "prefix_cache.") const;
+
+  /// Drops all cached states and their draw tries (counters are kept).
   void Clear();
 
  private:
@@ -139,8 +165,12 @@ class PrefixCache {
     size_t operator()(const Key& key) const;
   };
   struct Entry {
-    std::vector<token::TokenId> prompt;
+    /// Shared with the entry's draw trie, which matches lanes against
+    /// it.
+    std::shared_ptr<const std::vector<token::TokenId>> prompt;
     std::shared_ptr<const NGramLanguageModel> model;
+    /// Made by the first DrawTrieFor; null until then.
+    std::shared_ptr<DrawTrie> trie;
     std::list<Key>::iterator lru;
   };
 
@@ -166,6 +196,8 @@ class PrefixCache {
                     uint64_t full_hash,
                     std::shared_ptr<const NGramLanguageModel> model);
   void EvictLocked();
+  // Books a dropped entry's trie steps into retired_trie_steps_.
+  void RetireTrieLocked(const Entry& entry);
   void TouchLocked(Entry* entry);
   void EraseIndexLocked(const Key& key);
 
@@ -179,6 +211,8 @@ class PrefixCache {
   std::unordered_map<uint64_t, std::map<size_t, size_t>>
       lengths_;  // guarded by mu_
   PrefixCacheStats stats_;  // guarded by mu_
+  // Trie steps of entries already dropped.
+  size_t retired_trie_steps_ = 0;  // guarded by mu_
 };
 
 }  // namespace lm

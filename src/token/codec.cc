@@ -57,9 +57,14 @@ Result<std::string> Decode(const std::vector<TokenId>& ids,
                            const Vocabulary& vocab) {
   std::string text;
   text.reserve(ids.size());
+  const std::vector<char>& symbols = vocab.symbols();
   for (TokenId id : ids) {
-    MC_ASSIGN_OR_RETURN(char c, vocab.SymbolOf(id));
-    text.push_back(c);
+    if (id < 0 || static_cast<size_t>(id) >= symbols.size()) {
+      return Status::InvalidArgument(
+          StrFormat("token id %d outside vocabulary of size %zu", id,
+                    symbols.size()));
+    }
+    text.push_back(symbols[static_cast<size_t>(id)]);
   }
   return text;
 }

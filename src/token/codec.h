@@ -28,7 +28,8 @@ Result<int64_t> ParseFixedWidthDigits(const std::string& s);
 Result<std::vector<TokenId>> Encode(const std::string& text,
                                     const Vocabulary& vocab);
 
-/// Decodes ids back to the surface string.
+/// Decodes ids back to the surface string. Errors (InvalidArgument) on
+/// an id outside the vocabulary.
 Result<std::string> Decode(const std::vector<TokenId>& ids,
                            const Vocabulary& vocab);
 

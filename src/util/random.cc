@@ -85,6 +85,19 @@ int Rng::SampleDiscrete(std::span<const double> weights) {
   return static_cast<int>(weights.size()) - 1;
 }
 
+int Rng::SampleCdf(std::span<const double> cdf) {
+  MC_CHECK(!cdf.empty() && cdf.back() > 0.0);
+  // SampleDiscrete's total is its last running sum: the same additions
+  // in the same order, and a zero weight leaves a sum unchanged, so an
+  // index left out of `cdf` is never the first whose sum exceeds the
+  // target.
+  const double target = NextDouble() * cdf.back();
+  for (size_t i = 0; i < cdf.size(); ++i) {
+    if (target < cdf[i]) return static_cast<int>(i);
+  }
+  return static_cast<int>(cdf.size());
+}
+
 Rng Rng::Fork() {
   uint64_t seed = (static_cast<uint64_t>(NextUint32()) << 32) | NextUint32();
   uint64_t stream = (static_cast<uint64_t>(NextUint32()) << 32) | NextUint32();

@@ -50,6 +50,14 @@ class Rng {
     return SampleDiscrete(std::span<const double>(weights));
   }
 
+  /// Draws what SampleDiscrete draws over weights whose running sums
+  /// (the `acc` it forms, in index order) are `cdf`, kept at a subset of
+  /// the indices that holds every positive weight. Consumes the same one
+  /// NextDouble and returns the position in `cdf` of the index
+  /// SampleDiscrete would return, or cdf.size() where it falls back to
+  /// its last index. cdf.back() must be positive.
+  int SampleCdf(std::span<const double> cdf);
+
   /// Fisher–Yates shuffles `v` in place.
   template <typename T>
   void Shuffle(std::vector<T>* v) {

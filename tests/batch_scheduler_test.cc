@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -496,7 +497,7 @@ TEST(BatchSchedulerTest, LanesOfTwoTriesAndNoneShareABatch) {
     SCOPED_TRACE(cached ? "cached" : "uncached");
     auto run = [&](bool tries, std::vector<size_t>* logged) {
       auto cache = cached ? std::make_shared<lm::PrefixCache>(4) : nullptr;
-      std::vector<lm::DrawTrie> trie;
+      std::deque<lm::DrawTrie> trie;
       for (size_t f = 0; f < 2; ++f) {
         trie.emplace_back(profile, ref::kVocab, forecasts[f].prompt,
                           forecasts[f].num_tokens, forecasts[f].mask);

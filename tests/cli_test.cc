@@ -330,6 +330,10 @@ TEST_F(CliTest, ServeSimRendersSummaryTable) {
     EXPECT_NE(out.find(column), std::string::npos) << column;
   }
   EXPECT_NE(out.find("VI"), std::string::npos);
+  // The cache's line reports what its entries' draw tries hold.
+  EXPECT_NE(out.find("prefix-cache VI: "), std::string::npos) << out;
+  EXPECT_NE(out.find(" model steps reused"), std::string::npos) << out;
+  EXPECT_EQ(out.find("draw tries 0 nodes"), std::string::npos) << out;
   // Same flags, same virtual-time story: the run is deterministic.
   std::string again;
   ASSERT_TRUE(Run({"serve-sim", "--input", path_, "--horizon", "6",
@@ -440,14 +444,29 @@ TEST_F(CliTest, ServeSimRejectsBadPolicyFlags) {
 }
 
 TEST_F(CliTest, EvaluateRendersTable) {
+  // The first 60 GasRate rows (44 of history before the two 8-step
+  // folds): every roster method, the LSTM included, still fits and
+  // renders its row, at a seventh of the full feed's cost.
+  const std::string head = testing::TempDir() + "/mc_cli_head_" +
+                           std::to_string(getpid()) + ".csv";
+  ASSERT_TRUE(
+      WriteCsvFile(data::MakeGasRate().ValueOrDie().Head(60).ToCsv(), head)
+          .ok());
   std::string out;
-  auto code = Run({"evaluate", "--input", path_, "--horizon", "8",
+  auto code = Run({"evaluate", "--input", head, "--horizon", "8",
                    "--folds", "2", "--samples", "2"},
                   &out);
+  std::remove(head.c_str());
   ASSERT_TRUE(code.ok()) << code.status().ToString();
   EXPECT_NE(out.find("LLMTIME"), std::string::npos);
   EXPECT_NE(out.find("ARIMA"), std::string::npos);
   EXPECT_NE(out.find("+/-"), std::string::npos);
+  for (const char* row :
+       {"MultiCast (DI)", "MultiCast (VI)", "MultiCast (VC)", "LLMTIME",
+        "ARIMA", "SARIMA", "HoltWinters", "LSTM", "NaiveLast"}) {
+    EXPECT_NE(out.find(std::string("\n") + row + " "), std::string::npos)
+        << row << "\n" << out;
+  }
 }
 
 }  // namespace

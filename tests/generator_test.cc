@@ -271,6 +271,55 @@ TEST(DrawTrieTest, ConcurrentWavesMatchTheReferenceLoop) {
   }
 }
 
+// A trie a prefix-cache entry keeps is walked and published to by many
+// requests at once: every draw publishes as soon as it is done, while
+// the others walk. Readers take no lock, so they must see either a
+// whole node or none. Every draw must still give the plain loop's
+// tokens and RNG state, and the trie must stop at its budget. (Run under
+// TSan in CI.)
+TEST(DrawTrieTest, PublishingWhileOthersWalkMatchesTheReferenceLoop) {
+  namespace ref = decode_reference;
+  const std::vector<token::TokenId> prompt = ref::DigitPrompt(60);
+  const size_t num_tokens = 42;
+  const int threads = 4;
+  const int draws = 8;
+  for (const ref::NamedMask& mask : ref::ForcedMasks()) {
+    SCOPED_TRACE(mask.name);
+    ModelProfile profile = ModelProfile::Llama2_7B();
+    profile.sampler.temperature = 1.0;
+    // Room for at least 150 nodes: each keeps at most ref::kVocab
+    // running sums.
+    DrawTrie trie(profile, ref::kVocab, prompt, num_tokens, mask.mask,
+                  150 * (16 + ref::kVocab * sizeof(double)));
+    std::vector<std::vector<std::string>> failures(threads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        for (int k = 0; k < draws; ++k) {
+          const uint64_t seed = 900 + static_cast<uint64_t>(t * draws + k);
+          DrawTrie::Log log(&trie);
+          SimulatedLlm llm(profile, ref::kVocab, nullptr, &log);
+          Rng rng(seed);
+          auto got = llm.Complete(prompt, num_tokens, mask.mask, &rng);
+          const ref::Decoded want = ref::ReferenceDecode(
+              profile, ref::kVocab, prompt, num_tokens, mask.mask, seed);
+          if (!got.ok() || got.value().tokens != want.tokens ||
+              rng.NextUint32() != want.rng_next) {
+            failures[t].push_back("seed " + std::to_string(seed));
+          }
+          trie.Publish(&log);
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    for (int t = 0; t < threads; ++t) {
+      EXPECT_TRUE(failures[t].empty()) << failures[t].front();
+    }
+    EXPECT_GT(trie.shared_steps(), 0u);
+    EXPECT_TRUE(trie.full());
+  }
+}
+
 TEST(DrawTrieTest, RepeatedDrawComputesNoNewDistribution) {
   namespace ref = decode_reference;
   const std::vector<token::TokenId> prompt = ref::DigitPrompt(40);

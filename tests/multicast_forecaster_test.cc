@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "batch/batch_scheduler.h"
@@ -12,6 +15,7 @@
 #include "lm/generator.h"
 #include "metrics/metrics.h"
 #include "token/vocabulary.h"
+#include "util/metrics.h"
 #include "util/random.h"
 #include "ts/split.h"
 
@@ -336,6 +340,176 @@ TEST(MultiCastForecasterTest, SharedPrefixDrawsMatchUnsharedDecode) {
         }
       }
     }
+  }
+}
+
+// A caller's prefix cache keeps one draw trie per prompt, which every
+// later request for the prompt walks and extends. A request over a trie
+// other requests filled must equal the same request decoded cold (a
+// fresh cache, and no trie but its own) in forecasts, bands, warnings,
+// ledgers and virtual time; and the cache's counters after every
+// request must equal those of the same sequence with cache_draw_tries
+// off. The sequence runs one prompt into its trie's byte budget, then
+// three prompts through a two-entry cache (evictions), run to
+// completion and in a batch scheduler whose decode steps Clear() the
+// cache every so often, mid-forecast.
+TEST(MultiCastForecasterTest, CacheDrawTriesMatchColdForecasts) {
+  const std::vector<ts::Frame> frames = {NoisyFrame(60), NoisyFrame(72),
+                                         PeriodicFrame(60)};
+  const size_t horizon = 7;
+  struct Request {
+    size_t frame;
+    uint64_t seed;
+    int samples;
+  };
+  std::vector<Request> requests;
+  const size_t one_prompt = 12;  // requests before the second prompt's
+  for (uint64_t k = 0; k < one_prompt; ++k) {
+    requests.push_back({0, 100 + k, 20});
+  }
+  for (uint64_t k = 0; k < 18; ++k) {
+    requests.push_back({k % 3, 200 + k, k % 4 == 3 ? 1 : 5});
+  }
+  auto options = [&](const Request& r) {
+    MultiCastOptions opts;
+    opts.mux = multiplex::MuxKind::kValueInterleave;
+    opts.num_samples = r.samples;
+    opts.seed = r.seed;
+    opts.quantiles = {0.1, 0.9};
+    // Hotter than the profile's default, so that draws part ways often
+    // and the first prompt's trie reaches its budget.
+    opts.profile.sampler.temperature = 1.0;
+    return opts;
+  };
+  auto forecast = [&](const MultiCastOptions& opts, const Request& r) {
+    VirtualClock clock;
+    RequestContext ctx;
+    ctx.clock = &clock;
+    return MultiCastForecaster(opts).Forecast(frames[r.frame], horizon, ctx);
+  };
+  std::vector<Result<ForecastResult>> cold;
+  for (const Request& r : requests) cold.push_back(forecast(options(r), r));
+
+  for (bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "run to completion");
+    std::vector<lm::PrefixCacheStats> want_stats;
+    for (bool cache_tries : {false, true}) {
+      SCOPED_TRACE(cache_tries ? "cache tries" : "per-forecast tries");
+      auto cache = std::make_shared<lm::PrefixCache>(2);
+      std::shared_ptr<batch::BatchScheduler> scheduler;
+      size_t steps = 0;
+      if (batched) {
+        batch::BatchPolicy policy;
+        policy.max_batch = 4;
+        policy.on_step = [&](size_t) {
+          if (++steps % 997 == 0) cache->Clear();
+        };
+        scheduler = std::make_shared<batch::BatchScheduler>(policy);
+      }
+      // The most nodes the cache's tries held while only the first
+      // prompt had one.
+      size_t one_prompt_nodes = 0;
+      for (size_t i = 0; i < requests.size(); ++i) {
+        SCOPED_TRACE("request " + std::to_string(i));
+        MultiCastOptions opts = options(requests[i]);
+        opts.shared_prefix_cache = cache;
+        opts.cache_draw_tries = cache_tries;
+        opts.batch_scheduler = scheduler;
+        ExpectSameForecast(cold[i], forecast(opts, requests[i]));
+        if (cache_tries) {
+          EXPECT_EQ(cache->stats().lookups, want_stats[i].lookups);
+          EXPECT_EQ(cache->stats().full_hits, want_stats[i].full_hits);
+          EXPECT_EQ(cache->stats().misses, want_stats[i].misses);
+          EXPECT_EQ(cache->stats().insertions, want_stats[i].insertions);
+          EXPECT_EQ(cache->stats().evictions, want_stats[i].evictions);
+          EXPECT_EQ(cache->stats().prompt_tokens_replayed,
+                    want_stats[i].prompt_tokens_replayed);
+          if (i < one_prompt) {
+            one_prompt_nodes =
+                std::max(one_prompt_nodes, cache->draw_tries().nodes);
+          }
+        } else {
+          want_stats.push_back(cache->stats());
+          EXPECT_EQ(cache->draw_tries().nodes, 0u);
+        }
+      }
+      if (cache_tries) {
+        // The budget was reached: VI nodes of 16 header bytes and ten
+        // running sums.
+        EXPECT_EQ(one_prompt_nodes,
+                  lm::kCacheDrawTrieBytes / (16 + 10 * sizeof(double)));
+        EXPECT_GT(cache->draw_tries().steps, 0u);
+        EXPECT_GT(want_stats.back().evictions, 0u);
+      }
+      if (batched) {
+        EXPECT_GT(steps, 997u);  // Clear() fired mid-run
+      }
+    }
+  }
+}
+
+// Forecasts on several threads over one cached prompt share its trie:
+// they walk it while others publish into it, and another thread reads
+// the cache's bytes and metrics meanwhile. Each must equal its cold
+// forecast. (Run under TSan in CI.)
+TEST(MultiCastForecasterTest, ConcurrentForecastsShareOneCacheTrie) {
+  const ts::Frame frame = NoisyFrame(60);
+  const size_t horizon = 7;
+  const int threads = 4;
+  const int per_thread = 5;
+  auto options = [](uint64_t seed) {
+    MultiCastOptions opts;
+    opts.mux = multiplex::MuxKind::kValueInterleave;
+    opts.num_samples = 5;
+    opts.seed = seed;
+    return opts;
+  };
+  for (bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "run to completion");
+    auto cache = std::make_shared<lm::PrefixCache>(4);
+    std::shared_ptr<batch::BatchScheduler> scheduler;
+    if (batched) {
+      batch::BatchPolicy policy;
+      policy.max_batch = 4;
+      scheduler = std::make_shared<batch::BatchScheduler>(policy);
+    }
+    std::vector<Result<ForecastResult>> got(
+        threads * per_thread, Status::Internal("not run"));
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        for (int k = 0; k < per_thread; ++k) {
+          MultiCastOptions opts = options(
+              static_cast<uint64_t>(t * per_thread + k));
+          opts.shared_prefix_cache = cache;
+          opts.batch_scheduler = scheduler;
+          got[static_cast<size_t>(t * per_thread + k)] =
+              MultiCastForecaster(opts).Forecast(frame, horizon);
+        }
+      });
+    }
+    std::atomic<bool> done{false};
+    size_t reads = 0;
+    std::thread reader([&] {
+      util::MetricsRegistry registry;
+      do {
+        cache->PublishMetrics(&registry);
+        ++reads;
+      } while (!done.load());
+    });
+    for (std::thread& w : workers) w.join();
+    done.store(true);
+    reader.join();
+    EXPECT_GT(reads, 0u);
+    for (int i = 0; i < threads * per_thread; ++i) {
+      SCOPED_TRACE("request " + std::to_string(i));
+      ExpectSameForecast(
+          MultiCastForecaster(options(static_cast<uint64_t>(i)))
+              .Forecast(frame, horizon),
+          got[static_cast<size_t>(i)]);
+    }
+    EXPECT_GT(cache->draw_tries().nodes, 0u);
+    EXPECT_GT(cache->draw_tries().steps, 0u);
   }
 }
 

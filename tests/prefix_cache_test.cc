@@ -20,6 +20,7 @@
 #include "lm/ngram_model.h"
 #include "lm/profiles.h"
 #include "token/codec.h"
+#include "util/metrics.h"
 
 namespace multicast {
 namespace lm {
@@ -448,6 +449,128 @@ TEST(PrefixCacheTest, ClearDropsEntriesKeepsCounters) {
   // A re-acquire after Clear is a miss again.
   cache.AcquireSession(1, TokenSeq(16, 1), NGramFactory());
   EXPECT_EQ(cache.stats().misses, before.misses + 1);
+}
+
+// The draw trie an entry keeps (PrefixCache::DrawTrieFor): made once,
+// found only for the entry's exact prompt, counted in bytes() and in the
+// trie gauges, and dropped with the entry on eviction and Clear(), while
+// a caller's pointer keeps it alive and the steps it saved stay counted.
+TEST(PrefixCacheTest, DrawTriesLiveAndDieWithTheirEntries) {
+  const ModelProfile profile = ModelProfile::Llama2_7B();
+  const uint64_t fingerprint = ModelFingerprint(profile, kVocab);
+  auto cache = std::make_shared<PrefixCache>(2);
+  const std::vector<token::TokenId> p1 = TokenSeq(40, 1);
+  const GrammarMask mask = AllowAll(kVocab);
+  SimulatedLlm warmer(profile, kVocab, cache);
+  ASSERT_TRUE(warmer.WarmPrefix(p1).ok());
+  int made = 0;
+  const PrefixCache::DrawTrieFactory make =
+      [&](std::shared_ptr<const std::vector<token::TokenId>> prompt) {
+        ++made;
+        return std::make_shared<DrawTrie>(profile, kVocab, std::move(prompt),
+                                          12, mask, kCacheDrawTrieBytes);
+      };
+  EXPECT_EQ(cache->DrawTrieFor(fingerprint, TokenSeq(40, 2), make), nullptr);
+  EXPECT_EQ(cache->DrawTrieFor(fingerprint,
+                               std::vector<token::TokenId>(p1.begin(),
+                                                           p1.end() - 1),
+                               make),
+            nullptr);
+  EXPECT_EQ(cache->DrawTrieFor(fingerprint + 1, p1, make), nullptr);
+  EXPECT_EQ(made, 0);
+  const size_t bytes_before = cache->bytes();
+  std::shared_ptr<DrawTrie> trie = cache->DrawTrieFor(fingerprint, p1, make);
+  ASSERT_NE(trie, nullptr);
+  EXPECT_EQ(cache->DrawTrieFor(fingerprint, p1, make), trie);
+  EXPECT_EQ(made, 1);
+  const PrefixCacheStats stats = cache->stats();
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    DrawTrie::Log log(trie.get());
+    SimulatedLlm llm(profile, kVocab, cache, &log);
+    Rng rng(seed);
+    ASSERT_TRUE(llm.Complete(p1, 12, mask, &rng).ok());
+    trie->Publish(&log);
+  }
+  // Four forks, and no lookup or LRU touch of DrawTrieFor's own.
+  EXPECT_EQ(cache->stats().lookups, stats.lookups + 4);
+  EXPECT_EQ(cache->stats().full_hits, stats.full_hits + 4);
+  ASSERT_GT(trie->size(), 0u);
+  ASSERT_GT(trie->shared_steps(), 0u);
+  EXPECT_EQ(cache->bytes(), bytes_before + trie->bytes());
+  PrefixCache::DrawTrieTotals totals = cache->draw_tries();
+  EXPECT_EQ(totals.nodes, trie->size());
+  EXPECT_EQ(totals.steps, trie->shared_steps());
+  EXPECT_FALSE(trie->full());
+  util::MetricsRegistry registry;
+  cache->PublishMetrics(&registry);
+  EXPECT_EQ(registry.GetGauge("prefix_cache.trie_nodes")->value(),
+            static_cast<double>(trie->size()));
+  EXPECT_EQ(registry.GetGauge("prefix_cache.trie_steps")->value(),
+            static_cast<double>(trie->shared_steps()));
+
+  // Two more prompts through the two entries evict p1 and its trie; the
+  // pointer held here still walks and takes Logs.
+  ASSERT_TRUE(warmer.WarmPrefix(TokenSeq(40, 2)).ok());
+  ASSERT_TRUE(warmer.WarmPrefix(TokenSeq(40, 3)).ok());
+  EXPECT_EQ(cache->draw_tries().nodes, 0u);
+  EXPECT_EQ(cache->draw_tries().steps, totals.steps);
+  {
+    DrawTrie::Log log(trie.get());
+    SimulatedLlm llm(profile, kVocab, nullptr, &log);
+    Rng rng(0);
+    ASSERT_TRUE(llm.Complete(p1, 12, mask, &rng).ok());
+    trie->Publish(&log);
+  }
+  ASSERT_TRUE(warmer.WarmPrefix(p1).ok());
+  std::shared_ptr<DrawTrie> fresh = cache->DrawTrieFor(fingerprint, p1, make);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_NE(fresh, trie);
+  EXPECT_EQ(fresh->size(), 0u);
+  EXPECT_EQ(made, 2);
+
+  // Clear() drops the new trie too, and keeps the steps counted.
+  {
+    DrawTrie::Log log(fresh.get());
+    SimulatedLlm llm(profile, kVocab, cache, &log);
+    Rng rng(0);
+    ASSERT_TRUE(llm.Complete(p1, 12, mask, &rng).ok());
+    fresh->Publish(&log);
+  }
+  const size_t steps = cache->draw_tries().steps;
+  cache->Clear();
+  EXPECT_EQ(cache->draw_tries().nodes, 0u);
+  EXPECT_EQ(cache->draw_tries().steps, steps);
+  EXPECT_EQ(cache->bytes(), 0u);
+}
+
+// A trie past its byte budget takes no further node; lanes that leave
+// it decode fresh and log nothing, with the plain loop's tokens.
+TEST(PrefixCacheTest, DrawTrieStopsGrowingAtItsBudget) {
+  const ModelProfile profile = ModelProfile::Llama2_7B();
+  const std::vector<token::TokenId> prompt = TokenSeq(40, 1);
+  const GrammarMask mask = AllowAll(kVocab);
+  // Nodes of 16 header bytes and 11 running sums: room for 10.
+  DrawTrie trie(profile, kVocab, prompt, 12, mask,
+                10 * (16 + 11 * sizeof(double)));
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    DrawTrie::Log log(&trie);
+    SimulatedLlm llm(profile, kVocab, nullptr, &log);
+    SimulatedLlm plain(profile, kVocab);
+    Rng rng(seed);
+    Rng plain_rng(seed);
+    auto got = llm.Complete(prompt, 12, mask, &rng);
+    auto want = plain.Complete(prompt, 12, mask, &plain_rng);
+    ASSERT_TRUE(got.ok() && want.ok());
+    EXPECT_EQ(got.value().tokens, want.value().tokens);
+    EXPECT_EQ(rng.NextUint32(), plain_rng.NextUint32());
+    if (trie.full()) {
+      EXPECT_EQ(log.size(), 0u);
+    }
+    trie.Publish(&log);
+    EXPECT_LE(trie.size(), 10u);
+  }
+  EXPECT_TRUE(trie.full());
+  EXPECT_EQ(trie.size(), 10u);
 }
 
 TEST(PrefixCacheStatsTest, DifferenceSaturatesAtZero) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -243,6 +244,104 @@ TEST_P(SeededProperty, DemuxSurvivesGarbage) {
         }
       }
     }
+  }
+}
+
+// ---- Token decode fuzzing: ids a model or a caller hands back,   ----
+// ---- negative or past the vocabulary among them, either fail      ----
+// ---- cleanly or decode to one vocabulary symbol per id.           ----
+
+TEST_P(SeededProperty, TokenDecodeSurvivesGarbage) {
+  Rng rng = MakeRng();
+  std::vector<token::Vocabulary> vocabs = {token::Vocabulary::Digits()};
+  vocabs.push_back(token::Vocabulary::SaxAlphabetic(
+                       1 + static_cast<int>(rng.NextBounded(26)))
+                       .ValueOrDie());
+  vocabs.push_back(token::Vocabulary::SaxDigital(
+                       1 + static_cast<int>(rng.NextBounded(10)))
+                       .ValueOrDie());
+  const std::vector<token::TokenId> extremes = {
+      -1, std::numeric_limits<token::TokenId>::min(),
+      std::numeric_limits<token::TokenId>::max()};
+  for (const token::Vocabulary& vocab : vocabs) {
+    const auto size = static_cast<token::TokenId>(vocab.size());
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<token::TokenId> ids(rng.NextBounded(40));
+      bool bad = false;
+      for (token::TokenId& id : ids) {
+        switch (rng.NextBounded(4)) {
+          case 0:
+            id = size + static_cast<token::TokenId>(rng.NextBounded(1000));
+            break;
+          case 1:
+            id = extremes[rng.NextBounded(3)];
+            break;
+          default:
+            id = static_cast<token::TokenId>(
+                rng.NextBounded(static_cast<uint32_t>(size)));
+            break;
+        }
+        bad = bad || id < 0 || id >= size;
+      }
+      Result<std::string> text = token::Decode(ids, vocab);
+      if (bad) {
+        ASSERT_FALSE(text.ok());
+        EXPECT_EQ(text.status().code(), StatusCode::kInvalidArgument);
+        continue;
+      }
+      ASSERT_TRUE(text.ok()) << text.status().ToString();
+      ASSERT_EQ(text.value().size(), ids.size());
+      for (size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(text.value()[i],
+                  vocab.symbols()[static_cast<size_t>(ids[i])]);
+      }
+    }
+  }
+}
+
+// ---- SAX decode fuzzing: words in and out of the alphabet, at any ----
+// ---- requested length, either fail cleanly or give exactly        ----
+// ---- `out_length` finite values.                                  ----
+
+TEST_P(SeededProperty, SaxDecodeSurvivesGarbage) {
+  Rng rng = MakeRng();
+  std::vector<double> train(50);
+  for (double& v : train) v = rng.NextGaussian(3.0, 2.0);
+  const char kAlphabet[] = "abcdefghijklmnopqrstuvwxyz0123456789,!A ";
+  for (auto kind : {sax::SymbolKind::kAlphabetic, sax::SymbolKind::kDigital}) {
+    sax::SaxOptions options;
+    options.symbols = kind;
+    options.alphabet_size =
+        2 + static_cast<int>(rng.NextBounded(
+                kind == sax::SymbolKind::kDigital ? 9 : 25));
+    options.segment_length = 1 + static_cast<int>(rng.NextBounded(4));
+    auto codec = sax::SaxCodec::Fit(ts::Series(train), options);
+    ASSERT_TRUE(codec.ok()) << codec.status().ToString();
+    int decoded = 0;
+    for (int trial = 0; trial < 20; ++trial) {
+      // Mostly symbols of the codec's own alphabet, so that some words
+      // decode; one in ten from anywhere.
+      std::string word;
+      const size_t len = rng.NextBounded(30);
+      for (size_t i = 0; i < len; ++i) {
+        word.push_back(
+            rng.NextBounded(10) == 0
+                ? kAlphabet[rng.NextBounded(sizeof(kAlphabet) - 1)]
+                : codec.value()
+                      .SymbolForBin(static_cast<int>(rng.NextBounded(
+                          static_cast<uint32_t>(options.alphabet_size))))
+                      .ValueOrDie());
+      }
+      const size_t out_length =
+          rng.NextBounded(2) == 0 ? 0 : rng.NextBounded(100);
+      Result<std::vector<double>> values =
+          codec.value().Decode(word, out_length);
+      if (!values.ok()) continue;  // clean rejection is fine
+      ++decoded;
+      ASSERT_EQ(values.value().size(), out_length) << word;
+      for (double v : values.value()) EXPECT_TRUE(std::isfinite(v)) << word;
+    }
+    EXPECT_GT(decoded, 0);
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <vector>
 
 namespace multicast {
@@ -100,6 +103,87 @@ TEST(RngTest, SampleDiscreteRespectsWeights) {
 TEST(RngTest, SampleDiscreteSingleElement) {
   Rng rng(1);
   EXPECT_EQ(rng.SampleDiscrete({5.0}), 0);
+}
+
+// A draw trie node keeps SampleDiscrete's running sums only at the
+// tokens its grammar position admits. Over random weights (zeros, top-k
+// cuts, a zero-weight last token, sums that overflow to +inf), SampleCdf
+// over those sums must pick the index SampleDiscrete picks over the
+// weights, its fallback to the last index included, and leave the RNG in
+// the same state.
+TEST(RngTest, SampleCdfMatchesSampleDiscrete) {
+  Rng gen(2024);
+  int fallbacks = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const size_t vocab = 2 + gen.NextBounded(20);
+    std::vector<double> weights(vocab, 0.0);
+    for (double& w : weights) {
+      switch (gen.NextBounded(5)) {
+        case 0:
+          break;  // zero
+        case 1:
+          w = gen.NextDouble();
+          break;
+        case 2:
+          w = std::pow(gen.NextDouble(), 1.0 / 0.45);
+          break;
+        case 3:
+          w = 1e-300 * gen.NextDouble();
+          break;
+        default:
+          w = std::exp(40.0 * gen.NextDouble());
+          break;
+      }
+    }
+    if (gen.NextBounded(3) == 0) {
+      // A top-k cut: only the k largest weights survive.
+      const size_t k = 1 + gen.NextBounded(static_cast<uint32_t>(vocab));
+      std::vector<double> sorted = weights;
+      std::sort(sorted.begin(), sorted.end(), std::greater<double>());
+      const double floor = sorted[k - 1];
+      for (double& w : weights) {
+        if (w < floor) w = 0.0;
+      }
+    }
+    if (gen.NextBounded(2) == 0) weights.back() = 0.0;  // the comma
+    if (gen.NextBounded(10) == 0) {
+      // Running sums that overflow: the draw falls past the total.
+      weights[gen.NextBounded(static_cast<uint32_t>(vocab))] =
+          std::numeric_limits<double>::max();
+      weights[gen.NextBounded(static_cast<uint32_t>(vocab))] =
+          std::numeric_limits<double>::max();
+    }
+    if (*std::max_element(weights.begin(), weights.end()) <= 0.0) {
+      weights[gen.NextBounded(static_cast<uint32_t>(vocab))] = 0.5;
+    }
+    // The admitted tokens: every positive weight, and some zero ones (a
+    // token the grammar admits but top-k cut).
+    std::vector<int> admitted;
+    std::vector<double> cdf;
+    double acc = 0.0;
+    for (size_t i = 0; i < vocab; ++i) {
+      if (weights[i] > 0.0 || gen.NextBounded(2) == 0) {
+        acc += weights[i];
+        admitted.push_back(static_cast<int>(i));
+        cdf.push_back(acc);
+      }
+    }
+    const uint64_t seed = gen.NextUint32();
+    Rng discrete(seed);
+    Rng cumulative(seed);
+    const int want = discrete.SampleDiscrete(weights);
+    const int at = cumulative.SampleCdf(cdf);
+    ASSERT_GE(at, 0);
+    ASSERT_LE(at, static_cast<int>(cdf.size()));
+    const int got = at < static_cast<int>(cdf.size())
+                        ? admitted[static_cast<size_t>(at)]
+                        : static_cast<int>(vocab) - 1;
+    if (at == static_cast<int>(cdf.size())) ++fallbacks;
+    ASSERT_EQ(got, want) << "trial " << trial;
+    ASSERT_EQ(cumulative.NextUint32(), discrete.NextUint32())
+        << "trial " << trial;
+  }
+  EXPECT_GT(fallbacks, 0);
 }
 
 TEST(RngTest, ShufflePreservesElements) {
