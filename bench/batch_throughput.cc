@@ -5,8 +5,9 @@
 // while continuous batching pays it once per *step* shared by every
 // active session. This bench models the forward pass with a fixed sleep
 // in BatchPolicy::on_step, offers 1..8 concurrent MultiCast requests on
-// GasRate (each request's sample draws decoding through one shared
-// scheduler), and compares run-to-completion (max_batch = 1) against a
+// GasRate (each request draws its samples one at a time, every draw
+// decoding through one shared scheduler, so load k runs at most k
+// lanes at once), and compares run-to-completion (max_batch = 1) against a
 // 16-slot continuous batch at every offered load. Forecasts must be
 // bit-identical across the two schedules — batching changes when tokens
 // decode, never which tokens.
@@ -52,7 +53,7 @@ struct LoadResult {
 // it inside the timed region — the full cost of the end-of-run
 // publication model, measured where the overhead gate can see it.
 LoadResult RunLoad(const ts::Split& split, size_t horizon, size_t concurrent,
-                   size_t max_batch, int samples, int draw_threads,
+                   size_t max_batch, int samples,
                    std::chrono::microseconds step_sleep,
                    util::MetricsRegistry* metrics = nullptr) {
   batch::BatchPolicy policy;
@@ -72,7 +73,6 @@ LoadResult RunLoad(const ts::Split& split, size_t horizon, size_t concurrent,
           DefaultMultiCast(multiplex::MuxKind::kValueInterleave);
       opts.num_samples = samples;
       opts.seed = 42 + r;
-      opts.threads = draw_threads;
       opts.batch_scheduler = scheduler;
       forecast::MultiCastForecaster forecaster(opts);
       forecast::ForecastResult result =
@@ -99,7 +99,6 @@ int Main(bool smoke) {
   const size_t kHorizon = 12;
   const size_t kMaxBatch = 16;
   const int samples = 4;
-  const int draw_threads = 4;
   const std::chrono::microseconds step_sleep(smoke ? 150 : 250);
   const std::vector<size_t> loads =
       smoke ? std::vector<size_t>{1, 4} : std::vector<size_t>{1, 2, 4, 8};
@@ -108,9 +107,9 @@ int Main(bool smoke) {
 
   std::printf(
       "continuous batching vs run-to-completion: MultiCast (VI) on "
-      "GasRate, horizon %zu, %d samples/request, %d draw threads, "
+      "GasRate, horizon %zu, %d samples/request, "
       "%lldus/step forward pass, %zu-slot batch\n\n",
-      kHorizon, samples, draw_threads,
+      kHorizon, samples,
       static_cast<long long>(step_sleep.count()), kMaxBatch);
 
   struct Row {
@@ -129,10 +128,9 @@ int Main(bool smoke) {
                    "Batched req/s", "Speedup", "Mean batch", "Peak",
                    "Identical"});
   for (size_t load : loads) {
-    LoadResult rtc = RunLoad(split, kHorizon, load, 1, samples,
-                             draw_threads, step_sleep);
-    LoadResult batched = RunLoad(split, kHorizon, load, kMaxBatch, samples,
-                                 draw_threads, step_sleep);
+    LoadResult rtc = RunLoad(split, kHorizon, load, 1, samples, step_sleep);
+    LoadResult batched =
+        RunLoad(split, kHorizon, load, kMaxBatch, samples, step_sleep);
     Row row;
     row.concurrent = load;
     row.rtc_seconds = rtc.wall_seconds;
@@ -171,12 +169,12 @@ int Main(bool smoke) {
   std::unique_ptr<util::MetricsRegistry> registry;
   for (int r = 0; r < kOverheadRepeats; ++r) {
     plain_rps.push_back(RunLoad(split, kHorizon, loads.back(), kMaxBatch,
-                                samples, draw_threads, step_sleep)
+                                samples, step_sleep)
                             .throughput_rps);
     auto run_registry = std::make_unique<util::MetricsRegistry>();
     instrumented_rps.push_back(RunLoad(split, kHorizon, loads.back(),
-                                       kMaxBatch, samples, draw_threads,
-                                       step_sleep, run_registry.get())
+                                       kMaxBatch, samples, step_sleep,
+                                       run_registry.get())
                                    .throughput_rps);
     registry = std::move(run_registry);
   }
@@ -217,12 +215,11 @@ int Main(bool smoke) {
                "  \"method\": \"MultiCast (VI)\",\n"
                "  \"horizon\": %zu,\n"
                "  \"samples_per_request\": %d,\n"
-               "  \"draw_threads\": %d,\n"
                "  \"step_micros\": %lld,\n"
                "  \"max_batch\": %zu,\n"
                "  \"smoke\": %s,\n"
                "  \"results\": [\n",
-               kHorizon, samples, draw_threads,
+               kHorizon, samples,
                static_cast<long long>(step_sleep.count()), kMaxBatch,
                smoke ? "true" : "false");
   for (size_t i = 0; i < rows.size(); ++i) {

@@ -7,10 +7,9 @@
 // bench gates all of them:
 //
 //  1. Bit-identity: the same MultiCast (VI) forecast on GasRate, n = 8
-//     draws, is run across a threads x batch grid (the schedules that
-//     interleave sessions differently). Forecast values, quantile bands
-//     and token ledgers must agree bitwise in every cell with the
-//     sequential 1 x 1 run.
+//     draws, is run unbatched and through batch schedulers of 4 and 16
+//     slots. Forecast values, quantile bands and token ledgers must
+//     agree bitwise in every cell with the unbatched run.
 //  2. Memory: the paged run must spend at most half the private overlay
 //     bytes per draw session that the retired map storage would spend
 //     on the same entries. The pool counts each session's distinct
@@ -60,13 +59,12 @@ struct RunResult {
 // One forecast under the given schedule, on a pool of span 32 whose
 // block budget is `pool_blocks` (0 = unbounded) for the exhaustion
 // scenario.
-RunResult RunForecast(const ts::Frame& train, size_t horizon, int threads,
-                      size_t batch, size_t pool_blocks = 0) {
+RunResult RunForecast(const ts::Frame& train, size_t horizon, size_t batch,
+                      size_t pool_blocks = 0) {
   forecast::MultiCastOptions opts =
       DefaultMultiCast(multiplex::MuxKind::kValueInterleave);
   opts.num_samples = 8;
   opts.seed = 42;
-  opts.threads = threads;
   opts.quantiles = {0.1, 0.9};
   std::shared_ptr<batch::BatchScheduler> scheduler;
   if (batch > 1) {
@@ -187,27 +185,22 @@ ShedResult RunShedScenario(const ts::Frame* history, size_t horizon,
 
 int Main(bool smoke) {
   const size_t kHorizon = 12;
-  const std::vector<int> thread_counts =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
-  const std::vector<size_t> batch_sizes =
-      smoke ? std::vector<size_t>{1, 4} : std::vector<size_t>{1, 4, 16};
+  const std::vector<size_t> batch_sizes = {1, 4, 16};
 
   ts::Split split = LoadSplit("GasRate");
 
   std::printf(
       "paged session memory: MultiCast (VI) on GasRate, n = 8 draws, "
-      "horizon %zu, block span 32, paged vs map bytes across threads x "
-      "batch\n\n",
+      "horizon %zu, block span 32, paged vs map bytes across batch "
+      "sizes\n\n",
       kHorizon);
 
-  // The sequential run anchors every identity check.
-  RunResult baseline =
-      RunForecast(split.train, kHorizon, /*threads=*/1, /*batch=*/1);
+  // The unbatched run anchors every identity check.
+  RunResult baseline = RunForecast(split.train, kHorizon, /*batch=*/1);
   const double map_entry_bytes = static_cast<double>(
       lm::MapEntryBytes(token::Vocabulary::Digits().size()));
 
   struct Cell {
-    int threads = 0;
     size_t batch = 0;
     bool identical = false;
     double plain_bytes = 0.0;
@@ -217,44 +210,39 @@ int Main(bool smoke) {
   };
   std::vector<Cell> cells;
   lm::BlockPoolStats headline_pool;
-  TextTable table({"Threads", "Batch", "Plain B/sess", "Paged B/sess",
-                   "Reduction", "Sharing", "Identical"});
-  for (int threads : thread_counts) {
-    for (size_t batch : batch_sizes) {
-      RunResult paged = RunForecast(split.train, kHorizon, threads, batch);
-      Cell cell;
-      cell.threads = threads;
-      cell.batch = batch;
-      // The schedule must not change the output.
-      cell.identical = Identical(paged, baseline);
-      // What the retired map storage would hold for the same entries.
-      cell.plain_bytes =
-          paged.pool.sessions == 0
-              ? 0.0
-              : static_cast<double>(paged.pool.session_overlay_entries) *
-                    map_entry_bytes /
-                    static_cast<double>(paged.pool.sessions);
-      cell.paged_bytes = paged.pool.bytes_per_session();
-      cell.reduction =
-          cell.paged_bytes > 0.0 ? cell.plain_bytes / cell.paged_bytes : 0.0;
-      cell.sharing = paged.pool.sharing_ratio();
-      table.AddRow({StrFormat("%d", cell.threads),
-                    StrFormat("%zu", cell.batch),
-                    StrFormat("%.0f", cell.plain_bytes),
-                    StrFormat("%.0f", cell.paged_bytes),
-                    StrFormat("%.2fx", cell.reduction),
-                    StrFormat("%.1fx", cell.sharing),
-                    cell.identical ? "yes" : "NO"});
-      if (threads == 1 && batch == 1) headline_pool = paged.pool;
-      cells.push_back(cell);
-    }
+  TextTable table({"Batch", "Plain B/sess", "Paged B/sess", "Reduction",
+                   "Sharing", "Identical"});
+  for (size_t batch : batch_sizes) {
+    RunResult paged = RunForecast(split.train, kHorizon, batch);
+    Cell cell;
+    cell.batch = batch;
+    // The schedule must not change the output.
+    cell.identical = Identical(paged, baseline);
+    // What the retired map storage would hold for the same entries.
+    cell.plain_bytes =
+        paged.pool.sessions == 0
+            ? 0.0
+            : static_cast<double>(paged.pool.session_overlay_entries) *
+                  map_entry_bytes / static_cast<double>(paged.pool.sessions);
+    cell.paged_bytes = paged.pool.bytes_per_session();
+    cell.reduction =
+        cell.paged_bytes > 0.0 ? cell.plain_bytes / cell.paged_bytes : 0.0;
+    cell.sharing = paged.pool.sharing_ratio();
+    table.AddRow({StrFormat("%zu", cell.batch),
+                  StrFormat("%.0f", cell.plain_bytes),
+                  StrFormat("%.0f", cell.paged_bytes),
+                  StrFormat("%.2fx", cell.reduction),
+                  StrFormat("%.1fx", cell.sharing),
+                  cell.identical ? "yes" : "NO"});
+    if (batch == 1) headline_pool = paged.pool;
+    cells.push_back(cell);
   }
   std::printf("%s\n", table.Render().c_str());
 
   // Exhaustion: a pool budgeted at 8 blocks holds most of the working
   // set over budget — output must not move, events must count.
-  RunResult exhausted = RunForecast(split.train, kHorizon, /*threads=*/2,
-                                    /*batch=*/1, /*pool_blocks=*/8);
+  RunResult exhausted = RunForecast(split.train, kHorizon, /*batch=*/1,
+                                    /*pool_blocks=*/8);
   const bool exhausted_identical = Identical(exhausted, baseline);
   std::printf("exhaustion: pool budget of 8 blocks -> %zu events, "
               "identical %s\n",
@@ -270,7 +258,7 @@ int Main(bool smoke) {
               shed.tier_classical, shed.tier_shed, shed.exhaustion_events,
               shed.final_fullness);
 
-  // The headline (sequential) paged pool's counters, through the same
+  // The headline (unbatched) paged pool's counters, through the same
   // registry path serve-sim uses for its lm.mem.* section.
   util::MetricsRegistry registry;
   lm::PublishBlockPoolStats(headline_pool, &registry, "lm.mem.");
@@ -295,11 +283,11 @@ int Main(bool smoke) {
   for (size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     std::fprintf(json,
-                 "    {\"threads\": %d, \"batch\": %zu, "
+                 "    {\"batch\": %zu, "
                  "\"plain_bytes_per_session\": %.1f, "
                  "\"paged_bytes_per_session\": %.1f, \"reduction\": %.3f, "
                  "\"sharing_ratio\": %.2f, \"identical\": %s}%s\n",
-                 c.threads, c.batch, c.plain_bytes, c.paged_bytes,
+                 c.batch, c.plain_bytes, c.paged_bytes,
                  c.reduction, c.sharing, c.identical ? "true" : "false",
                  i + 1 < cells.size() ? "," : "");
   }
@@ -313,7 +301,7 @@ int Main(bool smoke) {
       "\"tier_llm_full\": %zu, \"tier_classical\": %zu, "
       "\"tier_shed\": %zu, \"exhaustion_events\": %zu, "
       "\"final_fullness\": %.3f},\n"
-      "  \"reduction_at_1x1\": %.3f,\n"
+      "  \"reduction_at_batch_1\": %.3f,\n"
       "  \"all_identical\": %s\n"
       "}\n",
       exhausted.pool.exhaustion_events,
@@ -337,16 +325,16 @@ int Main(bool smoke) {
   for (const Cell& c : cells) {
     if (!c.identical) {
       std::fprintf(stderr,
-                   "FAIL: paged forecast diverged from the sequential "
-                   "1x1 run at threads=%d batch=%zu\n",
-                   c.threads, c.batch);
+                   "FAIL: paged forecast diverged from the unbatched "
+                   "run at batch=%zu\n",
+                   c.batch);
       status = 1;
     }
     if (c.reduction < 2.0) {
       std::fprintf(stderr,
-                   "FAIL: bytes/session reduction %.2fx at threads=%d "
-                   "batch=%zu is below the 2x floor\n",
-                   c.reduction, c.threads, c.batch);
+                   "FAIL: bytes/session reduction %.2fx at batch=%zu "
+                   "is below the 2x floor\n",
+                   c.reduction, c.batch);
       status = 1;
     }
   }

@@ -6,18 +6,18 @@
 // trie attached) by lm::OpenDecodeLane, as the sequential decoder opens
 // it — but instead of calling the lane's Next in a loop itself,
 // Complete() submits the lane to the scheduler and blocks in Await(),
-// where it cooperatively drives the shared batch. Draws submitted
-// concurrently (sample-loop threads, LLMTime dimensions, other in-flight
-// requests sharing the scheduler) decode together, one token per
-// session per step. A draw whose prefix an earlier draw of its forecast
-// published walks the trie inside the scheduler's step exactly as it
-// would inside SimulatedLlm (lm::DrawTrie, DESIGN.md §5m).
+// where it cooperatively drives the shared batch. Draws that callers on
+// other threads submit meanwhile (other in-flight requests sharing the
+// scheduler) decode together with it, one token per session per step.
+// A draw whose prefix an earlier draw of its forecast published walks
+// the trie inside the scheduler's step exactly as it would inside
+// SimulatedLlm (lm::DrawTrie, DESIGN.md §5m).
 //
 // Transparency contract: name, error strings, token ledger and reported
 // latency (0 — the latency model lives in the decorators above) are
 // identical to SimulatedLlm, and each job's token sequence depends only
 // on its own session/RNG/grammar, so swapping this leaf in changes no
-// observable output at any batch size or thread count.
+// observable output at any batch size.
 
 #ifndef MULTICAST_BATCH_BATCH_LLM_H_
 #define MULTICAST_BATCH_BATCH_LLM_H_

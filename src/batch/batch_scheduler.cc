@@ -80,9 +80,15 @@ BatchScheduler::BatchScheduler(const BatchPolicy& policy) : policy_(policy) {
   slots_.resize(std::max<size_t>(1, policy_.max_batch), nullptr);
 }
 
+std::unique_lock<std::mutex> BatchScheduler::Lock() const {
+  std::unique_lock<std::mutex> lock(mu_);
+  acquisitions_.fetch_add(1);
+  return lock;
+}
+
 BatchTicket BatchScheduler::Submit(DecodeJobSpec spec) {
   CallerScope caller(&callers_);
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::unique_lock<std::mutex> lock = Lock();
   const uint64_t id = next_ticket_++;
   Job job;
   job.spec = std::move(spec);
@@ -208,13 +214,13 @@ bool BatchScheduler::StepLocked() {
 
 bool BatchScheduler::Step() {
   CallerScope caller(&callers_);
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::unique_lock<std::mutex> lock = Lock();
   return StepLocked();
 }
 
 Result<DecodeOutput> BatchScheduler::Await(BatchTicket ticket) {
   CallerScope caller(&callers_);
-  std::unique_lock<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = Lock();
   auto it = jobs_.find(ticket.id);
   if (it == jobs_.end()) {
     return Status::InvalidArgument(
@@ -233,11 +239,16 @@ Result<DecodeOutput> BatchScheduler::Await(BatchTicket ticket) {
     // Hand the lock off only when another caller is inside, so
     // concurrent submitters can join the batch and other awaiters can
     // take a driving turn. Alone, keep stepping: a yield per token is a
-    // syscall per token.
+    // syscall per token. A plain unlock-yield-relock lets this thread
+    // take the lock straight back ahead of a caller blocked on it, so
+    // wait until another caller has had it, or none is left.
     if (job.done || callers_.load() <= 1) continue;
+    const uint64_t held = acquisitions_.load();
     lock.unlock();
-    std::this_thread::yield();
-    lock.lock();
+    while (acquisitions_.load() == held && callers_.load() > 1) {
+      std::this_thread::yield();
+    }
+    lock = Lock();
   }
   Job finished = std::move(job);
   jobs_.erase(ticket.id);
@@ -251,7 +262,7 @@ Result<DecodeOutput> BatchScheduler::Await(BatchTicket ticket) {
 
 BatchStats BatchScheduler::stats() const {
   CallerScope caller(&callers_);
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::unique_lock<std::mutex> lock = Lock();
   return stats_;
 }
 

@@ -21,19 +21,21 @@
 //   Await    — block until a job finishes. Await is cooperative: the
 //              waiting caller drives Step() itself, so the scheduler
 //              needs no dedicated driver thread. A caller alone in the
-//              scheduler steps back to back under one lock hold; it
-//              hands the lock off (unlock, yield, relock) after a step
-//              only while another caller is inside Submit/Await/Step/
-//              stats, so late submitters join the batch and other
-//              awaiters take driving turns.
+//              scheduler steps back to back under one lock hold; while
+//              another caller is inside Submit/Await/Step/stats it hands
+//              the lock off after each step, yielding until another
+//              caller has taken it (or none is left) before it relocks,
+//              so late submitters join the batch and other awaiters
+//              take driving turns instead of the driver barging back.
 //
 // Determinism: a job's token sequence depends only on its own session,
 // RNG and grammar cycle — never on batch composition, nor on whether its
 // lane draws a step from its forecast's draw trie or computes it — so
 // outputs are bit-identical to the run-to-completion path at any batch
-// size and thread count. A step a lane takes on the trie is still a
-// scheduler step: it counts in BatchStats and charges step_seconds to
-// the job's clock like any other, so only its model work disappears.
+// size and however many callers share the scheduler. A step a lane
+// takes on the trie is still a scheduler step: it counts in BatchStats
+// and charges step_seconds to the job's clock like any other, so only
+// its model work disappears.
 // Scheduling *statistics* (occupancy, back-fills) are deterministic
 // whenever submission order is (single-threaded drivers, the serve
 // executor); concurrent submitters may permute them.
@@ -215,6 +217,8 @@ class BatchScheduler {
     }
   };
 
+  /// Takes mu_ and counts the acquisition in `acquisitions_`.
+  std::unique_lock<std::mutex> Lock() const;
   bool StepLocked();
   /// OK while the job should keep decoding; kCancelled or
   /// kDeadlineExceeded once its request died.
@@ -240,6 +244,9 @@ class BatchScheduler {
   /// Threads inside Submit/Await/Step/stats, lock held or not.
   mutable std::atomic<int> callers_{0};
   mutable std::mutex mu_;
+  /// Times mu_ was taken (Lock), so an Await that hands the lock off can
+  /// tell when another caller has had it.
+  mutable std::atomic<uint64_t> acquisitions_{0};
   uint64_t next_ticket_ = 1;                 // guarded by mu_
   std::unordered_map<uint64_t, Job> jobs_;   // guarded by mu_
   std::vector<Job*> slots_;                  // active jobs; guarded by mu_

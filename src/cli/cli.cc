@@ -42,7 +42,7 @@ const std::set<std::string> kMethodFlags = {
     "sax-alphabet",          "profile",  "plot",     "folds",
     "stride", "quantile",    "dataset",  "name",     "quantiles",
     "chaos",  "chaos-seed",  "retries",  "redraws",  "fallback",
-    "threads", "prefix-cache", "prefix-cache-capacity",
+    "prefix-cache", "prefix-cache-capacity",
     "batch",  "batch-size",  "batch-backfill",
     "paged-memory", "block-span", "pool-blocks",
     // serve-sim trace and serving-policy flags.
@@ -120,7 +120,6 @@ Result<MethodSpec> SpecFromFlags(const FlagSet& flags) {
   MC_ASSIGN_OR_RETURN(spec.redraws, IntFlag(flags, "redraws", 4, 0));
   spec.fallback = flags.GetBool("fallback");
   spec.classical_fallback = flags.GetBool("classical-fallback");
-  MC_ASSIGN_OR_RETURN(spec.threads, IntFlag(flags, "threads", 1, 1));
   MC_ASSIGN_OR_RETURN(int64_t prefix_cache, flags.GetInt("prefix-cache", 1));
   spec.prefix_cache = prefix_cache != 0;
   MC_ASSIGN_OR_RETURN(spec.prefix_cache_capacity,
@@ -1047,7 +1046,6 @@ Result<std::unique_ptr<forecast::Forecaster>> MakeForecaster(
     }
     opts.sax_segment_length = spec.sax_segment;
     opts.sax_alphabet_size = spec.sax_alphabet;
-    opts.threads = spec.threads;
     opts.prefix_cache = spec.prefix_cache;
     opts.prefix_cache_capacity =
         static_cast<size_t>(spec.prefix_cache_capacity);
@@ -1064,7 +1062,6 @@ Result<std::unique_ptr<forecast::Forecaster>> MakeForecaster(
     opts.profile = profile;
     opts.faults = faults;
     opts.resilience = resilience;
-    opts.threads = spec.threads;
     opts.prefix_cache = spec.prefix_cache;
     opts.prefix_cache_capacity =
         static_cast<size_t>(spec.prefix_cache_capacity);
@@ -1165,7 +1162,7 @@ std::string UsageText() {
       "            [--digits 2] [--sax alpha|digit] [--sax-segment 6]\n"
       "            [--sax-alphabet 5] [--profile llama2|phi2]\n"
       "            [--quantiles 0.1,0.9] [--seed 42] [--output out.csv]\n"
-      "            [--plot] [--threads 4] [--prefix-cache 0|1]\n"
+      "            [--plot] [--prefix-cache 0|1]\n"
       "            [--prefix-cache-capacity 64] [--batch]\n"
       "            [--batch-size 8] [--batch-backfill 0|1 (decode\n"
       "            refill: 1 continuous, 0 gang)]\n"
@@ -1188,7 +1185,7 @@ std::string UsageText() {
       "            [--burst-duration 2] [--seed 42]\n"
       "            serving: [--queue-capacity 8] [--queue-order fifo|edf]\n"
       "            [--hedge-delay 0.5] [--drain T] [--drain-mode\n"
-      "            finish|cancel] [--threads 4] [--prefix-cache 0|1]\n"
+      "            finish|cancel] [--prefix-cache 0|1]\n"
       "            [--prefix-cache-capacity 64] [--batch] [--batch-size 8]\n"
       "            [--batch-backfill 0|1]\n"
       "            [--paged-memory (one reported block pool per method,\n"

@@ -66,10 +66,6 @@ struct MethodSpec {
   /// and — in the sims — serve hedge backups from the classical tier.
   /// Implies the chain for LLM methods even without `fallback`.
   bool classical_fallback = false;
-  /// Worker threads for the sample loop (MultiCast) or per-dimension
-  /// loop (LLMTime). 1 = serial; higher counts change wall-clock time
-  /// only — forecasts stay bit-identical.
-  int threads = 1;
   /// Prefix-cached decoding (--prefix-cache 0|1): observe each prompt
   /// once, fork per draw. Forecasts stay bit-identical; only redundant
   /// prompt replay work is removed.

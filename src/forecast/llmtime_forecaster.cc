@@ -1,8 +1,5 @@
 #include "forecast/llmtime_forecaster.h"
 
-#include <algorithm>
-#include <future>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -32,14 +29,6 @@ LlmTimeForecaster::LlmTimeForecaster(const LlmTimeOptions& options)
 
 LlmTimeForecaster::~LlmTimeForecaster() = default;
 
-ThreadPool* LlmTimeForecaster::Pool() {
-  if (options_.threads <= 1) return nullptr;
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(options_.threads);
-  }
-  return pool_.get();
-}
-
 Result<ForecastResult> LlmTimeForecaster::Forecast(const ts::Frame& history,
                                                    size_t horizon,
                                                    const RequestContext& ctx) {
@@ -55,47 +44,27 @@ Result<ForecastResult> LlmTimeForecaster::Forecast(const ts::Frame& history,
   base.scaler = options_.scaler;
   base.faults = options_.faults;
   base.resilience = options_.resilience;
-  // An external backend is shared by every per-dimension pipeline, so
-  // its calls are serialized here once (the per-dimension forecasters
-  // would otherwise each wrap the raw backend separately and race on
-  // it) — unless the caller declares it thread-safe, in which case the
-  // calls may overlap.
-  std::optional<lm::SerializedBackend> serialized;
   base.backend = options_.backend;
-  if (options_.backend != nullptr && !options_.backend_thread_safe) {
-    serialized.emplace(options_.backend);
-    base.backend = &*serialized;
-  }
-  // Either way the backend handed down is safe for the inner pipelines
-  // to call without re-wrapping.
-  base.backend_thread_safe = true;
-  // Parallelism lives at the dimension level here; the inner pipelines
-  // sample serially so the pool is never waited on from inside itself.
-  base.threads = 1;
   // One cache across all dimensions and Forecast calls: the inner
-  // pipelines never build their own. PrefixCache is thread-safe, so
-  // concurrent dimension workers share it directly.
+  // pipelines never build their own.
   base.prefix_cache = false;
   base.shared_prefix_cache = prefix_cache_;
   // Cross-request draw tries only on a cache the caller shares.
   base.cache_draw_tries = options_.shared_prefix_cache != nullptr;
   // One scheduler across all dimensions (and whoever else shares it):
-  // the scheduler is thread-safe and each decode job is independent, so
-  // dimension workers batch their draws without affecting outputs.
+  // each decode job is independent, so batching leaves outputs as they
+  // are.
   base.batch_scheduler = options_.batch_scheduler;
-  // One pool across all dimensions: BlockPool is thread-safe, and the
-  // per-dimension pipelines attach it through their profile.
+  // One pool across all dimensions: the per-dimension pipelines attach
+  // it through their profile.
   base.block_pool = block_pool_;
 
   const size_t dims = history.num_dims();
   const double t0 = ctx.now();
-  // One dimension's forecast, isolated like a sample draw: decorrelated
-  // seeds, a branch clock starting at the loop entry time and a private
-  // context (the shared cancel token is not thread-safe; cancellation is
-  // observed between dimensions by the merge below). The dimension's
-  // result is a pure function of (d, t0, deadline), so the merge order —
-  // not the execution order — decides everything observable.
-  auto run_dim = [&, t0](size_t d) -> Result<ForecastResult> {
+  ForecastResult result;
+  std::vector<ts::Series> out_dims;
+  for (size_t d = 0; d < dims; ++d) {
+    MC_RETURN_IF_ERROR(ctx.Check("LLMTIME dimension loop"));
     MultiCastOptions mc = base;
     // Decorrelated seeds per dimension keep samples independent. The
     // fault-schedule seed shifts with the dimension too, so one noisy
@@ -105,45 +74,20 @@ Result<ForecastResult> LlmTimeForecaster::Forecast(const ts::Frame& history,
     MC_ASSIGN_OR_RETURN(
         ts::Frame uni,
         ts::Frame::FromSeries({history.dim(d)}, history.dim(d).name()));
+    // Each dimension runs like a sample draw: on a branch clock that
+    // starts at the loop's entry time, with a private cancel token. Its
+    // forecast (and the deadline checks inside it) thus does not depend
+    // on the virtual time earlier dimensions consumed; the loop checks
+    // the request context between dimensions and replays each
+    // dimension's cost onto the request clock.
     VirtualClock branch;
     branch.AdvanceTo(t0);
     RequestContext dim_ctx;
     dim_ctx.clock = ctx.clock != nullptr ? &branch : nullptr;
     dim_ctx.deadline = ctx.deadline;
-    MultiCastForecaster forecaster(mc);
-    return forecaster.Forecast(uni, horizon, dim_ctx);
-  };
-
-  ThreadPool* pool = Pool();
-  std::vector<std::future<Result<ForecastResult>>> inflight;
-  if (pool != nullptr && dims > 1) {
-    inflight.reserve(dims);
-    for (size_t d = 0; d < dims; ++d) {
-      inflight.push_back(pool->Submit([run_dim, d]() { return run_dim(d); }));
-    }
-  }
-
-  ForecastResult result;
-  std::vector<ts::Series> out_dims;
-  Status failed = Status::OK();
-  for (size_t d = 0; d < dims; ++d) {
-    std::optional<Result<ForecastResult>> uni_or;
-    if (!inflight.empty()) uni_or.emplace(inflight[d].get());
-    if (!failed.ok()) continue;  // drain remaining futures
-    Status active = ctx.Check("LLMTIME dimension loop");
-    if (!active.ok()) {
-      failed = active;
-      continue;
-    }
-    if (!uni_or.has_value()) uni_or.emplace(run_dim(d));
-    if (!uni_or->ok()) {
-      failed = uni_or->status();
-      continue;
-    }
-    ForecastResult uni_result = std::move(*uni_or).value();
-    // Replay the dimension's virtual cost onto the shared request clock
-    // in dimension order, so the accounting (and therefore the deadline
-    // gating above) matches the serial schedule at any thread count.
+    MC_ASSIGN_OR_RETURN(
+        ForecastResult uni_result,
+        MultiCastForecaster(mc).Forecast(uni, horizon, dim_ctx));
     if (ctx.clock != nullptr) ctx.clock->Advance(uni_result.virtual_seconds);
     result.ledger += uni_result.ledger;
     result.retry_stats += uni_result.retry_stats;
@@ -156,7 +100,6 @@ Result<ForecastResult> LlmTimeForecaster::Forecast(const ts::Frame& history,
     }
     out_dims.push_back(uni_result.forecast.dim(0));
   }
-  MC_RETURN_IF_ERROR(failed);
   MC_ASSIGN_OR_RETURN(result.forecast,
                       ts::Frame::FromSeries(std::move(out_dims),
                                             history.name()));

@@ -16,7 +16,6 @@
 #include "lm/prefix_cache.h"
 #include "lm/profiles.h"
 #include "scale/scaler.h"
-#include "util/thread_pool.h"
 
 namespace multicast {
 namespace forecast {
@@ -36,16 +35,6 @@ struct LlmTimeOptions {
   /// External base backend shared by every per-dimension pipeline (not
   /// owned; same contract as MultiCastOptions::backend).
   lm::LlmBackend* backend = nullptr;
-  /// Same contract as MultiCastOptions::backend_thread_safe: skip the
-  /// serializing wrapper for a backend that is safe to call from
-  /// several dimension workers at once.
-  bool backend_thread_safe = false;
-  /// Worker threads across the per-dimension forecasts. 1 (the default)
-  /// runs dimensions serially; > 1 forecasts dimensions concurrently
-  /// (each inner pipeline samples serially) with outcomes merged in
-  /// dimension order, so the result is bit-identical at every thread
-  /// count. Threads change wall-clock time only.
-  int threads = 1;
   /// Prefix-cached decoding, same semantics as
   /// MultiCastOptions::prefix_cache. One cache is shared by all
   /// per-dimension pipelines (and across Forecast calls), so dimensions
@@ -105,12 +94,7 @@ class LlmTimeForecaster final : public Forecaster {
   }
 
  private:
-  /// The per-dimension pool, created lazily on the first parallel
-  /// forecast; null while options_.threads <= 1.
-  ThreadPool* Pool();
-
   LlmTimeOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
   std::shared_ptr<lm::PrefixCache> prefix_cache_;
   std::shared_ptr<lm::BlockPool> block_pool_;
 };

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <future>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "batch/batch_llm.h"
@@ -108,12 +106,12 @@ uint64_t MixSeed(uint64_t seed, uint64_t index) {
   return seed + 0x9e3779b97f4a7c15ULL * (index + 1);
 }
 
-// One draw's private backend stack: simulated decoder (or the shared
-// serialized external backend), optionally behind a fault injector,
-// optionally behind the resilient retry layer. Each draw owns the whole
-// stack, so per-call mutable state (fault schedules, breaker counters,
-// latency accessors) is never shared across worker threads. All virtual
-// time lands on the draw's branch `clock`.
+// One draw's private backend stack: simulated decoder (or the injected
+// external backend), optionally behind a fault injector, optionally
+// behind the resilient retry layer. Each draw owns the whole stack with
+// draw-indexed seeds, so its fault schedule, breaker state and retry
+// stats depend on its index alone, never on what earlier draws met. All
+// virtual time lands on the draw's branch `clock`.
 struct BackendStack {
   std::unique_ptr<lm::LlmBackend> base;
   std::unique_ptr<lm::FaultInjectingBackend> faults;
@@ -153,7 +151,7 @@ BackendStack BuildDrawStack(const MultiCastOptions& options,
   if (options.faults.any()) {
     // Per-draw fault schedule: decorrelated from the other draws and a
     // pure function of the draw index, so the faults a draw sees do not
-    // depend on the thread count or on which other draws ran first.
+    // depend on which other draws ran first.
     lm::FaultProfile profile = options.faults;
     profile.seed = MixSeed(options.faults.seed, draw_index);
     stack.faults = std::make_unique<lm::FaultInjectingBackend>(
@@ -224,7 +222,11 @@ Result<SampleDraw> DrawSample(lm::LlmBackend* backend,
   }
   lm::GenerationResult gen = std::move(gen_or).value();
   *ledger += gen.ledger;
-  draw.latency_seconds = gen.latency_seconds;
+  // A backend that reports latency only through its accessor is charged
+  // that (the resilient layer's rule for its attempts).
+  draw.latency_seconds = gen.latency_seconds > 0.0
+                             ? gen.latency_seconds
+                             : backend->last_latency_seconds();
   MC_ASSIGN_OR_RETURN(std::string text, token::Decode(gen.tokens, vocab));
   draw.timestamps = GrammarValidTimestamps(text, layout);
   if (draw.timestamps == 0) {
@@ -238,29 +240,27 @@ Result<SampleDraw> DrawSample(lm::LlmBackend* backend,
   return draw;
 }
 
-// Everything one draw produced, returned by value to the merge loop so
-// no accounting ever flows through shared mutable state.
+// Everything one draw produced, which the sample loop merges into the
+// forecast.
 struct DrawOutcome {
   bool usable = false;
   bool terminal = false;  // failure ends the whole forecast
   Status failure;
   lm::TokenLedger ledger;
   lm::RetryStats retry_stats;
-  /// Virtual seconds this draw consumed on its branch clock; the merge
-  /// replays these onto the shared clock in draw-index order, so the
-  /// virtual-time accounting is identical at every thread count.
+  /// Virtual seconds this draw consumed on its branch clock; the loop
+  /// replays them onto the request clock.
   double virtual_cost = 0.0;
   std::vector<std::vector<double>> values;  // [dim][t]
   size_t salvaged = 0;       // timestamps (raw) / segments (SAX) kept
   size_t salvage_total = 0;  // what a full draw would have covered
-  /// The draw-trie nodes this draw decoded, published after its wave.
+  /// The draw-trie nodes this draw decoded, published when it ends.
   lm::DrawTrie::Log draws;
 };
 
-// Everything a draw worker needs that is shared — read-only — across
-// all draws of one forecast. `parse` turns a salvaged grammar-valid
-// text into per-dimension value rows and must be thread-safe (the raw
-// and SAX pipelines capture only const state).
+// Everything a draw needs that is shared — read-only — across all draws
+// of one forecast. `parse` turns a salvaged grammar-valid text into
+// per-dimension value rows.
 struct SampleLoopState {
   const MultiCastOptions* options = nullptr;
   const std::vector<token::TokenId>* prompt = nullptr;
@@ -268,8 +268,8 @@ struct SampleLoopState {
   const lm::GrammarMask* mask = nullptr;
   const multiplex::CycleLayout* layout = nullptr;
   const token::Vocabulary* vocab = nullptr;
-  /// Shared serialized wrapper over an injected external backend; null
-  /// when the forecast builds its own simulated base per draw.
+  /// The injected external backend; null when the forecast builds its
+  /// own simulated base per draw.
   lm::LlmBackend* external = nullptr;
   /// Shared prefix cache for the per-draw simulated backends, pre-warmed
   /// with this forecast's prompt; null when caching is off or an
@@ -285,10 +285,13 @@ struct SampleLoopState {
 };
 
 // Runs one complete draw — backend stack construction, the LLM call,
-// salvage, parse — in isolation on a branch clock starting at `t0` (the
-// sample loop's start time). The draw's result is a pure function of
-// (draw_index, rng, t0, deadline) and the shared read-only state, which
-// is what makes parallel output bit-identical to serial.
+// salvage, parse — on a branch clock starting at `t0`, the sample
+// loop's entry time, with a private cancel token. Inside the draw the
+// request's deadline is thus measured from `t0` plus the draw's own
+// cost, and a cancel that fires meanwhile is seen by the loop before
+// the next draw, not mid-call: the draw's result is a function of
+// (draw_index, rng, t0, deadline) and the shared read-only state, not
+// of how much virtual time earlier draws consumed.
 DrawOutcome RunDraw(const SampleLoopState& st, int draw_index, Rng rng,
                     double t0, const Deadline& deadline) {
   DrawOutcome out;
@@ -297,9 +300,6 @@ DrawOutcome RunDraw(const SampleLoopState& st, int draw_index, Rng rng,
   RequestContext draw_ctx;
   draw_ctx.clock = &branch;
   draw_ctx.deadline = deadline;
-  // draw_ctx.cancel is a fresh token: the shared token is not
-  // thread-safe (reads mutate auto-cancel state), so cancellation is
-  // observed at draw granularity by the merge loop instead.
   out.draws = lm::DrawTrie::Log(st.trie);
   BackendStack stack = BuildDrawStack(
       *st.options, st.vocab->size(), &branch, st.external,
@@ -367,26 +367,20 @@ Status FinishSampling(const MultiCastOptions& options, int survivors,
   return Status::OK();
 }
 
-// The sample loop shared by the raw and SAX pipelines: pre-forks one
-// RNG per prospective draw, dispatches draws in waves (of at most the
-// pool width), and merges outcomes in draw-index order. Because every
-// draw is a pure function of its index and the pre-forked RNG, and the
-// merge replays virtual costs and gate checks in index order, the
-// result — forecasts, bands, warnings, ledgers, samples_used — is
-// bit-identical for every thread count; threads only change wall-clock.
-// Draws dispatched speculatively past a stop (target reached, context
-// dead, terminal error) are discarded unmerged, exactly as if a serial
-// loop had never issued them. Draws on the simulated decoder, run to
-// completion or in a batch scheduler, share one draw trie: each wave
-// reads what earlier waves published, and the wave's Logs are published
-// in draw-index order after it (at threads = 1 every wave is one draw,
-// so every later draw sees every earlier one). On a caller's prefix
-// cache the trie is the prompt's entry's, so the draws also read what
-// earlier requests published.
+// The sample loop shared by the raw and SAX pipelines: one draw at a
+// time, in draw-index order, until `num_samples` survive, the redraw
+// budget is spent, the request dies or a draw fails terminally. Draw k
+// takes the k-th fork of the request's RNG stream and runs per RunDraw;
+// the loop checks the request context before each draw and replays the
+// draw's virtual cost onto the request clock after it. Draws on the
+// simulated decoder, run to completion or in a batch scheduler, share
+// one draw trie, and each draw's Log is published as soon as the draw
+// ends, so every later draw walks what every earlier one decoded. On a
+// caller's prefix cache the trie is the prompt's entry's, so the draws
+// also read what earlier requests published.
 Status RunSampleLoop(const MultiCastOptions& options,
                      SampleLoopState st, const RequestContext& ctx,
-                     VirtualClock* clock, uint64_t rng_stream,
-                     ThreadPool* pool, size_t dims,
+                     VirtualClock* clock, uint64_t rng_stream, size_t dims,
                      std::vector<std::vector<std::vector<double>>>*
                          samples_per_dim,
                      ForecastResult* result) {
@@ -394,13 +388,6 @@ Status RunSampleLoop(const MultiCastOptions& options,
   const int target = options.num_samples;
   const int max_draws =
       target + std::max(0, options.resilience.max_redraws);
-  // Pre-fork every prospective draw's RNG before any dispatch: the k-th
-  // fork of a PCG stream is the same generator whether the forks happen
-  // lazily or up front, so per-draw randomness does not depend on the
-  // thread count or on how many draws actually run.
-  std::vector<Rng> draw_rngs;
-  draw_rngs.reserve(static_cast<size_t>(max_draws));
-  for (int s = 0; s < max_draws; ++s) draw_rngs.push_back(rng.Fork());
   // The trie the draws walk: their prompt's entry's in a caller's
   // prefix cache, shared with every request on it, or one of the
   // forecast's own. Held here, so an entry evicted mid-forecast leaves
@@ -425,16 +412,10 @@ Status RunSampleLoop(const MultiCastOptions& options,
   }
   st.trie = trie.get();
 
-  const int threads = pool != nullptr ? pool->size() : 1;
   const double t0 = clock->now();
-  const Deadline deadline = ctx.deadline;
   int survivors = 0;
   Status last_failure = Status::OK();
-  Status terminal = Status::OK();
-  bool stopped = false;
-  int s = 0;
-  while (s < max_draws && survivors < target && !stopped &&
-         terminal.ok()) {
+  for (int s = 0; s < max_draws && survivors < target; ++s) {
     Status active = ctx.Check("sample loop");
     if (!active.ok()) {
       // The request died mid-pipeline: stop issuing LLM calls and wind
@@ -445,87 +426,42 @@ Status RunSampleLoop(const MultiCastOptions& options,
           survivors, active.ToString().c_str()));
       break;
     }
-    const int wave = std::min(std::min(threads, max_draws - s),
-                              target - survivors);
-    std::vector<std::future<DrawOutcome>> inflight;
-    std::vector<lm::DrawTrie::Log> wave_draws;
-    if (pool != nullptr && wave > 1) {
-      inflight.reserve(static_cast<size_t>(wave));
-      for (int k = 0; k < wave; ++k) {
-        const int idx = s + k;
-        Rng draw_rng = draw_rngs[static_cast<size_t>(idx)];
-        inflight.push_back(pool->Submit([&st, idx, draw_rng, t0,
-                                         deadline]() {
-          return RunDraw(st, idx, draw_rng, t0, deadline);
-        }));
-      }
+    DrawOutcome out = RunDraw(st, s, rng.Fork(), t0, ctx.deadline);
+    // Other forecasts on the same cache may be walking the trie
+    // meanwhile; Publish is safe under them.
+    if (trie != nullptr) trie->Publish(&out.draws);
+    clock->Advance(out.virtual_cost);
+    if (out.terminal) return out.failure;
+    result->ledger += out.ledger;
+    result->retry_stats += out.retry_stats;
+    if (!out.usable) {
+      last_failure = out.failure;
+      result->warnings.push_back(StrFormat(
+          "sample draw %d lost: %s", s, out.failure.ToString().c_str()));
+      continue;
     }
-    for (int k = 0; k < wave; ++k) {
-      const int idx = s + k;
-      DrawOutcome out =
-          inflight.empty()
-              ? RunDraw(st, idx, draw_rngs[static_cast<size_t>(idx)], t0,
-                        deadline)
-              : inflight[static_cast<size_t>(k)].get();
-      if (trie != nullptr) wave_draws.push_back(std::move(out.draws));
-      if (stopped || !terminal.ok() || survivors >= target) continue;
-      if (k > 0) {
-        // Merging earlier draws advanced the shared clock; re-check the
-        // context before each later draw of the wave, exactly where the
-        // serial loop would have checked before issuing it.
-        Status mid = ctx.Check("sample loop");
-        if (!mid.ok()) {
-          last_failure = mid;
-          result->warnings.push_back(StrFormat(
-              "stopped issuing LLM calls after %d surviving samples: %s",
-              survivors, mid.ToString().c_str()));
-          stopped = true;
-          continue;
-        }
-      }
-      clock->Advance(out.virtual_cost);
-      if (out.terminal) {
-        terminal = out.failure;
-        continue;
-      }
-      result->ledger += out.ledger;
-      result->retry_stats += out.retry_stats;
-      if (!out.usable) {
-        last_failure = out.failure;
-        result->warnings.push_back(StrFormat(
-            "sample draw %d lost: %s", idx,
-            out.failure.ToString().c_str()));
-        continue;
-      }
-      if (out.salvaged < out.salvage_total) {
-        result->degraded = true;
-        result->warnings.push_back(StrFormat(
-            "sample draw %d truncated: salvaged %zu of %zu %s", idx,
-            out.salvaged, out.salvage_total, st.salvage_noun));
-      }
-      for (size_t d = 0; d < dims; ++d) {
-        (*samples_per_dim)[d].push_back(std::move(out.values[d]));
-      }
-      ++survivors;
+    if (out.salvaged < out.salvage_total) {
+      result->degraded = true;
+      result->warnings.push_back(StrFormat(
+          "sample draw %d truncated: salvaged %zu of %zu %s", s,
+          out.salvaged, out.salvage_total, st.salvage_noun));
     }
-    // Every draw of the wave is done. (Other forecasts on the same cache
-    // may be walking the trie meanwhile; Publish is safe under them.)
-    for (lm::DrawTrie::Log& draws : wave_draws) trie->Publish(&draws);
-    s += wave;
+    for (size_t d = 0; d < dims; ++d) {
+      (*samples_per_dim)[d].push_back(std::move(out.values[d]));
+    }
+    ++survivors;
   }
-  MC_RETURN_IF_ERROR(terminal);
   return FinishSampling(options, survivors, last_failure, result);
 }
 
 // The half of a forecast the raw and SAX pipelines share once they have
 // serialized the history: `st` holds the prompt, the tokens to draw, the
 // mux layout, the vocabulary and the parse. Checks an external backend
-// against the vocabulary and serializes it unless it is thread-safe,
-// pre-warms the prefix cache, draws the samples on the request's clock
-// and aggregates the survivors.
+// against the vocabulary, pre-warms the prefix cache, draws the samples
+// on the request's clock and aggregates the survivors.
 Result<ForecastResult> SampleAndAggregate(
     const MultiCastOptions& options,
-    const std::shared_ptr<lm::PrefixCache>& prefix_cache, ThreadPool* pool,
+    const std::shared_ptr<lm::PrefixCache>& prefix_cache,
     SampleLoopState st, uint64_t rng_stream, const ts::Frame& history,
     size_t horizon, const RequestContext& ctx, const Timer& timer) {
   if (options.backend != nullptr &&
@@ -539,18 +475,12 @@ Result<ForecastResult> SampleAndAggregate(
   VirtualClock local_clock;
   VirtualClock* clock = ctx.clock != nullptr ? ctx.clock : &local_clock;
   const double virtual_start = clock->now();
-  std::optional<lm::SerializedBackend> serialized;
   st.options = &options;
   st.mask = &mask;
   st.external = options.backend;
-  if (st.external != nullptr && !options.backend_thread_safe) {
-    serialized.emplace(st.external);
-    st.external = &*serialized;
-  }
-  // Pre-warm the prompt's frozen state once before any draws fan out:
-  // every draw — serial or parallel — then forks the same full cache
-  // hit instead of racing to build it. External backends own their own
-  // state and are never cached here.
+  // Pre-warm the prompt's frozen state once before the first draw: every
+  // draw then forks the same full cache hit. External backends own
+  // their own state and are never cached here.
   if (options.backend == nullptr && prefix_cache != nullptr) {
     st.cache = prefix_cache;
     lm::SimulatedLlm warmer(options.profile, st.vocab->size(), st.cache);
@@ -563,7 +493,7 @@ Result<ForecastResult> SampleAndAggregate(
   std::vector<std::vector<std::vector<double>>> samples_per_dim(dims);
   ForecastResult result;
   MC_RETURN_IF_ERROR(RunSampleLoop(options, std::move(st), ctx, clock,
-                                   rng_stream, pool, dims, &samples_per_dim,
+                                   rng_stream, dims, &samples_per_dim,
                                    &result));
   // The median across surviving samples (+ quantile bands), per
   // dimension and timestamp.
@@ -619,14 +549,6 @@ std::string MultiCastForecaster::name() const {
   }
   return StrFormat("MultiCast SAX (%s)",
                    QuantizationName(options_.quantization));
-}
-
-ThreadPool* MultiCastForecaster::Pool() {
-  if (options_.threads <= 1) return nullptr;
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(options_.threads);
-  }
-  return pool_.get();
 }
 
 Result<ForecastResult> MultiCastForecaster::Forecast(const ts::Frame& history,
@@ -713,7 +635,7 @@ Result<ForecastResult> MultiCastForecaster::ForecastRaw(
     }
     return Status::OK();
   };
-  return SampleAndAggregate(options_, prefix_cache_, Pool(), std::move(st),
+  return SampleAndAggregate(options_, prefix_cache_, std::move(st),
                             /*rng_stream=*/7, history, horizon, ctx, timer);
 }
 
@@ -798,7 +720,7 @@ Result<ForecastResult> MultiCastForecaster::ForecastSax(
     }
     return Status::OK();
   };
-  return SampleAndAggregate(options_, prefix_cache_, Pool(), std::move(st),
+  return SampleAndAggregate(options_, prefix_cache_, std::move(st),
                             /*rng_stream=*/11, history, horizon, ctx, timer);
 }
 

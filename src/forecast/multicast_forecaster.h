@@ -26,7 +26,6 @@
 #include "multiplex/multiplexer.h"
 #include "sax/sax.h"
 #include "scale/scaler.h"
-#include "util/thread_pool.h"
 
 namespace multicast {
 namespace forecast {
@@ -73,34 +72,17 @@ struct MultiCastOptions {
   /// accept this pipeline's vocabulary size). Null builds the usual
   /// internal SimulatedLlm from `profile`. Lets the serving layer share
   /// one backend across requests, and lets tests interpose call-counting
-  /// or cancelling decorators under the fault/retry stack. The sample
-  /// loop serializes calls to it (see lm::SerializedBackend), so a
-  /// stateful external backend stays race-free under threads > 1.
+  /// or cancelling decorators under the fault/retry stack. A backend
+  /// that reports a call's latency only through last_latency_seconds()
+  /// is still charged it.
   lm::LlmBackend* backend = nullptr;
-  /// Declares `backend` safe to call from several sampler threads at
-  /// once (e.g. a stateless remote-API client whose result depends only
-  /// on the call arguments). When set, the sample loop skips the
-  /// lm::SerializedBackend wrapper, so concurrent draws overlap their
-  /// backend calls instead of queueing on a mutex — this is where
-  /// threads > 1 buys wall-clock time against a latency-bound backend.
-  /// Leave false for any backend with per-call mutable state.
-  bool backend_thread_safe = false;
-  /// Worker threads for the sample loop. 1 (the default) runs draws
-  /// inline; > 1 draws samples concurrently on an internal ThreadPool.
-  /// The output is bit-identical at every thread count: per-draw RNGs
-  /// are pre-forked before dispatch, each draw runs on an isolated
-  /// backend stack and branch clock, and outcomes merge in draw-index
-  /// order. Threads change wall-clock time only — virtual-time
-  /// accounting always models the serial schedule.
-  int threads = 1;
   /// Prefix-cached decoding (lm/prefix_cache.h): the pipeline observes
   /// each prompt once into a frozen model state and every draw forks a
   /// copy-on-write session off it, instead of replaying the prompt
   /// token-by-token per sample. Output is bit-identical with the cache
-  /// on or off at any thread count — only redundant replay work
-  /// disappears. Applies to the internally built SimulatedLlm only; an
-  /// externally injected `backend` owns its own state and is never
-  /// cached here.
+  /// on or off — only redundant replay work disappears. Applies to the
+  /// internally built SimulatedLlm only; an externally injected
+  /// `backend` owns its own state and is never cached here.
   bool prefix_cache = true;
   /// Entry capacity of the internally owned cache (LRU beyond it). With
   /// rolling-origin evaluation each window's prompt lands in one entry,
@@ -125,16 +107,15 @@ struct MultiCastOptions {
   /// token loop — draws from this forecast, concurrent forecasts and
   /// other in-flight serving requests sharing the scheduler advance one
   /// token per step together. Output is bit-identical to the unbatched
-  /// path at any batch size and thread count; only the execution
-  /// schedule (and wall-clock against a latency-bound step) changes.
+  /// path at any batch size; only the execution schedule (and
+  /// wall-clock against a latency-bound step) changes.
   std::shared_ptr<batch::BatchScheduler> batch_scheduler;
   /// Session memory (lm/paged_store.h): model layers live in
   /// fixed-span refcounted blocks from a BlockPool, so concurrent draws
   /// share frozen prompt state at block granularity. Without an
   /// external `block_pool` the forecaster builds its own from the two
   /// fields below. Output is bit-identical at any block span, pool cap,
-  /// thread count, batch size and cache state (lm.mem.* metrics report
-  /// the bytes).
+  /// batch size and cache state (lm.mem.* metrics report the bytes).
   ///
   /// Payload slots per block.
   size_t block_span = 32;
@@ -188,12 +169,7 @@ class MultiCastForecaster final : public Forecaster {
   Result<ForecastResult> ForecastSax(const ts::Frame& history, size_t horizon,
                                      const RequestContext& ctx);
 
-  /// The sampling pool, created lazily on the first parallel forecast;
-  /// null while options_.threads <= 1 (draws then run inline).
-  ThreadPool* Pool();
-
   MultiCastOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
   std::shared_ptr<lm::PrefixCache> prefix_cache_;
   std::shared_ptr<lm::BlockPool> block_pool_;
 };

@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -108,10 +107,10 @@ struct GenerationResult {
   std::vector<token::TokenId> tokens;
   TokenLedger ledger;
   /// Simulated latency of the call that produced this result, returned
-  /// by value so callers never have to read it back through a mutable
-  /// accessor (which is both racy under parallel sampling and silently
-  /// zero for backends that never override last_latency_seconds()).
-  /// Backends without a latency model report 0.
+  /// by value so callers need not read it back through the mutable
+  /// last_latency_seconds() accessor. Backends without a latency model
+  /// report 0; a caller charging virtual time falls back to the
+  /// accessor when this is 0.
   double latency_seconds = 0.0;
 };
 
@@ -161,55 +160,6 @@ class LlmBackend {
                                     Rng* rng) {
     return Complete(prompt, num_tokens, mask, rng, CallOptions{});
   }
-};
-
-/// Mutex-serializing decorator for a backend shared across sampler
-/// threads. The parallel sample loops build one isolated backend stack
-/// per draw, but an externally injected base backend is a single object
-/// the caller owns — this wrapper makes its calls atomic so stateful
-/// test/counting backends stay race-free under --threads > 1. A
-/// stateless external backend stays bit-identical at any thread count;
-/// an order-sensitive one is only draw-order-deterministic at threads=1
-/// (calls arrive in dispatch order, which waves permute).
-class SerializedBackend final : public LlmBackend {
- public:
-  /// `inner` must outlive this decorator.
-  explicit SerializedBackend(LlmBackend* inner) : inner_(inner) {}
-
-  std::string name() const override { return inner_->name(); }
-  size_t vocab_size() const override { return inner_->vocab_size(); }
-
-  using LlmBackend::Complete;
-
-  Result<GenerationResult> Complete(const std::vector<token::TokenId>& prompt,
-                                    size_t num_tokens, const GrammarMask& mask,
-                                    Rng* rng, const CallOptions& call) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    Result<GenerationResult> result =
-        inner_->Complete(prompt, num_tokens, mask, rng, call);
-    // Capture the inner latency while the call lock is still held so a
-    // legacy accessor-only backend keeps charging virtual time; a
-    // result that already carries latency wins.
-    double latency = inner_->last_latency_seconds();
-    if (result.ok() && result.value().latency_seconds > 0.0) {
-      latency = result.value().latency_seconds;
-    }
-    last_latency_seconds_ = latency;
-    if (result.ok() && result.value().latency_seconds <= 0.0) {
-      result.value().latency_seconds = latency;
-    }
-    return result;
-  }
-
-  double last_latency_seconds() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return last_latency_seconds_;
-  }
-
- private:
-  LlmBackend* inner_;
-  mutable std::mutex mu_;
-  double last_latency_seconds_ = 0.0;  // guarded by mu_
 };
 
 }  // namespace lm

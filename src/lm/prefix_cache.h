@@ -18,9 +18,9 @@
 //
 // Thread safety: all public methods are safe to call concurrently; one
 // mutex guards the index, including state construction on a miss, which
-// also deduplicates concurrent builds of the same prompt. Callers that
-// fan out (the parallel sample loops) pre-warm the full prompt first so
-// every draw takes the lock only for a fork.
+// also deduplicates concurrent builds of the same prompt. The sample
+// loop pre-warms the full prompt before its first draw, so every draw
+// takes the lock only for a fork.
 
 #ifndef MULTICAST_LM_PREFIX_CACHE_H_
 #define MULTICAST_LM_PREFIX_CACHE_H_
@@ -100,8 +100,8 @@ class PrefixCache {
       const ModelFactory& fresh);
 
   /// Builds (or refreshes) the cache entry for `prompt` without
-  /// returning a session. Called once before a parallel fan-out so all
-  /// draws full-hit deterministically.
+  /// returning a session. Called once before a forecast's first draw so
+  /// all its draws full-hit.
   void Warm(uint64_t fingerprint, const std::vector<token::TokenId>& prompt,
             const ModelFactory& fresh);
 

@@ -178,9 +178,7 @@ Result<GenerationResult> ResilientBackend::Complete(
     Result<GenerationResult> result =
         inner_->Complete(prompt, num_tokens, mask, rng, attempt_call);
     // Successful attempts report latency by value; failed attempts (and
-    // legacy accessor-only backends) fall back to the inner accessor —
-    // the parallel sample loops keep that read race-free by giving every
-    // draw its own backend stack.
+    // accessor-only backends) fall back to the inner accessor.
     double latency = result.ok() ? result.value().latency_seconds : 0.0;
     if (latency <= 0.0) latency = inner_->last_latency_seconds();
     if (latency > 0.0 && attempt_call.deadline_seconds > 0.0) {

@@ -5,10 +5,9 @@
 //     directly through Submit/Await with hand-built decode jobs.
 //  2. The transparency contract: routing a pipeline's draws through a
 //     shared BatchScheduler must produce the run-to-completion result
-//     bit for bit, at every batch size and thread count, clean and under
-//     chaos, deadline degradation and mid-flight cancellation included
-//     (the batched sibling of parallel_sampling_test's invariance
-//     suite).
+//     bit for bit, at every batch size, clean and under chaos, deadline
+//     degradation and mid-flight cancellation included; and lanes that
+//     share a batch decode what each decodes alone.
 //  3. Serving integration: the executor's batched service mode serves
 //     the same forecasts the sequential loop serves, and composes with
 //     the shared-scheduler stats plumbing.
@@ -390,6 +389,58 @@ TEST(BatchSchedulerTest, LateSubmitterJoinsALoneDriversBatch) {
   EXPECT_EQ(short_out.value().tokens, short_alone.tokens);
 }
 
+// k submitters share one scheduler, each submitting and awaiting a run
+// of jobs of its own while the others do the same, so callers hand the
+// lock to each other after every step. Every job must decode exactly
+// the tokens it decodes alone in a scheduler of its own, whichever
+// callers drove its steps. (Run under TSan in CI.)
+TEST(BatchSchedulerTest, ConcurrentSubmittersDecodeTheirRunAloneStreams) {
+  constexpr int kSubmitters = 4;
+  constexpr int kJobsEach = 16;
+  auto length = [](int s, int j) {
+    return static_cast<size_t>(8 + 10 * ((s + 3 * j) % 7));
+  };
+  auto stream = [](int s, int j) {
+    return static_cast<uint64_t>(100 + s * kJobsEach + j);
+  };
+  using Streams = std::vector<std::vector<std::vector<token::TokenId>>>;
+  Streams alone(kSubmitters);
+  size_t tokens = 0;
+  for (int s = 0; s < kSubmitters; ++s) {
+    for (int j = 0; j < kJobsEach; ++j) {
+      BatchScheduler solo;
+      Rng rng(kSeed, stream(s, j));
+      alone[s].push_back(
+          solo.Await(solo.Submit(MakeJob(length(s, j), &rng)))
+              .ValueOrDie()
+              .tokens);
+      tokens += length(s, j);
+    }
+  }
+
+  BatchPolicy policy;
+  policy.max_batch = kSubmitters;
+  BatchScheduler scheduler(policy);
+  Streams got(kSubmitters);
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      for (int j = 0; j < kJobsEach; ++j) {
+        Rng rng(kSeed, stream(s, j));
+        Result<DecodeOutput> out =
+            scheduler.Await(scheduler.Submit(MakeJob(length(s, j), &rng)));
+        got[s].push_back(out.ok() ? out.value().tokens
+                                  : std::vector<token::TokenId>{});
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  EXPECT_EQ(got, alone);
+  const BatchStats stats = scheduler.stats();
+  EXPECT_EQ(stats.retired, static_cast<size_t>(kSubmitters * kJobsEach));
+  EXPECT_EQ(stats.slot_steps, tokens);
+}
+
 // The plain step skips the model at grammar-forced positions, yet such
 // a position still counts as a scheduler step and advances the job's
 // clock. One job per sampler setting decodes in one shared batch; each
@@ -663,6 +714,50 @@ TEST(BatchSchedulerTest, LanePreemptedOnTheTrieLeavesItConsistent) {
   }
 }
 
+// k forecast-shaped lanes submitted before any Await share one batch:
+// the first Await drives all of them to the end (one step per token, a
+// peak batch of k), and each lane decodes the plain loop's tokens and
+// leaves its RNG where the plain loop leaves it.
+TEST(BatchSchedulerTest, KSubmitsThenOneAwaitShareOneBatch) {
+  namespace ref = decode_reference;
+  const lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
+  const std::vector<token::TokenId> prompt = ref::DigitPrompt(60);
+  const size_t num_tokens = 42;
+  constexpr size_t kLanes = 4;
+  for (const ref::NamedMask& mask : ref::ForcedMasks()) {
+    SCOPED_TRACE(mask.name);
+    BatchPolicy policy;
+    policy.max_batch = kLanes;
+    BatchScheduler scheduler(policy);
+    std::vector<Rng> rngs;
+    for (size_t k = 0; k < kLanes; ++k) rngs.emplace_back(900 + k);
+    std::vector<BatchTicket> tickets;
+    for (size_t k = 0; k < kLanes; ++k) {
+      DecodeJobSpec spec;
+      spec.lane = OpenLane(prompt, num_tokens, mask.mask, nullptr);
+      spec.rng = &rngs[k];
+      tickets.push_back(scheduler.Submit(std::move(spec)));
+    }
+    std::vector<Result<DecodeOutput>> outs;
+    outs.push_back(scheduler.Await(tickets[0]));
+    const BatchStats stats = scheduler.stats();
+    EXPECT_EQ(stats.steps, num_tokens);
+    EXPECT_EQ(stats.peak_batch, kLanes);
+    EXPECT_EQ(stats.retired, kLanes);
+    for (size_t k = 1; k < kLanes; ++k) {
+      outs.push_back(scheduler.Await(tickets[k]));
+    }
+    for (size_t k = 0; k < kLanes; ++k) {
+      SCOPED_TRACE("lane " + std::to_string(k));
+      ASSERT_TRUE(outs[k].ok()) << outs[k].status().ToString();
+      const ref::Decoded want = ref::ReferenceDecode(
+          profile, ref::kVocab, prompt, num_tokens, mask.mask, 900 + k);
+      EXPECT_EQ(outs[k].value().tokens, want.tokens);
+      EXPECT_EQ(rngs[k].NextUint32(), want.rng_next);
+    }
+  }
+}
+
 // Four threads run a wave of draws through BatchLlm over one trie at a
 // time, in one max_batch 8 scheduler, each with its own Log; the wave's
 // Logs are published in draw order after it. Every draw must decode the
@@ -806,7 +901,7 @@ struct VariantParam {
 class BatchIdentityTest : public testing::TestWithParam<VariantParam> {};
 
 // The headline property: clean pipeline + quantile bands, batch sizes
-// 1/4/16 × threads 1/2/8 — bit-identical to the unbatched serial run.
+// 1/4/16 — bit-identical to the unbatched run.
 TEST_P(BatchIdentityTest, CleanPipelineIsBatchInvariant) {
   ts::Frame frame = PeriodicFrame(96);
   MultiCastOptions opts;
@@ -819,17 +914,13 @@ TEST_P(BatchIdentityTest, CleanPipelineIsBatchInvariant) {
   auto reference = MultiCastForecaster(opts).Forecast(frame, 12);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   for (size_t max_batch : {1, 4, 16}) {
-    for (int threads : {1, 2, 8}) {
-      opts.threads = threads;
-      opts.batch_scheduler = Scheduler(max_batch);
-      auto batched = MultiCastForecaster(opts).Forecast(frame, 12);
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      ExpectIdentical(reference.value(), batched.value(),
-                      "batch=" + std::to_string(max_batch) +
-                          " threads=" + std::to_string(threads));
-      // The scheduler actually decoded the draws.
-      EXPECT_GT(opts.batch_scheduler->stats().retired, 0u);
-    }
+    opts.batch_scheduler = Scheduler(max_batch);
+    auto batched = MultiCastForecaster(opts).Forecast(frame, 12);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    ExpectIdentical(reference.value(), batched.value(),
+                    "batch=" + std::to_string(max_batch));
+    // The scheduler actually decoded the draws.
+    EXPECT_GT(opts.batch_scheduler->stats().retired, 0u);
   }
 }
 
@@ -849,15 +940,11 @@ TEST_P(BatchIdentityTest, ChaosPipelineIsBatchInvariant) {
   auto reference = MultiCastForecaster(opts).Forecast(frame, 12);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   for (size_t max_batch : {1, 4, 16}) {
-    for (int threads : {1, 8}) {
-      opts.threads = threads;
-      opts.batch_scheduler = Scheduler(max_batch);
-      auto batched = MultiCastForecaster(opts).Forecast(frame, 12);
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      ExpectIdentical(reference.value(), batched.value(),
-                      "batch=" + std::to_string(max_batch) +
-                          " threads=" + std::to_string(threads));
-    }
+    opts.batch_scheduler = Scheduler(max_batch);
+    auto batched = MultiCastForecaster(opts).Forecast(frame, 12);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    ExpectIdentical(reference.value(), batched.value(),
+                    "batch=" + std::to_string(max_batch));
   }
 }
 
@@ -887,17 +974,15 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Deadline degradation with batched decode: the surviving-sample set
-// must match the unbatched run exactly at every batch size and thread
-// count (draw gating happens above the leaf; the batch adds no virtual
-// time of its own).
+// must match the unbatched run exactly at every batch size (draw gating
+// happens above the leaf; the batch adds no virtual time of its own).
 TEST(BatchDegradationTest, DeadlineDegradationIsBatchInvariant) {
   ts::Frame frame = PeriodicFrame(48);
-  auto run = [&](std::shared_ptr<BatchScheduler> scheduler, int threads,
+  auto run = [&](std::shared_ptr<BatchScheduler> scheduler,
                  double deadline) {
     MultiCastOptions opts;
     opts.num_samples = 8;
     opts.seed = 5;
-    opts.threads = threads;
     opts.batch_scheduler = std::move(scheduler);
     opts.faults = lm::FaultProfile::Chaos(0.1, 88);
     opts.resilience.retries_enabled = true;
@@ -908,33 +993,29 @@ TEST(BatchDegradationTest, DeadlineDegradationIsBatchInvariant) {
     if (deadline > 0.0) ctx.deadline = Deadline::At(deadline);
     return forecaster.Forecast(frame, 6, ctx);
   };
-  auto probe = run(nullptr, 1, 0.0);
+  auto probe = run(nullptr, 0.0);
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
   const double deadline = probe.value().virtual_seconds * 0.5;
   ASSERT_GT(deadline, 0.0);
-  auto reference = run(nullptr, 1, deadline);
+  auto reference = run(nullptr, deadline);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   EXPECT_TRUE(reference.value().degraded);
   for (size_t max_batch : {1, 4, 16}) {
-    for (int threads : {1, 8}) {
-      auto batched = run(Scheduler(max_batch), threads, deadline);
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      ExpectIdentical(reference.value(), batched.value(),
-                      "batch=" + std::to_string(max_batch) +
-                          " threads=" + std::to_string(threads));
-    }
+    auto batched = run(Scheduler(max_batch), deadline);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    ExpectIdentical(reference.value(), batched.value(),
+                    "batch=" + std::to_string(max_batch));
   }
 }
 
 // Mid-flight cancellation, same contract.
 TEST(BatchDegradationTest, MidFlightCancelIsBatchInvariant) {
   ts::Frame frame = PeriodicFrame(48);
-  auto run = [&](std::shared_ptr<BatchScheduler> scheduler, int threads,
+  auto run = [&](std::shared_ptr<BatchScheduler> scheduler,
                  double cancel_at) {
     MultiCastOptions opts;
     opts.num_samples = 8;
     opts.seed = 5;
-    opts.threads = threads;
     opts.batch_scheduler = std::move(scheduler);
     opts.faults = lm::FaultProfile::Chaos(0.1, 88);
     opts.resilience.retries_enabled = true;
@@ -945,21 +1026,18 @@ TEST(BatchDegradationTest, MidFlightCancelIsBatchInvariant) {
     if (cancel_at > 0.0) ctx.cancel.CancelAtTime(&clock, cancel_at, "drain");
     return forecaster.Forecast(frame, 6, ctx);
   };
-  auto probe = run(nullptr, 1, 0.0);
+  auto probe = run(nullptr, 0.0);
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
   const double cancel_at = probe.value().virtual_seconds * 0.5;
   ASSERT_GT(cancel_at, 0.0);
-  auto reference = run(nullptr, 1, cancel_at);
+  auto reference = run(nullptr, cancel_at);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   EXPECT_TRUE(reference.value().degraded);
   for (size_t max_batch : {4, 16}) {
-    for (int threads : {1, 8}) {
-      auto batched = run(Scheduler(max_batch), threads, cancel_at);
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      ExpectIdentical(reference.value(), batched.value(),
-                      "batch=" + std::to_string(max_batch) +
-                          " threads=" + std::to_string(threads));
-    }
+    auto batched = run(Scheduler(max_batch), cancel_at);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    ExpectIdentical(reference.value(), batched.value(),
+                    "batch=" + std::to_string(max_batch));
   }
 }
 
@@ -975,16 +1053,12 @@ TEST(BatchLlmTimeTest, SharedDimensionSchedulerIsOutputInvariant) {
   auto reference = LlmTimeForecaster(opts).Forecast(frame, 12);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   for (size_t max_batch : {1, 8}) {
-    for (int threads : {1, 2, 8}) {
-      opts.threads = threads;
-      opts.batch_scheduler = Scheduler(max_batch);
-      auto batched = LlmTimeForecaster(opts).Forecast(frame, 12);
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      ExpectIdentical(reference.value(), batched.value(),
-                      "batch=" + std::to_string(max_batch) +
-                          " threads=" + std::to_string(threads));
-      EXPECT_GT(opts.batch_scheduler->stats().retired, 0u);
-    }
+    opts.batch_scheduler = Scheduler(max_batch);
+    auto batched = LlmTimeForecaster(opts).Forecast(frame, 12);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    ExpectIdentical(reference.value(), batched.value(),
+                    "batch=" + std::to_string(max_batch));
+    EXPECT_GT(opts.batch_scheduler->stats().retired, 0u);
   }
 }
 

@@ -178,6 +178,10 @@ TEST_F(CliTest, RetiredSpeculativeFlagsAreRejected) {
   ExpectRejected("--draft-k", "4", "unknown flag --draft-k");
 }
 
+TEST_F(CliTest, RetiredThreadsFlagIsRejected) {
+  ExpectRejected("--threads", "4", "unknown flag --threads");
+}
+
 // Every int-valued flag is range-checked as int64 before it is narrowed
 // to int, so out-of-range values fail instead of wrapping.
 using CliGeometryFlagTest = CliTest;
@@ -189,7 +193,9 @@ struct IntFlagCase {
 
 // Each value narrows to an in-range int (1; 2 for --sax-alphabet; 0 for
 // --retries 2^32), so it would pass if the flag were narrowed before it
-// was checked.
+// was checked. Every int flag the forecast command reads through
+// IntFlag has its rows here; --block-span and --pool-blocks have their
+// own cases below.
 const IntFlagCase kWrappingIntFlags[] = {
     {"--samples", "4294967297"},
     {"--samples", "-4294967295"},
@@ -204,8 +210,6 @@ const IntFlagCase kWrappingIntFlags[] = {
     {"--retries", "-4294967295"},
     {"--redraws", "4294967297"},
     {"--redraws", "-4294967295"},
-    {"--threads", "4294967297"},
-    {"--threads", "-4294967295"},
     {"--prefix-cache-capacity", "4294967297"},
     {"--prefix-cache-capacity", "-4294967295"},
     {"--batch-size", "4294967297"},

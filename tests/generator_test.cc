@@ -169,8 +169,9 @@ TEST(GeneratorTest, ForcedPositionsMatchTheUnskippedLoop) {
   }
 }
 
-// Draws over one DrawTrie, one wave per draw as at threads = 1: the
-// k-th draw walks what the k - 1 before it published. Every draw must
+// Draws over one DrawTrie one at a time, each Log published as its draw
+// ends, as the sample loop does: the k-th draw walks what the k - 1
+// before it published. Every draw must
 // give the tokens, ledger and RNG state of the plain loop with its own
 // seed, for every back-end, grammar and sampler, with and without a
 // prefix cache.

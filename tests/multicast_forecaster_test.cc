@@ -116,9 +116,9 @@ TEST_P(MuxVariantTest, DeterministicForSameSeed) {
 
 TEST_P(MuxVariantTest, PagedMemoryIsBitIdentical) {
   // The block geometry and the pool's owner must never change an
-  // output: same forecast, same bands, same ledger, at serial and
-  // parallel thread counts. The baseline runs on a caller's pool of
-  // span 32; the others build their own pool of span 16.
+  // output: same forecast, same bands, same ledger. The baseline runs on
+  // a caller's pool of span 32; the other builds its own pool of span
+  // 16.
   MultiCastOptions base;
   lm::PagedMemoryOptions popts;
   popts.block_span = 32;
@@ -131,31 +131,27 @@ TEST_P(MuxVariantTest, PagedMemoryIsBitIdentical) {
   auto baseline = MultiCastForecaster(base).Forecast(frame, 8);
   ASSERT_TRUE(baseline.ok());
   EXPECT_GT(base.block_pool->stats().blocks_peak, 0u);
-  for (int threads : {1, 2}) {
-    MultiCastOptions paged = base;
-    paged.block_pool = nullptr;
-    paged.block_span = 16;
-    paged.threads = threads;
-    MultiCastForecaster f(paged);
-    ASSERT_NE(f.block_pool(), base.block_pool);
-    auto result = f.Forecast(frame, 8);
-    ASSERT_TRUE(result.ok());
-    for (size_t d = 0; d < 2; ++d) {
-      EXPECT_EQ(baseline.value().forecast.dim(d).values(),
-                result.value().forecast.dim(d).values());
-      ASSERT_EQ(baseline.value().quantile_bands.size(),
-                result.value().quantile_bands.size());
-      for (size_t q = 0; q < baseline.value().quantile_bands.size(); ++q) {
-        EXPECT_EQ(baseline.value().quantile_bands[q].second.dim(d).values(),
-                  result.value().quantile_bands[q].second.dim(d).values());
-      }
+  MultiCastOptions paged = base;
+  paged.block_pool = nullptr;
+  paged.block_span = 16;
+  MultiCastForecaster f(paged);
+  ASSERT_NE(f.block_pool(), base.block_pool);
+  auto result = f.Forecast(frame, 8);
+  ASSERT_TRUE(result.ok());
+  for (size_t d = 0; d < 2; ++d) {
+    EXPECT_EQ(baseline.value().forecast.dim(d).values(),
+              result.value().forecast.dim(d).values());
+    ASSERT_EQ(baseline.value().quantile_bands.size(),
+              result.value().quantile_bands.size());
+    for (size_t q = 0; q < baseline.value().quantile_bands.size(); ++q) {
+      EXPECT_EQ(baseline.value().quantile_bands[q].second.dim(d).values(),
+                result.value().quantile_bands[q].second.dim(d).values());
     }
-    EXPECT_EQ(baseline.value().ledger.total(),
-              result.value().ledger.total());
-    // The pipeline really exercised the pool.
-    EXPECT_GT(f.block_pool()->stats().blocks_peak, 0u);
-    EXPECT_GT(f.block_pool()->stats().sessions, 0u);
   }
+  EXPECT_EQ(baseline.value().ledger.total(), result.value().ledger.total());
+  // The pipeline really exercised the pool.
+  EXPECT_GT(f.block_pool()->stats().blocks_peak, 0u);
+  EXPECT_GT(f.block_pool()->stats().sessions, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -247,13 +243,19 @@ void ExpectSameForecast(const Result<ForecastResult>& want,
   EXPECT_EQ(a.samples_requested, b.samples_requested);
   EXPECT_EQ(a.samples_used, b.samples_used);
   EXPECT_EQ(a.virtual_seconds, b.virtual_seconds);
+  EXPECT_EQ(a.retry_stats.calls, b.retry_stats.calls);
+  EXPECT_EQ(a.retry_stats.attempts, b.retry_stats.attempts);
+  EXPECT_EQ(a.retry_stats.retries, b.retry_stats.retries);
+  EXPECT_EQ(a.retry_stats.circuit_rejections,
+            b.retry_stats.circuit_rejections);
+  EXPECT_EQ(a.retry_stats.backoff_seconds, b.retry_stats.backoff_seconds);
 }
 
 // Draws on the internal simulated decoder share one draw trie per
 // forecast (lm::DrawTrie), run to completion or as lanes of a batch
 // scheduler; an external SimulatedLlm decodes every draw in full. The
-// two must agree on every pipeline, sample count, thread count, cache
-// setting and batch size (no scheduler, one slot, eight), clean and
+// two must agree on every pipeline, sample count, cache setting and
+// batch size (no scheduler, one slot, eight), clean and
 // under chaos with retries and redraws.
 TEST(MultiCastForecasterTest, SharedPrefixDrawsMatchUnsharedDecode) {
   const ts::Frame frame = NoisyFrame(60);
@@ -279,63 +281,58 @@ TEST(MultiCastForecasterTest, SharedPrefixDrawsMatchUnsharedDecode) {
   enum class Cache { kOn, kOff, kCapacityZero };
   for (const Pipeline& pipeline : pipelines) {
     for (int samples : {1, 5, 20}) {
-      for (int threads : {1, 4}) {
-        for (Cache cache : {Cache::kOn, Cache::kOff, Cache::kCapacityZero}) {
-          for (bool chaos : {false, true}) {
-            SCOPED_TRACE(pipeline.name + " n=" + std::to_string(samples) +
-                         " threads=" + std::to_string(threads) + " cache=" +
-                         std::to_string(static_cast<int>(cache)) +
-                         (chaos ? " chaos" : ""));
-            const lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
-            lm::SimulatedLlm unshared(profile, pipeline.vocab);
-            ResilienceConfig resilience;
-            lm::FaultProfile faults;
-            if (chaos) {
-              faults = lm::FaultProfile::Chaos(0.2, 99);
-              resilience.retries_enabled = true;
-              resilience.retry.max_attempts = 3;
-              resilience.max_redraws = 4;
+      for (Cache cache : {Cache::kOn, Cache::kOff, Cache::kCapacityZero}) {
+        for (bool chaos : {false, true}) {
+          SCOPED_TRACE(pipeline.name + " n=" + std::to_string(samples) +
+                       " cache=" + std::to_string(static_cast<int>(cache)) +
+                       (chaos ? " chaos" : ""));
+          const lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
+          lm::SimulatedLlm unshared(profile, pipeline.vocab);
+          ResilienceConfig resilience;
+          lm::FaultProfile faults;
+          if (chaos) {
+            faults = lm::FaultProfile::Chaos(0.2, 99);
+            resilience.retries_enabled = true;
+            resilience.retry.max_attempts = 3;
+            resilience.max_redraws = 4;
+          }
+          // One forecast per batch setting (0: no scheduler); `backend`
+          // set decodes through it instead.
+          auto forecast = [&](size_t max_batch, lm::LlmBackend* backend) {
+            std::shared_ptr<batch::BatchScheduler> scheduler;
+            if (max_batch > 0) {
+              batch::BatchPolicy policy;
+              policy.max_batch = max_batch;
+              scheduler = std::make_shared<batch::BatchScheduler>(policy);
             }
-            // One forecast per batch setting (0: no scheduler); `backend`
-            // set decodes through it instead.
-            auto forecast = [&](size_t max_batch, lm::LlmBackend* backend) {
-              std::shared_ptr<batch::BatchScheduler> scheduler;
-              if (max_batch > 0) {
-                batch::BatchPolicy policy;
-                policy.max_batch = max_batch;
-                scheduler = std::make_shared<batch::BatchScheduler>(policy);
-              }
-              if (pipeline.name == "LLMTime") {
-                LlmTimeOptions opts;
-                opts.num_samples = samples;
-                opts.threads = threads;
-                opts.faults = faults;
-                opts.resilience = resilience;
-                opts.prefix_cache = cache != Cache::kOff;
-                opts.prefix_cache_capacity = cache == Cache::kOn ? 64 : 0;
-                opts.batch_scheduler = scheduler;
-                opts.backend = backend;
-                return LlmTimeForecaster(opts).Forecast(frame, horizon);
-              }
-              MultiCastOptions opts;
-              opts.quantization = pipeline.quantization;
-              opts.mux = pipeline.mux;
+            if (pipeline.name == "LLMTime") {
+              LlmTimeOptions opts;
               opts.num_samples = samples;
-              opts.threads = threads;
-              opts.quantiles = {0.1, 0.9};
               opts.faults = faults;
               opts.resilience = resilience;
               opts.prefix_cache = cache != Cache::kOff;
               opts.prefix_cache_capacity = cache == Cache::kOn ? 64 : 0;
               opts.batch_scheduler = scheduler;
               opts.backend = backend;
-              return MultiCastForecaster(opts).Forecast(frame, horizon);
-            };
-            const Result<ForecastResult> want = forecast(0, &unshared);
-            for (size_t max_batch : {0, 1, 8}) {
-              SCOPED_TRACE("max_batch=" + std::to_string(max_batch));
-              ExpectSameForecast(want, forecast(max_batch, nullptr));
+              return LlmTimeForecaster(opts).Forecast(frame, horizon);
             }
+            MultiCastOptions opts;
+            opts.quantization = pipeline.quantization;
+            opts.mux = pipeline.mux;
+            opts.num_samples = samples;
+            opts.quantiles = {0.1, 0.9};
+            opts.faults = faults;
+            opts.resilience = resilience;
+            opts.prefix_cache = cache != Cache::kOff;
+            opts.prefix_cache_capacity = cache == Cache::kOn ? 64 : 0;
+            opts.batch_scheduler = scheduler;
+            opts.backend = backend;
+            return MultiCastForecaster(opts).Forecast(frame, horizon);
+          };
+          const Result<ForecastResult> want = forecast(0, &unshared);
+          for (size_t max_batch : {0, 1, 8}) {
+            SCOPED_TRACE("max_batch=" + std::to_string(max_batch));
+            ExpectSameForecast(want, forecast(max_batch, nullptr));
           }
         }
       }
@@ -732,6 +729,275 @@ TEST(MultiCastForecasterTest, FourDigitsSupported) {
   MultiCastForecaster f(opts);
   auto result = f.Forecast(PeriodicFrame(60), 4);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+}
+
+// ---------------------------------------------------------------------
+// Prefix-cache identity: enabling the cache must never change output.
+// The uncached run is the reference; the cache-on run must reproduce it
+// bit for bit — same forecasts, bands, ledgers, retry stats, virtual
+// time, degradation and warnings.
+// ---------------------------------------------------------------------
+
+struct VariantParam {
+  multiplex::MuxKind mux;
+  Quantization quantization;
+};
+
+// Every mux and quantization variant of the pipeline.
+class ParallelIdentityTest : public testing::TestWithParam<VariantParam> {};
+
+// Clean pipeline with quantile bands.
+TEST_P(ParallelIdentityTest, PrefixCacheIsOutputInvariant) {
+  ts::Frame frame = PeriodicFrame(96);
+  MultiCastOptions opts;
+  opts.mux = GetParam().mux;
+  opts.quantization = GetParam().quantization;
+  opts.num_samples = 6;
+  opts.seed = 1234;
+  opts.quantiles = {0.1, 0.9};
+
+  opts.prefix_cache = false;
+  auto uncached = MultiCastForecaster(opts).Forecast(frame, 12);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  opts.prefix_cache = true;
+  MultiCastForecaster forecaster(opts);
+  ExpectSameForecast(uncached, forecaster.Forecast(frame, 12));
+  // The cache actually engaged: the prompt was reused, not replayed.
+  ASSERT_NE(forecaster.prefix_cache(), nullptr);
+  EXPECT_GT(forecaster.prefix_cache()->stats().hits(), 0u);
+}
+
+// Same under chaos + retries: faulted calls redraw with fresh prompts,
+// and the cache must not perturb the fault schedule or accounting.
+TEST_P(ParallelIdentityTest, PrefixCacheIsOutputInvariantUnderChaos) {
+  ts::Frame frame = PeriodicFrame(96);
+  MultiCastOptions opts;
+  opts.mux = GetParam().mux;
+  opts.quantization = GetParam().quantization;
+  opts.num_samples = 5;
+  opts.seed = 77;
+  opts.faults = lm::FaultProfile::Chaos(0.2, 4242);
+  opts.resilience.retries_enabled = true;
+
+  opts.prefix_cache = false;
+  auto uncached = MultiCastForecaster(opts).Forecast(frame, 12);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  opts.prefix_cache = true;
+  ExpectSameForecast(uncached, MultiCastForecaster(opts).Forecast(frame, 12));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllVariants, ParallelIdentityTest,
+    testing::Values(
+        VariantParam{multiplex::MuxKind::kDigitInterleave,
+                     Quantization::kNone},
+        VariantParam{multiplex::MuxKind::kValueInterleave,
+                     Quantization::kNone},
+        VariantParam{multiplex::MuxKind::kValueConcat, Quantization::kNone},
+        VariantParam{multiplex::MuxKind::kValueInterleave,
+                     Quantization::kSaxAlphabetic},
+        VariantParam{multiplex::MuxKind::kValueInterleave,
+                     Quantization::kSaxDigital}),
+    [](const testing::TestParamInfo<VariantParam>& info) {
+      std::string name = multiplex::MuxKindName(info.param.mux);
+      switch (info.param.quantization) {
+        case Quantization::kNone:
+          return name + "Raw";
+        case Quantization::kSaxAlphabetic:
+          return name + "SaxAlpha";
+        case Quantization::kSaxDigital:
+          return name + "SaxDigit";
+      }
+      return name;
+    });
+
+// Deadline degradation with the cache on: the surviving-sample set must
+// match the uncached run exactly (the cache must not shift virtual
+// time — fault latency is modeled per call, not per token replayed).
+TEST(PrefixCacheDegradationTest, DeadlineDegradationMatchesUncached) {
+  ts::Frame frame = PeriodicFrame(48);
+  auto run = [&](bool cache, double deadline) {
+    MultiCastOptions opts;
+    opts.num_samples = 8;
+    opts.seed = 5;
+    opts.prefix_cache = cache;
+    opts.faults = lm::FaultProfile::Chaos(0.1, 88);
+    opts.resilience.retries_enabled = true;
+    MultiCastForecaster forecaster(opts);
+    VirtualClock clock;
+    RequestContext ctx;
+    ctx.clock = &clock;
+    if (deadline > 0.0) ctx.deadline = Deadline::At(deadline);
+    return forecaster.Forecast(frame, 6, ctx);
+  };
+  // Probe the clean run's total virtual cost, then budget half of it:
+  // the first draw always fits (the gate at t=0 passes) and the last
+  // never does, so the loop degrades partway through.
+  auto probe = run(false, 0.0);
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  const double deadline = probe.value().virtual_seconds * 0.5;
+  ASSERT_GT(deadline, 0.0);
+  auto uncached = run(false, deadline);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  EXPECT_TRUE(uncached.value().degraded);
+  ExpectSameForecast(uncached, run(true, deadline));
+}
+
+// LLMTime shares one cache across its per-dimension pipelines; output
+// must still match the uncached run.
+TEST(PrefixCacheLlmTimeTest, SharedDimensionCacheIsOutputInvariant) {
+  ts::Frame frame = PeriodicFrame(96);
+  LlmTimeOptions opts;
+  opts.num_samples = 4;
+  opts.seed = 9;
+  opts.faults = lm::FaultProfile::Chaos(0.15, 31);
+  opts.resilience.retries_enabled = true;
+
+  opts.prefix_cache = false;
+  auto uncached = LlmTimeForecaster(opts).Forecast(frame, 12);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  opts.prefix_cache = true;
+  LlmTimeForecaster forecaster(opts);
+  ExpectSameForecast(uncached, forecaster.Forecast(frame, 12));
+  ASSERT_NE(forecaster.prefix_cache(), nullptr);
+  EXPECT_GT(forecaster.prefix_cache()->stats().hits(), 0u);
+}
+
+// A caller-supplied shared cache (the serve-sim wiring) behaves like
+// the forecaster-owned one — reused across Forecast calls, output
+// invariant.
+TEST(PrefixCacheSharingTest, ExternallySharedCacheIsOutputInvariant) {
+  ts::Frame frame = PeriodicFrame(96);
+  MultiCastOptions opts;
+  opts.num_samples = 4;
+  opts.seed = 11;
+  opts.prefix_cache = false;
+  auto uncached = MultiCastForecaster(opts).Forecast(frame, 12);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+
+  auto shared = std::make_shared<lm::PrefixCache>(16);
+  opts.shared_prefix_cache = shared;
+  for (int i = 0; i < 3; ++i) {
+    SCOPED_TRACE("shared-cache call " + std::to_string(i));
+    ExpectSameForecast(uncached,
+                       MultiCastForecaster(opts).Forecast(frame, 12));
+  }
+  // Later forecasters full-hit the entries built by the first.
+  EXPECT_GT(shared->stats().full_hits, 0u);
+  EXPECT_EQ(shared->stats().prompt_tokens_seen,
+            shared->stats().prompt_tokens_reused +
+                shared->stats().prompt_tokens_replayed);
+}
+
+// min_samples larger than num_samples used to make every forecast fail
+// ("needed at least 50 of 3"); it now clamps to num_samples, so a clean
+// run at full strength succeeds.
+TEST(MinSamplesClampTest, MinSamplesAboveNumSamplesClampsInsteadOfFailing) {
+  ts::Frame frame = PeriodicFrame(48);
+  MultiCastOptions opts;
+  opts.num_samples = 3;
+  opts.resilience.min_samples = 50;
+  auto result = MultiCastForecaster(opts).Forecast(frame, 6);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result.value().degraded);
+  EXPECT_EQ(result.value().samples_used, 3u);
+}
+
+// Repeated quantile levels used to emit identical duplicate bands;
+// they now dedupe to one band per distinct level, in ascending order.
+TEST(QuantileBandTest, DuplicateLevelsAreDeduped) {
+  ts::Frame frame = PeriodicFrame(48);
+  MultiCastOptions opts;
+  opts.num_samples = 3;
+  opts.quantiles = {0.8, 0.2, 0.2, 0.8};
+  auto result = MultiCastForecaster(opts).Forecast(frame, 6);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result.value().quantile_bands.size(), 2u);
+  EXPECT_EQ(result.value().quantile_bands[0].first, 0.2);
+  EXPECT_EQ(result.value().quantile_bands[1].first, 0.8);
+}
+
+// An out-of-range level fails the whole forecast up front — no bands
+// are computed for the valid levels before the bad one is noticed.
+TEST(QuantileBandTest, InvalidLevelFailsBeforeAnyBandIsBuilt) {
+  ts::Frame frame = PeriodicFrame(48);
+  MultiCastOptions opts;
+  opts.num_samples = 3;
+  opts.quantiles = {0.2, 1.5};
+  auto result = MultiCastForecaster(opts).Forecast(frame, 6);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("quantile level"),
+            std::string::npos);
+}
+
+// An external backend that reports each call's latency in one of the
+// two places a backend may: on the GenerationResult (`by_value`) or
+// only through last_latency_seconds(), with the result's field left 0.
+class LatencyBackend final : public lm::LlmBackend {
+ public:
+  LatencyBackend(size_t vocab_size, double call_seconds, bool by_value)
+      : inner_(lm::ModelProfile::Llama2_7B(), vocab_size),
+        call_seconds_(call_seconds),
+        by_value_(by_value) {}
+
+  std::string name() const override { return "latency-reporting"; }
+  size_t vocab_size() const override { return inner_.vocab_size(); }
+  double last_latency_seconds() const override {
+    return by_value_ ? 0.0 : call_seconds_;
+  }
+
+  using LlmBackend::Complete;
+  Result<lm::GenerationResult> Complete(
+      const std::vector<token::TokenId>& prompt, size_t num_tokens,
+      const lm::GrammarMask& mask, Rng* rng,
+      const lm::CallOptions& call) override {
+    ++calls;
+    MC_ASSIGN_OR_RETURN(lm::GenerationResult result,
+                        inner_.Complete(prompt, num_tokens, mask, rng, call));
+    if (by_value_) result.latency_seconds = call_seconds_;
+    return result;
+  }
+
+  size_t calls = 0;
+
+ private:
+  lm::SimulatedLlm inner_;
+  double call_seconds_;
+  bool by_value_;
+};
+
+// Either way, with no retry layer to charge it, the sample loop charges
+// the call's latency to the request clock, so a deadline stops the
+// loop: 0.12 s at 0.05 s/call lets draws at t=0, 0.05 and 0.10 run; the
+// fourth finds the clock at 0.15 and the loop stops, degraded 3/5.
+void ExpectDeadlineBites(bool by_value) {
+  ts::Frame frame = PeriodicFrame(48);
+  LatencyBackend backend(token::Vocabulary::Digits().size(), 0.05,
+                         by_value);
+  MultiCastOptions opts;
+  opts.num_samples = 5;
+  opts.backend = &backend;
+  MultiCastForecaster forecaster(opts);
+  VirtualClock clock;
+  RequestContext ctx;
+  ctx.clock = &clock;
+  ctx.deadline = Deadline::At(0.12);
+  auto result = forecaster.Forecast(frame, 6, ctx);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(backend.calls, 3u);
+  EXPECT_TRUE(result.value().degraded);
+  EXPECT_EQ(result.value().samples_used, 3u);
+  EXPECT_NEAR(result.value().virtual_seconds, 0.15, 1e-12);
+  EXPECT_NEAR(clock.now(), 0.15, 1e-12);
+}
+
+TEST(ByValueLatencyTest, DeadlineBitesOnResultReportedLatency) {
+  ExpectDeadlineBites(/*by_value=*/true);
+}
+
+TEST(AccessorLatencyTest, DeadlineBitesOnAccessorReportedLatency) {
+  ExpectDeadlineBites(/*by_value=*/false);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pre-merge gate: tier-1 build + tests, then an ASan+UBSan pass over the
-# whole suite, then a TSan pass over the serving and LLM tiers plus the
-# parallel sampling runtime.
+# whole suite, then a TSan pass over the suites whose tests call one
+# shared cache, pool, model or batch scheduler from several threads (the
+# LLM, forecast, batch and serving tiers).
 #
 # Usage: tools/check.sh [--no-asan] [--no-tsan]
 set -euo pipefail
@@ -45,9 +46,9 @@ cmake --build build -j "${JOBS}" --target ablation_overload
 ./build/bench/ablation_overload --smoke
 
 echo "==== bench smoke: paged session memory identity + bytes gates ===="
-# Exits non-zero when any forecast diverges from the sequential 1x1 run
-# (bit-identity across the threads x batch grid and on a pool run past
-# its block budget), the bytes/session reduction against the retired map
+# Exits non-zero when any forecast diverges from the unbatched run
+# (bit-identity across batch sizes 1/4/16 and on a pool run past its
+# block budget), the bytes/session reduction against the retired map
 # storage's bytes for the same entries falls below 2x, or a pool at its
 # block budget fails to demote/shed through the overload ladder.
 cmake --build build -j "${JOBS}" --target paged_memory
@@ -107,14 +108,12 @@ if [[ "${run_tsan}" == "1" ]]; then
   echo "==== sanitizer pass: TSan on lm/forecast/serve tests ===="
   cmake -B build-tsan -S . -DMC_SANITIZE_THREAD=ON > /dev/null
   TSAN_TESTS=(
-    thread_pool_test
     ngram_model_test
     generator_test
     metrics_test
     metrics_registry_test
     prefix_cache_test
     paged_store_test
-    parallel_sampling_test
     multicast_forecaster_test
     llmtime_forecaster_test
     serve_executor_test
