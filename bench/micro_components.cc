@@ -115,9 +115,12 @@ BENCHMARK(BM_SaxEncode)->Arg(3)->Arg(9);
 // commas, as MultiCast serializes a series) of 1,700 tokens into an
 // order-8 model, the Llama2 profile's order. Arguments: `bulk` 0 = one
 // Observe per token, 1 = ObserveAll (the bulk build); `base` 0 = a fresh
-// model, 1 = a fork over a frozen base that observed another 1,700-token
-// prompt, as a prefix-cache hit extends. Reports per_token, the time per
-// prompt token; model set-up and teardown are inside the timing.
+// model, as a prefix-cache miss builds, 1 = a fork over a frozen base
+// that observed another 1,700-token prompt: the ingest a lane makes into
+// its prefix-cache fork when it leaves its draw trie (lm::DecodeLane),
+// there only the few tokens the trie walk kept back. Reports per_token,
+// the time per prompt token; model set-up and teardown are inside the
+// timing.
 void BM_NGramObserve(benchmark::State& state) {
   constexpr size_t kTokens = 1700;
   const bool bulk = state.range(0) != 0;
@@ -214,7 +217,7 @@ lm::GrammarMask SeparatorMask() {
 
 // The pipelines' decode shape: the prompt is a prefix-cache full hit, so
 // each call forks the frozen prompt state and decodes 64 tokens on the
-// fork's overlay (copy-on-first-touch from the shared frozen layers).
+// fork's overlay (copy-on-first-touch from the shared frozen base).
 // `structured` 0: a 256-value prompt, every token allowed. 1: MultiCast's
 // separator grammar over a 1,365-value (4,095-token) prompt, whose
 // frozen store does not fit in L2.

@@ -3,13 +3,15 @@
 // MultiCast draws n samples per forecast and rolling-origin evaluation
 // slides the serialization window forward fold after fold, so the
 // uncached pipeline re-ingests each ~1.5k-token prompt n times per fold.
-// With the cache, the prompt is observed once (pre-warm), every draw
-// forks the frozen state, and the next fold's longer prompt extends the
-// cached prefix instead of starting over. This bench runs the identical
-// rolling sweep cached and uncached at n = 8 and n = 20, asserts the
-// forecasts and ledgers are bit-identical (the cache's core contract),
-// and reports wall-clock speedup plus the fraction of prompt-ingestion
-// work eliminated (ledger prompt tokens vs physically replayed tokens).
+// With the cache, the prompt is observed once (pre-warm) and every draw
+// forks the frozen state. A fold's prompt does not extend the previous
+// fold's: it serializes values rescaled over that fold's own history,
+// so it is re-serialized from its first token, and each fold is one
+// miss followed by n full hits. This bench runs the identical rolling
+// sweep cached and uncached at n = 8 and n = 20, asserts the forecasts
+// and ledgers are bit-identical (the cache's core contract), and
+// reports wall-clock speedup plus the fraction of prompt-ingestion work
+// eliminated (ledger prompt tokens vs physically replayed tokens).
 //
 // Run from the repo root: ./build/bench/prefix_cache [--smoke]
 // Writes BENCH_prefix_cache.json, plus BENCH_prefix_cache_metrics.json
@@ -40,8 +42,8 @@ struct SweepResult {
   lm::PrefixCacheStats cache;
 };
 
-// Rolling-origin sweep: one persistent forecaster serves every fold, so
-// a shared cache carries state across the sliding windows.
+// Rolling-origin sweep: one persistent forecaster serves every fold, and
+// its cache keeps one entry per fold's prompt.
 SweepResult RunSweep(const ts::Frame& frame, int samples, bool cached,
                      size_t horizon, size_t folds, int repetitions) {
   SweepResult out;
@@ -51,7 +53,7 @@ SweepResult RunSweep(const ts::Frame& frame, int samples, bool cached,
         DefaultMultiCast(multiplex::MuxKind::kValueInterleave);
     opts.num_samples = samples;
     opts.seed = 42;
-    opts.prefix_cache = cached;
+    if (!cached) opts.prefix_cache_capacity = 0;
     forecast::MultiCastForecaster forecaster(opts);
     SweepResult pass;
     Timer timer;
@@ -135,7 +137,7 @@ int Main(bool smoke) {
         uncached.ledger.generated_tokens == cached.ledger.generated_tokens &&
         uncached.mean_rmse == cached.mean_rmse;
     // Ingestion work: uncached observes every ledger prompt token;
-    // cached physically replays only the cache-miss suffixes.
+    // cached physically replays only each fold's one miss.
     row.prompt_tokens = uncached.ledger.prompt_tokens;
     row.replayed = cached.cache.prompt_tokens_replayed;
     row.replay_reduction =

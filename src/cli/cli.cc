@@ -121,9 +121,9 @@ Result<MethodSpec> SpecFromFlags(const FlagSet& flags) {
   spec.fallback = flags.GetBool("fallback");
   spec.classical_fallback = flags.GetBool("classical-fallback");
   MC_ASSIGN_OR_RETURN(int64_t prefix_cache, flags.GetInt("prefix-cache", 1));
-  spec.prefix_cache = prefix_cache != 0;
   MC_ASSIGN_OR_RETURN(spec.prefix_cache_capacity,
                       IntFlag(flags, "prefix-cache-capacity", 64, 1));
+  if (prefix_cache == 0) spec.prefix_cache_capacity = 0;
   spec.batch = flags.GetBool("batch");
   MC_ASSIGN_OR_RETURN(spec.batch_size, IntFlag(flags, "batch-size", 8, 1));
   MC_ASSIGN_OR_RETURN(int64_t backfill, flags.GetInt("batch-backfill", 1));
@@ -560,7 +560,7 @@ Result<int> CmdServeSim(const FlagSet& flags, std::ostream& out) {
     // prompt, so later requests fork the cached state instead of
     // re-observing it. The executor only snapshots its counters.
     std::shared_ptr<lm::PrefixCache> method_cache;
-    if (spec.prefix_cache) {
+    if (spec.prefix_cache_capacity > 0) {
       method_cache = std::make_shared<lm::PrefixCache>(
           static_cast<size_t>(spec.prefix_cache_capacity));
       spec.shared_prefix_cache = method_cache;
@@ -680,12 +680,11 @@ Result<int> CmdServeSim(const FlagSet& flags, std::ostream& out) {
       const lm::PrefixCache::DrawTrieTotals tries =
           method_cache->draw_tries();
       cache_lines.push_back(StrFormat(
-          "prefix-cache %s: %zu/%zu hits (%zu full), "
+          "prefix-cache %s: %zu/%zu hits, "
           "%zu/%zu prompt tokens reused, %zu evictions, "
           "draw tries %zu nodes / %zu model steps reused",
-          name.c_str(), pc.hits(), pc.lookups, pc.full_hits,
-          pc.prompt_tokens_reused, pc.prompt_tokens_seen, pc.evictions,
-          tries.nodes, tries.steps));
+          name.c_str(), pc.hits(), pc.lookups, pc.prompt_tokens_reused,
+          pc.prompt_tokens_seen, pc.evictions, tries.nodes, tries.steps));
     } else {
       cache_lines.push_back(StrFormat("prefix-cache %s: off", name.c_str()));
     }
@@ -797,7 +796,7 @@ Result<int> CmdClusterSim(const FlagSet& flags, std::ostream& out) {
     cluster::Replica rep;
     rep.id = static_cast<int>(r);
     rep.slots = static_cast<size_t>(slots);
-    if (spec.prefix_cache) {
+    if (spec.prefix_cache_capacity > 0) {
       rep.prefix_cache = std::make_shared<lm::PrefixCache>(
           static_cast<size_t>(spec.prefix_cache_capacity));
     }
@@ -1046,7 +1045,6 @@ Result<std::unique_ptr<forecast::Forecaster>> MakeForecaster(
     }
     opts.sax_segment_length = spec.sax_segment;
     opts.sax_alphabet_size = spec.sax_alphabet;
-    opts.prefix_cache = spec.prefix_cache;
     opts.prefix_cache_capacity =
         static_cast<size_t>(spec.prefix_cache_capacity);
     opts.shared_prefix_cache = spec.shared_prefix_cache;
@@ -1062,7 +1060,6 @@ Result<std::unique_ptr<forecast::Forecaster>> MakeForecaster(
     opts.profile = profile;
     opts.faults = faults;
     opts.resilience = resilience;
-    opts.prefix_cache = spec.prefix_cache;
     opts.prefix_cache_capacity =
         static_cast<size_t>(spec.prefix_cache_capacity);
     opts.shared_prefix_cache = spec.shared_prefix_cache;

@@ -66,11 +66,10 @@ struct MethodSpec {
   /// and — in the sims — serve hedge backups from the classical tier.
   /// Implies the chain for LLM methods even without `fallback`.
   bool classical_fallback = false;
-  /// Prefix-cached decoding (--prefix-cache 0|1): observe each prompt
-  /// once, fork per draw. Forecasts stay bit-identical; only redundant
-  /// prompt replay work is removed.
-  bool prefix_cache = true;
-  /// LRU entry capacity of the cache (--prefix-cache-capacity).
+  /// LRU entry capacity of the prefix cache (--prefix-cache-capacity);
+  /// 0 = no cache (--prefix-cache 0). The cache observes each prompt
+  /// once and forks it per draw: forecasts stay bit-identical, and only
+  /// redundant prompt replay work is removed.
   int prefix_cache_capacity = 64;
   /// Externally shared cache (serve-sim wires one across all requests of
   /// a method); overrides per-forecaster cache creation when set.

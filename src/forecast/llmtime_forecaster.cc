@@ -13,7 +13,7 @@ LlmTimeForecaster::LlmTimeForecaster(const LlmTimeOptions& options)
     : options_(options) {
   if (options_.shared_prefix_cache != nullptr) {
     prefix_cache_ = options_.shared_prefix_cache;
-  } else if (options_.prefix_cache) {
+  } else if (options_.prefix_cache_capacity > 0) {
     prefix_cache_ =
         std::make_shared<lm::PrefixCache>(options_.prefix_cache_capacity);
   }
@@ -47,7 +47,7 @@ Result<ForecastResult> LlmTimeForecaster::Forecast(const ts::Frame& history,
   base.backend = options_.backend;
   // One cache across all dimensions and Forecast calls: the inner
   // pipelines never build their own.
-  base.prefix_cache = false;
+  base.prefix_cache_capacity = 0;
   base.shared_prefix_cache = prefix_cache_;
   // Cross-request draw tries only on a cache the caller shares.
   base.cache_draw_tries = options_.shared_prefix_cache != nullptr;

@@ -36,13 +36,12 @@ struct LlmTimeOptions {
   /// owned; same contract as MultiCastOptions::backend).
   lm::LlmBackend* backend = nullptr;
   /// Prefix-cached decoding, same semantics as
-  /// MultiCastOptions::prefix_cache. One cache is shared by all
-  /// per-dimension pipelines (and across Forecast calls), so dimensions
-  /// with equal serialized prompts — and rolling windows — reuse frozen
-  /// prompt states. Bit-identical output either way.
-  bool prefix_cache = true;
+  /// MultiCastOptions::prefix_cache_capacity (0 = no cache). One cache is
+  /// shared by all per-dimension pipelines (and across Forecast calls),
+  /// so dimensions with equal serialized prompts reuse frozen prompt
+  /// states. Bit-identical output either way.
   size_t prefix_cache_capacity = 64;
-  /// Externally shared cache; overrides `prefix_cache` when set.
+  /// Externally shared cache; overrides `prefix_cache_capacity` when set.
   std::shared_ptr<lm::PrefixCache> shared_prefix_cache;
   /// Shared continuous-batching scheduler, forwarded into every
   /// per-dimension pipeline (same semantics as

@@ -523,7 +523,7 @@ MultiCastForecaster::MultiCastForecaster(const MultiCastOptions& options)
   options_.scaler.digits = options_.digits;
   if (options_.shared_prefix_cache != nullptr) {
     prefix_cache_ = options_.shared_prefix_cache;
-  } else if (options_.prefix_cache) {
+  } else if (options_.prefix_cache_capacity > 0) {
     prefix_cache_ =
         std::make_shared<lm::PrefixCache>(options_.prefix_cache_capacity);
   }

@@ -76,21 +76,21 @@ struct MultiCastOptions {
   /// that reports a call's latency only through last_latency_seconds()
   /// is still charged it.
   lm::LlmBackend* backend = nullptr;
-  /// Prefix-cached decoding (lm/prefix_cache.h): the pipeline observes
-  /// each prompt once into a frozen model state and every draw forks a
-  /// copy-on-write session off it, instead of replaying the prompt
-  /// token-by-token per sample. Output is bit-identical with the cache
-  /// on or off — only redundant replay work disappears. Applies to the
-  /// internally built SimulatedLlm only; an externally injected
-  /// `backend` owns its own state and is never cached here.
-  bool prefix_cache = true;
-  /// Entry capacity of the internally owned cache (LRU beyond it). With
-  /// rolling-origin evaluation each window's prompt lands in one entry,
-  /// so the default comfortably covers a sweep.
+  /// Entry capacity of the internally owned prefix cache
+  /// (lm/prefix_cache.h; LRU beyond it); 0 = no cache. With a cache the
+  /// pipeline observes each prompt once into a frozen model state and
+  /// every draw forks a copy-on-write session off it, instead of
+  /// replaying the prompt token-by-token per sample. Output is
+  /// bit-identical with the cache on or off — only redundant replay work
+  /// disappears. Applies to the internally built SimulatedLlm only; an
+  /// externally injected `backend` owns its own state and is never
+  /// cached here. With rolling-origin evaluation each window's prompt
+  /// lands in one entry, so the default comfortably covers a sweep.
   size_t prefix_cache_capacity = 64;
   /// Externally shared cache (one cache across serving requests, or
   /// LLMTime's per-dimension pipelines). When set it is used regardless
-  /// of `prefix_cache` and the forecaster owns no cache of its own.
+  /// of `prefix_cache_capacity` and the forecaster owns no cache of its
+  /// own.
   std::shared_ptr<lm::PrefixCache> shared_prefix_cache;
   /// With `shared_prefix_cache` set, the draws walk the draw trie its
   /// entry for the prompt keeps (lm::PrefixCache::DrawTrieFor), so every

@@ -55,7 +55,6 @@ NGramLanguageModel::NGramLanguageModel(size_t vocab_size,
   MC_CHECK(options_.max_order >= 1 && options_.max_order <= kMaxOrder);
   MC_CHECK(options_.backoff_boost >= 0.0);
   MC_CHECK(options_.uniform_mix >= 0.0 && options_.uniform_mix < 1.0);
-  MC_CHECK(options_.max_base_layers >= 1);
   if (pool_ == nullptr) {
     pool_ = std::make_shared<BlockPool>(PagedMemoryOptions{});
   }
@@ -80,7 +79,7 @@ void NGramLanguageModel::Reset() {
   observed_ = 0;
   window_ = 0;
   probes_valid_ = false;
-  paged_base_.clear();
+  paged_base_.reset();
   paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
   overflow_local_.clear();
   frozen_ = false;
@@ -128,16 +127,14 @@ NGramLanguageModel::CountsRef NGramLanguageModel::View(const Resolved& r) {
 
 NGramLanguageModel::CountsRef NGramLanguageModel::LookupFrozenPaged(
     uint64_t key, uint64_t hash) const {
-  for (auto it = paged_base_.rbegin(); it != paged_base_.rend(); ++it) {
-    PagedContextStore::Hole unused;
-    if (const std::byte* p = it->store->Find(key, hash, &unused)) {
-      if (!(LoadU16(p, kFlagsOffset) & kWideFlag)) return NarrowRef(p);
-      auto found = it->overflow->find(key);
-      MC_CHECK(found != it->overflow->end());
-      return WideRef(found->second);
-    }
-  }
-  return CountsRef{};
+  if (!paged_base_) return CountsRef{};
+  PagedContextStore::Hole unused;
+  const std::byte* p = paged_base_->store->Find(key, hash, &unused);
+  if (p == nullptr) return CountsRef{};
+  if (!(LoadU16(p, kFlagsOffset) & kWideFlag)) return NarrowRef(p);
+  auto found = paged_base_->overflow->find(key);
+  MC_CHECK(found != paged_base_->overflow->end());
+  return WideRef(found->second);
 }
 
 NGramLanguageModel::Resolved NGramLanguageModel::Resolve(
@@ -163,7 +160,7 @@ NGramLanguageModel::Resolved NGramLanguageModel::Resolve(
 NGramLanguageModel::ContextCounts* NGramLanguageModel::SeedOverlay(
     uint64_t key, const CountsRef& under, std::byte* claimed) {
   if (under.found && under.wide != nullptr) {
-    // Frozen entry already wide: the overlay copy is wide too, and its
+    // Base entry already wide: the overlay copy is wide too, and its
     // slot only carries the flag.
     ContextCounts& cc = overflow_local_[key];
     cc.next.assign(under.wide, under.wide + vocab_size_);
@@ -213,7 +210,7 @@ void NGramLanguageModel::BumpPaged(uint64_t key, const Resolved& r,
   ContextCounts* node = r.node;
   if (slot == nullptr && node == nullptr) {
     // First touch this session: claim a slot where the probe stopped,
-    // seeded from the frozen view.
+    // seeded from the base.
     slot = paged_local_->Insert(key, r.hole);
     node = SeedOverlay(key, r.under, slot);
   }
@@ -294,9 +291,9 @@ void NGramLanguageModel::IngestPaged(std::span<const token::TokenId> ids) {
         // touch order as they do one Observe at a time.
         std::byte* slot = paged_local_->Append(key);
         const CountsRef under =
-            paged_base_.empty()
-                ? CountsRef{}
-                : LookupFrozenPaged(key, PagedContextStore::HashKey(key));
+            paged_base_ ? LookupFrozenPaged(key,
+                                            PagedContextStore::HashKey(key))
+                        : CountsRef{};
         if (SeedOverlay(key, under, slot) != nullptr) slot = nullptr;
         records.push_back(Record{key, slot});
         cells[cell] = static_cast<uint32_t>(records.size());
@@ -318,15 +315,13 @@ void NGramLanguageModel::ResolveAll(Resolved* resolved) const {
   std::array<uint64_t, kMaxOrder + 1> keys;
   std::array<uint64_t, kMaxOrder + 1> hashes;
   // Every order's first cache miss at once: its index cell in the
-  // overlay and in each frozen store.
+  // overlay and in the base.
   for (int order = 0; order <= max_ctx; ++order) {
     const size_t o = static_cast<size_t>(order);
     keys[o] = ContextKey(order);
     hashes[o] = PagedContextStore::HashKey(keys[o]);
     paged_local_->Prefetch(hashes[o]);
-    for (const PagedLayer& layer : paged_base_) {
-      layer.store->Prefetch(hashes[o]);
-    }
+    if (paged_base_) paged_base_->store->Prefetch(hashes[o]);
   }
   for (int order = 0; order <= max_ctx; ++order) {
     const size_t o = static_cast<size_t>(order);
@@ -404,37 +399,22 @@ std::vector<double> NGramLanguageModel::NextDistribution() const {
   return probs;
 }
 
-void NGramLanguageModel::CompactPagedBase() {
-  // Compact the frozen chain: the store-level MergeCompact shares
-  // (adopts) mostly-live blocks by refcount and copies only the rest —
-  // copy-on-write at block granularity. A wide entry's flagged slot
-  // shadows lower layers like any other, and an entry never narrows
-  // again, so the newest overflow entry of each key is the one the
-  // merged store's flag points at.
-  std::vector<std::shared_ptr<const PagedContextStore>> stores;
-  auto overflow = std::make_shared<Table>();
-  for (const PagedLayer& layer : paged_base_) {
-    stores.push_back(layer.store);
-    for (const auto& [key, cc] : *layer.overflow) (*overflow)[key] = cc;
-  }
-  auto merged = PagedContextStore::MergeCompact(stores, pool_);
-  paged_base_.assign(1, PagedLayer{std::move(merged), std::move(overflow)});
-}
-
 void NGramLanguageModel::Freeze() {
   probes_valid_ = false;
   if (frozen_) return;
+  // A model holds one base at most: only a model that has none (a fresh,
+  // prompt-fed one) is frozen, never a fork.
+  MC_CHECK(!paged_base_);
   frozen_ = true;
   if (paged_local_->size() > 0) {
-    // Zero-copy transition: the overlay's blocks become the frozen
-    // layer's blocks; no payload moves.
-    paged_base_.push_back(PagedLayer{
+    // Zero-copy transition: the overlay's blocks become the base's
+    // blocks; no payload moves.
+    paged_base_ = PagedLayer{
         std::shared_ptr<const PagedContextStore>(std::move(paged_local_)),
-        std::make_shared<const Table>(std::move(overflow_local_))});
+        std::make_shared<const Table>(std::move(overflow_local_))};
     paged_local_ = std::make_unique<PagedContextStore>(pool_, SlotBytes());
     overflow_local_ = Table{};
   }
-  if (paged_base_.size() > options_.max_base_layers) CompactPagedBase();
 }
 
 std::unique_ptr<NGramLanguageModel> NGramLanguageModel::Fork() const {
@@ -443,14 +423,14 @@ std::unique_ptr<NGramLanguageModel> NGramLanguageModel::Fork() const {
       std::make_unique<NGramLanguageModel>(vocab_size_, options_, pool_);
   fork->observed_ = observed_;
   fork->window_ = window_;
-  // Block-granularity sharing: the fork's refcounts on the frozen
-  // stores (and, transitively, their blocks) are the entire copy.
+  // Block-granularity sharing: the fork's refcounts on the base's store
+  // (and, transitively, its blocks) are the entire copy.
   fork->paged_base_ = paged_base_;
   return fork;
 }
 
 size_t NGramLanguageModel::num_entries() const {
-  // Effective view: topmost layer wins per key.
+  // Effective view: the overlay's entry of a key shadows the base's.
   std::unordered_map<uint64_t, uint32_t> effective;
   auto fold = [&](const PagedContextStore* store, const Table& overflow) {
     store->ForEach([&](uint64_t key, const std::byte* p) {
@@ -459,9 +439,7 @@ size_t NGramLanguageModel::num_entries() const {
     });
     for (const auto& [key, cc] : overflow) effective[key] = cc.types;
   };
-  for (const PagedLayer& layer : paged_base_) {
-    fold(layer.store.get(), *layer.overflow);
-  }
+  if (paged_base_) fold(paged_base_->store.get(), *paged_base_->overflow);
   fold(paged_local_.get(), overflow_local_);
   size_t n = 0;
   for (const auto& [key, types] : effective) {
@@ -513,22 +491,11 @@ MemoryFootprint NGramLanguageModel::ApproxMemoryBytes() const {
   MemoryFootprint fp;
   fp.overlay_bytes =
       paged_local_->MemoryBytes() + OverflowBytes(overflow_local_);
-  for (const PagedLayer& layer : paged_base_) {
-    fp.base_bytes += layer.store->MemoryBytes();
-    fp.base_bytes += OverflowBytes(*layer.overflow);
+  if (paged_base_) {
+    fp.base_bytes = paged_base_->store->MemoryBytes() +
+                    OverflowBytes(*paged_base_->overflow);
   }
   return fp;
-}
-
-void NGramLanguageModel::TallyMemory(MemoryTally* tally) const {
-  tally->bytes += ApproxMemoryBytes().overlay_bytes;
-  // Frozen layers are shared; count each identity once across the tally.
-  for (const PagedLayer& layer : paged_base_) {
-    if (tally->seen.insert(layer.store.get()).second) {
-      tally->bytes +=
-          layer.store->MemoryBytes() + OverflowBytes(*layer.overflow);
-    }
-  }
 }
 
 }  // namespace lm

@@ -15,40 +15,41 @@
 // entire support).
 //
 // Freeze()/Fork() are the simulated analogue of KV/prefix caching: a
-// model that has observed a prompt is frozen into an immutable,
+// fresh model that has observed a prompt is frozen into an immutable,
 // shareable base, and each decode session forks a cheap copy-on-write
 // overlay on top of it. A fork fed the same tokens as a fresh model
 // produces bit-identical distributions, so caching removes redundant
 // prompt replay and never changes output (see lm/prefix_cache.h).
 //
-// Counts are layered to support Freeze()/Fork(): frozen layers are
-// immutable and shared by reference between forks; each live session
-// writes only its own overlay layer. The first write to a context key
-// copies that key's full entry from the frozen view into the overlay
-// (vocab <= 31, so a copy is at most 31 counters), after which reads
-// and increments hit the overlay copy — byte-for-byte the same integers
-// a monolithic model would hold, so every downstream float op is
-// bit-identical.
+// Counts are layered to support Freeze()/Fork(): a model holds at most
+// one frozen base, immutable and shared by reference between forks, and
+// each live session writes only its own overlay. A fork is never frozen
+// in turn, so there is no chain of frozen layers to walk or compact.
+// The first write to a context key copies that key's full entry from
+// the base into the overlay (vocab <= 31, so a copy is at most 31
+// counters), after which reads and increments hit the overlay copy —
+// byte-for-byte the same integers a monolithic model would hold, so
+// every downstream float op is bit-identical.
 //
-// Every layer is one PagedContextStore (lm/paged_store.h; context keys
-// already encode their order), counts packed as u16 in fixed-size slots
-// drawn from refcounted pool blocks. An entry whose counts outgrow u16
-// keeps its slot, flagged wide, and holds its counts in the layer's
-// overflow map of u32 counts — the same integers, so output does not
-// depend on where an entry lives. A model given no pool builds itself a
-// private unbounded one, which its forks share.
+// Base and overlay are each one PagedContextStore (lm/paged_store.h;
+// context keys already encode their order), counts packed as u16 in
+// fixed-size slots drawn from refcounted pool blocks. An entry whose
+// counts outgrow u16 keeps its slot, flagged wide, and holds its counts
+// in its layer's overflow map of u32 counts — the same integers, so
+// output does not depend on where an entry lives. A model given no pool
+// builds itself a private unbounded one, which its forks share.
 //
 // One decode step (NextDistribution, sample, Observe) costs one probe
-// per context order and layer: the conditioning window
-// is one packed 64-bit word, so each order's key is a shift and a mask,
-// and NextDistribution on a mutable session records where every order's
-// key resolved (overlay slot or node, or overlay miss plus the frozen
-// entry) for the Observe that directly follows to write through. An
-// overlay miss also records the empty index cell it stopped at,
-// so the insert that follows resumes there instead of probing again;
-// ReserveDecode sizes the overlay index for a whole generation before
-// the session decodes, so that the index does not grow (and rehash)
-// mid-draw.
+// per context order in the overlay, and one in the base on an overlay
+// miss: the conditioning window is one packed 64-bit word, so each
+// order's key is a shift and a mask, and NextDistribution on a mutable
+// session records where every order's key resolved (overlay slot or
+// node, or overlay miss plus the base's entry) for the Observe that
+// directly follows to write through. An overlay miss also records the
+// empty index cell it stopped at, so the insert that follows resumes
+// there instead of probing again; ReserveDecode sizes the overlay index
+// for a whole generation before the session decodes, so that the index
+// does not grow (and rehash) mid-draw.
 //
 // Prompt ingest (ObserveAll) into a session whose overlay is still
 // empty (a fresh model, or a fork over a frozen base) is one bulk build
@@ -64,9 +65,9 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "lm/paged_store.h"
@@ -86,12 +87,6 @@ struct NGramOptions {
   /// Probability mass mixed in from the uniform distribution at the end
   /// (decoder noise floor). Must be in [0, 1).
   double uniform_mix = 1e-4;
-  /// Frozen layers a fork chain may accumulate before Freeze() compacts
-  /// them into one; bounds the per-lookup layer walk for long chains
-  /// (e.g. rolling windows forked off forked prefixes). Must be >= 1.
-  /// Storage-only: does not affect model output, so it is excluded from
-  /// the model fingerprint.
-  size_t max_base_layers = 4;
 };
 
 /// Estimated resident bytes of one model, split the way the paged
@@ -102,15 +97,6 @@ struct MemoryFootprint {
   size_t overlay_bytes = 0;
   size_t base_bytes = 0;
   size_t total() const { return overlay_bytes + base_bytes; }
-};
-
-/// Deduplicating byte tally: shared frozen layers are counted once no
-/// matter how many models (e.g. PrefixCache entries and their forks)
-/// reference them. `seen` holds the identity of each shared object
-/// already counted.
-struct MemoryTally {
-  size_t bytes = 0;
-  std::unordered_set<const void*> seen;
 };
 
 /// See file comment.
@@ -158,8 +144,9 @@ class NGramLanguageModel {
 
   /// Makes the current state immutable and shareable: all accumulated
   /// context becomes a frozen base that any number of Fork() sessions
-  /// (and threads) may read concurrently. Idempotent. Reset()
-  /// un-freezes into an empty model.
+  /// (and threads) may read concurrently. Idempotent. Only a model with
+  /// no base (a fresh or Reset() one) may be frozen: freezing a fork is
+  /// a checked error. Reset() un-freezes into an empty model.
   void Freeze();
 
   bool frozen() const { return frozen_; }
@@ -172,24 +159,16 @@ class NGramLanguageModel {
   /// Estimated resident bytes (see MemoryFootprint).
   MemoryFootprint ApproxMemoryBytes() const;
 
-  /// Adds this model's resident bytes into `tally`, counting shared
-  /// frozen layers only once across all models tallied into the same
-  /// MemoryTally (the PrefixCache's true-resident-bytes accounting).
-  void TallyMemory(MemoryTally* tally) const;
-
   const NGramOptions& options() const { return options_; }
 
   /// Number of distinct (context, next) pairs currently counted, across
-  /// all orders, in the effective (layer-merged) view. Exposed for tests
-  /// and capacity diagnostics.
+  /// all orders, in the effective (base-and-overlay) view. Exposed for
+  /// tests and capacity diagnostics.
   size_t num_entries() const;
 
   /// Longest supported context order: 12 tokens of 5 bits plus the
   /// 4-bit order tag fill a 64-bit key.
   static constexpr int kMaxOrder = 12;
-
-  /// Number of frozen base layers under this session (tests only).
-  size_t num_base_layers() const { return paged_base_.size(); }
 
   /// One context key of the session's private overlay, as held.
   struct OverlayEntry {
@@ -215,11 +194,11 @@ class NGramLanguageModel {
   };
   using Table = std::unordered_map<uint64_t, ContextCounts>;
 
-  // One frozen layer: its store plus the overflow map of its wide
-  // (u16-saturated) entries, each flagged in the store. An entry
-  // shadows any entry with the same key in lower layers — it was copied
-  // from the effective view when first touched, so it is always the
-  // complete, current state of its key.
+  // The frozen base: its store plus the overflow map of its wide
+  // (u16-saturated) entries, each flagged in the store. An overlay
+  // entry shadows the base's entry of the same key — it was copied from
+  // the base when first touched, so it is always the complete, current
+  // state of its key.
   struct PagedLayer {
     std::shared_ptr<const PagedContextStore> store;
     std::shared_ptr<const Table> overflow;
@@ -243,9 +222,9 @@ class NGramLanguageModel {
 
   // Where one context key resolved: in this session's overlay (a narrow
   // slot, or a node — an overflow entry), else an overlay miss plus the
-  // frozen view (`under`, not found when no frozen layer holds the key
-  // either). An overlay miss also records where the key's insert goes
-  // (`hole`).
+  // base's entry (`under`, not found when there is no base or it does
+  // not hold the key). An overlay miss also records where the key's
+  // insert goes (`hole`).
   struct Resolved {
     std::byte* slot = nullptr;
     ContextCounts* node = nullptr;
@@ -265,7 +244,7 @@ class NGramLanguageModel {
   // collide.
   uint64_t ContextKey(int order) const;
 
-  // One overlay-then-frozen lookup of `key`, whose index hash is `hash`.
+  // One overlay-then-base lookup of `key`, whose index hash is `hash`.
   // The overlay belongs to this mutable session, so the handles it
   // returns are writable.
   Resolved Resolve(uint64_t key, uint64_t hash) const;
@@ -274,13 +253,13 @@ class NGramLanguageModel {
   void ResolveAll(Resolved* resolved) const;
   // The interpolated distribution over the resolved orders.
   void Blend(const Resolved* resolved, std::vector<double>* out) const;
-  // Topmost frozen-layer entry for a key (not found: none).
+  // The base's entry for a key (not found: none).
   CountsRef LookupFrozenPaged(uint64_t key, uint64_t hash) const;
   // Counts `id` after the context `key`, which resolved to `r`;
   // an overlay miss is copied from `r.under` first.
   void BumpPaged(uint64_t key, const Resolved& r, token::TokenId id);
   // Seeds the first-touch overlay entry of `key` from `under`, the
-  // frozen view, into `claimed`, the slot the overlay store gave the key.
+  // base's entry, into `claimed`, the slot the overlay store gave it.
   // Returns the overflow entry holding the counts when `under` is wide
   // (`claimed` then only carries the flag), or null when they live in
   // `claimed`.
@@ -299,7 +278,6 @@ class NGramLanguageModel {
   size_t MaxNewKeys(size_t num_tokens) const;
 
   size_t SlotBytes() const;
-  void CompactPagedBase();
   // Malloc-model bytes of an overflow map (paged_store.h).
   static size_t OverflowBytes(const Table& table);
 
@@ -309,8 +287,8 @@ class NGramLanguageModel {
   size_t observed_ = 0;
   // The most recent max_order tokens, 5 bits each, newest lowest.
   uint64_t window_ = 0;
-  // Frozen base layers, bottom to top; shared read-only with every fork.
-  std::vector<PagedLayer> paged_base_;
+  // The frozen base, if any; shared read-only with every fork.
+  std::optional<PagedLayer> paged_base_;
   // This session's private overlay: its store and overflow map.
   std::unique_ptr<PagedContextStore> paged_local_;
   Table overflow_local_;

@@ -248,9 +248,8 @@ std::byte* PagedContextStore::Insert(uint64_t key) {
 
 std::byte* PagedContextStore::ClaimSlot(uint64_t key, uint32_t* block,
                                         uint32_t* slot) {
-  if (!tail_open_ || tail_used_ == span_) {
+  if (blocks_.empty() || tail_used_ == span_) {
     blocks_.push_back(pool_->Allocate(block_bytes_));
-    tail_open_ = true;
     tail_used_ = 0;
   }
   *block = static_cast<uint32_t>(blocks_.size() - 1);
@@ -318,89 +317,6 @@ void PagedContextStore::ForEach(
     if (id == 0) continue;
     fn(KeyArray(BlockOf(id))[SlotOf(id)], Payload(BlockOf(id), SlotOf(id)));
   }
-}
-
-uint32_t PagedContextStore::AdoptBlock(BlockRef block) {
-  blocks_.push_back(std::move(block));
-  tail_open_ = false;  // never append into an adopted block
-  const uint32_t index = static_cast<uint32_t>(blocks_.size() - 1);
-  MC_CHECK(index < (uint32_t{0xffffffff} >> slot_bits_));  // id fits 32 bits
-  return index;
-}
-
-std::shared_ptr<PagedContextStore> PagedContextStore::MergeCompact(
-    const std::vector<std::shared_ptr<const PagedContextStore>>& layers,
-    const std::shared_ptr<BlockPool>& pool) {
-  MC_CHECK(!layers.empty());
-  const size_t slot_bytes = layers.front()->slot_bytes_;
-  for (const auto& layer : layers) MC_CHECK(layer->slot_bytes_ == slot_bytes);
-
-  // Effective view: newest layer wins per key. Values identify the
-  // winning (layer, block, slot) so the adoption pass can tell live
-  // slots from shadowed ones.
-  struct Where {
-    size_t layer;
-    uint32_t block;
-    uint32_t slot;
-  };
-  std::unordered_map<uint64_t, Where> merged;
-  for (size_t li = 0; li < layers.size(); ++li) {
-    const PagedContextStore& layer = *layers[li];
-    for (uint32_t id : layer.index_) {
-      if (id == 0) continue;
-      const uint32_t block = static_cast<uint32_t>(layer.BlockOf(id));
-      const uint32_t slot = static_cast<uint32_t>(layer.SlotOf(id));
-      merged[layer.KeyArray(block)[slot]] = Where{li, block, slot};
-    }
-  }
-
-  auto out = std::make_shared<PagedContextStore>(pool, slot_bytes);
-
-  // Adoption pass: share any block at least half of whose slot capacity
-  // is still live in the merged view — refcount up, no payload copy.
-  // The dead slots ride along as unindexed waste; below half-live the
-  // waste outweighs the saved copy and the block's survivors are copied
-  // into fresh, dense blocks instead.
-  std::unordered_map<uint64_t, char> handled;
-  handled.reserve(merged.size());
-  for (size_t li = 0; li < layers.size(); ++li) {
-    const PagedContextStore& layer = *layers[li];
-    if (layer.span_ != out->span_) continue;  // span mismatch: copy path
-    for (uint32_t b = 0; b < layer.blocks_.size(); ++b) {
-      // Count live slots: indexed in this layer AND winning in merged.
-      size_t live = 0;
-      const size_t used = (layer.tail_open_ && b + 1 == layer.blocks_.size())
-                              ? layer.tail_used_
-                              : layer.span_;
-      std::vector<uint32_t> live_slots;
-      for (uint32_t s = 0; s < used; ++s) {
-        const uint64_t key = layer.KeyArray(b)[s];
-        auto it = merged.find(key);
-        if (it == merged.end()) continue;
-        const Where& w = it->second;
-        if (w.layer == li && w.block == b && w.slot == s &&
-            handled.find(key) == handled.end()) {
-          live_slots.push_back(s);
-          ++live;
-        }
-      }
-      if (live * 2 < layer.span_) continue;
-      const uint32_t nb = out->AdoptBlock(layer.blocks_[b]);
-      for (uint32_t s : live_slots) {
-        const uint64_t key = layer.KeyArray(b)[s];
-        out->IndexSlot(key, nb, s, Hole{});
-        handled[key] = 1;
-      }
-    }
-  }
-
-  // Copy pass: everything not adopted goes into fresh dense blocks.
-  for (const auto& [key, w] : merged) {
-    if (handled.find(key) != handled.end()) continue;
-    std::memcpy(out->Insert(key), layers[w.layer]->Payload(w.block, w.slot),
-                slot_bytes);
-  }
-  return out;
 }
 
 }  // namespace lm

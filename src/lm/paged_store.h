@@ -1,13 +1,12 @@
 // Paged session memory: block-allocated, refcounted context storage.
 //
-// Every decode session layers a private copy-on-write overlay over
-// shared frozen base layers (ngram_model.h Freeze()/Fork()). The model
-// keeps every layer in the paged-KV analogue below, the one context
-// storage of the simulated back-ends: per-entry map nodes, each with a
-// separately heap-allocated count vector, would cost ~3x the bytes the
-// counts need, and at thousands of concurrent draws (the M4-style
-// many-series regime) overlay memory dominates long before the
-// scheduler saturates.
+// Every decode session layers a private copy-on-write overlay over at
+// most one shared frozen base (ngram_model.h Freeze()/Fork()). The model
+// keeps both in the paged-KV analogue below, the one context storage of
+// the simulated back-ends: per-entry map nodes, each with a separately
+// heap-allocated count vector, would cost ~3x the bytes the counts
+// need, and at thousands of concurrent draws (the M4-style many-series
+// regime) overlay memory dominates long before the scheduler saturates.
 //
 //   BlockPool         — the process-wide (or per-replica) authority for
 //                       fixed-size storage blocks: refcounted handles,
@@ -22,24 +21,20 @@
 //                       mapped to fixed-size payload slots packed into
 //                       pool blocks, with a flat open-addressed index
 //                       (4 bytes per cell) instead of per-entry map
-//                       nodes. Frozen stores are immutable and shared
-//                       by refcount; MergeCompact() collapses a layer
-//                       chain by *adopting* blocks whose slots survive
-//                       mostly unshadowed (refcount bump, zero copy)
-//                       and copying only conflicted slots — copy-on-
-//                       write at block granularity.
+//                       nodes. A frozen store is immutable and shared
+//                       by refcount with every fork of its model.
 //
 // Who copies what (the COW contract, mirrored in DESIGN.md §5k):
-//   * A fork shares every frozen block by refcount. Writing a context
+//   * A fork shares its base's blocks by refcount. Writing a context
 //     key copies that key's slot (never the block, never the layer)
 //     into the fork's private overlay store — byte-for-byte the same
 //     integers a monolithic model would hold, so all downstream float
 //     math is bit-identical.
-//   * Freeze() moves the overlay's blocks into a frozen layer without
-//     copying; compaction adopts or copies per block (see above).
-//   * Blocks return to the pool freelist only when the last layer
-//     holding them dies — evicting a cached prefix while live forks
-//     still share its layers frees nothing until those forks finish.
+//   * Freeze() moves the overlay's blocks into the frozen base without
+//     copying.
+//   * Blocks return to the pool freelist only when the last holder of
+//     their store dies — evicting a cached prompt while live forks still
+//     share its base frees nothing until those forks finish.
 //
 // The block cap is a pressure budget, not a hard limit: a pool at or
 // past it still hands out the block, so decode never fails mid-token
@@ -285,21 +280,10 @@ class PagedContextStore {
   /// array, both through the shared malloc model.
   size_t MemoryBytes() const;
 
-  /// Every live (indexed) entry, in index order. Adopted blocks may
-  /// contain shadowed slots; those are dead and not visited.
+  /// Every live (indexed) entry, in index order.
   void ForEach(
       const std::function<void(uint64_t key, const std::byte* payload)>& fn)
       const;
-
-  /// Collapses `layers` (bottom to top; later layers shadow earlier
-  /// ones per key) into one store drawing fresh blocks from `pool`.
-  /// Copy-on-write at block granularity: a block at least half of whose
-  /// slots are unshadowed is *adopted* — its refcount rises, its live
-  /// slots are re-indexed, and no payload is copied; other blocks have
-  /// their live slots copied into fresh blocks.
-  static std::shared_ptr<PagedContextStore> MergeCompact(
-      const std::vector<std::shared_ptr<const PagedContextStore>>& layers,
-      const std::shared_ptr<BlockPool>& pool);
 
  private:
   uint64_t* KeyArray(size_t block);
@@ -328,8 +312,6 @@ class PagedContextStore {
   /// `hole` is as in Insert(key, hole); a default Hole means "probe".
   void IndexSlot(uint64_t key, uint32_t block, uint32_t slot,
                  const Hole& hole);
-  /// Adopts `block` (shared, no copy); returns its index in blocks_.
-  uint32_t AdoptBlock(BlockRef block);
 
   std::shared_ptr<BlockPool> pool_;
   size_t slot_bytes_;
@@ -338,11 +320,8 @@ class PagedContextStore {
   int slot_bits_ = 0;
   size_t block_bytes_;
   std::vector<BlockRef> blocks_;
-  /// Slots used in the *tail* block (fresh inserts append there);
-  /// adopted blocks are never appended into.
+  /// Slots used in the tail block, where inserts append.
   size_t tail_used_ = 0;
-  /// True while blocks_.back() is a fresh (appendable) block.
-  bool tail_open_ = false;
   /// Open-addressed index: cell = 1 + (block << slot_bits_ | slot);
   /// 0 = empty. Sized to a power of two, grown at 70% load.
   std::vector<uint32_t> index_;

@@ -1,20 +1,22 @@
 // Prefix cache for simulated decode sessions — the KV-cache analogue.
 //
-// MultiCast draws n samples per forecast (Sec. III-B) and rolling-origin
-// evaluation re-feeds near-identical prompts window after window, so the
-// naive pipeline ingests each prompt O(n × windows) times. This cache
-// stores *frozen* model states keyed by (model fingerprint, prompt
-// tokens): the prompt is observed once into an immutable base, and
-// every subsequent draw forks a cheap copy-on-write session off it
-// (see lm/ngram_model.h). A lookup that finds only a shorter cached
-// prefix forks that entry, replays just the suffix, and caches the
-// extended state — longest-prefix reuse, exactly how paged KV caches
-// share common prompt prefixes.
+// MultiCast draws n samples per forecast (Sec. III-B), and a serving
+// fleet sees the same feed's prompt request after request, so the naive
+// pipeline ingests each prompt once per draw. This cache stores *frozen*
+// model states keyed by (model fingerprint, prompt tokens): the prompt
+// is observed once into an immutable base, and every subsequent draw
+// forks a cheap copy-on-write session off it (see lm/ngram_model.h).
+//
+// It matches whole prompts only. Every forecast serializes values
+// rescaled by a fit over its own history, so a later window's prompt is
+// re-serialized from its first token and does not extend an earlier
+// one: a prompt that extends a cached one is a plain miss, built from
+// scratch like any other.
 //
 // Correctness contract: forks are bit-identical to a fresh model fed the
 // same tokens, so enabling the cache never changes any output — it only
 // removes redundant prompt replay. Matching is byte-exact on the token
-// sequence (hashes are an index, not the authority).
+// sequence (the hash is an index, not the authority).
 //
 // Thread safety: all public methods are safe to call concurrently; one
 // mutex guards the index, including state construction on a miss, which
@@ -28,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -51,20 +52,18 @@ struct PrefixCacheStats {
   size_t lookups = 0;
   /// Prompt matched a cached entry exactly; zero tokens replayed.
   size_t full_hits = 0;
-  /// A shorter cached prefix was extended by suffix replay.
-  size_t prefix_hits = 0;
-  /// No cached prefix matched at all.
+  /// No cached entry held the prompt; all its tokens were replayed.
   size_t misses = 0;
   size_t insertions = 0;
   size_t evictions = 0;
   /// Prompt tokens presented across all lookups.
   size_t prompt_tokens_seen = 0;
-  /// Of those, tokens whose state came from a cached prefix.
+  /// Of those, tokens whose state came from a cached entry.
   size_t prompt_tokens_reused = 0;
   /// Of those, tokens that had to be observed (replayed) anew.
   size_t prompt_tokens_replayed = 0;
 
-  size_t hits() const { return full_hits + prefix_hits; }
+  size_t hits() const { return full_hits; }
 
   PrefixCacheStats& operator+=(const PrefixCacheStats& other);
   /// Element-wise difference, for before/after snapshots (per-request
@@ -84,17 +83,15 @@ class PrefixCache {
   using ModelFactory = std::function<std::unique_ptr<NGramLanguageModel>()>;
 
   /// `capacity` is the maximum number of cached frozen states (LRU
-  /// beyond that). 0 disables the cache entirely: every AcquireSession
-  /// is a counted miss served by a fresh full-replay session, Warm is a
-  /// no-op, and nothing is ever stored — the off switch for A/B runs
-  /// and for cacheless cluster replicas.
+  /// beyond that); it must be at least 1. A pipeline without a cache
+  /// holds no PrefixCache at all.
   explicit PrefixCache(size_t capacity = 64);
 
   /// Returns a mutable decode session whose state equals a fresh model
-  /// from `fresh` fed all of `prompt`. Reuses the longest cached prefix
-  /// (full hit: fork only; partial: fork + suffix replay; miss: build
-  /// from scratch), caching the full-prompt state on the way. `fresh`
-  /// must produce an empty model matching `fingerprint`.
+  /// from `fresh` fed all of `prompt`: a fork of the entry holding
+  /// exactly `prompt` (a hit), or of a state built from scratch and
+  /// cached on the way (a miss). `fresh` must produce an empty model
+  /// matching `fingerprint`.
   std::unique_ptr<NGramLanguageModel> AcquireSession(
       uint64_t fingerprint, const std::vector<token::TokenId>& prompt,
       const ModelFactory& fresh);
@@ -123,11 +120,9 @@ class PrefixCache {
   size_t size() const;
   PrefixCacheStats stats() const;
 
-  /// True resident bytes of the cache: stored prompt token vectors,
-  /// the entries' draw tries, PLUS every cached model state, with frozen
-  /// layers shared between entries (longest-prefix extension chains,
-  /// paged block sharing) counted once via
-  /// NGramLanguageModel::TallyMemory. Thread-safe.
+  /// Resident bytes of the cache: per entry, its stored prompt token
+  /// vector, its draw trie and its model state (each entry's frozen base
+  /// is its own). Thread-safe.
   size_t bytes() const;
 
   /// What the entries' draw tries hold and saved. Kept out of
@@ -154,7 +149,7 @@ class PrefixCache {
  private:
   struct Key {
     uint64_t fingerprint = 0;
-    uint64_t hash = 0;  // rolling hash of the full stored prompt
+    uint64_t hash = 0;  // FNV-1a of the whole prompt
     size_t length = 0;
     bool operator==(const Key& other) const {
       return fingerprint == other.fingerprint && hash == other.hash &&
@@ -174,42 +169,29 @@ class PrefixCache {
     std::list<Key>::iterator lru;
   };
 
-  // Rolling hashes of every prompt prefix: hashes[i] covers prompt[0,i).
-  static std::vector<uint64_t> PrefixHashes(
-      const std::vector<token::TokenId>& prompt);
-
-  // Longest cached byte-exact prefix of `prompt`, or null. Touches LRU.
-  Entry* LookupLocked(uint64_t fingerprint,
-                      const std::vector<token::TokenId>& prompt,
-                      const std::vector<uint64_t>& hashes);
-  // The disabled cache's lookup: a counted miss served by a fresh
-  // session fed the whole prompt.
-  std::unique_ptr<NGramLanguageModel> ReplayLocked(
-      const std::vector<token::TokenId>& prompt, const ModelFactory& fresh);
-  // Shared frozen state for the full prompt; the AcquireSession / Warm
-  // bodies of an enabled cache minus the final fork.
+  // The key of `prompt` under `fingerprint`; computed outside the lock.
+  static Key KeyOf(uint64_t fingerprint,
+                   const std::vector<token::TokenId>& prompt);
+  // The entry holding exactly `prompt` (whose key is `key`), or null.
+  // Neither counts nor touches the LRU.
+  Entry* FindLocked(const Key& key, const std::vector<token::TokenId>& prompt);
+  // Shared frozen state for the prompt; the AcquireSession / Warm bodies
+  // minus the final fork.
   std::shared_ptr<const NGramLanguageModel> EnsureLocked(
-      uint64_t fingerprint, const std::vector<token::TokenId>& prompt,
+      const Key& key, const std::vector<token::TokenId>& prompt,
       const ModelFactory& fresh);
-  void InsertLocked(uint64_t fingerprint,
-                    const std::vector<token::TokenId>& prompt,
-                    uint64_t full_hash,
+  void InsertLocked(const Key& key, const std::vector<token::TokenId>& prompt,
                     std::shared_ptr<const NGramLanguageModel> model);
   void EvictLocked();
   // Books a dropped entry's trie steps into retired_trie_steps_.
   void RetireTrieLocked(const Entry& entry);
   void TouchLocked(Entry* entry);
-  void EraseIndexLocked(const Key& key);
 
   const size_t capacity_;
   mutable std::mutex mu_;
   std::unordered_map<Key, Entry, KeyHasher> entries_;  // guarded by mu_
   // Most-recently-used at the front.
   std::list<Key> lru_;  // guarded by mu_
-  // Per-fingerprint stored prompt lengths (multiset as length -> count),
-  // so lookups probe only lengths that exist, longest first.
-  std::unordered_map<uint64_t, std::map<size_t, size_t>>
-      lengths_;  // guarded by mu_
   PrefixCacheStats stats_;  // guarded by mu_
   // Trie steps of entries already dropped.
   size_t retired_trie_steps_ = 0;  // guarded by mu_

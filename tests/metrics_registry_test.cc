@@ -460,8 +460,7 @@ TEST(MetricsViewTest, RetryStatsRoundTrips) {
 TEST(MetricsViewTest, PrefixCacheStatsRoundTrips) {
   lm::PrefixCacheStats s;
   s.lookups = 12;
-  s.full_hits = 5;
-  s.prefix_hits = 4;
+  s.full_hits = 9;
   s.misses = 3;
   s.insertions = 7;
   s.evictions = 2;
@@ -471,10 +470,9 @@ TEST(MetricsViewTest, PrefixCacheStatsRoundTrips) {
   MetricsRegistry registry;
   lm::PublishPrefixCacheStats(s, &registry, "prefix_cache.");
   const MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.points().size(), 9u);
+  EXPECT_EQ(snapshot.points().size(), 8u);
   ExpectPoints(snapshot, {{"prefix_cache.lookups", kC, 12},
-                          {"prefix_cache.full_hits", kC, 5},
-                          {"prefix_cache.prefix_hits", kC, 4},
+                          {"prefix_cache.full_hits", kC, 9},
                           {"prefix_cache.misses", kC, 3},
                           {"prefix_cache.insertions", kC, 7},
                           {"prefix_cache.evictions", kC, 2},

@@ -278,13 +278,12 @@ TEST(MultiCastForecasterTest, SharedPrefixDrawsMatchUnsharedDecode) {
        token::Vocabulary::SaxDigital(5).ValueOrDie().size()},
       {"LLMTime", Quantization::kNone, multiplex::MuxKind::kValueConcat, 11},
   };
-  enum class Cache { kOn, kOff, kCapacityZero };
   for (const Pipeline& pipeline : pipelines) {
     for (int samples : {1, 5, 20}) {
-      for (Cache cache : {Cache::kOn, Cache::kOff, Cache::kCapacityZero}) {
+      for (bool cached : {true, false}) {
         for (bool chaos : {false, true}) {
           SCOPED_TRACE(pipeline.name + " n=" + std::to_string(samples) +
-                       " cache=" + std::to_string(static_cast<int>(cache)) +
+                       (cached ? " cached" : " uncached") +
                        (chaos ? " chaos" : ""));
           const lm::ModelProfile profile = lm::ModelProfile::Llama2_7B();
           lm::SimulatedLlm unshared(profile, pipeline.vocab);
@@ -310,8 +309,7 @@ TEST(MultiCastForecasterTest, SharedPrefixDrawsMatchUnsharedDecode) {
               opts.num_samples = samples;
               opts.faults = faults;
               opts.resilience = resilience;
-              opts.prefix_cache = cache != Cache::kOff;
-              opts.prefix_cache_capacity = cache == Cache::kOn ? 64 : 0;
+              opts.prefix_cache_capacity = cached ? 64 : 0;
               opts.batch_scheduler = scheduler;
               opts.backend = backend;
               return LlmTimeForecaster(opts).Forecast(frame, horizon);
@@ -323,8 +321,7 @@ TEST(MultiCastForecasterTest, SharedPrefixDrawsMatchUnsharedDecode) {
             opts.quantiles = {0.1, 0.9};
             opts.faults = faults;
             opts.resilience = resilience;
-            opts.prefix_cache = cache != Cache::kOff;
-            opts.prefix_cache_capacity = cache == Cache::kOn ? 64 : 0;
+            opts.prefix_cache_capacity = cached ? 64 : 0;
             opts.batch_scheduler = scheduler;
             opts.backend = backend;
             return MultiCastForecaster(opts).Forecast(frame, horizon);
@@ -508,29 +505,6 @@ TEST(MultiCastForecasterTest, ConcurrentForecastsShareOneCacheTrie) {
     EXPECT_GT(cache->draw_tries().nodes, 0u);
     EXPECT_GT(cache->draw_tries().steps, 0u);
   }
-}
-
-// A capacity-0 cache is off: the forecast is the uncached one, and the
-// cache replays the prompt once per draw, with no warm-up replay before
-// the draws fan out.
-TEST(MultiCastForecasterTest, CapacityZeroCacheReplaysOncePerDraw) {
-  const ts::Frame frame = PeriodicFrame(60);
-  MultiCastOptions opts;
-  opts.num_samples = 5;
-  opts.prefix_cache = false;
-  auto uncached = MultiCastForecaster(opts).Forecast(frame, 8);
-  opts.prefix_cache = true;
-  opts.prefix_cache_capacity = 0;
-  MultiCastForecaster disabled(opts);
-  auto result = disabled.Forecast(frame, 8);
-  ExpectSameForecast(uncached, result);
-  ASSERT_TRUE(result.ok());
-  const size_t prompt = result.value().ledger.prompt_tokens / 5;
-  const lm::PrefixCacheStats stats = disabled.prefix_cache()->stats();
-  EXPECT_EQ(stats.lookups, 5u);
-  EXPECT_EQ(stats.misses, 5u);
-  EXPECT_EQ(stats.prompt_tokens_replayed, 5 * prompt);
-  EXPECT_EQ(disabled.prefix_cache()->size(), 0u);
 }
 
 TEST(MultiCastForecasterTest, SaxUsesFarFewerTokens) {
@@ -756,10 +730,10 @@ TEST_P(ParallelIdentityTest, PrefixCacheIsOutputInvariant) {
   opts.seed = 1234;
   opts.quantiles = {0.1, 0.9};
 
-  opts.prefix_cache = false;
+  opts.prefix_cache_capacity = 0;
   auto uncached = MultiCastForecaster(opts).Forecast(frame, 12);
   ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
-  opts.prefix_cache = true;
+  opts.prefix_cache_capacity = 64;
   MultiCastForecaster forecaster(opts);
   ExpectSameForecast(uncached, forecaster.Forecast(frame, 12));
   // The cache actually engaged: the prompt was reused, not replayed.
@@ -779,10 +753,10 @@ TEST_P(ParallelIdentityTest, PrefixCacheIsOutputInvariantUnderChaos) {
   opts.faults = lm::FaultProfile::Chaos(0.2, 4242);
   opts.resilience.retries_enabled = true;
 
-  opts.prefix_cache = false;
+  opts.prefix_cache_capacity = 0;
   auto uncached = MultiCastForecaster(opts).Forecast(frame, 12);
   ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
-  opts.prefix_cache = true;
+  opts.prefix_cache_capacity = 64;
   ExpectSameForecast(uncached, MultiCastForecaster(opts).Forecast(frame, 12));
 }
 
@@ -820,7 +794,7 @@ TEST(PrefixCacheDegradationTest, DeadlineDegradationMatchesUncached) {
     MultiCastOptions opts;
     opts.num_samples = 8;
     opts.seed = 5;
-    opts.prefix_cache = cache;
+    opts.prefix_cache_capacity = cache ? 64 : 0;
     opts.faults = lm::FaultProfile::Chaos(0.1, 88);
     opts.resilience.retries_enabled = true;
     MultiCastForecaster forecaster(opts);
@@ -853,10 +827,10 @@ TEST(PrefixCacheLlmTimeTest, SharedDimensionCacheIsOutputInvariant) {
   opts.faults = lm::FaultProfile::Chaos(0.15, 31);
   opts.resilience.retries_enabled = true;
 
-  opts.prefix_cache = false;
+  opts.prefix_cache_capacity = 0;
   auto uncached = LlmTimeForecaster(opts).Forecast(frame, 12);
   ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
-  opts.prefix_cache = true;
+  opts.prefix_cache_capacity = 64;
   LlmTimeForecaster forecaster(opts);
   ExpectSameForecast(uncached, forecaster.Forecast(frame, 12));
   ASSERT_NE(forecaster.prefix_cache(), nullptr);
@@ -871,7 +845,7 @@ TEST(PrefixCacheSharingTest, ExternallySharedCacheIsOutputInvariant) {
   MultiCastOptions opts;
   opts.num_samples = 4;
   opts.seed = 11;
-  opts.prefix_cache = false;
+  opts.prefix_cache_capacity = 0;
   auto uncached = MultiCastForecaster(opts).Forecast(frame, 12);
   ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
 

@@ -170,33 +170,6 @@ TEST(NGramModelTest, MaxOrderTwelveSupported) {
   EXPECT_GT(p[0], 0.5);  // period-12 cycle continuation
 }
 
-TEST(NGramModelTest, MaxBaseLayersCompactsLongForkChains) {
-  // Fork chains deeper than max_base_layers compact into one layer;
-  // the option is storage-only, so output never changes with it.
-  NGramOptions tight;
-  tight.max_base_layers = 1;
-  NGramOptions loose;
-  loose.max_base_layers = 8;
-  auto tight_model = std::make_unique<NGramLanguageModel>(6, tight);
-  auto loose_model = std::make_unique<NGramLanguageModel>(6, loose);
-  for (int round = 0; round < 5; ++round) {
-    auto chunk = Repeat({0, 1, 2, 3, 4, 5}, 4 + round);
-    tight_model->ObserveAll(chunk);
-    loose_model->ObserveAll(chunk);
-    tight_model->Freeze();
-    loose_model->Freeze();
-    tight_model = tight_model->Fork();
-    loose_model = loose_model->Fork();
-  }
-  EXPECT_LE(tight_model->num_base_layers(), 1u);
-  EXPECT_EQ(loose_model->num_base_layers(), 5u);
-  EXPECT_EQ(tight_model->num_entries(), loose_model->num_entries());
-  std::vector<double> pt = tight_model->NextDistribution();
-  std::vector<double> pl = loose_model->NextDistribution();
-  ASSERT_EQ(pt.size(), pl.size());
-  for (size_t i = 0; i < pt.size(); ++i) EXPECT_EQ(pt[i], pl[i]);
-}
-
 // ---------------------------------------------------------------------------
 // Differential test of the decode step against the map reference
 // (reference_models.h).
@@ -243,12 +216,15 @@ void ExpectMatchesReference(const NGramLanguageModel& model,
 // (a private unbounded one) and on one drawing from the case's pool (its span
 // and cap): each step is a decode step (NextDistribution, whose result is
 // checked, then Observe), a run of 1-3 bare Observes with no read between them,
-// Freeze + Fork (the frozen parent kept alive and checked) or Reset, each of
-// the last two followed directly by a bare run. After every step each model's
-// distribution and num_entries() must equal the reference's exactly. The check
-// itself leaves a probe record, which the next step's first Observe consumes;
-// bare runs' later Observes and every Observe right after a fork or a reset
-// must probe afresh.
+// a fork or Reset, each of the last two followed directly by a bare run. A fork
+// freezes the session and forks it when the session has no base; a session
+// that is itself a fork is never frozen, so the fork step then builds a fresh
+// model from every token since the last reset (one ObserveAll, as the prefix
+// cache builds a missed prompt), freezes that and forks it. The frozen parent
+// is kept alive and checked. After every step each model's distribution and
+// num_entries() must equal the reference's exactly. The check itself leaves a
+// probe record, which the next step's first Observe consumes; bare runs' later
+// Observes and every Observe right after a fork or a reset must probe afresh.
 TEST_P(DecodeStepTest, MatchesMapReferenceUnderRandomCalls) {
   const DecodeStepCase& c = GetParam();
   for (bool own_pool : {false, true}) {
@@ -267,6 +243,14 @@ TEST_P(DecodeStepTest, MatchesMapReferenceUnderRandomCalls) {
     open_session();
     ReferenceNGram reference(c.vocab, c.options);
     std::vector<std::unique_ptr<NGramLanguageModel>> frozen;  // kept alive
+    // Tokens since the last reset, and whether the session is a fork.
+    std::vector<token::TokenId> history;
+    bool forked = false;
+    auto observe = [&](token::TokenId id) {
+      model->Observe(id);
+      reference.Observe(id);
+      history.push_back(id);
+    };
     Rng rng(1234 + c.vocab);
     token::TokenId lead = 0;
     size_t motif_at = 0;
@@ -286,11 +270,7 @@ TEST_P(DecodeStepTest, MatchesMapReferenceUnderRandomCalls) {
     };
     auto observe_run = [&] {
       const size_t run = 1 + rng.NextBounded(3);
-      for (size_t i = 0; i < run; ++i) {
-        const token::TokenId id = next_token();
-        model->Observe(id);
-        reference.Observe(id);
-      }
+      for (size_t i = 0; i < run; ++i) observe(next_token());
     };
     size_t forks = 0;
     for (size_t step = 0; step < c.steps; ++step) {
@@ -299,23 +279,29 @@ TEST_P(DecodeStepTest, MatchesMapReferenceUnderRandomCalls) {
         model->Reset();
         reference.Reset();
         frozen.clear();
+        history.clear();
+        forked = false;
         open_session();
         observe_run();
       } else if (u < c.reset_rate + c.fork_rate) {
-        model->Freeze();
-        std::unique_ptr<NGramLanguageModel> fork = model->Fork();
-        ExpectMatchesReference(*model, reference, step);  // frozen read
-        frozen.push_back(std::move(model));
+        std::unique_ptr<NGramLanguageModel> base = std::move(model);
+        if (forked) {
+          base = std::make_unique<NGramLanguageModel>(c.vocab, c.options, pool);
+          base->ObserveAll(history);
+        }
+        base->Freeze();
+        std::unique_ptr<NGramLanguageModel> fork = base->Fork();
+        ExpectMatchesReference(*base, reference, step);  // frozen read
+        frozen.push_back(std::move(base));
         if (frozen.size() > 3) frozen.erase(frozen.begin());
         model = std::move(fork);
+        forked = true;
         open_session();
         observe_run();
         ++forks;
       } else if (u < 0.6) {
         ExpectMatchesReference(*model, reference, step);
-        const token::TokenId id = next_token();
-        model->Observe(id);
-        reference.Observe(id);
+        observe(next_token());
       } else {
         observe_run();
       }
@@ -330,9 +316,6 @@ TEST_P(DecodeStepTest, MatchesMapReferenceUnderRandomCalls) {
     }
     if (own_pool && c.max_blocks > 0) {
       EXPECT_GT(pool->stats().exhaustion_events, 0u);
-    }
-    if (c.fork_rate > 0.1) {
-      EXPECT_LE(model->num_base_layers(), c.options.max_base_layers);
     }
   }
 }
@@ -358,14 +341,6 @@ std::vector<DecodeStepCase> DecodeStepCases() {
   capped.block_span = 4;
   capped.max_blocks = 6;
   cases.push_back(capped);
-
-  DecodeStepCase compact = base;
-  compact.name = "CompactionPastMaxBaseLayers";
-  compact.options.max_base_layers = 2;
-  compact.steps = 600;
-  compact.fork_rate = 0.15;
-  compact.reset_rate = 0.0;
-  cases.push_back(compact);
 
   DecodeStepCase wide_window = base;
   wide_window.name = "Order12Vocab31";

@@ -334,72 +334,13 @@ TEST(PagedContextStoreTest, AppendThenIndexMatchesInsertOneByOne) {
   EXPECT_NE(store.Find(5), nullptr);
 }
 
-TEST(PagedContextStoreTest, MergeCompactAdoptsFullBlocksWithoutCopy) {
-  auto pool = MakePool(/*block_span=*/4, /*max_blocks=*/0);
-  auto layer = std::make_shared<PagedContextStore>(pool, /*slot_bytes=*/8);
-  for (uint64_t k = 1; k <= 8; ++k) {  // exactly two full blocks
-    std::byte* slot = layer->Insert(k);
-    ASSERT_NE(slot, nullptr);
-    std::memcpy(slot, &k, sizeof(k));
-  }
-  const size_t live_before = pool->stats().blocks_live;
-  std::vector<std::shared_ptr<const PagedContextStore>> layers = {layer};
-  std::shared_ptr<PagedContextStore> merged =
-      PagedContextStore::MergeCompact(layers, pool);
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(merged->size(), 8u);
-  // Every slot survives unshadowed, so both blocks are adopted by
-  // refcount — no new allocation.
-  EXPECT_EQ(pool->stats().blocks_live, live_before);
-  EXPECT_EQ(merged->num_blocks(), 2u);
-  for (uint64_t k = 1; k <= 8; ++k) {
-    const std::byte* slot = merged->Find(k);
-    ASSERT_NE(slot, nullptr);
-    uint64_t v = 0;
-    std::memcpy(&v, slot, sizeof(v));
-    EXPECT_EQ(v, k);
-  }
-}
-
-TEST(PagedContextStoreTest, MergeCompactNewestWinsAndCopiesShadowed) {
-  auto pool = MakePool(/*block_span=*/8, /*max_blocks=*/0);
-  auto bottom = std::make_shared<PagedContextStore>(pool, /*slot_bytes=*/8);
-  for (uint64_t k = 1; k <= 8; ++k) {
-    std::byte* slot = bottom->Insert(k);
-    ASSERT_NE(slot, nullptr);
-    uint64_t v = 100 + k;
-    std::memcpy(slot, &v, sizeof(v));
-  }
-  auto top = std::make_shared<PagedContextStore>(pool, /*slot_bytes=*/8);
-  for (uint64_t k = 1; k <= 5; ++k) {  // shadows 5 of bottom's 8
-    std::byte* slot = top->Insert(k);
-    ASSERT_NE(slot, nullptr);
-    uint64_t v = 200 + k;
-    std::memcpy(slot, &v, sizeof(v));
-  }
-  std::vector<std::shared_ptr<const PagedContextStore>> layers = {bottom,
-                                                                  top};
-  std::shared_ptr<PagedContextStore> merged =
-      PagedContextStore::MergeCompact(layers, pool);
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(merged->size(), 8u);
-  for (uint64_t k = 1; k <= 8; ++k) {
-    const std::byte* slot = merged->Find(k);
-    ASSERT_NE(slot, nullptr);
-    uint64_t v = 0;
-    std::memcpy(&v, slot, sizeof(v));
-    // The top layer shadows the bottom for keys 1..5 (newest wins).
-    EXPECT_EQ(v, k <= 5 ? 200 + k : 100 + k) << "key " << k;
-  }
-}
-
 // The tentpole invariant: a paged model holds exactly the counts of the
 // map reference (reference_models.h), so every distribution is bit-
-// identical to its own — across observation, freeze/fork chains, base-
-// layer compaction, an exhausted pool budget and u16 promotion. The
-// exhaustion cases run on a caller's capped pool, the others both on a
-// model given no pool (a private unbounded one) and on one given a
-// caller's pool.
+// identical to its own — across observation, an exhausted pool budget
+// and u16 promotion (forks over a frozen base: ngram_model_test's
+// DecodeStepTest). The exhaustion case runs on a caller's capped pool,
+// the promotion case both on a model given no pool (a private unbounded
+// one) and on one given a caller's pool.
 
 void ExpectMatchesReference(const NGramLanguageModel& model,
                             const ReferenceNGram& reference) {
@@ -408,67 +349,6 @@ void ExpectMatchesReference(const NGramLanguageModel& model,
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i], want[i]) << "token " << i;
-  }
-}
-
-// Observes `rounds` x `per_round` tokens of `stream`, freezing and
-// forking after each round, and checks the model against the reference
-// every `check_every` tokens and at every round's end.
-void RunForkChain(std::unique_ptr<NGramLanguageModel>* model,
-                  ReferenceNGram* reference,
-                  const std::vector<token::TokenId>& stream, int rounds,
-                  int per_round, int check_every) {
-  size_t at = 0;
-  for (int round = 0; round < rounds; ++round) {
-    for (int i = 0; i < per_round; ++i, ++at) {
-      (*model)->Observe(stream[at]);
-      reference->Observe(stream[at]);
-      if (i % check_every == 0) ExpectMatchesReference(**model, *reference);
-    }
-    ExpectMatchesReference(**model, *reference);
-    (*model)->Freeze();
-    *model = (*model)->Fork();
-  }
-  ExpectMatchesReference(**model, *reference);
-}
-
-TEST(PagedModelIdentityTest, NGramMatchesPlainThroughForkChains) {
-  NGramOptions options;
-  options.max_base_layers = 2;  // the chain compacts aggressively
-  // A random stream, and one that passes the u16 ceiling early enough
-  // that several layers hold the same wide key when the chain compacts:
-  // their flagged slots and overflow maps go through the merge, and
-  // later rounds seed their overlays from the compacted wide entries.
-  struct Input {
-    size_t vocab;
-    std::vector<token::TokenId> stream;
-    int rounds;
-    int per_round;
-    int check_every;
-  };
-  std::vector<token::TokenId> wide = TokenStream(100000, 3, 5);
-  for (size_t i = 0; i < wide.size(); ++i) {
-    if (i % 100 != 0) wide[i] = 0;
-  }
-  const Input inputs[] = {{13, TokenStream(2400, 13, 7), 6, 400, 97},
-                          {3, wide, 10, 10000, 997}};
-  for (const Input& in : inputs) {
-    for (auto pool : {std::shared_ptr<BlockPool>(), MakePool(16, 0)}) {
-      SCOPED_TRACE(testing::Message()
-                   << "vocab " << in.vocab << ", "
-                   << (pool == nullptr ? "private pool" : "caller's pool"));
-      auto model =
-          std::make_unique<NGramLanguageModel>(in.vocab, options, pool);
-      ReferenceNGram reference(in.vocab, options);
-      RunForkChain(&model, &reference, in.stream, in.rounds, in.per_round,
-                   in.check_every);
-      EXPECT_EQ(model->num_entries(), reference.num_entries());
-      // Compaction really ran: the chain stays clamped.
-      EXPECT_LE(model->num_base_layers(), 2u);
-      if (in.vocab == 3) {
-        EXPECT_GT(reference.max_count(), 0xffffu);
-      }
-    }
   }
 }
 
@@ -622,11 +502,9 @@ struct IngestCase {
   int max_order;
   size_t block_span;
   size_t max_blocks;   // pool cap; 0 = uncapped
-  size_t base_layers;  // frozen layers under the session; 0 = fresh
-  size_t base_tokens;  // tokens each base layer observes
+  size_t base_tokens;  // tokens the frozen base observes; 0 = fresh
   size_t prompt_tokens;
   bool constant;       // one token repeated: counts pass the u16 ceiling
-  size_t max_base_layers;
 };
 
 void PrintTo(const IngestCase& c, std::ostream* os) { *os << c.name; }
@@ -647,16 +525,15 @@ std::vector<token::TokenId> IngestTokens(const IngestCase& c, size_t n,
   return out;
 }
 
-// The session the case ingests into: a fresh model, or a fork over
-// `base_layers` frozen layers, each observed one token at a time.
+// The session the case ingests into: a fresh model, or a fork over a
+// frozen base of `base_tokens` tokens, observed one token at a time.
 std::unique_ptr<NGramLanguageModel> MakeSession(
     const IngestCase& c, const std::shared_ptr<BlockPool>& pool) {
   NGramOptions options;
   options.max_order = c.max_order;
-  options.max_base_layers = c.max_base_layers;
   auto model = std::make_unique<NGramLanguageModel>(c.vocab, options, pool);
-  for (size_t layer = 0; layer < c.base_layers; ++layer) {
-    for (token::TokenId id : IngestTokens(c, c.base_tokens, 100 + layer)) {
+  if (c.base_tokens > 0) {
+    for (token::TokenId id : IngestTokens(c, c.base_tokens, 100)) {
       model->Observe(id);
     }
     model->Freeze();
@@ -725,9 +602,6 @@ TEST_P(BulkIngestTest, MatchesObservePerToken) {
   if (c.constant) {
     EXPECT_TRUE(any([](const auto& e) { return !e.narrow; }));
   }
-  if (c.base_layers > c.max_base_layers) {
-    EXPECT_LE(b->num_base_layers(), c.max_base_layers);
-  }
 
   // The overlay is no longer empty: a second ObserveAll goes one token
   // at a time, and still matches.
@@ -755,23 +629,18 @@ TEST_P(BulkIngestTest, MatchesObservePerToken) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, BulkIngestTest,
     testing::Values(
-        // name, vocab, order, span, cap, layers, base tokens, prompt,
-        // constant, max_base_layers
-        IngestCase{"fresh_v11_o8", 11, 8, 32, 0, 0, 0, 1700, false, 4},
-        IngestCase{"fresh_v27_o12", 27, 12, 32, 0, 0, 0, 1700, false, 4},
-        IngestCase{"fresh_v11_o1", 11, 1, 8, 0, 0, 0, 1700, false, 4},
-        IngestCase{"fork_v11_o8", 11, 8, 32, 0, 1, 1000, 1700, false, 4},
-        IngestCase{"fork_v27_o1", 27, 1, 8, 0, 1, 500, 600, false, 4},
-        IngestCase{"chain_v11_o8", 11, 8, 16, 0, 5, 300, 1700, false, 2},
-        IngestCase{"chain_v27_o12", 27, 12, 8, 0, 4, 200, 900, false, 2},
-        IngestCase{"capped_fresh_v11_o8", 11, 8, 8, 40, 0, 0, 1700, false,
-                   4},
-        IngestCase{"capped_fork_v27_o8", 27, 8, 8, 320, 1, 300, 1200,
-                   false, 4},
-        IngestCase{"saturated_fresh_v11_o12", 11, 12, 32, 0, 0, 0, 70000,
-                   true, 4},
-        IngestCase{"saturated_fork_v27_o8", 27, 8, 32, 0, 1, 66000, 3000,
-                   true, 4}),
+        // name, vocab, order, span, cap, base tokens, prompt, constant
+        IngestCase{"fresh_v11_o8", 11, 8, 32, 0, 0, 1700, false},
+        IngestCase{"fresh_v27_o12", 27, 12, 32, 0, 0, 1700, false},
+        IngestCase{"fresh_v11_o1", 11, 1, 8, 0, 0, 1700, false},
+        IngestCase{"fork_v11_o8", 11, 8, 32, 0, 1000, 1700, false},
+        IngestCase{"fork_v27_o1", 27, 1, 8, 0, 500, 600, false},
+        IngestCase{"capped_fresh_v11_o8", 11, 8, 8, 40, 0, 1700, false},
+        IngestCase{"capped_fork_v27_o8", 27, 8, 8, 320, 300, 1200, false},
+        IngestCase{"saturated_fresh_v11_o12", 11, 12, 32, 0, 0, 70000,
+                   true},
+        IngestCase{"saturated_fork_v27_o8", 27, 8, 32, 0, 66000, 3000,
+                   true}),
     [](const testing::TestParamInfo<IngestCase>& info) {
       return std::string(info.param.name);
     });

@@ -1,6 +1,6 @@
 // Tests of the prefix-cache subsystem: the Freeze()/Fork() contract (a
 // fork fed the same tokens as a fresh model is bit-identical), the
-// cache's LRU/longest-prefix index mechanics, the model fingerprint that
+// cache's LRU/exact-match index mechanics, the model fingerprint that
 // namespaces it, and stats reconciliation against the token ledger. A
 // multi-threaded hammer at the end exercises the shared-cache locking
 // for TSan.
@@ -118,48 +118,6 @@ INSTANTIATE_TEST_SUITE_P(
              "Mix" + std::to_string(info.param.uniform_mix > 0.0);
     });
 
-// Chained freeze -> fork -> extend -> freeze -> fork, deep enough to
-// cross the layer-compaction threshold: the final fork must still match
-// a monolithic model fed the concatenated stream, and earlier forks
-// keep working after compaction rewrites the layer stack.
-TEST(ForkChainTest, RepeatedFreezeForkStaysExactThroughCompaction) {
-  auto chain = std::make_unique<NGramLanguageModel>(kVocab, NGramOptions{});
-  NGramLanguageModel mono(kVocab, NGramOptions{});
-  // Frozen ancestors stay alive alongside their forks, as the cache
-  // holds them; compaction must not disturb them.
-  std::vector<std::unique_ptr<NGramLanguageModel>> ancestors;
-  const int kGenerations = 7;  // > kMaxBaseLayers, forces compaction
-  for (int g = 0; g < kGenerations; ++g) {
-    std::vector<token::TokenId> chunk = TokenSeq(9, 100 + g);
-    for (token::TokenId id : chunk) {
-      chain->Observe(id);
-      mono.Observe(id);
-    }
-    EXPECT_EQ(chain->NextDistribution(), mono.NextDistribution())
-        << "generation " << g;
-    chain->Freeze();
-    std::unique_ptr<NGramLanguageModel> next = chain->Fork();
-    ancestors.push_back(std::move(chain));
-    chain = std::move(next);
-  }
-  EXPECT_EQ(chain->NextDistribution(), mono.NextDistribution());
-  // The layer stack is bounded: repeated freeze/fork compacts instead of
-  // growing one layer per generation.
-  NGramLanguageModel root(kVocab, NGramOptions{});
-  for (token::TokenId id : TokenSeq(6, 0)) root.Observe(id);
-  root.Freeze();
-  std::unique_ptr<NGramLanguageModel> session = root.Fork();
-  std::vector<std::unique_ptr<NGramLanguageModel>> keep;
-  for (int g = 1; g < 12; ++g) {
-    for (token::TokenId id : TokenSeq(6, g)) session->Observe(id);
-    session->Freeze();
-    std::unique_ptr<NGramLanguageModel> fork = session->Fork();
-    keep.push_back(std::move(session));
-    session = std::move(fork);
-  }
-  EXPECT_LE(session->num_base_layers(), 5u);
-}
-
 // Two forks of one base diverge independently: tokens observed by one
 // are invisible to its sibling and to the frozen base.
 TEST(ForkIsolationTest, SiblingForksDoNotLeakState)
@@ -186,7 +144,7 @@ TEST(ForkContractTest, ResetUnfreezesToEmpty) {
   model.Reset();
   EXPECT_FALSE(model.frozen());
   EXPECT_EQ(model.context_length(), 0u);
-  EXPECT_EQ(model.num_base_layers(), 0u);
+  EXPECT_EQ(model.num_entries(), 0u);
   // Mutable again after Reset.
   model.Observe(3);
   EXPECT_EQ(model.context_length(), 1u);
@@ -231,9 +189,6 @@ TEST(ModelFingerprintTest, SamplerPoolAndStorageOptionsDoNot) {
   ModelProfile pooled = base;
   pooled.memory_pool = std::make_shared<BlockPool>(PagedMemoryOptions{});
   EXPECT_EQ(ModelFingerprint(pooled, kVocab), fp);
-  ModelProfile layers = base;
-  layers.ngram.max_base_layers = base.ngram.max_base_layers + 3;
-  EXPECT_EQ(ModelFingerprint(layers, kVocab), fp);
 }
 
 // ---------------------------------------------------------------------
@@ -262,7 +217,6 @@ TEST(PrefixCacheTest, MissThenFullHit) {
   EXPECT_EQ(s.lookups, 2u);
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.full_hits, 1u);
-  EXPECT_EQ(s.prefix_hits, 0u);
   EXPECT_EQ(s.insertions, 1u);
   EXPECT_EQ(s.prompt_tokens_seen, 2 * prompt.size());
   EXPECT_EQ(s.prompt_tokens_reused, prompt.size());
@@ -271,30 +225,43 @@ TEST(PrefixCacheTest, MissThenFullHit) {
             s.prompt_tokens_reused + s.prompt_tokens_replayed);
 }
 
-TEST(PrefixCacheTest, LongestPrefixIsExtendedBySuffixReplay) {
-  PrefixCache cache(8);
-  std::vector<token::TokenId> prompt = TokenSeq(40, 9);
-  std::vector<token::TokenId> shorter(prompt.begin(), prompt.begin() + 10);
-  std::vector<token::TokenId> longer(prompt.begin(), prompt.begin() + 30);
+// The cache matches whole prompts only: a prompt that extends a cached
+// one is a counted miss, replayed and cached in full beside it, and the
+// lookup leaves the shorter entry where it was in the LRU.
+TEST(PrefixCacheTest, ExtendingACachedPromptIsACountedMiss) {
+  PrefixCache cache(2);
+  const std::vector<token::TokenId> prompt = TokenSeq(40, 9);
+  const std::vector<token::TokenId> shorter(prompt.begin(),
+                                            prompt.begin() + 30);
+  const std::vector<token::TokenId> other = TokenSeq(30, 5);
   cache.Warm(1, shorter, NGramFactory());
-  cache.Warm(1, longer, NGramFactory());
-  ASSERT_EQ(cache.size(), 2u);
+  cache.Warm(1, other, NGramFactory());  // `shorter` is least recent now
+  const PrefixCacheStats before = cache.stats();
 
-  // The full prompt extends the *longest* cached prefix (30 tokens).
   std::unique_ptr<NGramLanguageModel> session =
       cache.AcquireSession(1, prompt, NGramFactory());
   ASSERT_NE(session, nullptr);
-  PrefixCacheStats s = cache.stats();
-  EXPECT_EQ(s.prefix_hits, 2u);  // longer warm extended shorter; then this
-  EXPECT_EQ(s.misses, 1u);       // only the first warm missed
-  // The acquire reused exactly the 30 cached tokens and replayed 10.
-  EXPECT_EQ(s.prompt_tokens_reused, 10u + 30u);
-  EXPECT_EQ(cache.size(), 3u);
+  const PrefixCacheStats s = cache.stats();
+  EXPECT_EQ(s.lookups, before.lookups + 1);
+  EXPECT_EQ(s.misses, before.misses + 1);
+  EXPECT_EQ(s.insertions, before.insertions + 1);
+  EXPECT_EQ(s.full_hits, before.full_hits);
+  EXPECT_EQ(s.prompt_tokens_replayed,
+            before.prompt_tokens_replayed + prompt.size());
+  EXPECT_EQ(s.prompt_tokens_reused, before.prompt_tokens_reused);
 
   // Bit-exact against a fresh session.
   NGramLanguageModel fresh(kVocab, NGramOptions{});
   for (token::TokenId id : prompt) fresh.Observe(id);
   ExpectLockstep(&fresh, session.get(), TokenSeq(8, 4));
+
+  // The insert evicted the least recent entry, which is still `shorter`:
+  // the lookup did not touch it.
+  EXPECT_EQ(s.evictions, before.evictions + 1);
+  cache.AcquireSession(1, other, NGramFactory());
+  EXPECT_EQ(cache.stats().full_hits, s.full_hits + 1);
+  cache.AcquireSession(1, shorter, NGramFactory());
+  EXPECT_EQ(cache.stats().misses, s.misses + 1);
 }
 
 TEST(PrefixCacheTest, MatchingIsByteExactNotJustLength) {
@@ -342,40 +309,6 @@ TEST(PrefixCacheTest, EvictionIsLeastRecentlyUsed) {
   EXPECT_EQ(cache.stats().full_hits, before.full_hits + 1);
   cache.AcquireSession(1, p2, NGramFactory());  // was evicted: miss
   EXPECT_EQ(cache.stats().misses, before.misses + 1);
-}
-
-TEST(PrefixCacheTest, CapacityZeroDisablesTheCacheEntirely) {
-  PrefixCache cache(0);
-  EXPECT_EQ(cache.capacity(), 0u);
-  std::vector<token::TokenId> prompt = TokenSeq(16, 1);
-  // Warm is a no-op: nothing is built, counted or stored.
-  cache.Warm(1, prompt, NGramFactory());
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().lookups, 0u);
-  EXPECT_EQ(cache.stats().insertions, 0u);
-
-  // Every acquisition is a miss served by a fresh full-replay session —
-  // bit-identical to the cached path, just without the reuse.
-  for (int round = 0; round < 3; ++round) {
-    std::unique_ptr<NGramLanguageModel> session =
-        cache.AcquireSession(1, prompt, NGramFactory());
-    ASSERT_NE(session, nullptr);
-    EXPECT_EQ(session->context_length(), prompt.size());
-    NGramLanguageModel fresh(kVocab, NGramOptions{});
-    for (token::TokenId id : prompt) fresh.Observe(id);
-    EXPECT_EQ(session->NextDistribution(), fresh.NextDistribution());
-  }
-  PrefixCacheStats s = cache.stats();
-  EXPECT_EQ(s.lookups, 3u);  // the 3 acquires
-  EXPECT_EQ(s.misses, 3u);
-  EXPECT_EQ(s.hits(), 0u);
-  EXPECT_EQ(s.evictions, 0u);
-  EXPECT_EQ(s.prompt_tokens_replayed, 3 * prompt.size());
-  EXPECT_EQ(s.prompt_tokens_reused, 0u);
-  EXPECT_EQ(cache.size(), 0u);
-  // Clear on a disabled cache is harmless too.
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(PrefixCacheTest, EvictedBaseStaysValidForLiveForkedSessions) {
@@ -426,15 +359,16 @@ TEST(PrefixCacheTest, ReplicasSharingOneCacheStayFingerprintIsolated) {
   EXPECT_EQ(cache.stats().full_hits, before.full_hits + 2);
   EXPECT_EQ(cache.stats().misses, before.misses);
 
-  // A prefix of the prompt cached under A must not shorten B's replay:
-  // B's longest-prefix lookup stays inside its own namespace.
+  // A prompt that extends the one both replicas cached is a miss for
+  // B: every token is replayed, none reused from either namespace.
   std::vector<token::TokenId> longer = TokenSeq(32, 3);
   ASSERT_TRUE(std::equal(prompt.begin(), prompt.end(), longer.begin()));
   before = cache.stats();
   cache.AcquireSession(kReplicaB, longer, NGramFactory());
-  EXPECT_EQ(cache.stats().prefix_hits, before.prefix_hits + 1);
-  EXPECT_EQ(cache.stats().prompt_tokens_reused,
-            before.prompt_tokens_reused + prompt.size());
+  EXPECT_EQ(cache.stats().misses, before.misses + 1);
+  EXPECT_EQ(cache.stats().prompt_tokens_replayed,
+            before.prompt_tokens_replayed + longer.size());
+  EXPECT_EQ(cache.stats().prompt_tokens_reused, before.prompt_tokens_reused);
 }
 
 TEST(PrefixCacheTest, ClearDropsEntriesKeepsCounters) {
@@ -651,7 +585,8 @@ TEST(PrefixCacheThreadingTest, ConcurrentSessionsMatchSerialResults) {
   auto cache = std::make_shared<PrefixCache>(8);
   const ModelProfile profile = ModelProfile::Llama2_7B();
   // Four prompts over a capacity-8 cache, hammered by 8 threads: forks,
-  // misses, suffix extensions and evict-free steady state all race.
+  // misses (one prompt extends another, and is a miss of its own) and
+  // evict-free steady state all race.
   std::vector<std::vector<token::TokenId>> prompts = {
       EncodeDigits("12,34,56,"), EncodeDigits("12,34,56,78,"),
       EncodeDigits("99,98,97,"), EncodeDigits("11,11,11,")};
@@ -692,8 +627,9 @@ TEST(PrefixCacheThreadingTest, ConcurrentSessionsMatchSerialResults) {
   EXPECT_EQ(s.prompt_tokens_seen,
             s.prompt_tokens_reused + s.prompt_tokens_replayed);
   // Concurrent builds of the same prompt are deduplicated under the
-  // lock: at most one insertion per distinct (prompt, extension) state.
-  EXPECT_LE(cache->size(), prompts.size() + 1);
+  // lock: one insertion per distinct prompt.
+  EXPECT_EQ(s.insertions, prompts.size());
+  EXPECT_EQ(cache->size(), prompts.size());
 }
 
 }  // namespace
