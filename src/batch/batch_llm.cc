@@ -10,12 +10,12 @@ namespace batch {
 BatchLlm::BatchLlm(const lm::ModelProfile& profile, size_t vocab_size,
                    std::shared_ptr<BatchScheduler> scheduler,
                    std::shared_ptr<lm::PrefixCache> prefix_cache,
-                   lm::DrawTrie::Log* draws)
+                   lm::DrawTrie* trie)
     : profile_(profile),
       vocab_size_(vocab_size),
       scheduler_(std::move(scheduler)),
       cache_(std::move(prefix_cache)),
-      draws_(draws),
+      trie_(trie),
       fingerprint_(lm::ModelFingerprint(profile_, vocab_size_)) {
   MC_CHECK(scheduler_ != nullptr);
 }
@@ -26,7 +26,7 @@ Result<lm::GenerationResult> BatchLlm::Complete(
   MC_ASSIGN_OR_RETURN(lm::DecodeLane lane,
                       lm::OpenDecodeLane(profile_, vocab_size_, fingerprint_,
                                          cache_.get(), prompt, num_tokens,
-                                         mask, draws_));
+                                         mask, trie_));
   lm::GenerationResult result;
   // Logical prompt size, cached or not — same ledger contract as
   // SimulatedLlm (see lm/generator.cc).

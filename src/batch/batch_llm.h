@@ -9,9 +9,9 @@
 // where it cooperatively drives the shared batch. Draws that callers on
 // other threads submit meanwhile (other in-flight requests sharing the
 // scheduler) decode together with it, one token per session per step.
-// A draw whose prefix an earlier draw of its forecast published walks
-// the trie inside the scheduler's step exactly as it would inside
-// SimulatedLlm (lm::DrawTrie, DESIGN.md §5m).
+// A draw walks and grows its forecast's draw trie inside the
+// scheduler's step exactly as it would inside SimulatedLlm
+// (lm::DrawTrie, DESIGN.md §5m).
 //
 // Transparency contract: name, error strings, token ledger and reported
 // latency (0 — the latency model lives in the decorators above) are
@@ -42,12 +42,12 @@ class BatchLlm final : public lm::LlmBackend {
   /// `scheduler` must not be null; `prefix_cache` may be (every call
   /// then replays its prompt into a fresh session). Both are shared —
   /// any number of BatchLlm instances and threads may use them.
-  /// `draws` (may be null) is this back-end's Log of the DrawTrie its
-  /// calls share, as for SimulatedLlm; it must outlive the back-end.
+  /// `trie` (may be null) is the DrawTrie its calls share, as for
+  /// SimulatedLlm; it must outlive the back-end.
   BatchLlm(const lm::ModelProfile& profile, size_t vocab_size,
            std::shared_ptr<BatchScheduler> scheduler,
            std::shared_ptr<lm::PrefixCache> prefix_cache = nullptr,
-           lm::DrawTrie::Log* draws = nullptr);
+           lm::DrawTrie* trie = nullptr);
 
   /// The profile name, exactly as SimulatedLlm reports it: the batch
   /// path is an execution strategy, not a different backend.
@@ -66,7 +66,7 @@ class BatchLlm final : public lm::LlmBackend {
   size_t vocab_size_;
   std::shared_ptr<BatchScheduler> scheduler_;
   std::shared_ptr<lm::PrefixCache> cache_;
-  lm::DrawTrie::Log* draws_ = nullptr;
+  lm::DrawTrie* trie_ = nullptr;
   uint64_t fingerprint_ = 0;
 };
 

@@ -123,15 +123,15 @@ void PublishBatchStats(const BatchStats& stats,
 /// One unit of decode work: a lane primed with its prompt plus what the
 /// scheduler needs to run it. The rng (and clock/cancel, if set) stay
 /// owned by the submitter but must not be touched between Submit() and
-/// the matching Await() return — the scheduler has exclusive use of them
-/// while the job is live. So has it of the lane's DrawTrie Log; the
-/// trie itself may take other Logs meanwhile (lm::DrawTrie::Publish is
-/// safe under walking lanes).
+/// the matching Await() return — the scheduler has exclusive use of them,
+/// as of the lane, while the job is live. The lane's draw trie is not
+/// exclusive: other lanes, in this batch or elsewhere, may walk and grow
+/// it meanwhile (lm::DrawTrie).
 struct DecodeJobSpec {
   /// The generation: session (prompt already observed, fresh or
   /// PrefixCache fork), hoisted grammar, sampler and, for a forecast's
-  /// draw, the Log of the forecast's draw trie (lm::OpenDecodeLane). A
-  /// lane of 0 tokens completes immediately with no output.
+  /// draw, the forecast's draw trie (lm::OpenDecodeLane). A lane of 0
+  /// tokens completes immediately with no output.
   lm::DecodeLane lane;
   /// Randomness for token selection; exclusive to this job while live.
   Rng* rng = nullptr;

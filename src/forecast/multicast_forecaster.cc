@@ -123,7 +123,7 @@ BackendStack BuildDrawStack(const MultiCastOptions& options,
                             size_t vocab_size, VirtualClock* clock,
                             lm::LlmBackend* external, uint64_t draw_index,
                             const std::shared_ptr<lm::PrefixCache>& cache,
-                            lm::DrawTrie::Log* draws) {
+                            lm::DrawTrie* trie) {
   BackendStack stack;
   if (external != nullptr) {
     stack.top = external;
@@ -132,8 +132,8 @@ BackendStack BuildDrawStack(const MultiCastOptions& options,
     // shared across draws": it is internally synchronized and only ever
     // hands out forks of immutable state, so draws stay isolated and
     // bit-identical (see lm/prefix_cache.h). The draw trie is the
-    // other: lanes only read it, each draw writes only its own Log, and
-    // Publish takes the trie's lock (see lm::DrawTrie).
+    // other: lanes walk it without a lock and add nodes under its own
+    // (see lm::DrawTrie).
     if (options.batch_scheduler != nullptr) {
       // Same lane as SimulatedLlm, but its steps run inside the shared
       // continuous-batching scheduler — draws from every pipeline on
@@ -141,10 +141,10 @@ BackendStack BuildDrawStack(const MultiCastOptions& options,
       // output either way.
       stack.base = std::make_unique<batch::BatchLlm>(
           options.profile, vocab_size, options.batch_scheduler, cache,
-          draws);
+          trie);
     } else {
       stack.base = std::make_unique<lm::SimulatedLlm>(
-          options.profile, vocab_size, cache, draws);
+          options.profile, vocab_size, cache, trie);
     }
     stack.top = stack.base.get();
   }
@@ -211,22 +211,17 @@ Result<SampleDraw> DrawSample(lm::LlmBackend* backend,
   call.context = ctx;
   Result<lm::GenerationResult> gen_or =
       backend->Complete(prompt, tokens_needed, mask, sample_rng, call);
+  draw.latency_seconds = backend->last_latency_seconds();
   if (!gen_or.ok()) {
     StatusCode code = gen_or.status().code();
     if (code != StatusCode::kCancelled && !IsRetryable(code)) {
       return gen_or.status();
     }
     draw.failure = gen_or.status();
-    draw.latency_seconds = backend->last_latency_seconds();
     return draw;
   }
   lm::GenerationResult gen = std::move(gen_or).value();
   *ledger += gen.ledger;
-  // A backend that reports latency only through its accessor is charged
-  // that (the resilient layer's rule for its attempts).
-  draw.latency_seconds = gen.latency_seconds > 0.0
-                             ? gen.latency_seconds
-                             : backend->last_latency_seconds();
   MC_ASSIGN_OR_RETURN(std::string text, token::Decode(gen.tokens, vocab));
   draw.timestamps = GrammarValidTimestamps(text, layout);
   if (draw.timestamps == 0) {
@@ -254,13 +249,12 @@ struct DrawOutcome {
   std::vector<std::vector<double>> values;  // [dim][t]
   size_t salvaged = 0;       // timestamps (raw) / segments (SAX) kept
   size_t salvage_total = 0;  // what a full draw would have covered
-  /// The draw-trie nodes this draw decoded, published when it ends.
-  lm::DrawTrie::Log draws;
 };
 
-// Everything a draw needs that is shared — read-only — across all draws
-// of one forecast. `parse` turns a salvaged grammar-valid text into
-// per-dimension value rows.
+// Everything a draw needs that is shared across all draws of one
+// forecast: read-only but for the draw trie, which the draws grow.
+// `parse` turns a salvaged grammar-valid text into per-dimension value
+// rows.
 struct SampleLoopState {
   const MultiCastOptions* options = nullptr;
   const std::vector<token::TokenId>* prompt = nullptr;
@@ -275,11 +269,11 @@ struct SampleLoopState {
   /// with this forecast's prompt; null when caching is off or an
   /// external backend is in play.
   std::shared_ptr<lm::PrefixCache> cache;
-  /// What earlier draws decoded (lm::DrawTrie), walked by each draw's
-  /// SimulatedLlm or BatchLlm lane; null when the draws decode through
-  /// an external backend, or only one draw can run and no shared cache
-  /// keeps a trie for the prompt.
-  const lm::DrawTrie* trie = nullptr;
+  /// What earlier draws decoded (lm::DrawTrie), walked and grown by each
+  /// draw's SimulatedLlm or BatchLlm lane; null when the draws decode
+  /// through an external backend, or only one draw can run and no shared
+  /// cache keeps a trie for the prompt.
+  lm::DrawTrie* trie = nullptr;
   std::function<Status(const std::string& text, DrawOutcome* out)> parse;
   const char* salvage_noun = "timestamps";
 };
@@ -300,10 +294,9 @@ DrawOutcome RunDraw(const SampleLoopState& st, int draw_index, Rng rng,
   RequestContext draw_ctx;
   draw_ctx.clock = &branch;
   draw_ctx.deadline = deadline;
-  out.draws = lm::DrawTrie::Log(st.trie);
   BackendStack stack = BuildDrawStack(
       *st.options, st.vocab->size(), &branch, st.external,
-      static_cast<uint64_t>(draw_index), st.cache, &out.draws);
+      static_cast<uint64_t>(draw_index), st.cache, st.trie);
   Result<SampleDraw> draw_or =
       DrawSample(stack.top, *st.prompt, st.tokens_needed, *st.mask, &rng,
                  *st.layout, *st.vocab, draw_ctx, &out.ledger);
@@ -318,8 +311,8 @@ DrawOutcome RunDraw(const SampleLoopState& st, int draw_index, Rng rng,
   }
   SampleDraw draw = std::move(draw_or).value();
   // The resilient layer charges latency (and backoff) to the branch
-  // clock itself; a bare stack charges the call latency reported by
-  // value on the result here.
+  // clock itself; a bare stack charges the call latency its top layer
+  // reports here.
   if (stack.resilient == nullptr) branch.Advance(draw.latency_seconds);
   if (!draw.usable) {
     out.failure = draw.failure;
@@ -374,10 +367,10 @@ Status FinishSampling(const MultiCastOptions& options, int survivors,
 // the loop checks the request context before each draw and replays the
 // draw's virtual cost onto the request clock after it. Draws on the
 // simulated decoder, run to completion or in a batch scheduler, share
-// one draw trie, and each draw's Log is published as soon as the draw
-// ends, so every later draw walks what every earlier one decoded. On a
-// caller's prefix cache the trie is the prompt's entry's, so the draws
-// also read what earlier requests published.
+// one draw trie, which each draw grows as it decodes, so every later
+// draw walks what every earlier one decoded. On a caller's prefix cache
+// the trie is the prompt's entry's, so the draws also read what earlier
+// requests added.
 Status RunSampleLoop(const MultiCastOptions& options,
                      SampleLoopState st, const RequestContext& ctx,
                      VirtualClock* clock, uint64_t rng_stream, size_t dims,
@@ -406,9 +399,10 @@ Status RunSampleLoop(const MultiCastOptions& options,
         });
   }
   if (trie == nullptr && max_draws > 1 && st.external == nullptr) {
-    trie = std::make_shared<lm::DrawTrie>(options.profile, st.vocab->size(),
-                                          *st.prompt, st.tokens_needed,
-                                          *st.mask);
+    trie = std::make_shared<lm::DrawTrie>(
+        options.profile, st.vocab->size(),
+        std::make_shared<const std::vector<token::TokenId>>(*st.prompt),
+        st.tokens_needed, *st.mask);
   }
   st.trie = trie.get();
 
@@ -427,9 +421,6 @@ Status RunSampleLoop(const MultiCastOptions& options,
       break;
     }
     DrawOutcome out = RunDraw(st, s, rng.Fork(), t0, ctx.deadline);
-    // Other forecasts on the same cache may be walking the trie
-    // meanwhile; Publish is safe under them.
-    if (trie != nullptr) trie->Publish(&out.draws);
     clock->Advance(out.virtual_cost);
     if (out.terminal) return out.failure;
     result->ledger += out.ledger;

@@ -72,9 +72,9 @@ struct MultiCastOptions {
   /// accept this pipeline's vocabulary size). Null builds the usual
   /// internal SimulatedLlm from `profile`. Lets the serving layer share
   /// one backend across requests, and lets tests interpose call-counting
-  /// or cancelling decorators under the fault/retry stack. A backend
-  /// that reports a call's latency only through last_latency_seconds()
-  /// is still charged it.
+  /// or cancelling decorators under the fault/retry stack. A call is
+  /// charged the latency its backend reports through
+  /// last_latency_seconds().
   lm::LlmBackend* backend = nullptr;
   /// Entry capacity of the internally owned prefix cache
   /// (lm/prefix_cache.h; LRU beyond it); 0 = no cache. With a cache the

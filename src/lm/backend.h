@@ -106,12 +106,6 @@ GrammarMask AllowAll(size_t vocab_size);
 struct GenerationResult {
   std::vector<token::TokenId> tokens;
   TokenLedger ledger;
-  /// Simulated latency of the call that produced this result, returned
-  /// by value so callers need not read it back through the mutable
-  /// last_latency_seconds() accessor. Backends without a latency model
-  /// report 0; a caller charging virtual time falls back to the
-  /// accessor when this is 0.
-  double latency_seconds = 0.0;
 };
 
 /// Caller-side options for one Complete() call.

@@ -81,10 +81,6 @@ Result<GenerationResult> FaultInjectingBackend::Complete(
 
   MC_ASSIGN_OR_RETURN(GenerationResult result,
                       inner_->Complete(prompt, num_tokens, mask, rng, call));
-  // The injector's latency model (base or spike) is the call's latency;
-  // returning it on the result lets callers charge virtual time without
-  // reading the mutable accessor back.
-  result.latency_seconds = last_latency_seconds_;
 
   if (num_tokens > 0 && u_truncate < profile_.truncation_rate) {
     // Keep a uniform fraction in [keep_min, 1) of the reply, >= 1 token.

@@ -88,14 +88,6 @@ DrawTrie::DrawTrie(const ModelProfile& profile, size_t vocab_size,
                    : std::min(most_ids, budget_bytes / node_bytes);
 }
 
-DrawTrie::DrawTrie(const ModelProfile& profile, size_t vocab_size,
-                   std::vector<token::TokenId> prompt, size_t num_tokens,
-                   const GrammarMask& mask, size_t budget_bytes)
-    : DrawTrie(profile, vocab_size,
-               std::make_shared<const std::vector<token::TokenId>>(
-                   std::move(prompt)),
-               num_tokens, mask, budget_bytes) {}
-
 bool DrawTrie::Matches(uint64_t fingerprint, const SamplerOptions& sampler,
                        const std::vector<token::TokenId>& prompt,
                        const std::vector<GrammarMask::Shared>& cycle) const {
@@ -128,16 +120,28 @@ double* DrawTrie::SumsOf(int32_t id) const {
   return segments_[slot.segment].sums.get() + slot.offset * sums_per_node_;
 }
 
-int32_t DrawTrie::Child(int32_t id, token::TokenId token) const {
-  for (int32_t c = At(id).first_child.load(std::memory_order_acquire);
+int32_t DrawTrie::Child(int32_t parent, token::TokenId token) const {
+  if (parent == kNone) return size() > 0 ? 0 : kNone;
+  for (int32_t c = At(parent).first_child.load(std::memory_order_acquire);
        c != kNone; c = At(c).next_sibling.load(std::memory_order_acquire)) {
     if (At(c).edge == token) return c;
   }
   return kNone;
 }
 
-int32_t DrawTrie::AddLocked(int32_t parent, const Log::Entry& entry,
-                            const double* sums) {
+int32_t DrawTrie::Add(int32_t parent, token::TokenId edge,
+                      token::TokenId greedy, size_t pos,
+                      const std::vector<double>& weights) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Another lane may have added the node since this one looked.
+  const int32_t held = Child(parent, edge);
+  if (held != kNone) return held;
+  return AddLocked(parent, edge, greedy, pos, weights);
+}
+
+int32_t DrawTrie::AddLocked(int32_t parent, token::TokenId edge,
+                            token::TokenId greedy, size_t pos,
+                            const std::vector<double>& weights) {
   const size_t i = static_cast<size_t>(size_.load(std::memory_order_relaxed));
   if (i >= max_nodes_) return kNone;
   const Slot slot = Locate(i);
@@ -156,9 +160,18 @@ int32_t DrawTrie::AddLocked(int32_t parent, const Log::Entry& entry,
   }
   const int32_t id = static_cast<int32_t>(i);
   Node& node = At(id);
-  node.edge = entry.edge;
-  node.greedy = entry.greedy;
-  std::copy(sums, sums + entry.count, SumsOf(id));
+  node.edge = edge;
+  node.greedy = greedy;
+  if (greedy == kNotForced) {
+    // SampleDiscrete's running sums: the same additions in the same
+    // order, skipping only the zero weights of tokens the grammar bars.
+    double* sums = SumsOf(id);
+    double acc = 0.0;
+    for (token::TokenId t : Admitted(pos)) {
+      acc += weights[static_cast<size_t>(t)];
+      *sums++ = acc;
+    }
+  }
   if (parent == kNone) {
     // The root: reachable once the count says so.
     size_.store(id + 1, std::memory_order_release);
@@ -173,36 +186,6 @@ int32_t DrawTrie::AddLocked(int32_t parent, const Log::Entry& entry,
   head.store(id, std::memory_order_release);
   size_.store(id + 1, std::memory_order_release);
   return id;
-}
-
-void DrawTrie::Publish(Log* log) {
-  MC_CHECK(log->trie_ == this);
-  std::lock_guard<std::mutex> lock(mu_);
-  shared_steps_.fetch_add(log->shared_steps_, std::memory_order_relaxed);
-  // Where each entry landed: on a node the trie already held (another
-  // draw published the same prefix first), on a new one, or nowhere
-  // (kNone, the budget spent), and then its descendants go nowhere too.
-  std::vector<int32_t> landed(log->entries_.size(), kNone);
-  for (size_t j = 0; j < log->entries_.size(); ++j) {
-    const Log::Entry& entry = log->entries_[j];
-    const double* sums = log->sums_.data() + entry.sums;
-    int32_t node = kNone;
-    if (entry.parent == kNone) {
-      node = size() > 0 ? 0 : AddLocked(kNone, entry, sums);
-    } else {
-      const int32_t parent =
-          entry.parent < kNone
-              ? landed[static_cast<size_t>(-2 - entry.parent)]
-              : entry.parent;
-      if (parent == kNone) continue;  // under a node the budget dropped
-      node = Child(parent, entry.edge);
-      if (node == kNone) node = AddLocked(parent, entry, sums);
-    }
-    landed[j] = node;
-  }
-  log->entries_.clear();
-  log->sums_.clear();
-  log->shared_steps_ = 0;
 }
 
 size_t DrawTrie::bytes() const {
@@ -224,7 +207,7 @@ size_t DrawTrie::bytes() const {
 }
 
 DecodeLane::DecodeLane(DecodeSession session, size_t num_tokens,
-                       const SamplerOptions& sampler, DrawTrie::Log* draws,
+                       const SamplerOptions& sampler, DrawTrie* trie,
                        uint64_t fingerprint,
                        const std::vector<token::TokenId>& prompt)
     : model_(std::move(session.model)),
@@ -235,14 +218,12 @@ DecodeLane::DecodeLane(DecodeSession session, size_t num_tokens,
   for (const GrammarMask::Shared& allowed : cycle_) {
     forced_.push_back(ForcedToken(*allowed));
   }
-  if (draws == nullptr || draws->trie_ == nullptr ||
-      !draws->trie_->Matches(fingerprint, sampler, prompt, cycle_)) {
+  if (trie == nullptr ||
+      !trie->Matches(fingerprint, sampler, prompt, cycle_)) {
     model_->ReserveDecode(num_tokens);
     return;
   }
-  log_ = draws;
-  trie_ = draws->trie_;
-  node_ = trie_->size() > 0 ? 0 : DrawTrie::kNone;
+  trie_.reset(trie);
   deferring_ = true;
 }
 
@@ -254,8 +235,11 @@ Result<token::TokenId> DecodeLane::Next(Rng* rng,
     // SampleToken's draw over weights with one nonzero entry: a single
     // NextDouble that always lands on it. (Its greedy test, negated.)
     if (!IsGreedy(sampler_)) rng->NextDouble();
-  } else if (node_ != DrawTrie::kNone) {
-    next = DrawShared(pos, rng);
+  } else if (const int32_t node = deferring_
+                                      ? trie_->Child(parent_, edge_)
+                                      : DrawTrie::kNone;
+             node != DrawTrie::kNone) {
+    next = DrawShared(node, pos, rng);
   } else {
     if (deferring_) {
       // The first fresh model step: size the session for the
@@ -270,8 +254,7 @@ Result<token::TokenId> DecodeLane::Next(Rng* rng,
     MC_ASSIGN_OR_RETURN(next, DrawFresh(*probs, pos, rng));
   }
   // Sampled tokens become context, exactly as in KV-cached decoding;
-  // while the lane is still on tokens an earlier draw decoded they are
-  // kept back.
+  // while the lane is still on tokens the trie holds they are kept back.
   if (deferring_) {
     deferred_.push_back(next);
   } else {
@@ -281,23 +264,22 @@ Result<token::TokenId> DecodeLane::Next(Rng* rng,
   return next;
 }
 
-token::TokenId DecodeLane::DrawShared(size_t pos, Rng* rng) {
-  token::TokenId next = trie_->At(node_).greedy;
+token::TokenId DecodeLane::DrawShared(int32_t node, size_t pos, Rng* rng) {
+  token::TokenId next = trie_->At(node).greedy;
   if (next == kNotForced) {
     // The node keeps SampleDiscrete's running sums at the admitted
     // tokens only; its fallback, past the last sum, is the last token
     // of the vocabulary.
     const std::span<const token::TokenId> admitted = trie_->Admitted(pos);
     const size_t i = static_cast<size_t>(rng->SampleCdf(
-        std::span(trie_->SumsOf(node_), admitted.size())));
+        std::span(trie_->SumsOf(node), admitted.size())));
     next = i < admitted.size()
                ? admitted[i]
                : static_cast<token::TokenId>(trie_->vocab_ - 1);
   }
-  ++log_->shared_steps_;
-  parent_ = node_;
+  ++trie_.get_deleter().steps;
+  parent_ = node;
   edge_ = next;
-  node_ = trie_->Child(node_, next);
   return next;
 }
 
@@ -314,26 +296,12 @@ Result<token::TokenId> DecodeLane::DrawFresh(const std::vector<double>& probs,
       greedy != kNotForced
           ? greedy
           : static_cast<token::TokenId>(rng->SampleDiscrete(weights_));
-  if (log_ != nullptr && trie_->full()) {
-    // The budget is spent, and stays spent: log nothing more.
-    log_ = nullptr;
-  }
-  if (log_ != nullptr) {
-    const std::span<const token::TokenId> admitted =
-        greedy != kNotForced ? std::span<const token::TokenId>()
-                             : trie_->Admitted(pos);
-    log_->entries_.push_back(DrawTrie::Log::Entry{
-        parent_, edge_, greedy, static_cast<uint32_t>(log_->sums_.size()),
-        static_cast<uint32_t>(admitted.size())});
-    // SampleDiscrete's running sums: the same additions in the same
-    // order, skipping only the zero weights of tokens the grammar bars.
-    double acc = 0.0;
-    for (token::TokenId t : admitted) {
-      acc += weights_[static_cast<size_t>(t)];
-      log_->sums_.push_back(acc);
-    }
-    parent_ = DrawTrie::Logged(log_->entries_.size() - 1);
+  if (trie_ != nullptr) {
+    parent_ = trie_->Add(parent_, edge_, greedy, pos, weights_);
     edge_ = next;
+    // Past the budget the trie stays full: add nothing more. The lane
+    // never walks it again either, so it lets go of it (and counts).
+    if (parent_ == DrawTrie::kNone) trie_.reset();
   }
   return next;
 }
@@ -343,7 +311,7 @@ Result<DecodeLane> OpenDecodeLane(const ModelProfile& profile,
                                   PrefixCache* cache,
                                   const std::vector<token::TokenId>& prompt,
                                   size_t num_tokens, const GrammarMask& mask,
-                                  DrawTrie::Log* draws) {
+                                  DrawTrie* trie) {
   MC_RETURN_IF_ERROR(ValidatePromptTokens(prompt, vocab_size));
   DecodeSession session;
   // Hoist the grammar: a periodic mask is evaluated once per cycle
@@ -360,17 +328,17 @@ Result<DecodeLane> OpenDecodeLane(const ModelProfile& profile,
     session.model = NewDecoderModel(profile, vocab_size);
     session.model->ObserveAll(prompt);
   }
-  return DecodeLane(std::move(session), num_tokens, profile.sampler, draws,
+  return DecodeLane(std::move(session), num_tokens, profile.sampler, trie,
                     fingerprint, prompt);
 }
 
 SimulatedLlm::SimulatedLlm(const ModelProfile& profile, size_t vocab_size,
                            std::shared_ptr<PrefixCache> prefix_cache,
-                           DrawTrie::Log* draws)
+                           DrawTrie* trie)
     : profile_(profile),
       vocab_size_(vocab_size),
       cache_(std::move(prefix_cache)),
-      draws_(draws),
+      trie_(trie),
       fingerprint_(ModelFingerprint(profile_, vocab_size_)) {}
 
 Status SimulatedLlm::WarmPrefix(const std::vector<token::TokenId>& prompt) {
@@ -388,7 +356,7 @@ Result<GenerationResult> SimulatedLlm::Complete(
   MC_ASSIGN_OR_RETURN(DecodeLane lane,
                       OpenDecodeLane(profile_, vocab_size_, fingerprint_,
                                      cache_.get(), prompt, num_tokens, mask,
-                                     draws_));
+                                     trie_));
   GenerationResult result;
   // The logical prompt size, cached or not: the ledger counts what the
   // call conditioned on, so resilience/serving accounting is identical

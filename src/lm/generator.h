@@ -65,26 +65,26 @@ inline constexpr size_t kCacheDrawTrieBytes = 20 * 1024;
 /// Forced positions need no node: the grammar fixes their tokens, so the
 /// tokens drawn at model steps spell the whole prefix.
 ///
-/// A DecodeLane handed a Log of the trie walks it: while its prefix is
-/// one an earlier draw published, a model step costs only its own RNG
-/// draw and a walk of the node's sums (Rng::SampleCdf: no
-/// NextDistribution, no pow, no Observe), and the tokens walked are kept
-/// back. At its first unseen node the lane ingests them with one
-/// ObserveAll, then decodes as usual, recording the nodes it adds in its
-/// Log. The lane is the decode step of both drivers, SimulatedLlm and
-/// the batch scheduler, so the draws share the trie on either.
+/// A DecodeLane handed the trie walks it: while its prefix is one the
+/// trie holds, a model step costs only its own RNG draw and a walk of
+/// the node's sums (Rng::SampleCdf: no NextDistribution, no pow, no
+/// Observe), and the tokens walked are kept back. At its first unseen
+/// node the lane ingests them with one ObserveAll, then decodes as
+/// usual, adding each model step it computes to the trie as it goes.
+/// The lane is the decode step of both drivers, SimulatedLlm and the
+/// batch scheduler, so the draws share the trie on either.
 ///
 /// A forecast owns a trie of its own, or walks the one its prompt's
 /// entry in a caller's prefix cache keeps (PrefixCache::DrawTrieFor), so
-/// that every request for the prompt shares it. Publish adds a Log under
-/// a lock, and readers walk the trie without one: node storage is
-/// allocated in segments that never move, a node's sums, edge and token
-/// are written before the release store of the link (or, for the root,
-/// of the node count) that makes it reachable, and links only ever go
-/// from kNone to a node or from one child list head to a longer list.
-/// Past its byte budget the trie stops growing; lanes that leave it then
-/// decode fresh and log nothing. A lane whose profile, vocabulary,
-/// sampler, prompt or grammar differ from the trie's decodes without it.
+/// that every request for the prompt shares it. Lanes add nodes under a
+/// lock and walk the trie without one: node storage is allocated in
+/// segments that never move, a node's sums, edge and token are written
+/// before the release store of the link (or, for the root, of the node
+/// count) that makes it reachable, and links only ever go from kNone to
+/// a node or from one child list head to a longer list. Past its byte
+/// budget the trie stops growing; lanes that leave it then decode fresh
+/// and add nothing. A lane whose profile, vocabulary, sampler, prompt or
+/// grammar differ from the trie's decodes without it.
 class DrawTrie {
  public:
   /// A trie for generations of `profile` over a `vocab_size` vocabulary
@@ -94,67 +94,26 @@ class DrawTrie {
            std::shared_ptr<const std::vector<token::TokenId>> prompt,
            size_t num_tokens, const GrammarMask& mask,
            size_t budget_bytes = 0);
-  DrawTrie(const ModelProfile& profile, size_t vocab_size,
-           std::vector<token::TokenId> prompt, size_t num_tokens,
-           const GrammarMask& mask, size_t budget_bytes = 0);
 
-  /// The nodes one draw added past the published trie, in the order it
-  /// decoded them. Publish hands them to the trie.
-  class Log {
-   public:
-    /// A Log of `trie`; null makes a Log that decodes without one.
-    explicit Log(const DrawTrie* trie = nullptr) : trie_(trie) {}
-    /// Nodes logged: model steps this Log's draws computed afresh.
-    size_t size() const { return entries_.size(); }
-
-   private:
-    friend class DrawTrie;
-    friend class DecodeLane;
-    struct Entry {
-      /// A published node, kNone for the root, or Logged(j) for this
-      /// Log's entry j.
-      int32_t parent;
-      /// The token drawn at `parent` that leads here.
-      token::TokenId edge;
-      token::TokenId greedy;
-      /// Where the node's running sums start in `sums_`.
-      uint32_t sums;
-      /// How many: the tokens its grammar position admits (0 greedy).
-      uint32_t count;
-    };
-    const DrawTrie* trie_;
-    std::vector<Entry> entries_;
-    std::vector<double> sums_;
-    /// Model steps drawn from published nodes.
-    size_t shared_steps_ = 0;
-  };
-
-  /// Adds what `log` recorded and the trie does not hold yet, up to the
-  /// budget, and empties it. Safe while lanes walk the trie and while
-  /// other threads publish.
-  void Publish(Log* log);
-
-  /// Published nodes: model steps whose weights the next draw can reuse.
+  /// Nodes: model steps whose weights the next draw can reuse.
   size_t size() const {
     return static_cast<size_t>(size_.load(std::memory_order_acquire));
   }
-  /// Model steps published Logs drew from the trie's nodes.
+  /// Model steps lanes drew from the trie's nodes, each lane's counted
+  /// when it lets the trie go (DecodeLane).
   size_t shared_steps() const {
     return shared_steps_.load(std::memory_order_relaxed);
   }
   /// Whether the budget holds no further node.
   bool full() const { return size() >= max_nodes_; }
   /// Bytes the trie holds: node segments plus its own tables. Takes the
-  /// trie's lock, so it is safe while other threads publish.
+  /// trie's lock, so it is safe while lanes add nodes.
   size_t bytes() const;
 
  private:
   friend class DecodeLane;
 
   static constexpr int32_t kNone = -1;
-  static int32_t Logged(size_t entry) {
-    return -2 - static_cast<int32_t>(entry);
-  }
   /// Nodes in the first storage segment; segment s holds twice as many
   /// as segment s - 1, and the last one only what the budget leaves.
   static constexpr size_t kFirstSegment = 32;
@@ -193,16 +152,23 @@ class DrawTrie {
   };
   Slot Locate(size_t id) const;
   /// Node `id`'s storage and its running sums: lanes read them, and
-  /// AddLocked writes a node's before publishing it.
+  /// AddLocked writes a node's before linking it.
   Node& At(int32_t id) const;
   double* SumsOf(int32_t id) const;
-  /// The child of published node `id` reached by drawing `token`, or
-  /// kNone.
-  int32_t Child(int32_t id, token::TokenId token) const;
-  /// Appends a node under `parent` (kNone: the root) holding `entry`'s
-  /// token and `sums`; kNone when the budget is spent. Holds mu_.
-  int32_t AddLocked(int32_t parent, const Log::Entry& entry,
-                    const double* sums);
+  /// The node reached by drawing `token` at node `parent`, or the root
+  /// when `parent` is kNone; kNone when the trie holds none.
+  int32_t Child(int32_t parent, token::TokenId token) const;
+  /// The node of the model step at cycle position `pos` reached by
+  /// drawing `edge` at `parent` (kNone: the root): the one the trie
+  /// holds, or a new one holding `greedy` or the running sums of
+  /// `weights` at the tokens `pos` admits. kNone once the budget is
+  /// spent. Safe while lanes walk the trie and while others add.
+  int32_t Add(int32_t parent, token::TokenId edge, token::TokenId greedy,
+              size_t pos, const std::vector<double>& weights);
+  /// Add's append, under mu_: a node that the trie does not hold yet.
+  int32_t AddLocked(int32_t parent, token::TokenId edge,
+                    token::TokenId greedy, size_t pos,
+                    const std::vector<double>& weights);
 
   uint64_t fingerprint_;
   SamplerOptions sampler_;
@@ -222,7 +188,7 @@ class DrawTrie {
   std::array<Segment, kSegments> segments_;
   std::atomic<int32_t> size_{0};
   std::atomic<size_t> shared_steps_{0};
-  /// Serializes Publish, and bytes() against it.
+  /// Serializes Add, and bytes() against it.
   mutable std::mutex mu_;
 };
 
@@ -232,14 +198,16 @@ class DrawTrie {
 /// each lane in the batch.
 ///
 /// A lane owns its session (the model conditioned on the prompt and the
-/// hoisted grammar) and, when it was given the Log of a DrawTrie made
-/// for its call, its walk of that trie (see DrawTrie): a model step an
-/// earlier draw published is drawn from the node's running sums and its
-/// token kept back; at the first unseen node the lane sizes its session
-/// for the generation (NGramLanguageModel::ReserveDecode), ingests the
-/// tokens kept back with one ObserveAll, and from there decodes as
-/// usual and logs what it adds. Without a matching trie it sizes the
-/// session at once and every model step decodes: the plain loop.
+/// hoisted grammar) and, when it was given a DrawTrie made for its call,
+/// its walk of that trie (see DrawTrie): a model step the trie holds is
+/// drawn from the node's running sums and its token kept back; at the
+/// first unseen node the lane sizes its session for the generation
+/// (NGramLanguageModel::ReserveDecode), ingests the tokens kept back
+/// with one ObserveAll, and from there decodes as usual and adds each
+/// model step to the trie. The node of a model step is looked up when
+/// the lane reaches it, so a lane sees nodes that other lanes added
+/// since its last step. Without a matching trie it sizes the session at
+/// once and every model step decodes: the plain loop.
 ///
 /// At a grammar-forced position (the hoisted mask admits one token) the
 /// model is not consulted. The RNG still advances exactly as
@@ -254,12 +222,12 @@ class DecodeLane {
   DecodeLane() = default;
 
   /// A lane that generates `num_tokens` tokens over `session` with
-  /// `sampler`, walking the trie of `draws` when that trie was made for
-  /// this call: a back-end of `fingerprint` whose session is conditioned
-  /// on `prompt`, and the session's grammar and `sampler`. `draws` may
-  /// be null and must outlive the lane.
+  /// `sampler`, walking and growing `trie` when it was made for this
+  /// call: a back-end of `fingerprint` whose session is conditioned on
+  /// `prompt`, and the session's grammar and `sampler`. `trie` may be
+  /// null and must outlive the lane.
   DecodeLane(DecodeSession session, size_t num_tokens,
-             const SamplerOptions& sampler, DrawTrie::Log* draws = nullptr,
+             const SamplerOptions& sampler, DrawTrie* trie = nullptr,
              uint64_t fingerprint = 0,
              const std::vector<token::TokenId>& prompt = {});
 
@@ -267,21 +235,33 @@ class DecodeLane {
 
   /// Generates the next token and makes it context. `probs` is scratch
   /// for the model's distribution; drivers reuse one across steps and
-  /// lanes. An error (no allowed token has positive probability) logs no
-  /// partial node. Call at most num_tokens() times.
+  /// lanes. An error (no allowed token has positive probability) adds no
+  /// node. Call at most num_tokens() times.
   Result<token::TokenId> Next(Rng* rng, std::vector<double>* probs);
 
  private:
-  /// Draws the model step at cycle position `pos` from its published
-  /// node and moves to the node after the drawn token, off the trie when
-  /// none is published.
-  token::TokenId DrawShared(size_t pos, Rng* rng);
-  /// Samples the model step at cycle position `pos`, which the trie does
+  /// Draws the model step at cycle position `pos` from the trie's
+  /// `node`.
+  token::TokenId DrawShared(int32_t node, size_t pos, Rng* rng);
+  /// Samples the model step at cycle position `pos`, which the trie did
   /// not hold, from the model's distribution `probs` as SampleToken
-  /// does, logging the node while the trie has room. An error logs
+  /// does, adding its node while the trie has room. An error adds
   /// nothing.
   Result<token::TokenId> DrawFresh(const std::vector<double>& probs,
                                    size_t pos, Rng* rng);
+
+  /// Adds the model steps a lane drew from its trie's nodes to the
+  /// trie's count when the lane lets the trie go (it is destroyed, or
+  /// leaves a full trie); it frees nothing.
+  struct AddSharedSteps {
+    // Not a default member initializer: those are not usable before the
+    // enclosing class is complete, and trie_ needs one here.
+    AddSharedSteps() : steps(0) {}
+    size_t steps;
+    void operator()(DrawTrie* trie) const {
+      trie->shared_steps_.fetch_add(steps, std::memory_order_relaxed);
+    }
+  };
 
   std::unique_ptr<NGramLanguageModel> model_;
   std::vector<GrammarMask::Shared> cycle_;
@@ -290,13 +270,11 @@ class DecodeLane {
   SamplerOptions sampler_;
   size_t num_tokens_ = 0;
   size_t step_ = 0;
-  /// The trie walk: the Log and its trie, or null off any trie.
-  DrawTrie::Log* log_ = nullptr;
-  const DrawTrie* trie_ = nullptr;
-  /// The published node of the next model step, or kNone.
-  int32_t node_ = DrawTrie::kNone;
-  /// Where the next logged node attaches: its parent and the token
-  /// drawn there.
+  /// The trie the lane walks and grows: null off any trie, and once its
+  /// budget is spent. Moving the lane moves it with its count.
+  std::unique_ptr<DrawTrie, AddSharedSteps> trie_;
+  /// The node of the last model step (kNone before the first) and the
+  /// token drawn there: the next model step's node is their child.
   int32_t parent_ = DrawTrie::kNone;
   token::TokenId edge_ = 0;
   /// Tokens walked on the trie and not yet observed; the session takes
@@ -310,15 +288,15 @@ class DecodeLane {
 /// decode front-end does: validates the prompt, hoists the grammar,
 /// takes the session from `cache` (a fork of its state for the prompt)
 /// or, when `cache` is null, feeds the prompt to a fresh `profile`
-/// model, and decodes with `profile.sampler`, walking the trie of
-/// `draws` (may be null) when it matches. `fingerprint` is
+/// model, and decodes with `profile.sampler`, walking and growing `trie`
+/// (may be null) when it matches. `fingerprint` is
 /// ModelFingerprint(profile, vocab_size).
 Result<DecodeLane> OpenDecodeLane(const ModelProfile& profile,
                                   size_t vocab_size, uint64_t fingerprint,
                                   PrefixCache* cache,
                                   const std::vector<token::TokenId>& prompt,
                                   size_t num_tokens, const GrammarMask& mask,
-                                  DrawTrie::Log* draws);
+                                  DrawTrie* trie);
 
 /// One simulated LLM back-end: a profile plus the decoding loop.
 ///
@@ -335,20 +313,20 @@ Result<DecodeLane> OpenDecodeLane(const ModelProfile& profile,
 /// ingestion work. The cache may be shared across SimulatedLlm instances
 /// and threads.
 ///
-/// With a DrawTrie Log attached, the model steps that an earlier draw
-/// of the trie already decoded are drawn from the published weights
-/// instead of recomputed (DecodeLane); the tokens, ledger and RNG state
-/// are those of the plain loop.
+/// With a DrawTrie attached, the model steps that an earlier draw of the
+/// trie already decoded are drawn from its nodes instead of recomputed
+/// (DecodeLane); the tokens, ledger and RNG state are those of the plain
+/// loop.
 class SimulatedLlm final : public LlmBackend {
  public:
   /// `vocab_size` must match the vocabulary the prompt was encoded with.
   /// `prefix_cache` may be null (every call then replays its prompt) and
   /// is not owned exclusively: any number of backends can share one.
-  /// `draws` (may be null) is this back-end's Log of the DrawTrie its
-  /// calls share; it must outlive the back-end.
+  /// `trie` (may be null) is the DrawTrie its calls share; it must
+  /// outlive the back-end.
   SimulatedLlm(const ModelProfile& profile, size_t vocab_size,
                std::shared_ptr<PrefixCache> prefix_cache = nullptr,
-               DrawTrie::Log* draws = nullptr);
+               DrawTrie* trie = nullptr);
 
   std::string name() const override { return profile_.name; }
   size_t vocab_size() const override { return vocab_size_; }
@@ -374,7 +352,7 @@ class SimulatedLlm final : public LlmBackend {
   ModelProfile profile_;
   size_t vocab_size_;
   std::shared_ptr<PrefixCache> cache_;
-  DrawTrie::Log* draws_ = nullptr;
+  DrawTrie* trie_ = nullptr;
   /// Cache-key namespace; see ModelFingerprint in lm/profiles.h.
   uint64_t fingerprint_ = 0;
 };

@@ -177,10 +177,7 @@ Result<GenerationResult> ResilientBackend::Complete(
     }
     Result<GenerationResult> result =
         inner_->Complete(prompt, num_tokens, mask, rng, attempt_call);
-    // Successful attempts report latency by value; failed attempts (and
-    // accessor-only backends) fall back to the inner accessor.
-    double latency = result.ok() ? result.value().latency_seconds : 0.0;
-    if (latency <= 0.0) latency = inner_->last_latency_seconds();
+    double latency = inner_->last_latency_seconds();
     if (latency > 0.0 && attempt_call.deadline_seconds > 0.0) {
       // A deadline miss only costs the deadline, not the full spike.
       latency = std::min(latency, attempt_call.deadline_seconds);

@@ -1,17 +1,15 @@
 #include "util/metrics.h"
 
-#include <algorithm>
 #include <fstream>
 
 #include "util/strings.h"
-#include "util/table.h"
 
 namespace multicast {
 namespace util {
 
 namespace {
 
-/// Shortest decimal form that round-trips a double (JSON + tables).
+/// Shortest decimal form that round-trips a double (the JSON export).
 std::string FormatNumber(double v) {
   std::string text = StrFormat("%.17g", v);
   for (int digits = 1; digits < 17; ++digits) {
@@ -92,71 +90,10 @@ double MetricsSnapshot::Value(const std::string& name) const {
   return point != nullptr ? point->value : 0.0;
 }
 
-double MetricsSnapshot::HistogramQuantile(const std::string& name,
-                                          double q) const {
-  const MetricPoint* point = Find(name);
-  if (point == nullptr || point->kind != MetricKind::kHistogram ||
-      point->count == 0) {
-    return 0.0;
-  }
-  q = std::min(1.0, std::max(0.0, q));
-  // The target rank in [0, count]; the bucket whose cumulative count
-  // first reaches it holds the quantile.
-  const double target = q * static_cast<double>(point->count);
-  double cumulative = 0.0;
-  for (size_t i = 0; i < point->buckets.size(); ++i) {
-    if (point->buckets[i] == 0) continue;
-    const double in_bucket = static_cast<double>(point->buckets[i]);
-    if (cumulative + in_bucket >= target) {
-      // Indexed histogram: the bucket index *is* the observed value.
-      if (point->bounds.empty()) return static_cast<double>(i);
-      // Overflow bucket: no upper bound to interpolate toward.
-      if (i >= point->bounds.size()) return point->bounds.back();
-      const double hi = point->bounds[i];
-      const double lo = i == 0 ? 0.0 : point->bounds[i - 1];
-      double frac = (target - cumulative) / in_bucket;
-      if (frac < 0.0) frac = 0.0;
-      return lo + frac * (hi - lo);
-    }
-    cumulative += in_bucket;
-  }
-  // count > 0 guarantees a bucket reached the target above; this line
-  // only absorbs floating-point edge dust.
-  return point->bounds.empty() ? 0.0 : point->bounds.back();
-}
-
 void MetricsSnapshot::Append(MetricPoint point) {
   MC_CHECK(index_.find(point.name) == index_.end());
   index_.emplace(point.name, points_.size());
   points_.push_back(std::move(point));
-}
-
-std::string MetricsSnapshot::ToTable() const {
-  TextTable table({"Metric", "Kind", "Value"});
-  for (const MetricPoint& point : points_) {
-    std::string value;
-    if (point.kind == MetricKind::kHistogram) {
-      value = StrFormat("count %llu, sum %s, buckets [",
-                        static_cast<unsigned long long>(point.count),
-                        FormatNumber(point.sum).c_str());
-      for (size_t k = 0; k < point.buckets.size(); ++k) {
-        if (k > 0) value += " ";
-        value += StrFormat(
-            "%llu", static_cast<unsigned long long>(point.buckets[k]));
-      }
-      value += "]";
-      if (point.count > 0) {
-        value += StrFormat(
-            ", p50 %s, p95 %s",
-            FormatNumber(HistogramQuantile(point.name, 0.5)).c_str(),
-            FormatNumber(HistogramQuantile(point.name, 0.95)).c_str());
-      }
-    } else {
-      value = FormatNumber(point.value);
-    }
-    table.AddRow({point.name, MetricKindName(point.kind), value});
-  }
-  return table.Render();
 }
 
 MetricsRegistry::Entry* MetricsRegistry::FindOrCreate(

@@ -17,10 +17,12 @@
 //
 // Snapshot() takes a point-in-time copy of every metric, in
 // registration order (first-touch order, deterministic for the
-// single-threaded sims). Snapshots exist to be exported: ToTable()
-// renders the human-readable dump, MetricsJson() and WriteMetricsJson()
-// the machine artifact. serve-sim, cluster-sim and the benches all emit
-// through these two functions — there is no other serialization path.
+// single-threaded sims). Snapshots exist to be exported:
+// MetricsJson() and WriteMetricsJson() render the machine artifact, and
+// serve-sim's and cluster-sim's `--metrics-json` and the benches'
+// `BENCH_*_metrics.json` files are written through them — there is no
+// other serialization path. The human-readable tables those tools print
+// are rendered from the stats structs, not from the registry.
 //
 // Nothing is read back into a struct. Each subsystem offers a
 // Publish<Struct>() helper (declared next to the struct) that adds the
@@ -135,21 +137,8 @@ class MetricsSnapshot {
   /// never-incremented are indistinguishable).
   double Value(const std::string& name) const;
 
-  /// Quantile estimate of a histogram point, `q` in [0, 1] (clamped).
-  /// Fixed-bound histograms interpolate linearly within the selected
-  /// bucket — from the previous bound (0 for the first bucket) to the
-  /// bucket's own bound, with the overflow bucket pinned at the last
-  /// finite bound. Indexed histograms return the selected bucket index
-  /// (the observed value itself, e.g. a batch-occupancy level). Returns
-  /// 0.0 when the point is absent, not a histogram, or has no
-  /// observations.
-  double HistogramQuantile(const std::string& name, double q) const;
-
   /// Appends a point (the building block of MetricsRegistry::Snapshot).
   void Append(MetricPoint point);
-
-  /// Human-readable table of every point, registration order.
-  std::string ToTable() const;
 
  private:
   std::vector<MetricPoint> points_;

@@ -8,6 +8,7 @@
 #define MULTICAST_TESTS_DECODE_REFERENCE_H_
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -151,6 +152,31 @@ inline std::vector<token::TokenId> DigitPrompt(size_t values) {
     prompt.push_back(kComma);
   }
   return prompt;
+}
+
+/// `prompt` as lm::DrawTrie takes it.
+inline std::shared_ptr<const std::vector<token::TokenId>> Shared(
+    const std::vector<token::TokenId>& prompt) {
+  return std::make_shared<const std::vector<token::TokenId>>(prompt);
+}
+
+/// The distinct generated prefixes `draws` reach at a model step (a
+/// position `mask` does not force). A draw trie that every one of them
+/// walked or grew, with room to spare, holds one node per prefix when
+/// it keeps one child per (parent, token drawn there), and more when two
+/// lanes added the same prefix.
+inline std::set<std::vector<token::TokenId>> ModelStepPrefixes(
+    const std::vector<std::vector<token::TokenId>>& draws,
+    const lm::GrammarMask& mask) {
+  std::set<std::vector<token::TokenId>> prefixes;
+  for (const std::vector<token::TokenId>& tokens : draws) {
+    for (size_t p = 0; p < tokens.size(); ++p) {
+      if (lm::ForcedToken(*mask(p)) == lm::kNotForced) {
+        prefixes.emplace(tokens.begin(), tokens.begin() + p);
+      }
+    }
+  }
+  return prefixes;
 }
 
 }  // namespace decode_reference

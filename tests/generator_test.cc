@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -169,12 +170,11 @@ TEST(GeneratorTest, ForcedPositionsMatchTheUnskippedLoop) {
   }
 }
 
-// Draws over one DrawTrie one at a time, each Log published as its draw
-// ends, as the sample loop does: the k-th draw walks what the k - 1
-// before it published. Every draw must
+// Draws over one DrawTrie one at a time, as the sample loop runs them:
+// the k-th draw walks what the k - 1 before it added. Every draw must
 // give the tokens, ledger and RNG state of the plain loop with its own
 // seed, for every back-end, grammar and sampler, with and without a
-// prefix cache.
+// prefix cache, and the trie must hold one node per prefix drawn.
 TEST(DrawTrieTest, SequentialDrawsMatchTheReferenceLoop) {
   namespace ref = decode_reference;
   const std::vector<token::TokenId> prompt = ref::DigitPrompt(60);
@@ -189,14 +189,14 @@ TEST(DrawTrieTest, SequentialDrawsMatchTheReferenceLoop) {
           SCOPED_TRACE(base.name + " " + sampler.name + " " + mask.name +
                        (cached ? " cached" : " uncached"));
           auto cache = cached ? std::make_shared<PrefixCache>(2) : nullptr;
-          DrawTrie trie(profile, ref::kVocab, prompt, num_tokens, mask.mask);
-          size_t logged = 0;
+          DrawTrie trie(profile, ref::kVocab, ref::Shared(prompt),
+                        num_tokens, mask.mask);
+          std::vector<std::vector<token::TokenId>> drawn;
           for (int k = 0; k < draws; ++k) {
             const uint64_t seed = 100 + static_cast<uint64_t>(k);
             const ref::Decoded want = ref::ReferenceDecode(
                 profile, ref::kVocab, prompt, num_tokens, mask.mask, seed);
-            DrawTrie::Log log(&trie);
-            SimulatedLlm llm(profile, ref::kVocab, cache, &log);
+            SimulatedLlm llm(profile, ref::kVocab, cache, &trie);
             Rng rng(seed);
             auto got = llm.Complete(prompt, num_tokens, mask.mask, &rng);
             ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -204,12 +204,10 @@ TEST(DrawTrieTest, SequentialDrawsMatchTheReferenceLoop) {
             EXPECT_EQ(got.value().ledger.prompt_tokens, prompt.size());
             EXPECT_EQ(got.value().ledger.generated_tokens, num_tokens);
             EXPECT_EQ(rng.NextUint32(), want.rng_next) << "draw " << k;
-            logged += log.size();
-            trie.Publish(&log);
-            EXPECT_EQ(log.size(), 0u);
+            drawn.push_back(want.tokens);
           }
-          // Sequential draws never log a node twice.
-          EXPECT_EQ(trie.size(), logged);
+          EXPECT_EQ(trie.size(),
+                    ref::ModelStepPrefixes(drawn, mask.mask).size());
           EXPECT_GT(trie.size(), 0u);
         }
       }
@@ -217,64 +215,111 @@ TEST(DrawTrieTest, SequentialDrawsMatchTheReferenceLoop) {
   }
 }
 
-// Draws of one wave run concurrently: each reads only what earlier waves
-// published and logs privately; the wave's Logs are published in draw
-// order after it. Two draws of a wave that decode the same new prefix
-// both log it, and Publish keeps one node. (Run under TSan in CI.)
+// Four threads' lanes write one trie at once, in waves that start
+// together: each lane walks what the trie holds when it reaches a model
+// step, including what the other lanes of its wave added a moment
+// before, and adds the steps it computes. Under the greedy sampler all
+// of them draw one sequence, so lanes race to add the same nodes. Every
+// draw must decode the plain loop, and two lanes that reach the same
+// new prefix must leave one node for it. (Run under TSan in CI.)
 TEST(DrawTrieTest, ConcurrentWavesMatchTheReferenceLoop) {
   namespace ref = decode_reference;
   const std::vector<token::TokenId> prompt = ref::DigitPrompt(60);
   const size_t num_tokens = 42;
   const int waves = 3;
   const int width = 4;
-  for (const ref::NamedMask& mask : ref::ForcedMasks()) {
-    for (bool cached : {false, true}) {
-      SCOPED_TRACE(mask.name + (cached ? " cached" : " uncached"));
-      const ModelProfile profile = ModelProfile::Llama2_7B();
-      auto cache = cached ? std::make_shared<PrefixCache>(2) : nullptr;
-      DrawTrie trie(profile, ref::kVocab, prompt, num_tokens, mask.mask);
-      for (int w = 0; w < waves; ++w) {
-        std::vector<DrawTrie::Log> logs;
-        for (int k = 0; k < width; ++k) logs.emplace_back(&trie);
-        std::vector<Result<GenerationResult>> got(
-            width, Status::Internal("not run"));
-        std::vector<uint32_t> rng_next(width);
-        std::vector<std::thread> threads;
-        for (int k = 0; k < width; ++k) {
-          threads.emplace_back([&, k] {
-            SimulatedLlm llm(profile, ref::kVocab, cache, &logs[k]);
-            Rng rng(500 + static_cast<uint64_t>(w * width + k));
-            got[k] = llm.Complete(prompt, num_tokens, mask.mask, &rng);
-            rng_next[k] = rng.NextUint32();
-          });
-        }
-        for (std::thread& t : threads) t.join();
-        const size_t before = trie.size();
-        size_t logged = 0;
-        for (int k = 0; k < width; ++k) {
-          const ref::Decoded want = ref::ReferenceDecode(
-              profile, ref::kVocab, prompt, num_tokens, mask.mask,
-              500 + static_cast<uint64_t>(w * width + k));
-          ASSERT_TRUE(got[k].ok()) << got[k].status().ToString();
-          EXPECT_EQ(got[k].value().tokens, want.tokens) << w << "/" << k;
-          EXPECT_EQ(rng_next[k], want.rng_next) << w << "/" << k;
-          logged += logs[k].size();
-          trie.Publish(&logs[k]);
-        }
-        EXPECT_LE(trie.size(), before + logged);
-        // Every wave's first model step is the root, which the first
-        // wave's four draws all logged and Publish kept once.
-        if (w == 0) {
-          EXPECT_LT(trie.size(), logged);
+  for (const ref::NamedSampler& sampler :
+       {ref::Samplers()[0], ref::Samplers()[1]}) {
+    for (const ref::NamedMask& mask : ref::ForcedMasks()) {
+      for (bool cached : {false, true}) {
+        SCOPED_TRACE(sampler.name + " " + mask.name +
+                     (cached ? " cached" : " uncached"));
+        ModelProfile profile = ModelProfile::Llama2_7B();
+        profile.sampler = sampler.options;
+        auto cache = cached ? std::make_shared<PrefixCache>(2) : nullptr;
+        DrawTrie trie(profile, ref::kVocab, ref::Shared(prompt), num_tokens,
+                      mask.mask);
+        std::vector<std::vector<token::TokenId>> drawn;
+        for (int w = 0; w < waves; ++w) {
+          std::vector<Result<GenerationResult>> got(
+              width, Status::Internal("not run"));
+          std::vector<uint32_t> rng_next(width);
+          std::atomic<int> ready{0};
+          std::vector<std::thread> threads;
+          for (int k = 0; k < width; ++k) {
+            threads.emplace_back([&, k] {
+              SimulatedLlm llm(profile, ref::kVocab, cache, &trie);
+              Rng rng(500 + static_cast<uint64_t>(w * width + k));
+              ready.fetch_add(1);
+              while (ready.load() < width) std::this_thread::yield();
+              got[k] = llm.Complete(prompt, num_tokens, mask.mask, &rng);
+              rng_next[k] = rng.NextUint32();
+            });
+          }
+          for (std::thread& t : threads) t.join();
+          for (int k = 0; k < width; ++k) {
+            const ref::Decoded want = ref::ReferenceDecode(
+                profile, ref::kVocab, prompt, num_tokens, mask.mask,
+                500 + static_cast<uint64_t>(w * width + k));
+            ASSERT_TRUE(got[k].ok()) << got[k].status().ToString();
+            EXPECT_EQ(got[k].value().tokens, want.tokens) << w << "/" << k;
+            EXPECT_EQ(rng_next[k], want.rng_next) << w << "/" << k;
+            drawn.push_back(want.tokens);
+          }
+          EXPECT_EQ(trie.size(),
+                    ref::ModelStepPrefixes(drawn, mask.mask).size())
+              << "wave " << w;
         }
       }
     }
   }
 }
 
-// A trie a prefix-cache entry keeps is walked and published to by many
-// requests at once: every draw publishes as soon as it is done, while
-// the others walk. Readers take no lock, so they must see either a
+// Four greedy lanes decode one long sequence on one trie at once, so
+// whenever a lane is interrupted between looking a model step up and
+// adding it, another lane can walk up to it and add the same node: the
+// later Add must find it and keep one node per prefix. Each lane spans
+// several scheduler time slices even where the threads share one CPU.
+// (Run under TSan in CI.)
+TEST(DrawTrieTest, LanesRacingOnOnePrefixLeaveOneNode) {
+  namespace ref = decode_reference;
+  const std::vector<token::TokenId> prompt = ref::DigitPrompt(60);
+  const lm::GrammarMask mask = ref::ForcedMasks()[0].mask;
+  const size_t num_tokens = 40000;
+  const int width = 4;
+  ModelProfile profile = ModelProfile::Llama2_7B();
+  profile.sampler = ref::Samplers()[0].options;  // greedy
+  DrawTrie trie(profile, ref::kVocab, ref::Shared(prompt), num_tokens, mask);
+  std::vector<Result<GenerationResult>> got(width,
+                                            Status::Internal("not run"));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int k = 0; k < width; ++k) {
+    threads.emplace_back([&, k] {
+      SimulatedLlm llm(profile, ref::kVocab, nullptr, &trie);
+      Rng rng(k);
+      ready.fetch_add(1);
+      while (ready.load() < width) std::this_thread::yield();
+      got[k] = llm.Complete(prompt, num_tokens, mask, &rng);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const ref::Decoded want =
+      ref::ReferenceDecode(profile, ref::kVocab, prompt, num_tokens, mask, 0);
+  for (int k = 0; k < width; ++k) {
+    ASSERT_TRUE(got[k].ok()) << got[k].status().ToString();
+    EXPECT_EQ(got[k].value().tokens, want.tokens) << k;
+  }
+  // One sequence: one node per model step.
+  size_t model_steps = 0;
+  for (size_t p = 0; p < num_tokens; ++p) {
+    model_steps += ForcedToken(*mask(p)) == kNotForced ? 1 : 0;
+  }
+  EXPECT_EQ(trie.size(), model_steps);
+}
+
+// A trie a prefix-cache entry keeps is walked and grown by many
+// requests at once. Readers take no lock, so they must see either a
 // whole node or none. Every draw must still give the plain loop's
 // tokens and RNG state, and the trie must stop at its budget. (Run under
 // TSan in CI.)
@@ -290,16 +335,15 @@ TEST(DrawTrieTest, PublishingWhileOthersWalkMatchesTheReferenceLoop) {
     profile.sampler.temperature = 1.0;
     // Room for at least 150 nodes: each keeps at most ref::kVocab
     // running sums.
-    DrawTrie trie(profile, ref::kVocab, prompt, num_tokens, mask.mask,
-                  150 * (16 + ref::kVocab * sizeof(double)));
+    DrawTrie trie(profile, ref::kVocab, ref::Shared(prompt), num_tokens,
+                  mask.mask, 150 * (16 + ref::kVocab * sizeof(double)));
     std::vector<std::vector<std::string>> failures(threads);
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t) {
       workers.emplace_back([&, t] {
         for (int k = 0; k < draws; ++k) {
           const uint64_t seed = 900 + static_cast<uint64_t>(t * draws + k);
-          DrawTrie::Log log(&trie);
-          SimulatedLlm llm(profile, ref::kVocab, nullptr, &log);
+          SimulatedLlm llm(profile, ref::kVocab, nullptr, &trie);
           Rng rng(seed);
           auto got = llm.Complete(prompt, num_tokens, mask.mask, &rng);
           const ref::Decoded want = ref::ReferenceDecode(
@@ -308,7 +352,6 @@ TEST(DrawTrieTest, PublishingWhileOthersWalkMatchesTheReferenceLoop) {
               rng.NextUint32() != want.rng_next) {
             failures[t].push_back("seed " + std::to_string(seed));
           }
-          trie.Publish(&log);
         }
       });
     }
@@ -334,30 +377,29 @@ TEST(DrawTrieTest, RepeatedDrawComputesNoNewDistribution) {
     // empty overlay over a cached fork, the prompt's keys uncached.
     NGramLanguageModel opened(ref::kVocab, profile.ngram);
     if (!cached) opened.ObserveAll(prompt);
-    DrawTrie trie(profile, ref::kVocab, prompt, 35, mask);
+    DrawTrie trie(profile, ref::kVocab, ref::Shared(prompt), 35, mask);
     std::vector<token::TokenId> first;
     for (int k = 0; k < 2; ++k) {
-      DrawTrie::Log log(&trie);
-      SimulatedLlm llm(profile, ref::kVocab, cache, &log);
+      SimulatedLlm llm(profile, ref::kVocab, cache, &trie);
       Rng rng(9);
       const size_t bytes_before = pool->stats().session_overlay_bytes;
       auto got = llm.Complete(prompt, 35, mask, &rng);
       ASSERT_TRUE(got.ok());
+      // 35 tokens of a 7-token cycle whose last position is forced: the
+      // first draw adds 30 nodes, and the second draw, the trie gains
+      // no node.
+      EXPECT_EQ(trie.size(), 30u);
       if (k == 0) {
-        // 35 tokens of a 7-token cycle whose last position is forced.
-        EXPECT_EQ(log.size(), 30u);
         first = got.value().tokens;
       } else {
-        EXPECT_EQ(log.size(), 0u);
         EXPECT_EQ(got.value().tokens, first);
+        EXPECT_EQ(trie.shared_steps(), 30u);
         // The draw never took a fresh model step, so it never sized its
         // session for the generation.
         EXPECT_EQ(pool->stats().session_overlay_bytes - bytes_before,
                   opened.ApproxMemoryBytes().overlay_bytes);
       }
-      trie.Publish(&log);
     }
-    EXPECT_EQ(trie.size(), 30u);
   }
 }
 
@@ -380,18 +422,16 @@ TEST(DrawTrieTest, SamplerErrorPropagatesAndLogsNoPartialNode) {
     Rng plain_rng(4);
     const Status want = plain.Complete(prompt, 6, mask, &plain_rng).status();
     ASSERT_FALSE(want.ok());
-    DrawTrie trie(profile, ref::kVocab, prompt, 6, mask);
+    DrawTrie trie(profile, ref::kVocab, ref::Shared(prompt), 6, mask);
     for (int k = 0; k < 2; ++k) {
-      DrawTrie::Log log(&trie);
-      SimulatedLlm llm(profile, ref::kVocab, nullptr, &log);
+      SimulatedLlm llm(profile, ref::kVocab, nullptr, &trie);
       Rng rng(4);
       const Status got = llm.Complete(prompt, 6, mask, &rng).status();
       EXPECT_EQ(got.code(), want.code());
       EXPECT_EQ(got.message(), want.message());
       // The two complete model steps before the failing one; the second
-      // draw walks them and fails at the same step.
-      EXPECT_EQ(log.size(), k == 0 ? 2u : 0u);
-      trie.Publish(&log);
+      // draw walks them and fails at the same step, and the trie gains
+      // no node.
       EXPECT_EQ(trie.size(), 2u);
     }
   }
@@ -405,12 +445,12 @@ TEST(DrawTrieTest, CallsTheTrieWasNotMadeForDecodeWithoutIt) {
   ModelProfile profile = ModelProfile::Llama2_7B();
   ModelProfile hotter = profile;
   hotter.sampler.temperature = 1.1;
-  DrawTrie trie(profile, ref::kVocab, prompt, 28, masks[0].mask);
-  DrawTrie::Log seed_log(&trie);
-  SimulatedLlm seeder(profile, ref::kVocab, nullptr, &seed_log);
+  DrawTrie trie(profile, ref::kVocab, ref::Shared(prompt), 28,
+                masks[0].mask);
+  SimulatedLlm seeder(profile, ref::kVocab, nullptr, &trie);
   Rng seed_rng(1);
   ASSERT_TRUE(seeder.Complete(prompt, 28, masks[0].mask, &seed_rng).ok());
-  trie.Publish(&seed_log);
+  const size_t nodes = trie.size();
   struct Case {
     std::string name;
     ModelProfile profile;
@@ -426,14 +466,14 @@ TEST(DrawTrieTest, CallsTheTrieWasNotMadeForDecodeWithoutIt) {
     SCOPED_TRACE(c.name);
     const ref::Decoded want =
         ref::ReferenceDecode(c.profile, ref::kVocab, c.prompt, 28, c.mask, 1);
-    DrawTrie::Log log(&trie);
-    SimulatedLlm llm(c.profile, ref::kVocab, nullptr, &log);
+    SimulatedLlm llm(c.profile, ref::kVocab, nullptr, &trie);
     Rng rng(1);
     auto got = llm.Complete(c.prompt, 28, c.mask, &rng);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value().tokens, want.tokens);
     EXPECT_EQ(rng.NextUint32(), want.rng_next);
-    EXPECT_EQ(log.size(), 0u);
+    EXPECT_EQ(trie.size(), nodes);
+    EXPECT_EQ(trie.shared_steps(), 0u);
   }
 }
 

@@ -1,4 +1,4 @@
-// Unified metrics registry: primitives, snapshot lookups and quantiles,
+// Unified metrics registry: primitives, snapshot lookups,
 // the single export path, the one-quantile-implementation regression,
 // the BatchStats merge operators, and the one-way export of every stats
 // struct (Publish* helpers and Summarize, checked point by point in the
@@ -114,75 +114,8 @@ TEST(MetricsSnapshotTest, FindAndValue) {
   EXPECT_EQ(snapshot.Find("absent"), nullptr);
 }
 
-TEST(MetricsSnapshotTest, HistogramQuantileInterpolatesFixedBounds) {
-  MetricsRegistry registry;
-  // Uniform 1..100 against decade bounds: ten observations per bucket,
-  // so every quantile has a closed-form expected value.
-  Histogram* h = registry.GetHistogram(
-      "lat", {10, 20, 30, 40, 50, 60, 70, 80, 90, 100});
-  for (int v = 1; v <= 100; ++v) h->Observe(static_cast<double>(v));
-  MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("lat", 0.5), 50.0);
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("lat", 0.95), 95.0);
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("lat", 0.25), 25.0);
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("lat", 1.0), 100.0);
-  // q = 0 lands at the floor of the first non-empty bucket.
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("lat", 0.0), 0.0);
-  // Out-of-range q clamps rather than extrapolating.
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("lat", 2.0), 100.0);
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("lat", -1.0), 0.0);
-}
-
-TEST(MetricsSnapshotTest, HistogramQuantileSkewedAndPartialBuckets) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("lat", {10.0, 20.0, 40.0});
-  for (int i = 0; i < 30; ++i) h->Observe(5.0);   // bucket [0, 10]
-  for (int i = 0; i < 10; ++i) h->Observe(30.0);  // bucket (20, 40]
-  MetricsSnapshot snapshot = registry.Snapshot();
-  // p50: rank 20 of 30 in the first bucket -> 10 * 20/30.
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("lat", 0.5), 10.0 * 2 / 3);
-  // p90: rank 36; 30 live below 10, the 6 remaining interpolate into
-  // (20, 40] — the empty middle bucket is skipped entirely.
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("lat", 0.9),
-                   20.0 + 20.0 * 6 / 10);
-}
-
-TEST(MetricsSnapshotTest, HistogramQuantileOverflowPinsToLastBound) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("lat", {1.0, 2.0});
-  for (int i = 0; i < 4; ++i) h->Observe(50.0);  // all overflow
-  MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("lat", 0.5), 2.0);
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("lat", 0.99), 2.0);
-}
-
-TEST(MetricsSnapshotTest, HistogramQuantileIndexedReturnsBucketIndex) {
-  // Indexed histograms (batch occupancy) have no bounds: the quantile
-  // is the bucket index itself.
-  MetricsSnapshot snapshot = MakeSnapshot(0.0, 0.0, {0, 5, 0, 5});
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("h", 0.5), 1.0);
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("h", 0.95), 3.0);
-}
-
-TEST(MetricsSnapshotTest, HistogramQuantileDegenerateInputsReturnZero) {
-  MetricsSnapshot snapshot = MakeSnapshot(3.0, 9.0, {});
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("absent", 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("c", 0.5), 0.0);  // counter
-  EXPECT_DOUBLE_EQ(snapshot.HistogramQuantile("h", 0.5), 0.0);  // empty
-}
-
-TEST(MetricsSnapshotTest, ToTableShowsHistogramQuantiles) {
-  MetricsSnapshot snapshot = MakeSnapshot(1.0, 1.0, {0, 4});
-  std::string table = snapshot.ToTable();
-  EXPECT_NE(table.find("p50 1"), std::string::npos) << table;
-  EXPECT_NE(table.find("p95 1"), std::string::npos) << table;
-  // An empty histogram renders without quantile columns.
-  MetricsSnapshot empty = MakeSnapshot(1.0, 1.0, {});
-  EXPECT_EQ(empty.ToTable().find("p50"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------
-// The single export path: MetricsJson / WriteMetricsJson / ToTable.
+// The single export path: MetricsJson / WriteMetricsJson.
 // ---------------------------------------------------------------------
 
 TEST(MetricsExportTest, JsonCarriesEveryKind) {
@@ -215,19 +148,6 @@ TEST(MetricsExportTest, WriteMetricsJsonEmitsSections) {
   EXPECT_NE(text.find("\"name\": \"beta\""), std::string::npos);
   // Section order is caller order; alpha's metrics precede beta's.
   EXPECT_LT(text.find("\"alpha\""), text.find("\"beta\""));
-}
-
-TEST(MetricsExportTest, ToTableListsEveryPointInOrder) {
-  MetricsSnapshot snapshot = MakeSnapshot(3.0, 9.0, {1});
-  std::string table = snapshot.ToTable();
-  size_t c = table.find("c");
-  size_t g = table.find("g");
-  size_t h = table.find("h");
-  EXPECT_NE(c, std::string::npos);
-  EXPECT_NE(g, std::string::npos);
-  EXPECT_NE(h, std::string::npos);
-  EXPECT_LT(c, g);
-  EXPECT_LT(g, h);
 }
 
 // ---------------------------------------------------------------------

@@ -905,21 +905,17 @@ TEST(QuantileBandTest, InvalidLevelFailsBeforeAnyBandIsBuilt) {
             std::string::npos);
 }
 
-// An external backend that reports each call's latency in one of the
-// two places a backend may: on the GenerationResult (`by_value`) or
-// only through last_latency_seconds(), with the result's field left 0.
+// An external backend that reports each call's latency through
+// last_latency_seconds(), as every backend does.
 class LatencyBackend final : public lm::LlmBackend {
  public:
-  LatencyBackend(size_t vocab_size, double call_seconds, bool by_value)
+  LatencyBackend(size_t vocab_size, double call_seconds)
       : inner_(lm::ModelProfile::Llama2_7B(), vocab_size),
-        call_seconds_(call_seconds),
-        by_value_(by_value) {}
+        call_seconds_(call_seconds) {}
 
   std::string name() const override { return "latency-reporting"; }
   size_t vocab_size() const override { return inner_.vocab_size(); }
-  double last_latency_seconds() const override {
-    return by_value_ ? 0.0 : call_seconds_;
-  }
+  double last_latency_seconds() const override { return call_seconds_; }
 
   using LlmBackend::Complete;
   Result<lm::GenerationResult> Complete(
@@ -927,10 +923,7 @@ class LatencyBackend final : public lm::LlmBackend {
       const lm::GrammarMask& mask, Rng* rng,
       const lm::CallOptions& call) override {
     ++calls;
-    MC_ASSIGN_OR_RETURN(lm::GenerationResult result,
-                        inner_.Complete(prompt, num_tokens, mask, rng, call));
-    if (by_value_) result.latency_seconds = call_seconds_;
-    return result;
+    return inner_.Complete(prompt, num_tokens, mask, rng, call);
   }
 
   size_t calls = 0;
@@ -938,17 +931,15 @@ class LatencyBackend final : public lm::LlmBackend {
  private:
   lm::SimulatedLlm inner_;
   double call_seconds_;
-  bool by_value_;
 };
 
-// Either way, with no retry layer to charge it, the sample loop charges
-// the call's latency to the request clock, so a deadline stops the
-// loop: 0.12 s at 0.05 s/call lets draws at t=0, 0.05 and 0.10 run; the
-// fourth finds the clock at 0.15 and the loop stops, degraded 3/5.
-void ExpectDeadlineBites(bool by_value) {
+// With no retry layer to charge it, the sample loop charges the call's
+// latency to the request clock, so a deadline stops the loop: 0.12 s at
+// 0.05 s/call lets draws at t=0, 0.05 and 0.10 run; the fourth finds the
+// clock at 0.15 and the loop stops, degraded 3/5.
+TEST(AccessorLatencyTest, DeadlineBitesOnAccessorReportedLatency) {
   ts::Frame frame = PeriodicFrame(48);
-  LatencyBackend backend(token::Vocabulary::Digits().size(), 0.05,
-                         by_value);
+  LatencyBackend backend(token::Vocabulary::Digits().size(), 0.05);
   MultiCastOptions opts;
   opts.num_samples = 5;
   opts.backend = &backend;
@@ -964,14 +955,6 @@ void ExpectDeadlineBites(bool by_value) {
   EXPECT_EQ(result.value().samples_used, 3u);
   EXPECT_NEAR(result.value().virtual_seconds, 0.15, 1e-12);
   EXPECT_NEAR(clock.now(), 0.15, 1e-12);
-}
-
-TEST(ByValueLatencyTest, DeadlineBitesOnResultReportedLatency) {
-  ExpectDeadlineBites(/*by_value=*/true);
-}
-
-TEST(AccessorLatencyTest, DeadlineBitesOnAccessorReportedLatency) {
-  ExpectDeadlineBites(/*by_value=*/false);
 }
 
 }  // namespace

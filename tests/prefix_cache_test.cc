@@ -419,11 +419,9 @@ TEST(PrefixCacheTest, DrawTriesLiveAndDieWithTheirEntries) {
   EXPECT_EQ(made, 1);
   const PrefixCacheStats stats = cache->stats();
   for (uint64_t seed = 0; seed < 4; ++seed) {
-    DrawTrie::Log log(trie.get());
-    SimulatedLlm llm(profile, kVocab, cache, &log);
+    SimulatedLlm llm(profile, kVocab, cache, trie.get());
     Rng rng(seed);
     ASSERT_TRUE(llm.Complete(p1, 12, mask, &rng).ok());
-    trie->Publish(&log);
   }
   // Four forks, and no lookup or LRU touch of DrawTrieFor's own.
   EXPECT_EQ(cache->stats().lookups, stats.lookups + 4);
@@ -443,17 +441,15 @@ TEST(PrefixCacheTest, DrawTriesLiveAndDieWithTheirEntries) {
             static_cast<double>(trie->shared_steps()));
 
   // Two more prompts through the two entries evict p1 and its trie; the
-  // pointer held here still walks and takes Logs.
+  // pointer held here still walks and grows.
   ASSERT_TRUE(warmer.WarmPrefix(TokenSeq(40, 2)).ok());
   ASSERT_TRUE(warmer.WarmPrefix(TokenSeq(40, 3)).ok());
   EXPECT_EQ(cache->draw_tries().nodes, 0u);
   EXPECT_EQ(cache->draw_tries().steps, totals.steps);
   {
-    DrawTrie::Log log(trie.get());
-    SimulatedLlm llm(profile, kVocab, nullptr, &log);
+    SimulatedLlm llm(profile, kVocab, nullptr, trie.get());
     Rng rng(0);
     ASSERT_TRUE(llm.Complete(p1, 12, mask, &rng).ok());
-    trie->Publish(&log);
   }
   ASSERT_TRUE(warmer.WarmPrefix(p1).ok());
   std::shared_ptr<DrawTrie> fresh = cache->DrawTrieFor(fingerprint, p1, make);
@@ -464,11 +460,9 @@ TEST(PrefixCacheTest, DrawTriesLiveAndDieWithTheirEntries) {
 
   // Clear() drops the new trie too, and keeps the steps counted.
   {
-    DrawTrie::Log log(fresh.get());
-    SimulatedLlm llm(profile, kVocab, cache, &log);
+    SimulatedLlm llm(profile, kVocab, cache, fresh.get());
     Rng rng(0);
     ASSERT_TRUE(llm.Complete(p1, 12, mask, &rng).ok());
-    fresh->Publish(&log);
   }
   const size_t steps = cache->draw_tries().steps;
   cache->Clear();
@@ -478,17 +472,19 @@ TEST(PrefixCacheTest, DrawTriesLiveAndDieWithTheirEntries) {
 }
 
 // A trie past its byte budget takes no further node; lanes that leave
-// it decode fresh and log nothing, with the plain loop's tokens.
+// it decode fresh, with the plain loop's tokens, and the trie gains no
+// node.
 TEST(PrefixCacheTest, DrawTrieStopsGrowingAtItsBudget) {
   const ModelProfile profile = ModelProfile::Llama2_7B();
   const std::vector<token::TokenId> prompt = TokenSeq(40, 1);
   const GrammarMask mask = AllowAll(kVocab);
   // Nodes of 16 header bytes and 11 running sums: room for 10.
-  DrawTrie trie(profile, kVocab, prompt, 12, mask,
-                10 * (16 + 11 * sizeof(double)));
+  DrawTrie trie(profile, kVocab,
+                std::make_shared<const std::vector<token::TokenId>>(prompt),
+                12, mask, 10 * (16 + 11 * sizeof(double)));
   for (uint64_t seed = 0; seed < 6; ++seed) {
-    DrawTrie::Log log(&trie);
-    SimulatedLlm llm(profile, kVocab, nullptr, &log);
+    const bool full = trie.full();
+    SimulatedLlm llm(profile, kVocab, nullptr, &trie);
     SimulatedLlm plain(profile, kVocab);
     Rng rng(seed);
     Rng plain_rng(seed);
@@ -497,10 +493,9 @@ TEST(PrefixCacheTest, DrawTrieStopsGrowingAtItsBudget) {
     ASSERT_TRUE(got.ok() && want.ok());
     EXPECT_EQ(got.value().tokens, want.value().tokens);
     EXPECT_EQ(rng.NextUint32(), plain_rng.NextUint32());
-    if (trie.full()) {
-      EXPECT_EQ(log.size(), 0u);
+    if (full) {
+      EXPECT_EQ(trie.size(), 10u);
     }
-    trie.Publish(&log);
     EXPECT_LE(trie.size(), 10u);
   }
   EXPECT_TRUE(trie.full());

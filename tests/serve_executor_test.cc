@@ -518,8 +518,8 @@ TEST(TraceTest, BurstsCompressInterArrivals) {
 // ---------------------------------------------------------------------
 
 /// Counts Complete() calls into an owned SimulatedLlm and reports a
-/// fixed per-call latency (by value on the result, per the backend
-/// contract) so virtual time advances under the pipeline.
+/// fixed per-call latency through last_latency_seconds(), so virtual
+/// time advances under the pipeline.
 class CountingBackend final : public lm::LlmBackend {
  public:
   CountingBackend(size_t vocab_size, double call_seconds)
@@ -536,10 +536,7 @@ class CountingBackend final : public lm::LlmBackend {
       const lm::GrammarMask& mask, Rng* rng,
       const lm::CallOptions& call) override {
     ++calls;
-    MC_ASSIGN_OR_RETURN(lm::GenerationResult result,
-                        inner_.Complete(prompt, num_tokens, mask, rng, call));
-    result.latency_seconds = call_seconds_;
-    return result;
+    return inner_.Complete(prompt, num_tokens, mask, rng, call);
   }
 
   size_t calls = 0;

@@ -1,8 +1,6 @@
 #!/usr/bin/env bash
-# Pre-merge gate: tier-1 build + tests, then an ASan+UBSan pass over the
-# whole suite, then a TSan pass over the suites whose tests call one
-# shared cache, pool, model or batch scheduler from several threads (the
-# LLM, forecast, batch and serving tiers).
+# Pre-merge gate: tier-1 build + tests, then an ASan+UBSan pass and a
+# TSan pass, each over the whole suite.
 #
 # Usage: tools/check.sh [--no-asan] [--no-tsan]
 set -euo pipefail
@@ -105,31 +103,10 @@ else
 fi
 
 if [[ "${run_tsan}" == "1" ]]; then
-  echo "==== sanitizer pass: TSan on lm/forecast/serve tests ===="
+  echo "==== sanitizer pass: TSan on the whole suite ===="
   cmake -B build-tsan -S . -DMC_SANITIZE_THREAD=ON > /dev/null
-  TSAN_TESTS=(
-    ngram_model_test
-    generator_test
-    metrics_test
-    metrics_registry_test
-    prefix_cache_test
-    paged_store_test
-    multicast_forecaster_test
-    llmtime_forecaster_test
-    serve_executor_test
-    overload_test
-    classical_test
-    resilient_backend_test
-    fault_injection_test
-    batch_scheduler_test
-    cluster_test
-    cluster_chaos_test
-  )
-  cmake --build build-tsan -j "${JOBS}" --target "${TSAN_TESTS[@]}"
-  for t in "${TSAN_TESTS[@]}"; do
-    echo "---- ${t} (tsan) ----"
-    "build-tsan/tests/${t}" --gtest_brief=1
-  done
+  cmake --build build-tsan -j "${JOBS}"
+  (cd build-tsan && ctest --output-on-failure -j "${JOBS}")
 else
   echo "==== skipping TSan pass (--no-tsan) ===="
 fi
